@@ -51,16 +51,19 @@
 //! assert!(text.round_trips() >= 2);
 //! ```
 
-mod remote;
+mod client;
+mod remote_backend;
+mod serve_client;
+mod server;
 mod sharded;
 pub mod split;
+mod split_bounds;
 pub mod wire;
 
-pub use remote::{
-    JobStatus, RemoteBackend, RemoteBackendBuilder, RemoteConnection, RemoteConnectionBuilder,
-    RemoteOptions, RetryPolicy, ServeClient, ServeError, ServeOptions, WireServer,
-    WireServerBuilder,
-};
+pub use client::{RemoteConnection, RemoteConnectionBuilder, RemoteOptions, RetryPolicy};
+pub use remote_backend::{RemoteBackend, RemoteBackendBuilder};
+pub use serve_client::{JobStatus, ServeClient, ServeError};
+pub use server::{ServeOptions, WireServer, WireServerBuilder};
 pub use sharded::{PushdownConfig, ShardTransport, ShardedBackend, SplitOpen};
 pub use wire::JobSpec;
 

@@ -51,15 +51,18 @@ use parking_lot::RwLock;
 use joinboost_engine::column::HKey;
 use joinboost_engine::table::ColumnMeta;
 use joinboost_engine::{Column, DataType, Database, Datum, EngineConfig, EngineError, Table};
-use joinboost_sql::ast::{BinaryOp, Expr, Query, SelectItem, Statement, TableRef, UnaryOp, Value};
+use joinboost_sql::ast::{Expr, Query, SelectItem, Statement, TablePosition, TableRef};
 use joinboost_sql::parse_statement;
 
 use crate::sqlgen::{split_pushdown_shape, SplitQueryShape};
 
-use super::remote::{RemoteConnection, RemoteOptions};
+use super::client::{RemoteConnection, RemoteOptions};
 use super::split::{
     interval_delta_map, reconstruct_summaries, Acc, IntervalSummary, LocalSplitState, MergeSpec,
     SplitHandle, SplitSpec,
+};
+use super::split_bounds::{
+    binned_val_monotone, d_wrt, eval_interval, eval_two_col, guard_c_range, slack,
 };
 use super::{BackendCapabilities, BackendResult, BackendStats, SqlBackend};
 
@@ -262,14 +265,6 @@ pub struct PushdownConfig {
     /// protocol would ship *more* than the rows themselves, so the split
     /// falls back to a dense merge.
     pub min_rows: usize,
-    /// Delta-encode refinement summaries (default on): after round 0
-    /// only freshly subdivided intervals cross the wire; intervals whose
-    /// bounds survived refinement are reconstructed from the
-    /// coordinator's cache, bit-identically (a summary is a pure
-    /// function of its interval's absolute row range). Off re-ships the
-    /// full summary table every round — the dense baseline the bench
-    /// compares against.
-    pub delta: bool,
 }
 
 impl Default for PushdownConfig {
@@ -277,7 +272,6 @@ impl Default for PushdownConfig {
         PushdownConfig {
             boundaries_per_shard: 16,
             min_rows: 256,
-            delta: true,
         }
     }
 }
@@ -460,17 +454,6 @@ impl ShardedBackend {
         *self.pushdown.write() = Some(cfg);
     }
 
-    /// Toggle delta-encoded refinement summaries (see
-    /// [`PushdownConfig::delta`]; default on). Off restores the
-    /// serial-dense wire behavior — every round re-ships full summary
-    /// tables — which is the baseline the bench compares against. Either
-    /// way the merged result is bit-identical.
-    pub fn set_split_delta(&self, enabled: bool) {
-        if let Some(cfg) = self.pushdown.write().as_mut() {
-            cfg.delta = enabled;
-        }
-    }
-
     /// Rows of the fact relation held by each shard, in shard order —
     /// the telemetry behind the skew warning (a hot shard key can
     /// overload one partition; see [`ShardedBackend::skew_warnings`]).
@@ -574,10 +557,7 @@ impl ShardedBackend {
 
     fn exec_select(&self, q: &Query) -> BackendResult {
         let stmt = Statement::Select(q.clone());
-        let mut from_refs = Vec::new();
-        collect_from_tables(q, &mut from_refs);
-        let mut expr_refs = Vec::new();
-        collect_expr_position_tables(q, &mut expr_refs);
+        let (from_refs, expr_refs) = table_refs(q);
         let from_sharded = self.filter_sharded(&from_refs);
         if from_sharded.is_empty() && self.filter_sharded(&expr_refs).is_empty() {
             self.coordinator_selects.fetch_add(1, Ordering::Relaxed);
@@ -646,9 +626,11 @@ impl ShardedBackend {
                 name: tmp.clone(),
                 alias: alias.clone(),
             });
-            let mut outer_refs = Vec::new();
-            collect_query_tables(&outer, &mut outer_refs);
-            let result = if self.filter_sharded(&outer_refs).is_empty() {
+            let (from_refs, expr_refs) = table_refs(&outer);
+            let result = if self
+                .filter_sharded(&[from_refs, expr_refs].concat())
+                .is_empty()
+            {
                 self.coordinator_selects.fetch_add(1, Ordering::Relaxed);
                 self.coordinator
                     .execute_statement(&Statement::Select(outer))
@@ -888,11 +870,8 @@ impl SqlBackend for ShardedBackend {
         match stmt {
             Statement::Select(q) => self.exec_select(q),
             Statement::CreateTableAs { name, query, .. } => {
-                let mut expr_refs = Vec::new();
-                collect_expr_position_tables(query, &mut expr_refs);
+                let (from_refs, expr_refs) = table_refs(query);
                 self.reject_sharded_expr_refs(&expr_refs, "a CREATE TABLE AS")?;
-                let mut from_refs = Vec::new();
-                collect_from_tables(query, &mut from_refs);
                 if self.filter_sharded(&from_refs).is_empty() {
                     self.replicate(stmt)
                 } else {
@@ -905,11 +884,8 @@ impl SqlBackend for ShardedBackend {
                 where_clause,
             } => {
                 let mut expr_refs = Vec::new();
-                for (_, e) in assignments {
-                    collect_expr_tables(e, &mut expr_refs);
-                }
-                if let Some(w) = where_clause {
-                    collect_expr_tables(w, &mut expr_refs);
+                for e in assignments.iter().map(|(_, e)| e).chain(where_clause) {
+                    e.visit_tables(&mut |name, _| expr_refs.push(name.to_string()));
                 }
                 self.reject_sharded_expr_refs(&expr_refs, "an UPDATE")?;
                 // Route by the *written* table: a sharded target updates
@@ -1226,6 +1202,18 @@ impl SqlBackend for ShardedBackend {
     }
 }
 
+/// The tables `q` references, split by position: `FROM`/`JOIN` closure
+/// (where a sharded relation may legitimately appear) and expression
+/// subqueries (where it cannot be fanned out correctly).
+fn table_refs(q: &Query) -> (Vec<String>, Vec<String>) {
+    let (mut from, mut expr) = (Vec::new(), Vec::new());
+    q.visit_tables(&mut |name, pos| match pos {
+        TablePosition::From => from.push(name.to_string()),
+        TablePosition::Expr => expr.push(name.to_string()),
+    });
+    (from, expr)
+}
+
 // ---------------------------------------------------------------------------
 // Merge planning
 // ---------------------------------------------------------------------------
@@ -1485,266 +1473,6 @@ fn concat_columns(cols: &[&Column]) -> Column {
 // Shard-local split evaluation
 // ---------------------------------------------------------------------------
 
-/// Numerical slack added to pruning bounds so floating-point rounding in
-/// either the bound or the engine's criteria arithmetic can never prune
-/// the true argmax (the bound is exact over the reals by convexity; a
-/// relative 1e-9 dwarfs the few-ulp discrepancy of either side).
-fn slack(v: f64) -> f64 {
-    1e-9 * v.abs().max(1.0)
-}
-
-/// Evaluate an expression over exactly two column variables (the split
-/// components). Returns `None` for any expression the split-criteria
-/// grammar does not produce — callers then skip pruning, never results.
-fn eval_two_col(e: &Expr, n0: &str, n1: &str, c: f64, s: f64) -> Option<f64> {
-    match e {
-        Expr::Column { table: None, name } => {
-            if name.eq_ignore_ascii_case(n0) {
-                Some(c)
-            } else if name.eq_ignore_ascii_case(n1) {
-                Some(s)
-            } else {
-                None
-            }
-        }
-        Expr::Literal(Value::Int(v)) => Some(*v as f64),
-        Expr::Literal(Value::Float(v)) => Some(*v),
-        Expr::Unary {
-            op: UnaryOp::Neg,
-            expr,
-        } => Some(-eval_two_col(expr, n0, n1, c, s)?),
-        Expr::Binary { op, left, right } => {
-            let l = eval_two_col(left, n0, n1, c, s)?;
-            let r = eval_two_col(right, n0, n1, c, s)?;
-            let b = |x: bool| if x { 1.0 } else { 0.0 };
-            Some(match op {
-                BinaryOp::Add => l + r,
-                BinaryOp::Sub => l - r,
-                BinaryOp::Mul => l * r,
-                BinaryOp::Div => l / r,
-                BinaryOp::Eq => b(l == r),
-                BinaryOp::Neq => b(l != r),
-                BinaryOp::Lt => b(l < r),
-                BinaryOp::LtEq => b(l <= r),
-                BinaryOp::Gt => b(l > r),
-                BinaryOp::GtEq => b(l >= r),
-                BinaryOp::And => b(l > 0.5 && r > 0.5),
-                BinaryOp::Or => b(l > 0.5 || r > 0.5),
-            })
-        }
-        _ => None,
-    }
-}
-
-/// Symbolic derivative of a criteria expression with respect to the
-/// column `wrt` (the second split component). Only the arithmetic grammar
-/// the criteria emitters produce is supported; anything else returns
-/// `None` and the caller falls back to the coarser box bound.
-fn d_wrt(e: &Expr, wrt: &str, other: &str) -> Option<Expr> {
-    match e {
-        Expr::Column { table: None, name } => {
-            if name.eq_ignore_ascii_case(wrt) {
-                Some(Expr::float(1.0))
-            } else if name.eq_ignore_ascii_case(other) {
-                Some(Expr::float(0.0))
-            } else {
-                None
-            }
-        }
-        Expr::Literal(_) => Some(Expr::float(0.0)),
-        Expr::Unary {
-            op: UnaryOp::Neg,
-            expr,
-        } => Some(Expr::neg(d_wrt(expr, wrt, other)?)),
-        Expr::Binary { op, left, right } => {
-            let dl = d_wrt(left, wrt, other)?;
-            let dr = d_wrt(right, wrt, other)?;
-            match op {
-                BinaryOp::Add => Some(Expr::add(dl, dr)),
-                BinaryOp::Sub => Some(Expr::sub(dl, dr)),
-                BinaryOp::Mul => Some(Expr::add(
-                    Expr::mul(dl, (**right).clone()),
-                    Expr::mul((**left).clone(), dr),
-                )),
-                BinaryOp::Div => Some(Expr::div(
-                    Expr::sub(
-                        Expr::mul(dl, (**right).clone()),
-                        Expr::mul((**left).clone(), dr),
-                    ),
-                    Expr::mul((**right).clone(), (**right).clone()),
-                )),
-                _ => None,
-            }
-        }
-        _ => None,
-    }
-}
-
-/// Interval-arithmetic evaluation of an expression over boxed column
-/// ranges. Division by an interval containing zero returns `None`
-/// (unbounded). The arithmetic is outward-correct up to f64 rounding —
-/// callers add [`slack`] on top, which dwarfs the ulp error.
-fn eval_interval(e: &Expr, n0: &str, n1: &str, c: (f64, f64), s: (f64, f64)) -> Option<(f64, f64)> {
-    let fin = |r: (f64, f64)| (r.0.is_finite() && r.1.is_finite()).then_some(r);
-    match e {
-        Expr::Column { table: None, name } => {
-            if name.eq_ignore_ascii_case(n0) {
-                Some(c)
-            } else if name.eq_ignore_ascii_case(n1) {
-                Some(s)
-            } else {
-                None
-            }
-        }
-        Expr::Literal(Value::Int(v)) => Some((*v as f64, *v as f64)),
-        Expr::Literal(Value::Float(v)) => Some((*v, *v)),
-        Expr::Unary {
-            op: UnaryOp::Neg,
-            expr,
-        } => {
-            let (lo, hi) = eval_interval(expr, n0, n1, c, s)?;
-            Some((-hi, -lo))
-        }
-        Expr::Binary { op, left, right } => {
-            let (l0, l1) = eval_interval(left, n0, n1, c, s)?;
-            let (r0, r1) = eval_interval(right, n0, n1, c, s)?;
-            match op {
-                BinaryOp::Add => fin((l0 + r0, l1 + r1)),
-                BinaryOp::Sub => fin((l0 - r1, l1 - r0)),
-                BinaryOp::Mul => {
-                    let p = [l0 * r0, l0 * r1, l1 * r0, l1 * r1];
-                    fin((
-                        p.iter().copied().fold(f64::INFINITY, f64::min),
-                        p.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-                    ))
-                }
-                BinaryOp::Div => {
-                    if r0 <= 0.0 && r1 >= 0.0 {
-                        return None;
-                    }
-                    let p = [l0 / r0, l0 / r1, l1 / r0, l1 / r1];
-                    fin((
-                        p.iter().copied().fold(f64::INFINITY, f64::min),
-                        p.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-                    ))
-                }
-                _ => None,
-            }
-        }
-        _ => None,
-    }
-}
-
-/// Extract the prefix-count range `[min_leaf, total − min_leaf]` from the
-/// guard [`crate::sqlgen`] emits (`n0 >= a AND total − n0 >= b`). Used to
-/// clip pruning boxes away from the `c = 0` / `c = total` poles where the
-/// criteria stops being convex. `None` leaves boxes unclipped (bounds
-/// stay sound — corners at the poles blow up and force retention).
-fn guard_c_range(guard: &Expr, n0: &str) -> Option<(f64, f64)> {
-    let lit = |e: &Expr| -> Option<f64> {
-        match e {
-            Expr::Literal(Value::Float(v)) => Some(*v),
-            Expr::Literal(Value::Int(v)) => Some(*v as f64),
-            _ => None,
-        }
-    };
-    let is_n0 =
-        |e: &Expr| matches!(e, Expr::Column { table: None, name } if name.eq_ignore_ascii_case(n0));
-    let Expr::Binary {
-        op: BinaryOp::And,
-        left,
-        right,
-    } = guard
-    else {
-        return None;
-    };
-    // left: n0 >= min_leaf
-    let Expr::Binary {
-        op: BinaryOp::GtEq,
-        left: ll,
-        right: lr,
-    } = left.as_ref()
-    else {
-        return None;
-    };
-    if !is_n0(ll) {
-        return None;
-    }
-    let lo = lit(lr)?;
-    // right: total − n0 >= min_leaf
-    let Expr::Binary {
-        op: BinaryOp::GtEq,
-        left: rl,
-        right: rr,
-    } = right.as_ref()
-    else {
-        return None;
-    };
-    let Expr::Binary {
-        op: BinaryOp::Sub,
-        left: tl,
-        right: tr,
-    } = rl.as_ref()
-    else {
-        return None;
-    };
-    if !is_n0(tr) {
-        return None;
-    }
-    Some((lo, lit(tl)? - lit(rr)?))
-}
-
-/// Is the merged `val` guaranteed to be ordered like the group key? True
-/// trivially when `val` *is* the key, and for the histogram shape
-/// `GROUP BY FLOOR((f − lo) / w)` with `MAX(f)` selected and `w > 0`:
-/// bins partition the value axis into disjoint, ordered ranges, so their
-/// maxima are ordered like the bin ids — on every shard and after any
-/// cross-shard `MAX` merge.
-fn binned_val_monotone(group: &Expr, val: &Expr) -> bool {
-    let Expr::Func {
-        name: gname,
-        args: gargs,
-    } = group
-    else {
-        return false;
-    };
-    if !gname.eq_ignore_ascii_case("FLOOR") || gargs.len() != 1 {
-        return false;
-    }
-    let Expr::Binary {
-        op: BinaryOp::Div,
-        left: num,
-        right: den,
-    } = &gargs[0]
-    else {
-        return false;
-    };
-    let positive = |e: &Expr| -> bool {
-        matches!(e, Expr::Literal(Value::Float(v)) if *v > 0.0)
-            || matches!(e, Expr::Literal(Value::Int(v)) if *v > 0)
-    };
-    if !positive(den) {
-        return false;
-    }
-    // The binned feature expression: `f − lo` or bare `f`.
-    let feature = match num.as_ref() {
-        Expr::Binary {
-            op: BinaryOp::Sub,
-            left: f,
-            right: lo,
-        } if matches!(lo.as_ref(), Expr::Literal(_)) => f.as_ref(),
-        other => other,
-    };
-    let Expr::Func {
-        name: vname,
-        args: vargs,
-    } = val
-    else {
-        return false;
-    };
-    vname.eq_ignore_ascii_case("MAX") && vargs.len() == 1 && vargs[0] == *feature
-}
-
 /// Plan-level column roles of the split protocol: the single group key,
 /// the two ⊕-summed split components, and how every output column
 /// merges. `None` when the summary protocol cannot order the result
@@ -1897,15 +1625,16 @@ fn shard_split_protocol(
     // geometrically, so a handful of summary rounds replaces shipping
     // whole buckets around a flat criteria peak.
     let mut retain: Vec<bool> = Vec::new();
-    let debug = std::env::var("JB_PUSHDOWN_DEBUG").is_ok();
     let mut rounds = 0usize;
-    // Delta cache: the previous round's grid and per-shard summaries.
-    // Valid because a summary is a pure function of its interval's
-    // absolute row range — an interval whose (lower, upper) bounds both
-    // survived refinement covers the same rows and summarizes
-    // bit-identically, so only subdivided intervals need the wire.
+    // Delta cache: the grid `deltas` (the per-shard summaries) was last
+    // brought up to date for — empty before round 0, which therefore
+    // asks for every interval. Valid because a summary is a pure
+    // function of its interval's absolute row range — an interval whose
+    // (lower, upper) bounds both survived refinement covers the same
+    // rows and summarizes bit-identically, so only subdivided intervals
+    // need the wire.
     let mut prev_grid: Vec<Datum> = Vec::new();
-    let mut prev: Vec<Vec<IntervalSummary>> = Vec::new();
+    let mut deltas: Vec<Vec<IntervalSummary>> = vec![Vec::new(); handles.len()];
     for round in 0usize..5 {
         let m = grid.len();
         // One summary row per (shard, interval): exact interval ⊕-sums
@@ -1915,36 +1644,20 @@ fn shard_split_protocol(
         // interval endpoints — the term that makes the tight bound
         // O(width²) on smooth data). Later rounds only re-ship the
         // freshly subdivided intervals (charged at refinement time).
-        let deltas: Vec<Vec<IntervalSummary>> = if cfg.delta && !prev.is_empty() {
-            let map = interval_delta_map(&prev_grid, &grid);
-            let changed: Vec<usize> = map
-                .iter()
-                .enumerate()
-                .filter_map(|(j, o)| o.is_none().then_some(j))
-                .collect();
-            let fresh = on_all_handles(handles, |h| h.summaries_delta(&grid, &changed))?;
-            let mut full = Vec::with_capacity(fresh.len());
-            for (old, new) in prev.iter().zip(fresh) {
-                full.push(reconstruct_summaries(old, &map, &new).ok_or_else(|| {
-                    EngineError::Other("split delta summaries do not match the grid".into())
-                })?);
-            }
-            full
-        } else {
-            on_all_handles(handles, |h| h.summaries(&grid))?
-        };
+        let map = interval_delta_map(&prev_grid, &grid);
+        let changed: Vec<usize> = map
+            .iter()
+            .enumerate()
+            .filter_map(|(j, o)| o.is_none().then_some(j))
+            .collect();
+        let fresh = on_all_handles(handles, |h| h.summaries_delta(&grid, &changed))?;
+        for (row, new) in deltas.iter_mut().zip(fresh) {
+            *row = reconstruct_summaries(row, &map, &new).ok_or_else(|| {
+                EngineError::Other("split summaries do not match the grid".into())
+            })?;
+        }
         rounds += 1;
-        for row in &deltas {
-            if row.len() != m {
-                return Err(EngineError::Other(
-                    "split summaries do not match the grid".into(),
-                ));
-            }
-        }
-        if cfg.delta {
-            prev_grid.clone_from(&grid);
-            prev.clone_from(&deltas);
-        }
+        prev_grid.clone_from(&grid);
         let mut cum0 = vec![0.0f64; m];
         let mut cum1 = vec![0.0f64; m];
         let mut lo0 = vec![0.0f64; m];
@@ -2083,12 +1796,6 @@ fn shard_split_protocol(
             |j: usize| -> usize { deltas.iter().map(|row| row[j].rows as usize).sum::<usize>() };
         let retained_rows: usize = (0..m).filter(|&j| retain[j]).map(interval_rows).sum();
         let retained_count = retain.iter().filter(|&&r| r).count();
-        if debug {
-            eprintln!(
-                "pushdown round {round}: {m} intervals, {retained_count} retained \
-                 ({retained_rows} rows), shipped so far {shipped}"
-            );
-        }
         // Stop refining once the candidate set is small, the round budget
         // is spent, or another summary round could no longer undercut
         // what shipping the remaining candidates outright costs.
@@ -2132,128 +1839,6 @@ fn shard_split_protocol(
     shipped += fetches.iter().map(Table::num_rows).sum::<usize>();
     let merged = merge_partials(fetches, &plan.specs)?;
     Ok((merged, shipped, rounds))
-}
-
-// ---------------------------------------------------------------------------
-// Table-reference collection
-// ---------------------------------------------------------------------------
-
-/// Tables in the FROM/JOIN closure, through nested `FROM`-subqueries —
-/// the positions where a sharded relation may legitimately appear.
-fn collect_from_tables(q: &Query, out: &mut Vec<String>) {
-    fn tref(t: &TableRef, out: &mut Vec<String>) {
-        match t {
-            TableRef::Named { name, .. } => out.push(name.clone()),
-            TableRef::Subquery { query, .. } => collect_from_tables(query, out),
-        }
-    }
-    if let Some(from) = &q.from {
-        tref(from, out);
-    }
-    for j in &q.joins {
-        tref(&j.table, out);
-    }
-}
-
-/// Tables referenced from *expression* position — select items, `WHERE`,
-/// `GROUP BY`, `ORDER BY`, join `ON` (each including any `IN (SELECT ..)`
-/// subquery in full) — through nested `FROM`-subqueries. Sharded
-/// relations here cannot be fanned out correctly and are rejected.
-fn collect_expr_position_tables(q: &Query, out: &mut Vec<String>) {
-    for item in &q.items {
-        collect_expr_tables(&item.expr, out);
-    }
-    if let Some(w) = &q.where_clause {
-        collect_expr_tables(w, out);
-    }
-    for g in &q.group_by {
-        collect_expr_tables(g, out);
-    }
-    for o in &q.order_by {
-        collect_expr_tables(&o.expr, out);
-    }
-    for j in &q.joins {
-        if let Some(on) = &j.on {
-            collect_expr_tables(on, out);
-        }
-        if let TableRef::Subquery { query, .. } = &j.table {
-            collect_expr_position_tables(query, out);
-        }
-    }
-    if let Some(TableRef::Subquery { query, .. }) = &q.from {
-        collect_expr_position_tables(query, out);
-    }
-}
-
-/// Every table a query references, in any position.
-fn collect_query_tables(q: &Query, out: &mut Vec<String>) {
-    if let Some(from) = &q.from {
-        collect_tref_tables(from, out);
-    }
-    for j in &q.joins {
-        collect_tref_tables(&j.table, out);
-        if let Some(on) = &j.on {
-            collect_expr_tables(on, out);
-        }
-    }
-    for item in &q.items {
-        collect_expr_tables(&item.expr, out);
-    }
-    if let Some(w) = &q.where_clause {
-        collect_expr_tables(w, out);
-    }
-    for g in &q.group_by {
-        collect_expr_tables(g, out);
-    }
-    for o in &q.order_by {
-        collect_expr_tables(&o.expr, out);
-    }
-}
-
-fn collect_tref_tables(t: &TableRef, out: &mut Vec<String>) {
-    match t {
-        TableRef::Named { name, .. } => out.push(name.clone()),
-        TableRef::Subquery { query, .. } => collect_query_tables(query, out),
-    }
-}
-
-fn collect_expr_tables(e: &Expr, out: &mut Vec<String>) {
-    match e {
-        Expr::Binary { left, right, .. } => {
-            collect_expr_tables(left, out);
-            collect_expr_tables(right, out);
-        }
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => collect_expr_tables(expr, out),
-        Expr::Func { args, .. } => {
-            for a in args {
-                collect_expr_tables(a, out);
-            }
-        }
-        Expr::WindowSum { arg, order_by } => {
-            collect_expr_tables(arg, out);
-            collect_expr_tables(order_by, out);
-        }
-        Expr::Case { whens, else_expr } => {
-            for (c, t) in whens {
-                collect_expr_tables(c, out);
-                collect_expr_tables(t, out);
-            }
-            if let Some(el) = else_expr {
-                collect_expr_tables(el, out);
-            }
-        }
-        Expr::InSubquery { expr, query, .. } => {
-            collect_expr_tables(expr, out);
-            collect_query_tables(query, out);
-        }
-        Expr::InList { expr, list, .. } => {
-            collect_expr_tables(expr, out);
-            for i in list {
-                collect_expr_tables(i, out);
-            }
-        }
-        Expr::Column { .. } | Expr::Literal(_) | Expr::Wildcard => {}
-    }
 }
 
 #[cfg(test)]

@@ -175,35 +175,22 @@ pub trait SplitHandle: Send + Sync {
     /// largest key always included.
     fn boundaries(&self, k: usize) -> BackendResult<Vec<Datum>>;
 
-    /// Per-interval boundary summaries for the given ascending grid
-    /// (interval `j` holds keys in `(grid[j-1], grid[j]]`).
-    fn summaries(&self, grid: &[Datum]) -> BackendResult<Vec<IntervalSummary>>;
-
-    /// Delta form of [`SplitHandle::summaries`]: summaries for the
-    /// ascending subset `changed` of interval indices only. An interval's
-    /// summary is a pure function of the absolute row range its bounding
-    /// keys enclose, so a caller that caches the previous round's
-    /// summaries can skip intervals whose bounds survived refinement —
-    /// their summaries are bit-identical by construction. The default
-    /// delegates to the full computation; shard-side implementations
-    /// override it to compute (and ship) only the changed intervals.
+    /// Per-interval boundary summaries for the ascending subset `changed`
+    /// of the grid's interval indices (interval `j` holds keys in
+    /// `(grid[j-1], grid[j]]`), in `changed` order. An interval's summary
+    /// is a pure function of the absolute row range its bounding keys
+    /// enclose, so a caller that caches the previous round's summaries
+    /// asks only for intervals whose bounds refinement moved — the rest
+    /// are bit-identical by construction.
     fn summaries_delta(
         &self,
         grid: &[Datum],
         changed: &[usize],
-    ) -> BackendResult<Vec<IntervalSummary>> {
-        let all = self.summaries(grid)?;
-        changed
-            .iter()
-            .map(|&j| {
-                all.get(j).copied().ok_or_else(|| {
-                    EngineError::Other(format!(
-                        "split delta: interval {j} out of range ({} intervals)",
-                        all.len()
-                    ))
-                })
-            })
-            .collect()
+    ) -> BackendResult<Vec<IntervalSummary>>;
+
+    /// Summaries of every interval of the grid.
+    fn summaries(&self, grid: &[Datum]) -> BackendResult<Vec<IntervalSummary>> {
+        self.summaries_delta(grid, &(0..grid.len()).collect::<Vec<_>>())
     }
 
     /// Equal-count sub-boundary keys inside the given intervals of the

@@ -5,24 +5,22 @@
 //!
 //! * **Framing** — every message is `[u32 LE length][payload]`; a frame is
 //!   read fully or the connection is dead. Requests and responses are
-//!   *multiplexed* (v4): the client may have many requests in flight on
-//!   one socket, and matches each response to its request by sequence
+//!   *multiplexed*: the client may have many requests in flight on one
+//!   socket, and matches each response to its request by sequence
 //!   number. Oversized lengths (> [`MAX_FRAME`]) are rejected before
 //!   any allocation, so a corrupt or malicious peer cannot OOM the reader.
-//! * **Sessions and replay (v3/v4)** — the first frame on a connection is
-//!   a raw [`Request::Hello`] carrying a client-generated *resume token*;
-//!   every later request frame carries a `u64` monotone sequence number.
-//!   v3 frames are `[u64 LE seq][encoded request]` with bare responses;
-//!   v4 frames are `[u64 LE seq][u64 LE ack][encoded request]` and every
-//!   response is `[u64 LE seq][encoded response]` so a pipelined client
-//!   can match out-of-order-completed replies. The server keeps, per
-//!   token, the encoded responses of every applied-but-unacknowledged
-//!   request (`ack` = the client's lowest in-flight seq releases older
-//!   entries): a reconnecting client that re-presents its token and
-//!   re-issues its in-flight requests either gets the *cached* responses
-//!   (applied but the reply was lost — replay of non-idempotent
-//!   CREATE/UPDATE is therefore safe) or fresh executions (they never
-//!   arrived). The server still answers v3 Hellos with v3 framing.
+//! * **Sessions and replay** — the first frame on a connection is a raw
+//!   [`Request::Hello`] carrying a client-generated *resume token*;
+//!   every later request frame is `[u64 LE seq][u64 LE ack][encoded
+//!   request]` and every response `[u64 LE seq][encoded response]`, so
+//!   a pipelined client can match out-of-order-completed replies. The
+//!   server keeps, per token, the encoded responses of every
+//!   applied-but-unacknowledged request (`ack` = the client's lowest
+//!   in-flight seq releases older entries): a reconnecting client that
+//!   re-presents its token and re-issues its in-flight requests either
+//!   gets the *cached* responses (applied but the reply was lost —
+//!   replay of non-idempotent CREATE/UPDATE is therefore safe) or fresh
+//!   executions (they never arrived).
 //! * **SQL travels as text** — [`Request::Execute`] carries the printed
 //!   statement, leaning on the `print ∘ parse ∘ print` fixed-point proved
 //!   by [`crate::backend::SqlTextBackend`]: the server re-parses exactly
@@ -109,21 +107,10 @@ impl Default for JobSpec {
 pub const MAGIC: u32 = 0x4a42_5750;
 
 /// Protocol version; bumped on any incompatible codec change. The server
-/// rejects a `Hello` with an *unknown* version instead of misdecoding,
-/// but still speaks v3 framing to a v3 client (tolerant decode for old
-/// clients).
-/// Version 2 added the job/predict API (`SubmitJob` … `PredictBatch`).
-/// Version 3 added the session resume token in `Hello` and the per-request
-/// `[u64 LE seq]` envelope that makes reconnect-and-replay safe.
-/// Version 4 added multiplexing (`[seq][ack]` request envelopes, `[seq]`
-/// response envelopes, a replay *window* instead of a single slot) and the
-/// delta-encoded split refinement messages ([`Request::SplitSummariesDelta`],
-/// [`Request::SplitOpenBounds`]).
-pub const VERSION: u32 = 4;
-
-/// Oldest protocol version the server still accepts. A v3 client gets v3
-/// framing (single-slot replay, bare responses) on its connection.
-pub const MIN_VERSION: u32 = 3;
+/// speaks exactly this version and answers a `Hello` carrying any other
+/// with a typed mismatch error instead of misdecoding (the history of
+/// versions 2–4 is in `CHANGES.md`).
+pub const VERSION: u32 = 5;
 
 /// Upper bound on one frame's payload (64 MiB). Larger tables must be
 /// loaded in parts; in practice JoinBoost's shard messages are orders of
@@ -143,9 +130,7 @@ pub enum Request {
         magic: u32,
         /// Must equal [`VERSION`].
         version: u32,
-        /// Client-generated session resume token (nonzero in practice;
-        /// absent on the wire for pre-v3 clients and decoded as 0 so the
-        /// version check still produces a clean mismatch error).
+        /// Client-generated session resume token (nonzero in practice).
         token: u64,
     },
     /// Execute one SQL statement given as text; the answer is
@@ -206,8 +191,9 @@ pub enum Request {
     TableNames,
     /// Open a split-protocol handle: execute the absorbed per-value query
     /// and keep its sorted, prefix-summed result *server-side* (see
-    /// [`crate::backend::split`]). The reply is
-    /// [`Response::SplitOpened`].
+    /// [`crate::backend::split`]). The reply, [`Response::SplitOpened`],
+    /// already carries the first `k` equal-count boundary keys, folding
+    /// the protocol's opening `boundaries` round trip into the open.
     SplitOpen {
         /// The absorbed inner query, as text.
         sql: String,
@@ -219,6 +205,8 @@ pub enum Request {
         c1_col: u32,
         /// Per-column [`crate::backend::split::MergeSpec`] wire tags.
         specs: Vec<u8>,
+        /// Number of boundary keys requested (0 ⇒ none).
+        k: u32,
     },
     /// Equal-count boundary keys of an open split handle (1-column table).
     SplitBoundaries {
@@ -227,12 +215,23 @@ pub enum Request {
         /// Number of boundaries requested.
         k: u32,
     },
-    /// Per-interval boundary summaries for a grid (8-column table back).
+    /// Per-interval boundary summaries for a grid. The coordinator
+    /// caches the previous round's summaries per shard and asks only for
+    /// the intervals the refined grid *changed* — an interval's summary
+    /// is a pure function of its absolute row range, so intervals whose
+    /// bounding keys survived refinement are bit-identical and need not
+    /// be recomputed or re-shipped. The reply is [`Response::Table`]
+    /// carrying the requested intervals' summaries, in ascending order.
     SplitSummaries {
         /// Handle from [`Response::SplitOpened`].
         id: u64,
-        /// Ascending grid keys as a 1-column table.
+        /// Ascending grid keys as a 1-column table (always the *full*
+        /// grid; the delta is in which intervals are summarized).
         grid: Table,
+        /// Strictly ascending interval indices into the grid to
+        /// summarize; `None` (a flag on the wire, not a list) asks for
+        /// every interval — the first round.
+        changed: Option<Vec<u32>>,
     },
     /// Sub-boundary keys inside the given `(interval, per-shard budget)`
     /// targets (1-column table back).
@@ -253,42 +252,6 @@ pub enum Request {
         grid: Table,
         /// Per-interval retention decisions, parallel to the grid.
         retain: Vec<bool>,
-    },
-    /// Delta variant of [`Request::SplitSummaries`] (v4): the coordinator
-    /// caches the previous round's per-interval summaries per shard and
-    /// asks only for the intervals the refined grid *changed* — an
-    /// interval's summary is a pure function of its absolute row range,
-    /// so intervals whose bounding keys survived refinement are
-    /// bit-identical and need not be recomputed or re-shipped. The reply
-    /// is [`Response::Table`] carrying only the changed intervals'
-    /// summaries, in `changed` order.
-    SplitSummariesDelta {
-        /// Handle from [`Response::SplitOpened`].
-        id: u64,
-        /// Ascending grid keys as a 1-column table (the *full* grid; the
-        /// delta is in which intervals are summarized, not the keys).
-        grid: Table,
-        /// Strictly ascending interval indices into the grid to summarize.
-        changed: Vec<u32>,
-    },
-    /// Fused [`Request::SplitOpen`] + [`Request::SplitBoundaries`] (v4):
-    /// opens the handle and returns the first `k` equal-count boundary
-    /// keys in one round trip ([`Response::SplitOpenedBounds`]), batching
-    /// the split protocol's opening broadcast into a single frame per
-    /// shard. Dense fallback still answers [`Response::Table`].
-    SplitOpenBounds {
-        /// The absorbed inner query, as text.
-        sql: String,
-        /// Column index of the single group key.
-        key_col: u32,
-        /// Column index of split component 0.
-        c0_col: u32,
-        /// Column index of split component 1.
-        c1_col: u32,
-        /// Per-column [`crate::backend::split::MergeSpec`] wire tags.
-        specs: Vec<u8>,
-        /// Number of boundary keys requested.
-        k: u32,
     },
     /// Release a split handle's server-side state.
     SplitClose {
@@ -332,6 +295,22 @@ pub enum Request {
     },
 }
 
+impl Request {
+    /// Does this request belong to the split protocol? Those are routed
+    /// to the session's split handles, and metered as split wire volume.
+    pub fn is_split(&self) -> bool {
+        matches!(
+            self,
+            Request::SplitOpen { .. }
+                | Request::SplitBoundaries { .. }
+                | Request::SplitSummaries { .. }
+                | Request::SplitRefine { .. }
+                | Request::SplitFetch { .. }
+                | Request::SplitClose { .. }
+        )
+    }
+}
+
 /// One server → client message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
@@ -354,17 +333,13 @@ pub enum Response {
     Count(u64),
     /// The engine error the statement produced, variant preserved.
     Err(EngineError),
-    /// Reply to [`Request::SplitOpen`] when the protocol applies:
-    /// `(handle id, rows)`. When the shard's data disqualifies the
-    /// protocol (NULL components), the server answers with
-    /// [`Response::Table`] carrying the absorbed result instead, so the
-    /// dense fallback costs no second execution.
-    SplitOpened(u64, u64),
-    /// Reply to [`Request::SplitOpenBounds`] when the protocol applies:
-    /// the handle, its row count, and the first equal-count boundary keys
-    /// as a 1-column table. Dense fallback answers [`Response::Table`],
-    /// exactly as for [`Request::SplitOpen`].
-    SplitOpenedBounds {
+    /// Reply to [`Request::SplitOpen`] when the protocol applies: the
+    /// handle, its row count, and the first equal-count boundary keys as
+    /// a 1-column table. When the shard's data disqualifies the protocol
+    /// (NULL components), the server answers with [`Response::Table`]
+    /// carrying the absorbed result instead, so the dense fallback costs
+    /// no second execution.
+    SplitOpened {
         /// Handle id for subsequent split requests.
         id: u64,
         /// Rows behind the handle.
@@ -509,12 +484,6 @@ impl<'a> Reader<'a> {
             return Err(corrupt("announced length exceeds frame size"));
         }
         Ok(())
-    }
-
-    /// Bytes not yet consumed (for fields optional at the tail of a
-    /// message, e.g. the pre-v3 `Hello` without a resume token).
-    fn remaining(&self) -> usize {
-        self.buf.len()
     }
 
     fn done(&self) -> DecodeResult<()> {
@@ -856,7 +825,7 @@ fn decode_job_spec(r: &mut Reader<'_>) -> DecodeResult<JobSpec> {
 // ---------------------------------------------------------------------------
 //
 // The server's durable job registry (`jb_sys_jobs`, see
-// [`crate::backend::remote`]) stores job specs, compiled scorers and
+// `backend/server/jobs.rs`) stores job specs, compiled scorers and
 // partial-forest training checkpoints as byte blobs inside engine string
 // columns. The blobs reuse the wire codecs, so every float survives by
 // bit pattern — the resume-bit-identity argument needs the recovered
@@ -1026,8 +995,6 @@ const REQ_SUBMIT_JOB: u8 = 17;
 const REQ_POLL_JOB: u8 = 18;
 const REQ_CANCEL_JOB: u8 = 19;
 const REQ_PREDICT_BATCH: u8 = 20;
-const REQ_SPLIT_SUMMARIES_DELTA: u8 = 21;
-const REQ_SPLIT_OPEN_BOUNDS: u8 = 22;
 
 /// Encode one request into a frame payload.
 pub fn encode_request(req: &Request) -> Vec<u8> {
@@ -1092,6 +1059,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             c0_col,
             c1_col,
             specs,
+            k,
         } => {
             buf.put_u8(REQ_SPLIT_OPEN);
             put_string(&mut buf, sql);
@@ -1100,16 +1068,27 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             buf.put_u32_le(*c1_col);
             buf.put_u32_le(specs.len() as u32);
             buf.put_slice(specs);
+            buf.put_u32_le(*k);
         }
         Request::SplitBoundaries { id, k } => {
             buf.put_u8(REQ_SPLIT_BOUNDARIES);
             buf.put_u64_le(*id);
             buf.put_u32_le(*k);
         }
-        Request::SplitSummaries { id, grid } => {
+        Request::SplitSummaries { id, grid, changed } => {
             buf.put_u8(REQ_SPLIT_SUMMARIES);
             buf.put_u64_le(*id);
             encode_table(grid, &mut buf);
+            match changed {
+                None => buf.put_u8(0),
+                Some(changed) => {
+                    buf.put_u8(1);
+                    buf.put_u32_le(changed.len() as u32);
+                    for &j in changed {
+                        buf.put_u32_le(j);
+                    }
+                }
+            }
         }
         Request::SplitRefine { id, grid, targets } => {
             buf.put_u8(REQ_SPLIT_REFINE);
@@ -1129,32 +1108,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             for &r in retain {
                 buf.put_u8(u8::from(r));
             }
-        }
-        Request::SplitSummariesDelta { id, grid, changed } => {
-            buf.put_u8(REQ_SPLIT_SUMMARIES_DELTA);
-            buf.put_u64_le(*id);
-            encode_table(grid, &mut buf);
-            buf.put_u32_le(changed.len() as u32);
-            for &j in changed {
-                buf.put_u32_le(j);
-            }
-        }
-        Request::SplitOpenBounds {
-            sql,
-            key_col,
-            c0_col,
-            c1_col,
-            specs,
-            k,
-        } => {
-            buf.put_u8(REQ_SPLIT_OPEN_BOUNDS);
-            put_string(&mut buf, sql);
-            buf.put_u32_le(*key_col);
-            buf.put_u32_le(*c0_col);
-            buf.put_u32_le(*c1_col);
-            buf.put_u32_le(specs.len() as u32);
-            buf.put_slice(specs);
-            buf.put_u32_le(*k);
         }
         Request::SplitClose { id } => {
             buf.put_u8(REQ_SPLIT_CLOSE);
@@ -1210,10 +1163,7 @@ pub fn decode_request(bytes: &[u8]) -> DecodeResult<Request> {
         REQ_HELLO => {
             let magic = r.u32()?;
             let version = r.u32()?;
-            // Pre-v3 Hellos carry no token; default it so the server's
-            // version check reports a clean mismatch instead of a decode
-            // error.
-            let token = if r.remaining() >= 8 { r.u64()? } else { 0 };
+            let token = r.u64()?;
             Request::Hello {
                 magic,
                 version,
@@ -1252,12 +1202,14 @@ pub fn decode_request(bytes: &[u8]) -> DecodeResult<Request> {
             let c1_col = r.u32()?;
             let n = r.count(1)?;
             let specs = r.take(n)?.to_vec();
+            let k = r.u32()?;
             Request::SplitOpen {
                 sql,
                 key_col,
                 c0_col,
                 c1_col,
                 specs,
+                k,
             }
         }
         REQ_SPLIT_BOUNDARIES => Request::SplitBoundaries {
@@ -1267,7 +1219,29 @@ pub fn decode_request(bytes: &[u8]) -> DecodeResult<Request> {
         REQ_SPLIT_SUMMARIES => {
             let id = r.u64()?;
             let grid = decode_table(&mut r)?;
-            Request::SplitSummaries { id, grid }
+            let changed = match r.u8()? {
+                0 => None,
+                1 => {
+                    let n = r.count(4)?;
+                    let mut changed = Vec::with_capacity(n);
+                    for _ in 0..n {
+                        changed.push(r.u32()?);
+                    }
+                    // Strict ascent and grid range are part of the
+                    // contract: they make the reply's interval order
+                    // unambiguous and reject duplicate work.
+                    if changed.windows(2).any(|w| w[0] >= w[1])
+                        || changed
+                            .last()
+                            .is_some_and(|&j| j as usize >= grid.num_rows())
+                    {
+                        return Err(corrupt("changed intervals not ascending within the grid"));
+                    }
+                    Some(changed)
+                }
+                _ => return Err(corrupt("unknown option tag")),
+            };
+            Request::SplitSummaries { id, grid, changed }
         }
         REQ_SPLIT_REFINE => {
             let id = r.u64()?;
@@ -1285,38 +1259,6 @@ pub fn decode_request(bytes: &[u8]) -> DecodeResult<Request> {
             let n = r.count(1)?;
             let retain = r.take(n)?.iter().map(|&b| b != 0).collect();
             Request::SplitFetch { id, grid, retain }
-        }
-        REQ_SPLIT_SUMMARIES_DELTA => {
-            let id = r.u64()?;
-            let grid = decode_table(&mut r)?;
-            let n = r.count(4)?;
-            let mut changed = Vec::with_capacity(n);
-            for _ in 0..n {
-                changed.push(r.u32()?);
-            }
-            // Strict ascent is part of the contract: it makes the reply's
-            // interval order unambiguous and rejects duplicate work.
-            if changed.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(corrupt("delta intervals not strictly ascending"));
-            }
-            Request::SplitSummariesDelta { id, grid, changed }
-        }
-        REQ_SPLIT_OPEN_BOUNDS => {
-            let sql = r.string()?;
-            let key_col = r.u32()?;
-            let c0_col = r.u32()?;
-            let c1_col = r.u32()?;
-            let n = r.count(1)?;
-            let specs = r.take(n)?.to_vec();
-            let k = r.u32()?;
-            Request::SplitOpenBounds {
-                sql,
-                key_col,
-                c0_col,
-                c1_col,
-                specs,
-                k,
-            }
         }
         REQ_SPLIT_CLOSE => Request::SplitClose { id: r.u64()? },
         REQ_SUBMIT_JOB => Request::SubmitJob {
@@ -1367,7 +1309,6 @@ const RESP_JOB_SUBMITTED: u8 = 9;
 const RESP_JOB_STATE: u8 = 10;
 const RESP_BUSY: u8 = 11;
 const RESP_SCORES: u8 = 12;
-const RESP_SPLIT_OPENED_BOUNDS: u8 = 13;
 
 /// Encode one response into a frame payload.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
@@ -1405,13 +1346,8 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             buf.put_u8(RESP_ERR);
             encode_engine_error(e, &mut buf);
         }
-        Response::SplitOpened(id, rows) => {
+        Response::SplitOpened { id, rows, bounds } => {
             buf.put_u8(RESP_SPLIT_OPENED);
-            buf.put_u64_le(*id);
-            buf.put_u64_le(*rows);
-        }
-        Response::SplitOpenedBounds { id, rows, bounds } => {
-            buf.put_u8(RESP_SPLIT_OPENED_BOUNDS);
             buf.put_u64_le(*id);
             buf.put_u64_le(*rows);
             encode_table(bounds, &mut buf);
@@ -1467,12 +1403,11 @@ pub fn decode_response(bytes: &[u8]) -> DecodeResult<Response> {
         RESP_BOOL => Response::Bool(r.u8()? != 0),
         RESP_COUNT => Response::Count(r.u64()?),
         RESP_ERR => Response::Err(decode_engine_error(&mut r)?),
-        RESP_SPLIT_OPENED => Response::SplitOpened(r.u64()?, r.u64()?),
-        RESP_SPLIT_OPENED_BOUNDS => {
+        RESP_SPLIT_OPENED => {
             let id = r.u64()?;
             let rows = r.u64()?;
             let bounds = decode_table(&mut r)?;
-            Response::SplitOpenedBounds { id, rows, bounds }
+            Response::SplitOpened { id, rows, bounds }
         }
         RESP_JOB_SUBMITTED => Response::JobSubmitted(r.u64()?),
         RESP_JOB_STATE => {
@@ -1609,12 +1544,17 @@ mod tests {
                 rows: vec![2, 0, 2],
             },
             Request::TableNames,
-            Request::SplitSummariesDelta {
+            Request::SplitSummaries {
                 id: 3,
                 grid: sample_table(),
-                changed: vec![0, 2, 5],
+                changed: None,
             },
-            Request::SplitOpenBounds {
+            Request::SplitSummaries {
+                id: 3,
+                grid: sample_table(),
+                changed: Some(vec![0, 2]),
+            },
+            Request::SplitOpen {
                 sql: "SELECT k, c0, c1 FROM r".into(),
                 key_col: 0,
                 c0_col: 1,
@@ -1666,8 +1606,7 @@ mod tests {
             Response::Bool(false),
             Response::Count(42),
             Response::Err(EngineError::UnknownTable("ghost".into())),
-            Response::SplitOpened(3, 99),
-            Response::SplitOpenedBounds {
+            Response::SplitOpened {
                 id: 3,
                 rows: 99,
                 bounds: sample_table(),
@@ -1693,34 +1632,16 @@ mod tests {
     }
 
     #[test]
-    fn unsorted_delta_intervals_are_rejected() {
-        for changed in [vec![2u32, 0, 5], vec![1, 1]] {
-            let enc = encode_request(&Request::SplitSummariesDelta {
+    fn unsorted_or_out_of_range_changed_intervals_are_rejected() {
+        // `sample_table()` has 3 rows, so interval 3 is out of range.
+        for changed in [vec![2u32, 0], vec![1, 1], vec![0, 3]] {
+            let enc = encode_request(&Request::SplitSummaries {
                 id: 1,
                 grid: sample_table(),
-                changed,
+                changed: Some(changed),
             });
             assert!(decode_request(&enc).is_err());
         }
-    }
-
-    #[test]
-    fn pre_v3_hello_without_token_decodes_with_token_zero() {
-        // A v2 client's Hello stops after magic + version; the decoder
-        // must surface it (token 0) so the server can answer with a
-        // version-mismatch error rather than a decode error.
-        let mut old = Vec::new();
-        old.put_u8(0); // REQ_HELLO
-        old.put_u32_le(MAGIC);
-        old.put_u32_le(2);
-        assert_eq!(
-            decode_request(&old).unwrap(),
-            Request::Hello {
-                magic: MAGIC,
-                version: 2,
-                token: 0,
-            }
-        );
     }
 
     #[test]

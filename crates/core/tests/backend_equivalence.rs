@@ -151,7 +151,6 @@ fn all_backends_train_bit_identical_gbms() {
         sharded.set_pushdown_config(PushdownConfig {
             boundaries_per_shard: 8,
             min_rows: 0,
-            delta: true,
         });
         let model = load_and_train(&sharded);
         assert_bit_identical(&reference, &model, &format!("sharded x{shards}"));
@@ -259,7 +258,6 @@ fn remote_backends_train_bit_identical_gbms_cross_process() {
         remote.set_pushdown_config(PushdownConfig {
             boundaries_per_shard: 8,
             min_rows: 0,
-            delta: true,
         });
         let model = load_and_train(&remote);
         assert_bit_identical(&reference, &model, &format!("remote x{shards}"));
@@ -414,7 +412,6 @@ fn histogram_binned_training_is_bit_identical_across_backends() {
         sharded.set_pushdown_config(PushdownConfig {
             boundaries_per_shard: 4,
             min_rows: 0,
-            delta: true,
         });
         let model = train(&sharded);
         assert_bit_identical(&reference, &model, &format!("binned sharded x{shards}"));

@@ -5,8 +5,8 @@
 //!
 //! The serial coordinator — the plain in-process engine, one query at a
 //! time, no wire — is the reference. Every remote configuration below
-//! (1/2/4 shard servers, delta on or off, reply jitter scrambling
-//! completion order) must reproduce its model `to_bits()`-identical.
+//! (1/2/4 shard servers, reply jitter scrambling completion order) must
+//! reproduce its model `to_bits()`-identical.
 //!
 //! Why orderings cannot matter: the coordinator's merge runs over a
 //! *keyed* union (per-interval summaries tagged by grid position, fanout
@@ -17,14 +17,19 @@
 //! the multiplexer's replies really are routed by tag and never by
 //! arrival order.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use proptest::prelude::*;
 
-use joinboost::backend::{PushdownConfig, RemoteOptions, ShardedBackend, SqlBackend, WireServer};
+use joinboost::backend::split::{interval_delta_map, IntervalSummary, SplitHandle, SplitSpec};
+use joinboost::backend::{
+    BackendResult, PushdownConfig, RemoteOptions, ShardTransport, ShardedBackend, SplitOpen,
+    SqlBackend, WireServer,
+};
 use joinboost::{train_gbm, Dataset, GbmModel, TrainParams};
-use joinboost_engine::{Column, Database, EngineConfig, Table};
+use joinboost_engine::{Column, DataType, Database, Datum, EngineConfig, Table};
 use joinboost_graph::JoinGraph;
+use joinboost_sql::ast::Statement;
 
 // ---------------------------------------------------------------------------
 // Workload (same dyadic star schema as remote_chaos.rs)
@@ -65,15 +70,17 @@ fn star_tables(rows: usize) -> (Table, Table, JoinGraph) {
     (fact, dim, graph)
 }
 
-/// A star with a high-cardinality feature (~1000 distinct values on
-/// 4000 fact rows): the split pushdown needs several refinement rounds
+/// A star with a high-cardinality feature (~4000 distinct values on
+/// 16,000 fact rows): the split pushdown needs several refinement rounds
 /// to corner the best split, which is what gives the delta encoding
-/// unchanged intervals to elide. All values stay on the 1/8 dyadic grid
-/// so bit-identity still holds. (The tiny star above converges in one
-/// round — fine for equivalence, useless for byte accounting.)
+/// unchanged intervals to elide, and the per-value tables are large
+/// enough that summaries undercut shipping them (at a tenth of this size
+/// pushdown-off ships fewer bytes). All values stay on the 1/8 dyadic
+/// grid so bit-identity still holds. (The tiny star above converges in
+/// one round — fine for equivalence, useless for byte accounting.)
 fn highcard_tables() -> (Table, Table, JoinGraph) {
-    let rows = 4000usize;
-    let card = 1000i64;
+    let rows = 16_000usize;
+    let card = 4_000i64;
     let dim_rows = 20i64;
     let fact = Table::from_columns(vec![
         ("k", Column::int((0..rows as i64).collect())),
@@ -129,13 +136,10 @@ fn train_on(backend: &dyn SqlBackend) -> GbmModel {
     train_gbm(&set, &params()).unwrap()
 }
 
-/// Train over the given shard servers with pushdown forced on and the
-/// delta wire toggled as requested; returns the model and the backend's
-/// final stats (split rounds + split wire bytes).
-fn train_remote(
-    addrs: &[std::net::SocketAddr],
-    delta: bool,
-) -> (GbmModel, joinboost::backend::BackendStats) {
+/// Train over the given shard servers with pushdown forced on; returns
+/// the model and the backend's final stats (split rounds + split wire
+/// bytes).
+fn train_remote(addrs: &[std::net::SocketAddr]) -> (GbmModel, joinboost::backend::BackendStats) {
     let backend = ShardedBackend::remote(
         addrs,
         EngineConfig::duckdb_mem(),
@@ -147,7 +151,6 @@ fn train_remote(
     backend.set_pushdown_config(PushdownConfig {
         boundaries_per_shard: 4,
         min_rows: 0,
-        delta,
     });
     let model = train_on(&backend);
     let stats = backend.stats();
@@ -211,62 +214,62 @@ fn spawn_servers(n: usize, jitter: Option<(u64, u64)>) -> Vec<WireServer> {
 // Baseline: pipelined + delta over quiet servers, every shard count
 // ---------------------------------------------------------------------------
 
-/// Remote {1, 2, 4}-shard training through the multiplexed connection,
-/// with the delta split wire both on and off, reproduces the serial
-/// coordinator's bits exactly — and the delta toggle itself is invisible
-/// in the model.
+/// Remote {1, 2, 4}-shard training through the multiplexed connection
+/// and the delta split wire reproduces the serial coordinator's bits
+/// exactly.
 #[test]
 fn pipelined_delta_training_matches_the_serial_coordinator() {
     let reference = serial_reference();
     for shards in [1usize, 2, 4] {
-        for delta in [true, false] {
-            let servers = spawn_servers(shards, None);
-            let addrs: Vec<_> = servers.iter().map(|s| s.addr()).collect();
-            let (model, stats) = train_remote(&addrs, delta);
-            assert_bit_identical(
-                reference,
-                &model,
-                &format!("remote x{shards} delta={delta}"),
-            );
-            assert!(
-                stats.pushdown_splits > 0,
-                "split pushdown must actually run (x{shards})"
-            );
-            assert!(
-                stats.split_rounds > 0,
-                "refinement rounds must be counted (x{shards})"
-            );
-            assert!(
-                stats.split_bytes_sent > 0 && stats.split_bytes_received > 0,
-                "split wire traffic must be metered (x{shards}): {stats:?}"
-            );
-        }
+        let servers = spawn_servers(shards, None);
+        let addrs: Vec<_> = servers.iter().map(|s| s.addr()).collect();
+        let (model, stats) = train_remote(&addrs);
+        assert_bit_identical(reference, &model, &format!("remote x{shards}"));
+        assert!(
+            stats.pushdown_splits > 0,
+            "split pushdown must actually run (x{shards})"
+        );
+        assert!(
+            stats.split_rounds > 0,
+            "refinement rounds must be counted (x{shards})"
+        );
+        assert!(
+            stats.split_bytes_sent > 0 && stats.split_bytes_received > 0,
+            "split wire traffic must be metered (x{shards}): {stats:?}"
+        );
     }
 }
 
 // ---------------------------------------------------------------------------
-// Byte accounting: delta must be strictly cheaper than dense re-shipping
+// Byte accounting: the delta wire must be cheaper than dense execution
 // ---------------------------------------------------------------------------
 
-/// On 4 shards, re-running the identical high-cardinality workload with
-/// the delta wire on ships strictly fewer split-protocol bytes to the
-/// coordinator than dense re-shipping — while producing the identical
-/// model. This is the unit-level version of the benchmark gate in
-/// `BENCH_remote.json`.
+fn train_highcard(backend: &dyn SqlBackend) -> GbmModel {
+    let (fact, dim, graph) = highcard_tables();
+    backend.create_table("fact", fact).unwrap();
+    backend.create_table("dim", dim).unwrap();
+    let set = Dataset::new(backend, graph, "fact", "y").unwrap();
+    let p = TrainParams {
+        num_iterations: 1,
+        ..params()
+    };
+    train_gbm(&set, &p).unwrap()
+}
+
+const HIGHCARD_PUSHDOWN: PushdownConfig = PushdownConfig {
+    boundaries_per_shard: 16,
+    min_rows: 0,
+};
+
+/// On 4 shards, the identical high-cardinality workload ships strictly
+/// fewer split bytes to the coordinator — in total and per round — with
+/// the split pushdown (and its delta-encoded refinement rounds) than
+/// with pushdown off, where every split query ships each shard's full
+/// absorbed table; both produce the identical model. This is the
+/// unit-level version of the benchmark gate in `BENCH_remote.json`.
 #[test]
 fn delta_encoding_ships_fewer_split_bytes_than_dense() {
-    let train_highcard = |backend: &dyn SqlBackend| {
-        let (fact, dim, graph) = highcard_tables();
-        backend.create_table("fact", fact).unwrap();
-        backend.create_table("dim", dim).unwrap();
-        let set = Dataset::new(backend, graph, "fact", "y").unwrap();
-        let p = TrainParams {
-            num_iterations: 1,
-            ..params()
-        };
-        train_gbm(&set, &p).unwrap()
-    };
-    let run = |delta: bool| {
+    let run = |pushdown: bool| {
         let servers = spawn_servers(4, None);
         let addrs: Vec<_> = servers.iter().map(|s| s.addr()).collect();
         let backend = ShardedBackend::remote(
@@ -277,36 +280,191 @@ fn delta_encoding_ships_fewer_split_bytes_than_dense() {
             RemoteOptions::default(),
         )
         .unwrap();
-        backend.set_pushdown_config(PushdownConfig {
-            boundaries_per_shard: 16,
-            min_rows: 0,
-            delta,
-        });
+        backend.set_pushdown_config(HIGHCARD_PUSHDOWN);
+        backend.set_pushdown(pushdown);
         let model = train_highcard(&backend);
-        let stats = backend.stats();
-        (model, stats)
+        (model, backend.stats())
     };
-    let reference = {
-        let engine = joinboost::backend::EngineBackend::in_memory();
-        train_highcard(&engine)
-    };
+    let reference = train_highcard(&joinboost::backend::EngineBackend::in_memory());
     let (dense_model, dense) = run(false);
-    let (delta_model, deltad) = run(true);
+    let (delta_model, delta) = run(true);
     assert_bit_identical(&reference, &dense_model, "dense x4 highcard");
     assert_bit_identical(&reference, &delta_model, "delta x4 highcard");
+    assert_eq!(dense.pushdown_splits, 0, "pushdown off must stay off");
     assert!(
-        dense.split_rounds > dense.pushdown_splits,
-        "the workload must drive multi-round refinement \
-         ({} rounds over {} splits)",
-        dense.split_rounds,
-        dense.pushdown_splits
+        delta.split_rounds > delta.pushdown_splits,
+        "the workload must drive multi-round refinement ({} rounds over {} splits)",
+        delta.split_rounds,
+        delta.pushdown_splits
     );
     assert!(
-        deltad.split_bytes_received < dense.split_bytes_received,
+        delta.split_bytes_received < dense.split_bytes_received,
         "delta must reduce coordinator recv bytes: delta {} vs dense {}",
-        deltad.split_bytes_received,
+        delta.split_bytes_received,
         dense.split_bytes_received
     );
+    assert!(
+        delta.split_bytes_received * dense.split_rounds
+            < dense.split_bytes_received * delta.split_rounds,
+        "delta must also win per round: {delta:?} vs {dense:?}"
+    );
+}
+
+/// Every `summaries_delta` call one shard's split handles received:
+/// `(handle, grid, changed)`, in call order.
+type SummaryLog = Arc<Mutex<Vec<(usize, Vec<Datum>, Vec<usize>)>>>;
+
+/// An in-process shard that logs which intervals each summary round asks
+/// for; everything else goes straight to the engine.
+struct RecordingShard {
+    db: Database,
+    log: SummaryLog,
+    opened: Mutex<usize>,
+}
+
+struct RecordingHandle<'a> {
+    inner: Box<dyn SplitHandle + 'a>,
+    id: usize,
+    log: SummaryLog,
+}
+
+impl ShardTransport for RecordingShard {
+    fn execute(&self, stmt: &Statement) -> BackendResult {
+        ShardTransport::execute(&self.db, stmt)
+    }
+    fn create_table(&self, name: &str, table: Table) -> BackendResult<()> {
+        ShardTransport::create_table(&self.db, name, table)
+    }
+    fn snapshot(&self, name: &str) -> BackendResult<Table> {
+        ShardTransport::snapshot(&self.db, name)
+    }
+    fn gather_rows(&self, name: &str, rows: &[u32]) -> BackendResult<Table> {
+        ShardTransport::gather_rows(&self.db, name, rows)
+    }
+    fn column_names(&self, table: &str) -> BackendResult<Vec<String>> {
+        ShardTransport::column_names(&self.db, table)
+    }
+    fn column_dtype(&self, table: &str, column: &str) -> BackendResult<DataType> {
+        ShardTransport::column_dtype(&self.db, table, column)
+    }
+    fn has_table(&self, name: &str) -> bool {
+        ShardTransport::has_table(&self.db, name)
+    }
+    fn row_count(&self, name: &str) -> BackendResult<usize> {
+        ShardTransport::row_count(&self.db, name)
+    }
+    fn drop_table(&self, name: &str) -> BackendResult<()> {
+        ShardTransport::drop_table(&self.db, name)
+    }
+    fn split_open(
+        &self,
+        stmt: &Statement,
+        spec: &SplitSpec,
+        k: usize,
+    ) -> BackendResult<SplitOpen<'_>> {
+        Ok(match self.db.split_open(stmt, spec, k)? {
+            SplitOpen::Protocol { handle, bounds } => {
+                let mut opened = self.opened.lock().unwrap();
+                *opened += 1;
+                SplitOpen::Protocol {
+                    handle: Box::new(RecordingHandle {
+                        inner: handle,
+                        id: *opened,
+                        log: Arc::clone(&self.log),
+                    }),
+                    bounds,
+                }
+            }
+            dense => dense,
+        })
+    }
+}
+
+impl SplitHandle for RecordingHandle<'_> {
+    fn num_rows(&self) -> usize {
+        self.inner.num_rows()
+    }
+    fn boundaries(&self, k: usize) -> BackendResult<Vec<Datum>> {
+        self.inner.boundaries(k)
+    }
+    fn summaries_delta(
+        &self,
+        grid: &[Datum],
+        changed: &[usize],
+    ) -> BackendResult<Vec<IntervalSummary>> {
+        (self.log.lock().unwrap()).push((self.id, grid.to_vec(), changed.to_vec()));
+        self.inner.summaries_delta(grid, changed)
+    }
+    fn refine(&self, grid: &[Datum], targets: &[(usize, usize)]) -> BackendResult<Vec<Datum>> {
+        self.inner.refine(grid, targets)
+    }
+    fn fetch(&self, grid: &[Datum], retain: &[bool]) -> BackendResult<Table> {
+        self.inner.fetch(grid, retain)
+    }
+    fn into_all_rows(self: Box<Self>) -> BackendResult<Table> {
+        self.inner.into_all_rows()
+    }
+}
+
+/// The direct form of the delta claim: a split's first summary round
+/// asks every shard for every interval, and each later round asks only
+/// for the intervals refinement subdivided — exactly those whose bounding
+/// keys are not both in the previous round's grid.
+#[test]
+fn later_rounds_summarize_only_subdivided_intervals() {
+    let logs: Vec<SummaryLog> = (0..4).map(|_| SummaryLog::default()).collect();
+    let shards: Vec<Box<dyn ShardTransport>> = logs
+        .iter()
+        .map(|log| {
+            Box::new(RecordingShard {
+                db: Database::in_memory(),
+                log: Arc::clone(log),
+                opened: Mutex::new(0),
+            }) as Box<dyn ShardTransport>
+        })
+        .collect();
+    let backend = ShardedBackend::from_transports(
+        shards,
+        EngineConfig::duckdb_mem(),
+        "recording x4".into(),
+        "fact",
+        "k",
+    );
+    backend.set_pushdown_config(HIGHCARD_PUSHDOWN);
+    let model = train_highcard(&backend);
+    let reference = train_highcard(&joinboost::backend::EngineBackend::in_memory());
+    assert_bit_identical(&reference, &model, "recording x4 highcard");
+
+    let mut later_rounds = 0usize;
+    let mut elided = 0usize;
+    for log in &logs {
+        let log = log.lock().unwrap();
+        let mut prev: Option<(usize, &[Datum])> = None;
+        for (id, grid, changed) in log.iter() {
+            let prev_grid = match prev {
+                Some((pid, g)) if pid == *id => g,
+                _ => &[], // a handle's first round: nothing cached
+            };
+            let expect: Vec<usize> = interval_delta_map(prev_grid, grid)
+                .iter()
+                .enumerate()
+                .filter_map(|(j, kept)| kept.is_none().then_some(j))
+                .collect();
+            assert_eq!(changed, &expect, "handle {id}: wrong intervals summarized");
+            if prev_grid.is_empty() {
+                assert_eq!(changed.len(), grid.len(), "first round is every interval");
+            } else {
+                later_rounds += 1;
+                elided += grid.len() - changed.len();
+            }
+            prev = Some((*id, grid));
+        }
+    }
+    assert!(
+        later_rounds > 0,
+        "the workload must drive multi-round refinement"
+    );
+    assert!(elided > 0, "later rounds must skip the surviving intervals");
 }
 
 // ---------------------------------------------------------------------------
@@ -332,7 +490,7 @@ proptest! {
         let reference = serial_reference();
         let servers = spawn_servers(shards, Some((seed, max_micros)));
         let addrs: Vec<_> = servers.iter().map(|s| s.addr()).collect();
-        let (model, stats) = train_remote(&addrs, true);
+        let (model, stats) = train_remote(&addrs);
         assert_bit_identical(
             reference,
             &model,

@@ -1,6 +1,6 @@
 //! Chaos tests for the fault-tolerant wire: *recovering* faults (dropped
 //! connections, not dead servers) injected mid-training must be invisible
-//! in the trained model. The contract under test is protocol v3's
+//! in the trained model. The contract under test is the wire's
 //! session-resume + idempotent-replay machinery:
 //!
 //! * the client reconnects under its [`RetryPolicy`], presents its resume
@@ -94,7 +94,6 @@ fn train_remote(addrs: &[std::net::SocketAddr], opts: RemoteOptions) -> GbmModel
     backend.set_pushdown_config(PushdownConfig {
         boundaries_per_shard: 4,
         min_rows: 0,
-        delta: true,
     });
     let (fact, dim, graph) = star_tables(400);
     backend.create_table("fact", fact).unwrap();

@@ -75,7 +75,6 @@ fn train_remote(
     backend.set_pushdown_config(PushdownConfig {
         boundaries_per_shard: 4,
         min_rows: 0,
-        delta: true,
     });
     let (fact, dim, graph) = star_tables(400);
     backend

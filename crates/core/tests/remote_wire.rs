@@ -18,7 +18,7 @@ use joinboost::backend::split::{
 };
 use joinboost::backend::wire::{
     decode_request, decode_response, decode_table_bytes, encode_request, encode_response,
-    encode_table_bytes, Request, Response,
+    encode_table_bytes, read_frame, write_frame, Request, Response, MAGIC, VERSION,
 };
 use joinboost::backend::{RemoteBackend, SqlBackend, WireServer};
 use joinboost::{train_gbm, Dataset, GbmModel, TrainParams};
@@ -328,21 +328,30 @@ proptest! {
         let changed: Vec<IntervalSummary> =
             changed_idx.iter().map(|&j| full[j as usize]).collect();
 
-        // Request leg: the delta request frame carries the grid and the
-        // changed indices unmangled.
-        let req = Request::SplitSummariesDelta {
-            id: 7,
-            grid: keys_to_table(&new_grid),
-            changed: changed_idx.clone(),
-        };
-        match decode_request(&encode_request(&req)).expect("decode delta request") {
-            Request::SplitSummariesDelta { id, grid, changed: back_idx } => {
-                prop_assert_eq!(id, 7);
-                prop_assert_eq!(keys_from_table(&grid), new_grid.clone());
-                prop_assert_eq!(back_idx, changed_idx);
+        // Request leg: the summaries frame carries the grid and the
+        // changed indices unmangled — as a list, and as the "every
+        // interval" flag the first round sends, which costs one byte
+        // however long the grid is.
+        let mut flag_len = 0;
+        for changed in [Some(changed_idx.clone()), None] {
+            let req = Request::SplitSummaries {
+                id: 7,
+                grid: keys_to_table(&new_grid),
+                changed: changed.clone(),
+            };
+            let enc = encode_request(&req);
+            flag_len = enc.len();
+            match decode_request(&enc).expect("decode summaries request") {
+                Request::SplitSummaries { id, grid, changed: back } => {
+                    prop_assert_eq!(id, 7);
+                    prop_assert_eq!(keys_from_table(&grid), new_grid.clone());
+                    prop_assert_eq!(back, changed);
+                }
+                other => prop_assert!(false, "wrong request decoded: {:?}", other),
             }
-            other => prop_assert!(false, "wrong request decoded: {:?}", other),
         }
+        let bare = 1 + 8 + encode_table_bytes(&keys_to_table(&new_grid)).len();
+        prop_assert_eq!(flag_len, bare + 1);
 
         // Response leg: the shard's changed-rows table through the
         // response codec, then reconstruction over the cache.
@@ -370,14 +379,18 @@ proptest! {
         }
     }
 
-    /// Truncated delta frames are typed decode errors and corrupted ones
-    /// never panic or over-allocate — a byte flip may still decode to
-    /// *some* valid frame, but it must do so inside the frame's own
-    /// bytes, not by trusting a poisoned length prefix.
+    /// Truncated split frames — the summaries request with a list or
+    /// the flag, the open request, the open reply — are typed decode
+    /// errors and corrupted ones never panic or over-allocate: a byte
+    /// flip may still decode to *some* valid frame, but it must do so
+    /// inside the frame's own bytes, not by trusting a poisoned length
+    /// prefix. Round-tripping re-encodes to the same bytes.
     #[test]
     fn truncated_or_corrupt_delta_frames_are_typed_errors(
         keys in prop::collection::vec(any::<i32>(), 1..10),
         idx in prop::collection::vec(any::<u8>(), 0..6),
+        all in any::<bool>(),
+        k in 0u32..40,
         cut_frac in 0.0f64..1.0,
         flip_pos_frac in 0.0f64..1.0,
         flip_bit in 0u8..8,
@@ -386,25 +399,181 @@ proptest! {
         ks.sort_unstable();
         ks.dedup();
         let grid: Vec<Datum> = ks.iter().map(|&k| Datum::Int(k)).collect();
-        let mut changed: Vec<u32> = idx.iter().map(|&v| v as u32).collect();
+        let mut changed: Vec<u32> = idx.iter().map(|&v| v as u32 % grid.len() as u32).collect();
         changed.sort_unstable();
         changed.dedup();
-        let req = Request::SplitSummariesDelta { id: 3, grid: keys_to_table(&grid), changed };
-        let enc = encode_request(&req);
-
-        // Any strict prefix fails to decode — typed error, no panic.
-        let cut = ((enc.len() as f64) * cut_frac) as usize;
-        if cut < enc.len() {
-            prop_assert!(decode_request(&enc[..cut]).is_err());
+        let frames = [
+            encode_request(&Request::SplitSummaries {
+                id: 3,
+                grid: keys_to_table(&grid),
+                changed: (!all).then_some(changed),
+            }),
+            encode_request(&Request::SplitOpen {
+                sql: "SELECT f AS val, COUNT(*) AS c, SUM(y) AS s FROM fact GROUP BY f".into(),
+                key_col: 0,
+                c0_col: 1,
+                c1_col: 2,
+                specs: vec![0, 1, 1],
+                k,
+            }),
+        ];
+        let reply = encode_response(&Response::SplitOpened {
+            id: 3,
+            rows: ks.len() as u64,
+            bounds: keys_to_table(&grid[..(k as usize).min(grid.len())]),
+        });
+        for enc in &frames {
+            let back = decode_request(enc).expect("well-formed frame decodes");
+            prop_assert_eq!(&encode_request(&back), enc);
         }
+        let back = decode_response(&reply).expect("well-formed reply decodes");
+        prop_assert_eq!(&encode_response(&back), &reply);
 
-        // A single flipped bit anywhere: decoding must return (Ok or
-        // Err), never panic, and never allocate beyond the frame.
-        let mut bad = enc.clone();
-        let pos = (((enc.len() - 1) as f64) * flip_pos_frac) as usize;
-        bad[pos] ^= 1 << flip_bit;
-        let _ = decode_request(&bad);
+        for (enc, is_reply) in frames.iter().map(|f| (f, false)).chain([(&reply, true)]) {
+            let decode = |bytes: &[u8]| -> bool {
+                if is_reply {
+                    decode_response(bytes).is_ok()
+                } else {
+                    decode_request(bytes).is_ok()
+                }
+            };
+            // Any strict prefix fails to decode — typed error, no panic.
+            let cut = ((enc.len() as f64) * cut_frac) as usize;
+            prop_assert!(!decode(&enc[..cut]));
+            // A single flipped bit anywhere: decoding must return (Ok or
+            // Err), never panic, and never allocate beyond the frame.
+            let mut bad = enc.clone();
+            let pos = (((enc.len() - 1) as f64) * flip_pos_frac) as usize;
+            bad[pos] ^= 1 << flip_bit;
+            let _ = decode(&bad);
+        }
     }
+
+    /// `changed` must be strictly ascending and inside the grid: the
+    /// decoder rejects anything else before the server touches it.
+    #[test]
+    fn unsorted_or_out_of_range_changed_intervals_are_rejected(
+        grid_len in 1u32..12,
+        changed in prop::collection::vec(0u32..16, 1..6),
+    ) {
+        let grid: Vec<Datum> = (0..grid_len as i64).map(Datum::Int).collect();
+        let valid = changed.windows(2).all(|w| w[0] < w[1])
+            && changed.iter().all(|&j| j < grid_len);
+        let enc = encode_request(&Request::SplitSummaries {
+            id: 1,
+            grid: keys_to_table(&grid),
+            changed: Some(changed),
+        });
+        prop_assert_eq!(decode_request(&enc).is_ok(), valid);
+    }
+}
+
+/// `Request::is_split` against a sample of every variant: exactly the
+/// six `Split*` requests belong to the split protocol. The `match` below
+/// has no wildcard arm, so a new variant fails to compile until it is
+/// added to the sample.
+#[test]
+fn is_split_names_exactly_the_split_requests() {
+    let grid = || keys_to_table(&[Datum::Int(1)]);
+    let sample = vec![
+        Request::Hello {
+            magic: MAGIC,
+            version: VERSION,
+            token: 1,
+        },
+        Request::Execute {
+            sql: "SELECT 1 AS x".into(),
+        },
+        Request::CreateTable {
+            name: "t".into(),
+            table: Table::new(),
+        },
+        Request::Snapshot { name: "t".into() },
+        Request::ColumnNames { name: "t".into() },
+        Request::ColumnDtype {
+            table: "t".into(),
+            column: "c".into(),
+        },
+        Request::HasTable { name: "t".into() },
+        Request::RowCount { name: "t".into() },
+        Request::DropTableIfExists { name: "t".into() },
+        Request::GatherRows {
+            name: "t".into(),
+            rows: vec![0],
+        },
+        Request::TableNames,
+        Request::SplitOpen {
+            sql: "SELECT 1 AS x".into(),
+            key_col: 0,
+            c0_col: 1,
+            c1_col: 2,
+            specs: vec![0, 1, 1],
+            k: 0,
+        },
+        Request::SplitBoundaries { id: 1, k: 4 },
+        Request::SplitSummaries {
+            id: 1,
+            grid: grid(),
+            changed: None,
+        },
+        Request::SplitRefine {
+            id: 1,
+            grid: grid(),
+            targets: vec![(0, 2)],
+        },
+        Request::SplitFetch {
+            id: 1,
+            grid: grid(),
+            retain: vec![true],
+        },
+        Request::SplitClose { id: 1 },
+        Request::SubmitJob {
+            spec: Box::default(),
+        },
+        Request::PollJob { id: 1 },
+        Request::CancelJob { id: 1 },
+        Request::PredictBatch {
+            job: Some(1),
+            spec: None,
+            keys: vec![1],
+            partial: false,
+        },
+    ];
+    let mut seen = std::collections::BTreeSet::new();
+    for req in &sample {
+        let (tag, split) = match req {
+            Request::Hello { .. } => (0, false),
+            Request::Execute { .. } => (1, false),
+            Request::CreateTable { .. } => (2, false),
+            Request::Snapshot { .. } => (3, false),
+            Request::ColumnNames { .. } => (4, false),
+            Request::ColumnDtype { .. } => (5, false),
+            Request::HasTable { .. } => (6, false),
+            Request::RowCount { .. } => (7, false),
+            Request::DropTableIfExists { .. } => (8, false),
+            Request::GatherRows { .. } => (9, false),
+            Request::TableNames => (10, false),
+            Request::SplitOpen { .. } => (11, true),
+            Request::SplitBoundaries { .. } => (12, true),
+            Request::SplitSummaries { .. } => (13, true),
+            Request::SplitRefine { .. } => (14, true),
+            Request::SplitFetch { .. } => (15, true),
+            Request::SplitClose { .. } => (16, true),
+            Request::SubmitJob { .. } => (17, false),
+            Request::PollJob { .. } => (18, false),
+            Request::CancelJob { .. } => (19, false),
+            Request::PredictBatch { .. } => (20, false),
+        };
+        assert_eq!(req.is_split(), split, "{req:?}");
+        // The codec agrees on which variant this is.
+        assert_eq!(encode_request(req)[0], tag, "{req:?}");
+        seen.insert(tag);
+    }
+    assert_eq!(
+        seen.len(),
+        21,
+        "the sample must cover every Request variant"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -503,6 +672,54 @@ fn remote_load_snapshot_matches_local_engine_on_random_tables() {
 // ---------------------------------------------------------------------------
 // Concurrency: one server, two clients
 // ---------------------------------------------------------------------------
+
+/// A `Hello` carrying any version but the server's — the two retired
+/// ones and a future one — gets the typed mismatch error naming the
+/// server's version, on a connection of its own; the server keeps
+/// serving everyone else.
+#[test]
+fn hello_with_another_version_is_a_typed_mismatch_and_the_server_lives_on() {
+    let server = WireServer::builder(Database::in_memory()).spawn().unwrap();
+    let healthy = RemoteBackend::builder(server.addr()).connect().unwrap();
+    healthy.execute("CREATE TABLE t AS SELECT 1 AS x").unwrap();
+    for version in [3u32, 4, 99] {
+        let mut sock = std::net::TcpStream::connect(server.addr()).unwrap();
+        sock.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        let hello = encode_request(&Request::Hello {
+            magic: MAGIC,
+            version,
+            token: 0x5eed | 1,
+        });
+        write_frame(&mut sock, &hello).unwrap();
+        match decode_response(&read_frame(&mut sock).unwrap()).unwrap() {
+            Response::Err(e) => {
+                let msg = e.to_string();
+                assert!(
+                    msg.contains("protocol version mismatch")
+                        && msg.contains(&format!("client {version}"))
+                        && msg.contains(&format!("server {VERSION}")),
+                    "v{version}: {msg}"
+                );
+            }
+            other => panic!("v{version} Hello must be rejected, got {other:?}"),
+        }
+        // No session was attached: a request on this socket is still
+        // answered as "expected Hello", not executed.
+        let mut frame = 1u64.to_le_bytes().to_vec();
+        frame.extend_from_slice(&1u64.to_le_bytes());
+        frame.extend_from_slice(&encode_request(&Request::TableNames));
+        write_frame(&mut sock, &frame).unwrap();
+        assert!(matches!(
+            decode_response(&read_frame(&mut sock).unwrap()).unwrap(),
+            Response::Err(_)
+        ));
+        // Other connections — the old one and a fresh one — are served.
+        assert_eq!(healthy.row_count("t").unwrap(), 1);
+        let fresh = RemoteBackend::builder(server.addr()).connect().unwrap();
+        assert!(fresh.has_table("t"));
+    }
+}
 
 fn star_tables(tag: &str, rows: usize, seed: i64) -> (Table, Table, joinboost_graph::JoinGraph) {
     let dim_rows = 8i64;

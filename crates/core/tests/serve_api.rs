@@ -370,6 +370,24 @@ fn scorer_cache_invalidation_is_per_relation() {
         "unrelated write must not invalidate the scorer cache"
     );
 
+    // The same precision for SQL *text*, whatever its layout: the server
+    // derives the written table from the parsed statement, so lower-case
+    // keywords split by a newline and a tab still name `scratch2` — not
+    // "some table, evict everything".
+    backend
+        .execute("create\n\ttable scratch2 as\nselect x + 1 as x from scratch")
+        .unwrap();
+    backend.execute("update\tscratch2\nset x = 0").unwrap();
+    backend
+        .execute("drop\n table\tif exists\n scratch2")
+        .unwrap();
+    client.predict(id, &[5]).unwrap();
+    assert_eq!(
+        server.scorer_cache_loads(),
+        1,
+        "unrelated SQL writes must not invalidate the scorer cache"
+    );
+
     // Dropping one of the scorer's own message tables must evict it: the
     // next predict tries to reload and fails, rather than serving stale
     // bits from memory.

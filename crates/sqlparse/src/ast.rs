@@ -584,6 +584,79 @@ impl fmt::Display for Query {
     }
 }
 
+/// Where in a query a table name appears — see [`Query::visit_tables`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TablePosition {
+    /// In the `FROM`/`JOIN` closure, through nested `FROM`-subqueries.
+    From,
+    /// Inside an expression subquery (`IN (SELECT ..)`), in any clause.
+    Expr,
+}
+
+impl Query {
+    /// Call `f` with every table name this query references and the
+    /// position it is referenced from. A table anywhere inside an
+    /// expression subquery — its own `FROM` included — is at
+    /// [`TablePosition::Expr`].
+    pub fn visit_tables(&self, f: &mut impl FnMut(&str, TablePosition)) {
+        self.visit_tables_at(TablePosition::From, f);
+    }
+
+    fn visit_tables_at(&self, pos: TablePosition, f: &mut impl FnMut(&str, TablePosition)) {
+        for t in self.from.iter().chain(self.joins.iter().map(|j| &j.table)) {
+            match t {
+                TableRef::Named { name, .. } => f(name, pos),
+                TableRef::Subquery { query, .. } => query.visit_tables_at(pos, f),
+            }
+        }
+        let exprs = (self.items.iter().map(|i| &i.expr))
+            .chain(&self.where_clause)
+            .chain(&self.group_by)
+            .chain(self.order_by.iter().map(|o| &o.expr))
+            .chain(self.joins.iter().filter_map(|j| j.on.as_ref()));
+        for e in exprs {
+            e.visit_tables(f);
+        }
+    }
+}
+
+impl Expr {
+    /// Call `f` with every table referenced by a subquery of this
+    /// expression (always at [`TablePosition::Expr`]).
+    pub fn visit_tables(&self, f: &mut impl FnMut(&str, TablePosition)) {
+        match self {
+            Expr::Column { .. } | Expr::Literal(_) | Expr::Wildcard => {}
+            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => expr.visit_tables(f),
+            Expr::Binary { left, right, .. } => {
+                left.visit_tables(f);
+                right.visit_tables(f);
+            }
+            Expr::WindowSum { arg, order_by } => {
+                arg.visit_tables(f);
+                order_by.visit_tables(f);
+            }
+            Expr::Func { args, .. } => args.iter().for_each(|a| a.visit_tables(f)),
+            Expr::Case { whens, else_expr } => {
+                for (c, t) in whens {
+                    c.visit_tables(f);
+                    t.visit_tables(f);
+                }
+                if let Some(e) = else_expr {
+                    e.visit_tables(f);
+                }
+            }
+            Expr::InList { expr, list, .. } => {
+                expr.visit_tables(f);
+                list.iter().for_each(|i| i.visit_tables(f));
+            }
+            Expr::InSubquery { expr, query, .. } => {
+                expr.visit_tables(f);
+                query.visit_tables_at(TablePosition::Expr, f);
+            }
+        }
+    }
+}
+
 /// Top-level statement.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Statement {
@@ -758,6 +831,62 @@ mod tests {
     #[test]
     fn float_literal_keeps_point() {
         assert_eq!(Expr::float(2.0).to_string(), "2.0");
+    }
+
+    /// `(FROM-position names, expression-position names)` of a query.
+    fn tables_of(sql: &str) -> (Vec<String>, Vec<String>) {
+        let q = crate::parse_query(sql).unwrap();
+        let (mut from, mut expr) = (Vec::new(), Vec::new());
+        q.visit_tables(&mut |name, pos| match pos {
+            TablePosition::From => from.push(name.to_string()),
+            TablePosition::Expr => expr.push(name.to_string()),
+        });
+        (from, expr)
+    }
+
+    #[test]
+    fn visit_tables_walks_nested_from_subqueries_as_from_position() {
+        let (from, expr) = tables_of(
+            "SELECT a FROM (SELECT a FROM (SELECT a FROM inner_t) AS x JOIN j1 USING (a)) AS y \
+             LEFT JOIN (SELECT a FROM j2) AS z USING (a)",
+        );
+        assert_eq!(from, ["inner_t", "j1", "j2"]);
+        assert!(expr.is_empty());
+    }
+
+    #[test]
+    fn visit_tables_reports_in_subqueries_in_where_and_on_as_expr_position() {
+        let (from, expr) = tables_of(
+            "SELECT a FROM f JOIN d ON f.k IN (SELECT k FROM on_t) \
+             WHERE a IN (SELECT a FROM w1 WHERE b NOT IN (SELECT b FROM w2 JOIN w3 USING (b)))",
+        );
+        assert_eq!(from, ["f", "d"]);
+        // Everything inside an expression subquery is Expr — its own
+        // FROM/JOIN closure and deeper subqueries included.
+        assert_eq!(expr, ["w1", "w2", "w3", "on_t"]);
+        // An Expr-position subquery nested under a FROM-subquery keeps
+        // its position; the derived table's own source stays From.
+        let (from, expr) =
+            tables_of("SELECT a FROM (SELECT a FROM t WHERE a IN (SELECT a FROM u)) AS s");
+        assert_eq!((from, expr), (vec!["t".to_string()], vec!["u".to_string()]));
+    }
+
+    #[test]
+    fn visit_tables_reaches_window_and_case_arguments() {
+        let (from, expr) = tables_of(
+            "SELECT SUM(CASE WHEN a IN (SELECT a FROM c1) THEN 1 ELSE 0 END) \
+                 OVER (ORDER BY CASE WHEN b IN (SELECT b FROM c2) THEN b ELSE 0 END) AS s, \
+             ABS(-(CASE WHEN c IS NULL THEN 0 WHEN c IN (1, 2) THEN 1 \
+                   ELSE CASE WHEN c IN (SELECT c FROM c3) THEN 2 ELSE 3 END END)) AS t \
+             FROM f GROUP BY a IN (SELECT a FROM g1) ORDER BY b IN (SELECT b FROM o1)",
+        );
+        assert_eq!(from, ["f"]);
+        assert_eq!(expr, ["c1", "c2", "c3", "g1", "o1"]);
+        // Expressions outside a query (UPDATE assignments) walk the same way.
+        let e = crate::parse_expr("CASE WHEN x IN (SELECT x FROM u1) THEN 1 ELSE 0 END").unwrap();
+        let mut seen = Vec::new();
+        e.visit_tables(&mut |name, pos| seen.push((name.to_string(), pos)));
+        assert_eq!(seen, [("u1".to_string(), TablePosition::Expr)]);
     }
 
     #[test]

@@ -24,8 +24,8 @@ pub mod parser;
 pub mod token;
 
 pub use ast::{
-    BinaryOp, Expr, Join, JoinKind, OrderByItem, Query, SelectItem, Statement, TableRef, UnaryOp,
-    Value,
+    BinaryOp, Expr, Join, JoinKind, OrderByItem, Query, SelectItem, Statement, TablePosition,
+    TableRef, UnaryOp, Value,
 };
 pub use parser::{parse_expr, parse_query, parse_statement, ParseError};
 
