@@ -5,7 +5,9 @@
 //! 2+ for gradient boosting), so a split query used to re-evaluate and
 //! re-materialize per aggregate. Here every aggregate's argument is
 //! evaluated exactly once up front into a typed form ([`PreparedAgg`]),
-//! `COUNT(*)` is answered directly from the grouping pass's group sizes,
+//! `COUNT(*)` and `SUM(<integer literal>)` — the `SUM(1) AS jb_c` of
+//! every message — are answered directly from the grouping pass's group
+//! sizes,
 //! and each remaining bank fills with one monomorphic tight scan over the
 //! shared (cache-hot) group id array — measured ~2x faster than folding
 //! all banks in a single pass with per-row polymorphic dispatch.
@@ -32,6 +34,9 @@ const PARALLEL_MIN_ROWS: usize = 8192;
 pub enum PreparedAgg {
     /// `COUNT(*)`: answered from the grouping pass's group sizes.
     CountStar,
+    /// `SUM(k)` of an integer literal: `k ×` the group's size, from the
+    /// same by-product (NULL for an empty group, as any `SUM`).
+    SumOfInt(i64),
     /// `COUNT(expr)`: counts valid rows of the argument.
     Count {
         /// Validity mask of the argument (`None` = all valid).
@@ -91,6 +96,7 @@ impl PreparedAgg {
     fn gather(&self, rows: &[u32]) -> PreparedAgg {
         match self {
             PreparedAgg::CountStar => PreparedAgg::CountStar,
+            PreparedAgg::SumOfInt(k) => PreparedAgg::SumOfInt(*k),
             PreparedAgg::Count { valid } => PreparedAgg::Count {
                 valid: valid
                     .as_ref()
@@ -124,7 +130,9 @@ impl PreparedAgg {
     /// Fresh accumulator bank covering `len` groups.
     fn new_acc(&self, len: usize) -> Acc {
         match self {
-            PreparedAgg::CountStar | PreparedAgg::Count { .. } => Acc::Counts(vec![0; len]),
+            PreparedAgg::CountStar | PreparedAgg::SumOfInt(_) | PreparedAgg::Count { .. } => {
+                Acc::Counts(vec![0; len])
+            }
             PreparedAgg::Sum { .. } | PreparedAgg::Avg { .. } => Acc::SumCount {
                 sums: vec![0.0; len],
                 counts: vec![0; len],
@@ -140,7 +148,7 @@ impl PreparedAgg {
     /// bit-identical to serial.
     fn fill(&self, acc: &mut Acc, gids: &[u32]) {
         match (self, acc) {
-            (PreparedAgg::CountStar, Acc::Counts(c)) => {
+            (PreparedAgg::CountStar | PreparedAgg::SumOfInt(_), Acc::Counts(c)) => {
                 for &g in gids {
                     c[g as usize] += 1;
                 }
@@ -200,6 +208,18 @@ impl PreparedAgg {
     fn finish(&self, acc: Acc) -> Column {
         match (self, acc) {
             (PreparedAgg::CountStar | PreparedAgg::Count { .. }, Acc::Counts(c)) => Column::int(c),
+            (PreparedAgg::SumOfInt(k), Acc::Counts(c)) => {
+                let out: Vec<Datum> = (c.iter())
+                    .map(|&c| {
+                        if c == 0 {
+                            Datum::Null
+                        } else {
+                            Datum::Int(k * c)
+                        }
+                    })
+                    .collect();
+                Column::from_datums(&out)
+            }
             (PreparedAgg::Avg { .. }, Acc::SumCount { sums, counts }) => {
                 let out: Vec<Datum> = sums
                     .iter()
@@ -253,7 +273,8 @@ fn into_f64_vec(c: Column) -> Result<Vec<f64>> {
 }
 
 /// Compute every aggregate in `inputs` per group over the shared `gids`.
-/// `sizes` (the grouping pass by-product) short-circuits `COUNT(*)`.
+/// `sizes` (the grouping pass by-product) short-circuits `COUNT(*)` and
+/// `SUM(<integer literal>)`.
 /// `threads > 1` enables the aggregate-sliced parallel variant
 /// (bit-identical to serial; see module docs).
 pub fn compute_grouped(
@@ -268,7 +289,7 @@ pub fn compute_grouped(
     let mut banks: Vec<Option<Acc>> = inputs
         .iter()
         .map(|a| match (a, sizes) {
-            (PreparedAgg::CountStar, Some(s)) => {
+            (PreparedAgg::CountStar | PreparedAgg::SumOfInt(_), Some(s)) => {
                 Some(Acc::Counts(s.iter().map(|&c| c as i64).collect()))
             }
             _ => None,
@@ -304,7 +325,7 @@ pub fn bank_bytes_per_group(inputs: &[PreparedAgg]) -> usize {
     inputs
         .iter()
         .map(|a| match a {
-            PreparedAgg::CountStar | PreparedAgg::Count { .. } => 8,
+            PreparedAgg::CountStar | PreparedAgg::SumOfInt(_) | PreparedAgg::Count { .. } => 8,
             PreparedAgg::Sum { .. } | PreparedAgg::Avg { .. } => 16,
             PreparedAgg::MinMax { .. } => 32,
         })

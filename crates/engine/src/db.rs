@@ -14,7 +14,7 @@ use crate::column::Column;
 use crate::compress::{compress, decompress, CompressedColumn};
 use crate::error::{EngineError, Result};
 use crate::exec::Executor;
-use crate::expr::{eval, eval_row, EvalContext};
+use crate::expr::{CaseMerge, EvalContext};
 use crate::interop::ExternalTable;
 use crate::storage::{BufferPoolStats, PagedStore, PagedTable, Replacement};
 use crate::table::{ColumnMeta, Table};
@@ -587,7 +587,7 @@ impl Database {
             Some(Stored::Compressed(c)) => {
                 Ok(c.columns.iter().map(CompressedColumn::byte_size).sum())
             }
-            Some(Stored::External(e)) => Ok(e.copy_in().0.byte_size()),
+            Some(Stored::External(e)) => Ok(e.byte_size()),
             Some(Stored::Paged(pt)) => Ok(pt.byte_size()),
             None => Err(EngineError::UnknownTable(name.to_string())),
         }
@@ -644,24 +644,51 @@ impl Database {
         }
     }
 
-    /// Materialize a scan snapshot of a table (decompressing or copying in
-    /// from external storage as the configuration dictates).
+    /// Materialize every column of a table — `scan(name, None)`; what
+    /// backends, checkpoints and bulk reads ask for.
     pub fn snapshot(&self, name: &str) -> Result<Table> {
+        self.scan(name, None)
+    }
+
+    /// The one funnel every read of stored data goes through: materialize
+    /// the columns of `name` whose (case-insensitive) name is in
+    /// `columns`, or all of them for `None`. Only those are decompressed,
+    /// pinned through the buffer pool, or copied in from external
+    /// storage; names the table does not have are ignored, and a table
+    /// none of whose columns is asked for still yields its first, since a
+    /// [`Table`]'s row count is its columns' length.
+    pub fn scan(&self, name: &str, columns: Option<&[&str]>) -> Result<Table> {
+        let kept = |meta: &[ColumnMeta]| -> Vec<usize> {
+            let kept: Vec<usize> = (0..meta.len())
+                .filter(|&i| meta[i].named_in(columns))
+                .collect();
+            if kept.is_empty() && !meta.is_empty() {
+                vec![0]
+            } else {
+                kept
+            }
+        };
         let cat = self.catalog.read();
+        let mut t = Table::new();
         match cat.get(&name.to_ascii_lowercase()) {
-            Some(Stored::Plain(t)) => Ok((**t).clone()),
-            Some(Stored::Compressed(c)) => {
-                let mut t = Table::new();
-                for (m, cc) in c.meta.iter().zip(&c.columns) {
-                    t.push_column(m.clone(), decompress(cc));
+            Some(Stored::Plain(p)) => {
+                for i in kept(&p.meta) {
+                    t.push_column(p.meta[i].clone(), p.columns[i].clone());
                 }
-                Ok(t)
+            }
+            Some(Stored::Compressed(c)) => {
+                for i in kept(&c.meta) {
+                    t.push_column(c.meta[i].clone(), decompress(&c.columns[i]));
+                }
             }
             Some(Stored::External(e)) => {
-                let (t, bytes) = e.copy_in();
+                let e = Arc::clone(e);
                 drop(cat);
+                let meta: Vec<ColumnMeta> =
+                    (e.column_names().iter().cloned().map(ColumnMeta::new)).collect();
+                let (copied, bytes) = e.copy_in_columns(&kept(&meta));
                 self.stats.lock().interop_bytes_copied += bytes as u64;
-                Ok(t)
+                return Ok(copied);
             }
             Some(Stored::Paged(pt)) => {
                 // Clone the (cheap) page-chain metadata so the catalog lock
@@ -672,10 +699,13 @@ impl Database {
                     .storage
                     .as_ref()
                     .expect("paged table without paged storage");
-                store.load_table(&pt)
+                for i in kept(&pt.meta) {
+                    t.push_column(pt.meta[i].clone(), store.load_column(&pt.columns[i])?);
+                }
             }
-            None => Err(EngineError::UnknownTable(name.to_string())),
+            None => return Err(EngineError::UnknownTable(name.to_string())),
         }
+        Ok(t)
     }
 
     fn store(&self, table: Table) -> Result<Stored> {
@@ -788,22 +818,9 @@ impl Database {
         let n = current.num_rows();
         let executor = Executor::new(self);
         let ctx = EvalContext::new(&executor);
-        let mask: Vec<bool> = match where_clause {
-            Some(pred) => match self.config.exec {
-                ExecMode::Columnar => {
-                    let c = eval(pred, &current, &ctx)?;
-                    (0..n).map(|i| c.get(i).is_truthy()).collect()
-                }
-                ExecMode::Row => {
-                    let mut m = Vec::with_capacity(n);
-                    for i in 0..n {
-                        m.push(eval_row(pred, &current, i, &ctx)?.is_truthy());
-                    }
-                    m
-                }
-            },
-            None => vec![true; n],
-        };
+        let hit = where_clause
+            .map(|pred| executor.eval(pred, &current, &ctx))
+            .transpose()?;
         let mut updated = current.clone();
         for (col_name, expr) in assignments {
             let idx = current.resolve(None, col_name)?;
@@ -822,23 +839,17 @@ impl Database {
                 stats.undo_bytes += bytes as u64;
                 stats.undo_versions += 1;
             }
-            let new_vals = match self.config.exec {
-                ExecMode::Columnar => eval(expr, &current, &ctx)?,
-                ExecMode::Row => {
-                    let mut vals = Vec::with_capacity(n);
-                    for i in 0..n {
-                        vals.push(eval_row(expr, &current, i, &ctx)?);
-                    }
-                    Column::from_datums(&vals)
+            let new_vals = executor.eval(expr, &current, &ctx)?;
+            // Merge: rows the predicate hits take the new value, others
+            // keep the old — a one-branch CASE.
+            let merged_col = match &hit {
+                Some(hit) => {
+                    let mut merge = CaseMerge::new(Some(current.columns[idx].clone()), n);
+                    merge.branch(hit, &new_vals);
+                    merge.finish()
                 }
+                None => CaseMerge::new(Some(new_vals), n).finish(),
             };
-            // Merge: masked rows take the new value, others keep the old.
-            let mut merged = Vec::with_capacity(n);
-            let old = &current.columns[idx];
-            for (i, &hit) in mask.iter().enumerate() {
-                merged.push(if hit { new_vals.get(i) } else { old.get(i) });
-            }
-            let merged_col = Column::from_datums(&merged);
             if self.config.wal {
                 self.wal
                     .lock()
@@ -1207,6 +1218,108 @@ mod tests {
             .unwrap();
         let t = db.query("SELECT SUM(s) AS s FROM f").unwrap();
         assert_eq!(t.scalar_f64("s").unwrap(), 10.0);
+    }
+
+    /// An 8-column fact-shaped table, the 5-key table a message semi-joins
+    /// it with, and a message over them that names 3 of the 8 columns.
+    fn wide_fact() -> (Table, Table, &'static str) {
+        let n = 20_000i64;
+        let ints = |m: i64| Column::int((0..n).map(|i| (i * 7919) % m).collect());
+        let wide = Table::from_columns(vec![
+            ("k1", ints(100)),
+            ("k2", ints(10)),
+            ("k3", ints(50)),
+            ("k4", ints(30)),
+            ("k5", ints(20)),
+            (
+                "y",
+                Column::float((0..n).map(|i| i as f64 * 0.125).collect()),
+            ),
+            ("id", Column::int((0..n).collect())),
+            (
+                "s",
+                Column::float((0..n).map(|i| (i % 97) as f64 * 0.25).collect()),
+            ),
+        ]);
+        let keep = Table::from_columns(vec![("k2", Column::int(vec![1, 3, 5, 7, 9]))]);
+        let message = "SELECT k1, SUM(1) AS jb_c, SUM(wide.s) AS jb_s FROM wide \
+                       SEMI JOIN keep USING (k2) GROUP BY k1 ORDER BY k1";
+        (wide, keep, message)
+    }
+
+    #[test]
+    fn message_over_a_paged_table_touches_only_the_pages_of_the_columns_it_names() {
+        use crate::storage::page::encode_column_pages;
+        let (wide, keep, message) = wide_fact();
+        let dir = std::env::temp_dir().join(format!("jb_db_pruned_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let db = Database::new(EngineConfig {
+            bufferpool_pages: 8,
+            ..EngineConfig::paged(&dir)
+        });
+        db.create_table("wide", wide.clone()).unwrap();
+        db.create_table("keep", keep.clone()).unwrap();
+        let pages = |t: &Table, names: &[&str]| -> u64 {
+            (names.iter())
+                .map(|c| encode_column_pages(t.column(None, c).unwrap()).len() as u64)
+                .sum()
+        };
+        let before = db.bufferpool_stats().unwrap();
+        let got = db.query(message).unwrap();
+        let after = db.bufferpool_stats().unwrap();
+        let touched = (after.hits + after.misses) - (before.hits + before.misses);
+        let named = pages(&wide, &["k1", "k2", "s"]) + pages(&keep, &["k2"]);
+        assert_eq!(touched, named, "one pin per page of a named column");
+        assert!(after.misses - before.misses <= named);
+        assert!(
+            named * 2 < pages(&wide, &wide.column_names()),
+            "3 of 8 columns are well under half the table"
+        );
+        let mem = Database::in_memory();
+        mem.create_table("wide", wide).unwrap();
+        mem.create_table("keep", keep).unwrap();
+        assert_eq!(got, mem.query(message).unwrap());
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn message_over_external_storage_copies_in_only_the_columns_it_names() {
+        let (wide, keep, message) = wide_fact();
+        let db = Database::in_memory();
+        db.register_external("wide", &wide);
+        db.create_table("keep", keep).unwrap();
+        let before = db.stats().interop_bytes_copied;
+        db.query(message).unwrap();
+        let named: usize = (["k1", "k2", "s"].iter())
+            .map(|c| wide.column(None, c).unwrap().byte_size())
+            .sum();
+        assert_eq!(db.stats().interop_bytes_copied - before, named as u64);
+        // A full snapshot still copies everything.
+        let before = db.stats().interop_bytes_copied;
+        assert_eq!(db.snapshot("wide").unwrap(), wide);
+        assert_eq!(
+            db.stats().interop_bytes_copied - before,
+            wide.byte_size() as u64
+        );
+    }
+
+    #[test]
+    fn scan_keeps_named_columns_and_a_row_count_when_none_is_named() {
+        let db = db_with_r();
+        assert_eq!(
+            db.scan("r", Some(&["Y", "zzz"])).unwrap().column_names(),
+            ["y"]
+        );
+        assert_eq!(db.scan("r", None).unwrap(), db.snapshot("r").unwrap());
+        // No named column: the first one still carries the row count.
+        let t = db.scan("r", Some(&[])).unwrap();
+        assert_eq!((t.column_names(), t.num_rows()), (vec!["a"], 4));
+        let t = db
+            .query("SELECT SUM(1) AS c, COUNT(*) AS n FROM r")
+            .unwrap();
+        assert_eq!(t.row(0), vec![Datum::Int(4), Datum::Int(4)]);
+        assert!(db.scan("nope", None).is_err());
     }
 
     #[test]

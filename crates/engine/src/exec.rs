@@ -1,16 +1,35 @@
 //! Query execution: joins, filters, grouping/aggregation, window functions,
-//! ordering. One materializing operator at a time — the same execution
-//! style the paper's generated SPJA queries assume.
+//! ordering — late-materialized, the way the columnar DBMSes the paper
+//! runs on execute the SPJA statements JoinBoost emits.
+//!
+//! A query block runs as **bind → pruned scan → select → gather once →
+//! aggregate/project**:
+//!
+//! 1. *bind*: [`Query::visit_columns`] names every column the block
+//!    references; a base table is scanned for those columns only
+//!    ([`Database::scan`]).
+//! 2. *select*: `SEMI JOIN`s and `WHERE` narrow one selection vector over
+//!    the scanned input; a semi join probes a [`KeySet`] and copies
+//!    nothing. Other joins gather their left input and run on tables.
+//! 3. *gather*: the surviving rows of only the columns the aggregate or
+//!    projection reads are copied out once — and not at all when nothing
+//!    was filtered.
+//!
+//! A selection vector is ascending, so every operator downstream sees the
+//! surviving rows in scan order: pruning and selection change which bytes
+//! are read, never the order a fold consumes rows.
 
-use joinboost_sql::ast::{Expr, Join, JoinKind, Query, TableRef};
+use std::borrow::Cow;
+
+use joinboost_sql::ast::{Expr, Join, JoinKind, Query, TableRef, Value};
 
 use crate::agg::PreparedAgg;
 use crate::column::Column;
 use crate::datum::Datum;
 use crate::db::{Database, ExecMode};
 use crate::error::{EngineError, Result};
-use crate::expr::{eval, eval_row, EvalContext, SubqueryRunner};
-use crate::keys::{group_rows, JoinIndex, SortKeys};
+use crate::expr::{eval, eval_rows, EvalContext, SubqueryRunner};
+use crate::keys::{group_rows, JoinIndex, KeySet, SortKeys};
 use crate::table::{ColumnMeta, Table};
 
 /// Aggregate function names.
@@ -30,6 +49,82 @@ impl SubqueryRunner for Executor<'_> {
     }
 }
 
+/// The column names a set of expressions reads; `None` when a lone `*`
+/// among them reads every column.
+fn columns_read<'e>(exprs: impl IntoIterator<Item = &'e Expr>) -> Option<Vec<&'e str>> {
+    let mut names = Vec::new();
+    for e in exprs {
+        if matches!(e, Expr::Wildcard) {
+            return None;
+        }
+        e.visit_columns(&mut |name| names.push(name));
+    }
+    Some(names)
+}
+
+/// Bind: the column names a query block references anywhere, by which
+/// every base table it scans is pruned; `None` under `SELECT *`.
+fn columns_named(q: &Query) -> Option<Vec<&str>> {
+    if q.items.iter().any(|it| matches!(it.expr, Expr::Wildcard)) {
+        return None;
+    }
+    let mut names = Vec::new();
+    q.visit_columns(&mut |name| names.push(name));
+    Some(names)
+}
+
+/// The scanned `FROM`/`JOIN` input of a query block and the rows of it
+/// that survive the block's filters so far.
+struct Selected {
+    table: Table,
+    /// Surviving row ids, ascending; `None` = every row.
+    sel: Option<Vec<u32>>,
+}
+
+impl Selected {
+    fn all(table: Table) -> Selected {
+        Selected { table, sel: None }
+    }
+
+    /// Install a narrower selection. A filter that dropped nothing
+    /// leaves none behind, so nothing is gathered on its account.
+    fn narrow(&mut self, kept: Vec<u32>) {
+        if self.sel.is_some() || kept.len() < self.table.num_rows() {
+            self.sel = Some(kept);
+        }
+    }
+
+    /// The surviving rows of the columns named in `names` (`None`: all
+    /// columns) — the one place rows are copied. Borrows the scan when
+    /// every row survives. At least one column is always present, since a
+    /// table's row count is its columns' length.
+    fn view(&self, names: Option<&[&str]>) -> Cow<'_, Table> {
+        let Some(sel) = &self.sel else {
+            return Cow::Borrowed(&self.table);
+        };
+        let mut out = Table::new();
+        for (m, c) in self.table.meta.iter().zip(&self.table.columns) {
+            if m.named_in(names) {
+                out.push_column(m.clone(), c.take(sel));
+            }
+        }
+        if out.num_columns() == 0 {
+            if let (Some(m), Some(c)) = (self.table.meta.first(), self.table.columns.first()) {
+                out.push_column(m.clone(), c.take(sel));
+            }
+        }
+        Cow::Owned(out)
+    }
+
+    /// All columns of the surviving rows.
+    fn into_table(self) -> Table {
+        match self.view(None) {
+            Cow::Owned(t) => t,
+            Cow::Borrowed(_) => self.table,
+        }
+    }
+}
+
 impl<'a> Executor<'a> {
     /// An executor in the database's configured execution mode.
     pub fn new(db: &'a Database) -> Self {
@@ -43,27 +138,44 @@ impl<'a> Executor<'a> {
         self.query_with_ctx(q, &ctx)
     }
 
+    /// Evaluate `expr` over every row of `table` in the configured mode.
+    pub(crate) fn eval(&self, expr: &Expr, table: &Table, ctx: &EvalContext) -> Result<Column> {
+        match self.mode {
+            ExecMode::Columnar => eval(expr, table, ctx),
+            ExecMode::Row => eval_rows(expr, table, ctx),
+        }
+    }
+
     fn query_with_ctx(&self, q: &Query, ctx: &EvalContext) -> Result<Table> {
+        let scanned = columns_named(q);
+        let scanned = scanned.as_deref();
         // FROM + JOINs.
-        let mut input = match &q.from {
-            Some(tref) => self.table_ref(tref)?,
+        let mut input = Selected::all(match &q.from {
+            Some(tref) => self.table_ref(tref, scanned)?,
             None => dummy_table(),
-        };
+        });
         for j in &q.joins {
-            input = self.join(input, j, ctx)?;
+            input = self.join(input, j, scanned, ctx)?;
         }
         // WHERE.
         if let Some(pred) = &q.where_clause {
-            let mask = self.predicate_mask(pred, &input, ctx)?;
-            input = input.filter(&mask);
+            self.filter(&mut input, pred, ctx)?;
         }
-        // Aggregation or plain projection.
+        // Aggregation or plain projection, over the surviving rows of the
+        // columns it reads (ORDER BY may fall back on the input's too).
         let has_agg =
             !q.group_by.is_empty() || q.items.iter().any(|it| contains_aggregate(&it.expr));
+        let read = columns_read(
+            (q.items.iter().map(|it| &it.expr))
+                .chain(&q.group_by)
+                .chain(q.order_by.iter().map(|o| &o.expr)),
+        );
+        let input = input.view(read.as_deref());
+        let input: &Table = &input;
         let mut output = if has_agg {
-            self.aggregate(q, &input, ctx)?
+            self.aggregate(q, input, ctx)?
         } else {
-            self.project(q, &input, ctx)?
+            self.project(q, input, ctx)?
         };
         // ORDER BY (resolved against the projection first, then the input).
         // Sort keys are extracted once into a comparable form (dict ranks
@@ -76,7 +188,7 @@ impl<'a> Executor<'a> {
             for item in &q.order_by {
                 let col = match eval(&item.expr, &output, ctx) {
                     Ok(c) => c,
-                    Err(_) if !has_agg => eval(&item.expr, &input, ctx)?,
+                    Err(_) if !has_agg => eval(&item.expr, input, ctx)?,
                     Err(e) => return Err(e),
                 };
                 if col.len() != n {
@@ -113,10 +225,12 @@ impl<'a> Executor<'a> {
         Ok(output)
     }
 
-    fn table_ref(&self, tref: &TableRef) -> Result<Table> {
+    /// Scan a base table for the columns named in `columns` (`None`: all),
+    /// or run a `FROM` subquery — a block of its own, kept whole.
+    fn table_ref(&self, tref: &TableRef, columns: Option<&[&str]>) -> Result<Table> {
         match tref {
             TableRef::Named { name, alias } => {
-                let t = self.db.snapshot(name)?;
+                let t = self.db.scan(name, columns)?;
                 let binding = alias.as_deref().unwrap_or(name);
                 Ok(t.with_qualifier(binding))
             }
@@ -130,39 +244,47 @@ impl<'a> Executor<'a> {
         }
     }
 
-    fn predicate_mask(&self, pred: &Expr, table: &Table, ctx: &EvalContext) -> Result<Vec<bool>> {
-        let n = table.num_rows();
-        match self.mode {
-            ExecMode::Columnar => {
-                let c = eval(pred, table, ctx)?;
-                Ok((0..n).map(|i| c.get(i).is_truthy()).collect())
-            }
-            ExecMode::Row => {
-                let mut mask = Vec::with_capacity(n);
-                for i in 0..n {
-                    mask.push(eval_row(pred, table, i, ctx)?.is_truthy());
-                }
-                Ok(mask)
-            }
+    /// Narrow `input` to the surviving rows where `pred` holds, reading
+    /// only the columns `pred` names.
+    fn filter(&self, input: &mut Selected, pred: &Expr, ctx: &EvalContext) -> Result<()> {
+        let mask = self.eval(pred, &input.view(columns_read([pred]).as_deref()), ctx)?;
+        // `mask` is positional over the surviving rows.
+        let mut kept = Vec::with_capacity(mask.len());
+        match &input.sel {
+            Some(sel) => mask.for_each_truthy(|i| kept.push(sel[i])),
+            None => mask.for_each_truthy(|i| kept.push(i as u32)),
         }
+        input.narrow(kept);
+        Ok(())
     }
 
     // ---- joins -----------------------------------------------------------
 
-    fn join(&self, left: Table, join: &Join, ctx: &EvalContext) -> Result<Table> {
-        let right = self.table_ref(&join.table)?;
+    fn join(
+        &self,
+        left: Selected,
+        join: &Join,
+        columns: Option<&[&str]>,
+        ctx: &EvalContext,
+    ) -> Result<Selected> {
+        let right = self.table_ref(&join.table, columns)?;
         if join.using.is_empty() {
-            return self.nested_loop_join(left, right, join, ctx);
+            return self.nested_loop_join(left.into_table(), right, join, ctx);
         }
-        let lkeys: Vec<usize> = join
-            .using
-            .iter()
-            .map(|k| left.resolve(None, k))
-            .collect::<Result<_>>()?;
         let rkeys: Vec<usize> = join
             .using
             .iter()
             .map(|k| right.resolve(None, k))
+            .collect::<Result<_>>()?;
+        let rkey_cols: Vec<&Column> = rkeys.iter().map(|&k| &right.columns[k]).collect();
+        if join.kind == JoinKind::Semi {
+            return self.semi_join(left, join, &rkey_cols, right.num_rows(), ctx);
+        }
+        let left = left.into_table();
+        let lkeys: Vec<usize> = join
+            .using
+            .iter()
+            .map(|k| left.resolve(None, k))
             .collect::<Result<_>>()?;
         // Build a hash index on the right side over flat encoded keys
         // (u64 fast path for int keys, byte-packed fallback otherwise) —
@@ -170,50 +292,25 @@ impl<'a> Executor<'a> {
         let rn = right.num_rows();
         let ln = left.num_rows();
         let lkey_cols: Vec<&Column> = lkeys.iter().map(|&k| &left.columns[k]).collect();
-        let rkey_cols: Vec<&Column> = rkeys.iter().map(|&k| &right.columns[k]).collect();
         let index = JoinIndex::build(&lkey_cols, &rkey_cols, ln, rn);
         let mut lidx: Vec<u32> = Vec::with_capacity(ln);
         let mut ridx: Vec<Option<u32>> = Vec::with_capacity(ln);
         let mut rmatched = vec![false; rn];
         for i in 0..ln {
-            let matches = index.probe(i);
-            match (join.kind, matches) {
-                (JoinKind::Inner, Some(rows)) => {
+            match index.probe(i) {
+                Some(rows) => {
                     for &r in rows {
                         lidx.push(i as u32);
                         ridx.push(Some(r));
                         rmatched[r as usize] = true;
                     }
                 }
-                (JoinKind::Inner, None) => {}
-                (JoinKind::Left | JoinKind::Full, Some(rows)) => {
-                    for &r in rows {
-                        lidx.push(i as u32);
-                        ridx.push(Some(r));
-                        rmatched[r as usize] = true;
-                    }
-                }
-                (JoinKind::Left | JoinKind::Full, None) => {
+                None if join.kind == JoinKind::Inner => {}
+                None => {
                     lidx.push(i as u32);
                     ridx.push(None);
                 }
-                (JoinKind::Semi, Some(rows)) => {
-                    if !rows.is_empty() {
-                        lidx.push(i as u32);
-                        ridx.push(None);
-                    }
-                }
-                (JoinKind::Semi, None) => {}
             }
-        }
-        if join.kind == JoinKind::Semi {
-            // Semi join: left columns only, annotations unchanged.
-            let mut out = left.take(&lidx);
-            if let Some(on) = &join.on {
-                let mask = self.predicate_mask(on, &out, ctx)?;
-                out = out.filter(&mask);
-            }
-            return Ok(out);
         }
         let mut out = assemble_join(&left, &right, &join.using, &lkeys, &rkeys, &lidx, &ridx);
         if join.kind == JoinKind::Full {
@@ -224,17 +321,41 @@ impl<'a> Executor<'a> {
                 out = concat_tables(out, extra_tbl)?;
             }
         }
+        let mut out = Selected::all(out);
         if let Some(on) = &join.on {
-            if join.kind == JoinKind::Inner {
-                let mask = self.predicate_mask(on, &out, ctx)?;
-                out = out.filter(&mask);
-            } else {
+            if join.kind != JoinKind::Inner {
                 return Err(EngineError::Other(
                     "ON predicates are only supported on inner/semi joins".into(),
                 ));
             }
+            self.filter(&mut out, on, ctx)?;
         }
         Ok(out)
+    }
+
+    /// Semi join: narrow the left selection to the rows whose key the
+    /// right side holds. Left columns only, annotations unchanged — and
+    /// no row copied.
+    fn semi_join(
+        &self,
+        mut left: Selected,
+        join: &Join,
+        rkey_cols: &[&Column],
+        rn: usize,
+        ctx: &EvalContext,
+    ) -> Result<Selected> {
+        let set = KeySet::build(rkey_cols, rn);
+        let lkey_cols: Vec<&Column> = join
+            .using
+            .iter()
+            .map(|k| left.table.column(None, k))
+            .collect::<Result<_>>()?;
+        let kept = (set.probe(&lkey_cols)).select(left.sel.as_deref(), left.table.num_rows());
+        left.narrow(kept);
+        if let Some(on) = &join.on {
+            self.filter(&mut left, on, ctx)?;
+        }
+        Ok(left)
     }
 
     fn nested_loop_join(
@@ -243,7 +364,7 @@ impl<'a> Executor<'a> {
         right: Table,
         join: &Join,
         ctx: &EvalContext,
-    ) -> Result<Table> {
+    ) -> Result<Selected> {
         if join.kind != JoinKind::Inner {
             return Err(EngineError::Other(
                 "only inner joins may omit USING keys".into(),
@@ -258,10 +379,9 @@ impl<'a> Executor<'a> {
                 ridx.push(Some(j));
             }
         }
-        let mut out = assemble_join(&left, &right, &[], &[], &[], &lidx, &ridx);
+        let mut out = Selected::all(assemble_join(&left, &right, &[], &[], &[], &lidx, &ridx));
         if let Some(on) = &join.on {
-            let mask = self.predicate_mask(on, &out, ctx)?;
-            out = out.filter(&mask);
+            self.filter(&mut out, on, ctx)?;
         }
         Ok(out)
     }
@@ -280,17 +400,7 @@ impl<'a> Executor<'a> {
                 }
                 continue;
             }
-            let col = match self.mode {
-                ExecMode::Columnar => eval(&item.expr, input, ctx)?,
-                ExecMode::Row => {
-                    let n = input.num_rows();
-                    let mut vals = Vec::with_capacity(n);
-                    for r in 0..n {
-                        vals.push(eval_row(&item.expr, input, r, ctx)?);
-                    }
-                    Column::from_datums(&vals)
-                }
-            };
+            let col = self.eval(&item.expr, input, ctx)?;
             out.push_column(ColumnMeta::new(item_name(item, i)), col);
         }
         Ok(out)
@@ -376,26 +486,25 @@ impl<'a> Executor<'a> {
         let Expr::Func { name, args } = agg else {
             return Err(EngineError::Other("not an aggregate".into()));
         };
-        let n = input.num_rows();
-        let is_count_star = name == "COUNT" && matches!(args.first(), Some(Expr::Wildcard));
-        let arg_col: Option<Column> = if is_count_star {
-            None
-        } else {
-            let a = args.first().ok_or_else(|| {
-                EngineError::Other(format!("aggregate {name} requires an argument"))
-            })?;
-            Some(match self.mode {
-                ExecMode::Columnar => eval(a, input, ctx)?,
-                ExecMode::Row => {
-                    let mut vals = Vec::with_capacity(n);
-                    for r in 0..n {
-                        vals.push(eval_row(a, input, r, ctx)?);
-                    }
-                    Column::from_datums(&vals)
-                }
-            })
+        let arg = match args.first() {
+            Some(Expr::Wildcard) if name == "COUNT" => return PreparedAgg::new(name, None),
+            // `SUM(1) AS jb_c` rides on every message: k × the group's
+            // size, while that stays exact in the f64 the sum would have
+            // been accumulated in.
+            Some(Expr::Literal(Value::Int(k)))
+                if name == "SUM"
+                    && (k.unsigned_abs() as u128) * (input.num_rows() as u128) < 1 << 53 =>
+            {
+                return Ok(PreparedAgg::SumOfInt(*k));
+            }
+            Some(a) => a,
+            None => {
+                return Err(EngineError::Other(format!(
+                    "aggregate {name} requires an argument"
+                )))
+            }
         };
-        PreparedAgg::new(name, arg_col)
+        PreparedAgg::new(name, Some(self.eval(arg, input, ctx)?))
     }
 }
 

@@ -4,7 +4,8 @@
 //! Pandas dataframe: DuckDB scans it through a converting adapter (which
 //! slows aggregation by ~1.6×) but residual updates become an O(1) column
 //! pointer replacement. [`ExternalTable`] reproduces both properties: a
-//! scan deep-copies every column into the engine ([`ExternalTable::copy_in`])
+//! scan deep-copies every column it reads into the engine
+//! ([`ExternalTable::copy_in_columns`])
 //! while [`ExternalTable::replace_column`] swaps an `Arc` pointer.
 
 use std::sync::Arc;
@@ -43,14 +44,25 @@ impl ExternalTable {
     /// Copy the external arrays into an engine table. This is the interop
     /// scan cost; returns the table and the number of bytes copied.
     pub fn copy_in(&self) -> (Table, usize) {
+        self.copy_in_columns(&(0..self.names.len()).collect::<Vec<_>>())
+    }
+
+    /// Copy only the arrays at the given storage positions in — what a
+    /// scan that reads those columns pays — as of one moment (no column
+    /// replacement lands between two of them).
+    pub fn copy_in_columns(&self, positions: &[usize]) -> (Table, usize) {
         let cols = self.columns.read();
         let mut t = Table::new();
-        let mut bytes = 0;
-        for (name, c) in self.names.iter().zip(cols.iter()) {
-            bytes += c.byte_size();
-            t.push_column(ColumnMeta::new(name.clone()), (**c).clone());
+        for &i in positions {
+            t.push_column(ColumnMeta::new(self.names[i].clone()), (*cols[i]).clone());
         }
+        let bytes = t.byte_size();
         (t, bytes)
+    }
+
+    /// Size of the external arrays in bytes (nothing is copied).
+    pub fn byte_size(&self) -> usize {
+        self.columns.read().iter().map(|c| c.byte_size()).sum()
     }
 
     /// O(1) column replacement: swap in a freshly computed column (a

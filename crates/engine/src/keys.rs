@@ -12,10 +12,11 @@
 //! * a byte-packed slice of one flat scratch buffer (fallback — floats,
 //!   wide ranges, or join keys whose dictionaries differ per side).
 //!
-//! On top of the encoding sit three operators: [`group_rows`] (hash
+//! On top of the encoding sit four operators: [`group_rows`] (hash
 //! grouping to dense group ids), [`JoinIndex`] (build/probe hash join),
-//! and [`SortKeys`] (comparable sort keys extracted once, with a bounded
-//! top-k selection for `ORDER BY .. LIMIT k`).
+//! [`KeySet`] (key membership: `SEMI JOIN` and `IN`), and [`SortKeys`]
+//! (comparable sort keys extracted once, with a bounded top-k selection
+//! for `ORDER BY .. LIMIT k`).
 
 use std::cmp::Ordering;
 
@@ -61,8 +62,9 @@ fn hash_bytes(b: &[u8]) -> u64 {
 
 /// Per-field packing recipe for the `u64` fast path.
 enum PackedField {
-    /// Int column: code = value - min + 1 (0 is the NULL code).
-    Int { min: i64, shift: u32 },
+    /// Int column: code = value - min + 1 (0 is the NULL code); `span` is
+    /// max - min, the largest offset that has a code.
+    Int { min: i64, span: u64, shift: u32 },
     /// Dictionary-coded string column: code = dict code + 1 (0 = NULL).
     Dict { shift: u32 },
 }
@@ -191,8 +193,13 @@ impl KeyCodec {
             let (field, width) = match &c.data {
                 ColumnData::Int(_) => match int_range(&[c]) {
                     Some((lo, hi)) => {
-                        let codes = (hi as i128 - lo as i128) as u128 + 1;
-                        (PackedField::Int { min: lo, shift }, bits_for(codes))
+                        let span = (hi as i128 - lo as i128) as u128;
+                        let field = PackedField::Int {
+                            min: lo,
+                            span: span as u64,
+                            shift,
+                        };
+                        (field, bits_for(span + 1))
                     }
                     None => return KeyCodec { plan: Plan::Bytes },
                 },
@@ -222,16 +229,33 @@ impl KeyCodec {
     /// different types never join.
     pub fn for_join(left: &[&Column], right: &[&Column]) -> KeyCodec {
         debug_assert_eq!(left.len(), right.len());
-        let mut fields = Vec::with_capacity(left.len());
+        Self::pack_int_ranges(left.iter().zip(right).map(|(l, r)| int_range(&[l, r])))
+    }
+
+    /// Codec of a [`KeySet`]: chosen from the member side alone, so the
+    /// probe side is never scanned before the first probe. Equality is
+    /// the join's — all-Int keys pack, anything else byte-encodes.
+    fn for_set(cols: &[&Column]) -> KeyCodec {
+        Self::pack_int_ranges(cols.iter().map(|c| int_range(&[c])))
+    }
+
+    /// Pack Int key fields given each field's value range; the byte
+    /// encoding when a field is not Int (`None`) or the codes outgrow 64
+    /// bits together.
+    fn pack_int_ranges(ranges: impl Iterator<Item = Option<(i64, i64)>>) -> KeyCodec {
+        let mut fields = Vec::new();
         let mut shift = 0u32;
-        for (l, r) in left.iter().zip(right) {
-            let Some((lo, hi)) = int_range(&[l, r]) else {
+        for range in ranges {
+            let Some((lo, hi)) = range else {
                 return KeyCodec { plan: Plan::Bytes };
             };
-            let codes = (hi as i128 - lo as i128) as u128 + 1;
-            let width = bits_for(codes);
-            fields.push(PackedField::Int { min: lo, shift });
-            shift += width;
+            let span = (hi as i128 - lo as i128) as u128;
+            fields.push(PackedField::Int {
+                min: lo,
+                span: span as u64,
+                shift,
+            });
+            shift += bits_for(span + 1);
             if shift > 64 {
                 return KeyCodec { plan: Plan::Bytes };
             }
@@ -267,7 +291,7 @@ impl KeyCodec {
                 let mut keys = vec![0u64; n];
                 for (c, f) in cols.iter().zip(fields) {
                     match (f, &c.data) {
-                        (PackedField::Int { min, shift }, ColumnData::Int(v)) => {
+                        (PackedField::Int { min, shift, .. }, ColumnData::Int(v)) => {
                             match &c.validity {
                                 None => {
                                     for (k, &x) in keys.iter_mut().zip(v) {
@@ -310,28 +334,7 @@ impl KeyCodec {
                 let mut offsets = Vec::with_capacity(n + 1);
                 offsets.push(0);
                 for i in 0..n {
-                    for c in cols {
-                        if !c.is_valid(i) {
-                            buf.push(0u8);
-                            continue;
-                        }
-                        match &c.data {
-                            ColumnData::Int(v) => {
-                                buf.push(1u8);
-                                buf.extend_from_slice(&v[i].to_le_bytes());
-                            }
-                            ColumnData::Float(v) => {
-                                buf.push(2u8);
-                                buf.extend_from_slice(&canonical_f64_bits(v[i]).to_le_bytes());
-                            }
-                            ColumnData::Str { dict, codes } => {
-                                let s = dict[codes[i] as usize].as_bytes();
-                                buf.push(3u8);
-                                buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                                buf.extend_from_slice(s);
-                            }
-                        }
-                    }
+                    encode_row_bytes(cols, i, &mut buf);
                     offsets.push(buf.len());
                 }
                 EncodedKeys::Bytes {
@@ -344,8 +347,35 @@ impl KeyCodec {
     }
 }
 
+/// Append the canonical byte encoding of row `i`'s key: a type tag per
+/// field (0 = NULL), then the value.
+fn encode_row_bytes(cols: &[&Column], i: usize, buf: &mut Vec<u8>) {
+    for c in cols {
+        if !c.is_valid(i) {
+            buf.push(0u8);
+            continue;
+        }
+        match &c.data {
+            ColumnData::Int(v) => {
+                buf.push(1u8);
+                buf.extend_from_slice(&v[i].to_le_bytes());
+            }
+            ColumnData::Float(v) => {
+                buf.push(2u8);
+                buf.extend_from_slice(&canonical_f64_bits(v[i]).to_le_bytes());
+            }
+            ColumnData::Str { dict, codes } => {
+                let s = dict[codes[i] as usize].as_bytes();
+                buf.push(3u8);
+                buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+                buf.extend_from_slice(s);
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
-// Open-addressing key table (shared by grouping and join build/probe)
+// Open-addressing key table (shared by grouping, join build/probe and sets)
 // ---------------------------------------------------------------------------
 
 /// Linear-probing table mapping hashed keys to dense ids. Buckets store
@@ -579,6 +609,201 @@ impl JoinIndex {
 }
 
 // ---------------------------------------------------------------------------
+// Key sets
+// ---------------------------------------------------------------------------
+
+/// The set of keys one table side holds, for `SEMI JOIN` and `IN`: only
+/// membership is asked, so no row lists are kept. Equality is the join's
+/// (values of different types never match, `-0.0 == 0.0`) and a key with
+/// a NULL component is neither a member nor ever found.
+pub struct KeySet {
+    codec: KeyCodec,
+    members: Members,
+}
+
+enum Members {
+    /// Packed keys at most [`DIRECT_MAX_BITS`] wide (every dimension key
+    /// and `jb_*_semi_*` table JoinBoost emits): bit `code` is set iff
+    /// the key packing to `code` is a member. At most 8 KiB.
+    Direct(Vec<u64>),
+    /// Everything else: the distinct member rows in a hash table.
+    Hashed {
+        table: KeyTable,
+        keys: EncodedKeys,
+        /// Representative member row per table id.
+        reps: Vec<u32>,
+    },
+}
+
+impl KeySet {
+    /// The keys of the `n` rows of `cols` (one column per key field).
+    pub fn build(cols: &[&Column], n: usize) -> KeySet {
+        let codec = KeyCodec::for_set(cols);
+        let keys = codec.encode(cols, n, true);
+        if let (Plan::Packed { width, .. }, EncodedKeys::U64 { keys: codes, .. }) =
+            (&codec.plan, &keys)
+        {
+            if *width <= DIRECT_MAX_BITS {
+                let mut bits = vec![0u64; (1usize << width).div_ceil(64)];
+                for (i, &code) in codes.iter().enumerate() {
+                    if !keys.is_null_row(i) {
+                        bits[(code >> 6) as usize] |= 1 << (code & 63);
+                    }
+                }
+                return KeySet {
+                    codec,
+                    members: Members::Direct(bits),
+                };
+            }
+        }
+        let mut table = KeyTable::with_capacity(n);
+        let mut reps: Vec<u32> = Vec::new();
+        for i in 0..n {
+            if keys.is_null_row(i) {
+                continue;
+            }
+            let (_, inserted) = table.insert_or_get(keys.hash_row(i), reps.len() as u32, |cand| {
+                keys.rows_equal(reps[cand as usize] as usize, &keys, i)
+            });
+            if inserted {
+                reps.push(i as u32);
+            }
+        }
+        KeySet {
+            codec,
+            members: Members::Hashed { table, keys, reps },
+        }
+    }
+
+    /// Bind the probe side's key columns (positionally matched to the
+    /// member side's). Probing reads only the rows it is asked about.
+    pub fn probe<'a>(&'a self, cols: &'a [&'a Column]) -> KeyProbe<'a> {
+        let direct_int = match (&self.members, &self.codec.plan, cols) {
+            (Members::Direct(bits), Plan::Packed { fields, .. }, [col]) => {
+                match (&fields[..], col.as_i64_slice()) {
+                    ([PackedField::Int { min, span, .. }], Some(vals)) => {
+                        Some((vals, *min, *span, &bits[..]))
+                    }
+                    _ => None,
+                }
+            }
+            _ => None,
+        };
+        KeyProbe {
+            set: self,
+            cols,
+            direct_int,
+            scratch: Vec::new(),
+        }
+    }
+}
+
+/// A [`KeySet`] bound to the columns it is probed with.
+pub struct KeyProbe<'a> {
+    set: &'a KeySet,
+    cols: &'a [&'a Column],
+    /// One NULL-free Int column against the bitmap — the shape of every
+    /// probe JoinBoost's own statements make: `(values, min, span, bits)`.
+    direct_int: Option<(&'a [i64], i64, u64, &'a [u64])>,
+    /// Byte-encoded probe key (byte-plan sets only).
+    scratch: Vec<u8>,
+}
+
+impl KeyProbe<'_> {
+    /// Is the key of probe row `row` a member?
+    #[inline]
+    pub fn contains(&mut self, row: usize) -> bool {
+        if let Some((vals, min, span, bits)) = self.direct_int {
+            let off = vals[row].wrapping_sub(min) as u64;
+            return off <= span && bit_is_set(bits, off + 1);
+        }
+        self.contains_general(row)
+    }
+
+    /// The rows of `sel` (`None`: all `n` rows) whose key is a member, in
+    /// order. Compacts without a data-dependent branch: at the ~50 %
+    /// selectivity of a tree split a branch per row would mispredict
+    /// every other one.
+    pub fn select(&mut self, sel: Option<&[u32]>, n: usize) -> Vec<u32> {
+        let mut kept = vec![0u32; sel.map_or(n, <[u32]>::len)];
+        let mut len = 0;
+        let mut visit = |row: u32| {
+            kept[len] = row;
+            len += self.contains(row as usize) as usize;
+        };
+        match sel {
+            Some(sel) => sel.iter().copied().for_each(&mut visit),
+            None => (0..n as u32).for_each(&mut visit),
+        }
+        kept.truncate(len);
+        kept
+    }
+
+    fn contains_general(&mut self, row: usize) -> bool {
+        let set = self.set;
+        match &set.codec.plan {
+            Plan::Packed { fields, .. } => {
+                let Some(code) = pack_probe_row(fields, self.cols, row) else {
+                    return false;
+                };
+                match &set.members {
+                    Members::Direct(bits) => bit_is_set(bits, code),
+                    Members::Hashed { table, keys, reps } => {
+                        let EncodedKeys::U64 { keys: codes, .. } = keys else {
+                            unreachable!("packed plan encodes to u64 keys")
+                        };
+                        table
+                            .get(hash_u64(code), |cand| {
+                                codes[reps[cand as usize] as usize] == code
+                            })
+                            .is_some()
+                    }
+                }
+            }
+            Plan::Bytes => {
+                let Members::Hashed { table, keys, reps } = &set.members else {
+                    unreachable!("byte keys are always hashed")
+                };
+                if self.cols.iter().any(|c| !c.is_valid(row)) {
+                    return false;
+                }
+                self.scratch.clear();
+                encode_row_bytes(self.cols, row, &mut self.scratch);
+                let probe = &self.scratch[..];
+                table
+                    .get(hash_bytes(probe), |cand| {
+                        keys.byte_key(reps[cand as usize] as usize) == probe
+                    })
+                    .is_some()
+            }
+        }
+    }
+}
+
+#[inline]
+fn bit_is_set(bits: &[u64], code: u64) -> bool {
+    bits[(code >> 6) as usize] >> (code & 63) & 1 == 1
+}
+
+/// The packed code of a probe row under the member side's packing, or
+/// `None` when the row cannot be a member: a NULL component, a non-Int
+/// column (types never cross-match) or a value outside the members' range.
+fn pack_probe_row(fields: &[PackedField], cols: &[&Column], row: usize) -> Option<u64> {
+    let mut code = 0u64;
+    for (f, c) in fields.iter().zip(cols) {
+        let (PackedField::Int { min, span, shift }, ColumnData::Int(v)) = (f, &c.data) else {
+            return None;
+        };
+        let off = v[row].wrapping_sub(*min) as u64;
+        if !c.is_valid(row) || off > *span {
+            return None;
+        }
+        code |= (off + 1) << shift;
+    }
+    Some(code)
+}
+
+// ---------------------------------------------------------------------------
 // Sort keys + top-k selection
 // ---------------------------------------------------------------------------
 
@@ -778,6 +1003,112 @@ mod tests {
         let idx = JoinIndex::build(&[&l], &[&r], 2, 3);
         assert_eq!(idx.probe(0), Some(&[1u32, 2][..]));
         assert_eq!(idx.probe(1), Some(&[0u32][..]));
+    }
+
+    /// Probe every row of `probe` against the keys of `members`.
+    fn members_of(members: &[&Column], probe: &[&Column]) -> Vec<bool> {
+        let set = KeySet::build(members, members[0].len());
+        let mut p = set.probe(probe);
+        (0..probe[0].len()).map(|i| p.contains(i)).collect()
+    }
+
+    fn is_direct(members: &[&Column]) -> bool {
+        matches!(
+            KeySet::build(members, members[0].len()).members,
+            Members::Direct(_)
+        )
+    }
+
+    #[test]
+    fn key_set_answers_the_same_either_side_of_the_direct_boundary() {
+        // span + 1 codes plus the NULL code must fit DIRECT_MAX_BITS bits.
+        let widest_direct = (1i64 << DIRECT_MAX_BITS) - 2;
+        for (span, direct) in [
+            (0, true),
+            (widest_direct, true),
+            (widest_direct + 1, false),
+            (1 << 40, false),
+        ] {
+            let lo = -7i64;
+            let members = Column::int(vec![lo + span, lo, lo + span / 2, lo]);
+            assert_eq!(is_direct(&[&members]), direct, "span {span}");
+            let probe = Column::int(vec![
+                lo,
+                lo + span,
+                lo + span / 2,
+                lo - 1,
+                lo + span + 1,
+                i64::MIN,
+                i64::MAX,
+            ]);
+            assert_eq!(
+                members_of(&[&members], &[&probe]),
+                [true, true, true, false, false, false, false],
+                "span {span}"
+            );
+            if span >= 4 {
+                // Inside the range, but not a member.
+                assert!(!members_of(&[&members], &[&Column::int(vec![lo + 1])])[0]);
+            }
+        }
+    }
+
+    #[test]
+    fn key_set_nulls_match_nothing_on_either_side() {
+        let members = Column::from_datums(&[Datum::Int(1), Datum::Null, Datum::Int(3)]);
+        let probe =
+            Column::from_datums(&[Datum::Null, Datum::Int(3), Datum::Int(0), Datum::Int(1)]);
+        assert_eq!(
+            members_of(&[&members], &[&probe]),
+            [false, true, false, true]
+        );
+        // Only NULLs: an empty set, and so is no rows at all.
+        let nulls = Column::from_datums(&[Datum::Null, Datum::Null]);
+        assert_eq!(members_of(&[&nulls], &[&Column::float(vec![0.0])]), [false]);
+        let set = KeySet::build(&[&Column::int(vec![])], 0);
+        assert!(!set.probe(&[&Column::int(vec![0])]).contains(0));
+    }
+
+    #[test]
+    fn key_set_types_never_cross_match() {
+        let ints = Column::int(vec![5, 6]);
+        let floats = Column::float(vec![5.0, -0.0]);
+        let strs = Column::str(vec!["5".into(), "b".into()]);
+        assert_eq!(members_of(&[&ints], &[&floats]), [false, false]);
+        assert_eq!(members_of(&[&floats], &[&ints]), [false, false]);
+        assert_eq!(members_of(&[&strs], &[&ints]), [false, false]);
+        // Same types do, by value: across dictionaries, and 0.0 == -0.0.
+        let other_dict = Column::str(vec!["b".into(), "x".into(), "5".into()]);
+        assert_eq!(members_of(&[&strs], &[&other_dict]), [true, false, true]);
+        assert_eq!(
+            members_of(&[&floats], &[&Column::float(vec![0.0, 5.0, 5.5])]),
+            [true, true, false]
+        );
+    }
+
+    #[test]
+    fn key_set_multi_column_keys_direct_hashed_and_bytes() {
+        let probe_a =
+            Column::from_datums(&[Datum::Int(1), Datum::Int(2), Datum::Int(1), Datum::Null]);
+        for scale in [1i64, 1 << 20] {
+            // (1, s), (2, 2s) are members; (1, 2s) is each field in range
+            // but not the pair.
+            let a = Column::int(vec![1, 2]);
+            let b = Column::int(vec![scale, 2 * scale]);
+            assert_eq!(is_direct(&[&a, &b]), scale == 1);
+            let probe_b = Column::int(vec![scale, 2 * scale, 2 * scale, scale]);
+            assert_eq!(
+                members_of(&[&a, &b], &[&probe_a, &probe_b]),
+                [true, true, false, false]
+            );
+        }
+        let a = Column::int(vec![1, 2]);
+        let s = Column::str(vec!["x".into(), "y".into()]);
+        let probe_s = Column::str(vec!["x".into(), "y".into(), "y".into(), "x".into()]);
+        assert_eq!(
+            members_of(&[&a, &s], &[&probe_a, &probe_s]),
+            [true, true, false, false]
+        );
     }
 
     #[test]

@@ -32,6 +32,13 @@ impl ColumnMeta {
         }
     }
 
+    /// Is this column among the names a pruned read asks for (`None`:
+    /// every column is)? By name alone, case-insensitively: pruning is
+    /// conservative about same-named columns of different relations.
+    pub fn named_in(&self, names: Option<&[&str]>) -> bool {
+        names.is_none_or(|ns| ns.iter().any(|n| n.eq_ignore_ascii_case(&self.name)))
+    }
+
     fn matches(&self, qualifier: Option<&str>, name: &str) -> bool {
         if !self.name.eq_ignore_ascii_case(name) {
             return false;

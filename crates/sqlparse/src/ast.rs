@@ -618,6 +618,28 @@ impl Query {
             e.visit_tables(f);
         }
     }
+
+    /// Call `f` with the name of every column *this query block*
+    /// references: the select list, `WHERE`, `GROUP BY`, `ORDER BY`, and
+    /// each join's `USING` keys and `ON` predicate. Qualifiers are
+    /// dropped (`t.c` reports `c`), so a consumer that prunes by name
+    /// keeps a same-named column of every table in scope. Subqueries —
+    /// in `FROM` or under `IN` — are blocks of their own and are not
+    /// entered; a lone `*` item references every column and is the
+    /// caller's to check, as it reports no name.
+    pub fn visit_columns<'a>(&'a self, f: &mut impl FnMut(&'a str)) {
+        for j in &self.joins {
+            j.using.iter().for_each(|k| f(k));
+        }
+        let exprs = (self.items.iter().map(|i| &i.expr))
+            .chain(&self.where_clause)
+            .chain(&self.group_by)
+            .chain(self.order_by.iter().map(|o| &o.expr))
+            .chain(self.joins.iter().filter_map(|j| j.on.as_ref()));
+        for e in exprs {
+            e.visit_columns(f);
+        }
+    }
 }
 
 impl Expr {
@@ -652,6 +674,42 @@ impl Expr {
             Expr::InSubquery { expr, query, .. } => {
                 expr.visit_tables(f);
                 query.visit_tables_at(TablePosition::Expr, f);
+            }
+        }
+    }
+
+    /// Call `f` with the name of every column this expression reads from
+    /// the row it is evaluated on — through `CASE` branches, function and
+    /// window arguments, and the probe side of `IN`; the subquery of an
+    /// `IN (SELECT ..)` reads its own tables, not this row.
+    pub fn visit_columns<'a>(&'a self, f: &mut impl FnMut(&'a str)) {
+        match self {
+            Expr::Column { name, .. } => f(name),
+            Expr::Literal(_) | Expr::Wildcard => {}
+            Expr::Unary { expr, .. }
+            | Expr::IsNull { expr, .. }
+            | Expr::InSubquery { expr, .. } => expr.visit_columns(f),
+            Expr::Binary { left, right, .. } => {
+                left.visit_columns(f);
+                right.visit_columns(f);
+            }
+            Expr::WindowSum { arg, order_by } => {
+                arg.visit_columns(f);
+                order_by.visit_columns(f);
+            }
+            Expr::Func { args, .. } => args.iter().for_each(|a| a.visit_columns(f)),
+            Expr::Case { whens, else_expr } => {
+                for (c, t) in whens {
+                    c.visit_columns(f);
+                    t.visit_columns(f);
+                }
+                if let Some(e) = else_expr {
+                    e.visit_columns(f);
+                }
+            }
+            Expr::InList { expr, list, .. } => {
+                expr.visit_columns(f);
+                list.iter().for_each(|i| i.visit_columns(f));
             }
         }
     }
@@ -887,6 +945,51 @@ mod tests {
         let mut seen = Vec::new();
         e.visit_tables(&mut |name, pos| seen.push((name.to_string(), pos)));
         assert_eq!(seen, [("u1".to_string(), TablePosition::Expr)]);
+    }
+
+    fn columns_of(sql: &str) -> Vec<String> {
+        let q = crate::parse_query(sql).unwrap();
+        let mut seen = Vec::new();
+        q.visit_columns(&mut |name| seen.push(name.to_string()));
+        seen
+    }
+
+    #[test]
+    fn visit_columns_covers_every_clause_of_the_block_and_drops_qualifiers() {
+        assert_eq!(
+            columns_of(
+                "SELECT f.a, SUM(b * c) AS s FROM f JOIN d USING (k1, k2) \
+                 SEMI JOIN e USING (k3) ON f.on_c > 1 \
+                 WHERE w1 IS NOT NULL AND -w2 < 3 GROUP BY f.a, g ORDER BY o DESC, s"
+            ),
+            ["k1", "k2", "k3", "a", "b", "c", "w1", "w2", "a", "g", "o", "s", "on_c"]
+        );
+        // COUNT(*) and a lone * report no name.
+        assert!(columns_of("SELECT COUNT(*) AS c FROM f").is_empty());
+        assert!(columns_of("SELECT * FROM f").is_empty());
+    }
+
+    #[test]
+    fn visit_columns_reaches_nested_case_window_and_in_arguments() {
+        assert_eq!(
+            columns_of(
+                "SELECT SUM(CASE WHEN a IN (SELECT x FROM c1 WHERE y > 0) THEN b ELSE 0 END) \
+                     OVER (ORDER BY CASE WHEN c NOT IN (1, d) THEN e ELSE 0 END) AS s, \
+                 ABS(-(CASE WHEN g IS NULL THEN 0 \
+                       ELSE CASE WHEN h IN (SELECT z FROM c3) THEN i ELSE j END END)) AS t \
+                 FROM f"
+            ),
+            // The probe side of IN is this block's; x, y and z are not.
+            ["a", "b", "c", "d", "e", "g", "h", "i", "j"]
+        );
+    }
+
+    #[test]
+    fn visit_columns_does_not_enter_from_subqueries() {
+        assert_eq!(
+            columns_of("SELECT outer_c FROM (SELECT inner_c AS outer_c FROM t WHERE w > 0) AS s"),
+            ["outer_c"]
+        );
     }
 
     #[test]

@@ -247,3 +247,642 @@ proptest! {
         prop_assert!((g - w).abs() < 1e-6 * (1.0 + w.abs()));
     }
 }
+
+// ---------------------------------------------------------------------------
+// Differential test: generated queries against a naive row-at-a-time oracle
+// ---------------------------------------------------------------------------
+//
+// The queries are the shapes `sqlgen` emits (message, residual update,
+// split source) plus the ones a column-pruned, selection-vector executor
+// could get wrong: the same column name on both join sides qualified and
+// unqualified, aliases, `SELECT *`, `FROM (subquery)`, NULL keys on either
+// side of a `SEMI JOIN`, string and float keys, int key ranges one bit
+// either side of the direct-address limit, empty and full selections,
+// `NOT IN`, and `IN` subqueries that return NULLs. The oracle below reads
+// full `snapshot()`s and loops over rows; it shares no code with the
+// engine's operators.
+
+use joinboost_engine::Datum;
+
+/// Int key values whose spread decides whether a key set over them is a
+/// direct-address bitmap (span + NULL code within 16 bits) or hashed.
+const BIGS: [i64; 6] = [0, 1, (1 << 16) - 3, (1 << 16) - 2, (1 << 16) - 1, 1 << 16];
+const XS: [f64; 5] = [0.0, -0.0, 0.5, 1.5, -2.25];
+const SS: [&str; 4] = ["a", "b", "c", "d"];
+
+/// `f(k, big, s, x, v, pad_i, pad_s)` and `d(k, big, s, x, g, v)`: every
+/// key column exists on both sides under the same name, `v` too; the pads
+/// are never referenced. Values (`v`, in quarters) are dyadic, so every
+/// sum is exact and personalities can be compared for equality.
+/// The key columns of one row: `k`, and indexes into `BIGS`, `SS`, `XS`.
+type Keys = (Option<i64>, usize, Option<usize>, usize);
+
+#[derive(Debug, Clone)]
+struct DiffData {
+    /// `(keys, v)` per row of `f`.
+    f: Vec<(Keys, i8)>,
+    /// `(keys, g, v)` per row of `d`.
+    d: Vec<(Keys, Option<i64>, i8)>,
+    picks: Vec<u32>,
+}
+
+fn arb_diff() -> impl Strategy<Value = DiffData> {
+    let keys = || {
+        (
+            prop::option::of(0i64..6),
+            0usize..BIGS.len(),
+            prop::option::of(0usize..SS.len()),
+            0usize..XS.len(),
+        )
+    };
+    (
+        prop::collection::vec((keys(), -32i8..32), 0..40),
+        prop::collection::vec((keys(), prop::option::of(0i64..5), -32i8..32), 0..12),
+        prop::collection::vec(0u32..1_000_000, 48),
+    )
+        .prop_map(|(f, d, picks)| DiffData { f, d, picks })
+}
+
+fn diff_tables(data: &DiffData) -> (Table, Table) {
+    let int = |v: Option<i64>| v.map_or(Datum::Null, Datum::Int);
+    let col = |vals: Vec<Datum>| Column::from_datums(&vals);
+    let key_cols = |keys: Vec<Keys>| -> Vec<(&'static str, Column)> {
+        let str = |v: Option<usize>| v.map_or(Datum::Null, |i| Datum::Str(SS[i].to_string()));
+        vec![
+            ("k", col(keys.iter().map(|r| int(r.0)).collect())),
+            (
+                "big",
+                col(keys.iter().map(|r| Datum::Int(BIGS[r.1])).collect()),
+            ),
+            ("s", col(keys.iter().map(|r| str(r.2)).collect())),
+            (
+                "x",
+                col(keys.iter().map(|r| Datum::Float(XS[r.3])).collect()),
+            ),
+        ]
+    };
+    let quarters = |v: i8| Datum::Float(v as f64 * 0.25);
+    let n = data.f.len();
+    let mut f = key_cols(data.f.iter().map(|r| r.0).collect());
+    f.push(("v", col(data.f.iter().map(|r| quarters(r.1)).collect())));
+    f.push((
+        "pad_i",
+        col((0..n).map(|i| Datum::Int(i as i64 * 7)).collect()),
+    ));
+    f.push((
+        "pad_s",
+        col((0..n).map(|i| Datum::Str(format!("p{}", i % 3))).collect()),
+    ));
+    let mut d = key_cols(data.d.iter().map(|r| r.0).collect());
+    d.push(("g", col(data.d.iter().map(|r| int(r.1)).collect())));
+    d.push(("v", col(data.d.iter().map(|r| quarters(r.2)).collect())));
+    (Table::from_columns(f), Table::from_columns(d))
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Key {
+    K,
+    Big,
+    S,
+    X,
+    KAndS,
+}
+
+impl Key {
+    fn cols(self) -> &'static [&'static str] {
+        match self {
+            Key::K => &["k"],
+            Key::Big => &["big"],
+            Key::S => &["s"],
+            Key::X => &["x"],
+            Key::KAndS => &["k", "s"],
+        }
+    }
+}
+
+/// Right side of a `SEMI JOIN`: `d`, or the `d` rows with `g <= t` as a
+/// derived table.
+#[derive(Debug, Clone, Copy)]
+enum Right {
+    Dim,
+    DimWhere(i64),
+}
+
+#[derive(Debug, Clone)]
+enum Pred {
+    VGt(i8),
+    KNotNull,
+    KIn(Vec<i64>, bool),
+    SIn(Vec<usize>),
+    /// Keeps every row / no row.
+    Const(bool),
+    /// `<col> [NOT] IN (SELECT <col> FROM d WHERE g <= t)`; `d`'s key
+    /// columns are NULL-able, so the subquery returns NULLs.
+    InSub(&'static str, i64, bool),
+}
+
+#[derive(Debug, Clone)]
+enum Shape {
+    /// `SELECT g, SUM(1), COUNT(*), SUM(v) FROM f SEMI JOIN .. GROUP BY g`.
+    Message { group: Key, alias: bool },
+    /// `SELECT * FROM f SEMI JOIN ..`.
+    Star,
+    /// The residual update's projection: a `CASE` of `IN (SELECT ..)`s,
+    /// one of them spelled out twice.
+    Residual { t: [i64; 3] },
+    /// `FROM (subquery) AS q SEMI JOIN ..`.
+    Derived { c: i8 },
+    /// `f JOIN d USING (k)` reading `v` from both sides by qualifier.
+    Inner { aliased: bool, agg: bool },
+}
+
+#[derive(Debug, Clone)]
+struct Spec {
+    shape: Shape,
+    semis: Vec<(Key, Right)>,
+    pred: Option<Pred>,
+}
+
+struct Picks<'a>(std::slice::Iter<'a, u32>);
+
+impl Picks<'_> {
+    fn below(&mut self, n: u32) -> u32 {
+        self.0.next().copied().unwrap_or(0) % n
+    }
+
+    fn flip(&mut self) -> bool {
+        self.below(2) == 1
+    }
+
+    fn key(&mut self, multi: bool) -> Key {
+        let all = [Key::K, Key::Big, Key::S, Key::X, Key::KAndS];
+        all[self.below(if multi { 5 } else { 4 }) as usize]
+    }
+
+    fn semis(&mut self) -> Vec<(Key, Right)> {
+        (0..self.below(3))
+            .map(|_| {
+                let right = match self.flip() {
+                    true => Right::Dim,
+                    false => Right::DimWhere(self.below(5) as i64),
+                };
+                (self.key(true), right)
+            })
+            .collect()
+    }
+
+    fn pred(&mut self) -> Option<Pred> {
+        Some(match self.below(9) {
+            0 => Pred::VGt(self.below(64) as i8 - 32),
+            1 => Pred::KNotNull,
+            2 => Pred::KIn(vec![1, 3, self.below(6) as i64], self.flip()),
+            3 => Pred::SIn(vec![self.below(4) as usize, 0]),
+            4 => Pred::Const(self.flip()),
+            5 => Pred::InSub("k", self.below(5) as i64, self.flip()),
+            6 => Pred::InSub("big", self.below(5) as i64, self.flip()),
+            7 => Pred::InSub("s", self.below(5) as i64, self.flip()),
+            _ => return None,
+        })
+    }
+}
+
+/// One query of every shape, parameters drawn from `picks`.
+fn specs(picks: &[u32]) -> Vec<Spec> {
+    let mut p = Picks(picks.iter());
+    let mut out = Vec::new();
+    for shape in 0..5 {
+        let shape = match shape {
+            0 => Shape::Message {
+                group: p.key(false),
+                alias: p.flip(),
+            },
+            1 => Shape::Star,
+            2 => Shape::Residual {
+                t: [p.below(5) as i64, p.below(5) as i64, p.below(5) as i64],
+            },
+            3 => Shape::Derived {
+                c: p.below(64) as i8 - 32,
+            },
+            _ => Shape::Inner {
+                aliased: p.flip(),
+                agg: p.flip(),
+            },
+        };
+        let semis = match shape {
+            Shape::Residual { .. } | Shape::Inner { .. } => Vec::new(),
+            _ => p.semis(),
+        };
+        let pred = match shape {
+            Shape::Inner { .. } | Shape::Derived { .. } => None,
+            _ => p.pred(),
+        };
+        out.push(Spec { shape, semis, pred });
+    }
+    out
+}
+
+fn quarters(c: i8) -> String {
+    format!("{:?}", c as f64 * 0.25)
+}
+
+impl Pred {
+    fn sql(&self) -> String {
+        let not = |neg: &bool| if *neg { "NOT " } else { "" };
+        match self {
+            Pred::VGt(c) => format!("v > {}", quarters(*c)),
+            Pred::KNotNull => "k IS NOT NULL".into(),
+            Pred::KIn(list, neg) => {
+                let items: Vec<String> = list.iter().map(i64::to_string).collect();
+                format!("k {}IN ({})", not(neg), items.join(", "))
+            }
+            Pred::SIn(list) => {
+                let items: Vec<String> = list.iter().map(|&i| format!("'{}'", SS[i])).collect();
+                format!("s IN ({})", items.join(", "))
+            }
+            Pred::Const(true) => "v >= -100.0".into(),
+            Pred::Const(false) => "v > 100.0".into(),
+            Pred::InSub(col, t, neg) => {
+                format!("{col} {}IN (SELECT {col} FROM d WHERE g <= {t})", not(neg))
+            }
+        }
+    }
+}
+
+impl Spec {
+    fn sql(&self) -> String {
+        let semis: String = (self.semis.iter().enumerate())
+            .map(|(i, (key, right))| {
+                let cols = key.cols().join(", ");
+                match right {
+                    Right::Dim => format!(" SEMI JOIN d USING ({cols})"),
+                    Right::DimWhere(t) => format!(
+                        " SEMI JOIN (SELECT {cols} FROM d WHERE g <= {t}) AS r{i} USING ({cols})"
+                    ),
+                }
+            })
+            .collect();
+        let filter = (self.pred.as_ref()).map_or(String::new(), |p| format!(" WHERE {}", p.sql()));
+        match &self.shape {
+            Shape::Message { group, alias } => {
+                let g = group.cols()[0];
+                let (from, q) = if *alias { ("f AS a", "a.") } else { ("f", "") };
+                format!(
+                    "SELECT {q}{g}, SUM(1) AS c, COUNT(*) AS n, SUM({q}v) AS sv \
+                     FROM {from}{semis}{filter} GROUP BY {q}{g} ORDER BY {q}{g}"
+                )
+            }
+            Shape::Star => format!("SELECT * FROM f{semis}{filter}"),
+            Shape::Residual { t } => format!(
+                "SELECT k, big, CASE \
+                 WHEN k IN (SELECT k FROM d WHERE g <= {0}) \
+                      AND big IN (SELECT big FROM d WHERE g <= {1}) THEN v - 1.5 \
+                 WHEN s NOT IN (SELECT s FROM d WHERE g <= {2}) THEN v + 0.25 \
+                 WHEN k IN (SELECT k FROM d WHERE g <= {0}) THEN v * 2.0 \
+                 ELSE v END AS r FROM f{filter}",
+                t[0], t[1], t[2]
+            ),
+            Shape::Derived { c } => format!(
+                "SELECT q.k, SUM(q.v) AS sv, SUM(2) AS c2 \
+                 FROM (SELECT k, big, s, x, v FROM f WHERE v > {}) AS q{semis} \
+                 GROUP BY q.k ORDER BY q.k",
+                quarters(*c)
+            ),
+            Shape::Inner { aliased, agg } => {
+                let (from, l, r) = match aliased {
+                    true => ("f AS a JOIN d AS b USING (k)", "a", "b"),
+                    false => ("f JOIN d USING (k)", "f", "d"),
+                };
+                match agg {
+                    true => format!(
+                        "SELECT g, SUM({l}.v) AS sv, COUNT(*) AS n FROM {from} GROUP BY g ORDER BY g"
+                    ),
+                    false => format!(
+                        "SELECT {l}.v AS fv, {r}.v AS dv, k, g FROM {from} WHERE {l}.v > {r}.v"
+                    ),
+                }
+            }
+        }
+    }
+
+    /// Does row order carry meaning (a projection), or is the result a
+    /// set of groups?
+    fn ordered(&self) -> bool {
+        match self.shape {
+            Shape::Star | Shape::Residual { .. } => true,
+            Shape::Inner { agg, .. } => !agg,
+            Shape::Message { .. } | Shape::Derived { .. } => false,
+        }
+    }
+}
+
+/// A snapshot as rows.
+struct Rel {
+    names: Vec<String>,
+    rows: Vec<Vec<Datum>>,
+}
+
+impl Rel {
+    fn of(t: &Table) -> Rel {
+        Rel {
+            names: t.column_names().iter().map(|s| s.to_string()).collect(),
+            rows: (0..t.num_rows()).map(|i| t.row(i)).collect(),
+        }
+    }
+
+    fn col(&self, name: &str) -> usize {
+        self.names.iter().position(|n| n == name).expect(name)
+    }
+}
+
+/// The engine's key equality: same type, same value, NULL equals nothing.
+fn key_eq(a: &Datum, b: &Datum) -> bool {
+    match (a, b) {
+        (Datum::Int(x), Datum::Int(y)) => x == y,
+        (Datum::Float(x), Datum::Float(y)) => x == y,
+        (Datum::Str(x), Datum::Str(y)) => x == y,
+        _ => false,
+    }
+}
+
+fn g_at_most(d: &Rel, row: &[Datum], t: i64) -> bool {
+    matches!(row[d.col("g")], Datum::Int(g) if g <= t)
+}
+
+/// `value IN (SELECT col FROM d WHERE g <= t)`.
+fn in_sub(value: &Datum, d: &Rel, col: &str, t: i64) -> bool {
+    (d.rows.iter()).any(|r| g_at_most(d, r, t) && key_eq(value, &r[d.col(col)]))
+}
+
+fn num(d: &Datum) -> f64 {
+    d.as_f64().expect("a non-NULL number")
+}
+
+struct Oracle {
+    f: Rel,
+    d: Rel,
+}
+
+impl Oracle {
+    fn holds(&self, pred: &Pred, row: &[Datum]) -> bool {
+        let f = &self.f;
+        match pred {
+            Pred::VGt(c) => num(&row[f.col("v")]) > *c as f64 * 0.25,
+            Pred::KNotNull => !row[f.col("k")].is_null(),
+            Pred::KIn(list, neg) => match &row[f.col("k")] {
+                Datum::Int(k) => list.contains(k) != *neg,
+                _ => false,
+            },
+            Pred::SIn(list) => match &row[f.col("s")] {
+                Datum::Str(s) => list.iter().any(|&i| SS[i] == s),
+                _ => false,
+            },
+            Pred::Const(keep) => *keep,
+            Pred::InSub(col, t, neg) => {
+                let v = &row[f.col(col)];
+                !v.is_null() && in_sub(v, &self.d, col, *t) != *neg
+            }
+        }
+    }
+
+    fn semi(&self, names: &[String], row: &[Datum], key: Key, right: Right) -> bool {
+        self.d.rows.iter().any(|dr| {
+            let visible = match right {
+                Right::Dim => true,
+                Right::DimWhere(t) => g_at_most(&self.d, dr, t),
+            };
+            visible
+                && key.cols().iter().all(|c| {
+                    let l = names.iter().position(|n| n == c).expect(c);
+                    key_eq(&row[l], &dr[self.d.col(c)])
+                })
+        })
+    }
+
+    /// Rows of `input` (with `f`'s column names, or a prefix of them)
+    /// that pass the spec's semi joins and predicate, in order.
+    fn survivors<'r>(
+        &self,
+        spec: &Spec,
+        names: &[String],
+        input: &'r [Vec<Datum>],
+    ) -> Vec<&'r Vec<Datum>> {
+        (input.iter())
+            .filter(|row| {
+                (spec.semis.iter()).all(|&(key, right)| self.semi(names, row, key, right))
+                    && spec.pred.as_ref().is_none_or(|p| self.holds(p, row))
+            })
+            .collect()
+    }
+
+    /// Group `rows` by the value at `key` (NULLs together, first
+    /// occurrence first) and emit `key, then finish(group rows)`.
+    fn grouped(
+        rows: &[Vec<Datum>],
+        key: usize,
+        finish: impl Fn(&[&Vec<Datum>]) -> Vec<Datum>,
+    ) -> Vec<Vec<Datum>> {
+        let mut groups: Vec<(Datum, Vec<&Vec<Datum>>)> = Vec::new();
+        for row in rows {
+            let same = |g: &Datum| key_eq(g, &row[key]) || (g.is_null() && row[key].is_null());
+            match groups.iter_mut().find(|(g, _)| same(g)) {
+                Some((_, members)) => members.push(row),
+                None => groups.push((row[key].clone(), vec![row])),
+            }
+        }
+        (groups.into_iter())
+            .map(|(g, members)| {
+                let mut out = vec![g];
+                out.extend(finish(&members));
+                out
+            })
+            .collect()
+    }
+
+    fn expect(&self, spec: &Spec) -> Vec<Vec<Datum>> {
+        let (f, d) = (&self.f, &self.d);
+        let sum = |rows: &[&Vec<Datum>], col: usize| -> Datum {
+            Datum::Float(rows.iter().map(|r| num(&r[col])).sum())
+        };
+        let count = |rows: &[&Vec<Datum>], times: i64| Datum::Int(times * rows.len() as i64);
+        match &spec.shape {
+            Shape::Message { group, .. } => {
+                let kept: Vec<Vec<Datum>> = (self.survivors(spec, &f.names, &f.rows))
+                    .into_iter()
+                    .cloned()
+                    .collect();
+                let v = f.col("v");
+                Self::grouped(&kept, f.col(group.cols()[0]), |rows| {
+                    vec![count(rows, 1), count(rows, 1), sum(rows, v)]
+                })
+            }
+            Shape::Star => (self.survivors(spec, &f.names, &f.rows))
+                .into_iter()
+                .cloned()
+                .collect(),
+            Shape::Residual { t } => (self.survivors(spec, &f.names, &f.rows))
+                .into_iter()
+                .map(|row| {
+                    let (k, big, s) = (&row[f.col("k")], &row[f.col("big")], &row[f.col("s")]);
+                    let v = num(&row[f.col("v")]);
+                    let r = if in_sub(k, d, "k", t[0]) && in_sub(big, d, "big", t[1]) {
+                        v - 1.5
+                    } else if !s.is_null() && !in_sub(s, d, "s", t[2]) {
+                        v + 0.25
+                    } else if in_sub(k, d, "k", t[0]) {
+                        v * 2.0
+                    } else {
+                        v
+                    };
+                    vec![k.clone(), big.clone(), Datum::Float(r)]
+                })
+                .collect(),
+            Shape::Derived { c } => {
+                // The derived table keeps f's first five columns.
+                let names = &f.names[..5];
+                let q: Vec<Vec<Datum>> = (f.rows.iter())
+                    .filter(|row| num(&row[f.col("v")]) > *c as f64 * 0.25)
+                    .map(|row| row[..5].to_vec())
+                    .collect();
+                let kept: Vec<Vec<Datum>> = (self.survivors(spec, names, &q))
+                    .into_iter()
+                    .cloned()
+                    .collect();
+                Self::grouped(&kept, 0, |rows| vec![sum(rows, 4), count(rows, 2)])
+            }
+            Shape::Inner { agg, .. } => {
+                // One row per (f row, matching d row): f order, then d order.
+                let joined: Vec<Vec<Datum>> = (f.rows.iter())
+                    .flat_map(|fr| {
+                        (d.rows.iter())
+                            .filter(|dr| key_eq(&fr[f.col("k")], &dr[d.col("k")]))
+                            .map(|dr| {
+                                vec![
+                                    fr[f.col("v")].clone(),
+                                    dr[d.col("v")].clone(),
+                                    fr[f.col("k")].clone(),
+                                    dr[d.col("g")].clone(),
+                                ]
+                            })
+                    })
+                    .collect();
+                match agg {
+                    true => Self::grouped(&joined, 3, |rows| vec![sum(rows, 0), count(rows, 1)]),
+                    false => (joined.into_iter())
+                        .filter(|r| num(&r[0]) > num(&r[1]))
+                        .collect(),
+                }
+            }
+        }
+    }
+}
+
+/// Result cells compared by value: ints and floats of one value are the
+/// same answer (row mode may widen), `-0.0` is `0.0`.
+fn cells(rows: Vec<Vec<Datum>>, ordered: bool) -> Vec<Vec<String>> {
+    let mut out: Vec<Vec<String>> = (rows.into_iter())
+        .map(|row| {
+            (row.into_iter())
+                .map(|d| match d {
+                    Datum::Null => "NULL".to_string(),
+                    Datum::Str(s) => format!("'{s}'"),
+                    n => format!("{:?}", num(&n) + 0.0),
+                })
+                .collect()
+        })
+        .collect();
+    if !ordered {
+        out.sort();
+    }
+    out
+}
+
+/// Every engine personality, `f` loaded (or registered as external
+/// storage) and `d` loaded. Paged ones live under `scratch`.
+fn diff_personalities(
+    scratch: &std::path::Path,
+    f: &Table,
+    d: &Table,
+) -> Vec<(&'static str, Database)> {
+    let mem = EngineConfig::duckdb_mem;
+    let configs = [
+        ("mem", mem(), false),
+        (
+            "plain",
+            EngineConfig {
+                compression: false,
+                ..mem()
+            },
+            false,
+        ),
+        ("row", EngineConfig::dbms_x_row(), false),
+        ("external", mem(), true),
+        (
+            "threads",
+            EngineConfig {
+                agg_threads: 2,
+                ..mem()
+            },
+            false,
+        ),
+        (
+            "paged-256",
+            EngineConfig::paged(scratch.join("p256")),
+            false,
+        ),
+        (
+            "paged-8",
+            EngineConfig {
+                bufferpool_pages: 8,
+                ..EngineConfig::paged(scratch.join("p8"))
+            },
+            false,
+        ),
+    ];
+    (configs.into_iter())
+        .map(|(name, config, external)| {
+            let db = Database::new(config);
+            match external {
+                true => db.register_external("f", f),
+                false => db.create_table("f", f.clone()).unwrap(),
+            }
+            db.create_table("d", d.clone()).unwrap();
+            (name, db)
+        })
+        .collect()
+}
+
+static DIFF_CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every personality answers every generated query as the naive
+    /// oracle does.
+    #[test]
+    fn generated_queries_match_a_naive_oracle_on_every_personality(data in arb_diff()) {
+        let case = DIFF_CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let scratch = std::env::temp_dir()
+            .join(format!("jb_diff_{}_{case}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&scratch);
+        let (f, d) = diff_tables(&data);
+        let dbs = diff_personalities(&scratch, &f, &d);
+        let oracle = {
+            let (_, mem) = &dbs[0];
+            Oracle {
+                f: Rel::of(&mem.snapshot("f").unwrap()),
+                d: Rel::of(&mem.snapshot("d").unwrap()),
+            }
+        };
+        for spec in specs(&data.picks) {
+            let sql = spec.sql();
+            let want = cells(oracle.expect(&spec), spec.ordered());
+            for (name, db) in &dbs {
+                let got = db.query(&sql).unwrap_or_else(|e| panic!("{name}: {sql}: {e}"));
+                let got = cells((0..got.num_rows()).map(|i| got.row(i)).collect(), spec.ordered());
+                prop_assert_eq!(&got, &want, "{} answers {}", name, sql);
+            }
+        }
+        drop(dbs);
+        let _ = std::fs::remove_dir_all(&scratch);
+    }
+}
