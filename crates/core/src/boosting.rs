@@ -2,26 +2,29 @@
 //!
 //! Each iteration trains a tree on the residuals (or gradients) of the
 //! preceding trees, which requires updating `Y` in the *non-materialized*
-//! join result. On snowflake schemas the fact table is 1-1 with `R⋈`, so
-//! residuals live in an annotation column of a lifted fact table and are
-//! updated by one of five methods ([`crate::params::UpdateMethod`]). On
-//! galaxy schemas individual updates are impossible (view-update
-//! side-effects), but the variance semi-ring's
-//! addition-to-multiplication-preserving lift lets us update the
-//! *aggregEates* by `⊗`-ing the tree-cluster fact's annotation with
-//! `lift(−p)` — Clustered Predicate Trees keep the join graph acyclic.
+//! join result. One loop serves every schema; they differ only in what is
+//! lifted. On snowflake schemas the fact table is 1-1 with `R⋈`, so
+//! residuals live in an annotation column of a lifted fact table, updated
+//! by one of five methods ([`crate::params::UpdateMethod`]). On galaxy
+//! schemas individual updates are impossible (view-update side-effects),
+//! but the variance semi-ring's addition-to-multiplication-preserving lift
+//! lets us update the *aggregates* by `⊗`-ing the tree-cluster fact's
+//! annotation with `lift(−p)` — Clustered Predicate Trees keep the join
+//! graph acyclic. The histogram cuboid (Appendix D.3) updates per-cell
+//! residual sums scaled by the cell count.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
 
+use joinboost_engine::Table;
 use joinboost_graph::cluster::clusters;
-use joinboost_graph::RelId;
+use joinboost_graph::{JoinGraph, RelId};
 use joinboost_semiring::Objective;
-use joinboost_sql::ast::Expr;
+use joinboost_sql::ast::{Expr, Join, JoinKind, Query, SelectItem, TableRef};
 
 use crate::dataset::Dataset;
 use crate::error::{Result, TrainError};
-use crate::messages::Factorizer;
+use crate::messages::{Factorizer, NodeContext, Pred};
 use crate::params::{TrainParams, UpdateMethod};
 use crate::predict;
 use crate::sqlgen::{gradient_sql, hessian_sql, RingKind};
@@ -49,12 +52,12 @@ pub struct GbmModel {
 
 impl GbmModel {
     /// Raw additive score for a materialized feature table.
-    pub fn predict_raw(&self, table: &joinboost_engine::Table) -> Vec<f64> {
+    pub fn predict_raw(&self, table: &Table) -> Vec<f64> {
         predict::predict_boosted(&self.trees, self.init_score, self.learning_rate, table)
     }
 
     /// Transformed predictions (identity / exp / sigmoid per objective).
-    pub fn predict(&self, table: &joinboost_engine::Table) -> Vec<f64> {
+    pub fn predict(&self, table: &Table) -> Vec<f64> {
         self.predict_raw(table)
             .into_iter()
             .map(|r| self.objective.transform(r))
@@ -99,16 +102,9 @@ pub fn train_gbm(set: &Dataset, params: &TrainParams) -> Result<GbmModel> {
 pub fn train_gbm_cb(
     set: &Dataset,
     params: &TrainParams,
-    mut callback: impl FnMut(usize, &GbmModel) -> bool,
+    callback: impl FnMut(usize, &GbmModel) -> bool,
 ) -> Result<GbmModel> {
-    params.validate()?;
-    if params.use_cuboid {
-        return train_cuboid(set, params, &mut callback);
-    }
-    match set.graph.snowflake_fact() {
-        Some(fact) => train_snowflake(set, params, fact, &[], &mut callback),
-        None => train_galaxy(set, params, &[], &mut callback),
-    }
+    train(set, params, &[], callback)
 }
 
 /// Resume an interrupted training run from a partial forest (the
@@ -118,15 +114,14 @@ pub fn train_gbm_cb(
 /// The base tables must hold the same data the original run trained on
 /// (a recovered WAL-backed engine guarantees this). The initial score is
 /// recomputed — deterministic on identical data — the fact is re-lifted,
-/// and each stored tree's residual/gradient update is *replayed*: the
-/// replayed statements are byte-for-byte the statements the original run
-/// executed, in the same order, so the annotation columns reach the
-/// identical bit pattern and every subsequent split decision matches a
-/// run that was never interrupted. Under the dyadic `leaf_quantization`
-/// recipe the finished model is therefore `to_bits()`-identical to an
-/// uncrashed reference. Tree leaf values round-trip exactly through the
-/// wire codec (f64 by bit pattern), so a deserialized forest resumes as
-/// faithfully as a live one.
+/// and each stored tree goes through the one update call the boosting loop
+/// makes after growing a tree: the replayed statements are the original
+/// run's, in order, because the same code issues them. The annotation
+/// columns reach the identical bit pattern and every later split matches
+/// an uninterrupted run, so under the dyadic `leaf_quantization` recipe
+/// the finished model is `to_bits()`-identical to an uncrashed reference.
+/// Leaf values round-trip exactly through the wire codec (f64 by bit
+/// pattern), so a deserialized forest resumes as faithfully as a live one.
 ///
 /// The callback only fires for *newly trained* iterations. Not supported
 /// with the cuboid optimization (`use_cuboid`), whose trees are relabeled
@@ -135,9 +130,8 @@ pub fn train_gbm_resume(
     set: &Dataset,
     params: &TrainParams,
     prior: &[Tree],
-    mut callback: impl FnMut(usize, &GbmModel) -> bool,
+    callback: impl FnMut(usize, &GbmModel) -> bool,
 ) -> Result<GbmModel> {
-    params.validate()?;
     if params.use_cuboid {
         return Err(TrainError::Invalid(
             "resume is not supported with the cuboid optimization".into(),
@@ -150,26 +144,444 @@ pub fn train_gbm_resume(
             params.num_iterations
         )));
     }
-    match set.graph.snowflake_fact() {
-        Some(fact) => train_snowflake(set, params, fact, prior, &mut callback),
-        None => train_galaxy(set, params, prior, &mut callback),
+    train(set, params, prior, callback)
+}
+
+/// Lift the schema, then boost: the cuboid when asked for, else the
+/// snowflake's fact, else the galaxy's CPT cluster facts.
+fn train(
+    set: &Dataset,
+    params: &TrainParams,
+    prior: &[Tree],
+    callback: impl FnMut(usize, &GbmModel) -> bool,
+) -> Result<GbmModel> {
+    params.validate()?;
+    check_update_capability(set, params)?;
+    if params.use_cuboid {
+        let cuboid = cuboid_dataset(set, params)?;
+        return boost(lift_cuboid(&cuboid, &set.graph, params)?, prior, callback);
     }
+    let lifted = match set.graph.snowflake_fact() {
+        Some(fact) => lift_snowflake(set, params, fact)?,
+        None => lift_galaxy(set, params)?,
+    };
+    boost(lifted, prior, callback)
+}
+
+/// Reject update methods the schema or the backend cannot run: the
+/// cuboid rebuilds its cells with `CreateTable` only, a galaxy's cluster
+/// facts carry no row ids and live in engine storage, and `ColumnSwap` /
+/// `Interop` need the backend's declared capability flag (checked here
+/// rather than by a failing trial statement).
+fn check_update_capability(set: &Dataset, params: &TrainParams) -> Result<()> {
+    let method = params.update_method;
+    if params.use_cuboid && method != UpdateMethod::CreateTable {
+        return Err(TrainError::Invalid(format!(
+            "the cuboid optimization supports only UpdateMethod::CreateTable, not {method:?}"
+        )));
+    }
+    let galaxy = !params.use_cuboid && set.graph.snowflake_fact().is_none();
+    let caps = set.db.capabilities();
+    match method {
+        UpdateMethod::Naive | UpdateMethod::Interop if galaxy => Err(TrainError::Invalid(
+            "galaxy training supports UpdateInPlace, CreateTable and ColumnSwap".into(),
+        )),
+        UpdateMethod::ColumnSwap if !caps.column_swap => Err(TrainError::Invalid(format!(
+            "backend {} does not support SWAP COLUMN (UpdateMethod::ColumnSwap)",
+            set.db.name()
+        ))),
+        UpdateMethod::Interop if !caps.external_interop => Err(TrainError::Invalid(format!(
+            "backend {} does not support external dataframe storage (UpdateMethod::Interop)",
+            set.db.name()
+        ))),
+        _ => Ok(()),
+    }
+}
+
+/// What one schema contributes to the boosting loop.
+struct Lifted<'a, 'b> {
+    /// The factorizer trees grow on, its annotations reading the lifted
+    /// tables.
+    fx: Factorizer<'a, 'b>,
+    /// Constant initial prediction.
+    init: f64,
+    /// The lifted relations a tree's update rewrites: one per CPT cluster
+    /// on a galaxy (in `clusters` order), exactly one on a star or the
+    /// cuboid.
+    updaters: Vec<Updater>,
+    /// CPT cluster members on a galaxy: each tree is confined to one
+    /// cluster, and its update rewrites that cluster's fact.
+    clusters: Option<Vec<Vec<RelId>>>,
+    /// The user-facing graph the cuboid's splits are relabeled onto, so
+    /// its trees predict over raw features.
+    user_graph: Option<&'b JoinGraph>,
+    /// Parameters trees grow and update with (the cuboid's features
+    /// arrive binned, so it grows with `max_bins = 0`).
+    params: TrainParams,
+}
+
+/// The one boosting loop: replay the prior forest, then grow, update and
+/// report one tree per remaining iteration. Replay and training make the
+/// same [`Lifted::apply`] call, so a resumed run issues the statements an
+/// uninterrupted one did.
+fn boost(
+    mut lifted: Lifted<'_, '_>,
+    prior: &[Tree],
+    mut callback: impl FnMut(usize, &GbmModel) -> bool,
+) -> Result<GbmModel> {
+    let mut model = GbmModel {
+        objective: lifted.params.objective,
+        init_score: lifted.init,
+        learning_rate: lifted.params.learning_rate,
+        trees: Vec::new(),
+        train_time: Duration::ZERO,
+        update_time: Duration::ZERO,
+        stats: TrainStats::default(),
+    };
+    for tree in prior {
+        lifted.apply(tree)?;
+        model.trees.push(tree.clone());
+    }
+    for iter in prior.len()..lifted.params.num_iterations {
+        let t0 = Instant::now();
+        let (mut tree, stats) = lifted.grow()?;
+        model.stats.merge(&stats);
+        model.train_time += t0.elapsed();
+        let t1 = Instant::now();
+        lifted.apply(&tree)?;
+        model.update_time += t1.elapsed();
+        lifted.relabel(&mut tree);
+        model.trees.push(tree);
+        if !callback(iter, &model) {
+            break;
+        }
+    }
+    Ok(model)
+}
+
+impl Lifted<'_, '_> {
+    /// Grow one tree (inside one CPT cluster on a galaxy); percentile
+    /// objectives then renew its leaves.
+    fn grow(&mut self) -> Result<(Tree, TrainStats)> {
+        let features = self.fx.set.features();
+        let mut grower = TreeGrower::new(&mut self.fx, &self.params, features);
+        grower.cpt_clusters = self.clusters.clone();
+        let mut tree = grower.grow()?;
+        let active = grower.active_cluster;
+        let stats = std::mem::take(&mut grower.stats);
+        debug_assert!(active.is_none() || active == self.cluster_of(&tree).ok());
+        // Leaf renewal (Table 3): percentile-style objectives re-fit each
+        // leaf's prediction on the actual residuals (LightGBM's
+        // RenewTreeOutput); gradients only shape the tree structure.
+        if let Some(q) = renewal_percentile(&self.params.objective) {
+            self.renew_leaves(&mut tree, q)?;
+        }
+        Ok((tree, stats))
+    }
+
+    /// Re-fit each leaf's value to the given percentile of its residuals
+    /// `y − p`, read from the lifted fact with the leaf's semi-join
+    /// predicate.
+    fn renew_leaves(&self, tree: &mut Tree, q: f64) -> Result<()> {
+        let u = &self.updaters[self.cluster_of(tree)?];
+        for (leaf, path) in tree.leaves_with_paths() {
+            let pred = leaf_predicate_on_fact(self.fx.set, u.rel, &path)?;
+            let where_clause = pred.map(|p| format!(" WHERE {p}")).unwrap_or_default();
+            let sql = format!("SELECT jb_y - jb_p AS e FROM {}{where_clause}", u.table);
+            let mut resid = select(self.fx.set, &sql)?.column(None, "e")?.to_f64_vec()?;
+            resid.retain(|v| !v.is_nan());
+            if resid.is_empty() {
+                continue;
+            }
+            resid.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+            let pos = (q.clamp(0.0, 1.0) * (resid.len() - 1) as f64).round() as usize;
+            tree.nodes[leaf].value = self.params.snap_leaf(resid[pos]);
+        }
+        Ok(())
+    }
+
+    /// Which updater a tree's leaves rewrite: on a galaxy, the CPT cluster
+    /// its root split lies in (a stump updates the target's cluster); the
+    /// single lifted relation otherwise.
+    fn cluster_of(&self, tree: &Tree) -> Result<usize> {
+        let Some(clusters) = &self.clusters else {
+            return Ok(0);
+        };
+        let root = match tree.nodes.first().and_then(|n| n.split.as_ref()) {
+            Some(split) => Some(self.fx.set.graph.rel_id(&split.relation)?),
+            None => None,
+        };
+        let target = self.fx.set.target_rel();
+        Ok(root
+            .and_then(|r| clusters.iter().position(|c| c.contains(&r)))
+            .or_else(|| clusters.iter().position(|c| c.contains(&target)))
+            .unwrap_or(0))
+    }
+
+    /// Rewrite the lifted annotation by the tree's leaf values — the one
+    /// update call, made for every replayed and every newly grown tree.
+    fn apply(&mut self, tree: &Tree) -> Result<()> {
+        let u = &self.updaters[self.cluster_of(tree)?];
+        let set = self.fx.set;
+        let lr = self.params.learning_rate;
+        let assignments = match self.fx.ring {
+            // `(c, s) ⊗ lift(−lr·p) = (c, s − lr·p·c)`; base rows have c = 1.
+            RingKind::Variance => {
+                let s = Expr::col("jb_s");
+                vec![(
+                    "jb_s".to_string(),
+                    leaf_case_updates(set, u.rel, tree, lr, s, u.count.clone(), true)?,
+                )]
+            }
+            RingKind::Gradient => {
+                let obj = self.params.objective;
+                let p = leaf_case_updates(set, u.rel, tree, lr, Expr::col("jb_p"), None, false)?;
+                let y = Expr::col("jb_y");
+                let mut assigns = vec![("jb_p".to_string(), p.clone())];
+                assigns.push(("jb_g".into(), gradient_sql(&obj, y.clone(), p.clone())));
+                if !unit_hessian(&obj) {
+                    assigns.push(("jb_h".into(), hessian_sql(&obj, y, p)));
+                }
+                assigns
+            }
+        };
+        u.apply(set, &assignments)?;
+        self.fx.bump_epoch(u.rel);
+        Ok(())
+    }
+
+    /// Point the cuboid's splits back at the user-facing relations that
+    /// hold their features.
+    fn relabel(&self, tree: &mut Tree) {
+        let Some(graph) = self.user_graph else {
+            return;
+        };
+        for split in tree.nodes.iter_mut().filter_map(|n| n.split.as_mut()) {
+            if let Some(rel) = graph.relation_of_feature(&split.feature) {
+                split.relation = graph.name(rel).to_string();
+            }
+        }
+    }
+}
+
+/// Mean of the target over `R⋈`, by one factorized aggregate.
+fn mean_target(set: &Dataset) -> Result<f64> {
+    let (c, s) = Factorizer::over_target(set).totals(set.target_rel(), &NodeContext::root())?;
+    if c == 0.0 {
+        return Err(TrainError::Invalid("empty training data".into()));
+    }
+    Ok(s / c)
+}
+
+// ---------------------------------------------------------------------------
+// Snowflake schemas (Section 4.1)
+// ---------------------------------------------------------------------------
+
+/// Lift the fact table: `(1, y − init)` in the variance ring for rmse;
+/// otherwise `y`, the running prediction `p` and the gradient pair.
+fn lift_snowflake<'a, 'b>(
+    set: &'b Dataset<'a>,
+    params: &TrainParams,
+    fact: RelId,
+) -> Result<Lifted<'a, 'b>> {
+    let obj = params.objective;
+    let y = Expr::col(set.target_column.clone());
+    let init = if obj == Objective::SquaredError {
+        mean_target(set)?
+    } else {
+        // Median/percentile/log-mean need the y values; the fact table is
+        // 1-1 with R⋈ so we can read them from the (joined) fact.
+        let q = fact_to_target(set, fact, vec![SelectItem::aliased(y.clone(), "jb_y")])?;
+        let t = select(set, &q.to_string())?;
+        obj.init_score(&t.column(None, "jb_y")?.to_f64_vec()?)
+    };
+    let init = params.snap_leaf(init);
+
+    let lifted = set.fresh_table("fact");
+    let (ring, extras, annotation) = if obj == Objective::SquaredError {
+        (
+            RingKind::Variance,
+            vec![("jb_s", Expr::sub(y, Expr::float(init)))],
+            vec![Expr::int(1), Expr::col("jb_s")],
+        )
+    } else {
+        let mut extras = vec![
+            ("jb_y", y.clone()),
+            ("jb_p", Expr::float(init)),
+            ("jb_g", gradient_sql(&obj, y.clone(), Expr::float(init))),
+        ];
+        let annotation = if unit_hessian(&obj) {
+            vec![Expr::int(1), Expr::col("jb_g")]
+        } else {
+            extras.push(("jb_h", hessian_sql(&obj, y, Expr::float(init))));
+            vec![Expr::col("jb_h"), Expr::col("jb_g")]
+        };
+        (RingKind::Gradient, extras, annotation)
+    };
+    create_lifted_fact(set, fact, &lifted, &extras, params.update_method)?;
+
+    let mut fx = Factorizer::new(set, ring);
+    fx.set_table(fact, lifted.clone());
+    fx.set_annotation(fact, annotation);
+    Ok(Lifted {
+        fx,
+        init,
+        updaters: vec![Updater::new(set, fact, lifted, params.update_method)?],
+        clusters: None,
+        user_graph: None,
+        params: params.clone(),
+    })
+}
+
+/// `SELECT <items> FROM fact [JOIN the path to the target relation]`:
+/// one row per fact row, 1-1 with `R⋈`.
+fn fact_to_target(set: &Dataset, fact: RelId, items: Vec<SelectItem>) -> Result<Query> {
+    let g = &set.graph;
+    let mut q = Query {
+        items,
+        from: Some(TableRef::named(g.name(fact))),
+        ..Default::default()
+    };
+    if set.target_rel() != fact {
+        let path = g
+            .path(fact, set.target_rel())
+            .ok_or_else(|| TrainError::Graph("no path from fact to target".into()))?;
+        for w in path.windows(2) {
+            q.joins.push(Join {
+                kind: JoinKind::Inner,
+                table: TableRef::named(g.name(w[1])),
+                using: g.join_keys(w[0], w[1]).expect("edge").to_vec(),
+                on: None,
+            });
+        }
+    }
+    Ok(q)
+}
+
+/// `CREATE TABLE lifted AS SELECT fact.*, <extras> FROM fact [JOIN path to
+/// the target relation]`; `Naive` adds a row id and `Interop` registers
+/// the result as external storage.
+fn create_lifted_fact(
+    set: &Dataset,
+    fact: RelId,
+    lifted: &str,
+    extras: &[(&str, Expr)],
+    method: UpdateMethod,
+) -> Result<()> {
+    let fact_name = set.graph.name(fact);
+    let mut items: Vec<SelectItem> = set
+        .db
+        .column_names(fact_name)?
+        .into_iter()
+        .map(|c| SelectItem::new(Expr::qcol(fact_name, c)))
+        .collect();
+    for (alias, e) in extras {
+        items.push(SelectItem::aliased(e.clone(), *alias));
+    }
+    let q = fact_to_target(set, fact, items)?;
+    let external = method == UpdateMethod::Interop;
+    let with_rid = method == UpdateMethod::Naive;
+    if external || with_rid {
+        // Build programmatically: run the query, add a row id if needed,
+        // then register as internal or external storage.
+        let mut t = select(set, &q.to_string())?;
+        if with_rid {
+            let n = t.num_rows();
+            t.push_column(
+                joinboost_engine::table::ColumnMeta::new("jb_rid"),
+                joinboost_engine::Column::int((0..n as i64).collect()),
+            );
+        }
+        if external {
+            set.db.register_external(lifted, &t)?;
+        } else {
+            set.db.create_table(lifted, t)?;
+        }
+    } else {
+        run(set, &format!("CREATE TABLE {lifted} AS {q}"))?;
+    }
+    Ok(())
+}
+
+/// Objectives whose optimal leaf is a residual percentile (Table 3's
+/// `median(E)` / `pctl_α(E)` prediction rules).
+fn renewal_percentile(obj: &Objective) -> Option<f64> {
+    match obj {
+        Objective::AbsoluteError | Objective::Mape => Some(0.5),
+        Objective::Quantile { alpha } => Some(*alpha),
+        _ => None,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Galaxy schemas (Section 4.2)
+// ---------------------------------------------------------------------------
+
+/// Lift every CPT cluster's fact: the target relation carries
+/// `(1, y − init)`, every other cluster fact `(1, s)` with `s` starting
+/// at 0 — the update relations the cluster's trees `⊗` into.
+fn lift_galaxy<'a, 'b>(set: &'b Dataset<'a>, params: &TrainParams) -> Result<Lifted<'a, 'b>> {
+    if !params.objective.supports_galaxy() {
+        return Err(TrainError::Invalid(format!(
+            "objective {} requires a snowflake schema; only rmse factorizes over galaxy schemas",
+            params.objective.name()
+        )));
+    }
+    let cluster_list = clusters(&set.graph);
+    if cluster_list.is_empty() {
+        return Err(TrainError::Graph("no CPT clusters found".into()));
+    }
+    let init = params.snap_leaf(mean_target(set)?);
+
+    let mut fx = Factorizer::new(set, RingKind::Variance);
+    let target = set.target_rel();
+    let resid = Expr::sub(Expr::col(set.target_column.clone()), Expr::float(init));
+    let facts = std::iter::once((target, "tgt", resid.to_string())).chain(
+        cluster_list
+            .iter()
+            .map(|c| (c.fact, "cf", "0.0".to_string())),
+    );
+    let mut lifted_of: HashMap<RelId, String> = HashMap::new();
+    for (rel, hint, jb_s) in facts {
+        if lifted_of.contains_key(&rel) {
+            continue;
+        }
+        let lifted = set.fresh_table(hint);
+        let sql = format!(
+            "CREATE TABLE {lifted} AS SELECT *, {jb_s} AS jb_s FROM {}",
+            set.graph.name(rel)
+        );
+        run(set, &sql)?;
+        fx.set_table(rel, lifted.clone());
+        fx.set_annotation(rel, vec![Expr::int(1), Expr::col("jb_s")]);
+        lifted_of.insert(rel, lifted);
+    }
+    let updaters = cluster_list
+        .iter()
+        .map(|c| {
+            let table = lifted_of[&c.fact].clone();
+            Updater::new(set, c.fact, table, params.update_method)
+        })
+        .collect::<Result<_>>()?;
+    Ok(Lifted {
+        fx,
+        init,
+        updaters,
+        clusters: Some(cluster_list.into_iter().map(|c| c.members).collect()),
+        user_graph: None,
+        params: params.clone(),
+    })
 }
 
 // ---------------------------------------------------------------------------
 // Histogram cuboid (Appendix D.3, Figure 20)
 // ---------------------------------------------------------------------------
 
-/// Train over the full-dimensional data cuboid: `GROUP BY` all (binned)
+/// Build the full-dimensional data cuboid — `GROUP BY` all (binned)
 /// features once, producing a table of per-cell `(count, sum)` semi-ring
-/// annotations that can be orders of magnitude smaller than `R⋈`; all
-/// training queries then run against the cuboid.
-fn train_cuboid(
-    set: &Dataset,
-    params: &TrainParams,
-    callback: &mut impl FnMut(usize, &GbmModel) -> bool,
-) -> Result<GbmModel> {
-    use joinboost_sql::ast::{Query, SelectItem};
+/// annotations that can be orders of magnitude smaller than `R⋈` — and
+/// return the single-relation dataset over it that training runs on.
+fn cuboid_dataset<'a>(set: &Dataset<'a>, params: &TrainParams) -> Result<Dataset<'a>> {
     if params.objective != Objective::SquaredError {
         return Err(TrainError::Invalid(
             "the cuboid optimization supports the rmse objective".into(),
@@ -181,10 +593,7 @@ fn train_cuboid(
     for (feat, rel) in set.features() {
         let table = set.graph.name(rel);
         let sql = format!("SELECT MIN({feat}) AS lo, MAX({feat}) AS hi FROM {table}");
-        let t = set
-            .db
-            .query(&sql)
-            .map_err(|e| TrainError::Engine(format!("{e} in: {sql}")))?;
+        let t = select(set, &sql)?;
         let lo = t.scalar_f64("lo").unwrap_or(0.0);
         let hi = t.scalar_f64("hi").unwrap_or(0.0);
         let width = ((hi - lo) / params.max_bins as f64).max(f64::MIN_POSITIVE);
@@ -217,455 +626,61 @@ fn train_cuboid(
         ..Default::default()
     };
     let cuboid = set.fresh_table("cuboid");
-    set.db
-        .execute(&format!("CREATE TABLE {cuboid} AS {cuboid_q}"))
-        .map_err(|e| TrainError::Engine(format!("{e} in: {cuboid_q}")))?;
+    run(set, &format!("CREATE TABLE {cuboid} AS {cuboid_q}"))?;
 
-    // Single-relation dataset over the cuboid.
-    let mut g1 = joinboost_graph::JoinGraph::new();
+    let mut g1 = JoinGraph::new();
     let feats: Vec<String> = set.features().into_iter().map(|(f, _)| f).collect();
     let feat_refs: Vec<&str> = feats.iter().map(String::as_str).collect();
     g1.add_relation(&cuboid, &feat_refs)?;
-    let sub = Dataset::new(set.db, g1, &cuboid, "jb_s")?;
+    Dataset::new(set.db, g1, &cuboid, "jb_s")
+}
 
-    // Initial score; fold it into the residual sums (scaled by the cell
-    // counts: Σ(y − init) = s − init·c).
-    let totals = set
-        .db
-        .query(&format!(
-            "SELECT SUM(jb_c) AS c, SUM(jb_s) AS s FROM {cuboid}"
-        ))
-        .map_err(TrainError::from)?;
+/// Fold the initial score into the cuboid's residual sums, scaled by the
+/// cell counts (`Σ(y − init) = s − init·c`); trees then update `jb_s`
+/// scaled by the count `jb_c` too.
+fn lift_cuboid<'a, 'b>(
+    cuboid: &'b Dataset<'a>,
+    user_graph: &'b JoinGraph,
+    params: &TrainParams,
+) -> Result<Lifted<'a, 'b>> {
+    let table = cuboid.target_relation.clone();
+    let sql = format!("SELECT SUM(jb_c) AS c, SUM(jb_s) AS s FROM {table}");
+    let totals = select(cuboid, &sql)?;
     let c_all = totals.scalar_f64("c").unwrap_or(0.0);
     let s_all = totals.scalar_f64("s").unwrap_or(0.0);
     if c_all == 0.0 {
         return Err(TrainError::Invalid("empty training data".into()));
     }
     let init = params.snap_leaf(s_all / c_all);
-    set.db
-        .execute(&format!(
-            "UPDATE {cuboid} SET jb_s = jb_s - {} * jb_c",
-            Expr::float(init)
-        ))
-        .map_err(TrainError::from)?;
+    let init_expr = Expr::float(init);
+    let sql = format!("UPDATE {table} SET jb_s = jb_s - {init_expr} * jb_c");
+    run(cuboid, &sql)?;
 
-    let mut inner_params = params.clone();
-    inner_params.use_cuboid = false;
-    inner_params.max_bins = 0; // features are already binned
-    let mut fx = Factorizer::new(&sub, RingKind::Variance);
+    let mut fx = Factorizer::new(cuboid, RingKind::Variance);
     fx.set_annotation(0, vec![Expr::col("jb_c"), Expr::col("jb_s")]);
-    let columns = set.db.column_names(&cuboid)?;
     let updater = Updater {
-        method: UpdateMethod::CreateTable,
-        table: cuboid.clone(),
-        columns,
+        count: Some(Expr::col("jb_c")),
+        ..Updater::new(cuboid, 0, table, params.update_method)?
     };
-    let mut model = GbmModel {
-        objective: params.objective,
-        init_score: init,
-        learning_rate: params.learning_rate,
-        trees: Vec::new(),
-        train_time: Duration::ZERO,
-        update_time: Duration::ZERO,
-        stats: TrainStats::default(),
-    };
-    for iter in 0..params.num_iterations {
-        let t0 = Instant::now();
-        let feats1: Vec<(String, RelId)> = feats.iter().map(|f| (f.clone(), 0usize)).collect();
-        let mut grower = TreeGrower::new(&mut fx, &inner_params, feats1);
-        let mut tree = grower.grow()?;
-        model.stats.merge(&grower.stats);
-        model.train_time += t0.elapsed();
-        let t1 = Instant::now();
-        // Residual update scaled by the cell count:
-        // (c, s) ⊗ lift(−lr·p) = (c, s − lr·p·c).
-        let case_expr = leaf_case_updates_scaled(
-            &sub,
-            0,
-            &tree,
-            params.learning_rate,
-            Expr::col("jb_s"),
-            Some(Expr::col("jb_c")),
-            true,
-        )?;
-        updater.apply(&sub, &[("jb_s".into(), case_expr)], &tree, 0, params)?;
-        fx.bump_epoch(0);
-        model.update_time += t1.elapsed();
-        // Relabel splits with the user-facing relation names for
-        // prediction over raw features.
-        for node in &mut tree.nodes {
-            if let Some(s) = &mut node.split {
-                if let Some(rel) = set.graph.relation_of_feature(&s.feature) {
-                    s.relation = set.graph.name(rel).to_string();
-                }
-            }
-        }
-        model.trees.push(tree);
-        if !callback(iter, &model) {
-            break;
-        }
-    }
-    Ok(model)
-}
-
-// ---------------------------------------------------------------------------
-// Snowflake schemas (Section 4.1)
-// ---------------------------------------------------------------------------
-
-fn train_snowflake(
-    set: &Dataset,
-    params: &TrainParams,
-    fact: RelId,
-    prior: &[Tree],
-    callback: &mut impl FnMut(usize, &GbmModel) -> bool,
-) -> Result<GbmModel> {
-    check_update_capability(set, params)?;
-    let obj = params.objective;
-    let use_variance = obj == Objective::SquaredError;
-    let y_expr = target_expr_on_fact(set, fact)?;
-
-    // Initial score.
-    let init = if use_variance {
-        // Mean over R⋈ via one factorized aggregate.
-        let mut fx0 = Factorizer::new(set, RingKind::Variance);
-        fx0.set_annotation(
-            set.target_rel(),
-            vec![Expr::int(1), Expr::col(set.target_column.clone())],
-        );
-        let (c, s) = fx0.totals(set.target_rel(), &crate::messages::NodeContext::root())?;
-        if c == 0.0 {
-            return Err(TrainError::Invalid("empty training data".into()));
-        }
-        s / c
-    } else {
-        // Median/percentile/log-mean need the y values; the fact table is
-        // 1-1 with R⋈ so we can read them from the (joined) fact.
-        let ys = fetch_target_values(set, fact)?;
-        obj.init_score(&ys)
-    };
-    let init = params.snap_leaf(init);
-
-    // Lift the fact table.
-    let lifted = set.fresh_table("fact");
-    let mut extras: Vec<(String, Expr)> = Vec::new();
-    let ring = if use_variance {
-        extras.push(("jb_s".into(), Expr::sub(y_expr.clone(), Expr::float(init))));
-        RingKind::Variance
-    } else {
-        extras.push(("jb_y".into(), y_expr.clone()));
-        extras.push(("jb_p".into(), Expr::float(init)));
-        extras.push((
-            "jb_g".into(),
-            gradient_sql(&obj, y_expr.clone(), Expr::float(init)),
-        ));
-        if !unit_hessian(&obj) {
-            extras.push((
-                "jb_h".into(),
-                hessian_sql(&obj, y_expr.clone(), Expr::float(init)),
-            ));
-        }
-        RingKind::Gradient
-    };
-    let external = params.update_method == UpdateMethod::Interop;
-    let with_rid = params.update_method == UpdateMethod::Naive;
-    create_lifted_fact(set, fact, &lifted, &extras, with_rid, external)?;
-
-    let mut fx = Factorizer::new(set, ring);
-    fx.set_table(fact, lifted.clone());
-    let annotation = if use_variance {
-        vec![Expr::int(1), Expr::col("jb_s")]
-    } else if unit_hessian(&obj) {
-        vec![Expr::int(1), Expr::col("jb_g")]
-    } else {
-        vec![Expr::col("jb_h"), Expr::col("jb_g")]
-    };
-    fx.set_annotation(fact, annotation);
-
-    let columns = set.db.column_names(&lifted)?;
-    let updater = Updater {
-        method: params.update_method,
-        table: lifted.clone(),
-        columns,
-    };
-
-    let mut model = GbmModel {
-        objective: obj,
-        init_score: init,
-        learning_rate: params.learning_rate,
-        trees: Vec::new(),
-        train_time: Duration::ZERO,
-        update_time: Duration::ZERO,
-        stats: TrainStats::default(),
-    };
-    // Warm start (resume): replay each stored tree's update statements
-    // against the freshly lifted fact. These are byte-for-byte the
-    // statements the original run executed, in order, so the annotation
-    // columns land on the identical bit pattern and the first new tree
-    // grows exactly as iteration `prior.len()` of an uninterrupted run.
-    for tree in prior {
-        if use_variance {
-            let leaf_cases = leaf_case_updates(
-                set,
-                fact,
-                tree,
-                params.learning_rate,
-                Expr::col("jb_s"),
-                true,
-            )?;
-            updater.apply(set, &[("jb_s".into(), leaf_cases)], tree, fact, params)?;
-        } else {
-            let p_new = leaf_case_updates(
-                set,
-                fact,
-                tree,
-                params.learning_rate,
-                Expr::col("jb_p"),
-                false,
-            )?;
-            let mut assigns = vec![("jb_p".to_string(), p_new.clone())];
-            assigns.push((
-                "jb_g".into(),
-                gradient_sql(&obj, Expr::col("jb_y"), p_new.clone()),
-            ));
-            if !unit_hessian(&obj) {
-                assigns.push(("jb_h".into(), hessian_sql(&obj, Expr::col("jb_y"), p_new)));
-            }
-            updater.apply(set, &assigns, tree, fact, params)?;
-        }
-        fx.bump_epoch(fact);
-        model.trees.push(tree.clone());
-    }
-    for iter in prior.len()..params.num_iterations {
-        let t0 = Instant::now();
-        let mut grower = TreeGrower::new(&mut fx, params, set.features());
-        let mut tree = grower.grow()?;
-        model.stats.merge(&grower.stats);
-        // Leaf renewal (Table 3): percentile-style objectives re-fit each
-        // leaf's prediction on the actual residuals (LightGBM's
-        // RenewTreeOutput); gradients only shape the tree structure.
-        if let Some(q) = renewal_percentile(&obj) {
-            renew_leaves(set, fact, &lifted, &mut tree, q, params)?;
-        }
-        model.train_time += t0.elapsed();
-
-        // Residual / gradient update.
-        let t1 = Instant::now();
-        if use_variance {
-            let leaf_cases = leaf_case_updates(
-                set,
-                fact,
-                &tree,
-                params.learning_rate,
-                Expr::col("jb_s"),
-                true,
-            )?;
-            updater.apply(set, &[("jb_s".into(), leaf_cases)], &tree, fact, params)?;
-        } else {
-            let p_new = leaf_case_updates(
-                set,
-                fact,
-                &tree,
-                params.learning_rate,
-                Expr::col("jb_p"),
-                false,
-            )?;
-            let mut assigns = vec![("jb_p".to_string(), p_new.clone())];
-            assigns.push((
-                "jb_g".into(),
-                gradient_sql(&obj, Expr::col("jb_y"), p_new.clone()),
-            ));
-            if !unit_hessian(&obj) {
-                assigns.push(("jb_h".into(), hessian_sql(&obj, Expr::col("jb_y"), p_new)));
-            }
-            updater.apply(set, &assigns, &tree, fact, params)?;
-        }
-        fx.bump_epoch(fact);
-        model.update_time += t1.elapsed();
-
-        model.trees.push(tree);
-        if !callback(iter, &model) {
-            break;
-        }
-    }
-    Ok(model)
-}
-
-/// Reject update methods the backend cannot execute, using its declared
-/// capability flags rather than a failing trial statement.
-fn check_update_capability(set: &Dataset, params: &TrainParams) -> Result<()> {
-    let caps = set.db.capabilities();
-    match params.update_method {
-        UpdateMethod::ColumnSwap if !caps.column_swap => Err(TrainError::Invalid(format!(
-            "backend {} does not support SWAP COLUMN (UpdateMethod::ColumnSwap)",
-            set.db.name()
-        ))),
-        UpdateMethod::Interop if !caps.external_interop => Err(TrainError::Invalid(format!(
-            "backend {} does not support external dataframe storage (UpdateMethod::Interop)",
-            set.db.name()
-        ))),
-        _ => Ok(()),
-    }
-}
-
-/// Objectives whose optimal leaf is a residual percentile (Table 3's
-/// `median(E)` / `pctl_α(E)` prediction rules).
-fn renewal_percentile(obj: &Objective) -> Option<f64> {
-    match obj {
-        Objective::AbsoluteError | Objective::Mape => Some(0.5),
-        Objective::Quantile { alpha } => Some(*alpha),
-        _ => None,
-    }
-}
-
-/// Re-fit each leaf's value to the given percentile of its residuals
-/// `y − p`, read from the lifted fact table with the leaf's semi-join
-/// predicate.
-fn renew_leaves(
-    set: &Dataset,
-    fact: RelId,
-    lifted: &str,
-    tree: &mut Tree,
-    q: f64,
-    params: &TrainParams,
-) -> Result<()> {
-    for (leaf, path) in tree.leaves_with_paths() {
-        let pred = leaf_predicate_on_fact(set, fact, &path)?;
-        let where_clause = pred.map(|p| format!(" WHERE {p}")).unwrap_or_default();
-        let sql = format!("SELECT jb_y - jb_p AS e FROM {lifted}{where_clause}");
-        let t = set
-            .db
-            .query(&sql)
-            .map_err(|e| TrainError::Engine(format!("{e} in: {sql}")))?;
-        let mut resid = t
-            .column(None, "e")
-            .map_err(TrainError::from)?
-            .to_f64_vec()
-            .map_err(TrainError::from)?;
-        resid.retain(|v| !v.is_nan());
-        if resid.is_empty() {
-            continue;
-        }
-        resid.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let pos = (q.clamp(0.0, 1.0) * (resid.len() - 1) as f64).round() as usize;
-        tree.nodes[leaf].value = params.snap_leaf(resid[pos]);
-    }
-    Ok(())
-}
-
-/// If the target lives in a dimension, it must be projected onto the fact
-/// during lifting; within the lifting query the target column is simply in
-/// scope after the joins.
-fn target_expr_on_fact(set: &Dataset, _fact: RelId) -> Result<Expr> {
-    Ok(Expr::col(set.target_column.clone()))
-}
-
-/// `CREATE TABLE lifted AS SELECT fact.*, <extras> FROM fact [JOIN path to
-/// the target relation]`, keeping the 1-1 correspondence with `R⋈`.
-fn create_lifted_fact(
-    set: &Dataset,
-    fact: RelId,
-    lifted: &str,
-    extras: &[(String, Expr)],
-    with_rid: bool,
-    external: bool,
-) -> Result<()> {
-    use joinboost_sql::ast::{Join, JoinKind, Query, SelectItem, TableRef};
-    let g = &set.graph;
-    let fact_name = g.name(fact);
-    let fact_cols = set.db.column_names(fact_name)?;
-    let mut items: Vec<SelectItem> = fact_cols
-        .iter()
-        .map(|c| SelectItem::new(Expr::qcol(fact_name, c.clone())))
-        .collect();
-    for (alias, e) in extras {
-        items.push(SelectItem::aliased(e.clone(), alias.clone()));
-    }
-    let mut q = Query {
-        items,
-        from: Some(TableRef::named(fact_name)),
-        ..Default::default()
-    };
-    if set.target_rel() != fact {
-        // Join along the path to the target relation (left outer joins keep
-        // the 1-1 shape even with missing keys).
-        let path = g
-            .path(fact, set.target_rel())
-            .ok_or_else(|| TrainError::Graph("no path from fact to target".into()))?;
-        for w in path.windows(2) {
-            q.joins.push(Join {
-                kind: JoinKind::Inner,
-                table: TableRef::named(g.name(w[1])),
-                using: g.join_keys(w[0], w[1]).expect("edge").to_vec(),
-                on: None,
-            });
-        }
-    }
-    if external || with_rid {
-        // Build programmatically: run the query, add a row id if needed,
-        // then register as internal or external storage.
-        let mut t = set
-            .db
-            .query(&q.to_string())
-            .map_err(|e| TrainError::Engine(format!("{e} in: {q}")))?;
-        if with_rid {
-            let n = t.num_rows();
-            t.push_column(
-                joinboost_engine::table::ColumnMeta::new("jb_rid"),
-                joinboost_engine::Column::int((0..n as i64).collect()),
-            );
-        }
-        if external {
-            set.db.register_external(lifted, &t)?;
-        } else {
-            set.db.create_table(lifted, t)?;
-        }
-    } else {
-        set.db
-            .execute(&format!("CREATE TABLE {lifted} AS {q}"))
-            .map_err(|e| TrainError::Engine(format!("{e} in CREATE {lifted}: {q}")))?;
-    }
-    Ok(())
-}
-
-/// Read the target values joined onto the fact table (1-1 with `R⋈`).
-fn fetch_target_values(set: &Dataset, fact: RelId) -> Result<Vec<f64>> {
-    use joinboost_sql::ast::{Join, JoinKind, Query, SelectItem, TableRef};
-    let g = &set.graph;
-    let mut q = Query {
-        items: vec![SelectItem::aliased(
-            Expr::col(set.target_column.clone()),
-            "jb_y",
-        )],
-        from: Some(TableRef::named(g.name(fact))),
-        ..Default::default()
-    };
-    if set.target_rel() != fact {
-        let path = g
-            .path(fact, set.target_rel())
-            .ok_or_else(|| TrainError::Graph("no path from fact to target".into()))?;
-        for w in path.windows(2) {
-            q.joins.push(Join {
-                kind: JoinKind::Inner,
-                table: TableRef::named(g.name(w[1])),
-                using: g.join_keys(w[0], w[1]).expect("edge").to_vec(),
-                on: None,
-            });
-        }
-    }
-    let t = set
-        .db
-        .query(&q.to_string())
-        .map_err(|e| TrainError::Engine(e.to_string()))?;
-    t.column(None, "jb_y")
-        .map_err(TrainError::from)?
-        .to_f64_vec()
-        .map_err(TrainError::from)
+    Ok(Lifted {
+        fx,
+        init,
+        updaters: vec![updater],
+        clusters: None,
+        user_graph: Some(user_graph),
+        params: TrainParams {
+            use_cuboid: false,
+            max_bins: 0, // features are already binned
+            ..params.clone()
+        },
+    })
 }
 
 /// Translate one leaf's predicate path into a predicate over the fact
 /// table: predicates on the fact apply directly; predicates on other
 /// relations become (nested) `IN (SELECT key FROM dim WHERE ..)`
-/// semi-join filters along the N-to-1 path (Section 4.1).
+/// semi-join filters along the N-to-1 path (Section 4.1). Conjuncts come
+/// in relation-id order, so the statement text is deterministic.
 pub fn leaf_predicate_on_fact(
     set: &Dataset,
     fact: RelId,
@@ -673,13 +688,13 @@ pub fn leaf_predicate_on_fact(
 ) -> Result<Option<Expr>> {
     let g = &set.graph;
     // Group predicate expressions per relation.
-    let mut by_rel: HashMap<RelId, Vec<Expr>> = HashMap::new();
+    let mut by_rel: BTreeMap<RelId, Vec<Expr>> = BTreeMap::new();
     for (split, negated) in path_preds {
         let rel = g.rel_id(&split.relation)?;
         by_rel
             .entry(rel)
             .or_default()
-            .push(crate::messages::Pred::from_split(split, *negated).expr);
+            .push(Pred::from_split(split, *negated).expr);
     }
     let mut conjuncts: Vec<Expr> = Vec::new();
     for (rel, exprs) in by_rel {
@@ -701,9 +716,9 @@ pub fn leaf_predicate_on_fact(
                 ));
             }
             let key = &keys[0];
-            let sub = joinboost_sql::ast::Query {
-                items: vec![joinboost_sql::ast::SelectItem::new(Expr::col(key.clone()))],
-                from: Some(joinboost_sql::ast::TableRef::named(g.name(w[1]))),
+            let sub = Query {
+                items: vec![SelectItem::new(Expr::col(key.clone()))],
+                from: Some(TableRef::named(g.name(w[1]))),
                 where_clause: Some(inner),
                 ..Default::default()
             };
@@ -720,21 +735,10 @@ pub fn leaf_predicate_on_fact(
 
 /// Build the `CASE WHEN <leaf-1 predicate> THEN base ∓ lr·p₁ ... ELSE
 /// base END` expression updating an annotation column for every leaf.
-/// `subtract` chooses residual (`s − lr·p`) vs prediction (`p + lr·v`).
+/// `subtract` chooses residual (`s − lr·p`) vs prediction (`p + lr·v`);
+/// `scale` is an optional per-row factor (the cell count `c` of
+/// pre-aggregated annotations: `s − lr·p·c`).
 fn leaf_case_updates(
-    set: &Dataset,
-    fact: RelId,
-    tree: &Tree,
-    learning_rate: f64,
-    base: Expr,
-    subtract: bool,
-) -> Result<Expr> {
-    leaf_case_updates_scaled(set, fact, tree, learning_rate, base, None, subtract)
-}
-
-/// As [`leaf_case_updates`], with an optional per-row scale factor (the
-/// cell count `c` of pre-aggregated annotations: `s − lr·p·c`).
-fn leaf_case_updates_scaled(
     set: &Dataset,
     fact: RelId,
     tree: &Tree,
@@ -776,25 +780,56 @@ fn leaf_case_updates_scaled(
     })
 }
 
-/// Executes annotation-column updates with the configured method.
+/// A lifted relation a tree's update rewrites, and the configured method
+/// that rewrites it.
 struct Updater {
-    method: UpdateMethod,
+    /// The relation leaf predicates are rooted at: the star's fact, a CPT
+    /// cluster's fact, or the cuboid.
+    rel: RelId,
+    /// Its lifted table.
     table: String,
+    /// The lifted table's columns, in order (the rebuilding methods
+    /// re-select every one of them).
     columns: Vec<String>,
+    /// Per-row count scaling the residual update (the cuboid's `jb_c`).
+    count: Option<Expr>,
+    method: UpdateMethod,
 }
 
 impl Updater {
+    /// Rewrites `table` by `method`, unscaled.
+    fn new(set: &Dataset, rel: RelId, table: String, method: UpdateMethod) -> Result<Updater> {
+        let columns = set.db.column_names(&table)?;
+        Ok(Updater {
+            rel,
+            table,
+            columns,
+            count: None,
+            method,
+        })
+    }
+
     /// Apply `assignments` (column → new-value expression over the current
     /// table) using the configured update method.
-    fn apply(
-        &self,
-        set: &Dataset,
-        assignments: &[(String, Expr)],
-        tree: &Tree,
-        fact: RelId,
-        params: &TrainParams,
-    ) -> Result<()> {
-        let db = set.db;
+    fn apply(&self, set: &Dataset, assignments: &[(String, Expr)]) -> Result<()> {
+        let t = &self.table;
+        // The new values alone, each aliased `<prefix><column>`.
+        let computed = |prefix: &str| {
+            let items: Vec<String> = assignments
+                .iter()
+                .map(|(a, e)| format!("{e} AS {prefix}{a}"))
+                .collect();
+            items.join(", ")
+        };
+        // Every column of the table in order, an assigned one as `assigned`.
+        let rebuilt = |assigned: &dyn Fn(&str, &Expr) -> String| {
+            let item =
+                |c: &String| match assignments.iter().find(|(a, _)| a.eq_ignore_ascii_case(c)) {
+                    Some((a, e)) => assigned(a, e),
+                    None => c.clone(),
+                };
+            self.columns.iter().map(item).collect::<Vec<_>>().join(", ")
+        };
         match self.method {
             UpdateMethod::UpdateInPlace => {
                 // The paper's SET variant: per-leaf UPDATE with semi-join
@@ -802,286 +837,61 @@ impl Updater {
                 // derived columns. For simplicity we issue the CASE-typed
                 // full-column UPDATE per assignment (same write volume).
                 for (col, expr) in assignments {
-                    let sql = format!("UPDATE {} SET {col} = {expr}", self.table);
-                    db.execute(&sql)
-                        .map_err(|e| TrainError::Engine(format!("{e} in: {sql}")))?;
+                    run(set, &format!("UPDATE {t} SET {col} = {expr}"))?;
                 }
-                let _ = (tree, fact, params);
-                Ok(())
             }
             UpdateMethod::CreateTable => {
-                let mut items: Vec<String> = Vec::new();
-                for c in &self.columns {
-                    match assignments.iter().find(|(a, _)| a.eq_ignore_ascii_case(c)) {
-                        Some((a, e)) => items.push(format!("{e} AS {a}")),
-                        None => items.push(c.clone()),
-                    }
-                }
-                let sql = format!(
-                    "CREATE OR REPLACE TABLE {} AS SELECT {} FROM {}",
-                    self.table,
-                    items.join(", "),
-                    self.table
-                );
-                db.execute(&sql)
-                    .map_err(|e| TrainError::Engine(format!("{e} in: {sql}")))?;
-                Ok(())
+                let items = rebuilt(&|a, e| format!("{e} AS {a}"));
+                let sql = format!("CREATE OR REPLACE TABLE {t} AS SELECT {items} FROM {t}");
+                run(set, &sql)?;
             }
             UpdateMethod::ColumnSwap => {
                 let tmp = set.fresh_table("delta");
-                let items: Vec<String> = assignments
-                    .iter()
-                    .map(|(a, e)| format!("{e} AS {a}"))
-                    .collect();
-                let sql = format!(
-                    "CREATE TABLE {tmp} AS SELECT {} FROM {}",
-                    items.join(", "),
-                    self.table
-                );
-                db.execute(&sql)
-                    .map_err(|e| TrainError::Engine(format!("{e} in: {sql}")))?;
+                let sql = format!("CREATE TABLE {tmp} AS SELECT {} FROM {t}", computed(""));
+                run(set, &sql)?;
                 for (a, _) in assignments {
-                    let sql = format!("SWAP COLUMN {}.{a} WITH {tmp}.{a}", self.table);
-                    db.execute(&sql)
-                        .map_err(|e| TrainError::Engine(format!("{e} in: {sql}")))?;
+                    run(set, &format!("SWAP COLUMN {t}.{a} WITH {tmp}.{a}"))?;
                 }
-                db.execute(&format!("DROP TABLE {tmp}"))
-                    .map_err(TrainError::from)?;
-                Ok(())
+                set.db.execute(&format!("DROP TABLE {tmp}"))?;
             }
             UpdateMethod::Interop => {
                 // Compute the new columns through the engine, then swap the
                 // array pointers in external storage.
-                let items: Vec<String> = assignments
-                    .iter()
-                    .map(|(a, e)| format!("{e} AS {a}"))
-                    .collect();
-                let sql = format!("SELECT {} FROM {}", items.join(", "), self.table);
-                let t = db
-                    .execute(&sql)
-                    .map_err(|e| TrainError::Engine(format!("{e} in: {sql}")))?;
-                let ext = db.external(&self.table).map_err(TrainError::from)?;
-                for (i, (a, _)) in assignments.iter().enumerate() {
-                    ext.replace_column(a, t.columns[i].clone())
-                        .map_err(TrainError::from)?;
+                let new = run(set, &format!("SELECT {} FROM {t}", computed("")))?;
+                let ext = set.db.external(t)?;
+                for ((a, _), col) in assignments.iter().zip(new.columns) {
+                    ext.replace_column(a, col)?;
                 }
-                Ok(())
             }
             UpdateMethod::Naive => {
                 // Materialize the update relation U (row id → new values),
                 // then rebuild the fact by joining it back (Section 5.3's
                 // straw man).
                 let u = set.fresh_table("u");
-                let items: Vec<String> = assignments
-                    .iter()
-                    .map(|(a, e)| format!("{e} AS jb_new_{a}"))
-                    .collect();
-                let sql = format!(
-                    "CREATE TABLE {u} AS SELECT jb_rid, {} FROM {}",
-                    items.join(", "),
-                    self.table
-                );
-                db.execute(&sql)
-                    .map_err(|e| TrainError::Engine(format!("{e} in: {sql}")))?;
-                let mut out_items: Vec<String> = Vec::new();
-                for c in &self.columns {
-                    match assignments.iter().find(|(a, _)| a.eq_ignore_ascii_case(c)) {
-                        Some((a, _)) => out_items.push(format!("jb_new_{a} AS {a}")),
-                        None => out_items.push(c.clone()),
-                    }
-                }
-                let sql = format!(
-                    "CREATE OR REPLACE TABLE {} AS SELECT {} FROM {} JOIN {u} USING (jb_rid)",
-                    self.table,
-                    out_items.join(", "),
-                    self.table
-                );
-                db.execute(&sql)
-                    .map_err(|e| TrainError::Engine(format!("{e} in: {sql}")))?;
-                db.execute(&format!("DROP TABLE {u}"))
-                    .map_err(TrainError::from)?;
-                Ok(())
+                let new = computed("jb_new_");
+                let sql = format!("CREATE TABLE {u} AS SELECT jb_rid, {new} FROM {t}");
+                run(set, &sql)?;
+                let items = rebuilt(&|a, _| format!("jb_new_{a} AS {a}"));
+                let from = format!("{t} JOIN {u} USING (jb_rid)");
+                let sql = format!("CREATE OR REPLACE TABLE {t} AS SELECT {items} FROM {from}");
+                run(set, &sql)?;
+                set.db.execute(&format!("DROP TABLE {u}"))?;
             }
         }
+        Ok(())
     }
 }
 
-// ---------------------------------------------------------------------------
-// Galaxy schemas (Section 4.2)
-// ---------------------------------------------------------------------------
+/// Execute one statement, naming it in the error.
+fn run(set: &Dataset, sql: &str) -> Result<Table> {
+    set.db
+        .execute(sql)
+        .map_err(|e| TrainError::Engine(format!("{e} in: {sql}")))
+}
 
-fn train_galaxy(
-    set: &Dataset,
-    params: &TrainParams,
-    prior: &[Tree],
-    callback: &mut impl FnMut(usize, &GbmModel) -> bool,
-) -> Result<GbmModel> {
-    if !params.objective.supports_galaxy() {
-        return Err(TrainError::Invalid(format!(
-            "objective {} requires a snowflake schema; only rmse factorizes over galaxy schemas",
-            params.objective.name()
-        )));
-    }
-    if !matches!(
-        params.update_method,
-        UpdateMethod::UpdateInPlace | UpdateMethod::CreateTable | UpdateMethod::ColumnSwap
-    ) {
-        return Err(TrainError::Invalid(
-            "galaxy training supports UpdateInPlace, CreateTable and ColumnSwap".into(),
-        ));
-    }
-    check_update_capability(set, params)?;
-    let g = &set.graph;
-    let cluster_list = clusters(g);
-    if cluster_list.is_empty() {
-        return Err(TrainError::Graph("no CPT clusters found".into()));
-    }
-    // Initial score via one factorized aggregate.
-    let mut fx0 = Factorizer::new(set, RingKind::Variance);
-    fx0.set_annotation(
-        set.target_rel(),
-        vec![Expr::int(1), Expr::col(set.target_column.clone())],
-    );
-    let (c, s) = fx0.totals(set.target_rel(), &crate::messages::NodeContext::root())?;
-    if c == 0.0 {
-        return Err(TrainError::Invalid("empty training data".into()));
-    }
-    let init = params.snap_leaf(s / c);
-    drop(fx0);
-
-    // Lift: the target relation carries (1, y − init); every cluster fact
-    // carries (1, s) with s starting at 0 (or combined if it is the target).
-    let mut fx = Factorizer::new(set, RingKind::Variance);
-    let mut lifted_of: HashMap<RelId, String> = HashMap::new();
-    let target = set.target_rel();
-    {
-        let lifted = set.fresh_table("tgt");
-        let resid = Expr::sub(Expr::col(set.target_column.clone()), Expr::float(init));
-        let sql = format!(
-            "CREATE TABLE {lifted} AS SELECT *, {resid} AS jb_s FROM {}",
-            g.name(target)
-        );
-        set.db
-            .execute(&sql)
-            .map_err(|e| TrainError::Engine(format!("{e} in: {sql}")))?;
-        fx.set_table(target, lifted.clone());
-        fx.set_annotation(target, vec![Expr::int(1), Expr::col("jb_s")]);
-        lifted_of.insert(target, lifted);
-    }
-    for cl in &cluster_list {
-        if cl.fact == target || lifted_of.contains_key(&cl.fact) {
-            continue;
-        }
-        let lifted = set.fresh_table("cf");
-        let sql = format!(
-            "CREATE TABLE {lifted} AS SELECT *, 0.0 AS jb_s FROM {}",
-            g.name(cl.fact)
-        );
-        set.db
-            .execute(&sql)
-            .map_err(|e| TrainError::Engine(format!("{e} in: {sql}")))?;
-        fx.set_table(cl.fact, lifted.clone());
-        fx.set_annotation(cl.fact, vec![Expr::int(1), Expr::col("jb_s")]);
-        lifted_of.insert(cl.fact, lifted);
-    }
-
-    let cluster_members: Vec<Vec<RelId>> = cluster_list.iter().map(|c| c.members.clone()).collect();
-    let mut model = GbmModel {
-        objective: params.objective,
-        init_score: init,
-        learning_rate: params.learning_rate,
-        trees: Vec::new(),
-        train_time: Duration::ZERO,
-        update_time: Duration::ZERO,
-        stats: TrainStats::default(),
-    };
-    // Warm start (resume): replay each stored tree's aggregate update.
-    // A CPT tree only ever splits inside one cluster, so its active
-    // cluster is recoverable from any split's relation; a stump updates
-    // the target's cluster — the same choice the original run made.
-    for tree in prior {
-        let cluster_idx = match tree.nodes.iter().find_map(|n| n.split.as_ref()) {
-            Some(split) => {
-                let rel = g.rel_id(&split.relation)?;
-                cluster_list
-                    .iter()
-                    .position(|c| c.contains(rel))
-                    .ok_or_else(|| TrainError::Graph("split relation not in any cluster".into()))?
-            }
-            None => cluster_list
-                .iter()
-                .position(|c| c.contains(target))
-                .unwrap_or(0),
-        };
-        let cfact = cluster_list[cluster_idx].fact;
-        let ctable = lifted_of
-            .get(&cfact)
-            .cloned()
-            .ok_or_else(|| TrainError::Graph("cluster fact not lifted".into()))?;
-        let case_expr = leaf_case_updates(
-            set,
-            cfact,
-            tree,
-            params.learning_rate,
-            Expr::col("jb_s"),
-            true,
-        )?;
-        let columns = set.db.column_names(&ctable)?;
-        let updater = Updater {
-            method: params.update_method,
-            table: ctable,
-            columns,
-        };
-        updater.apply(set, &[("jb_s".into(), case_expr)], tree, cfact, params)?;
-        fx.bump_epoch(cfact);
-        model.trees.push(tree.clone());
-    }
-    for iter in prior.len()..params.num_iterations {
-        let t0 = Instant::now();
-        let mut grower = TreeGrower::new(&mut fx, params, set.features());
-        grower.cpt_clusters = Some(cluster_members.clone());
-        let tree = grower.grow()?;
-        let active = grower.active_cluster;
-        model.stats.merge(&grower.stats);
-        model.train_time += t0.elapsed();
-
-        let t1 = Instant::now();
-        // Choose the cluster to update: the tree's active cluster, or the
-        // target's cluster for a stump with no split.
-        let cluster_idx = active.unwrap_or_else(|| {
-            cluster_list
-                .iter()
-                .position(|c| c.contains(target))
-                .unwrap_or(0)
-        });
-        let cfact = cluster_list[cluster_idx].fact;
-        let ctable = lifted_of
-            .get(&cfact)
-            .cloned()
-            .ok_or_else(|| TrainError::Graph("cluster fact not lifted".into()))?;
-        // `(c,s) ⊗ lift(−lr·p) = (c, s − lr·p·c)`; base rows have c = 1.
-        let case_expr = leaf_case_updates(
-            set,
-            cfact,
-            &tree,
-            params.learning_rate,
-            Expr::col("jb_s"),
-            true,
-        )?;
-        let columns = set.db.column_names(&ctable)?;
-        let updater = Updater {
-            method: params.update_method,
-            table: ctable,
-            columns,
-        };
-        updater.apply(set, &[("jb_s".into(), case_expr)], &tree, cfact, params)?;
-        fx.bump_epoch(cfact);
-        model.update_time += t1.elapsed();
-
-        model.trees.push(tree);
-        if !callback(iter, &model) {
-            break;
-        }
-    }
-    Ok(model)
+/// Run one `SELECT`, naming it in the error.
+fn select(set: &Dataset, sql: &str) -> Result<Table> {
+    set.db
+        .query(sql)
+        .map_err(|e| TrainError::Engine(format!("{e} in: {sql}")))
 }

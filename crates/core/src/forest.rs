@@ -14,7 +14,6 @@ use rand::SeedableRng;
 
 use joinboost_graph::{JoinGraph, RelId};
 use joinboost_semiring::Objective;
-use joinboost_sql::ast::Expr;
 
 use crate::dataset::Dataset;
 use crate::error::{Result, TrainError};
@@ -22,7 +21,6 @@ use crate::messages::Factorizer;
 use crate::params::TrainParams;
 use crate::predict;
 use crate::sampling::ancestral_sample;
-use crate::sqlgen::RingKind;
 use crate::trainer::{TrainStats, TreeGrower};
 use crate::tree::Tree;
 
@@ -181,12 +179,8 @@ pub fn train_random_forest(set: &Dataset, params: &TrainParams) -> Result<RfMode
     ) -> Result<(Tree, TrainStats)> {
         match plan {
             TreePlan::Snowflake { fact, table } => {
-                let mut fx = Factorizer::new(set, RingKind::Variance);
+                let mut fx = Factorizer::over_target(set);
                 fx.set_table(*fact, table.clone());
-                fx.set_annotation(
-                    set.target_rel(),
-                    vec![Expr::int(1), Expr::col(set.target_column.clone())],
-                );
                 let mut grower = TreeGrower::new(&mut fx, params, feats.to_vec());
                 let tree = grower.grow()?;
                 Ok((tree, grower.stats.clone()))
@@ -198,11 +192,7 @@ pub fn train_random_forest(set: &Dataset, params: &TrainParams) -> Result<RfMode
                 let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
                 g1.add_relation(table, &name_refs)?;
                 let sub = Dataset::new(set.db, g1, table, &set.target_column)?;
-                let mut fx = Factorizer::new(&sub, RingKind::Variance);
-                fx.set_annotation(
-                    sub.target_rel(),
-                    vec![Expr::int(1), Expr::col(sub.target_column.clone())],
-                );
+                let mut fx = Factorizer::over_target(&sub);
                 let feats1: Vec<(String, RelId)> =
                     names.iter().map(|f| (f.clone(), 0usize)).collect();
                 let mut grower = TreeGrower::new(&mut fx, params, feats1);
@@ -216,11 +206,7 @@ pub fn train_random_forest(set: &Dataset, params: &TrainParams) -> Result<RfMode
 
 /// `|R⋈|` via one factorized COUNT.
 fn estimate_join_size(set: &Dataset) -> Result<usize> {
-    let mut fx = Factorizer::new(set, RingKind::Variance);
-    fx.set_annotation(
-        set.target_rel(),
-        vec![Expr::int(1), Expr::col(set.target_column.clone())],
-    );
-    let (c, _) = fx.totals(set.target_rel(), &crate::messages::NodeContext::root())?;
+    let (c, _) = Factorizer::over_target(set)
+        .totals(set.target_rel(), &crate::messages::NodeContext::root())?;
     Ok(c as usize)
 }

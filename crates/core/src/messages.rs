@@ -241,6 +241,17 @@ impl<'a, 'b> Factorizer<'a, 'b> {
         }
     }
 
+    /// A variance-ring factorizer with the target relation annotated
+    /// `(1, y)`: the lift every rmse aggregate over `R⋈` starts from.
+    pub(crate) fn over_target(set: &'b Dataset<'a>) -> Self {
+        let mut fx = Factorizer::new(set, RingKind::Variance);
+        fx.set_annotation(
+            set.target_rel(),
+            vec![Expr::int(1), Expr::col(set.target_column.clone())],
+        );
+        fx
+    }
+
     /// Set a relation's annotation expressions `[comp0, comp1]` (defaults
     /// to the identity `(1, 0)`).
     pub fn set_annotation(&mut self, rel: RelId, ann: Vec<Expr>) {

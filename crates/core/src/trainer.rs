@@ -490,15 +490,7 @@ pub fn train_decision_tree_opts(
             "decision trees use the rmse objective; use train_gbm for other losses".into(),
         ));
     }
-    let mut fx = Factorizer::new(set, RingKind::Variance);
-    let target = set.target_rel();
-    fx.set_annotation(
-        target,
-        vec![
-            joinboost_sql::ast::Expr::int(1),
-            joinboost_sql::ast::Expr::col(set.target_column.clone()),
-        ],
-    );
+    let mut fx = Factorizer::over_target(set);
     let features = set.features();
     let mut grower = TreeGrower::new(&mut fx, params, features);
     grower.share_messages_across_nodes = share_messages;

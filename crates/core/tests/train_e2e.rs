@@ -465,3 +465,333 @@ fn cuboid_training_approximates_binned_training() {
     // (5 features × 5 bins bounds it at 5^5 cells, but in practice far
     // fewer are populated than fact rows here.)
 }
+
+// ---------------------------------------------------------------------------
+// Resume and statement-stream pins: one boosting loop trains every schema,
+// and replaying a stored forest runs the update call that trained it.
+// ---------------------------------------------------------------------------
+
+/// One training configuration of the resume and statement-stream pins.
+struct Fixture {
+    name: &'static str,
+    config: EngineConfig,
+    galaxy: bool,
+    params: TrainParams,
+}
+
+fn fixtures() -> Vec<Fixture> {
+    let star = |name, objective, update_method, config| {
+        let mut params = TrainParams::default();
+        params.num_iterations = 6;
+        params.learning_rate = 0.5;
+        params.objective = objective;
+        params.update_method = update_method;
+        Fixture {
+            name,
+            config,
+            galaxy: false,
+            params,
+        }
+    };
+    // Fair's Hessian c²/(|e| + c)² is far below 1 per row here, so the
+    // leaf-size floor (a Hessian sum) must drop for its trees to split,
+    // and λ keeps the leaf weights −G/(H + λ) finite.
+    let mut fair = star(
+        "star-fair",
+        Objective::Fair { c: 1.0 },
+        UpdateMethod::CreateTable,
+        EngineConfig::duckdb_mem(),
+    );
+    fair.params.min_data_in_leaf = 1e-3;
+    fair.params.reg_lambda = 1.0;
+    let mut galaxy = TrainParams::default();
+    galaxy.num_iterations = 6;
+    galaxy.learning_rate = 0.3;
+    galaxy.num_leaves = 4;
+    vec![
+        star(
+            "star-rmse-create",
+            Objective::SquaredError,
+            UpdateMethod::CreateTable,
+            EngineConfig::duckdb_mem(),
+        ),
+        star(
+            "star-rmse-swap",
+            Objective::SquaredError,
+            UpdateMethod::ColumnSwap,
+            EngineConfig::d_swap(),
+        ),
+        star(
+            "star-l1",
+            Objective::AbsoluteError,
+            UpdateMethod::CreateTable,
+            EngineConfig::duckdb_mem(),
+        ),
+        fair,
+        Fixture {
+            name: "galaxy-rmse",
+            config: EngineConfig::duckdb_mem(),
+            galaxy: true,
+            params: galaxy,
+        },
+    ]
+}
+
+impl Fixture {
+    /// Load the fixture's data into `db`; returns the graph, target
+    /// relation and target column to build a dataset from.
+    fn load(&self, db: &Database) -> (joinboost_graph::JoinGraph, &'static str, &'static str) {
+        if self.galaxy {
+            let gen = imdb_galaxy(&ImdbConfig {
+                persons: 40,
+                movies: 30,
+                cast_rows: 800,
+                person_info_rows: 120,
+                movie_info_rows: 90,
+                seed: 42,
+            });
+            gen.load_into(db).unwrap();
+            (gen.graph, "cast_info", "rating")
+        } else {
+            let gen = favorita(&FavoritaConfig {
+                fact_rows: 1200,
+                dim_rows: 12,
+                noise: 1.0,
+                ..Default::default()
+            });
+            gen.load_into(db).unwrap();
+            (gen.graph, "sales", "net_profit")
+        }
+    }
+}
+
+/// A forest's exact bit pattern: every node's split, value and weight.
+fn forest_bits(trees: &[joinboost::Tree]) -> Vec<String> {
+    use joinboost::SplitCondition;
+    let mut out = Vec::new();
+    for (t, tree) in trees.iter().enumerate() {
+        for n in &tree.nodes {
+            let split = n.split.as_ref().map(|s| {
+                let cond = match &s.cond {
+                    SplitCondition::LtEq(v) => format!("<={:x}", v.to_bits()),
+                    SplitCondition::EqNum(v) => format!("=={:x}", v.to_bits()),
+                    SplitCondition::EqStr(v) => format!("=='{v}'"),
+                };
+                format!("{}.{}{cond}/{}", s.relation, s.feature, s.default_left)
+            });
+            out.push(format!(
+                "{t}: {split:?} v={:x} w={:x} l={} r={} d={}",
+                n.value.to_bits(),
+                n.weight.to_bits(),
+                n.left,
+                n.right,
+                n.depth
+            ));
+        }
+    }
+    out
+}
+
+#[test]
+fn resumed_training_is_bit_identical_from_any_prefix() {
+    for fx in fixtures() {
+        let reference = {
+            let db = Database::new(fx.config.clone());
+            let (graph, rel, col) = fx.load(&db);
+            let set = Dataset::new(&db, graph, rel, col).unwrap();
+            train_gbm(&set, &fx.params).unwrap()
+        };
+        assert_eq!(reference.trees.len(), fx.params.num_iterations);
+        assert!(
+            reference.trees.iter().all(|t| t.num_leaves() > 1),
+            "{}: every tree must split, or replay updates nothing",
+            fx.name
+        );
+        for k in [0usize, 1, 3, 5] {
+            let db = Database::new(fx.config.clone());
+            let (graph, rel, col) = fx.load(&db);
+            let set = Dataset::new(&db, graph, rel, col).unwrap();
+            let mut fired = Vec::new();
+            let resumed =
+                joinboost::train_gbm_resume(&set, &fx.params, &reference.trees[..k], |iter, m| {
+                    fired.push((iter, m.trees.len()));
+                    true
+                })
+                .unwrap();
+            assert_eq!(
+                resumed.init_score.to_bits(),
+                reference.init_score.to_bits(),
+                "{}: init score after resuming from {k} trees",
+                fx.name
+            );
+            assert_eq!(
+                forest_bits(&resumed.trees),
+                forest_bits(&reference.trees),
+                "{}: forest after resuming from {k} trees",
+                fx.name
+            );
+            let want: Vec<(usize, usize)> =
+                (k..fx.params.num_iterations).map(|i| (i, i + 1)).collect();
+            assert_eq!(
+                fired, want,
+                "{}: the callback fires for new trees only",
+                fx.name
+            );
+        }
+    }
+}
+
+/// A backend that records every statement the trainer sends, text and
+/// AST alike (ASTs printed), then forwards it to an in-memory engine.
+struct Recorder {
+    inner: joinboost::EngineBackend,
+    log: std::sync::Mutex<Vec<String>>,
+}
+
+impl Recorder {
+    fn record(&self, sql: String) {
+        self.log.lock().unwrap().push(sql);
+    }
+}
+
+impl joinboost::SqlBackend for Recorder {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn capabilities(&self) -> joinboost::BackendCapabilities {
+        self.inner.capabilities()
+    }
+    fn execute(&self, sql: &str) -> joinboost::BackendResult {
+        self.record(sql.to_string());
+        self.inner.execute(sql)
+    }
+    fn execute_ast(&self, stmt: &joinboost_sql::ast::Statement) -> joinboost::BackendResult {
+        self.record(stmt.to_string());
+        self.inner.execute_ast(stmt)
+    }
+    fn create_table(
+        &self,
+        name: &str,
+        table: joinboost_engine::Table,
+    ) -> joinboost::BackendResult<()> {
+        self.inner.create_table(name, table)
+    }
+    fn snapshot(&self, name: &str) -> joinboost::BackendResult {
+        self.inner.snapshot(name)
+    }
+    fn column_names(&self, table: &str) -> joinboost::BackendResult<Vec<String>> {
+        self.inner.column_names(table)
+    }
+    fn column_dtype(
+        &self,
+        table: &str,
+        column: &str,
+    ) -> joinboost::BackendResult<joinboost_engine::DataType> {
+        self.inner.column_dtype(table, column)
+    }
+    fn has_table(&self, name: &str) -> bool {
+        self.inner.has_table(name)
+    }
+    fn row_count(&self, name: &str) -> joinboost::BackendResult<usize> {
+        self.inner.row_count(name)
+    }
+}
+
+/// Replace each `jb_<n>_` dataset prefix with `jb_#_`: the dataset counter
+/// is process-wide, so its values depend on which tests ran first.
+fn normalize_dataset_prefix(sql: &str) -> String {
+    let b = sql.as_bytes();
+    let mut out = String::with_capacity(sql.len());
+    let mut i = 0;
+    while i < b.len() {
+        if b[i..].starts_with(b"jb_") {
+            let digits = b[i + 3..].iter().take_while(|c| c.is_ascii_digit()).count();
+            if digits > 0 && b.get(i + 3 + digits) == Some(&b'_') {
+                out.push_str("jb_#_");
+                i += 3 + digits + 1;
+                continue;
+            }
+        }
+        let ch = sql[i..].chars().next().expect("in bounds");
+        out.push(ch);
+        i += ch.len_utf8();
+    }
+    out
+}
+
+/// FNV-1a over the normalized statements, one per line.
+fn stream_digest(stmts: &[String]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for s in stmts {
+        for &byte in normalize_dataset_prefix(s).as_bytes().iter().chain(b"\n") {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn trainer_statement_stream_is_pinned() {
+    let mut runs = fixtures();
+    let mut cuboid = TrainParams::default();
+    cuboid.num_iterations = 6;
+    cuboid.max_bins = 5;
+    cuboid.use_cuboid = true;
+    runs.push(Fixture {
+        name: "star-cuboid",
+        config: EngineConfig::duckdb_mem(),
+        galaxy: false,
+        params: cuboid,
+    });
+    // (fixture, statements, digest) computed at the commit before the
+    // boosting loop was merged (with leaf-predicate conjuncts ordered by
+    // relation id, which that commit left to `HashMap` iteration order);
+    // a deliberate change to the trainer's SQL updates these.
+    let pinned: [(&str, usize, u64); 6] = [
+        ("star-rmse-create", 1297, 0xcfcd_b080_8dda_340c),
+        ("star-rmse-swap", 1315, 0x0a10_aa86_8ea7_53cf),
+        ("star-l1", 1377, 0xd35f_e440_7302_4c45),
+        ("star-fair", 909, 0xad84_acbf_465a_99e8),
+        ("galaxy-rmse", 349, 0xdfab_1308_85f4_0331),
+        ("star-cuboid", 471, 0x3dad_1601_1670_e6ee),
+    ];
+    let mut got = Vec::new();
+    for fx in &runs {
+        let backend = Recorder {
+            inner: joinboost::EngineBackend::new(fx.config.clone()),
+            log: Default::default(),
+        };
+        let (graph, rel, col) = fx.load(backend.inner.database());
+        {
+            let set = Dataset::new(&backend, graph, rel, col).unwrap();
+            train_gbm(&set, &fx.params).unwrap();
+        }
+        let log = backend.log.lock().unwrap();
+        got.push((fx.name, log.len(), stream_digest(&log)));
+    }
+    assert_eq!(got, pinned, "the trainer's statement stream changed");
+}
+
+#[test]
+fn cuboid_rejects_update_methods_other_than_create_table() {
+    let (db, gen) = favorita_db(300, 5);
+    let set = Dataset::new(&db, gen.graph.clone(), "sales", "net_profit").unwrap();
+    for method in [
+        UpdateMethod::Naive,
+        UpdateMethod::UpdateInPlace,
+        UpdateMethod::ColumnSwap,
+        UpdateMethod::Interop,
+    ] {
+        let mut params = TrainParams::default();
+        params.num_iterations = 2;
+        params.max_bins = 5;
+        params.use_cuboid = true;
+        params.update_method = method;
+        let err = train_gbm(&set, &params).unwrap_err();
+        assert!(
+            matches!(err, joinboost::TrainError::Invalid(_)),
+            "{method:?}: {err:?}"
+        );
+    }
+}

@@ -33,7 +33,7 @@ use std::path::{Path, PathBuf};
 
 use crate::error::Result;
 use crate::storage::codec::{self, ByteReader};
-use crate::table::{ColumnMeta, Table};
+use crate::table::Table;
 
 /// File name of the current checkpoint inside a paged database directory.
 pub const CHECKPOINT_FILE: &str = "checkpoint.jbc";
@@ -86,12 +86,7 @@ impl CheckpointWriter {
     /// Append one table (name + schema + full column images).
     pub fn add_table(&mut self, name: &str, table: &Table) -> Result<()> {
         let mut buf = Vec::with_capacity(table.byte_size() + 64);
-        codec::put_string(&mut buf, name);
-        buf.extend_from_slice(&(table.columns.len() as u32).to_le_bytes());
-        for (m, c) in table.meta.iter().zip(&table.columns) {
-            codec::put_string(&mut buf, &m.name);
-            codec::encode_column(&mut buf, c);
-        }
+        codec::encode_named_table(&mut buf, name, table);
         self.out.write_all(&buf)?;
         self.bytes += buf.len() as u64;
         self.written += 1;
@@ -144,15 +139,7 @@ pub fn load(dir: &Path) -> Result<Option<Vec<(String, Table)>>> {
     let n = r.u32()? as usize;
     let mut tables = Vec::with_capacity(n);
     for _ in 0..n {
-        let name = r.string()?;
-        let ncols = r.u32()? as usize;
-        let mut t = Table::new();
-        for _ in 0..ncols {
-            let col_name = r.string()?;
-            let col = codec::decode_column(&mut r)?;
-            t.push_column(ColumnMeta::new(col_name), col);
-        }
-        tables.push((name, t));
+        tables.push(codec::decode_named_table(&mut r)?);
     }
     r.done()?;
     Ok(Some(tables))
@@ -201,6 +188,29 @@ mod tests {
             assert_eq!(n0, n1);
             assert_eq!(t0, t1, "bit-exact through the checkpoint");
         }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn wal_create_record_and_checkpoint_entry_are_the_same_bytes() {
+        let dir = tmp_dir("same_framing");
+        let table = Table::from_columns(vec![
+            ("k", Column::int(vec![7, 8])),
+            ("s", Column::str(vec!["x".into(), "yz".into()])),
+            ("v", Column::float(vec![-0.0, 1.5])),
+        ]);
+        let wal_path = dir.join("wal.log");
+        let mut wal = crate::wal::Wal::open(&wal_path).unwrap();
+        wal.log_create_table("t", &table).unwrap();
+        wal.flush().unwrap();
+        let mut w = CheckpointWriter::create(&dir, 1).unwrap();
+        w.add_table("t", &table).unwrap();
+        w.finish().unwrap();
+        // A WAL record is a kind byte and a u64 length ahead of its
+        // payload; a checkpoint is a 12-byte header ahead of its entries.
+        let wal_bytes = fs::read(&wal_path).unwrap();
+        let ckpt_bytes = fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
+        assert_eq!(&wal_bytes[9..], &ckpt_bytes[12..]);
         fs::remove_dir_all(&dir).unwrap();
     }
 

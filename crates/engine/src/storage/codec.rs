@@ -11,6 +11,7 @@
 
 use crate::column::{Column, ColumnData};
 use crate::error::{EngineError, Result};
+use crate::table::{ColumnMeta, Table};
 
 /// Data-type tag for integer columns (same value as the wire protocol).
 const TAG_INT: u8 = 0;
@@ -109,6 +110,31 @@ impl<'a> ByteReader<'a> {
 pub fn put_string(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&(s.len() as u32).to_le_bytes());
     out.extend_from_slice(s.as_bytes());
+}
+
+/// Serialize a named table: its name, a `u32` column count, then each
+/// column's name and [`encode_column`] image — the framing a WAL
+/// `CreateTable` record and a checkpoint entry share byte for byte.
+pub fn encode_named_table(out: &mut Vec<u8>, name: &str, table: &Table) {
+    put_string(out, name);
+    out.extend_from_slice(&(table.columns.len() as u32).to_le_bytes());
+    for (m, c) in table.meta.iter().zip(&table.columns) {
+        put_string(out, &m.name);
+        encode_column(out, c);
+    }
+}
+
+/// Decode one table written by [`encode_named_table`].
+pub fn decode_named_table(r: &mut ByteReader<'_>) -> Result<(String, Table)> {
+    let name = r.string()?;
+    let ncols = r.u32()? as usize;
+    let mut table = Table::new();
+    for _ in 0..ncols {
+        let col_name = r.string()?;
+        let col = decode_column(r)?;
+        table.push_column(ColumnMeta::new(col_name), col);
+    }
+    Ok((name, table))
 }
 
 /// Serialize one column: data tag, row/element counts, values (floats by

@@ -172,12 +172,7 @@ impl Wal {
     /// can rebuild the table without any other source of schema).
     pub fn log_create_table(&mut self, name: &str, table: &Table) -> Result<()> {
         let mut buf = Vec::with_capacity(table.byte_size() + 64);
-        codec::put_string(&mut buf, name);
-        buf.extend_from_slice(&(table.columns.len() as u32).to_le_bytes());
-        for (m, c) in table.meta.iter().zip(&table.columns) {
-            codec::put_string(&mut buf, &m.name);
-            codec::encode_column(&mut buf, c);
-        }
+        codec::encode_named_table(&mut buf, name, table);
         self.write_record(RecordKind::CreateTable, &buf)
     }
 
@@ -283,14 +278,7 @@ fn decode_record(kind: u8, payload: &[u8]) -> Result<WalRecord> {
             after: codec::decode_column(&mut r)?,
         },
         k if k == RecordKind::CreateTable as u8 => {
-            let name = r.string()?;
-            let ncols = r.u32()? as usize;
-            let mut table = Table::new();
-            for _ in 0..ncols {
-                let col_name = r.string()?;
-                let col = codec::decode_column(&mut r)?;
-                table.push_column(crate::table::ColumnMeta::new(col_name), col);
-            }
+            let (name, table) = codec::decode_named_table(&mut r)?;
             WalRecord::CreateTable { name, table }
         }
         k if k == RecordKind::DropTable as u8 => WalRecord::DropTable { name: r.string()? },
