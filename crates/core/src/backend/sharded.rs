@@ -39,9 +39,15 @@
 //!    innermost subquery is resolved recursively (usually by shape 1),
 //!    materialized on the coordinator, and the outer layers run there.
 //!
-//! Queries joining *two* sharded relations are rejected: each shard would
-//! only see same-shard pairs. JoinBoost never emits such a query — every
-//! join closure contains at most one fact-derived table.
+//! `SELECT`s joining *two* sharded relations are rejected: each shard would
+//! only see same-shard pairs. JoinBoost's queries contain at most one
+//! fact-derived table, with one exception: sibling subtraction
+//! ([`crate::messages`]) materializes `parent ⊖ sibling` as a key-aligned
+//! `LEFT JOIN` of two message partials over the same fact partition. That
+//! `CREATE TABLE AS` broadcasts and runs shard-locally, and it is exact
+//! there: the two partials on one shard aggregate the same fact rows, so
+//! each shard's difference is the larger child's partial on that shard —
+//! including which keys it keeps (`jb_c > 0`).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -2003,6 +2009,67 @@ mod tests {
             .query("SELECT SUM(fact.y) AS s FROM fact JOIN m1 USING (k)")
             .unwrap_err();
         assert!(err.to_string().contains("two sharded relations"), "{err}");
+    }
+
+    #[test]
+    fn sibling_subtraction_runs_shard_locally_like_one_engine() {
+        // Messages group by `j`, which is not the shard key, so every key's
+        // rows spread over several shards. Keys 0..=2 go to the sibling only.
+        let fact = Table::from_columns(vec![
+            ("k", Column::int((0..100).collect())),
+            ("j", Column::int((0..100).map(|i| i % 10).collect())),
+            (
+                "y",
+                Column::float((0..100).map(|i| i as f64 * 0.375).collect()),
+            ),
+        ]);
+        let sibling = "j < 3 OR y < 7.5";
+        let stmts = [
+            "CREATE TABLE p AS SELECT j, COUNT(*) AS jb_c, SUM(y) AS jb_s FROM fact GROUP BY j"
+                .to_string(),
+            format!(
+                "CREATE TABLE s AS SELECT j, COUNT(*) AS jb_c, SUM(y) AS jb_s FROM fact \
+                 WHERE {sibling} GROUP BY j"
+            ),
+            "CREATE TABLE m AS SELECT j, p.jb_c - COALESCE(s.jb_c, 0) AS jb_c, \
+             p.jb_s - COALESCE(s.jb_s, 0.0) AS jb_s FROM p LEFT JOIN s USING (j) \
+             WHERE p.jb_c - COALESCE(s.jb_c, 0) > 0"
+                .to_string(),
+            format!(
+                "CREATE TABLE scan AS SELECT j, COUNT(*) AS jb_c, SUM(y) AS jb_s FROM fact \
+                 WHERE NOT ({sibling}) GROUP BY j"
+            ),
+        ];
+        let merged = |t: &str| {
+            format!(
+                "SELECT * FROM (SELECT j, SUM(jb_c) AS c, SUM(jb_s) AS s FROM {t} \
+                 GROUP BY j) AS a ORDER BY j"
+            )
+        };
+        let engine = Database::in_memory();
+        engine.create_table("fact", fact.clone()).unwrap();
+        let b = ShardedBackend::new(4, EngineConfig::duckdb_mem(), "fact", "k");
+        b.create_table("fact", fact).unwrap();
+        for stmt in &stmts {
+            engine.execute(stmt).unwrap();
+            b.execute(stmt).unwrap();
+        }
+        assert!(b.is_sharded("m"));
+        let expected = engine.query(&merged("m")).unwrap();
+        assert_eq!(b.query(&merged("m")).unwrap(), expected);
+        assert_eq!(engine.query(&merged("scan")).unwrap(), expected);
+        let keys = expected.column(None, "j").unwrap();
+        let keys: Vec<_> = (0..expected.num_rows()).map(|i| keys.get(i)).collect();
+        assert_eq!(keys, (3..10).map(Datum::Int).collect::<Vec<_>>());
+        // Each shard's partial equals its own scan, key set included.
+        for i in 0..4 {
+            let shard = b.shard(i);
+            assert_eq!(
+                shard.query("SELECT * FROM m ORDER BY j").unwrap(),
+                shard.query("SELECT * FROM scan ORDER BY j").unwrap(),
+                "shard {i}"
+            );
+        }
     }
 
     #[test]

@@ -10,14 +10,19 @@
 //!   change annotations — its message is dropped entirely;
 //! * **semi-join messages** (Appendix D.2): once such a relation gains a
 //!   predicate, its message is just the set of surviving join keys, and
-//!   the join becomes a semi-join filter.
+//!   the join becomes a semi-join filter;
+//! * **sibling subtraction** (LightGBM's histogram subtraction, stated on
+//!   message tables): a split partitions its node's rows, so in the
+//!   variance ring the larger child's message is the parent's minus the
+//!   smaller sibling's — one key-aligned join of two small tables instead
+//!   of a fact scan (see [`Factorizer::derive_from`]).
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use joinboost_graph::cache::{signature, MessageCache, MessageKey};
 use joinboost_graph::{Multiplicity, RelId};
-use joinboost_sql::ast::{Expr, Join, JoinKind, Query, SelectItem, TableRef};
+use joinboost_sql::ast::{BinaryOp, Expr, Join, JoinKind, Query, SelectItem, TableRef};
 
 use crate::dataset::Dataset;
 use crate::error::{Result, TrainError};
@@ -192,6 +197,20 @@ pub enum MsgHandle {
     },
 }
 
+/// The larger child of a just-installed split, evaluated after its
+/// smaller sibling: while set, every message whose subtree contains
+/// `split_rel` and whose parent and sibling versions are cached as full
+/// messages is derived as `parent ⊖ sibling`.
+#[derive(Debug, Clone)]
+pub struct SiblingOf {
+    /// Relation owning the split feature.
+    pub split_rel: RelId,
+    /// The split node's context.
+    pub parent: NodeContext,
+    /// The smaller child's context (already evaluated).
+    pub sibling: NodeContext,
+}
+
 /// Execution statistics (drives Figure 9).
 #[derive(Debug, Clone, Default)]
 pub struct FactorizerStats {
@@ -223,6 +242,8 @@ pub struct Factorizer<'a, 'b> {
     /// updates), invalidating cached messages that aggregated it.
     epochs: HashMap<RelId, u64>,
     cache: MessageCache<MsgHandle>,
+    /// Set while the larger child of a split is evaluated.
+    derive_from: Option<SiblingOf>,
     /// Message-passing counters (drives Figure 9).
     pub stats: FactorizerStats,
 }
@@ -237,6 +258,7 @@ impl<'a, 'b> Factorizer<'a, 'b> {
             tables: HashMap::new(),
             epochs: HashMap::new(),
             cache: MessageCache::new(),
+            derive_from: None,
             stats: FactorizerStats::default(),
         }
     }
@@ -290,6 +312,19 @@ impl<'a, 'b> Factorizer<'a, 'b> {
         self.annotation_of(rel) == identity_annotation()
     }
 
+    /// Derive messages of the node evaluated next from its parent and its
+    /// already-evaluated sibling (`None` to stop).
+    ///
+    /// Exact because a split sends each of its node's rows to exactly one
+    /// child — the same partition the trainer relies on when it takes the
+    /// right child's totals as `parent − left`. Only the variance ring
+    /// derives: its `c` is a row count, so `c > 0` decides exactly which
+    /// keys the derived message keeps; a gradient-ring `c` is a Hessian
+    /// sum that can be 0 while rows exist.
+    pub fn derive_from(&mut self, sibling_of: Option<SiblingOf>) {
+        self.derive_from = sibling_of;
+    }
+
     /// Relations in the subtree of `from` when the edge to `to` is removed.
     fn subtree(&self, from: RelId, to: RelId) -> Vec<RelId> {
         let g = &self.set.graph;
@@ -319,6 +354,10 @@ impl<'a, 'b> Factorizer<'a, 'b> {
         if let Some(m) = self.cache.get(&key) {
             self.stats.cache_hits += 1;
             return Ok(m.clone());
+        }
+        if let Some(handle) = self.subtract_sibling(from, to, &subtree)? {
+            self.cache.insert(key, handle.clone());
+            return Ok(handle);
         }
         // Recursively obtain child messages.
         let g = &self.set.graph;
@@ -370,6 +409,75 @@ impl<'a, 'b> Factorizer<'a, 'b> {
         };
         self.cache.insert(key, handle.clone());
         Ok(handle)
+    }
+
+    /// `parent ⊖ sibling` for the message `from → to`, when
+    /// [`Factorizer::derive_from`] is set, the ring is variance, the
+    /// subtree contains the split relation and both inputs are cached full
+    /// messages:
+    ///
+    /// ```sql
+    /// SELECT keys, p.jb_c − COALESCE(s.jb_c, 0) AS jb_c, p.jb_s − COALESCE(s.jb_s, 0) AS jb_s
+    /// FROM p LEFT JOIN s USING (keys) WHERE p.jb_c − COALESCE(s.jb_c, 0) > 0
+    /// ```
+    fn subtract_sibling(
+        &mut self,
+        from: RelId,
+        to: RelId,
+        subtree: &[RelId],
+    ) -> Result<Option<MsgHandle>> {
+        let Some(d) = &self.derive_from else {
+            return Ok(None);
+        };
+        if self.ring != RingKind::Variance || !subtree.contains(&d.split_rel) {
+            return Ok(None);
+        }
+        let full = |ctx: &NodeContext| {
+            let key = MessageKey {
+                from,
+                to,
+                signature: ctx.signature_of(subtree, &self.epochs),
+            };
+            match self.cache.peek(&key) {
+                Some(MsgHandle::Full { table, keys }) => Some((table.clone(), keys.clone())),
+                _ => None,
+            }
+        };
+        let (Some((parent, keys)), Some((sibling, _))) = (full(&d.parent), full(&d.sibling)) else {
+            return Ok(None);
+        };
+        let minus = |col: &str, zero: Expr| {
+            Expr::sub(
+                Expr::qcol(parent.clone(), col),
+                Expr::func("COALESCE", vec![Expr::qcol(sibling.clone(), col), zero]),
+            )
+        };
+        let [n0, n1] = self.ring.components();
+        let (c, s) = (format!("jb_{n0}"), format!("jb_{n1}"));
+        let mut items: Vec<SelectItem> = keys
+            .iter()
+            .map(|k| SelectItem::new(Expr::col(k.clone())))
+            .collect();
+        items.push(SelectItem::aliased(minus(&c, Expr::int(0)), c.clone()));
+        items.push(SelectItem::aliased(minus(&s, Expr::float(0.0)), s));
+        let q = Query {
+            items,
+            from: Some(TableRef::named(parent.clone())),
+            joins: vec![Join {
+                kind: JoinKind::Left,
+                table: TableRef::named(sibling.clone()),
+                using: keys.clone(),
+                on: None,
+            }],
+            where_clause: Some(Expr::binary(
+                BinaryOp::Gt,
+                minus(&c, Expr::int(0)),
+                Expr::int(0),
+            )),
+            ..Default::default()
+        };
+        let table = self.run_create(q, "msg")?;
+        Ok(Some(MsgHandle::Full { table, keys }))
     }
 
     fn base_from(&self, rel: RelId) -> TableRef {
@@ -602,7 +710,7 @@ impl<'a, 'b> Factorizer<'a, 'b> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use joinboost_engine::{Column, Database, Table};
+    use joinboost_engine::{Column, Database, Datum, Table};
     use joinboost_graph::JoinGraph;
 
     /// Paper Figure 1 data: R(A,B) target B; S(A,C); T(A,D).
@@ -687,12 +795,22 @@ mod tests {
 
     /// Star schema: fact(sales) N-1 to two dims.
     fn star(db: &Database) -> JoinGraph {
+        star_with(
+            db,
+            vec![1, 1, 2, 2],
+            vec![1, 2, 1, 2],
+            vec![1.0, 2.0, 3.0, 4.0],
+        )
+    }
+
+    /// [`star`] over the given fact rows (`d2` has keys 1..=3).
+    fn star_with(db: &Database, k1: Vec<i64>, k2: Vec<i64>, y: Vec<f64>) -> JoinGraph {
         db.create_table(
             "fact",
             Table::from_columns(vec![
-                ("k1", Column::int(vec![1, 1, 2, 2])),
-                ("k2", Column::int(vec![1, 2, 1, 2])),
-                ("y", Column::float(vec![1.0, 2.0, 3.0, 4.0])),
+                ("k1", Column::int(k1)),
+                ("k2", Column::int(k2)),
+                ("y", Column::float(y)),
             ]),
         )
         .unwrap();
@@ -707,8 +825,8 @@ mod tests {
         db.create_table(
             "d2",
             Table::from_columns(vec![
-                ("k2", Column::int(vec![1, 2])),
-                ("f2", Column::int(vec![7, 8])),
+                ("k2", Column::int(vec![1, 2, 3])),
+                ("f2", Column::int(vec![7, 8, 9])),
             ]),
         )
         .unwrap();
@@ -832,5 +950,63 @@ mod tests {
         f.bump_epoch(fact);
         let _ = f.absorb(d1, Some(&GroupSpec::plain("f1")), &ctx).unwrap();
         assert!(f.stats.message_queries > before, "epoch forces recompute");
+    }
+
+    #[test]
+    fn derived_message_equals_the_scanned_one() {
+        // Targets on the 1/8 grid: every sum is exact, so `parent ⊖ left`
+        // must equal a fresh scan of the right child bit for bit.
+        let db = Database::in_memory();
+        let g = star_with(
+            &db,
+            vec![1, 1, 2, 2, 2, 2, 1],
+            vec![1, 2, 1, 2, 1, 2, 3],
+            vec![0.125, 2.5, 3.75, -1.25, 0.5, 4.0, 1.875],
+        );
+        let set = Dataset::new(&db, g, "fact", "y").unwrap();
+        let (fact, d1, d2) = (
+            set.target_rel(),
+            set.graph.rel_id("d1").unwrap(),
+            set.graph.rel_id("d2").unwrap(),
+        );
+        let split = Split {
+            feature: "f1".into(),
+            relation: "d1".into(),
+            cond: SplitCondition::LtEq(10.0),
+            default_left: false,
+        };
+        let root = NodeContext::root();
+        // The smaller (left, k1 = 1) child holds every k2 = 3 row.
+        let left = root.with_pred(d1, Pred::from_split(&split, false));
+        let right = root.with_pred(d1, Pred::from_split(&split, true));
+        let table = |h: MsgHandle| match h {
+            MsgHandle::Full { table, .. } => db
+                .query(&format!("SELECT * FROM {table} ORDER BY k2"))
+                .unwrap(),
+            other => panic!("expected a full message, got {other:?}"),
+        };
+
+        let mut f = Factorizer::over_target(&set);
+        f.message(fact, d2, &root).unwrap();
+        f.message(fact, d2, &left).unwrap();
+        let before = f.stats.message_queries;
+        f.derive_from(Some(SiblingOf {
+            split_rel: d1,
+            parent: root,
+            sibling: left,
+        }));
+        let derived = table(f.message(fact, d2, &right).unwrap());
+        assert_eq!(
+            f.stats.message_queries - before,
+            1,
+            "one subtraction, no rescan of the fact or d1"
+        );
+
+        let mut scan = Factorizer::over_target(&set);
+        let scanned = table(scan.message(fact, d2, &right).unwrap());
+        assert_eq!(derived, scanned);
+        let keys = derived.column(None, "k2").unwrap();
+        let keys: Vec<_> = (0..derived.num_rows()).map(|i| keys.get(i)).collect();
+        assert_eq!(keys, [1i64, 2].map(Datum::Int), "k2 = 3 went left only");
     }
 }

@@ -5,7 +5,8 @@
 //! SQL query per feature and executed by the DBMS, in parallel across
 //! features (Section 5.5.3). Split statistics come from factorized message
 //! passing ([`crate::messages`]); messages are cached and shared between
-//! parent and child nodes (Section 5.5.1).
+//! parent and child nodes (Section 5.5.1), and the larger child of each
+//! split derives its messages from its parent's and its sibling's.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -17,7 +18,7 @@ use joinboost_semiring::{second_order_gain, variance_reduction};
 
 use crate::dataset::{Dataset, FeatureKind};
 use crate::error::{Result, TrainError};
-use crate::messages::{Factorizer, NodeContext, Pred};
+use crate::messages::{Factorizer, NodeContext, Pred, SiblingOf};
 use crate::params::{Growth, TrainParams};
 use crate::scheduler;
 use crate::sqlgen::{categorical_split_query, numeric_split_query, NodeTotals, RingKind};
@@ -429,19 +430,41 @@ impl<'a, 'b, 'c> TreeGrower<'a, 'b, 'c> {
             if node == 0 {
                 self.lock_cluster(candidate.rel);
             }
-            // Evaluate the children (unless depth-capped).
-            if params.max_depth > 0 && depth + 1 >= params.max_depth {
+            // Children of the last split are never popped: do not evaluate
+            // them. Nor the depth-capped ones.
+            if num_leaves >= params.num_leaves
+                || (params.max_depth > 0 && depth + 1 >= params.max_depth)
+            {
                 continue;
             }
             let split_rel = candidate.rel;
             let allowed = self.allowed_for(depth + 1);
-            for (child_id, child_totals, negated) in [
+            let children = [
                 (left_id, candidate.left, false),
                 (right_id, right_totals, true),
-            ] {
-                let child_ctx =
-                    ctx.with_pred(split_rel, Pred::from_split(&candidate.split, negated));
-                if let Some(cand) = self.get_best_split(&child_ctx, child_totals, &allowed)? {
+            ]
+            .map(|(id, totals, negated)| {
+                let pred = Pred::from_split(&candidate.split, negated);
+                (id, totals, ctx.with_pred(split_rel, pred))
+            });
+            // Sibling subtraction: evaluate the smaller child by scan, then
+            // the larger one with its messages derived as parent ⊖ smaller.
+            let small = usize::from(right_totals.c0 < candidate.left.c0);
+            let large = 1 - small;
+            let mut found = [None, None];
+            found[small] = self.get_best_split(&children[small].2, children[small].1, &allowed)?;
+            self.fx.derive_from(Some(SiblingOf {
+                split_rel,
+                parent: ctx,
+                sibling: children[small].2.clone(),
+            }));
+            let larger = self.get_best_split(&children[large].2, children[large].1, &allowed);
+            self.fx.derive_from(None);
+            found[large] = larger?;
+            // Push left then right, so pop order does not depend on which
+            // child was evaluated first.
+            for ((child_id, child_totals, child_ctx), cand) in children.into_iter().zip(found) {
+                if let Some(cand) = cand {
                     heap.push(self.heap_item(PendingNode {
                         node: child_id,
                         depth: depth + 1,

@@ -567,6 +567,12 @@ impl Fixture {
 
 /// A forest's exact bit pattern: every node's split, value and weight.
 fn forest_bits(trees: &[joinboost::Tree]) -> Vec<String> {
+    forest_lines(trees, true)
+}
+
+/// One line per node: split, weight and children, plus the value's bits
+/// when `values` is set.
+fn forest_lines(trees: &[joinboost::Tree], values: bool) -> Vec<String> {
     use joinboost::SplitCondition;
     let mut out = Vec::new();
     for (t, tree) in trees.iter().enumerate() {
@@ -579,9 +585,13 @@ fn forest_bits(trees: &[joinboost::Tree]) -> Vec<String> {
                 };
                 format!("{}.{}{cond}/{}", s.relation, s.feature, s.default_left)
             });
+            let value = if values {
+                format!(" v={:x}", n.value.to_bits())
+            } else {
+                String::new()
+            };
             out.push(format!(
-                "{t}: {split:?} v={:x} w={:x} l={} r={} d={}",
-                n.value.to_bits(),
+                "{t}: {split:?}{value} w={:x} l={} r={} d={}",
                 n.weight.to_bits(),
                 n.left,
                 n.right,
@@ -744,17 +754,17 @@ fn trainer_statement_stream_is_pinned() {
         galaxy: false,
         params: cuboid,
     });
-    // (fixture, statements, digest) computed at the commit before the
-    // boosting loop was merged (with leaf-predicate conjuncts ordered by
-    // relation id, which that commit left to `HashMap` iteration order);
-    // a deliberate change to the trainer's SQL updates these.
+    // (fixture, statements, digest) recorded when the larger child of a
+    // split began deriving its variance messages as parent ⊖ sibling and
+    // the children of the last split stopped being evaluated; a deliberate
+    // change to the trainer's SQL updates these.
     let pinned: [(&str, usize, u64); 6] = [
-        ("star-rmse-create", 1297, 0xcfcd_b080_8dda_340c),
-        ("star-rmse-swap", 1315, 0x0a10_aa86_8ea7_53cf),
-        ("star-l1", 1377, 0xd35f_e440_7302_4c45),
-        ("star-fair", 909, 0xad84_acbf_465a_99e8),
-        ("galaxy-rmse", 349, 0xdfab_1308_85f4_0331),
-        ("star-cuboid", 471, 0x3dad_1601_1670_e6ee),
+        ("star-rmse-create", 1121, 0x1011_dd9c_3895_320a),
+        ("star-rmse-swap", 1139, 0x87fb_d32d_745e_e2fe),
+        ("star-l1", 1201, 0xea78_54f1_18c1_8f7c),
+        ("star-fair", 894, 0x3dcb_11de_53f5_7095),
+        ("galaxy-rmse", 281, 0x11b6_f576_9711_899d),
+        ("star-cuboid", 411, 0x6d69_7e4a_b8a2_a3aa),
     ];
     let mut got = Vec::new();
     for fx in &runs {
@@ -792,6 +802,119 @@ fn cuboid_rejects_update_methods_other_than_create_table() {
         assert!(
             matches!(err, joinboost::TrainError::Invalid(_)),
             "{method:?}: {err:?}"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Sibling subtraction: the larger child's messages are parent ⊖ sibling.
+// Both pins below were recorded at the commit before subtraction existed.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn dyadic_star_model_bits_survive_sibling_subtraction() {
+    // The dyadic recipe (DESIGN.md § Backends): target on the 1/8 grid,
+    // learning rate ½, leaves on the 2⁻¹⁰ grid. Every message sum is exact,
+    // so a derived message equals the scanned one bit for bit.
+    let (db, gen) = favorita_db(3000, 30);
+    db.execute("UPDATE sales SET net_profit = FLOOR(net_profit * 8.0) / 8.0")
+        .unwrap();
+    let set = Dataset::new(&db, gen.graph.clone(), "sales", "net_profit").unwrap();
+    let params = TrainParams {
+        num_iterations: 6,
+        learning_rate: 0.5,
+        leaf_quantization: (2.0f64).powi(-10),
+        ..Default::default()
+    };
+    let model = train_gbm(&set, &params).unwrap();
+    let mut bits = forest_bits(&model.trees);
+    bits.push(format!("init={:x}", model.init_score.to_bits()));
+    assert_eq!(
+        stream_digest(&bits),
+        0x5c9d_e72e_91c1_0482,
+        "dyadic forest changed"
+    );
+}
+
+#[test]
+fn off_recipe_leaves_stay_within_the_stated_ulp_bound() {
+    // Off the recipe, `parent − sibling` may round differently from the
+    // scanned sum. The contract: the same splits, and every leaf value
+    // within 1e-12 relative of the scan-only trainer's.
+    let fx = fixtures()
+        .into_iter()
+        .find(|f| f.name == "star-rmse-create")
+        .expect("fixture");
+    let db = Database::new(fx.config.clone());
+    let (graph, rel, col) = fx.load(&db);
+    let set = Dataset::new(&db, graph, rel, col).unwrap();
+    let model = train_gbm(&set, &fx.params).unwrap();
+    assert_eq!(
+        stream_digest(&forest_lines(&model.trees, false)),
+        0x581d_4429_59c4_8bc9,
+        "split list changed"
+    );
+    let leaves: Vec<f64> = model
+        .trees
+        .iter()
+        .flat_map(|t| t.nodes.iter().filter(|n| n.split.is_none()))
+        .map(|n| n.value)
+        .collect();
+    let pinned: [f64; 48] = [
+        979.8020162016795,
+        -8371.554653285528,
+        6631.943264551595,
+        3163.6559449500155,
+        -4403.206205175601,
+        -313.49106797168935,
+        -4612.07557002175,
+        -731.5301596735942,
+        -1341.6210660303689,
+        -1480.3013835498984,
+        1286.9297814060053,
+        3720.2761728327355,
+        511.3904663154182,
+        2928.110725519844,
+        -5643.783069116053,
+        -2694.2568136976183,
+        -2308.107507461258,
+        314.18079001740136,
+        -940.4572675798452,
+        1011.5237195115973,
+        1416.1328857352569,
+        3021.5885124299125,
+        -227.11768462845836,
+        -2559.856253443251,
+        729.6374719454213,
+        -2089.343199926751,
+        1045.1646862953248,
+        -1266.5718398678243,
+        -655.4140985528633,
+        224.17863770941347,
+        3033.291544036232,
+        1107.920352939898,
+        -976.7113306598993,
+        -941.7986330774714,
+        922.2879292001119,
+        1042.392714946657,
+        894.9333537549825,
+        -524.3752582651736,
+        -721.4100931891938,
+        49.239839691689944,
+        543.6750928701973,
+        -108.12954722294388,
+        -439.08645622444556,
+        -1413.1257540746483,
+        476.0219788433417,
+        -211.25438297815035,
+        1003.2234712183507,
+        352.18142982162135,
+    ];
+    assert_eq!(leaves.len(), pinned.len(), "{leaves:?}");
+    for (i, (got, want)) in leaves.iter().zip(pinned).enumerate() {
+        assert!(
+            (got - want).abs() <= 1e-12 * want.abs(),
+            "leaf {i}: {got} vs {want}"
         );
     }
 }

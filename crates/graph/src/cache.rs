@@ -69,6 +69,12 @@ impl<V> MessageCache<V> {
         }
     }
 
+    /// Look up a message without counting a hit or miss (probing for the
+    /// inputs of a derived message is not a use of the entry).
+    pub fn peek(&self, key: &MessageKey) -> Option<&V> {
+        self.entries.get(key)
+    }
+
     /// Insert a computed message.
     pub fn insert(&mut self, key: MessageKey, value: V) -> Option<V> {
         self.entries.insert(key, value)
