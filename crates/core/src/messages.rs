@@ -198,9 +198,10 @@ pub enum MsgHandle {
 }
 
 /// The larger child of a just-installed split, evaluated after its
-/// smaller sibling: while set, every message whose subtree contains
-/// `split_rel` and whose parent and sibling versions are cached as full
-/// messages is derived as `parent ⊖ sibling`.
+/// smaller sibling: while set, every message asked for under `node`'s
+/// context whose subtree contains `split_rel` and whose parent and
+/// sibling versions are cached as full messages is derived as
+/// `parent ⊖ sibling`.
 #[derive(Debug, Clone)]
 pub struct SiblingOf {
     /// Relation owning the split feature.
@@ -209,6 +210,8 @@ pub struct SiblingOf {
     pub parent: NodeContext,
     /// The smaller child's context (already evaluated).
     pub sibling: NodeContext,
+    /// The larger child's context, the only one derived for.
+    pub node: NodeContext,
 }
 
 /// Execution statistics (drives Figure 9).
@@ -355,7 +358,7 @@ impl<'a, 'b> Factorizer<'a, 'b> {
             self.stats.cache_hits += 1;
             return Ok(m.clone());
         }
-        if let Some(handle) = self.subtract_sibling(from, to, &subtree)? {
+        if let Some(handle) = self.subtract_sibling(&key, &subtree)? {
             self.cache.insert(key, handle.clone());
             return Ok(handle);
         }
@@ -420,18 +423,25 @@ impl<'a, 'b> Factorizer<'a, 'b> {
     /// SELECT keys, p.jb_c − COALESCE(s.jb_c, 0) AS jb_c, p.jb_s − COALESCE(s.jb_s, 0) AS jb_s
     /// FROM p LEFT JOIN s USING (keys) WHERE p.jb_c − COALESCE(s.jb_c, 0) > 0
     /// ```
+    ///
+    /// Any other context (the parent, a totals query) falls back to a
+    /// scan: `key` must carry the larger child's signature, or the
+    /// difference would be cached under the wrong key.
     fn subtract_sibling(
         &mut self,
-        from: RelId,
-        to: RelId,
+        key: &MessageKey,
         subtree: &[RelId],
     ) -> Result<Option<MsgHandle>> {
         let Some(d) = &self.derive_from else {
             return Ok(None);
         };
-        if self.ring != RingKind::Variance || !subtree.contains(&d.split_rel) {
+        if self.ring != RingKind::Variance
+            || !subtree.contains(&d.split_rel)
+            || key.signature != d.node.signature_of(subtree, &self.epochs)
+        {
             return Ok(None);
         }
+        let (from, to) = (key.from, key.to);
         let full = |ctx: &NodeContext| {
             let key = MessageKey {
                 from,
@@ -994,6 +1004,7 @@ mod tests {
             split_rel: d1,
             parent: root,
             sibling: left,
+            node: right.clone(),
         }));
         let derived = table(f.message(fact, d2, &right).unwrap());
         assert_eq!(
@@ -1008,5 +1019,55 @@ mod tests {
         let keys = derived.column(None, "k2").unwrap();
         let keys: Vec<_> = (0..derived.num_rows()).map(|i| keys.get(i)).collect();
         assert_eq!(keys, [1i64, 2].map(Datum::Int), "k2 = 3 went left only");
+    }
+
+    #[test]
+    fn only_the_larger_childs_context_is_derived() {
+        // While derivation is set for the right child, a message under any
+        // other context must be scanned, not cached as `parent ⊖ left`.
+        let db = Database::in_memory();
+        let g = star_with(
+            &db,
+            vec![1, 1, 2, 2, 2, 2, 1],
+            vec![1, 2, 1, 2, 1, 2, 3],
+            vec![0.125, 2.5, 3.75, -1.25, 0.5, 4.0, 1.875],
+        );
+        let set = Dataset::new(&db, g, "fact", "y").unwrap();
+        let (fact, d1, d2) = (
+            set.target_rel(),
+            set.graph.rel_id("d1").unwrap(),
+            set.graph.rel_id("d2").unwrap(),
+        );
+        let split = |t: f64| Split {
+            feature: "f1".into(),
+            relation: "d1".into(),
+            cond: SplitCondition::LtEq(t),
+            default_left: false,
+        };
+        let root = NodeContext::root();
+        let left = root.with_pred(d1, Pred::from_split(&split(10.0), false));
+        let right = root.with_pred(d1, Pred::from_split(&split(10.0), true));
+        // Every row passes `f1 <= 20`: its message is the parent's.
+        let other = root.with_pred(d1, Pred::from_split(&split(20.0), false));
+        let rows = |h: MsgHandle| match h {
+            MsgHandle::Full { table, .. } => db
+                .query(&format!("SELECT * FROM {table} ORDER BY k2"))
+                .unwrap(),
+            other => panic!("expected a full message, got {other:?}"),
+        };
+
+        let mut f = Factorizer::over_target(&set);
+        f.message(fact, d2, &root).unwrap();
+        f.message(fact, d2, &left).unwrap();
+        f.derive_from(Some(SiblingOf {
+            split_rel: d1,
+            parent: root.clone(),
+            sibling: left,
+            node: right,
+        }));
+        let got = rows(f.message(fact, d2, &other).unwrap());
+        let mut scan = Factorizer::over_target(&set);
+        assert_eq!(got, rows(scan.message(fact, d2, &other).unwrap()));
+        assert_eq!(got, rows(scan.message(fact, d2, &root).unwrap()));
     }
 }

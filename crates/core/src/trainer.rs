@@ -457,6 +457,7 @@ impl<'a, 'b, 'c> TreeGrower<'a, 'b, 'c> {
                 split_rel,
                 parent: ctx,
                 sibling: children[small].2.clone(),
+                node: children[large].2.clone(),
             }));
             let larger = self.get_best_split(&children[large].2, children[large].1, &allowed);
             self.fx.derive_from(None);
