@@ -451,11 +451,11 @@ fn parallel_residual_update(
     let _ = binned;
     let n = residuals.len();
     let chunk = n.div_ceil(threads.max(1));
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (ci, slice) in residuals.chunks_mut(chunk).enumerate() {
             let base = ci * chunk;
             let data = &data;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (i, r) in slice.iter_mut().enumerate() {
                     let row = base + i;
                     let v = predict_flat(tree, data, row);
@@ -463,8 +463,7 @@ fn parallel_residual_update(
                 }
             });
         }
-    })
-    .expect("update scope");
+    });
 }
 
 fn predict_flat(tree: &Tree, data: &FlatDataset, row: usize) -> f64 {
@@ -576,12 +575,12 @@ pub fn train_rf(data: &FlatDataset, params: &LgbmParams) -> joinboost::Result<Lg
         })
         .collect();
     let trees = std::sync::Mutex::new(vec![None; plans.len()]);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for worker in 0..params.threads.max(1) {
             let plans = &plans;
             let trees = &trees;
             let binned = &binned;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (i, (rows, feats)) in plans.iter().enumerate() {
                     if i % params.threads.max(1) != worker {
                         continue;
@@ -591,8 +590,7 @@ pub fn train_rf(data: &FlatDataset, params: &LgbmParams) -> joinboost::Result<Lg
                 }
             });
         }
-    })
-    .expect("rf scope");
+    });
     let trees: Vec<Tree> = trees
         .into_inner()
         .expect("rf lock")

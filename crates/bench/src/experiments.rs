@@ -25,7 +25,7 @@ use joinboost_engine::{Column, Database, EngineConfig};
 use joinboost_semiring::loss::rmse;
 
 use crate::report::{write_bench_json, JsonValue, Report};
-use crate::{dist, secs, time};
+use crate::{secs, time};
 
 /// Run one experiment by name; `all` runs everything.
 pub fn run(name: &str) -> Result<(), String> {
@@ -119,15 +119,15 @@ pub const EXPERIMENTS: &[(&str, &str)] = &[
     ),
     (
         "shards",
-        "sharded split pushdown off/on: shuffle volume + wall-clock, 1-4 fact partitions (build with --features sharded)",
+        "sharded split pushdown off/on: shuffle volume + wall-clock, 1-4 fact partitions",
     ),
     (
         "remote",
-        "multi-process sharding over sockets: wire bytes + rows shipped, pushdown off/on (build with --features sharded)",
+        "multi-process sharding over sockets: wire bytes + rows shipped, pushdown off/on",
     ),
     (
         "remote-flaky",
-        "the remote sweep under fault injection: every 9th request drops its connection, the retrying clients recover, models still bit-identical (build with --features sharded)",
+        "the remote sweep under fault injection: every 9th request drops its connection, the retrying clients recover, models still bit-identical",
     ),
     (
         "serve",
@@ -314,11 +314,11 @@ fn fig5() -> Result<(), String> {
     let range = (cfg.key_domain / leaves as i64) as f64;
     let (_, lgbm_t) = time(|| {
         let chunk = s.len().div_ceil(4);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (ci, sl) in s.chunks_mut(chunk).enumerate() {
                 let d = &d;
                 let preds = &preds;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let base = ci * chunk;
                     for (i, v) in sl.iter_mut().enumerate() {
                         let leaf = (((d[base + i] - 1.0) / range) as usize).min(leaves - 1);
@@ -326,8 +326,7 @@ fn fig5() -> Result<(), String> {
                     }
                 });
             }
-        })
-        .expect("scope");
+        });
     });
     report.note(format!(
         "LightGBM-style parallel array update: {} s (the red line)",
@@ -649,11 +648,51 @@ fn fig11() -> Result<(), String> {
     Ok(())
 }
 
-/// Figure 12: multi-machine gradient-boosting-style workload.
+/// Figures 12–13's distributed run: the TPC-DS snowflake on `machines`
+/// shards of [`ShardedBackend`] (`store_sales` hash-partitioned on
+/// `date_id`, every dimension replicated), training one depth-3 decision
+/// tree. Returns the training time and the rows the shards shipped to the
+/// coordinator.
+fn train_sharded_tree(
+    gen: &joinboost_datagen::favorita::Generated,
+    machines: usize,
+) -> Result<(Duration, u64), String> {
+    let backend = ShardedBackend::new(
+        machines,
+        EngineConfig::duckdb_mem(),
+        &gen.target_relation,
+        "date_id",
+    );
+    for (name, t) in &gen.tables {
+        backend
+            .create_table(name, t.clone())
+            .map_err(|e| e.to_string())?;
+    }
+    let set = Dataset::new(
+        &backend,
+        gen.graph.clone(),
+        &gen.target_relation,
+        &gen.target_column,
+    )
+    .map_err(|e| e.to_string())?;
+    let mut params = TrainParams::default();
+    params.max_depth = 3;
+    params.min_data_in_leaf = 5.0;
+    let (trained, t) = time(|| train_decision_tree(&set, &params));
+    trained.map_err(|e| e.to_string())?;
+    Ok((t, backend.stats().rows_shipped))
+}
+
+/// Figure 12: multi-machine decision-tree workload.
 fn fig12() -> Result<(), String> {
     let mut report = Report::new(
         "Figure 12a: distributed tree workload time (s) on 4 machines vs SF (paper 30-40)",
-        &["sf(paper)", "joinboost(4m)", "single-table baseline"],
+        &[
+            "sf(paper)",
+            "joinboost(4m)",
+            "rows_shipped",
+            "single-table baseline",
+        ],
     );
     for (paper_sf, sf) in [(30, 3.0f64), (35, 3.5), (40, 4.0)] {
         let gen = tpcds(&TpcConfig {
@@ -661,8 +700,7 @@ fn fig12() -> Result<(), String> {
             base_fact_rows: 8_000,
             seed: 11,
         });
-        let p = dist::deploy(&gen, 4);
-        let (_, jb_t) = time(|| dist::train_partitioned_tree(&p, &gen, 3, 5.0));
+        let (jb_t, shipped) = train_sharded_tree(&gen, 4)?;
         // Single-node baseline with a memory cap that SF40 exceeds.
         let db = Database::in_memory();
         gen.load_into(&db).map_err(|e| e.to_string())?;
@@ -688,7 +726,7 @@ fn fig12() -> Result<(), String> {
             }
             Err(e) => format!("error: {e}"),
         };
-        report.row(&[paper_sf.to_string(), secs(jb_t), cell]);
+        report.row(&[paper_sf.to_string(), secs(jb_t), shipped.to_string(), cell]);
     }
     report
         .note("expected shape: joinboost scales; baseline OOMs at the top SF (paper: >9x faster)");
@@ -696,7 +734,7 @@ fn fig12() -> Result<(), String> {
 
     let mut r2 = Report::new(
         "Figure 12b: time (s) vs machines at the top SF",
-        &["machines", "joinboost"],
+        &["machines", "joinboost", "rows_shipped"],
     );
     let gen = tpcds(&TpcConfig {
         scale_factor: 4.0,
@@ -704,11 +742,11 @@ fn fig12() -> Result<(), String> {
         seed: 11,
     });
     for m in [1usize, 2, 3, 4] {
-        let p = dist::deploy(&gen, m);
-        let (_, t) = time(|| dist::train_partitioned_tree(&p, &gen, 3, 5.0));
-        r2.row(&[m.to_string(), secs(t)]);
+        let (t, shipped) = train_sharded_tree(&gen, m)?;
+        r2.row(&[m.to_string(), secs(t), shipped.to_string()]);
     }
     r2.note("expected shape: trains even on 1 machine; speeds up with more machines");
+    r2.note("the shards here share one host's cores, so rows_shipped is the scaling signal");
     r2.print();
     Ok(())
 }
@@ -722,20 +760,14 @@ fn fig13() -> Result<(), String> {
     });
     let mut report = Report::new(
         "Figure 13: depth-3 decision tree time (s) vs machines (paper: TPC-DS SF=1000)",
-        &["machines", "time", "shuffle_bytes"],
+        &["machines", "time", "rows_shipped"],
     );
     for m in [1usize, 2, 4, 6] {
-        let p = dist::deploy(&gen, m);
-        let (_, t) = time(|| dist::train_partitioned_tree(&p, &gen, 3, 5.0));
-        report.row(&[
-            m.to_string(),
-            secs(t),
-            p.shuffle_bytes
-                .load(std::sync::atomic::Ordering::Relaxed)
-                .to_string(),
-        ]);
+        let (t, shipped) = train_sharded_tree(&gen, m)?;
+        report.row(&[m.to_string(), secs(t), shipped.to_string()]);
     }
     report.note("expected shape: 2 machines introduce a shuffle stage; 4-6 recover modest gains");
+    report.note("the shards here share one host's cores, so rows_shipped is the scaling signal");
     report.print();
     Ok(())
 }
@@ -1642,17 +1674,10 @@ fn backends_experiment() -> Result<(), String> {
     Ok(())
 }
 
-/// `shards`: sharded-backend scaling sweep with the shard-local split
-/// evaluation toggled off/on — the showcase is a high-cardinality
-/// fact-resident feature, where the PR 3 path shipped O(cardinality)
-/// per-value rows to the coordinator per split query. Gated behind the
-/// `sharded` cargo feature so CI can `--features`-check the fan-out path
-/// builds without paying for the sweep in default runs.
 /// The shared scaling workload of the `shards` / `remote` sweeps: a
 /// 40k-row fact with a high-cardinality (~8000 values) fact-resident
 /// feature plus one small dimension, targets on the dyadic grid so every
 /// configuration trains the same model bit for bit.
-#[cfg(feature = "sharded")]
 fn highcard_star() -> (
     joinboost_engine::Table,
     joinboost_engine::Table,
@@ -1701,7 +1726,10 @@ fn highcard_star() -> (
     (fact, dim, graph)
 }
 
-#[cfg(feature = "sharded")]
+/// `shards`: sharded-backend scaling sweep with the shard-local split
+/// evaluation toggled off/on — the showcase is a high-cardinality
+/// fact-resident feature, where a dense merge ships O(cardinality)
+/// per-value rows to the coordinator per split query.
 fn shard_scale() -> Result<(), String> {
     use joinboost::backend::PushdownConfig;
 
@@ -1803,11 +1831,6 @@ fn shard_scale() -> Result<(), String> {
     Ok(())
 }
 
-#[cfg(not(feature = "sharded"))]
-fn shard_scale() -> Result<(), String> {
-    Err("the `shards` sweep needs `--features sharded` (cargo run -p joinboost-bench --features sharded --release --bin experiments -- shards)".into())
-}
-
 /// `remote`: the same scaling sweep over *multi-process* sharding — each
 /// shard is an engine behind a wire server on a loopback socket, so the
 /// PR-4 shuffle-reduction claim becomes measurable in real bytes on the
@@ -1819,7 +1842,6 @@ fn shard_scale() -> Result<(), String> {
 /// resume their sessions and replay — and the bit-identity assertions
 /// must *still* hold, which is the fault-tolerance claim measured rather
 /// than merely unit-tested.
-#[cfg(feature = "sharded")]
 fn remote_scale(flaky: bool) -> Result<(), String> {
     use joinboost::backend::{PushdownConfig, RemoteOptions, RetryPolicy, WireServer};
     use joinboost_engine::Database;
@@ -2016,11 +2038,6 @@ fn remote_scale(flaky: bool) -> Result<(), String> {
     let path = write_bench_json("remote", &json).map_err(|e| e.to_string())?;
     println!("wrote {}", path.display());
     Ok(())
-}
-
-#[cfg(not(feature = "sharded"))]
-fn remote_scale(_flaky: bool) -> Result<(), String> {
-    Err("the `remote` sweep needs `--features sharded` (cargo run -p joinboost-bench --features sharded --release --bin experiments -- remote)".into())
 }
 
 /// A spawned `shard_server` child process (killed on drop). The binary is

@@ -6,7 +6,6 @@
 //! for recorded outputs). Criterion micro-benchmarks live under
 //! `benches/`.
 
-pub mod dist;
 pub mod experiments;
 pub mod report;
 pub mod synth;

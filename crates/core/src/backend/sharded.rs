@@ -521,19 +521,18 @@ impl ShardedBackend {
             return vec![f(0, self.shards[0].as_ref())];
         }
         let fr = &f;
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .shards
                 .iter()
                 .enumerate()
-                .map(|(i, db)| scope.spawn(move |_| fr(i, db.as_ref())))
+                .map(|(i, db)| scope.spawn(move || fr(i, db.as_ref())))
                 .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("shard worker panicked"))
                 .collect()
         })
-        .expect("shard scope")
     }
 
     /// Broadcast a statement to every shard; marks `creates` sharded.
@@ -710,18 +709,17 @@ impl ShardedBackend {
         let results: Vec<BackendResult<SplitOpen<'a>>> = if self.shards.len() == 1 {
             vec![self.shards[0].split_open(stmt, spec, k)]
         } else {
-            crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = self
                     .shards
                     .iter()
-                    .map(|db| scope.spawn(move |_| db.split_open(stmt, spec, k)))
+                    .map(|db| scope.spawn(move || db.split_open(stmt, spec, k)))
                     .collect();
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("shard worker panicked"))
                     .collect()
             })
-            .expect("shard scope")
         };
         results.into_iter().collect()
     }
@@ -1543,17 +1541,16 @@ where
         return Ok(vec![f(handles[0].as_ref())?]);
     }
     let fr = &f;
-    let results: Vec<BackendResult<T>> = crossbeam::thread::scope(|scope| {
+    let results: Vec<BackendResult<T>> = std::thread::scope(|scope| {
         let spawned: Vec<_> = handles
             .iter()
-            .map(|h| scope.spawn(move |_| fr(h.as_ref())))
+            .map(|h| scope.spawn(move || fr(h.as_ref())))
             .collect();
         spawned
             .into_iter()
             .map(|h| h.join().expect("split worker panicked"))
             .collect()
-    })
-    .expect("split scope");
+    });
     results.into_iter().collect()
 }
 

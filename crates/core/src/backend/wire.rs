@@ -25,11 +25,13 @@
 //!   statement, leaning on the `print ∘ parse ∘ print` fixed-point proved
 //!   by [`crate::backend::SqlTextBackend`]: the server re-parses exactly
 //!   the statement the client's planner built.
-//! * **Tables travel as columnar blocks** — type tag + contiguous values
-//!   per column (f64s by bit pattern, strings as dictionary + codes,
-//!   validity as a packed bitmap), so a decoded [`Table`] is *bit-exact*,
-//!   not just value-equal: NaN payloads, `-0.0` and dictionary order all
-//!   survive. The `wire_roundtrip` proptests pin this down.
+//! * **Tables travel as columnar blocks** — column and row counts, then
+//!   per column its qualifier, its name and the storage codec's column body
+//!   ([`joinboost_engine::storage::codec`]: f64s by bit pattern, strings as
+//!   dictionary + codes, validity as a packed bitmap), so a decoded
+//!   [`Table`] is *bit-exact*, not just value-equal: NaN payloads, `-0.0`
+//!   and dictionary order all survive. The `wire_roundtrip` proptests pin
+//!   this down.
 //! * **Errors stay typed** — [`EngineError`] crosses the wire as a kind
 //!   tag plus its field string, so a remote `UnknownTable` is the *same*
 //!   variant the local engine would have produced; transport failures (and
@@ -42,9 +44,9 @@
 
 use std::io::{self, Read, Write};
 
-use bytes::BufMut;
-
-use joinboost_engine::column::ColumnData;
+use joinboost_engine::storage::codec::{
+    decode_column, encode_column, put_string, put_u32, put_u64, ByteReader,
+};
 use joinboost_engine::table::ColumnMeta;
 use joinboost_engine::{Column, DataType, EngineError, Table};
 
@@ -109,8 +111,8 @@ pub const MAGIC: u32 = 0x4a42_5750;
 /// Protocol version; bumped on any incompatible codec change. The server
 /// speaks exactly this version and answers a `Hello` carrying any other
 /// with a typed mismatch error instead of misdecoding (the history of
-/// versions 2–4 is in `CHANGES.md`).
-pub const VERSION: u32 = 5;
+/// versions 2–5 is in `CHANGES.md`).
+pub const VERSION: u32 = 6;
 
 /// Upper bound on one frame's payload (64 MiB). Larger tables must be
 /// loaded in parts; in practice JoinBoost's shard messages are orders of
@@ -477,13 +479,12 @@ impl<'a> Reader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| corrupt("invalid utf-8"))
     }
 
-    /// Pre-allocation guard: the next `n` items of `item_bytes` each must
-    /// fit in the remaining buffer.
-    fn ensure(&self, n: usize, item_bytes: usize) -> DecodeResult<()> {
-        if n.saturating_mul(item_bytes) > self.buf.len() {
-            return Err(corrupt("announced length exceeds frame size"));
-        }
-        Ok(())
+    /// One column body at the cursor, decoded by the storage codec.
+    fn column(&mut self) -> DecodeResult<Column> {
+        let mut body = ByteReader::new(self.buf);
+        let col = decode_column(&mut body)?;
+        self.take(self.buf.len() - body.remaining())?;
+        Ok(col)
     }
 
     fn done(&self) -> DecodeResult<()> {
@@ -495,140 +496,36 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn put_string(buf: &mut Vec<u8>, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
 // ---------------------------------------------------------------------------
 // Table codec
 // ---------------------------------------------------------------------------
 
-const DATA_INT: u8 = 0;
-const DATA_FLOAT: u8 = 1;
-const DATA_STR: u8 = 2;
-
-/// Append a columnar block encoding of `t` to `buf`. Bit-exact: floats go
-/// by bit pattern, string dictionaries keep their order and codes.
+/// Append a columnar block encoding of `t` to `buf`: the column and row
+/// counts, then per column its qualifier, its name and its
+/// [`encode_column`] body — the storage codec's, so a column has one byte
+/// image on the wire, in pages, in the WAL and in checkpoints.
 pub fn encode_table(t: &Table, buf: &mut Vec<u8>) {
-    buf.put_u32_le(t.num_columns() as u32);
-    buf.put_u64_le(t.num_rows() as u64);
+    put_u32(buf, t.num_columns() as u32);
+    put_u64(buf, t.num_rows() as u64);
     for (meta, col) in t.meta.iter().zip(&t.columns) {
         match &meta.qualifier {
-            None => buf.put_u8(0),
+            None => buf.push(0),
             Some(q) => {
-                buf.put_u8(1);
+                buf.push(1);
                 put_string(buf, q);
             }
         }
         put_string(buf, &meta.name);
-        match &col.data {
-            ColumnData::Int(v) => {
-                buf.put_u8(DATA_INT);
-                for &x in v {
-                    buf.put_i64_le(x);
-                }
-            }
-            ColumnData::Float(v) => {
-                buf.put_u8(DATA_FLOAT);
-                for &x in v {
-                    buf.put_u64_le(x.to_bits());
-                }
-            }
-            ColumnData::Str { dict, codes } => {
-                buf.put_u8(DATA_STR);
-                buf.put_u32_le(dict.len() as u32);
-                for s in dict {
-                    put_string(buf, s);
-                }
-                for &c in codes {
-                    buf.put_u32_le(c);
-                }
-            }
-        }
-        match &col.validity {
-            None => buf.put_u8(0),
-            Some(mask) => {
-                buf.put_u8(1);
-                // Packed bitmap, LSB-first within each byte.
-                let mut byte = 0u8;
-                for (i, &ok) in mask.iter().enumerate() {
-                    if ok {
-                        byte |= 1 << (i % 8);
-                    }
-                    if i % 8 == 7 {
-                        buf.put_u8(byte);
-                        byte = 0;
-                    }
-                }
-                if mask.len() % 8 != 0 {
-                    buf.put_u8(byte);
-                }
-            }
-        }
+        encode_column(buf, col);
     }
 }
 
-fn decode_column(r: &mut Reader<'_>, nrows: usize) -> DecodeResult<Column> {
-    let data = match r.u8()? {
-        DATA_INT => {
-            r.ensure(nrows, 8)?;
-            let mut v = Vec::with_capacity(nrows);
-            for _ in 0..nrows {
-                v.push(r.i64()?);
-            }
-            ColumnData::Int(v)
-        }
-        DATA_FLOAT => {
-            r.ensure(nrows, 8)?;
-            let mut v = Vec::with_capacity(nrows);
-            for _ in 0..nrows {
-                v.push(f64::from_bits(r.u64()?));
-            }
-            ColumnData::Float(v)
-        }
-        DATA_STR => {
-            let ndict = r.count(4)?;
-            let mut dict = Vec::with_capacity(ndict);
-            for _ in 0..ndict {
-                dict.push(r.string()?);
-            }
-            r.ensure(nrows, 4)?;
-            let mut codes = Vec::with_capacity(nrows);
-            for _ in 0..nrows {
-                let c = r.u32()?;
-                if c as usize >= ndict {
-                    return Err(corrupt("string code out of dictionary range"));
-                }
-                codes.push(c);
-            }
-            ColumnData::Str { dict, codes }
-        }
-        _ => return Err(corrupt("unknown column data tag")),
-    };
-    let validity = match r.u8()? {
-        0 => None,
-        1 => {
-            let bytes = r.take(nrows.div_ceil(8))?;
-            Some(
-                (0..nrows)
-                    .map(|i| bytes[i / 8] & (1 << (i % 8)) != 0)
-                    .collect(),
-            )
-        }
-        _ => return Err(corrupt("unknown validity tag")),
-    };
-    Ok(Column { data, validity })
-}
-
-/// Decode a columnar block produced by [`encode_table`].
+/// Decode a columnar block produced by [`encode_table`]. Each column body
+/// carries its own row count, and one that disagrees with the block's is
+/// a decode error: a decoded table is never ragged.
 fn decode_table(r: &mut Reader<'_>) -> DecodeResult<Table> {
     let ncols = r.count(1)?;
-    let nrows = r.u64()? as usize;
-    // Each row needs at least one byte per column in the frame.
-    if nrows.saturating_mul(ncols.max(1)) > (MAX_FRAME as usize) * 8 {
-        return Err(corrupt("row count exceeds frame capacity"));
-    }
+    let nrows = r.u64()?;
     let mut t = Table::new();
     for _ in 0..ncols {
         let qualifier = match r.u8()? {
@@ -637,7 +534,10 @@ fn decode_table(r: &mut Reader<'_>) -> DecodeResult<Table> {
             _ => return Err(corrupt("unknown qualifier tag")),
         };
         let name = r.string()?;
-        let col = decode_column(r, nrows)?;
+        let col = r.column()?;
+        if col.len() as u64 != nrows {
+            return Err(corrupt("column length differs from the table's row count"));
+        }
         let meta = match qualifier {
             None => ColumnMeta::new(name),
             Some(q) => ColumnMeta::qualified(q, name),
@@ -676,7 +576,7 @@ fn encode_engine_error(e: &EngineError, buf: &mut Vec<u8>) {
         EngineError::TypeMismatch(m) => (4, m),
         EngineError::Other(m) => (5, m),
     };
-    buf.put_u8(tag);
+    buf.push(tag);
     put_string(buf, msg);
 }
 
@@ -699,11 +599,11 @@ fn decode_engine_error(r: &mut Reader<'_>) -> DecodeResult<EngineError> {
 // ---------------------------------------------------------------------------
 
 fn put_f64(buf: &mut Vec<u8>, x: f64) {
-    buf.put_u64_le(x.to_bits());
+    put_u64(buf, x.to_bits());
 }
 
 fn put_strings(buf: &mut Vec<u8>, ss: &[String]) {
-    buf.put_u32_le(ss.len() as u32);
+    put_u32(buf, ss.len() as u32);
     for s in ss {
         put_string(buf, s);
     }
@@ -725,9 +625,9 @@ fn read_strings(r: &mut Reader<'_>) -> DecodeResult<Vec<String>> {
 fn encode_scorer_spec(spec: &ScorerSpec, buf: &mut Vec<u8>) {
     put_f64(buf, spec.init_score);
     put_f64(buf, spec.learning_rate);
-    buf.put_u32_le(spec.leaf_values.len() as u32);
+    put_u32(buf, spec.leaf_values.len() as u32);
     for tree in &spec.leaf_values {
-        buf.put_u32_le(tree.len() as u32);
+        put_u32(buf, tree.len() as u32);
         for &v in tree {
             put_f64(buf, v);
         }
@@ -761,12 +661,12 @@ fn decode_scorer_spec(r: &mut Reader<'_>) -> DecodeResult<ScorerSpec> {
 }
 
 fn encode_job_spec(spec: &JobSpec, buf: &mut Vec<u8>) {
-    buf.put_u32_le(spec.relations.len() as u32);
+    put_u32(buf, spec.relations.len() as u32);
     for (name, feats) in &spec.relations {
         put_string(buf, name);
         put_strings(buf, feats);
     }
-    buf.put_u32_le(spec.edges.len() as u32);
+    put_u32(buf, spec.edges.len() as u32);
     for (a, b, keys) in &spec.edges {
         put_string(buf, a);
         put_string(buf, b);
@@ -775,17 +675,17 @@ fn encode_job_spec(spec: &JobSpec, buf: &mut Vec<u8>) {
     put_string(buf, &spec.target_relation);
     put_string(buf, &spec.target_column);
     match &spec.key_column {
-        None => buf.put_u8(0),
+        None => buf.push(0),
         Some(k) => {
-            buf.put_u8(1);
+            buf.push(1);
             put_string(buf, k);
         }
     }
-    buf.put_u32_le(spec.num_iterations);
-    buf.put_u32_le(spec.num_leaves);
+    put_u32(buf, spec.num_iterations);
+    put_u32(buf, spec.num_leaves);
     put_f64(buf, spec.learning_rate);
     put_f64(buf, spec.leaf_quantization);
-    buf.put_u64_le(spec.seed);
+    put_u64(buf, spec.seed);
 }
 
 fn decode_job_spec(r: &mut Reader<'_>) -> DecodeResult<JobSpec> {
@@ -870,37 +770,37 @@ const SPLIT_EQ_STR: u8 = 3;
 /// checkpoint the durable job registry persists every k iterations.
 pub(crate) fn forest_bytes(trees: &[Tree]) -> Vec<u8> {
     let mut buf = Vec::new();
-    buf.put_u32_le(trees.len() as u32);
+    put_u32(&mut buf, trees.len() as u32);
     for tree in trees {
-        buf.put_u32_le(tree.nodes.len() as u32);
+        put_u32(&mut buf, tree.nodes.len() as u32);
         for node in &tree.nodes {
             match &node.split {
-                None => buf.put_u8(SPLIT_LEAF),
+                None => buf.push(SPLIT_LEAF),
                 Some(split) => {
                     match &split.cond {
                         SplitCondition::LtEq(v) => {
-                            buf.put_u8(SPLIT_LTEQ);
+                            buf.push(SPLIT_LTEQ);
                             put_f64(&mut buf, *v);
                         }
                         SplitCondition::EqNum(v) => {
-                            buf.put_u8(SPLIT_EQ_NUM);
+                            buf.push(SPLIT_EQ_NUM);
                             put_f64(&mut buf, *v);
                         }
                         SplitCondition::EqStr(s) => {
-                            buf.put_u8(SPLIT_EQ_STR);
+                            buf.push(SPLIT_EQ_STR);
                             put_string(&mut buf, s);
                         }
                     }
                     put_string(&mut buf, &split.feature);
                     put_string(&mut buf, &split.relation);
-                    buf.put_u8(split.default_left as u8);
+                    buf.push(split.default_left as u8);
                 }
             }
-            buf.put_u32_le(node.left as u32);
-            buf.put_u32_le(node.right as u32);
+            put_u32(&mut buf, node.left as u32);
+            put_u32(&mut buf, node.right as u32);
             put_f64(&mut buf, node.value);
             put_f64(&mut buf, node.weight);
-            buf.put_u32_le(node.depth as u32);
+            put_u32(&mut buf, node.depth as u32);
         }
     }
     buf
@@ -1005,54 +905,54 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             version,
             token,
         } => {
-            buf.put_u8(REQ_HELLO);
-            buf.put_u32_le(*magic);
-            buf.put_u32_le(*version);
-            buf.put_u64_le(*token);
+            buf.push(REQ_HELLO);
+            put_u32(&mut buf, *magic);
+            put_u32(&mut buf, *version);
+            put_u64(&mut buf, *token);
         }
         Request::Execute { sql } => {
-            buf.put_u8(REQ_EXECUTE);
+            buf.push(REQ_EXECUTE);
             put_string(&mut buf, sql);
         }
         Request::CreateTable { name, table } => {
-            buf.put_u8(REQ_CREATE_TABLE);
+            buf.push(REQ_CREATE_TABLE);
             put_string(&mut buf, name);
             encode_table(table, &mut buf);
         }
         Request::Snapshot { name } => {
-            buf.put_u8(REQ_SNAPSHOT);
+            buf.push(REQ_SNAPSHOT);
             put_string(&mut buf, name);
         }
         Request::ColumnNames { name } => {
-            buf.put_u8(REQ_COLUMN_NAMES);
+            buf.push(REQ_COLUMN_NAMES);
             put_string(&mut buf, name);
         }
         Request::ColumnDtype { table, column } => {
-            buf.put_u8(REQ_COLUMN_DTYPE);
+            buf.push(REQ_COLUMN_DTYPE);
             put_string(&mut buf, table);
             put_string(&mut buf, column);
         }
         Request::HasTable { name } => {
-            buf.put_u8(REQ_HAS_TABLE);
+            buf.push(REQ_HAS_TABLE);
             put_string(&mut buf, name);
         }
         Request::RowCount { name } => {
-            buf.put_u8(REQ_ROW_COUNT);
+            buf.push(REQ_ROW_COUNT);
             put_string(&mut buf, name);
         }
         Request::DropTableIfExists { name } => {
-            buf.put_u8(REQ_DROP_IF_EXISTS);
+            buf.push(REQ_DROP_IF_EXISTS);
             put_string(&mut buf, name);
         }
         Request::GatherRows { name, rows } => {
-            buf.put_u8(REQ_GATHER_ROWS);
+            buf.push(REQ_GATHER_ROWS);
             put_string(&mut buf, name);
-            buf.put_u32_le(rows.len() as u32);
+            put_u32(&mut buf, rows.len() as u32);
             for &x in rows {
-                buf.put_u32_le(x);
+                put_u32(&mut buf, x);
             }
         }
-        Request::TableNames => buf.put_u8(REQ_TABLE_NAMES),
+        Request::TableNames => buf.push(REQ_TABLE_NAMES),
         Request::SplitOpen {
             sql,
             key_col,
@@ -1061,69 +961,69 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             specs,
             k,
         } => {
-            buf.put_u8(REQ_SPLIT_OPEN);
+            buf.push(REQ_SPLIT_OPEN);
             put_string(&mut buf, sql);
-            buf.put_u32_le(*key_col);
-            buf.put_u32_le(*c0_col);
-            buf.put_u32_le(*c1_col);
-            buf.put_u32_le(specs.len() as u32);
-            buf.put_slice(specs);
-            buf.put_u32_le(*k);
+            put_u32(&mut buf, *key_col);
+            put_u32(&mut buf, *c0_col);
+            put_u32(&mut buf, *c1_col);
+            put_u32(&mut buf, specs.len() as u32);
+            buf.extend_from_slice(specs);
+            put_u32(&mut buf, *k);
         }
         Request::SplitBoundaries { id, k } => {
-            buf.put_u8(REQ_SPLIT_BOUNDARIES);
-            buf.put_u64_le(*id);
-            buf.put_u32_le(*k);
+            buf.push(REQ_SPLIT_BOUNDARIES);
+            put_u64(&mut buf, *id);
+            put_u32(&mut buf, *k);
         }
         Request::SplitSummaries { id, grid, changed } => {
-            buf.put_u8(REQ_SPLIT_SUMMARIES);
-            buf.put_u64_le(*id);
+            buf.push(REQ_SPLIT_SUMMARIES);
+            put_u64(&mut buf, *id);
             encode_table(grid, &mut buf);
             match changed {
-                None => buf.put_u8(0),
+                None => buf.push(0),
                 Some(changed) => {
-                    buf.put_u8(1);
-                    buf.put_u32_le(changed.len() as u32);
+                    buf.push(1);
+                    put_u32(&mut buf, changed.len() as u32);
                     for &j in changed {
-                        buf.put_u32_le(j);
+                        put_u32(&mut buf, j);
                     }
                 }
             }
         }
         Request::SplitRefine { id, grid, targets } => {
-            buf.put_u8(REQ_SPLIT_REFINE);
-            buf.put_u64_le(*id);
+            buf.push(REQ_SPLIT_REFINE);
+            put_u64(&mut buf, *id);
             encode_table(grid, &mut buf);
-            buf.put_u32_le(targets.len() as u32);
+            put_u32(&mut buf, targets.len() as u32);
             for &(j, per) in targets {
-                buf.put_u32_le(j);
-                buf.put_u32_le(per);
+                put_u32(&mut buf, j);
+                put_u32(&mut buf, per);
             }
         }
         Request::SplitFetch { id, grid, retain } => {
-            buf.put_u8(REQ_SPLIT_FETCH);
-            buf.put_u64_le(*id);
+            buf.push(REQ_SPLIT_FETCH);
+            put_u64(&mut buf, *id);
             encode_table(grid, &mut buf);
-            buf.put_u32_le(retain.len() as u32);
+            put_u32(&mut buf, retain.len() as u32);
             for &r in retain {
-                buf.put_u8(u8::from(r));
+                buf.push(u8::from(r));
             }
         }
         Request::SplitClose { id } => {
-            buf.put_u8(REQ_SPLIT_CLOSE);
-            buf.put_u64_le(*id);
+            buf.push(REQ_SPLIT_CLOSE);
+            put_u64(&mut buf, *id);
         }
         Request::SubmitJob { spec } => {
-            buf.put_u8(REQ_SUBMIT_JOB);
+            buf.push(REQ_SUBMIT_JOB);
             encode_job_spec(spec, &mut buf);
         }
         Request::PollJob { id } => {
-            buf.put_u8(REQ_POLL_JOB);
-            buf.put_u64_le(*id);
+            buf.push(REQ_POLL_JOB);
+            put_u64(&mut buf, *id);
         }
         Request::CancelJob { id } => {
-            buf.put_u8(REQ_CANCEL_JOB);
-            buf.put_u64_le(*id);
+            buf.push(REQ_CANCEL_JOB);
+            put_u64(&mut buf, *id);
         }
         Request::PredictBatch {
             job,
@@ -1131,26 +1031,26 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             keys,
             partial,
         } => {
-            buf.put_u8(REQ_PREDICT_BATCH);
+            buf.push(REQ_PREDICT_BATCH);
             match job {
-                None => buf.put_u8(0),
+                None => buf.push(0),
                 Some(id) => {
-                    buf.put_u8(1);
-                    buf.put_u64_le(*id);
+                    buf.push(1);
+                    put_u64(&mut buf, *id);
                 }
             }
             match spec {
-                None => buf.put_u8(0),
+                None => buf.push(0),
                 Some(s) => {
-                    buf.put_u8(1);
+                    buf.push(1);
                     encode_scorer_spec(s, &mut buf);
                 }
             }
-            buf.put_u32_le(keys.len() as u32);
+            put_u32(&mut buf, keys.len() as u32);
             for &k in keys {
-                buf.put_i64_le(k);
+                buf.extend_from_slice(&k.to_le_bytes());
             }
-            buf.put_u8(u8::from(*partial));
+            buf.push(u8::from(*partial));
         }
     }
     buf
@@ -1315,66 +1215,66 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
     let mut buf = Vec::new();
     match resp {
         Response::Caps { column_swap } => {
-            buf.put_u8(RESP_CAPS);
-            buf.put_u8(u8::from(*column_swap));
+            buf.push(RESP_CAPS);
+            buf.push(u8::from(*column_swap));
         }
         Response::Table(t) => {
-            buf.put_u8(RESP_TABLE);
+            buf.push(RESP_TABLE);
             encode_table(t, &mut buf);
         }
-        Response::Unit => buf.put_u8(RESP_UNIT),
+        Response::Unit => buf.push(RESP_UNIT),
         Response::Names(names) => {
-            buf.put_u8(RESP_NAMES);
-            buf.put_u32_le(names.len() as u32);
+            buf.push(RESP_NAMES);
+            put_u32(&mut buf, names.len() as u32);
             for n in names {
                 put_string(&mut buf, n);
             }
         }
         Response::Dtype(d) => {
-            buf.put_u8(RESP_DTYPE);
-            buf.put_u8(dtype_tag(*d));
+            buf.push(RESP_DTYPE);
+            buf.push(dtype_tag(*d));
         }
         Response::Bool(b) => {
-            buf.put_u8(RESP_BOOL);
-            buf.put_u8(u8::from(*b));
+            buf.push(RESP_BOOL);
+            buf.push(u8::from(*b));
         }
         Response::Count(c) => {
-            buf.put_u8(RESP_COUNT);
-            buf.put_u64_le(*c);
+            buf.push(RESP_COUNT);
+            put_u64(&mut buf, *c);
         }
         Response::Err(e) => {
-            buf.put_u8(RESP_ERR);
+            buf.push(RESP_ERR);
             encode_engine_error(e, &mut buf);
         }
         Response::SplitOpened { id, rows, bounds } => {
-            buf.put_u8(RESP_SPLIT_OPENED);
-            buf.put_u64_le(*id);
-            buf.put_u64_le(*rows);
+            buf.push(RESP_SPLIT_OPENED);
+            put_u64(&mut buf, *id);
+            put_u64(&mut buf, *rows);
             encode_table(bounds, &mut buf);
         }
         Response::JobSubmitted(id) => {
-            buf.put_u8(RESP_JOB_SUBMITTED);
-            buf.put_u64_le(*id);
+            buf.push(RESP_JOB_SUBMITTED);
+            put_u64(&mut buf, *id);
         }
         Response::JobState {
             state,
             iterations,
             message,
         } => {
-            buf.put_u8(RESP_JOB_STATE);
-            buf.put_u8(*state);
-            buf.put_u64_le(*iterations);
+            buf.push(RESP_JOB_STATE);
+            buf.push(*state);
+            put_u64(&mut buf, *iterations);
             put_string(&mut buf, message);
         }
         Response::Busy(reason) => {
-            buf.put_u8(RESP_BUSY);
+            buf.push(RESP_BUSY);
             put_string(&mut buf, reason);
         }
         Response::Scores { found, scores } => {
-            buf.put_u8(RESP_SCORES);
-            buf.put_u32_le(found.len() as u32);
+            buf.push(RESP_SCORES);
+            put_u32(&mut buf, found.len() as u32);
             for (&f, &s) in found.iter().zip(scores) {
-                buf.put_u8(u8::from(f));
+                buf.push(u8::from(f));
                 put_f64(&mut buf, s);
             }
         }
@@ -1441,6 +1341,7 @@ pub fn decode_response(bytes: &[u8]) -> DecodeResult<Response> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use joinboost_engine::column::ColumnData;
     use joinboost_engine::Datum;
 
     fn sample_scorer_spec() -> ScorerSpec {
@@ -1508,8 +1409,8 @@ mod tests {
         // A frame announcing more rows than it carries must not allocate
         // or panic.
         let mut evil = Vec::new();
-        evil.put_u32_le(1); // one column
-        evil.put_u64_le(u64::MAX); // absurd row count
+        put_u32(&mut evil, 1); // one column
+        put_u64(&mut evil, u64::MAX); // absurd row count
         assert!(decode_table_bytes(&evil).is_err());
         assert!(decode_request(&[99]).is_err());
         assert!(decode_response(&[99]).is_err());

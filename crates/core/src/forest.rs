@@ -130,12 +130,12 @@ pub fn train_random_forest(set: &Dataset, params: &TrainParams) -> Result<RfMode
     // Train trees (in parallel when params.threads > 1).
     let results: Vec<Result<(Tree, TrainStats)>> = if params.threads > 1 {
         let chunks = std::sync::Mutex::new(Vec::with_capacity(plans.len()));
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let plans_ref = &plans;
             let chunks_ref = &chunks;
             let mut handles = Vec::new();
             for worker in 0..params.threads.min(plans.len()) {
-                handles.push(scope.spawn(move |_| {
+                handles.push(scope.spawn(move || {
                     for (i, (plan, feats)) in plans_ref.iter().enumerate() {
                         if i % params.threads.min(plans_ref.len()) != worker {
                             continue;
@@ -148,8 +148,7 @@ pub fn train_random_forest(set: &Dataset, params: &TrainParams) -> Result<RfMode
             for h in handles {
                 h.join().expect("rf worker");
             }
-        })
-        .expect("rf scope");
+        });
         let mut v = chunks.into_inner().expect("rf lock");
         v.sort_by_key(|(i, _)| *i);
         v.into_iter().map(|(_, r)| r).collect()

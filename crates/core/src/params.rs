@@ -2,10 +2,9 @@
 //! exist (the paper's API-compatibility goal, Section 5.1).
 
 use joinboost_semiring::Objective;
-use serde::{Deserialize, Serialize};
 
 /// Tree growth strategy (Section 3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Growth {
     /// Split the leaf with the largest criteria reduction next
     /// (LightGBM's default; the paper's default).
@@ -15,7 +14,7 @@ pub enum Growth {
 }
 
 /// How gradient-boosting residual updates are executed (Sections 5.3–5.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UpdateMethod {
     /// Materialize the update relation `U` and re-create `F ⋈ U` (the
     /// straw man of Section 5.3; >50× slower than LightGBM's update).
@@ -35,7 +34,7 @@ pub enum UpdateMethod {
 
 /// Training parameters. Defaults follow the paper's experimental setup:
 /// best-first growth, 8 leaves, learning rate 0.1 (Section 6.1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainParams {
     /// Loss function being optimized (Table 3).
     pub objective: Objective,

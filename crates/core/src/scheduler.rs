@@ -102,9 +102,9 @@ pub fn run_dag(db: &dyn SqlBackend, tasks: &[Task], threads: usize) -> Vec<Resul
     // every completion that releases dependents — and the final one —
     // wakes them.
     let wake = Condvar::new();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let next = {
                     let mut st = state.lock().expect("scheduler lock");
                     loop {
@@ -146,8 +146,7 @@ pub fn run_dag(db: &dyn SqlBackend, tasks: &[Task], threads: usize) -> Vec<Resul
                 }
             });
         }
-    })
-    .expect("scheduler scope");
+    });
     state
         .into_inner()
         .expect("scheduler lock")

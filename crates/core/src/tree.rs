@@ -1,10 +1,9 @@
 //! Tree model structures (the objects `train()` returns).
 
 use joinboost_engine::Datum;
-use serde::{Deserialize, Serialize};
 
 /// A split value: numeric threshold or categorical constant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SplitCondition {
     /// `feature <= v` goes left, `feature > v` goes right.
     LtEq(f64),
@@ -16,7 +15,7 @@ pub enum SplitCondition {
 }
 
 /// A decision tree split.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Split {
     /// Name of the feature column being split on.
     pub feature: String,
@@ -55,7 +54,7 @@ impl Split {
 }
 
 /// One node of a trained tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TreeNode {
     /// `None` for leaves.
     pub split: Option<Split>,
@@ -74,7 +73,7 @@ pub struct TreeNode {
 }
 
 /// A trained decision tree.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Tree {
     /// Node 0 is the root.
     pub nodes: Vec<TreeNode>,

@@ -21,8 +21,8 @@ use joinboost::backend::{
     SqlTextBackend,
 };
 use joinboost::{train_gbm, Dataset, GbmModel, TrainParams};
-use joinboost_datagen::{favorita, FavoritaConfig};
-use joinboost_engine::EngineConfig;
+use joinboost_datagen::{favorita, tpcds, FavoritaConfig, TpcConfig};
+use joinboost_engine::{Column, EngineConfig};
 
 /// A real `shard_server` child process (cross-process, not a thread):
 /// spawned on an ephemeral port, killed on drop.
@@ -317,7 +317,6 @@ fn remote_backends_train_bit_identical_gbms_cross_process() {
 fn factorized_scoring_matches_join_scoring_bit_for_bit_on_all_backends() {
     use joinboost::{FactorizedScorer, JoinScorer, Scorer};
     use joinboost_engine::table::ColumnMeta;
-    use joinboost_engine::Column;
 
     // The favorita fact has no unique key: append one.
     let keyed_tables = |gen: &joinboost_datagen::favorita::Generated| {
@@ -399,6 +398,88 @@ fn factorized_scoring_matches_join_scoring_bit_for_bit_on_all_backends() {
         let server = ShardServerProc::spawn();
         let remote = RemoteBackend::builder(server.addr).connect().unwrap();
         check(&remote, "remote factorized");
+    }
+}
+
+/// Dimension chains over partitions: in the TPC-DS snowflake,
+/// `date_dim → holiday_dim` and `customer → demographics` reach the
+/// sharded `store_sales` fact only through a replicated middle dimension.
+/// The target is made to depend on both chain tails, so the model splits
+/// on them, and the engine and 1- and 4-shard backends must train the same
+/// bits.
+#[test]
+fn tpcds_snowflake_chains_train_bit_identical_gbms_when_sharded() {
+    let gen = tpcds(&TpcConfig {
+        scale_factor: 1.0,
+        base_fact_rows: 2_000,
+        seed: 3,
+    });
+    let column = |table: &str, col: &str| {
+        let (_, t) = gen.tables.iter().find(|(n, _)| n == table).unwrap();
+        t.column(None, col).unwrap().to_f64_vec().unwrap()
+    };
+    // Dimension keys are 0..rows, so a key is also its row index.
+    let (holiday_of, f_holiday) = (
+        column("date_dim", "holiday_id"),
+        column("holiday_dim", "f_holiday"),
+    );
+    let (demo_of, f_demo) = (
+        column("customer", "demo_id"),
+        column("demographics", "f_demo"),
+    );
+    let (date_id, customer_id) = (
+        column("store_sales", "date_id"),
+        column("store_sales", "customer_id"),
+    );
+    let y = column("store_sales", "net_paid");
+    // On the 1/8 grid, so every sum the trainer takes is exact.
+    let target: Vec<f64> = (0..y.len())
+        .map(|i| {
+            let holiday = f_holiday[holiday_of[date_id[i] as usize] as usize];
+            let demo = f_demo[demo_of[customer_id[i] as usize] as usize];
+            let y = y[i]
+                + 4000.0 * f64::from(u8::from(holiday > 500.0))
+                + 2000.0 * f64::from(u8::from(demo > 500.0));
+            (y * 8.0).floor() / 8.0
+        })
+        .collect();
+    let mut tables = gen.tables.clone();
+    let (_, fact) = tables.iter_mut().find(|(n, _)| n == "store_sales").unwrap();
+    let y_idx = fact.resolve(None, "net_paid").unwrap();
+    fact.columns[y_idx] = Column::float(target);
+
+    let train = |backend: &dyn SqlBackend| -> GbmModel {
+        for (name, t) in &tables {
+            backend.create_table(name, t.clone()).unwrap();
+        }
+        let set = Dataset::new(backend, gen.graph.clone(), "store_sales", "net_paid").unwrap();
+        let params = TrainParams {
+            num_iterations: 3,
+            learning_rate: 0.5,
+            leaf_quantization: (2.0f64).powi(-10),
+            ..Default::default()
+        };
+        train_gbm(&set, &params).unwrap()
+    };
+    let reference = train(&EngineBackend::in_memory());
+    for tail in ["holiday_dim", "demographics"] {
+        assert!(
+            reference
+                .trees
+                .iter()
+                .flat_map(|t| &t.nodes)
+                .any(|n| n.split.as_ref().is_some_and(|s| s.relation == tail)),
+            "the model must split on the chain tail {tail}"
+        );
+    }
+    for shards in [1usize, 4] {
+        let sharded =
+            ShardedBackend::new(shards, EngineConfig::duckdb_mem(), "store_sales", "date_id");
+        let model = train(&sharded);
+        assert_bit_identical(&reference, &model, &format!("tpcds sharded x{shards}"));
+        if shards > 1 {
+            assert!(sharded.stats().rows_shipped > 0, "merging must move rows");
+        }
     }
 }
 

@@ -447,6 +447,14 @@ proptest! {
             bad[pos] ^= 1 << flip_bit;
             let _ = decode(&bad);
         }
+
+        // A ragged table, its second column one row short: each column
+        // body counts its own rows, and one that disagrees with the
+        // block's row count is a typed error, never a ragged table.
+        let mut ragged = keys_to_table(&grid);
+        ragged.push_column(ColumnMeta::new("short"), Column::int(ks[1..].to_vec()));
+        let enc = encode_request(&Request::CreateTable { name: "t".into(), table: ragged });
+        prop_assert!(decode_request(&enc).is_err());
     }
 
     /// `changed` must be strictly ascending and inside the grid: the
@@ -673,7 +681,7 @@ fn remote_load_snapshot_matches_local_engine_on_random_tables() {
 // Concurrency: one server, two clients
 // ---------------------------------------------------------------------------
 
-/// A `Hello` carrying any version but the server's — the two retired
+/// A `Hello` carrying any version but the server's — the three retired
 /// ones and a future one — gets the typed mismatch error naming the
 /// server's version, on a connection of its own; the server keeps
 /// serving everyone else.
@@ -682,7 +690,7 @@ fn hello_with_another_version_is_a_typed_mismatch_and_the_server_lives_on() {
     let server = WireServer::builder(Database::in_memory()).spawn().unwrap();
     let healthy = RemoteBackend::builder(server.addr()).connect().unwrap();
     healthy.execute("CREATE TABLE t AS SELECT 1 AS x").unwrap();
-    for version in [3u32, 4, 99] {
+    for version in [3u32, 4, 5, 99] {
         let mut sock = std::net::TcpStream::connect(server.addr()).unwrap();
         sock.set_read_timeout(Some(std::time::Duration::from_secs(10)))
             .unwrap();

@@ -413,10 +413,10 @@ fn compute_parallel(
     num_groups: usize,
     workers: usize,
 ) -> Vec<(usize, Acc)> {
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     active
                         .iter()
                         .copied()
@@ -436,7 +436,6 @@ fn compute_parallel(
             .flat_map(|h| h.join().expect("aggregation worker panicked"))
             .collect()
     })
-    .expect("aggregation scope")
 }
 
 #[cfg(test)]

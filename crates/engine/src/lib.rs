@@ -22,9 +22,6 @@
 //!   uncompressed array store that is copied into the engine on every scan
 //!   (the DuckDB+Pandas `DP` backend) but supports O(1) column replacement
 //!   ([`interop`]),
-//! * **partitioned execution** — hash-partition a fact table over N worker
-//!   threads ("machines") with an explicit shuffle/merge stage
-//!   ([`partition`]),
 //! * **out-of-core paged storage** — tables live in fixed-size pages on
 //!   disk behind a capacity-bounded buffer pool (Clock or LRU), scans pin
 //!   pages one at a time, aggregation state spills above a budget, and
@@ -64,7 +61,6 @@ pub mod exec;
 pub mod expr;
 pub mod interop;
 pub mod keys;
-pub mod partition;
 pub mod storage;
 pub mod table;
 pub mod wal;

@@ -1,9 +1,10 @@
-//! Checked byte codec for columns, shared by the page store and the WAL.
+//! Checked byte codec for columns, shared by the page store, the WAL,
+//! checkpoints and the wire protocol.
 //!
-//! The conventions mirror the wire protocol's column blocks so every
-//! serialized form of a column in the system agrees: `f64`s travel by bit
-//! pattern (`to_bits`, little-endian), strings as a dictionary plus `u32`
-//! codes, and validity as a packed LSB-first bitmap. The decoder is fully
+//! [`encode_column`] / [`decode_column`] are the wire's column body, so
+//! every serialized form of a column in the system agrees: `f64`s travel
+//! by bit pattern (`to_bits`, little-endian), strings as a dictionary plus
+//! `u32` codes, and validity as a packed LSB-first bitmap. The decoder is fully
 //! checked: every read is bounds-checked and every element count is
 //! validated against the remaining bytes *before* any allocation, so
 //! truncated or bit-flipped input produces an [`EngineError`] — never a
@@ -13,7 +14,7 @@ use crate::column::{Column, ColumnData};
 use crate::error::{EngineError, Result};
 use crate::table::{ColumnMeta, Table};
 
-/// Data-type tag for integer columns (same value as the wire protocol).
+/// Data-type tag for integer columns.
 const TAG_INT: u8 = 0;
 /// Data-type tag for float columns.
 const TAG_FLOAT: u8 = 1;
@@ -106,9 +107,19 @@ impl<'a> ByteReader<'a> {
     }
 }
 
+/// Append a little-endian `u32`.
+pub fn put_u32(out: &mut Vec<u8>, x: u32) {
+    out.extend_from_slice(&x.to_le_bytes());
+}
+
+/// Append a little-endian `u64`.
+pub fn put_u64(out: &mut Vec<u8>, x: u64) {
+    out.extend_from_slice(&x.to_le_bytes());
+}
+
 /// Append a `u32`-length-prefixed string.
 pub fn put_string(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    put_u32(out, s.len() as u32);
     out.extend_from_slice(s.as_bytes());
 }
 
@@ -117,7 +128,7 @@ pub fn put_string(out: &mut Vec<u8>, s: &str) {
 /// `CreateTable` record and a checkpoint entry share byte for byte.
 pub fn encode_named_table(out: &mut Vec<u8>, name: &str, table: &Table) {
     put_string(out, name);
-    out.extend_from_slice(&(table.columns.len() as u32).to_le_bytes());
+    put_u32(out, table.columns.len() as u32);
     for (m, c) in table.meta.iter().zip(&table.columns) {
         put_string(out, &m.name);
         encode_column(out, c);
@@ -144,27 +155,27 @@ pub fn encode_column(out: &mut Vec<u8>, col: &Column) {
     match &col.data {
         ColumnData::Int(v) => {
             out.push(TAG_INT);
-            out.extend_from_slice(&(v.len() as u64).to_le_bytes());
+            put_u64(out, v.len() as u64);
             for &x in v {
                 out.extend_from_slice(&x.to_le_bytes());
             }
         }
         ColumnData::Float(v) => {
             out.push(TAG_FLOAT);
-            out.extend_from_slice(&(v.len() as u64).to_le_bytes());
+            put_u64(out, v.len() as u64);
             for &x in v {
-                out.extend_from_slice(&x.to_bits().to_le_bytes());
+                put_u64(out, x.to_bits());
             }
         }
         ColumnData::Str { dict, codes } => {
             out.push(TAG_STR);
-            out.extend_from_slice(&(dict.len() as u64).to_le_bytes());
+            put_u64(out, dict.len() as u64);
             for s in dict {
                 put_string(out, s);
             }
-            out.extend_from_slice(&(codes.len() as u64).to_le_bytes());
+            put_u64(out, codes.len() as u64);
             for &c in codes {
-                out.extend_from_slice(&c.to_le_bytes());
+                put_u32(out, c);
             }
         }
     }

@@ -8,10 +8,8 @@
 //! For raw-score objectives (Poisson, logistic) the prediction `p` is the
 //! raw additive score of the ensemble, not the transformed mean.
 
-use serde::{Deserialize, Serialize};
-
 /// A training objective.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Objective {
     /// L2 / `rmse`: the only objective supported on galaxy schemas
     /// (Section 4.2); `loss = ε²`, `g = −ε`, `h = 1` where `ε = y − p`.
