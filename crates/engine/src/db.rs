@@ -11,7 +11,7 @@ use joinboost_sql::parse_statement;
 
 use crate::checkpoint::{self, CheckpointWriter};
 use crate::column::Column;
-use crate::compress::{compress, decompress, CompressedColumn};
+use crate::compress::{decompress, StoredColumn};
 use crate::error::{EngineError, Result};
 use crate::exec::Executor;
 use crate::expr::{CaseMerge, EvalContext};
@@ -52,7 +52,9 @@ pub struct EngineConfig {
     /// MVCC-style versioning: updates first copy the before-image of each
     /// touched column into an undo buffer.
     pub mvcc: bool,
-    /// Run-length compress stored tables; updates pay decompress+recompress.
+    /// Run-length encode each stored column whose encoded form is smaller
+    /// (chosen per column at every store); `false` never encodes. Updates
+    /// pay decompress + recompress only for the encoded columns.
     pub compression: bool,
     /// Whether the `SWAP COLUMN` extension is available (`D-Swap`).
     pub allow_swap: bool,
@@ -212,17 +214,32 @@ pub struct DbStats {
 }
 
 enum Stored {
-    Plain(Arc<Table>),
-    Compressed(Arc<CompressedTable>),
+    /// RAM-resident columns, each in the encoding `store()` chose for it.
+    Memory {
+        meta: Vec<ColumnMeta>,
+        columns: Vec<StoredColumn>,
+    },
     External(Arc<ExternalTable>),
     /// Page chains in the paged store (out-of-core mode): only metadata
     /// lives here; scans pin the pages through the buffer pool.
     Paged(PagedTable),
 }
 
-struct CompressedTable {
-    meta: Vec<ColumnMeta>,
-    columns: Vec<CompressedColumn>,
+impl Stored {
+    fn rows(&self) -> usize {
+        match self {
+            Stored::Memory { columns, .. } => columns.first().map_or(0, StoredColumn::rows),
+            Stored::External(e) => e.num_rows(),
+            Stored::Paged(pt) => pt.rows,
+        }
+    }
+}
+
+/// Index of the first column named `name` (case-insensitive).
+fn column_index(meta: &[ColumnMeta], name: &str) -> Result<usize> {
+    (meta.iter())
+        .position(|m| m.name.eq_ignore_ascii_case(name))
+        .ok_or_else(|| EngineError::UnknownColumn(name.to_string()))
 }
 
 /// Cap on retained MVCC before-images (older versions are garbage
@@ -583,9 +600,8 @@ impl Database {
     /// Approximate stored size of a table in bytes.
     pub fn table_byte_size(&self, name: &str) -> Result<usize> {
         match self.catalog.read().get(&name.to_ascii_lowercase()) {
-            Some(Stored::Plain(t)) => Ok(t.byte_size()),
-            Some(Stored::Compressed(c)) => {
-                Ok(c.columns.iter().map(CompressedColumn::byte_size).sum())
+            Some(Stored::Memory { columns, .. }) => {
+                Ok(columns.iter().map(StoredColumn::byte_size).sum())
             }
             Some(Stored::External(e)) => Ok(e.byte_size()),
             Some(Stored::Paged(pt)) => Ok(pt.byte_size()),
@@ -596,8 +612,7 @@ impl Database {
     /// Column names of a table (schema lookup, no data copied).
     pub fn column_names(&self, name: &str) -> Result<Vec<String>> {
         match self.catalog.read().get(&name.to_ascii_lowercase()) {
-            Some(Stored::Plain(t)) => Ok(t.meta.iter().map(|m| m.name.clone()).collect()),
-            Some(Stored::Compressed(c)) => Ok(c.meta.iter().map(|m| m.name.clone()).collect()),
+            Some(Stored::Memory { meta, .. }) => Ok(meta.iter().map(|m| m.name.clone()).collect()),
             Some(Stored::External(e)) => Ok(e.column_names().to_vec()),
             Some(Stored::Paged(pt)) => Ok(pt.meta.iter().map(|m| m.name.clone()).collect()),
             None => Err(EngineError::UnknownTable(name.to_string())),
@@ -607,41 +622,23 @@ impl Database {
     /// Data type of one column (schema lookup).
     pub fn column_dtype(&self, table: &str, column: &str) -> Result<crate::datum::DataType> {
         match self.catalog.read().get(&table.to_ascii_lowercase()) {
-            Some(Stored::Plain(t)) => {
-                let i = t.resolve(None, column)?;
-                Ok(t.columns[i].dtype())
-            }
-            Some(Stored::Compressed(c)) => {
-                let i = c
-                    .meta
-                    .iter()
-                    .position(|m| m.name.eq_ignore_ascii_case(column))
-                    .ok_or_else(|| EngineError::UnknownColumn(column.to_string()))?;
-                Ok(c.columns[i].dtype)
+            Some(Stored::Memory { meta, columns }) => {
+                Ok(columns[column_index(meta, column)?].dtype())
             }
             Some(Stored::External(e)) => {
                 let arc = e.column_arc(column)?;
                 Ok(arc.dtype())
             }
-            Some(Stored::Paged(pt)) => {
-                let i = pt
-                    .column_index(column)
-                    .ok_or_else(|| EngineError::UnknownColumn(column.to_string()))?;
-                Ok(pt.columns[i].dtype)
-            }
+            Some(Stored::Paged(pt)) => Ok(pt.columns[column_index(&pt.meta, column)?].dtype),
             None => Err(EngineError::UnknownTable(table.to_string())),
         }
     }
 
     /// Number of rows in a table.
     pub fn row_count(&self, name: &str) -> Result<usize> {
-        match self.catalog.read().get(&name.to_ascii_lowercase()) {
-            Some(Stored::Plain(t)) => Ok(t.num_rows()),
-            Some(Stored::Compressed(c)) => Ok(c.columns.first().map_or(0, |cc| cc.len)),
-            Some(Stored::External(e)) => Ok(e.num_rows()),
-            Some(Stored::Paged(pt)) => Ok(pt.rows),
-            None => Err(EngineError::UnknownTable(name.to_string())),
-        }
+        (self.catalog.read().get(&name.to_ascii_lowercase()))
+            .map(Stored::rows)
+            .ok_or_else(|| EngineError::UnknownTable(name.to_string()))
     }
 
     /// Materialize every column of a table — `scan(name, None)`; what
@@ -652,7 +649,7 @@ impl Database {
 
     /// The one funnel every read of stored data goes through: materialize
     /// the columns of `name` whose (case-insensitive) name is in
-    /// `columns`, or all of them for `None`. Only those are decompressed,
+    /// `columns`, or all of them for `None`. Only those are cloned or decoded,
     /// pinned through the buffer pool, or copied in from external
     /// storage; names the table does not have are ignored, and a table
     /// none of whose columns is asked for still yields its first, since a
@@ -671,14 +668,9 @@ impl Database {
         let cat = self.catalog.read();
         let mut t = Table::new();
         match cat.get(&name.to_ascii_lowercase()) {
-            Some(Stored::Plain(p)) => {
-                for i in kept(&p.meta) {
-                    t.push_column(p.meta[i].clone(), p.columns[i].clone());
-                }
-            }
-            Some(Stored::Compressed(c)) => {
-                for i in kept(&c.meta) {
-                    t.push_column(c.meta[i].clone(), decompress(&c.columns[i]));
+            Some(Stored::Memory { meta, columns }) => {
+                for i in kept(meta) {
+                    t.push_column(meta[i].clone(), columns[i].to_column());
                 }
             }
             Some(Stored::External(e)) => {
@@ -712,22 +704,18 @@ impl Database {
         if let Some(store) = &self.storage {
             return Ok(Stored::Paged(store.store_table(&table)?));
         }
-        if self.config.compression {
-            let mut cols = Vec::with_capacity(table.columns.len());
-            let mut bytes = 0usize;
-            for c in &table.columns {
-                let cc = compress(c);
-                bytes += cc.byte_size();
-                cols.push(cc);
-            }
-            self.stats.lock().compressed_bytes_written += bytes as u64;
-            Ok(Stored::Compressed(Arc::new(CompressedTable {
-                meta: table.meta,
-                columns: cols,
-            })))
-        } else {
-            Ok(Stored::Plain(Arc::new(table)))
-        }
+        let columns: Vec<StoredColumn> = (table.columns.into_iter())
+            .map(|c| StoredColumn::new(c, self.config.compression))
+            .collect();
+        let encoded: usize = (columns.iter())
+            .filter(|c| matches!(c, StoredColumn::Rle(_)))
+            .map(StoredColumn::byte_size)
+            .sum();
+        self.stats.lock().compressed_bytes_written += encoded as u64;
+        Ok(Stored::Memory {
+            meta: table.meta,
+            columns,
+        })
     }
 
     // ---- SQL entry points --------------------------------------------------
@@ -812,8 +800,8 @@ impl Database {
         where_clause: Option<&Expr>,
     ) -> Result<()> {
         let gate = self.write_gate.read();
-        // Snapshot pays decompression (compressed storage) or copy-in
-        // (external storage); the write below pays WAL + undo + recompress.
+        // Snapshot pays decoding (RLE columns) or copy-in (external
+        // storage); the write below pays WAL + undo + re-encoding.
         let current = self.snapshot(table)?;
         let n = current.num_rows();
         let executor = Executor::new(self);
@@ -882,11 +870,14 @@ impl Database {
         }
         let (ka, kb) = (ta.to_ascii_lowercase(), tb.to_ascii_lowercase());
         let mut cat = self.catalog.write();
-        if !cat.contains_key(&ka) {
-            return Err(EngineError::UnknownTable(ta.to_string()));
-        }
-        if !cat.contains_key(&kb) {
-            return Err(EngineError::UnknownTable(tb.to_string()));
+        let rows = |k: &str, t: &str| {
+            (cat.get(k).map(Stored::rows)).ok_or_else(|| EngineError::UnknownTable(t.to_string()))
+        };
+        let (ra, rb) = (rows(&ka, ta)?, rows(&kb, tb)?);
+        if ra != rb {
+            return Err(EngineError::Other(format!(
+                "cannot swap columns of tables with {ra} and {rb} rows"
+            )));
         }
         // External ⇄ external: swap Arc pointers.
         if let (Some(Stored::External(ea)), Some(Stored::External(eb))) =
@@ -901,9 +892,9 @@ impl Database {
             self.stats.lock().swaps += 1;
             return Ok(());
         }
-        // Same-representation in-catalog swap: pull both columns out and
-        // exchange them. This is a schema-level pointer move — O(1) in the
-        // number of rows (Vec moves are three words).
+        // In-catalog swap: pull both columns out and exchange them, each
+        // in the encoding it has. This is a schema-level pointer move —
+        // O(1) in the number of rows (Vec moves are three words).
         let col_a = take_column(cat.get_mut(&ka).expect("checked"), ca)?;
         let col_b = match take_column(cat.get_mut(&kb).expect("checked"), cb) {
             Ok(c) => c,
@@ -920,36 +911,15 @@ impl Database {
     }
 }
 
-/// Either a plain or a compressed column, moved between tables by swap.
-enum AnyColumn {
-    Plain(Column),
-    Compressed(CompressedColumn),
-}
-
-fn take_column(stored: &mut Stored, name: &str) -> Result<AnyColumn> {
+fn take_column(stored: &mut Stored, name: &str) -> Result<StoredColumn> {
     match stored {
-        Stored::Plain(t) => {
-            let t = Arc::make_mut(t);
-            let idx = t.resolve(None, name)?;
+        Stored::Memory { meta, columns } => {
+            let idx = column_index(meta, name)?;
             // Leave a zero-length placeholder; put_column will replace it.
-            let col = std::mem::replace(&mut t.columns[idx], Column::int(vec![]));
-            Ok(AnyColumn::Plain(col))
+            let placeholder = StoredColumn::Plain(Column::int(vec![]));
+            Ok(std::mem::replace(&mut columns[idx], placeholder))
         }
-        Stored::Compressed(c) => {
-            let c = Arc::make_mut(c);
-            let idx = c
-                .meta
-                .iter()
-                .position(|m| m.name.eq_ignore_ascii_case(name))
-                .ok_or_else(|| EngineError::UnknownColumn(name.to_string()))?;
-            let placeholder = compress(&Column::int(vec![]));
-            let col = std::mem::replace(&mut c.columns[idx], placeholder);
-            Ok(AnyColumn::Compressed(col))
-        }
-        Stored::External(e) => {
-            let arc = e.column_arc(name)?;
-            Ok(AnyColumn::Plain((*arc).clone()))
-        }
+        Stored::External(e) => Ok(StoredColumn::Plain((*e.column_arc(name)?).clone())),
         // Swap deliberately bypasses the WAL (it is a schema-level pointer
         // move), which is incompatible with WAL-replay recovery.
         Stored::Paged(_) => Err(EngineError::Other(
@@ -958,49 +928,21 @@ fn take_column(stored: &mut Stored, name: &str) -> Result<AnyColumn> {
     }
 }
 
-fn put_column(stored: &mut Stored, name: &str, col: AnyColumn) -> Result<()> {
+fn put_column(stored: &mut Stored, name: &str, col: StoredColumn) -> Result<()> {
     match stored {
-        Stored::Plain(t) => {
-            let t = Arc::make_mut(t);
-            let idx = t.resolve(None, name)?;
-            t.columns[idx] = match col {
-                AnyColumn::Plain(c) => c,
-                AnyColumn::Compressed(cc) => decompress(&cc),
-            };
+        Stored::Memory { meta, columns } => {
+            columns[column_index(meta, name)?] = col;
             Ok(())
         }
-        Stored::Compressed(c) => {
-            let c = Arc::make_mut(c);
-            let idx = c
-                .meta
-                .iter()
-                .position(|m| m.name.eq_ignore_ascii_case(name))
-                .ok_or_else(|| EngineError::UnknownColumn(name.to_string()))?;
-            c.columns[idx] = match col {
-                AnyColumn::Compressed(cc) => cc,
-                AnyColumn::Plain(p) => compress(&p),
-            };
-            Ok(())
-        }
-        Stored::External(e) => {
-            let c = match col {
-                AnyColumn::Plain(c) => c,
-                AnyColumn::Compressed(cc) => decompress(&cc),
-            };
-            e.replace_column(name, c)
-        }
+        // External storage holds plain arrays only: the one place a swap
+        // changes a column's encoding.
+        Stored::External(e) => match col {
+            StoredColumn::Plain(c) => e.replace_column(name, c),
+            StoredColumn::Rle(cc) => e.replace_column(name, decompress(&cc)),
+        },
         Stored::Paged(_) => Err(EngineError::Other(
             "column swap is not supported on paged storage".into(),
         )),
-    }
-}
-
-impl Clone for CompressedTable {
-    fn clone(&self) -> Self {
-        CompressedTable {
-            meta: self.meta.clone(),
-            columns: self.columns.clone(),
-        }
     }
 }
 
@@ -1105,6 +1047,94 @@ mod tests {
             30.0
         );
         assert_eq!(db2.stats().swaps, 1);
+    }
+
+    #[test]
+    fn swap_rejects_columns_of_different_lengths_and_leaves_both_tables() {
+        let db = Database::new(EngineConfig::d_swap());
+        let f = Table::from_columns(vec![("s", Column::float(vec![1.0, 2.0, 3.0]))]);
+        let g = Table::from_columns(vec![("s", Column::float(vec![10.0]))]);
+        db.create_table("f", f.clone()).unwrap();
+        db.create_table("g", g.clone()).unwrap();
+        let err = db.execute("SWAP COLUMN f.s WITH g.s").unwrap_err();
+        assert!(err.to_string().contains("3 and 1 rows"), "{err}");
+        assert_eq!(
+            (db.snapshot("f").unwrap(), db.snapshot("g").unwrap()),
+            (f, g)
+        );
+        assert_eq!(db.stats().swaps, 0);
+        let t = db.query("SELECT s FROM f WHERE s > 1.5").unwrap();
+        assert_eq!(t.num_rows(), 2);
+    }
+
+    /// Column names plus every column's codec bytes: equality is
+    /// bit-exactness (NaN payloads and `-0.0` included).
+    fn bits(t: &Table) -> (Vec<&str>, Vec<u8>) {
+        let mut out = Vec::new();
+        for c in &t.columns {
+            crate::storage::codec::encode_column(&mut out, c);
+        }
+        (t.column_names(), out)
+    }
+
+    #[test]
+    fn mixed_encodings_store_snapshot_and_swap_bit_exactly() {
+        use crate::compress::compress;
+        let n = 64;
+        let k = Column::int(vec![7; n]);
+        let mut xs: Vec<f64> = (0..n).map(|i| i as f64 * 0.5).collect();
+        (xs[3], xs[5]) = (f64::from_bits(0x7FF8_0000_0000_0001), -0.0);
+        let x = Column::float(xs);
+        let s = Column::from_datums(
+            &(0..n)
+                .map(|i| match i % 4 {
+                    0 => Datum::Null,
+                    _ => Datum::Str(["a", "b", "c"][i % 3].into()),
+                })
+                .collect::<Vec<_>>(),
+        );
+        let t = Table::from_columns(vec![("k", k.clone()), ("x", x.clone()), ("s", s.clone())]);
+        let rle = |c: &Column| compress(c).byte_size();
+        assert!(rle(&k) < k.byte_size() && rle(&x) > x.byte_size() && rle(&s) > s.byte_size());
+
+        let db = Database::new(EngineConfig::d_swap());
+        db.create_table("t", t.clone()).unwrap();
+        assert_eq!(bits(&db.snapshot("t").unwrap()), bits(&t));
+        let t_bytes = rle(&k) + x.byte_size() + s.byte_size();
+        assert_eq!(db.table_byte_size("t").unwrap(), t_bytes);
+        assert_eq!(db.stats().compressed_bytes_written, rle(&k) as u64);
+
+        // `u` mirrors `t`: a plain `k` and an RLE `x`.
+        let uk = Column::int((0..n as i64).collect());
+        let ux = Column::float(vec![0.25; n]);
+        db.create_table(
+            "u",
+            Table::from_columns(vec![("k", uk.clone()), ("x", ux.clone())]),
+        )
+        .unwrap();
+        let written = db.stats().compressed_bytes_written;
+        // RLE t.k → u, plain u.k → t; then plain t.x → u, RLE u.x → t.
+        db.execute("SWAP COLUMN t.k WITH u.k").unwrap();
+        db.execute("SWAP COLUMN t.x WITH u.x").unwrap();
+        let want_t =
+            Table::from_columns(vec![("k", uk.clone()), ("x", ux.clone()), ("s", s.clone())]);
+        let want_u = Table::from_columns(vec![("k", k.clone()), ("x", x.clone())]);
+        assert_eq!(bits(&db.snapshot("t").unwrap()), bits(&want_t));
+        assert_eq!(bits(&db.snapshot("u").unwrap()), bits(&want_u));
+        let t_bytes = uk.byte_size() + rle(&ux) + s.byte_size();
+        assert_eq!(db.table_byte_size("t").unwrap(), t_bytes);
+        assert_eq!(db.table_byte_size("u").unwrap(), rle(&k) + x.byte_size());
+        let stats = db.stats();
+        assert_eq!((stats.swaps, stats.compressed_bytes_written), (2, written));
+
+        // External storage holds plain arrays: RLE u.k is decoded into it.
+        let ek = Column::int((100..100 + n as i64).collect());
+        db.register_external("e", &Table::from_columns(vec![("k", ek.clone())]));
+        db.execute("SWAP COLUMN u.k WITH e.k").unwrap();
+        let want_e = Table::from_columns(vec![("k", k.clone())]);
+        assert_eq!(bits(&db.snapshot("e").unwrap()), bits(&want_e));
+        let want_u = Table::from_columns(vec![("k", ek.clone()), ("x", x.clone())]);
+        assert_eq!(bits(&db.snapshot("u").unwrap()), bits(&want_u));
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //!   file before it is applied ([`wal`]),
 //! * **MVCC-style versioning** — updates first copy the before-image of the
 //!   touched column into an undo buffer ([`db`]),
-//! * **lightweight columnar compression** — tables can be stored
-//!   run-length-encoded; updates must decompress, modify and recompress
-//!   ([`compress`]),
+//! * **lightweight columnar compression** — each stored column is
+//!   run-length encoded when that makes it smaller, and kept plain
+//!   otherwise; updates must decompress, modify and recompress the
+//!   columns that are encoded ([`compress`]),
 //! * **column swap** — the paper's <100-LOC DuckDB extension: an O(1)
 //!   schema-level pointer swap of a column between two tables, bypassing
 //!   WAL, MVCC and compression entirely (`SWAP COLUMN a.x WITH b.y`),

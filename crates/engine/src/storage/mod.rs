@@ -78,13 +78,6 @@ impl PagedTable {
     pub fn byte_size(&self) -> usize {
         self.num_pages() * PAGE_SIZE
     }
-
-    /// Index of a column by case-insensitive name.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.meta
-            .iter()
-            .position(|m| m.name.eq_ignore_ascii_case(name))
-    }
 }
 
 /// The per-database paged storage engine: disk manager + buffer pool.

@@ -8,7 +8,11 @@
 //! * **adversarial proptests** — truncating the byte string at any cut
 //!   point is a checked error, and flipping any byte of any page never
 //!   panics and never over-allocates (the decoder's count guard bounds
-//!   every allocation by the bytes actually present).
+//!   every allocation by the bytes actually present);
+//! * **the in-memory catalog** — the same columns, and run-heavy ones,
+//!   stored by `duckdb_mem()` never take more bytes than the plain table
+//!   (a column is run-length encoded only when that is smaller) and
+//!   snapshot back bit-exactly.
 
 use proptest::prelude::*;
 
@@ -18,7 +22,7 @@ use joinboost_engine::storage::page::{
     decode_column_pages, encode_column_pages, paginate, unpaginate, PageBuf,
 };
 use joinboost_engine::storage::{PagedStore, Replacement, PAGE_SIZE};
-use joinboost_engine::{Column, Table};
+use joinboost_engine::{Column, Database, Table};
 
 // ---------------------------------------------------------------------------
 // Strategies
@@ -55,12 +59,45 @@ fn arb_column(rows: usize) -> impl Strategy<Value = Column> {
 /// Columns from empty up to several pages long (a 700-row f64 column is
 /// ~5.6 KB — past one 4 KiB page).
 fn arb_sized_column() -> impl Strategy<Value = Column> {
+    arb_rows().prop_flat_map(arb_column)
+}
+
+fn arb_rows() -> impl Strategy<Value = usize> {
     prop_oneof![
         Just(0usize),
         1usize..40,
         600usize..900, // multi-page
     ]
-    .prop_flat_map(arb_column)
+}
+
+/// Up to four distinct values (of any type, NULL included) in runs of
+/// `run` rows: the shape run-length encoding shrinks.
+fn arb_run_column(rows: usize) -> impl Strategy<Value = Column> {
+    (arb_column(4), 1usize..300).prop_map(move |(few, run)| {
+        let idx: Vec<u32> = (0..rows).map(|i| ((i / run) % 4) as u32).collect();
+        few.take(&idx)
+    })
+}
+
+/// A table of one to four same-length columns, each arbitrary or
+/// run-heavy, so both encodings occur side by side.
+fn arb_table() -> impl Strategy<Value = Table> {
+    arb_rows().prop_flat_map(|rows| {
+        let col = prop_oneof![arb_column(rows), arb_run_column(rows)];
+        prop::collection::vec(col, 1..5).prop_map(|cols| {
+            let names: Vec<String> = (0..cols.len()).map(|i| format!("c{i}")).collect();
+            Table::from_columns(names.iter().map(String::as_str).zip(cols).collect())
+        })
+    })
+}
+
+/// Every column's codec bytes: equal bytes are bit-exact columns.
+fn table_bytes(t: &Table) -> Vec<u8> {
+    let mut out = Vec::new();
+    for c in &t.columns {
+        encode_column(&mut out, c);
+    }
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -105,6 +142,21 @@ proptest! {
         encode_column(&mut b, &back);
         prop_assert_eq!(a, b);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+proptest! {
+    /// The catalog picks each column's encoding by size: a stored table
+    /// never takes more bytes than its plain columns, and reads back
+    /// bit-exactly whichever encodings were picked.
+    #[test]
+    fn stored_tables_never_outgrow_their_columns_and_snapshot_bit_exactly(t in arb_table()) {
+        let db = Database::in_memory();
+        db.create_table("t", t.clone()).unwrap();
+        prop_assert!(db.table_byte_size("t").unwrap() <= t.byte_size());
+        let back = db.snapshot("t").unwrap();
+        prop_assert_eq!(back.column_names(), t.column_names());
+        prop_assert_eq!(table_bytes(&back), table_bytes(&t));
     }
 }
 
