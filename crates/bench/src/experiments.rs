@@ -24,7 +24,7 @@ use joinboost_datagen::{
 use joinboost_engine::{Column, Database, EngineConfig};
 use joinboost_semiring::loss::rmse;
 
-use crate::report::{write_bench_json, JsonValue, Report};
+use crate::report::Report;
 use crate::{secs, time};
 
 /// Run one experiment by name; `all` runs everything.
@@ -1207,11 +1207,10 @@ fn agg() -> Result<(), String> {
 /// pools shrink from comfortable (1024 pages = 4 MiB) down to absurd
 /// (8 pages = 32 KiB, far below the working set). Models are asserted
 /// bit-identical at every size — paging may cost wall-clock, never bits —
-/// and the JSON captures the cost curve: hit rate, evictions, write-back
+/// and the table shows the cost curve: hit rate, evictions, write-back
 /// volume and train time per pool size.
 fn paged_bench() -> Result<(), String> {
     use joinboost::backend::EngineBackend;
-    use joinboost_engine::Replacement;
 
     const POOLS: &[usize] = &[1024, 256, 64, 8];
     let gen = favorita_scaled(6_000, 40, 1);
@@ -1263,7 +1262,6 @@ fn paged_bench() -> Result<(), String> {
         "-".into(),
         "-".into(),
     ]);
-    let mut json_rows: Vec<JsonValue> = Vec::new();
     for &pool_pages in POOLS {
         let dir = std::env::temp_dir().join(format!(
             "jb_bench_paged_{}_{pool_pages}",
@@ -1273,7 +1271,6 @@ fn paged_bench() -> Result<(), String> {
         let backend = EngineBackend::labeled(
             EngineConfig {
                 bufferpool_pages: pool_pages,
-                replacement: Replacement::Clock,
                 agg_spill_bytes: 1 << 20,
                 ..EngineConfig::paged(&dir)
             },
@@ -1305,16 +1302,6 @@ fn paged_bench() -> Result<(), String> {
             format!("{:.1} MB", stats.spilled_bytes as f64 / (1024.0 * 1024.0)),
             format!("{:.1} MB", page_file_bytes as f64 / (1024.0 * 1024.0)),
         ]);
-        json_rows.push(JsonValue::obj(vec![
-            ("pool_pages", JsonValue::Int(pool_pages as i64)),
-            ("train_s", JsonValue::Num(t.as_secs_f64())),
-            ("hits", JsonValue::Int(stats.hits as i64)),
-            ("misses", JsonValue::Int(stats.misses as i64)),
-            ("hit_rate", JsonValue::Num(hit_rate)),
-            ("evictions", JsonValue::Int(stats.evictions as i64)),
-            ("spilled_bytes", JsonValue::Int(stats.spilled_bytes as i64)),
-            ("page_file_bytes", JsonValue::Int(page_file_bytes as i64)),
-        ]));
         drop(backend);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1323,16 +1310,6 @@ fn paged_bench() -> Result<(), String> {
          8 pages = 32 KiB of cache against a multi-MB working set",
     );
     report.print();
-    let json = JsonValue::obj(vec![
-        ("experiment", JsonValue::Str("paged".into())),
-        ("fact_rows", JsonValue::Int(6_000)),
-        ("iterations", JsonValue::Int(3)),
-        ("bit_identical", JsonValue::Int(1)),
-        ("mem_train_s", JsonValue::Num(mem_time.as_secs_f64())),
-        ("rows", JsonValue::Arr(json_rows)),
-    ]);
-    let path = write_bench_json("paged", &json).map_err(|e| e.to_string())?;
-    println!("wrote {}", path.display());
     Ok(())
 }
 
@@ -1410,7 +1387,6 @@ fn recovery_bench() -> Result<(), String> {
             "ckpts",
         ],
     );
-    let mut open_rows: Vec<JsonValue> = Vec::new();
     for &n in &[50usize, 200, 800] {
         let (open_off, wal_off, _) = run(n, None)?;
         let (open_on, wal_on, ckpts) = run(n, Some(CKPT_BUDGET))?;
@@ -1422,14 +1398,6 @@ fn recovery_bench() -> Result<(), String> {
             secs(open_on),
             ckpts.to_string(),
         ]);
-        open_rows.push(JsonValue::obj(vec![
-            ("statements", JsonValue::Int(n as i64)),
-            ("wal_bytes_off", JsonValue::Int(wal_off as i64)),
-            ("open_s_off", JsonValue::Num(open_off.as_secs_f64())),
-            ("wal_bytes_on", JsonValue::Int(wal_on as i64)),
-            ("open_s_on", JsonValue::Num(open_on.as_secs_f64())),
-            ("checkpoints", JsonValue::Int(ckpts as i64)),
-        ]));
     }
     report.note(
         "off: recovery replays every statement since birth; on: snapshot + \
@@ -1483,22 +1451,6 @@ fn recovery_bench() -> Result<(), String> {
     ]);
     report.note("resume replays stored trees' residual updates (no split search), then trains only the missing iterations; final models bit-identical");
     report.print();
-
-    let json = JsonValue::obj(vec![
-        ("experiment", JsonValue::Str("recovery".into())),
-        (
-            "checkpoint_budget_bytes",
-            JsonValue::Int(CKPT_BUDGET as i64),
-        ),
-        ("open_rows", JsonValue::Arr(open_rows)),
-        ("cold_train_s", JsonValue::Num(cold_time.as_secs_f64())),
-        ("resume_train_s", JsonValue::Num(resume_time.as_secs_f64())),
-        ("resume_from", JsonValue::Int(6)),
-        ("iterations", JsonValue::Int(12)),
-        ("bit_identical", JsonValue::Int(1)),
-    ]);
-    let path = write_bench_json("recovery", &json).map_err(|e| e.to_string())?;
-    println!("wrote {}", path.display());
     Ok(())
 }
 
@@ -1747,7 +1699,6 @@ fn shard_scale() -> Result<(), String> {
     let mut reference: Option<joinboost::GbmModel> = None;
     let mut dense_rows: u64 = 0;
     let mut pushed_rows: u64 = 0;
-    let mut json_rows: Vec<JsonValue> = Vec::new();
     for &(shards, pushdown) in &[(1usize, true), (2, false), (2, true), (4, false), (4, true)] {
         let mut times: Vec<f64> = Vec::new();
         let mut shipped = 0u64;
@@ -1802,13 +1753,6 @@ fn shard_scale() -> Result<(), String> {
             splits.to_string(),
             shipped.to_string(),
         ]);
-        json_rows.push(JsonValue::obj(vec![
-            ("shards", JsonValue::Int(shards as i64)),
-            ("pushdown", JsonValue::Int(i64::from(pushdown))),
-            ("train_median_s", JsonValue::Num(times[times.len() / 2])),
-            ("pushdown_splits", JsonValue::Int(splits as i64)),
-            ("rows_shipped", JsonValue::Int(shipped as i64)),
-        ]));
     }
     if dense_rows > 0 && pushed_rows > 0 {
         report.note(format!(
@@ -1819,15 +1763,6 @@ fn shard_scale() -> Result<(), String> {
     }
     report.note("every configuration trained the SAME model, bit for bit (dyadic recipe)");
     report.print();
-    let json = JsonValue::obj(vec![
-        ("experiment", JsonValue::Str("shards".into())),
-        ("bit_identical", JsonValue::Int(1)),
-        ("dense_rows_4shard", JsonValue::Int(dense_rows as i64)),
-        ("pushed_rows_4shard", JsonValue::Int(pushed_rows as i64)),
-        ("rows", JsonValue::Arr(json_rows)),
-    ]);
-    let path = write_bench_json("shards", &json).map_err(|e| e.to_string())?;
-    println!("wrote {}", path.display());
     Ok(())
 }
 
@@ -1877,11 +1812,10 @@ fn remote_scale(flaky: bool) -> Result<(), String> {
     // only the subdivided intervals.
     let (mut dense_split_recv, mut dense_split_rounds) = (0u64, 0u64);
     let (mut delta_split_recv, mut delta_split_rounds) = (0u64, 0u64);
-    let mut json_rows: Vec<JsonValue> = Vec::new();
     for &(shards, pushdown) in &[(1usize, true), (2, false), (2, true), (4, false), (4, true)] {
         let mut times: Vec<f64> = Vec::new();
         let (mut shipped, mut sent, mut received) = (0u64, 0u64, 0u64);
-        let (mut split_rounds, mut split_sent, mut split_recv) = (0u64, 0u64, 0u64);
+        let (mut split_rounds, mut split_recv) = (0u64, 0u64);
         for _ in 0..3 {
             // Real socket servers, one engine process-alike each (spawned
             // in-process so the sweep is self-contained; the shard_server
@@ -1940,7 +1874,6 @@ fn remote_scale(flaky: bool) -> Result<(), String> {
             sent = stats.bytes_sent;
             received = stats.bytes_received;
             split_rounds = stats.split_rounds;
-            split_sent = stats.split_bytes_sent;
             split_recv = stats.split_bytes_received;
             match &reference {
                 None => reference = Some(model),
@@ -1975,17 +1908,6 @@ fn remote_scale(flaky: bool) -> Result<(), String> {
             split_rounds.to_string(),
             kb(split_recv / split_rounds.max(1)),
         ]);
-        json_rows.push(JsonValue::obj(vec![
-            ("servers", JsonValue::Int(shards as i64)),
-            ("pushdown", JsonValue::Int(i64::from(pushdown))),
-            ("train_median_s", JsonValue::Num(times[times.len() / 2])),
-            ("rows_shipped", JsonValue::Int(shipped as i64)),
-            ("wire_bytes_sent", JsonValue::Int(sent as i64)),
-            ("wire_bytes_received", JsonValue::Int(received as i64)),
-            ("split_rounds", JsonValue::Int(split_rounds as i64)),
-            ("split_bytes_sent", JsonValue::Int(split_sent as i64)),
-            ("split_bytes_received", JsonValue::Int(split_recv as i64)),
-        ]));
     }
     if dense_recv > 0 && pushed_recv > 0 {
         report.note(format!(
@@ -2019,24 +1941,6 @@ fn remote_scale(flaky: bool) -> Result<(), String> {
         report.note("every configuration trained the SAME model, bit for bit, across processes");
     }
     report.print();
-    let json = JsonValue::obj(vec![
-        ("experiment", JsonValue::Str("remote".into())),
-        ("bit_identical", JsonValue::Int(1)),
-        ("flaky", JsonValue::Int(i64::from(flaky))),
-        ("dense_recv_4server", JsonValue::Int(dense_recv as i64)),
-        ("pushed_recv_4server", JsonValue::Int(pushed_recv as i64)),
-        (
-            "dense_split_recv_per_round_4server",
-            JsonValue::Int(dense_per_round as i64),
-        ),
-        (
-            "delta_split_recv_per_round_4server",
-            JsonValue::Int(delta_per_round as i64),
-        ),
-        ("rows", JsonValue::Arr(json_rows)),
-    ]);
-    let path = write_bench_json("remote", &json).map_err(|e| e.to_string())?;
-    println!("wrote {}", path.display());
     Ok(())
 }
 
@@ -2083,8 +1987,7 @@ impl Drop for ShardServerProc {
 /// shard, trains on the sharded backend, compiles the model into message
 /// tables, spot-checks the factorized path bit-for-bit against the
 /// materialized-join oracle, then sweeps concurrent clients × batch size
-/// measuring p50/p99 predict latency and scores/sec. Writes
-/// `BENCH_serve.json`.
+/// measuring p50/p99 predict latency and scores/sec.
 fn serve_bench() -> Result<(), String> {
     use joinboost::backend::{
         JobSpec, JobStatus, RemoteConnection, RemoteOptions, ServeClient, ShardTransport,
@@ -2306,7 +2209,6 @@ fn serve_bench() -> Result<(), String> {
     let pct = |sorted: &[f64], q: f64| -> f64 {
         sorted[((sorted.len() - 1) as f64 * q).round() as usize]
     };
-    let mut json_rows: Vec<JsonValue> = Vec::new();
     for &clients in CLIENTS {
         for &batch in BATCHES {
             let per_client = (4096 / batch).clamp(8, 256);
@@ -2362,14 +2264,6 @@ fn serve_bench() -> Result<(), String> {
                 format!("{p99:.3}"),
                 format!("{throughput:.0}"),
             ]);
-            json_rows.push(JsonValue::obj(vec![
-                ("clients", JsonValue::Int(clients as i64)),
-                ("batch", JsonValue::Int(batch as i64)),
-                ("batches_per_client", JsonValue::Int(per_client as i64)),
-                ("p50_ms", JsonValue::Num(p50)),
-                ("p99_ms", JsonValue::Num(p99)),
-                ("scores_per_sec", JsonValue::Num(throughput)),
-            ]));
         }
     }
     report.note(format!(
@@ -2378,32 +2272,5 @@ fn serve_bench() -> Result<(), String> {
     ));
     report.note("merged scores asserted bit-identical to the materialized-join oracle");
     report.print();
-
-    let json = JsonValue::obj(vec![
-        ("experiment", JsonValue::Str("serve".into())),
-        ("shards", JsonValue::Int(SHARDS as i64)),
-        ("fact_rows", JsonValue::Int(FACT_ROWS as i64)),
-        ("train_s", JsonValue::Num(train_time.as_secs_f64())),
-        (
-            "spot_check",
-            JsonValue::obj(vec![
-                ("keys", JsonValue::Int(check_keys.len() as i64)),
-                ("bit_identical", JsonValue::Int(1)),
-            ]),
-        ),
-        (
-            "job",
-            JsonValue::obj(vec![
-                ("id", JsonValue::Int(job_id as i64)),
-                ("iterations", JsonValue::Int(job_iterations as i64)),
-                ("wait_s", JsonValue::Num(job_time.as_secs_f64())),
-                ("keys_probed", JsonValue::Int(probe.len() as i64)),
-                ("keys_scored", JsonValue::Int(job_scored as i64)),
-            ]),
-        ),
-        ("sweep", JsonValue::Arr(json_rows)),
-    ]);
-    let path = write_bench_json("serve", &json).map_err(|e| e.to_string())?;
-    println!("wrote {}", path.display());
     Ok(())
 }

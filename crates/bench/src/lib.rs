@@ -2,9 +2,8 @@
 //!
 //! `cargo run -p joinboost-bench --release --bin experiments -- <figN|all>`
 //! regenerates the series of every table and figure in the paper's
-//! evaluation (see DESIGN.md for the experiment index and EXPERIMENTS.md
-//! for recorded outputs). Criterion micro-benchmarks live under
-//! `benches/`.
+//! evaluation and prints them as tables (DESIGN.md has the experiment
+//! index). Recorded performance numbers live in `jbbench/`.
 
 pub mod experiments;
 pub mod report;

@@ -1,109 +1,7 @@
-//! Plain-text table reporting (the harness prints the same rows/series
-//! the paper's figures plot), plus the machine-readable `BENCH_*.json`
-//! writer the CI smoke job parses.
+//! Plain-text table reporting: the harness prints the same rows/series
+//! the paper's figures plot.
 
 use std::fmt::Write as _;
-
-/// A minimal JSON value — just enough for benchmark reports, so the
-/// harness stays free of serialization dependencies.
-#[derive(Debug, Clone)]
-pub enum JsonValue {
-    /// A number (rendered with full precision; non-finite becomes null).
-    Num(f64),
-    /// An integer (rendered without a decimal point).
-    Int(i64),
-    /// A string (escaped).
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object with ordered keys.
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// Convenience constructor for object entries.
-    pub fn obj(entries: Vec<(&str, JsonValue)>) -> JsonValue {
-        JsonValue::Obj(
-            entries
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
-    }
-
-    /// Render to compact JSON text.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            JsonValue::Num(n) => {
-                if n.is_finite() {
-                    let _ = write!(out, "{n}");
-                    // `{}` prints integral floats without a point; keep
-                    // them unambiguous numbers anyway (JSON allows both).
-                } else {
-                    out.push_str("null");
-                }
-            }
-            JsonValue::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
-            JsonValue::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            JsonValue::Arr(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.write(out);
-                }
-                out.push(']');
-            }
-            JsonValue::Obj(entries) => {
-                out.push('{');
-                for (i, (k, v)) in entries.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    JsonValue::Str(k.clone()).write(out);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-/// Write `value` to `BENCH_<name>.json` in the working directory and
-/// return the path. Every sweep experiment emits one of these alongside
-/// its printed table, so CI (and plotting scripts) parse results instead
-/// of scraping stdout.
-pub fn write_bench_json(name: &str, value: &JsonValue) -> std::io::Result<std::path::PathBuf> {
-    let path = std::path::PathBuf::from(format!("BENCH_{name}.json"));
-    std::fs::write(&path, value.render() + "\n")?;
-    Ok(path)
-}
 
 /// A simple aligned text table.
 pub struct Report {
@@ -194,23 +92,5 @@ mod tests {
     fn arity_checked() {
         let mut r = Report::new("t", &["a", "b"]);
         r.row(&["1".into()]);
-    }
-
-    #[test]
-    fn json_renders_and_escapes() {
-        let v = JsonValue::obj(vec![
-            ("name", JsonValue::Str("a\"b\\c\nd".into())),
-            ("n", JsonValue::Int(-3)),
-            ("x", JsonValue::Num(1.5)),
-            ("nan", JsonValue::Num(f64::NAN)),
-            (
-                "rows",
-                JsonValue::Arr(vec![JsonValue::Int(1), JsonValue::Num(0.25)]),
-            ),
-        ]);
-        assert_eq!(
-            v.render(),
-            r#"{"name":"a\"b\\c\nd","n":-3,"x":1.5,"nan":null,"rows":[1,0.25]}"#
-        );
     }
 }

@@ -1426,9 +1426,8 @@ fn merge_partials(partials: Vec<Table>, specs: &[MergeSpec]) -> BackendResult {
     Ok(out)
 }
 
-/// Vertically concatenate shard results (layouts must match). Int and
-/// float columns without NULLs concatenate slice-to-slice; only string or
-/// nullable columns take the per-value fallback.
+/// Vertically concatenate shard results (layouts must match), each column
+/// keeping its type.
 fn concat_tables(parts: Vec<Table>) -> BackendResult {
     let first = parts
         .first()
@@ -1441,36 +1440,9 @@ fn concat_tables(parts: Vec<Table>) -> BackendResult {
     let mut out = Table::new();
     for (ci, m) in meta.iter().enumerate() {
         let cols: Vec<&Column> = parts.iter().map(|t| &t.columns[ci]).collect();
-        out.push_column(ColumnMeta::new(m.name.clone()), concat_columns(&cols));
+        out.push_column(ColumnMeta::new(m.name.clone()), Column::concat(&cols));
     }
     Ok(out)
-}
-
-fn concat_columns(cols: &[&Column]) -> Column {
-    let total: usize = cols.iter().map(|c| c.len()).sum();
-    if cols.iter().all(|c| c.validity.is_none()) {
-        if cols.iter().all(|c| c.as_i64_slice().is_some()) {
-            let mut v = Vec::with_capacity(total);
-            for c in cols {
-                v.extend_from_slice(c.as_i64_slice().expect("checked"));
-            }
-            return Column::int(v);
-        }
-        if cols.iter().all(|c| c.as_f64_slice().is_some()) {
-            let mut v = Vec::with_capacity(total);
-            for c in cols {
-                v.extend_from_slice(c.as_f64_slice().expect("checked"));
-            }
-            return Column::float(v);
-        }
-    }
-    let mut vals = Vec::with_capacity(total);
-    for c in cols {
-        for i in 0..c.len() {
-            vals.push(c.get(i));
-        }
-    }
-    Column::from_datums(&vals)
 }
 
 // ---------------------------------------------------------------------------
@@ -1995,6 +1967,27 @@ mod tests {
         let b = star(4);
         let t = b.query("SELECT y FROM fact WHERE k = 3").unwrap();
         assert_eq!(t.num_rows(), 10);
+    }
+
+    #[test]
+    fn gathers_keep_column_types_when_no_shard_has_a_value() {
+        let b = ShardedBackend::new(3, EngineConfig::duckdb_mem(), "fact", "k");
+        let n = Column::int(vec![0; 30]).take_nullable(&[None; 30]);
+        let mut fact = Table::from_columns(vec![
+            ("k", Column::int((0..30).collect())),
+            (
+                "name",
+                Column::str((0..30).map(|i| format!("v{i}")).collect()),
+            ),
+        ]);
+        fact.push_column(ColumnMeta::new("n"), n);
+        b.create_table("fact", fact).unwrap();
+        let empty = b.query("SELECT name FROM fact WHERE k < 0").unwrap();
+        let name = empty.column(None, "name").unwrap();
+        assert_eq!((name.dtype(), name.len()), (DataType::Str, 0));
+        let all = b.query("SELECT k, n FROM fact").unwrap();
+        let n = all.column(None, "n").unwrap();
+        assert_eq!((n.dtype(), n.null_count()), (DataType::Int, 30));
     }
 
     #[test]

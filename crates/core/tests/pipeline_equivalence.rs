@@ -265,8 +265,8 @@ const HIGHCARD_PUSHDOWN: PushdownConfig = PushdownConfig {
 /// fewer split bytes to the coordinator — in total and per round — with
 /// the split pushdown (and its delta-encoded refinement rounds) than
 /// with pushdown off, where every split query ships each shard's full
-/// absorbed table; both produce the identical model. This is the
-/// unit-level version of the benchmark gate in `BENCH_remote.json`.
+/// absorbed table; both produce the identical model. `experiments --
+/// remote` prints the same per-round comparison at full size.
 #[test]
 fn delta_encoding_ships_fewer_split_bytes_than_dense() {
     let run = |pushdown: bool| {

@@ -510,10 +510,10 @@ mod tests {
 
     #[test]
     fn spilled_is_bit_identical_to_in_memory() {
-        use crate::storage::{PagedStore, Replacement};
+        use crate::storage::PagedStore;
         let dir = std::env::temp_dir().join(format!("jb_agg_spill_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = PagedStore::open(&dir, 4, Replacement::Clock).unwrap();
+        let store = PagedStore::open(&dir, 4).unwrap();
         let n = 50_000;
         let groups = 997;
         // Sum order matters for these values: reassociation changes bits.

@@ -136,6 +136,93 @@ impl Column {
         Column { data, validity }
     }
 
+    /// Vertically concatenate `parts`. Parts of one type keep it, so an
+    /// empty or all-NULL part cannot turn an Int or Str column into Float;
+    /// Str parts merge their dictionaries in first-appearance order, and
+    /// the result has a validity mask only if some row is NULL. Parts of
+    /// different types fall back to [`Column::from_datums`]'s inference.
+    pub fn concat(parts: &[&Column]) -> Column {
+        let dtype = parts.first().map(|c| c.dtype());
+        if dtype.is_none() || parts.iter().any(|c| Some(c.dtype()) != dtype) {
+            let values: Vec<Datum> = (parts.iter())
+                .flat_map(|c| (0..c.len()).map(|i| c.get(i)))
+                .collect();
+            return Column::from_datums(&values);
+        }
+        let total = parts.iter().map(|c| c.len()).sum();
+        let validity = parts.iter().any(|c| c.null_count() > 0).then(|| {
+            (parts.iter())
+                .flat_map(|c| (0..c.len()).map(|i| c.is_valid(i)))
+                .collect()
+        });
+        // Rows under NULL hold 0 / 0.0 / code 0, as `from_datums` builds them.
+        fn numeric<T: Copy + Default>(
+            parts: &[&Column],
+            total: usize,
+            v: impl Fn(&Column) -> &[T],
+        ) -> Vec<T> {
+            let mut out = Vec::with_capacity(total);
+            for c in parts {
+                match &c.validity {
+                    None => out.extend_from_slice(v(c)),
+                    Some(valid) => {
+                        out.extend(
+                            (v(c).iter().zip(valid))
+                                .map(|(&x, &ok)| if ok { x } else { T::default() }),
+                        )
+                    }
+                }
+            }
+            out
+        }
+        let data = match dtype.expect("checked") {
+            DataType::Int => ColumnData::Int(numeric(parts, total, |c| match &c.data {
+                ColumnData::Int(v) => v,
+                _ => unreachable!("checked dtype"),
+            })),
+            DataType::Float => ColumnData::Float(numeric(parts, total, |c| match &c.data {
+                ColumnData::Float(v) => v,
+                _ => unreachable!("checked dtype"),
+            })),
+            DataType::Str => {
+                let mut dict: Vec<String> = Vec::new();
+                let mut index: std::collections::HashMap<&str, u32> =
+                    std::collections::HashMap::new();
+                let mut out = Vec::with_capacity(total);
+                for c in parts {
+                    let ColumnData::Str {
+                        dict: part_dict,
+                        codes,
+                    } = &c.data
+                    else {
+                        unreachable!("checked dtype")
+                    };
+                    let mut remap: Vec<Option<u32>> = vec![None; part_dict.len()];
+                    for (i, &code) in codes.iter().enumerate() {
+                        if !c.is_valid(i) {
+                            out.push(0);
+                            continue;
+                        }
+                        let slot = &mut remap[code as usize];
+                        let merged = *slot.get_or_insert_with(|| {
+                            let s = part_dict[code as usize].as_str();
+                            *index.entry(s).or_insert_with(|| {
+                                dict.push(s.to_string());
+                                (dict.len() - 1) as u32
+                            })
+                        });
+                        out.push(merged);
+                    }
+                }
+                if dict.is_empty() {
+                    dict.push(String::new());
+                }
+                ColumnData::Str { dict, codes: out }
+            }
+        };
+        Column { data, validity }
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         match &self.data {
@@ -403,6 +490,33 @@ mod tests {
         let c = Column::from_datums(&[Datum::Null, Datum::Int(2)]);
         assert_eq!(c.null_count(), 1);
         assert_eq!(c.get(0), Datum::Null);
+    }
+
+    #[test]
+    fn concat_keeps_the_type_of_empty_and_all_null_parts() {
+        let nulls = Column::int(vec![0, 0]).take_nullable(&[None, None]);
+        let c = Column::concat(&[&nulls, &Column::int(vec![])]);
+        assert_eq!(c.dtype(), DataType::Int);
+        assert_eq!(c.null_count(), 2);
+        let empty = Column::str(vec![]);
+        let c = Column::concat(&[&empty, &empty]);
+        assert_eq!((c.dtype(), c.len()), (DataType::Str, 0));
+        let c = Column::concat(&[&Column::int(vec![1]), &Column::int(vec![2, 3])]);
+        assert_eq!(c, Column::int(vec![1, 2, 3]));
+    }
+
+    #[test]
+    fn concat_of_str_parts_equals_from_datums() {
+        let a = Column::str(vec!["x".into(), "unused".into(), "y".into()]).take(&[2, 0]);
+        let b = Column::str(vec!["z".into(), "x".into()]).take_nullable(&[Some(1), None, Some(0)]);
+        let values: Vec<Datum> = (0..a.len())
+            .map(|i| a.get(i))
+            .chain((0..b.len()).map(|i| b.get(i)))
+            .collect();
+        assert_eq!(Column::concat(&[&a, &b]), Column::from_datums(&values));
+        // Mixed types keep `from_datums`' inference.
+        let mixed = Column::concat(&[&Column::int(vec![1]), &Column::float(vec![0.5])]);
+        assert_eq!(mixed, Column::float(vec![1.0, 0.5]));
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -16,7 +17,7 @@ use crate::error::{EngineError, Result};
 use crate::exec::Executor;
 use crate::expr::{CaseMerge, EvalContext};
 use crate::interop::ExternalTable;
-use crate::storage::{BufferPoolStats, PagedStore, PagedTable, Replacement};
+use crate::storage::{BufferPoolStats, PagedStore, PagedTable};
 use crate::table::{ColumnMeta, Table};
 use crate::wal::{self, Wal, WalRecord};
 
@@ -29,25 +30,15 @@ pub enum ExecMode {
     Row,
 }
 
-/// In-memory vs disk-backed storage. Disk-backed configurations pay for a
-/// write-ahead log on every write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StorageMode {
-    /// Tables live in memory only.
-    Memory,
-    /// Disk-backed: writes pay for the write-ahead log.
-    Disk,
-}
-
 /// Engine configuration. The named constructors correspond to the DBMS
 /// backends of the paper's evaluation (Section 6.3, Figure 15).
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Columnar vs row execution.
     pub exec: ExecMode,
-    /// In-memory vs disk-backed storage.
-    pub storage: StorageMode,
-    /// Write-ahead logging of updates and created tables.
+    /// Write-ahead logging of updates and created tables. Without a
+    /// `storage_path` the log is a per-database temp file, removed when
+    /// the database drops.
     pub wal: bool,
     /// MVCC-style versioning: updates first copy the before-image of each
     /// touched column into an undo buffer.
@@ -58,8 +49,6 @@ pub struct EngineConfig {
     pub compression: bool,
     /// Whether the `SWAP COLUMN` extension is available (`D-Swap`).
     pub allow_swap: bool,
-    /// Where to put the WAL file in disk mode (`None` → temp dir).
-    pub wal_path: Option<PathBuf>,
     /// Worker threads for fused grouped aggregation (1 = serial). The
     /// parallel variant is *aggregate-sliced*: each worker owns whole
     /// accumulator banks and folds all rows into them in row order, so
@@ -76,8 +65,6 @@ pub struct EngineConfig {
     pub storage_path: Option<PathBuf>,
     /// Buffer-pool capacity in pages (paged mode; minimum 1).
     pub bufferpool_pages: usize,
-    /// Buffer-pool replacement strategy (paged mode).
-    pub replacement: Replacement,
     /// Spill grouped-aggregation state to disk when the estimated
     /// accumulator-bank footprint exceeds this many bytes (paged mode
     /// only; the group-id space is sliced so results stay bit-identical).
@@ -103,16 +90,13 @@ impl EngineConfig {
     pub fn duckdb_mem() -> Self {
         EngineConfig {
             exec: ExecMode::Columnar,
-            storage: StorageMode::Memory,
             wal: false,
             mvcc: true,
             compression: true,
             allow_swap: false,
-            wal_path: None,
             agg_threads: 1,
             storage_path: None,
             bufferpool_pages: 256,
-            replacement: Replacement::Clock,
             agg_spill_bytes: 64 << 20,
             checkpoint_bytes: None,
         }
@@ -121,7 +105,6 @@ impl EngineConfig {
     /// `D-disk`: disk-backed columnar engine (WAL on writes).
     pub fn duckdb_disk() -> Self {
         EngineConfig {
-            storage: StorageMode::Disk,
             wal: true,
             ..Self::duckdb_mem()
         }
@@ -131,7 +114,6 @@ impl EngineConfig {
     /// compression, WAL and versioning.
     pub fn dbms_x_col() -> Self {
         EngineConfig {
-            storage: StorageMode::Disk,
             wal: true,
             ..Self::duckdb_mem()
         }
@@ -142,16 +124,13 @@ impl EngineConfig {
     pub fn dbms_x_row() -> Self {
         EngineConfig {
             exec: ExecMode::Row,
-            storage: StorageMode::Disk,
             wal: true,
             mvcc: true,
             compression: false,
             allow_swap: false,
-            wal_path: None,
             agg_threads: 1,
             storage_path: None,
             bufferpool_pages: 256,
-            replacement: Replacement::Clock,
             agg_spill_bytes: 64 << 20,
             checkpoint_bytes: None,
         }
@@ -171,11 +150,10 @@ impl EngineConfig {
     /// recovers all committed tables by replaying the log. Results are
     /// bit-identical to [`EngineConfig::duckdb_mem`] at any pool size.
     /// Compression and MVCC are off (the WAL's full images are the
-    /// versioning story here); tune `bufferpool_pages`, `replacement`
-    /// and `agg_spill_bytes` with struct-update syntax.
+    /// versioning story here); tune `bufferpool_pages` and
+    /// `agg_spill_bytes` with struct-update syntax.
     pub fn paged(dir: impl Into<PathBuf>) -> Self {
         EngineConfig {
-            storage: StorageMode::Disk,
             wal: true,
             mvcc: false,
             compression: false,
@@ -255,6 +233,9 @@ pub struct Database {
     stats: Mutex<DbStats>,
     /// The paged store (out-of-core mode only).
     storage: Option<PagedStore>,
+    /// The temp-dir log file of a non-paged database with `wal: true`,
+    /// removed on drop.
+    temp_wal: Option<PathBuf>,
     /// Checkpoint vs writer exclusion: every write statement holds a read
     /// guard while it logs + applies; a checkpoint takes the write guard,
     /// so its snapshot always sits on a statement boundary.
@@ -283,17 +264,21 @@ impl Database {
         if config.storage_path.is_some() {
             return Self::open_paged(config);
         }
-        let wal = if config.wal {
-            let path = config.wal_path.clone().unwrap_or_else(|| {
-                std::env::temp_dir().join(format!(
-                    "jb_wal_{}_{:x}.log",
-                    std::process::id(),
-                    &config as *const _ as usize
-                ))
-            });
-            Wal::open(&path).unwrap_or_else(|_| Wal::disabled())
+        // Each database gets its own log file: the pid keeps processes
+        // apart, the counter keeps this process's databases apart.
+        static NEXT_WAL: AtomicU64 = AtomicU64::new(0);
+        let (wal, temp_wal) = if config.wal {
+            let path = std::env::temp_dir().join(format!(
+                "jb_wal_{}_{}.log",
+                std::process::id(),
+                NEXT_WAL.fetch_add(1, Ordering::Relaxed)
+            ));
+            match Wal::open(&path) {
+                Ok(wal) => (wal, Some(path)),
+                Err(_) => (Wal::disabled(), None),
+            }
         } else {
-            Wal::disabled()
+            (Wal::disabled(), None)
         };
         Ok(Database {
             config,
@@ -302,6 +287,7 @@ impl Database {
             undo: Mutex::new(UndoLog::default()),
             stats: Mutex::new(DbStats::default()),
             storage: None,
+            temp_wal,
             write_gate: RwLock::new(()),
         })
     }
@@ -313,7 +299,7 @@ impl Database {
     fn open_paged(config: EngineConfig) -> Result<Database> {
         let dir = config.storage_path.clone().expect("paged config has a dir");
         std::fs::create_dir_all(&dir)?;
-        let store = PagedStore::open(&dir, config.bufferpool_pages, config.replacement)?;
+        let store = PagedStore::open(&dir, config.bufferpool_pages)?;
         let wal_path = dir.join("wal.log");
         let (records, committed_len, committed_records) = if wal_path.exists() {
             wal::replay(&wal_path)?
@@ -366,6 +352,7 @@ impl Database {
             undo: Mutex::new(UndoLog::default()),
             stats: Mutex::new(DbStats::default()),
             storage: Some(store),
+            temp_wal: None,
             write_gate: RwLock::new(()),
         })
     }
@@ -911,6 +898,16 @@ impl Database {
     }
 }
 
+impl Drop for Database {
+    fn drop(&mut self) {
+        if let Some(path) = self.temp_wal.take() {
+            // Close the log before unlinking it.
+            *self.wal.get_mut() = Wal::disabled();
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
 fn take_column(stored: &mut Stored, name: &str) -> Result<StoredColumn> {
     match stored {
         Stored::Memory { meta, columns } => {
@@ -949,7 +946,7 @@ fn put_column(stored: &mut Stored, name: &str, col: StoredColumn) -> Result<()> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datum::Datum;
+    use crate::datum::{DataType, Datum};
 
     fn db_with_r() -> Database {
         let db = Database::in_memory();
@@ -962,6 +959,52 @@ mod tests {
         )
         .unwrap();
         db
+    }
+
+    #[test]
+    fn each_logged_database_owns_its_temp_wal_until_dropped() {
+        let a = Database::new(EngineConfig::duckdb_disk());
+        let b = Database::new(EngineConfig::duckdb_disk());
+        let (pa, pb) = (a.temp_wal.clone().unwrap(), b.temp_wal.clone().unwrap());
+        assert_ne!(pa, pb, "two live engines must not share a log file");
+        assert!(pa.exists() && pb.exists());
+        drop(a);
+        assert!(!pa.exists(), "the log must go with its engine");
+        assert!(pb.exists(), "the other engine's log is untouched");
+        drop(b);
+        assert!(!pb.exists());
+        assert!(Database::in_memory().temp_wal.is_none());
+    }
+
+    #[test]
+    fn full_join_with_an_empty_left_side_keeps_the_left_types() {
+        let db = Database::in_memory();
+        let l = Table::from_columns(vec![
+            ("k", Column::int(vec![])),
+            ("n", Column::int(vec![])),
+            ("s", Column::str(vec![])),
+        ]);
+        db.create_table("l", l).unwrap();
+        let r = Table::from_columns(vec![
+            ("k", Column::int(vec![1, 2])),
+            ("y", Column::str(vec!["a".into(), "b".into()])),
+        ]);
+        db.create_table("r", r).unwrap();
+        let t = db
+            .query("SELECT k, n, s, y FROM l FULL JOIN r USING (k)")
+            .unwrap();
+        assert_eq!(t.num_rows(), 2);
+        let col = |name| t.column(None, name).unwrap();
+        assert_eq!(col("k").dtype(), DataType::Int);
+        assert_eq!(
+            (col("n").dtype(), col("n").null_count()),
+            (DataType::Int, 2)
+        );
+        assert_eq!(
+            (col("s").dtype(), col("s").null_count()),
+            (DataType::Str, 2)
+        );
+        assert_eq!(col("y").get(1), Datum::Str("b".into()));
     }
 
     #[test]

@@ -25,7 +25,6 @@ use joinboost_sql::ast::{Expr, Join, JoinKind, Query, TableRef, Value};
 
 use crate::agg::PreparedAgg;
 use crate::column::Column;
-use crate::datum::Datum;
 use crate::db::{Database, ExecMode};
 use crate::error::{EngineError, Result};
 use crate::expr::{eval, eval_rows, EvalContext, SubqueryRunner};
@@ -318,7 +317,9 @@ impl<'a> Executor<'a> {
             let extra: Vec<u32> = (0..rn as u32).filter(|&r| !rmatched[r as usize]).collect();
             if !extra.is_empty() {
                 let extra_tbl = assemble_right_only(&left, &right, &join.using, &rkeys, &extra);
-                out = concat_tables(out, extra_tbl)?;
+                for (c, e) in out.columns.iter_mut().zip(&extra_tbl.columns) {
+                    *c = Column::concat(&[c, e]);
+                }
             }
         }
         let mut out = Selected::all(out);
@@ -706,23 +707,4 @@ fn assemble_right_only(
         out.push_column(m.clone(), c.take(extra));
     }
     out
-}
-
-/// Vertically concatenate two tables with identical layouts.
-fn concat_tables(a: Table, b: Table) -> Result<Table> {
-    if a.num_columns() != b.num_columns() {
-        return Err(EngineError::Other("concat layout mismatch".into()));
-    }
-    let mut out = Table::new();
-    for ((m, ca), cb) in a.meta.iter().zip(&a.columns).zip(&b.columns) {
-        let mut vals: Vec<Datum> = Vec::with_capacity(ca.len() + cb.len());
-        for i in 0..ca.len() {
-            vals.push(ca.get(i));
-        }
-        for i in 0..cb.len() {
-            vals.push(cb.get(i));
-        }
-        out.push_column(m.clone(), Column::from_datums(&vals));
-    }
-    Ok(out)
 }

@@ -5,8 +5,7 @@
 //! miss, evicting an unpinned victim when full) and returns a
 //! [`PageGuard`] that unpins on drop. Pinned frames are never evicted;
 //! dirty frames are written back before their frame is reused.
-//! Replacement is pluggable: Clock (second chance) by default, true LRU
-//! behind [`Replacement::Lru`].
+//! Replacement is Clock (second chance): near-LRU at O(1) per hit.
 //!
 //! Lock discipline: the pool's metadata (frame table, page map,
 //! replacement state, stats) lives under one mutex; each frame's byte
@@ -24,16 +23,6 @@ use crate::error::{EngineError, Result};
 
 use super::disk_manager::{DiskManager, PageId};
 use super::page::{PageBuf, PAGE_SIZE};
-
-/// Buffer-pool replacement strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Replacement {
-    /// Clock (second chance): the default — near-LRU at O(1) per hit.
-    #[default]
-    Clock,
-    /// True least-recently-used (per-access timestamp scan on eviction).
-    Lru,
-}
 
 /// Observable pool counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -56,8 +45,6 @@ struct FrameMeta {
     dirty: bool,
     /// Clock reference bit.
     referenced: bool,
-    /// LRU timestamp (pool-wide access tick).
-    last_used: u64,
 }
 
 const EMPTY_FRAME: FrameMeta = FrameMeta {
@@ -65,21 +52,18 @@ const EMPTY_FRAME: FrameMeta = FrameMeta {
     pins: 0,
     dirty: false,
     referenced: false,
-    last_used: 0,
 };
 
 struct PoolInner {
     frames: Vec<FrameMeta>,
     map: HashMap<PageId, usize>,
     hand: usize,
-    tick: u64,
     stats: BufferPoolStats,
 }
 
 /// Pin/unpin buffer pool over a [`DiskManager`].
 pub struct BufferPool {
     disk: Arc<DiskManager>,
-    strategy: Replacement,
     /// Frame payloads; the Vec itself is immutable after construction so
     /// guards can hold an `Arc` to their frame's buffer without touching
     /// the pool mutex.
@@ -89,11 +73,10 @@ pub struct BufferPool {
 
 impl BufferPool {
     /// A pool of `capacity` frames (minimum 1) over `disk`.
-    pub fn new(disk: Arc<DiskManager>, capacity: usize, strategy: Replacement) -> BufferPool {
+    pub fn new(disk: Arc<DiskManager>, capacity: usize) -> BufferPool {
         let capacity = capacity.max(1);
         BufferPool {
             disk,
-            strategy,
             data: (0..capacity)
                 .map(|_| Arc::new(Mutex::new(Box::new([0u8; PAGE_SIZE]))))
                 .collect(),
@@ -101,7 +84,6 @@ impl BufferPool {
                 frames: vec![EMPTY_FRAME; capacity],
                 map: HashMap::new(),
                 hand: 0,
-                tick: 0,
                 stats: BufferPoolStats::default(),
             }),
         }
@@ -131,13 +113,10 @@ impl BufferPool {
     /// its guard. Errors if every frame is pinned.
     pub fn fetch(&self, pid: PageId) -> Result<PageGuard<'_>> {
         let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
         if let Some(&slot) = inner.map.get(&pid) {
             let f = &mut inner.frames[slot];
             f.pins += 1;
             f.referenced = true;
-            f.last_used = tick;
             inner.stats.hits += 1;
             return Ok(self.guard(slot));
         }
@@ -155,7 +134,6 @@ impl BufferPool {
             pins: 1,
             dirty: false,
             referenced: true,
-            last_used: tick,
         };
         Ok(self.guard(slot))
     }
@@ -165,8 +143,6 @@ impl BufferPool {
     pub fn new_page(&self) -> Result<(PageId, PageGuard<'_>)> {
         let pid = self.disk.allocate();
         let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
         inner.stats.misses += 1;
         let slot = match self.take_slot(&mut inner) {
             Ok(s) => s,
@@ -182,7 +158,6 @@ impl BufferPool {
             pins: 1,
             dirty: true,
             referenced: true,
-            last_used: tick,
         };
         Ok((pid, self.guard(slot)))
     }
@@ -231,16 +206,12 @@ impl BufferPool {
     }
 
     /// Find a frame to (re)use: an empty one, else evict an unpinned
-    /// victim per the configured strategy, writing it back if dirty.
+    /// victim by the Clock sweep, writing it back if dirty.
     fn take_slot(&self, inner: &mut PoolInner) -> Result<usize> {
         if let Some(slot) = inner.frames.iter().position(|f| f.page.is_none()) {
             return Ok(slot);
         }
-        let victim = match self.strategy {
-            Replacement::Clock => self.clock_victim(inner),
-            Replacement::Lru => self.lru_victim(inner),
-        };
-        let Some(slot) = victim else {
+        let Some(slot) = self.clock_victim(inner) else {
             return Err(EngineError::Other(format!(
                 "buffer pool exhausted: all {} frames pinned",
                 self.data.len()
@@ -279,17 +250,6 @@ impl BufferPool {
         }
         None
     }
-
-    /// True LRU: the unpinned frame with the oldest access tick.
-    fn lru_victim(&self, inner: &mut PoolInner) -> Option<usize> {
-        inner
-            .frames
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.pins == 0)
-            .min_by_key(|(_, f)| f.last_used)
-            .map(|(slot, _)| slot)
-    }
 }
 
 /// A pinned page. Dropping the guard unpins the frame; reads and writes
@@ -327,11 +287,11 @@ impl Drop for PageGuard<'_> {
 mod tests {
     use super::*;
 
-    fn pool(name: &str, capacity: usize, strategy: Replacement) -> BufferPool {
+    fn pool(name: &str, capacity: usize) -> BufferPool {
         let dir = std::env::temp_dir().join(format!("jb_pool_{}_{name}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let disk = Arc::new(DiskManager::create(&dir.join("data.jbp")).unwrap());
-        BufferPool::new(disk, capacity, strategy)
+        BufferPool::new(disk, capacity)
     }
 
     /// Allocate `n` pages, each stamped with its index, and unpin them.
@@ -347,7 +307,7 @@ mod tests {
 
     #[test]
     fn capacity_is_never_exceeded() {
-        let pool = pool("cap", 4, Replacement::Clock);
+        let pool = pool("cap", 4);
         let pids = seed_pages(&pool, 16);
         assert!(pool.resident() <= 4);
         for (i, &pid) in pids.iter().enumerate() {
@@ -360,7 +320,7 @@ mod tests {
 
     #[test]
     fn pinned_pages_are_never_evicted() {
-        let pool = pool("pin", 2, Replacement::Clock);
+        let pool = pool("pin", 2);
         let pids = seed_pages(&pool, 2);
         let g0 = pool.fetch(pids[0]).unwrap();
         let g1 = pool.fetch(pids[1]).unwrap();
@@ -393,7 +353,7 @@ mod tests {
 
     #[test]
     fn clock_gives_second_chances_in_hand_order() {
-        let pool = pool("clock", 3, Replacement::Clock);
+        let pool = pool("clock", 3);
         let pids = seed_pages(&pool, 3); // slots 0,1,2, all referenced
                                          // First eviction sweeps: clears all three reference bits, then
                                          // takes slot 0 on the second pass.
@@ -419,23 +379,8 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_least_recently_used() {
-        let pool = pool("lru", 3, Replacement::Lru);
-        let pids = seed_pages(&pool, 3);
-        let _ = pool.fetch(pids[0]).unwrap(); // 0 is now most recent
-        let _ = seed_pages(&pool, 1); // evicts 1 (oldest tick)
-        let s = pool.stats();
-        let _ = pool.fetch(pids[0]).unwrap();
-        let _ = pool.fetch(pids[2]).unwrap();
-        assert_eq!(pool.stats().hits, s.hits + 2, "0 and 2 stayed resident");
-        let s = pool.stats();
-        let _ = pool.fetch(pids[1]).unwrap();
-        assert_eq!(pool.stats().misses, s.misses + 1, "1 was the LRU victim");
-    }
-
-    #[test]
     fn stats_match_scripted_access_pattern() {
-        let pool = pool("stats", 2, Replacement::Clock);
+        let pool = pool("stats", 2);
         // new_page a, b: two misses, no eviction (empty frames).
         let pids = seed_pages(&pool, 2);
         assert_eq!(
@@ -488,7 +433,7 @@ mod tests {
 
     #[test]
     fn freed_pages_leave_the_pool_and_reuse_their_id() {
-        let pool = pool("free", 4, Replacement::Clock);
+        let pool = pool("free", 4);
         let pids = seed_pages(&pool, 2);
         let g = pool.fetch(pids[0]).unwrap();
         assert!(pool.free_page(pids[0]).is_err(), "pinned page cannot free");

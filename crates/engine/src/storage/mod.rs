@@ -8,8 +8,7 @@
 //! * [`disk_manager`] — page-granular read/write over one data file per
 //!   database, with a free list.
 //! * [`buffer_pool`] — capacity-bounded pin/unpin frames with dirty
-//!   tracking and pluggable replacement (Clock default, LRU behind the
-//!   config).
+//!   tracking and Clock replacement.
 //! * [`PagedStore`] — ties them together: tables persist as page chains
 //!   plus in-memory metadata ([`PagedTable`]); every scan pins pages
 //!   through the pool one at a time, so a database much larger than the
@@ -36,7 +35,7 @@ use crate::datum::DataType;
 use crate::error::Result;
 use crate::table::{ColumnMeta, Table};
 
-pub use buffer_pool::{BufferPool, BufferPoolStats, PageGuard, Replacement};
+pub use buffer_pool::{BufferPool, BufferPoolStats, PageGuard};
 pub use disk_manager::{DiskManager, PageId};
 pub use page::{PAGE_CAPACITY, PAGE_HEADER_BYTES, PAGE_SIZE};
 
@@ -90,10 +89,10 @@ impl PagedStore {
     /// Open the store rooted at directory `dir` (created if missing; the
     /// page file `data.jbp` inside is truncated — committed state comes
     /// from WAL replay, not from stale pages).
-    pub fn open(dir: &Path, pool_pages: usize, strategy: Replacement) -> Result<PagedStore> {
+    pub fn open(dir: &Path, pool_pages: usize) -> Result<PagedStore> {
         std::fs::create_dir_all(dir)?;
         let disk = Arc::new(DiskManager::create(&dir.join("data.jbp"))?);
-        let pool = BufferPool::new(Arc::clone(&disk), pool_pages, strategy);
+        let pool = BufferPool::new(Arc::clone(&disk), pool_pages);
         Ok(PagedStore { disk, pool })
     }
 
@@ -215,7 +214,7 @@ mod tests {
     fn store(name: &str, pool_pages: usize) -> PagedStore {
         let dir = std::env::temp_dir().join(format!("jb_store_{}_{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        PagedStore::open(&dir, pool_pages, Replacement::Clock).unwrap()
+        PagedStore::open(&dir, pool_pages).unwrap()
     }
 
     #[test]

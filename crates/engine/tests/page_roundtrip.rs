@@ -21,7 +21,7 @@ use joinboost_engine::storage::codec::{decode_column, encode_column, ByteReader}
 use joinboost_engine::storage::page::{
     decode_column_pages, encode_column_pages, paginate, unpaginate, PageBuf,
 };
-use joinboost_engine::storage::{PagedStore, Replacement, PAGE_SIZE};
+use joinboost_engine::storage::{PagedStore, PAGE_SIZE};
 use joinboost_engine::{Column, Database, Table};
 
 // ---------------------------------------------------------------------------
@@ -134,7 +134,7 @@ proptest! {
             col.len()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = PagedStore::open(&dir, 1, Replacement::Lru).unwrap();
+        let store = PagedStore::open(&dir, 1).unwrap();
         let pc = store.store_column(&col).unwrap();
         let back = store.load_column(&pc).unwrap();
         let (mut a, mut b) = (Vec::new(), Vec::new());
@@ -263,7 +263,7 @@ fn special_floats_roundtrip_bit_exactly() {
 fn whole_tables_roundtrip_through_a_store() {
     let dir = std::env::temp_dir().join(format!("jb_pr_table_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let store = PagedStore::open(&dir, 2, Replacement::Clock).unwrap();
+    let store = PagedStore::open(&dir, 2).unwrap();
     let t = Table::from_columns(vec![
         ("k", Column::int((0..2000).collect())),
         (
