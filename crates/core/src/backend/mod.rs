@@ -41,7 +41,6 @@
 //! backend.execute("CREATE TABLE t AS SELECT 1 AS x").unwrap();
 //! let sum = backend.query("SELECT SUM(x) AS s FROM t").unwrap();
 //! assert_eq!(sum.scalar_f64("s").unwrap(), 1.0);
-//! assert!(backend.capabilities().ast_statements);
 //!
 //! // The text backend answers identically but round-trips the SQL text.
 //! let text = SqlTextBackend::in_memory();
@@ -93,9 +92,6 @@ pub struct BackendCapabilities {
     /// `SUM(..) OVER (ORDER BY ..)` window prefix sums — required for
     /// numeric split evaluation (paper Example 2).
     pub window_functions: bool,
-    /// Accepts pre-parsed [`Statement`]s without a text round-trip
-    /// ([`SqlBackend::execute_ast`] is a true fast path, not a reprint).
-    pub ast_statements: bool,
     /// The `SWAP COLUMN a.x WITH b.y` extension (`D-Swap`, Section 5.4).
     pub column_swap: bool,
     /// External dataframe storage with O(1) column replacement
@@ -110,7 +106,6 @@ impl BackendCapabilities {
     pub fn of_engine(config: &EngineConfig) -> BackendCapabilities {
         BackendCapabilities {
             window_functions: true,
-            ast_statements: true,
             column_swap: config.allow_swap,
             external_interop: true,
             shards: 1,
@@ -178,9 +173,15 @@ pub struct BackendStats {
 /// implementing these methods — the SQL it must execute is the
 /// vendor-neutral subset of `joinboost-sql`.
 ///
-/// Implementations must be [`Send`] + [`Sync`]: the scheduler runs split
-/// queries from worker threads (Section 5.5.3) and random forests train
-/// trees in parallel.
+/// Training hands every statement over as an AST through
+/// [`SqlBackend::execute_ast`]; [`SqlBackend::execute`] is the text entry
+/// point for users and for ports that only speak SQL text, which need
+/// implement nothing else — the default `execute_ast` prints the AST and
+/// calls it.
+///
+/// Implementations must be [`Send`] + [`Sync`]: split queries run on
+/// worker threads (Section 5.5.3) and random forests train trees in
+/// parallel.
 ///
 /// # Example
 ///
@@ -216,9 +217,10 @@ pub trait SqlBackend: Send + Sync {
     /// result, other statements return an empty table.
     fn execute(&self, sql: &str) -> BackendResult;
 
-    /// Execute a pre-parsed statement. The default prints the AST back to
-    /// SQL text; backends with [`BackendCapabilities::ast_statements`]
-    /// override this to skip the round-trip.
+    /// Execute a pre-parsed statement — how training issues every
+    /// statement. The default prints the AST and calls
+    /// [`SqlBackend::execute`]; backends that can run an AST directly
+    /// override it to skip the print and the re-parse.
     fn execute_ast(&self, stmt: &Statement) -> BackendResult {
         self.execute(&stmt.to_string())
     }
@@ -306,8 +308,11 @@ pub trait SqlBackend: Send + Sync {
     /// Temp-table lifecycle: drop a (possibly already dropped) table.
     /// [`crate::Dataset`] calls this for every registered temp table.
     fn drop_table_if_exists(&self, name: &str) -> BackendResult<()> {
-        self.execute(&format!("DROP TABLE IF EXISTS {name}"))
-            .map(|_| ())
+        self.execute_ast(&Statement::DropTable {
+            name: name.to_string(),
+            if_exists: true,
+        })
+        .map(|_| ())
     }
 
     /// Register (or replace) a table held in external dataframe storage
@@ -564,10 +569,7 @@ impl SqlBackend for SqlTextBackend {
     }
 
     fn capabilities(&self) -> BackendCapabilities {
-        BackendCapabilities {
-            ast_statements: false,
-            ..BackendCapabilities::of_engine(self.db.config())
-        }
+        BackendCapabilities::of_engine(self.db.config())
     }
 
     fn execute(&self, sql: &str) -> BackendResult {
@@ -649,8 +651,6 @@ mod tests {
         let q = "SELECT a, s FROM g ORDER BY a";
         assert_eq!(engine.query(q).unwrap(), text.query(q).unwrap());
         assert!(text.round_trips() >= 2);
-        assert!(engine.capabilities().ast_statements);
-        assert!(!text.capabilities().ast_statements);
     }
 
     #[test]

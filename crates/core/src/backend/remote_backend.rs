@@ -7,6 +7,7 @@ use std::time::Duration;
 
 use joinboost_engine::{DataType, Table};
 use joinboost_sql::ast::Statement;
+use joinboost_sql::parse_statement;
 
 use super::client::{RemoteConnection, RemoteConnectionBuilder, RetryPolicy};
 use super::{BackendCapabilities, BackendResult, BackendStats, ShardTransport, SqlBackend};
@@ -79,15 +80,15 @@ impl RemoteBackend {
         &self.conn
     }
 
-    fn count(&self, sql: &str) {
+    /// Count one statement (`None`: text that does not parse, which the
+    /// server will reject) the way the engine does: `SELECT` and
+    /// `CREATE TABLE AS` are queries.
+    fn count(&self, stmt: Option<&Statement>) {
         self.statements.fetch_add(1, Ordering::Relaxed);
-        let head = sql.trim_start();
-        // get(..6) rather than [..6]: byte 6 of arbitrary text may not be
-        // a char boundary.
-        if head
-            .get(..6)
-            .is_some_and(|h| h.eq_ignore_ascii_case("SELECT"))
-        {
+        if matches!(
+            stmt,
+            Some(Statement::Select(_) | Statement::CreateTableAs { .. })
+        ) {
             self.selects.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -101,7 +102,6 @@ impl SqlBackend for RemoteBackend {
     fn capabilities(&self) -> BackendCapabilities {
         BackendCapabilities {
             window_functions: true,
-            ast_statements: false,
             column_swap: self.conn.server_column_swap(),
             external_interop: false,
             shards: 1,
@@ -109,14 +109,13 @@ impl SqlBackend for RemoteBackend {
     }
 
     fn execute(&self, sql: &str) -> BackendResult {
-        self.count(sql);
+        self.count(parse_statement(sql).ok().as_ref());
         self.conn.execute_text(sql)
     }
 
     fn execute_ast(&self, stmt: &Statement) -> BackendResult {
-        let sql = stmt.to_string();
-        self.count(&sql);
-        self.conn.execute_text(&sql)
+        self.count(Some(stmt));
+        self.conn.execute_text(&stmt.to_string())
     }
 
     fn create_table(&self, name: &str, table: Table) -> BackendResult<()> {

@@ -60,6 +60,7 @@ use joinboost_engine::{Column, DataType, Database, Datum, EngineConfig, EngineEr
 use joinboost_sql::ast::{Expr, Query, SelectItem, Statement, TablePosition, TableRef};
 use joinboost_sql::parse_statement;
 
+use crate::scheduler::par_map;
 use crate::sqlgen::{split_pushdown_shape, SplitQueryShape};
 
 use super::client::{RemoteConnection, RemoteOptions};
@@ -517,22 +518,8 @@ impl ShardedBackend {
         T: Send,
         F: Fn(usize, &dyn ShardTransport) -> BackendResult<T> + Sync,
     {
-        if self.shards.len() == 1 {
-            return vec![f(0, self.shards[0].as_ref())];
-        }
-        let fr = &f;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(i, db)| scope.spawn(move || fr(i, db.as_ref())))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
-        })
+        let shards: Vec<_> = self.shards.iter().map(AsRef::as_ref).enumerate().collect();
+        par_map(&shards, shards.len(), |&(i, db)| f(i, db))
     }
 
     /// Broadcast a statement to every shard; marks `creates` sharded.
@@ -858,7 +845,6 @@ impl SqlBackend for ShardedBackend {
     fn capabilities(&self) -> BackendCapabilities {
         BackendCapabilities {
             window_functions: true, // the coordinator runs window layers
-            ast_statements: true,
             column_swap: self.column_swap,
             external_interop: false, // no single array store to swap into
             shards: self.shards.len(),

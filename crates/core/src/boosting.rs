@@ -20,7 +20,7 @@ use joinboost_engine::Table;
 use joinboost_graph::cluster::clusters;
 use joinboost_graph::{JoinGraph, RelId};
 use joinboost_semiring::Objective;
-use joinboost_sql::ast::{Expr, Join, JoinKind, Query, SelectItem, TableRef};
+use joinboost_sql::ast::{Expr, Join, JoinKind, Query, SelectItem, Statement, TableRef};
 
 use crate::dataset::Dataset;
 use crate::error::{Result, TrainError};
@@ -28,7 +28,7 @@ use crate::messages::{Factorizer, NodeContext, Pred};
 use crate::params::{TrainParams, UpdateMethod};
 use crate::predict;
 use crate::sqlgen::{gradient_sql, hessian_sql, RingKind};
-use crate::trainer::{TrainStats, TreeGrower};
+use crate::trainer::{bin_range, TrainStats, TreeGrower};
 use crate::tree::{Split, Tree};
 
 /// A trained gradient-boosting model.
@@ -285,10 +285,15 @@ impl Lifted<'_, '_> {
     fn renew_leaves(&self, tree: &mut Tree, q: f64) -> Result<()> {
         let u = &self.updaters[self.cluster_of(tree)?];
         for (leaf, path) in tree.leaves_with_paths() {
-            let pred = leaf_predicate_on_fact(self.fx.set, u.rel, &path)?;
-            let where_clause = pred.map(|p| format!(" WHERE {p}")).unwrap_or_default();
-            let sql = format!("SELECT jb_y - jb_p AS e FROM {}{where_clause}", u.table);
-            let mut resid = select(self.fx.set, &sql)?.column(None, "e")?.to_f64_vec()?;
+            let resid = Expr::sub(Expr::col("jb_y"), Expr::col("jb_p"));
+            let query = Query {
+                items: vec![SelectItem::aliased(resid, "e")],
+                from: Some(TableRef::named(&u.table)),
+                where_clause: leaf_predicate_on_fact(self.fx.set, u.rel, &path)?,
+                ..Default::default()
+            };
+            let t = self.fx.set.run(&Statement::Select(query))?;
+            let mut resid = t.column(None, "e")?.to_f64_vec()?;
             resid.retain(|v| !v.is_nan());
             if resid.is_empty() {
                 continue;
@@ -392,7 +397,7 @@ fn lift_snowflake<'a, 'b>(
         // Median/percentile/log-mean need the y values; the fact table is
         // 1-1 with R⋈ so we can read them from the (joined) fact.
         let q = fact_to_target(set, fact, vec![SelectItem::aliased(y.clone(), "jb_y")])?;
-        let t = select(set, &q.to_string())?;
+        let t = set.run(&Statement::Select(q))?;
         obj.init_score(&t.column(None, "jb_y")?.to_f64_vec()?)
     };
     let init = params.snap_leaf(init);
@@ -484,7 +489,7 @@ fn create_lifted_fact(
     if external || with_rid {
         // Build programmatically: run the query, add a row id if needed,
         // then register as internal or external storage.
-        let mut t = select(set, &q.to_string())?;
+        let mut t = set.run(&Statement::Select(q))?;
         if with_rid {
             let n = t.num_rows();
             t.push_column(
@@ -498,7 +503,7 @@ fn create_lifted_fact(
             set.db.create_table(lifted, t)?;
         }
     } else {
-        run(set, &format!("CREATE TABLE {lifted} AS {q}"))?;
+        set.run(&create_table(lifted, q))?;
     }
     Ok(())
 }
@@ -536,10 +541,10 @@ fn lift_galaxy<'a, 'b>(set: &'b Dataset<'a>, params: &TrainParams) -> Result<Lif
     let mut fx = Factorizer::new(set, RingKind::Variance);
     let target = set.target_rel();
     let resid = Expr::sub(Expr::col(set.target_column.clone()), Expr::float(init));
-    let facts = std::iter::once((target, "tgt", resid.to_string())).chain(
+    let facts = std::iter::once((target, "tgt", resid)).chain(
         cluster_list
             .iter()
-            .map(|c| (c.fact, "cf", "0.0".to_string())),
+            .map(|c| (c.fact, "cf", Expr::float(0.0))),
     );
     let mut lifted_of: HashMap<RelId, String> = HashMap::new();
     for (rel, hint, jb_s) in facts {
@@ -547,11 +552,15 @@ fn lift_galaxy<'a, 'b>(set: &'b Dataset<'a>, params: &TrainParams) -> Result<Lif
             continue;
         }
         let lifted = set.fresh_table(hint);
-        let sql = format!(
-            "CREATE TABLE {lifted} AS SELECT *, {jb_s} AS jb_s FROM {}",
-            set.graph.name(rel)
-        );
-        run(set, &sql)?;
+        let q = Query {
+            items: vec![
+                SelectItem::new(Expr::Wildcard),
+                SelectItem::aliased(jb_s, "jb_s"),
+            ],
+            from: Some(TableRef::named(set.graph.name(rel))),
+            ..Default::default()
+        };
+        set.run(&create_table(&lifted, q))?;
         fx.set_table(rel, lifted.clone());
         fx.set_annotation(rel, vec![Expr::int(1), Expr::col("jb_s")]);
         lifted_of.insert(rel, lifted);
@@ -591,12 +600,7 @@ fn cuboid_dataset<'a>(set: &Dataset<'a>, params: &TrainParams) -> Result<Dataset
     let mut group_by = Vec::new();
     let mut items: Vec<SelectItem> = Vec::new();
     for (feat, rel) in set.features() {
-        let table = set.graph.name(rel);
-        let sql = format!("SELECT MIN({feat}) AS lo, MAX({feat}) AS hi FROM {table}");
-        let t = select(set, &sql)?;
-        let lo = t.scalar_f64("lo").unwrap_or(0.0);
-        let hi = t.scalar_f64("hi").unwrap_or(0.0);
-        let width = ((hi - lo) / params.max_bins as f64).max(f64::MIN_POSITIVE);
+        let (lo, width) = bin_range(set, &feat, set.graph.name(rel), params.max_bins)?;
         let bin = Expr::func(
             "FLOOR",
             vec![Expr::div(
@@ -626,7 +630,7 @@ fn cuboid_dataset<'a>(set: &Dataset<'a>, params: &TrainParams) -> Result<Dataset
         ..Default::default()
     };
     let cuboid = set.fresh_table("cuboid");
-    run(set, &format!("CREATE TABLE {cuboid} AS {cuboid_q}"))?;
+    set.run(&create_table(&cuboid, cuboid_q))?;
 
     let mut g1 = JoinGraph::new();
     let feats: Vec<String> = set.features().into_iter().map(|(f, _)| f).collect();
@@ -644,17 +648,23 @@ fn lift_cuboid<'a, 'b>(
     params: &TrainParams,
 ) -> Result<Lifted<'a, 'b>> {
     let table = cuboid.target_relation.clone();
-    let sql = format!("SELECT SUM(jb_c) AS c, SUM(jb_s) AS s FROM {table}");
-    let totals = select(cuboid, &sql)?;
+    let sum = |c: &str| SelectItem::aliased(Expr::sum(Expr::col(format!("jb_{c}"))), c);
+    let totals = cuboid.run(&Statement::Select(Query {
+        items: vec![sum("c"), sum("s")],
+        from: Some(TableRef::named(&table)),
+        ..Default::default()
+    }))?;
     let c_all = totals.scalar_f64("c").unwrap_or(0.0);
     let s_all = totals.scalar_f64("s").unwrap_or(0.0);
     if c_all == 0.0 {
         return Err(TrainError::Invalid("empty training data".into()));
     }
     let init = params.snap_leaf(s_all / c_all);
-    let init_expr = Expr::float(init);
-    let sql = format!("UPDATE {table} SET jb_s = jb_s - {init_expr} * jb_c");
-    run(cuboid, &sql)?;
+    let folded = Expr::sub(
+        Expr::col("jb_s"),
+        Expr::mul(Expr::float(init), Expr::col("jb_c")),
+    );
+    cuboid.run(&update(&table, "jb_s", folded))?;
 
     let mut fx = Factorizer::new(cuboid, RingKind::Variance);
     fx.set_annotation(0, vec![Expr::col("jb_c"), Expr::col("jb_s")]);
@@ -814,21 +824,25 @@ impl Updater {
     fn apply(&self, set: &Dataset, assignments: &[(String, Expr)]) -> Result<()> {
         let t = &self.table;
         // The new values alone, each aliased `<prefix><column>`.
-        let computed = |prefix: &str| {
-            let items: Vec<String> = assignments
+        let computed = |prefix: &str| -> Vec<SelectItem> {
+            assignments
                 .iter()
-                .map(|(a, e)| format!("{e} AS {prefix}{a}"))
-                .collect();
-            items.join(", ")
+                .map(|(a, e)| SelectItem::aliased(e.clone(), format!("{prefix}{a}")))
+                .collect()
         };
         // Every column of the table in order, an assigned one as `assigned`.
-        let rebuilt = |assigned: &dyn Fn(&str, &Expr) -> String| {
+        let rebuilt = |assigned: &dyn Fn(&str, &Expr) -> Expr| {
             let item =
                 |c: &String| match assignments.iter().find(|(a, _)| a.eq_ignore_ascii_case(c)) {
-                    Some((a, e)) => assigned(a, e),
-                    None => c.clone(),
+                    Some((a, e)) => SelectItem::aliased(assigned(a, e), a.clone()),
+                    None => SelectItem::new(Expr::col(c.clone())),
                 };
-            self.columns.iter().map(item).collect::<Vec<_>>().join(", ")
+            self.columns.iter().map(item).collect::<Vec<_>>()
+        };
+        let scan = |items: Vec<SelectItem>| Query {
+            items,
+            from: Some(TableRef::named(t)),
+            ..Default::default()
         };
         match self.method {
             UpdateMethod::UpdateInPlace => {
@@ -837,27 +851,30 @@ impl Updater {
                 // derived columns. For simplicity we issue the CASE-typed
                 // full-column UPDATE per assignment (same write volume).
                 for (col, expr) in assignments {
-                    run(set, &format!("UPDATE {t} SET {col} = {expr}"))?;
+                    set.run(&update(t, col, expr.clone()))?;
                 }
             }
             UpdateMethod::CreateTable => {
-                let items = rebuilt(&|a, e| format!("{e} AS {a}"));
-                let sql = format!("CREATE OR REPLACE TABLE {t} AS SELECT {items} FROM {t}");
-                run(set, &sql)?;
+                let items = rebuilt(&|_, e| e.clone());
+                set.run(&replace_table(t, scan(items)))?;
             }
             UpdateMethod::ColumnSwap => {
                 let tmp = set.fresh_table("delta");
-                let sql = format!("CREATE TABLE {tmp} AS SELECT {} FROM {t}", computed(""));
-                run(set, &sql)?;
+                set.run(&create_table(&tmp, scan(computed(""))))?;
                 for (a, _) in assignments {
-                    run(set, &format!("SWAP COLUMN {t}.{a} WITH {tmp}.{a}"))?;
+                    set.run(&Statement::SwapColumn {
+                        table_a: t.clone(),
+                        column_a: a.clone(),
+                        table_b: tmp.clone(),
+                        column_b: a.clone(),
+                    })?;
                 }
-                set.db.execute(&format!("DROP TABLE {tmp}"))?;
+                set.run(&drop_table(&tmp))?;
             }
             UpdateMethod::Interop => {
                 // Compute the new columns through the engine, then swap the
                 // array pointers in external storage.
-                let new = run(set, &format!("SELECT {} FROM {t}", computed("")))?;
+                let new = set.run(&Statement::Select(scan(computed(""))))?;
                 let ext = set.db.external(t)?;
                 for ((a, _), col) in assignments.iter().zip(new.columns) {
                     ext.replace_column(a, col)?;
@@ -868,30 +885,55 @@ impl Updater {
                 // then rebuild the fact by joining it back (Section 5.3's
                 // straw man).
                 let u = set.fresh_table("u");
-                let new = computed("jb_new_");
-                let sql = format!("CREATE TABLE {u} AS SELECT jb_rid, {new} FROM {t}");
-                run(set, &sql)?;
-                let items = rebuilt(&|a, _| format!("jb_new_{a} AS {a}"));
-                let from = format!("{t} JOIN {u} USING (jb_rid)");
-                let sql = format!("CREATE OR REPLACE TABLE {t} AS SELECT {items} FROM {from}");
-                run(set, &sql)?;
-                set.db.execute(&format!("DROP TABLE {u}"))?;
+                let rid = SelectItem::new(Expr::col("jb_rid"));
+                let items = std::iter::once(rid).chain(computed("jb_new_")).collect();
+                set.run(&create_table(&u, scan(items)))?;
+                let mut q = scan(rebuilt(&|a, _| Expr::col(format!("jb_new_{a}"))));
+                q.joins.push(Join {
+                    kind: JoinKind::Inner,
+                    table: TableRef::named(&u),
+                    using: vec!["jb_rid".to_string()],
+                    on: None,
+                });
+                set.run(&replace_table(t, q))?;
+                set.run(&drop_table(&u))?;
             }
         }
         Ok(())
     }
 }
 
-/// Execute one statement, naming it in the error.
-fn run(set: &Dataset, sql: &str) -> Result<Table> {
-    set.db
-        .execute(sql)
-        .map_err(|e| TrainError::Engine(format!("{e} in: {sql}")))
+/// `CREATE TABLE name AS query`.
+fn create_table(name: &str, query: Query) -> Statement {
+    Statement::CreateTableAs {
+        name: name.to_string(),
+        query,
+        or_replace: false,
+    }
 }
 
-/// Run one `SELECT`, naming it in the error.
-fn select(set: &Dataset, sql: &str) -> Result<Table> {
-    set.db
-        .query(sql)
-        .map_err(|e| TrainError::Engine(format!("{e} in: {sql}")))
+/// `CREATE OR REPLACE TABLE name AS query`.
+fn replace_table(name: &str, query: Query) -> Statement {
+    Statement::CreateTableAs {
+        name: name.to_string(),
+        query,
+        or_replace: true,
+    }
+}
+
+/// `UPDATE table SET column = value`, every row.
+fn update(table: &str, column: &str, value: Expr) -> Statement {
+    Statement::Update {
+        table: table.to_string(),
+        assignments: vec![(column.to_string(), value)],
+        where_clause: None,
+    }
+}
+
+/// `DROP TABLE name`.
+fn drop_table(name: &str) -> Statement {
+    Statement::DropTable {
+        name: name.to_string(),
+        if_exists: false,
+    }
 }

@@ -6,8 +6,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 
-use joinboost_engine::DataType;
+use joinboost_engine::{DataType, Table};
 use joinboost_graph::{JoinGraph, RelId};
+use joinboost_sql::ast::Statement;
 
 use crate::backend::SqlBackend;
 use crate::error::{Result, TrainError};
@@ -140,6 +141,14 @@ impl<'a> Dataset<'a> {
     pub fn set_categorical(&mut self, feature: &str) {
         self.kinds
             .insert(feature.to_ascii_lowercase(), FeatureKind::Categorical);
+    }
+
+    /// Execute one statement on the backend as an AST, naming it in the
+    /// error: every statement training issues goes through here.
+    pub(crate) fn run(&self, stmt: &Statement) -> Result<Table> {
+        self.db
+            .execute_ast(stmt)
+            .map_err(|e| TrainError::Engine(format!("{e} in: {stmt}")))
     }
 
     /// Allocate a fresh temp-table name (registered for cleanup).

@@ -21,6 +21,7 @@ use crate::messages::Factorizer;
 use crate::params::TrainParams;
 use crate::predict;
 use crate::sampling::ancestral_sample;
+use crate::scheduler::par_map;
 use crate::trainer::{TrainStats, TreeGrower};
 use crate::tree::Tree;
 
@@ -128,36 +129,9 @@ pub fn train_random_forest(set: &Dataset, params: &TrainParams) -> Result<RfMode
     }
 
     // Train trees (in parallel when params.threads > 1).
-    let results: Vec<Result<(Tree, TrainStats)>> = if params.threads > 1 {
-        let chunks = std::sync::Mutex::new(Vec::with_capacity(plans.len()));
-        std::thread::scope(|scope| {
-            let plans_ref = &plans;
-            let chunks_ref = &chunks;
-            let mut handles = Vec::new();
-            for worker in 0..params.threads.min(plans.len()) {
-                handles.push(scope.spawn(move || {
-                    for (i, (plan, feats)) in plans_ref.iter().enumerate() {
-                        if i % params.threads.min(plans_ref.len()) != worker {
-                            continue;
-                        }
-                        let r = train_one_tree(set, params, plan, feats);
-                        chunks_ref.lock().expect("rf lock").push((i, r));
-                    }
-                }));
-            }
-            for h in handles {
-                h.join().expect("rf worker");
-            }
-        });
-        let mut v = chunks.into_inner().expect("rf lock");
-        v.sort_by_key(|(i, _)| *i);
-        v.into_iter().map(|(_, r)| r).collect()
-    } else {
-        plans
-            .iter()
-            .map(|(plan, feats)| train_one_tree(set, params, plan, feats))
-            .collect()
-    };
+    let results = par_map(&plans, params.threads, |(plan, feats)| {
+        train_one_tree(set, params, plan, feats)
+    });
 
     let mut model = RfModel {
         trees: Vec::with_capacity(results.len()),

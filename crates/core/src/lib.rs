@@ -69,8 +69,9 @@
 //! * [`forest`] — random forests with fact-table / ancestral sampling
 //!   (Section 5.5.2) and tree-parallel training.
 //! * [`sampling`] — ancestral sampling over the join graph.
-//! * [`scheduler`] — inter-query parallelism: dependency-tracked FIFO run
-//!   queue over worker threads (Section 5.5.3).
+//! * [`scheduler`] — inter-query parallelism (Section 5.5.3): one ordered
+//!   `par_map` over worker threads, for split queries, forest trees and
+//!   shard fan-out.
 //! * [`tree`], [`predict`] — the returned models and their application.
 //! * [`serve`] — the serving tier: trained forests compiled into
 //!   per-relation message tables so per-key scoring is dictionary

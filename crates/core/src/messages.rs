@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 
 use joinboost_graph::cache::{signature, MessageCache, MessageKey};
 use joinboost_graph::{Multiplicity, RelId};
-use joinboost_sql::ast::{BinaryOp, Expr, Join, JoinKind, Query, SelectItem, TableRef};
+use joinboost_sql::ast::{BinaryOp, Expr, Join, JoinKind, Query, SelectItem, Statement, TableRef};
 
 use crate::dataset::Dataset;
 use crate::error::{Result, TrainError};
@@ -609,18 +609,13 @@ impl<'a, 'b> Factorizer<'a, 'b> {
 
     fn run_create(&mut self, q: Query, hint: &str) -> Result<String> {
         let name = self.set.fresh_table(hint);
-        // Hand the statement to the backend as an AST: backends with the
-        // fast path skip print + re-parse entirely, the others serialize.
-        let stmt = joinboost_sql::ast::Statement::CreateTableAs {
+        let stmt = Statement::CreateTableAs {
             name: name.clone(),
             query: q,
             or_replace: false,
         };
         let start = Instant::now();
-        self.set
-            .db
-            .execute_ast(&stmt)
-            .map_err(|e| TrainError::Engine(format!("{e} in: {stmt}")))?;
+        self.set.run(&stmt)?;
         let dt = start.elapsed();
         self.stats.message_queries += 1;
         self.stats.message_time += dt;
@@ -691,12 +686,7 @@ impl<'a, 'b> Factorizer<'a, 'b> {
     pub fn totals(&mut self, root: RelId, ctx: &NodeContext) -> Result<(f64, f64)> {
         let [n0, n1] = self.ring.components();
         let q = self.absorb(root, None, ctx)?;
-        let stmt = joinboost_sql::ast::Statement::Select(q);
-        let t = self
-            .set
-            .db
-            .execute_ast(&stmt)
-            .map_err(|e| TrainError::Engine(format!("{e} in: {stmt}")))?;
+        let t = self.set.run(&Statement::Select(q))?;
         if t.num_rows() == 0 {
             return Ok((0.0, 0.0));
         }

@@ -8,7 +8,7 @@
 //! the same way training pushes split evaluation.
 
 use joinboost_engine::{Datum, Table};
-use joinboost_sql::ast::{Expr, Join, JoinKind, Query, SelectItem, TableRef};
+use joinboost_sql::ast::{Expr, Join, JoinKind, Query, SelectItem, Statement, TableRef};
 
 use crate::dataset::Dataset;
 use crate::error::{Result, TrainError};
@@ -67,10 +67,7 @@ pub fn features_query(set: &Dataset) -> Query {
 
 /// Execute [`features_query`], returning the denormalized table.
 pub fn materialize_features(set: &Dataset) -> Result<Table> {
-    let q = features_query(set);
-    set.db
-        .query(&q.to_string())
-        .map_err(|e| TrainError::Engine(format!("{e} in: {q}")))
+    set.run(&Statement::Select(features_query(set)))
 }
 
 /// Raw additive prediction of a boosted ensemble for every row of a

@@ -31,6 +31,7 @@ use std::collections::HashMap;
 use joinboost_engine::table::ColumnMeta;
 use joinboost_engine::{Column, Datum, EngineError, Table};
 use joinboost_graph::{JoinGraph, RelId};
+use joinboost_sql::ast::{Expr, SelectItem, Statement};
 
 use crate::backend::{BackendResult, SqlBackend};
 use crate::boosting::GbmModel;
@@ -560,14 +561,11 @@ impl JoinScorer {
     pub fn compile(set: &Dataset, model: &GbmModel, key_column: &str) -> Result<JoinScorer> {
         let g = &set.graph;
         let mut q = features_query(set);
-        q.items.push(joinboost_sql::ast::SelectItem::aliased(
-            joinboost_sql::ast::Expr::qcol(g.name(set.target_rel()), key_column.to_string()),
+        q.items.push(SelectItem::aliased(
+            Expr::qcol(g.name(set.target_rel()), key_column.to_string()),
             "jb_serve_key",
         ));
-        let t = set
-            .db
-            .query(&q.to_string())
-            .map_err(|e| TrainError::Engine(format!("{e} in: {q}")))?;
+        let t = set.run(&Statement::Select(q))?;
         let scores = predict_boosted(&model.trees, model.init_score, model.learning_rate, &t);
         let kidx = t.resolve(None, "jb_serve_key").map_err(TrainError::from)?;
         let mut map = HashMap::with_capacity(t.num_rows());

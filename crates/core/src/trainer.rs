@@ -15,12 +15,13 @@ use std::time::{Duration, Instant};
 use joinboost_engine::Datum;
 use joinboost_graph::RelId;
 use joinboost_semiring::{second_order_gain, variance_reduction};
+use joinboost_sql::ast::{Expr, Query, SelectItem, Statement, TableRef};
 
 use crate::dataset::{Dataset, FeatureKind};
 use crate::error::{Result, TrainError};
 use crate::messages::{Factorizer, NodeContext, Pred, SiblingOf};
 use crate::params::{Growth, TrainParams};
-use crate::scheduler;
+use crate::scheduler::par_map;
 use crate::sqlgen::{categorical_split_query, numeric_split_query, NodeTotals, RingKind};
 use crate::tree::{Split, SplitCondition, Tree, TreeNode};
 
@@ -29,9 +30,10 @@ use crate::tree::{Split, SplitCondition, Tree, TreeNode};
 pub struct TrainStats {
     /// Queries that evaluate the best split of one feature.
     pub split_queries: u64,
-    /// Total wall-clock spent in split queries.
+    /// Total wall-clock spent in split queries (per node, the batch's
+    /// wall-clock, however many ran at once).
     pub split_time: Duration,
-    /// Per-split-query durations.
+    /// Per-split-query latencies, each timed on the thread that ran it.
     pub split_durations: Vec<Duration>,
     /// Message queries materialized (copied from the factorizer).
     pub message_queries: u64,
@@ -221,7 +223,7 @@ impl<'a, 'b, 'c> TreeGrower<'a, 'b, 'c> {
         }
         // Stage 1 (sequential): make sure all messages exist; build the
         // per-feature split queries.
-        let mut queries: Vec<(String, RelId, FeatureKind, String)> = Vec::new();
+        let mut queries: Vec<(String, RelId, FeatureKind, Statement)> = Vec::new();
         for (feat, rel) in allowed {
             let spec = self.group_spec(feat, *rel)?;
             let absorbed = self.fx.absorb(*rel, Some(&spec), ctx)?;
@@ -242,23 +244,25 @@ impl<'a, 'b, 'c> TreeGrower<'a, 'b, 'c> {
                     self.params.min_data_in_leaf,
                 ),
             };
-            queries.push((feat.clone(), *rel, kind, q.to_string()));
+            queries.push((feat.clone(), *rel, kind, Statement::Select(q)));
         }
-        // Stage 2 (parallel): run the split queries.
-        let sqls: Vec<String> = queries.iter().map(|(_, _, _, s)| s.clone()).collect();
+        // Stage 2 (parallel): run the split queries, each timed where it
+        // runs.
+        let set = self.fx.set;
         let start = Instant::now();
-        let results = scheduler::run_parallel(self.fx.set.db, &sqls, self.params.threads);
-        let elapsed = start.elapsed();
-        self.stats.split_queries += sqls.len() as u64;
-        self.stats.split_time += elapsed;
-        let per = elapsed / (sqls.len().max(1) as u32);
+        let results = par_map(&queries, self.params.threads, |(.., stmt)| {
+            let t0 = Instant::now();
+            (set.run(stmt), t0.elapsed())
+        });
+        self.stats.split_queries += queries.len() as u64;
+        self.stats.split_time += start.elapsed();
         self.stats
             .split_durations
-            .extend(std::iter::repeat_n(per, sqls.len()));
+            .extend(results.iter().map(|(_, took)| *took));
         // Pick the best candidate by exact gain.
         let [n0, n1] = self.fx.ring.components();
         let mut best: Option<CandidateSplit> = None;
-        for ((feat, rel, kind, _), result) in queries.iter().zip(results) {
+        for ((feat, rel, kind, _), (result, _)) in queries.iter().zip(results) {
             let t = result?;
             if t.num_rows() == 0 {
                 continue;
@@ -316,19 +320,12 @@ impl<'a, 'b, 'c> TreeGrower<'a, 'b, 'c> {
         if let Some(&(lo, width)) = self.bin_ranges.get(feat) {
             return Ok(GroupSpec::binned(feat, lo, width));
         }
-        let sql = format!(
-            "SELECT MIN({feat}) AS lo, MAX({feat}) AS hi FROM {}",
-            self.fx.table_of(rel)
-        );
-        let t = self
-            .fx
-            .set
-            .db
-            .query(&sql)
-            .map_err(|e| TrainError::Engine(format!("{e} in: {sql}")))?;
-        let lo = t.scalar_f64("lo").unwrap_or(0.0);
-        let hi = t.scalar_f64("hi").unwrap_or(0.0);
-        let width = ((hi - lo) / self.params.max_bins as f64).max(f64::MIN_POSITIVE);
+        let (lo, width) = bin_range(
+            self.fx.set,
+            feat,
+            self.fx.table_of(rel),
+            self.params.max_bins,
+        )?;
         self.bin_ranges.insert(feat.to_string(), (lo, width));
         Ok(GroupSpec::binned(feat, lo, width))
     }
@@ -493,6 +490,26 @@ impl<'a, 'b, 'c> TreeGrower<'a, 'b, 'c> {
         };
         HeapItem { priority, entry }
     }
+}
+
+/// `(lo, width)` of `max_bins` equal-width histogram bins spanning the
+/// feature's `MIN`/`MAX` in `table`.
+pub(crate) fn bin_range(
+    set: &Dataset,
+    feat: &str,
+    table: &str,
+    max_bins: usize,
+) -> Result<(f64, f64)> {
+    let bound =
+        |f: &str, alias: &str| SelectItem::aliased(Expr::func(f, vec![Expr::col(feat)]), alias);
+    let t = set.run(&Statement::Select(Query {
+        items: vec![bound("MIN", "lo"), bound("MAX", "hi")],
+        from: Some(TableRef::named(table)),
+        ..Default::default()
+    }))?;
+    let lo = t.scalar_f64("lo").unwrap_or(0.0);
+    let hi = t.scalar_f64("hi").unwrap_or(0.0);
+    Ok((lo, ((hi - lo) / max_bins as f64).max(f64::MIN_POSITIVE)))
 }
 
 /// Train a single regression decision tree over the join graph using the

@@ -18,11 +18,11 @@
 
 use joinboost::backend::{
     EngineBackend, PushdownConfig, RemoteBackend, RemoteOptions, ShardedBackend, SqlBackend,
-    SqlTextBackend,
+    SqlTextBackend, WireServer,
 };
 use joinboost::{train_gbm, Dataset, GbmModel, TrainParams};
 use joinboost_datagen::{favorita, tpcds, FavoritaConfig, TpcConfig};
-use joinboost_engine::{Column, EngineConfig};
+use joinboost_engine::{Column, Database, EngineConfig};
 
 /// A real `shard_server` child process (cross-process, not a thread):
 /// spawned on an ephemeral port, killed on drop.
@@ -70,6 +70,11 @@ fn workload() -> joinboost_datagen::favorita::Generated {
 }
 
 fn load_and_train(backend: &dyn SqlBackend) -> GbmModel {
+    load_and_train_on_threads(backend, 1)
+}
+
+/// [`load_and_train`] with `threads` split queries in flight at once.
+fn load_and_train_on_threads(backend: &dyn SqlBackend, threads: usize) -> GbmModel {
     let gen = workload();
     for (name, t) in &gen.tables {
         backend.create_table(name, t.clone()).unwrap();
@@ -85,6 +90,7 @@ fn load_and_train(backend: &dyn SqlBackend) -> GbmModel {
         num_iterations: 4,
         learning_rate: 0.5,
         leaf_quantization: (2.0f64).powi(-10),
+        threads,
         ..Default::default()
     };
     train_gbm(&set, &params).unwrap()
@@ -193,6 +199,47 @@ fn all_backends_train_bit_identical_gbms() {
             assert!(nonempty > 1, "hash partitioning left all rows on one shard");
         }
     }
+}
+
+/// Inter-query parallelism is a schedule, not a different computation:
+/// split queries running 2 or 4 at a time pick the same splits, bit for
+/// bit, as one at a time — on one engine and on a 2-shard backend.
+#[test]
+fn gbm_split_query_threads_do_not_change_a_bit() {
+    let backend = |shards: usize| -> Box<dyn SqlBackend> {
+        match shards {
+            1 => Box::new(EngineBackend::in_memory()),
+            n => Box::new(ShardedBackend::new(
+                n,
+                EngineConfig::duckdb_mem(),
+                "sales",
+                "items_id",
+            )),
+        }
+    };
+    for shards in [1, 2] {
+        let reference = load_and_train_on_threads(backend(shards).as_ref(), 1);
+        for threads in [2, 4] {
+            let model = load_and_train_on_threads(backend(shards).as_ref(), threads);
+            let who = format!("{shards} shard(s), threads = {threads}");
+            assert_bit_identical(&reference, &model, &who);
+        }
+    }
+}
+
+/// `BackendStats::selects` means the same on every backend: `SELECT`s and
+/// `CREATE TABLE AS` queries, whether the engine runs them in process or
+/// a remote one is sent their text.
+#[test]
+fn remote_backend_counts_selects_like_the_engine() {
+    let engine = EngineBackend::in_memory();
+    load_and_train(&engine);
+    let server = WireServer::builder(Database::in_memory()).spawn().unwrap();
+    let remote = RemoteBackend::builder(server.addr()).connect().unwrap();
+    load_and_train(&remote);
+    let selects = engine.stats().selects;
+    assert!(selects > 0);
+    assert_eq!(remote.stats().selects, selects);
 }
 
 /// The out-of-core claim: the paged engine — tables on disk behind a

@@ -541,27 +541,36 @@ impl Fixture {
     /// Load the fixture's data into `db`; returns the graph, target
     /// relation and target column to build a dataset from.
     fn load(&self, db: &Database) -> (joinboost_graph::JoinGraph, &'static str, &'static str) {
-        if self.galaxy {
-            let gen = imdb_galaxy(&ImdbConfig {
-                persons: 40,
-                movies: 30,
-                cast_rows: 800,
-                person_info_rows: 120,
-                movie_info_rows: 90,
-                seed: 42,
-            });
-            gen.load_into(db).unwrap();
-            (gen.graph, "cast_info", "rating")
-        } else {
-            let gen = favorita(&FavoritaConfig {
-                fact_rows: 1200,
-                dim_rows: 12,
-                noise: 1.0,
-                ..Default::default()
-            });
-            gen.load_into(db).unwrap();
-            (gen.graph, "sales", "net_profit")
-        }
+        load_schema(db, self.galaxy)
+    }
+}
+
+/// Load the fixtures' galaxy or star data into `db`; returns the graph,
+/// target relation and target column to build a dataset from.
+fn load_schema(
+    db: &Database,
+    galaxy: bool,
+) -> (joinboost_graph::JoinGraph, &'static str, &'static str) {
+    if galaxy {
+        let gen = imdb_galaxy(&ImdbConfig {
+            persons: 40,
+            movies: 30,
+            cast_rows: 800,
+            person_info_rows: 120,
+            movie_info_rows: 90,
+            seed: 42,
+        });
+        gen.load_into(db).unwrap();
+        (gen.graph, "cast_info", "rating")
+    } else {
+        let gen = favorita(&FavoritaConfig {
+            fact_rows: 1200,
+            dim_rows: 12,
+            noise: 1.0,
+            ..Default::default()
+        });
+        gen.load_into(db).unwrap();
+        (gen.graph, "sales", "net_profit")
     }
 }
 
@@ -652,10 +661,22 @@ fn resumed_training_is_bit_identical_from_any_prefix() {
 }
 
 /// A backend that records every statement the trainer sends, text and
-/// AST alike (ASTs printed), then forwards it to an in-memory engine.
+/// AST alike (ASTs printed), counts the ones that arrive as text, then
+/// forwards each to an in-memory engine.
 struct Recorder {
     inner: joinboost::EngineBackend,
     log: std::sync::Mutex<Vec<String>>,
+    text_calls: std::sync::atomic::AtomicUsize,
+}
+
+impl Recorder {
+    fn new(config: EngineConfig) -> Recorder {
+        Recorder {
+            inner: joinboost::EngineBackend::new(config),
+            log: Default::default(),
+            text_calls: Default::default(),
+        }
+    }
 }
 
 impl Recorder {
@@ -672,6 +693,8 @@ impl joinboost::SqlBackend for Recorder {
         self.inner.capabilities()
     }
     fn execute(&self, sql: &str) -> joinboost::BackendResult {
+        self.text_calls
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         self.record(sql.to_string());
         self.inner.execute(sql)
     }
@@ -704,6 +727,19 @@ impl joinboost::SqlBackend for Recorder {
     }
     fn row_count(&self, name: &str) -> joinboost::BackendResult<usize> {
         self.inner.row_count(name)
+    }
+    fn register_external(
+        &self,
+        name: &str,
+        table: &joinboost_engine::Table,
+    ) -> joinboost::BackendResult<()> {
+        self.inner.register_external(name, table)
+    }
+    fn external(
+        &self,
+        name: &str,
+    ) -> joinboost::BackendResult<std::sync::Arc<joinboost_engine::interop::ExternalTable>> {
+        self.inner.external(name)
     }
 }
 
@@ -768,10 +804,7 @@ fn trainer_statement_stream_is_pinned() {
     ];
     let mut got = Vec::new();
     for fx in &runs {
-        let backend = Recorder {
-            inner: joinboost::EngineBackend::new(fx.config.clone()),
-            log: Default::default(),
-        };
+        let backend = Recorder::new(fx.config.clone());
         let (graph, rel, col) = fx.load(backend.inner.database());
         {
             let set = Dataset::new(&backend, graph, rel, col).unwrap();
@@ -781,6 +814,229 @@ fn trainer_statement_stream_is_pinned() {
         got.push((fx.name, log.len(), stream_digest(&log)));
     }
     assert_eq!(got, pinned, "the trainer's statement stream changed");
+}
+
+/// One path from trainer to backend: every statement training, sampling,
+/// feature materialization and join scoring issue arrives as an AST
+/// through `execute_ast` — none as SQL text through `execute`/`query` —
+/// across every update method, schema shape and model family.
+#[test]
+fn trainer_sends_no_sql_text() {
+    type Run = Box<dyn Fn(&Dataset)>;
+    let gbm = |method, objective, config| -> (EngineConfig, bool, Run) {
+        let run: Run = Box::new(move |set| {
+            let mut params = TrainParams::default();
+            params.num_iterations = 3;
+            params.update_method = method;
+            params.objective = objective;
+            train_gbm(set, &params).unwrap();
+        });
+        (config, false, run)
+    };
+    let mut runs = vec![
+        gbm(
+            UpdateMethod::CreateTable,
+            Objective::SquaredError,
+            EngineConfig::duckdb_mem(),
+        ),
+        gbm(
+            UpdateMethod::UpdateInPlace,
+            Objective::SquaredError,
+            EngineConfig::duckdb_mem(),
+        ),
+        gbm(
+            UpdateMethod::Naive,
+            Objective::SquaredError,
+            EngineConfig::duckdb_mem(),
+        ),
+        gbm(
+            UpdateMethod::Interop,
+            Objective::SquaredError,
+            EngineConfig::duckdb_mem(),
+        ),
+        gbm(
+            UpdateMethod::ColumnSwap,
+            Objective::SquaredError,
+            EngineConfig::d_swap(),
+        ),
+        // Leaf renewal reads residuals back per leaf.
+        gbm(
+            UpdateMethod::CreateTable,
+            Objective::AbsoluteError,
+            EngineConfig::duckdb_mem(),
+        ),
+    ];
+    let galaxy_gbm: Run = Box::new(|set| {
+        let mut params = TrainParams::default();
+        params.num_iterations = 3;
+        params.num_leaves = 4;
+        train_gbm(set, &params).unwrap();
+    });
+    let cuboid_gbm: Run = Box::new(|set| {
+        let mut params = TrainParams::default();
+        params.num_iterations = 3;
+        params.max_bins = 5;
+        params.use_cuboid = true;
+        train_gbm(set, &params).unwrap();
+    });
+    let binned_tree: Run = Box::new(|set| {
+        let mut params = TrainParams::default();
+        params.max_bins = 5;
+        train_decision_tree(set, &params).unwrap();
+    });
+    let forest: Run = Box::new(|set| {
+        let mut params = TrainParams::default();
+        params.num_iterations = 3;
+        params.num_leaves = 4;
+        params.bagging_fraction = 0.5;
+        params.threads = 2;
+        train_random_forest(set, &params).unwrap();
+    });
+    let scoring: Run = Box::new(|set| {
+        let mut params = TrainParams::default();
+        params.num_iterations = 2;
+        let model = train_gbm(set, &params).unwrap();
+        materialize_features(set).unwrap();
+        joinboost::JoinScorer::compile(set, &model, "sale_id").unwrap();
+    });
+    let mem = EngineConfig::duckdb_mem;
+    runs.push((mem(), true, galaxy_gbm));
+    runs.push((mem(), false, cuboid_gbm));
+    runs.push((mem(), false, binned_tree));
+    runs.push((mem(), false, forest));
+    runs.push((mem(), false, scoring));
+    // Ancestral sampling: a forest over the galaxy.
+    runs.push((
+        mem(),
+        true,
+        Box::new(|set| {
+            let mut params = TrainParams::default();
+            params.num_iterations = 2;
+            params.num_leaves = 4;
+            params.bagging_fraction = 0.1;
+            params.threads = 2;
+            train_random_forest(set, &params).unwrap();
+        }),
+    ));
+    for (i, (config, galaxy, run)) in runs.into_iter().enumerate() {
+        let backend = Recorder::new(config);
+        let db = backend.inner.database();
+        let (graph, rel, col) = load_schema(db, galaxy);
+        if !galaxy {
+            // A unique key for the join scorer to index by.
+            let mut sales = db.snapshot("sales").unwrap();
+            let n = sales.num_rows() as i64;
+            sales.push_column(
+                joinboost_engine::table::ColumnMeta::new("sale_id"),
+                joinboost_engine::Column::int((0..n).collect()),
+            );
+            db.execute("DROP TABLE sales").unwrap();
+            db.create_table("sales", sales).unwrap();
+        }
+        {
+            let set = Dataset::new(&backend, graph, rel, col).unwrap();
+            run(&set);
+        }
+        let text = backend
+            .text_calls
+            .load(std::sync::atomic::Ordering::Relaxed);
+        let all = backend.log.lock().unwrap().len();
+        assert!(all > 0, "run {i} issued no statements");
+        assert_eq!(
+            text, 0,
+            "run {i}: {text} of {all} statements arrived as text"
+        );
+    }
+}
+
+/// Sleeps `SLOW` before every `SELECT` that names `slow_feat`, forwarding
+/// everything to an in-memory engine.
+struct SlowFeature(joinboost::EngineBackend);
+
+const SLOW: std::time::Duration = std::time::Duration::from_millis(40);
+
+impl joinboost::SqlBackend for SlowFeature {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn capabilities(&self) -> joinboost::BackendCapabilities {
+        self.0.capabilities()
+    }
+    fn execute(&self, sql: &str) -> joinboost::BackendResult {
+        self.0.execute(sql)
+    }
+    fn execute_ast(&self, stmt: &joinboost_sql::ast::Statement) -> joinboost::BackendResult {
+        if matches!(stmt, joinboost_sql::ast::Statement::Select(_))
+            && stmt.to_string().contains("slow_feat")
+        {
+            std::thread::sleep(SLOW);
+        }
+        self.0.execute_ast(stmt)
+    }
+    fn create_table(
+        &self,
+        name: &str,
+        table: joinboost_engine::Table,
+    ) -> joinboost::BackendResult<()> {
+        self.0.create_table(name, table)
+    }
+    fn snapshot(&self, name: &str) -> joinboost::BackendResult {
+        self.0.snapshot(name)
+    }
+    fn column_names(&self, table: &str) -> joinboost::BackendResult<Vec<String>> {
+        self.0.column_names(table)
+    }
+    fn column_dtype(
+        &self,
+        table: &str,
+        column: &str,
+    ) -> joinboost::BackendResult<joinboost_engine::DataType> {
+        self.0.column_dtype(table, column)
+    }
+    fn has_table(&self, name: &str) -> bool {
+        self.0.has_table(name)
+    }
+    fn row_count(&self, name: &str) -> joinboost::BackendResult<usize> {
+        self.0.row_count(name)
+    }
+}
+
+/// `split_durations` holds each split query's own latency, measured where
+/// it ran — not the batch's wall-clock spread evenly over its queries —
+/// so Figure 9b's latency histogram shows the one slow feature.
+#[test]
+fn split_durations_are_measured_per_query() {
+    use joinboost_engine::{Column, Table};
+    let backend = SlowFeature(joinboost::EngineBackend::in_memory());
+    let n = 64;
+    joinboost::SqlBackend::create_table(
+        &backend,
+        "t",
+        Table::from_columns(vec![
+            ("slow_feat", Column::int((0..n).map(|i| i % 4).collect())),
+            ("fast_feat", Column::int((0..n).map(|i| i % 8).collect())),
+            ("y", Column::float((0..n).map(|i| (i % 8) as f64).collect())),
+        ]),
+    )
+    .unwrap();
+    let mut graph = joinboost_graph::JoinGraph::new();
+    graph
+        .add_relation("t", &["slow_feat", "fast_feat"])
+        .unwrap();
+    let set = Dataset::new(&backend, graph, "t", "y").unwrap();
+    for threads in [1, 2] {
+        let mut params = TrainParams::default();
+        params.num_leaves = 2; // one split batch: the root's
+        params.threads = threads;
+        let (_, stats) = train_decision_tree(&set, &params).unwrap();
+        let d = &stats.split_durations;
+        assert_eq!(d.len(), 2, "threads = {threads}");
+        let max = d.iter().max().unwrap();
+        let min = d.iter().min().unwrap();
+        assert!(*max >= SLOW, "threads = {threads}: slowest {max:?}");
+        assert!(*min < SLOW, "threads = {threads}: fastest {min:?}");
+        assert!(stats.split_time >= *max);
+    }
 }
 
 #[test]

@@ -138,6 +138,17 @@ fn main() {
         "multi-process sharding: fact over 2 socket servers",
     ));
 
+    // caps: window functions, column swap, external interop, x shards.
+    let caps_str = |backend: &dyn SqlBackend| {
+        let caps = backend.capabilities();
+        format!(
+            "{}{}{}x{}",
+            if caps.window_functions { "w" } else { "-" },
+            if caps.column_swap { "s" } else { "-" },
+            if caps.external_interop { "i" } else { "-" },
+            caps.shards
+        )
+    };
     let header = ["backend", "caps", "train(s)", "update(s)", "notes"];
     println!(
         "{:<14}{:<10}{:>10}{:>11}  {}",
@@ -147,18 +158,10 @@ fn main() {
     let mut reference: Option<GbmModel> = None;
     for (backend, notes) in &backends {
         let model = train_on(backend.as_ref());
-        let caps = backend.capabilities();
-        let caps_str = format!(
-            "{}{}{}x{}",
-            if caps.ast_statements { "a" } else { "-" },
-            if caps.window_functions { "w" } else { "-" },
-            if caps.external_interop { "i" } else { "-" },
-            caps.shards
-        );
         println!(
             "{:<14}{:<10}{:>10.3}{:>11.3}  {notes}",
             backend.name(),
-            caps_str,
+            caps_str(backend.as_ref()),
             model.train_time.as_secs_f64(),
             model.update_time.as_secs_f64(),
         );
@@ -184,7 +187,7 @@ fn main() {
     println!(
         "{:<14}{:<10}{:>10.3}{:>11.3}  fact hash-partitioned over 4 engines",
         sharded.name(),
-        format!("aw-x{}", sharded.num_shards()),
+        caps_str(&sharded),
         model.train_time.as_secs_f64(),
         model.update_time.as_secs_f64(),
     );
