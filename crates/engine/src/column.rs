@@ -282,40 +282,6 @@ impl Column {
         }
     }
 
-    /// Predicate truthiness of row `i`, the rule of [`Datum::is_truthy`]
-    /// without building the `Datum`: non-zero numerics are true; NULLs
-    /// and strings are false.
-    pub fn is_truthy(&self, i: usize) -> bool {
-        self.is_valid(i)
-            && match &self.data {
-                ColumnData::Int(v) => v[i] != 0,
-                ColumnData::Float(v) => v[i] != 0.0,
-                ColumnData::Str { .. } => false,
-            }
-    }
-
-    /// Call `f` with every row that [`is_truthy`](Column::is_truthy), in
-    /// row order.
-    pub fn for_each_truthy(&self, mut f: impl FnMut(usize)) {
-        match self.as_i64_slice() {
-            // What every comparison, AND/OR and IN evaluates to.
-            Some(v) => {
-                for (i, &x) in v.iter().enumerate() {
-                    if x != 0 {
-                        f(i);
-                    }
-                }
-            }
-            None => {
-                for i in 0..self.len() {
-                    if self.is_truthy(i) {
-                        f(i);
-                    }
-                }
-            }
-        }
-    }
-
     /// Hash key at row `i`, suitable for joins / group-by.
     pub fn hkey(&self, i: usize) -> HKey {
         if !self.is_valid(i) {

@@ -1,5 +1,6 @@
 //! The database: catalog, configuration and statement execution.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -794,9 +795,11 @@ impl Database {
         let executor = Executor::new(self);
         let ctx = EvalContext::new(&executor);
         let hit = where_clause
-            .map(|pred| executor.eval(pred, &current, &ctx))
+            .map(|pred| executor.predicate(pred, &current, &ctx))
             .transpose()?;
-        let mut updated = current.clone();
+        // Every assignment reads the old values, so the new columns are
+        // installed only once all of them are computed.
+        let mut merged = Vec::with_capacity(assignments.len());
         for (col_name, expr) in assignments {
             let idx = current.resolve(None, col_name)?;
             // MVCC: copy the before-image into the undo buffer.
@@ -814,23 +817,27 @@ impl Database {
                 stats.undo_bytes += bytes as u64;
                 stats.undo_versions += 1;
             }
-            let new_vals = executor.eval(expr, &current, &ctx)?;
+            let new_vals = || executor.eval(expr, &current, &ctx);
             // Merge: rows the predicate hits take the new value, others
             // keep the old — a one-branch CASE.
             let merged_col = match &hit {
                 Some(hit) => {
                     let mut merge = CaseMerge::new(Some(current.columns[idx].clone()), n);
-                    merge.branch(hit, &new_vals);
+                    merge.branch(hit, || new_vals().map(Cow::Owned))?;
                     merge.finish()
                 }
-                None => CaseMerge::new(Some(new_vals), n).finish(),
+                None => CaseMerge::new(Some(new_vals()?), n).finish(),
             };
             if self.config.wal {
                 self.wal
                     .lock()
                     .log_update_column(table, col_name, &merged_col)?;
             }
-            updated.columns[idx] = merged_col;
+            merged.push((idx, merged_col));
+        }
+        let mut updated = current;
+        for (idx, col) in merged {
+            updated.columns[idx] = col;
         }
         let key = table.to_ascii_lowercase();
         let was_external = matches!(self.catalog.read().get(&key), Some(Stored::External(_)));
@@ -1418,5 +1425,96 @@ mod tests {
         assert_eq!(t.num_rows(), 1);
         assert_eq!(t.column(None, "crit").unwrap().get(0), Datum::Float(5.0));
         assert_eq!(t.column(None, "a").unwrap().get(0), Datum::Int(2));
+    }
+
+    /// An in-memory engine per execution mode, each holding `tables`.
+    fn both_modes(tables: &[(&str, Table)]) -> Vec<(ExecMode, Database)> {
+        [EngineConfig::duckdb_mem(), EngineConfig::dbms_x_row()]
+            .into_iter()
+            .map(|config| {
+                let db = Database::new(config);
+                for (name, t) in tables {
+                    db.create_table(name, t.clone()).unwrap();
+                }
+                (db.config().exec, db)
+            })
+            .collect()
+    }
+
+    /// The first column of `sql`'s result.
+    fn first_column(db: &Database, sql: &str) -> Vec<Datum> {
+        let t = db.query(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        (0..t.num_rows()).map(|i| t.columns[0].get(i)).collect()
+    }
+
+    #[test]
+    fn int_comparisons_are_exact() {
+        // 2^53 and its neighbours: 2^53 + 1 is the first integer an f64
+        // cannot hold.
+        let big = 1i64 << 53;
+        let t = Table::from_columns(vec![("a", Column::int(vec![big, big + 1, big + 2]))]);
+        let u = Table::from_columns(vec![("a", Column::int(vec![big + 1]))]);
+        let ints = |v: &[i64]| v.iter().map(|&x| Datum::Int(x)).collect::<Vec<_>>();
+        for (mode, db) in both_modes(&[("t", t), ("u", u)]) {
+            for (pred, want) in [
+                ("a = 9007199254740993", vec![big + 1]),
+                ("a < 9007199254740993", vec![big]),
+                ("9007199254740993 <= a", vec![big + 1, big + 2]),
+                ("a <> 9007199254740993", vec![big, big + 2]),
+                // Against a Float, an Int compares as f64: 2^53 + 1 rounds
+                // to 2^53 (ties to even), so both equal the literal.
+                ("a = 9007199254740993.0", vec![big, big + 1]),
+            ] {
+                let got = first_column(&db, &format!("SELECT a FROM t WHERE {pred}"));
+                assert_eq!(got, ints(&want), "{mode:?}: {pred}");
+            }
+            // The join's equality is the same one.
+            for sql in [
+                "SELECT a FROM t JOIN u USING (a)",
+                "SELECT t.a FROM t JOIN u ON t.a = u.a",
+            ] {
+                assert_eq!(first_column(&db, sql), ints(&[big + 1]), "{mode:?}: {sql}");
+            }
+        }
+    }
+
+    #[test]
+    fn not_follows_three_valued_logic() {
+        let t = Table::from_columns(vec![
+            (
+                "x",
+                Column::from_datums(&[Datum::Int(0), Datum::Int(2), Datum::Null]),
+            ),
+            (
+                "k",
+                Column::from_datums(&[Datum::Int(1), Datum::Null, Datum::Int(3)]),
+            ),
+            ("id", Column::int(vec![0, 1, 2])),
+        ]);
+        let d = Table::from_columns(vec![("k", Column::int(vec![1, 2]))]);
+        for (mode, db) in both_modes(&[("t", t), ("d", d)]) {
+            let ids = |pred: &str| -> Vec<i64> {
+                (first_column(&db, &format!("SELECT id FROM t WHERE {pred}")).iter())
+                    .map(|d| d.as_i64().unwrap())
+                    .collect()
+            };
+            // NOT of NULL is NULL, which WHERE does not keep.
+            assert_eq!(ids("NOT (x > 1)"), vec![0], "{mode:?}");
+            assert_eq!(ids("x > 1 OR NOT (x > 1)"), vec![0, 1], "{mode:?}");
+            assert_eq!(ids("NOT (x > 1 AND k > 0)"), vec![0], "{mode:?}");
+            assert_eq!(ids("NOT (x > 1 OR k > 2)"), vec![0], "{mode:?}");
+            // A NULL probe makes IN NULL, so NOT IN and NOT (.. IN ..) agree.
+            for set in ["(SELECT k FROM d)", "(1, 2)"] {
+                assert_eq!(ids(&format!("NOT (k IN {set})")), vec![2], "{mode:?}");
+                assert_eq!(ids(&format!("k NOT IN {set}")), vec![2], "{mode:?}");
+            }
+            // IS NULL is never NULL.
+            assert_eq!(ids("NOT (x IS NULL)"), vec![0, 1], "{mode:?}");
+            // The same rule for a projected predicate and in an UPDATE.
+            let negated = first_column(&db, "SELECT NOT (x > 1) AS n FROM t");
+            assert_eq!(negated, vec![Datum::Int(1), Datum::Int(0), Datum::Null]);
+            db.execute("UPDATE t SET id = 9 WHERE NOT (x > 1)").unwrap();
+            assert_eq!(ids("id = 9"), vec![9], "{mode:?}");
+        }
     }
 }

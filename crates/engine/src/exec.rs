@@ -21,14 +21,15 @@
 
 use std::borrow::Cow;
 
-use joinboost_sql::ast::{Expr, Join, JoinKind, Query, TableRef, Value};
+use joinboost_sql::ast::{BinaryOp, Expr, Join, JoinKind, Query, TableRef, Value};
 
 use crate::agg::PreparedAgg;
 use crate::column::Column;
 use crate::db::{Database, ExecMode};
 use crate::error::{EngineError, Result};
-use crate::expr::{eval, eval_rows, EvalContext, SubqueryRunner};
+use crate::expr::{eval, eval_mask, eval_rows, EvalContext, SubqueryRunner};
 use crate::keys::{group_rows, JoinIndex, KeySet, SortKeys};
+use crate::mask::Mask;
 use crate::table::{ColumnMeta, Table};
 
 /// Aggregate function names.
@@ -145,6 +146,15 @@ impl<'a> Executor<'a> {
         }
     }
 
+    /// Evaluate the predicate `pred` over every row of `table` in the
+    /// configured mode.
+    pub(crate) fn predicate(&self, pred: &Expr, table: &Table, ctx: &EvalContext) -> Result<Mask> {
+        match self.mode {
+            ExecMode::Columnar => eval_mask(pred, table, ctx),
+            ExecMode::Row => Ok(Mask::truthy(&eval_rows(pred, table, ctx)?)),
+        }
+    }
+
     fn query_with_ctx(&self, q: &Query, ctx: &EvalContext) -> Result<Table> {
         let scanned = columns_named(q);
         let scanned = scanned.as_deref();
@@ -243,17 +253,17 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Narrow `input` to the surviving rows where `pred` holds, reading
-    /// only the columns `pred` names.
+    /// Narrow `input` to the surviving rows where `pred` is TRUE, one
+    /// conjunct at a time: each is evaluated over the rows the ones before
+    /// it kept, reading only the columns it names.
     fn filter(&self, input: &mut Selected, pred: &Expr, ctx: &EvalContext) -> Result<()> {
-        let mask = self.eval(pred, &input.view(columns_read([pred]).as_deref()), ctx)?;
-        // `mask` is positional over the surviving rows.
-        let mut kept = Vec::with_capacity(mask.len());
-        match &input.sel {
-            Some(sel) => mask.for_each_truthy(|i| kept.push(sel[i])),
-            None => mask.for_each_truthy(|i| kept.push(i as u32)),
+        for conjunct in conjuncts(pred) {
+            let view = input.view(columns_read([conjunct]).as_deref());
+            let mask = self.predicate(conjunct, &view, ctx)?;
+            drop(view);
+            // `mask` is positional over the surviving rows.
+            input.narrow(mask.select(input.sel.as_deref()));
         }
-        input.narrow(kept);
         Ok(())
     }
 
@@ -506,6 +516,22 @@ impl<'a> Executor<'a> {
             }
         };
         PreparedAgg::new(name, Some(self.eval(arg, input, ctx)?))
+    }
+}
+
+/// The operands of a tree of `AND`s, left to right.
+fn conjuncts(e: &Expr) -> Vec<&Expr> {
+    match e {
+        Expr::Binary {
+            op: BinaryOp::And,
+            left,
+            right,
+        } => {
+            let mut out = conjuncts(left);
+            out.extend(conjuncts(right));
+            out
+        }
+        other => vec![other],
     }
 }
 

@@ -1,15 +1,28 @@
 //! Expression evaluation: vectorized (columnar) and tuple-at-a-time (row
 //! mode, used to model row-oriented engines like `X-row` in the paper).
+//!
+//! Columnar evaluation keeps every intermediate in the cheapest form its
+//! consumer can read (a `Val`): a column of the scanned table is borrowed,
+//! a literal stays one value and is never broadcast, and a predicate is a
+//! `Mask` of bits filled by typed kernels. Comparisons follow one rule in
+//! both modes: `Int` against `Int` compares as `i64`; any other pair of
+//! numbers compares as `f64`, where NaN is equal to everything (as
+//! [`Datum::sql_cmp`] and `SortKeys` order it) and `-0.0 = 0.0`; strings
+//! compare by content. Logic is three-valued: a comparison with a NULL
+//! side is NULL, `NOT NULL` is NULL, and `WHERE` keeps the TRUE rows.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
+use std::cmp::Ordering;
 use std::rc::Rc;
 
 use joinboost_sql::ast::{BinaryOp, Expr, Query, UnaryOp, Value};
 
-use crate::column::{Column, ColumnData};
+use crate::column::{canonical_f64_bits, Column, ColumnData};
 use crate::datum::Datum;
 use crate::error::{EngineError, Result};
 use crate::keys::KeySet;
+use crate::mask::{for_each_set, null_bits, pack_pair, pack_slice, Mask};
 use crate::table::Table;
 
 /// Something that can execute a subquery (implemented by the executor;
@@ -65,10 +78,9 @@ struct Scope<'a> {
     table: &'a Table,
     ctx: &'a EvalContext<'a>,
     windows: Memo<'a, Rc<Column>>,
-    /// One bit per row: the residual update holds a dozen of these over
-    /// the fact table until its `CASE` ends, and as 8-byte-per-row
-    /// columns they would push the statement's working set out of cache.
-    in_masks: Memo<'a, Rc<Vec<u64>>>,
+    /// The residual update holds a dozen of these over the fact table
+    /// until its `CASE` ends; at one bit per row they stay in cache.
+    in_masks: Memo<'a, Rc<Mask>>,
 }
 
 /// Values remembered by the expression node they were computed for,
@@ -103,8 +115,8 @@ impl<'a> Scope<'a> {
             return Err(EngineError::Other("not a window expression".into()));
         };
         memoized(&self.windows, expr, || {
-            let vals = self.eval(arg)?.to_f64_vec()?;
-            let keys = self.eval(order_by)?;
+            let vals = self.column(arg)?.to_f64_vec()?;
+            let keys = self.column(order_by)?;
             let n = vals.len();
             let mut perm: Vec<u32> = (0..n as u32).collect();
             perm.sort_by(|&a, &b| keys.get(a as usize).sql_cmp(&keys.get(b as usize)));
@@ -124,7 +136,12 @@ impl<'a> Scope<'a> {
 
 /// Vectorized evaluation of `expr` over all rows of `table`.
 pub fn eval(expr: &Expr, table: &Table, ctx: &EvalContext) -> Result<Column> {
-    Scope::new(table, ctx).eval(expr)
+    Ok(Scope::new(table, ctx).column(expr)?.into_owned())
+}
+
+/// Vectorized evaluation of the predicate `expr` over all rows of `table`.
+pub(crate) fn eval_mask(expr: &Expr, table: &Table, ctx: &EvalContext) -> Result<Mask> {
+    Scope::new(table, ctx).mask(expr)
 }
 
 /// Tuple-at-a-time evaluation of `expr` over all rows of `table` (the
@@ -140,36 +157,196 @@ pub fn eval_rows(expr: &Expr, table: &Table, ctx: &EvalContext) -> Result<Column
     Ok(Column::from_datums(&vals))
 }
 
+/// A columnar value over every row of the scope's table.
+enum Val<'a> {
+    /// A column of the table, borrowed, or a computed one.
+    Col(Cow<'a, Column>),
+    /// A literal: one value for every row.
+    Lit(Value),
+    /// A predicate's truth value.
+    Mask(Mask),
+}
+
+impl<'a> Val<'a> {
+    fn into_column(self, n: usize) -> Cow<'a, Column> {
+        match self {
+            Val::Col(c) => c,
+            Val::Lit(v) => Cow::Owned(broadcast_literal(&v, n)),
+            Val::Mask(m) => Cow::Owned(m.into_column()),
+        }
+    }
+
+    fn into_mask(self, n: usize) -> Mask {
+        match self {
+            Val::Col(c) => Mask::truthy(&c),
+            Val::Lit(v) => Mask::constant(
+                n,
+                match v {
+                    Value::Int(x) => Some(x != 0),
+                    Value::Float(x) => Some(x != 0.0),
+                    Value::Str(_) => Some(false),
+                    Value::Null => None,
+                },
+            ),
+            Val::Mask(m) => m,
+        }
+    }
+
+    /// A predicate read as a value is its 0/1 column.
+    fn unmasked(self) -> Val<'a> {
+        match self {
+            Val::Mask(m) => Val::Col(Cow::Owned(m.into_column())),
+            v => v,
+        }
+    }
+
+    /// The NULL rows of a column operand (a literal has none, or is NULL
+    /// as a whole).
+    fn null_bits(&self) -> Option<Vec<u64>> {
+        match self {
+            Val::Col(c) => null_bits(c),
+            Val::Mask(m) => m.null_bits().map(<[u64]>::to_vec),
+            Val::Lit(_) => None,
+        }
+    }
+
+    /// The values of a comparison operand, whatever their validity.
+    fn operand(&self) -> Operand<'_> {
+        match self {
+            Val::Col(c) => match &c.data {
+                ColumnData::Int(v) => Operand::Num(Num::Ints(v)),
+                ColumnData::Float(v) => Operand::Num(Num::Floats(v)),
+                ColumnData::Str { dict, codes } => Operand::StrCol(dict, codes),
+            },
+            Val::Lit(Value::Int(x)) => Operand::Num(Num::Int(*x)),
+            Val::Lit(Value::Float(x)) => Operand::Num(Num::Float(*x)),
+            Val::Lit(Value::Str(s)) => Operand::StrLit(s),
+            Val::Lit(Value::Null) => Operand::Null,
+            Val::Mask(_) => unreachable!("comparison operands are unmasked"),
+        }
+    }
+
+    /// The values of a NULL-free numeric operand.
+    fn dense(&self) -> Option<Num<'_>> {
+        match self {
+            Val::Col(c) if c.validity.is_none() => match self.operand() {
+                Operand::Num(x) => Some(x),
+                _ => None,
+            },
+            Val::Lit(Value::Int(x)) => Some(Num::Int(*x)),
+            Val::Lit(Value::Float(x)) => Some(Num::Float(*x)),
+            _ => None,
+        }
+    }
+}
+
+/// A comparison operand.
+enum Operand<'v> {
+    Num(Num<'v>),
+    /// A string column's dictionary and codes.
+    StrCol(&'v [String], &'v [u32]),
+    StrLit(&'v str),
+    Null,
+}
+
+/// Numeric values: a slice, or one value for every row.
+#[derive(Clone, Copy)]
+enum Num<'v> {
+    Ints(&'v [i64]),
+    Floats(&'v [f64]),
+    Int(i64),
+    Float(f64),
+}
+
+impl Num<'_> {
+    fn is_scalar(self) -> bool {
+        matches!(self, Num::Int(_) | Num::Float(_))
+    }
+
+    /// A scalar's value as `f64`.
+    fn scalar_f64(self) -> f64 {
+        match self {
+            Num::Int(x) => x as f64,
+            Num::Float(x) => x,
+            Num::Ints(_) | Num::Floats(_) => unreachable!("a slice is not a scalar"),
+        }
+    }
+}
+
 impl<'a> Scope<'a> {
-    fn eval(&self, expr: &'a Expr) -> Result<Column> {
+    /// `expr` as a column: borrowed when it names one of the table's.
+    fn column(&self, expr: &'a Expr) -> Result<Cow<'a, Column>> {
+        Ok(self.val(expr)?.into_column(self.table.num_rows()))
+    }
+
+    /// `expr` as a predicate.
+    fn mask(&self, expr: &'a Expr) -> Result<Mask> {
+        Ok(self.val(expr)?.into_mask(self.table.num_rows()))
+    }
+
+    fn val(&self, expr: &'a Expr) -> Result<Val<'a>> {
+        use BinaryOp::*;
         let n = self.table.num_rows();
-        match expr {
-            Expr::Column { table: q, name } => Ok(self.table.column(q.as_deref(), name)?.clone()),
-            Expr::Literal(v) => Ok(broadcast_literal(v, n)),
-            Expr::Binary { op, left, right } => {
-                let l = self.eval(left)?;
-                let r = self.eval(right)?;
-                eval_binary(*op, &l, &r)
+        let table: &'a Table = self.table;
+        Ok(match expr {
+            Expr::Column { table: q, name } => {
+                Val::Col(Cow::Borrowed(table.column(q.as_deref(), name)?))
             }
-            Expr::Unary { op, expr } => {
-                let c = self.eval(expr)?;
-                eval_unary(*op, &c)
+            Expr::Literal(v) => Val::Lit(v.clone()),
+            Expr::Binary {
+                op: op @ (And | Or),
+                left,
+                right,
+            } => {
+                let (l, r) = (self.mask(left)?, self.mask(right)?);
+                Val::Mask(match op {
+                    And => l.and(&r),
+                    _ => l.or(&r),
+                })
             }
+            Expr::Binary {
+                op: op @ (Eq | Neq | Lt | LtEq | Gt | GtEq),
+                left,
+                right,
+            } => Val::Mask(compare(*op, self.val(left)?, self.val(right)?, n)?),
+            Expr::Binary { op, left, right } => Val::Col(Cow::Owned(arithmetic(
+                *op,
+                self.val(left)?,
+                self.val(right)?,
+                n,
+            ))),
+            Expr::Unary {
+                op: UnaryOp::Not,
+                expr,
+            } => Val::Mask(self.mask(expr)?.not()),
+            Expr::Unary {
+                op: UnaryOp::Neg,
+                expr,
+            } => match self.val(expr)? {
+                Val::Lit(Value::Int(x)) => Val::Lit(Value::Int(x.wrapping_neg())),
+                Val::Lit(Value::Float(x)) => Val::Lit(Value::Float(-x)),
+                Val::Lit(Value::Null) => Val::Lit(Value::Null),
+                v => Val::Col(Cow::Owned(negate(&v.into_column(n))?)),
+            },
             Expr::Func { name, args } => {
-                let cols: Vec<Column> = args.iter().map(|a| self.eval(a)).collect::<Result<_>>()?;
-                eval_scalar_func(name, &cols, n)
+                let cols: Vec<Cow<Column>> =
+                    args.iter().map(|a| self.column(a)).collect::<Result<_>>()?;
+                let cols: Vec<&Column> = cols.iter().map(|c| &**c).collect();
+                Val::Col(Cow::Owned(eval_scalar_func(name, &cols, n)?))
             }
-            Expr::Wildcard => Err(EngineError::Other(
-                "* is only valid in COUNT(*) or as a select item".into(),
-            )),
-            Expr::WindowSum { .. } => Ok((*self.window_column(expr)?).clone()),
+            Expr::Wildcard => {
+                return Err(EngineError::Other(
+                    "* is only valid in COUNT(*) or as a select item".into(),
+                ))
+            }
+            Expr::WindowSum { .. } => Val::Col(Cow::Owned((*self.window_column(expr)?).clone())),
             Expr::Case { whens, else_expr } => {
-                let default = else_expr.as_deref().map(|e| self.eval(e)).transpose()?;
-                let mut merge = CaseMerge::new(default, n);
+                let default = else_expr.as_deref().map(|e| self.column(e)).transpose()?;
+                let mut merge = CaseMerge::new(default.map(Cow::into_owned), n);
                 for (cond, then) in whens {
-                    merge.branch(&self.eval(cond)?, &self.eval(then)?);
+                    merge.branch(&self.mask(cond)?, || self.column(then))?;
                 }
-                Ok(merge.finish())
+                Val::Col(Cow::Owned(merge.finish()))
             }
             Expr::InSubquery {
                 expr: probe,
@@ -178,75 +355,341 @@ impl<'a> Scope<'a> {
             } => {
                 let mask = memoized(&self.in_masks, expr, || {
                     let set = self.ctx.subquery_set(query)?;
-                    Ok(Rc::new(membership(&set, &self.eval(probe)?, *negated)))
+                    let probe = self.column(probe)?;
+                    Ok(Rc::new(membership(&set, &probe, *negated)))
                 })?;
-                Ok(mask_column(&mask, n))
+                Val::Mask((*mask).clone())
             }
             Expr::InList {
                 expr: probe,
                 list,
                 negated,
             } => {
-                let c = self.eval(probe)?;
+                let c = self.column(probe)?;
                 // Values of another type than the probe's can never match
                 // it, so the set holds the probe-typed items only.
                 let mut items = Vec::with_capacity(list.len());
                 for item in list {
-                    let lc = self.eval(item)?;
-                    if lc.len() != n && lc.len() != 1 {
-                        return Err(EngineError::Other("IN list item arity".into()));
-                    }
-                    if !lc.is_empty() && lc.is_valid(0) && lc.dtype() == c.dtype() {
-                        items.push(lc.get(0));
+                    let v = match self.val(item)? {
+                        Val::Lit(v) => literal_datum(&v),
+                        // Any other item is read at the first row.
+                        other => match other.into_column(n) {
+                            c if c.is_empty() => continue,
+                            c => c.get(0),
+                        },
+                    };
+                    let same_type = matches!(
+                        (&v, &c.data),
+                        (Datum::Int(_), ColumnData::Int(_))
+                            | (Datum::Float(_), ColumnData::Float(_))
+                            | (Datum::Str(_), ColumnData::Str { .. })
+                    );
+                    if same_type {
+                        items.push(v);
                     }
                 }
                 let items = Column::from_datums(&items);
                 let set = KeySet::build(&[&items], items.len());
-                Ok(mask_column(&membership(&set, &c, *negated), n))
+                Val::Mask(membership(&set, &c, *negated))
             }
             Expr::IsNull { expr, negated } => {
-                let c = self.eval(expr)?;
-                let mut out = Vec::with_capacity(n);
-                for i in 0..n {
-                    out.push((c.is_valid(i) == *negated) as i64);
-                }
-                Ok(Column::int(out))
+                let is_null = match self.val(expr)? {
+                    Val::Lit(v) => Mask::constant(n, Some(v == Value::Null)),
+                    v => Mask::new(
+                        n,
+                        v.null_bits().unwrap_or_else(|| vec![0; n.div_ceil(64)]),
+                        None,
+                    ),
+                };
+                Val::Mask(if *negated { is_null.not() } else { is_null })
             }
+        })
+    }
+}
+
+fn literal_datum(v: &Value) -> Datum {
+    match v {
+        Value::Int(x) => Datum::Int(*x),
+        Value::Float(x) => Datum::Float(*x),
+        Value::Str(s) => Datum::Str(s.clone()),
+        Value::Null => Datum::Null,
+    }
+}
+
+/// `probe [NOT] IN set`: TRUE where the value is (not) a member, NULL
+/// where it is NULL.
+fn membership(set: &KeySet, probe: &Column, negated: bool) -> Mask {
+    let mask = Mask::new(probe.len(), set.member_bits(probe), null_bits(probe));
+    if negated {
+        mask.not()
+    } else {
+        mask
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Comparison kernels
+// ---------------------------------------------------------------------------
+
+const EQ: u8 = 0;
+const NEQ: u8 = 1;
+const LT: u8 = 2;
+const LT_EQ: u8 = 3;
+const GT: u8 = 4;
+const GT_EQ: u8 = 5;
+
+/// `x OP y` from the two strict comparisons, so an unordered pair (a NaN)
+/// is equal, as `partial_cmp(..).unwrap_or(Equal)` makes it.
+#[inline(always)]
+fn holds<const OP: u8, T: PartialOrd>(x: T, y: T) -> bool {
+    let (lt, gt) = (x < y, x > y);
+    match OP {
+        EQ => !lt & !gt,
+        NEQ => lt | gt,
+        LT => lt,
+        LT_EQ => !gt,
+        GT => gt,
+        _ => !lt,
+    }
+}
+
+/// Does `ord` satisfy the comparison `op`?
+fn ord_holds(op: BinaryOp, ord: Ordering) -> bool {
+    use Ordering::*;
+    match op {
+        BinaryOp::Eq => ord == Equal,
+        BinaryOp::Neq => ord != Equal,
+        BinaryOp::Lt => ord == Less,
+        BinaryOp::LtEq => ord != Greater,
+        BinaryOp::Gt => ord == Greater,
+        BinaryOp::GtEq => ord != Less,
+        _ => unreachable!("not a comparison"),
+    }
+}
+
+/// The comparison with its operands swapped: `x op y` is `y flipped(op) x`.
+fn flipped(op: BinaryOp) -> BinaryOp {
+    match op {
+        BinaryOp::Lt => BinaryOp::Gt,
+        BinaryOp::LtEq => BinaryOp::GtEq,
+        BinaryOp::Gt => BinaryOp::Lt,
+        BinaryOp::GtEq => BinaryOp::LtEq,
+        other => other,
+    }
+}
+
+/// A comparison over every row: NULL where either side is.
+fn compare(op: BinaryOp, l: Val, r: Val, n: usize) -> Result<Mask> {
+    let (l, r) = (l.unmasked(), r.unmasked());
+    let nulls = match (l.null_bits(), r.null_bits()) {
+        (Some(a), Some(b)) => Some(a.iter().zip(&b).map(|(x, y)| x | y).collect()),
+        (a, b) => a.or(b),
+    };
+    let bits = match (l.operand(), r.operand()) {
+        (Operand::Null, _) | (_, Operand::Null) => return Ok(Mask::constant(n, None)),
+        (Operand::Num(a), Operand::Num(b)) => compare_num(op, a, b, n),
+        (Operand::StrCol(dict, codes), Operand::StrLit(s)) => dict_bits(op, dict, codes, s),
+        (Operand::StrLit(s), Operand::StrCol(dict, codes)) => {
+            dict_bits(flipped(op), dict, codes, s)
+        }
+        (Operand::StrCol(da, ca), Operand::StrCol(db, cb)) => pack_pair(ca, cb, |x, y| {
+            ord_holds(op, da[x as usize].cmp(&db[y as usize]))
+        }),
+        (Operand::StrLit(a), Operand::StrLit(b)) => {
+            return Ok(Mask::constant(n, Some(ord_holds(op, a.cmp(b)))))
+        }
+        // A string against a number is an error on any row where both
+        // sides hold a value.
+        _ => {
+            let null_rows = nulls.as_ref().map_or(0, |nb: &Vec<u64>| {
+                nb.iter().map(|w| w.count_ones() as usize).sum()
+            });
+            if null_rows < n {
+                return Err(EngineError::TypeMismatch(
+                    "cannot compare string with number".into(),
+                ));
+            }
+            return Ok(Mask::constant(n, None));
+        }
+    };
+    Ok(Mask::new(n, bits, nulls))
+}
+
+/// `dict[code] op s` per row, `s` compared with each dictionary entry once.
+fn dict_bits(op: BinaryOp, dict: &[String], codes: &[u32], s: &str) -> Vec<u64> {
+    let hits: Vec<bool> = dict
+        .iter()
+        .map(|d| ord_holds(op, d.as_str().cmp(s)))
+        .collect();
+    pack_slice(codes, |c| hits[c as usize])
+}
+
+fn compare_num(op: BinaryOp, l: Num, r: Num, n: usize) -> Vec<u64> {
+    if l.is_scalar() && !r.is_scalar() {
+        return compare_num(flipped(op), r, l, n);
+    }
+    match op {
+        BinaryOp::Eq => compare_typed::<EQ>(l, r, n),
+        BinaryOp::Neq => compare_typed::<NEQ>(l, r, n),
+        BinaryOp::Lt => compare_typed::<LT>(l, r, n),
+        BinaryOp::LtEq => compare_typed::<LT_EQ>(l, r, n),
+        BinaryOp::Gt => compare_typed::<GT>(l, r, n),
+        _ => compare_typed::<GT_EQ>(l, r, n),
+    }
+}
+
+/// `l OP r` over `n` rows; a scalar is only ever on the right. `Int`
+/// against `Int` compares as `i64`, every other pair as `f64`.
+fn compare_typed<const OP: u8>(l: Num, r: Num, n: usize) -> Vec<u64> {
+    use Num::*;
+    let (fi, ff) = (holds::<OP, i64>, holds::<OP, f64>);
+    match (l, r) {
+        (Ints(a), Ints(b)) => pack_pair(a, b, fi),
+        (Ints(a), Floats(b)) => pack_pair(a, b, |x, y| ff(x as f64, y)),
+        (Floats(a), Ints(b)) => pack_pair(a, b, |x, y| ff(x, y as f64)),
+        (Floats(a), Floats(b)) => pack_pair(a, b, ff),
+        (Ints(a), Int(y)) => pack_slice(a, |x| fi(x, y)),
+        (Ints(a), Float(y)) => pack_slice(a, |x| ff(x as f64, y)),
+        (Floats(a), y) => {
+            let y = y.scalar_f64();
+            pack_slice(a, |x| ff(x, y))
+        }
+        (Int(x), Int(y)) => constant_bits(n, fi(x, y)),
+        (x, y) => constant_bits(n, ff(x.scalar_f64(), y.scalar_f64())),
+    }
+}
+
+fn constant_bits(n: usize, value: bool) -> Vec<u64> {
+    Mask::constant(n, Some(value)).true_bits().to_vec()
+}
+
+// ---------------------------------------------------------------------------
+// Arithmetic
+// ---------------------------------------------------------------------------
+
+fn arithmetic(op: BinaryOp, l: Val, r: Val, n: usize) -> Column {
+    use BinaryOp::*;
+    if op != Div {
+        if let (Some(a), Some(b)) = (l.dense(), r.dense()) {
+            return match op {
+                Add => arithmetic_typed(a, b, n, i64::wrapping_add, |x, y| x + y),
+                Sub => arithmetic_typed(a, b, n, i64::wrapping_sub, |x, y| x - y),
+                _ => arithmetic_typed(a, b, n, i64::wrapping_mul, |x, y| x * y),
+            };
+        }
+    }
+    // General arithmetic with NULL propagation; division by zero → NULL.
+    let (l, r) = (l.into_column(n), r.into_column(n));
+    let mut out = Vec::with_capacity(n);
+    for i in 0..n {
+        let a = l.f64_at(i.min(l.len() - 1));
+        let b = r.f64_at(i.min(r.len() - 1));
+        out.push(match (a, b) {
+            (Some(x), Some(y)) => match op {
+                Add => Datum::Float(x + y),
+                Sub => Datum::Float(x - y),
+                Mul => Datum::Float(x * y),
+                Div => {
+                    if y == 0.0 {
+                        Datum::Null
+                    } else {
+                        Datum::Float(x / y)
+                    }
+                }
+                _ => unreachable!("not arithmetic"),
+            },
+            _ => Datum::Null,
+        });
+    }
+    Column::from_datums(&out)
+}
+
+/// `fi` over two `Int` operands (integers stay integers), `ff` over any
+/// other pair, widened to `f64`.
+fn arithmetic_typed(
+    l: Num,
+    r: Num,
+    n: usize,
+    fi: impl Fn(i64, i64) -> i64,
+    ff: impl Fn(f64, f64) -> f64,
+) -> Column {
+    use Num::*;
+    match (l, r) {
+        (Ints(a), Ints(b)) => Column::int(a.iter().zip(b).map(|(&x, &y)| fi(x, y)).collect()),
+        (Ints(a), Int(y)) => Column::int(a.iter().map(|&x| fi(x, y)).collect()),
+        (Int(x), Ints(b)) => Column::int(b.iter().map(|&y| fi(x, y)).collect()),
+        (Int(x), Int(y)) => Column::int(vec![fi(x, y); n]),
+        (l, r) => Column::float(match (l, r) {
+            (Floats(a), Floats(b)) => a.iter().zip(b).map(|(&x, &y)| ff(x, y)).collect(),
+            (Floats(a), Ints(b)) => a.iter().zip(b).map(|(&x, &y)| ff(x, y as f64)).collect(),
+            (Ints(a), Floats(b)) => a.iter().zip(b).map(|(&x, &y)| ff(x as f64, y)).collect(),
+            (Floats(a), y) => {
+                let y = y.scalar_f64();
+                a.iter().map(|&x| ff(x, y)).collect()
+            }
+            (Ints(a), y) => {
+                let y = y.scalar_f64();
+                a.iter().map(|&x| ff(x as f64, y)).collect()
+            }
+            (x, Floats(b)) => {
+                let x = x.scalar_f64();
+                b.iter().map(|&y| ff(x, y)).collect()
+            }
+            (x, Ints(b)) => {
+                let x = x.scalar_f64();
+                b.iter().map(|&y| ff(x, y as f64)).collect()
+            }
+            (x, y) => vec![ff(x.scalar_f64(), y.scalar_f64()); n],
+        }),
+    }
+}
+
+fn negate(c: &Column) -> Result<Column> {
+    match (&c.data, &c.validity) {
+        (ColumnData::Int(v), None) => Ok(Column::int(v.iter().map(|x| -x).collect())),
+        (ColumnData::Float(v), None) => Ok(Column::float(v.iter().map(|x| -x).collect())),
+        _ => {
+            let mut out = Vec::with_capacity(c.len());
+            for i in 0..c.len() {
+                out.push(match c.get(i) {
+                    Datum::Int(x) => Datum::Int(-x),
+                    Datum::Float(x) => Datum::Float(-x),
+                    Datum::Null => Datum::Null,
+                    Datum::Str(_) => return Err(EngineError::TypeMismatch("negate string".into())),
+                });
+            }
+            Ok(Column::from_datums(&out))
         }
     }
 }
 
-/// `[NOT] IN` over a key set, one bit per probe row: set where the value
-/// is (not) a member; a NULL probe value is unset either way.
-fn membership(set: &KeySet, probe: &Column, negated: bool) -> Vec<u64> {
-    let cols = [probe];
-    let mut p = set.probe(&cols);
-    let mut bits = vec![0u64; probe.len().div_ceil(64)];
-    for i in 0..probe.len() {
-        let hit = probe.is_valid(i) && p.contains(i) != negated;
-        bits[i >> 6] |= (hit as u64) << (i & 63);
+fn broadcast_literal(v: &Value, n: usize) -> Column {
+    match v {
+        Value::Int(x) => Column::int(vec![*x; n]),
+        Value::Float(x) => Column::float(vec![*x; n]),
+        Value::Str(s) => Column::str(vec![s.clone(); n]),
+        Value::Null => Column {
+            data: ColumnData::Float(vec![0.0; n]),
+            validity: Some(vec![false; n]),
+        },
     }
-    bits
 }
 
-/// The 0/1 column of a one-bit-per-row mask over `n` rows.
-fn mask_column(bits: &[u64], n: usize) -> Column {
-    Column::int(
-        (0..n)
-            .map(|i| (bits[i >> 6] >> (i & 63) & 1) as i64)
-            .collect(),
-    )
-}
+// ---------------------------------------------------------------------------
+// CASE
+// ---------------------------------------------------------------------------
 
 /// First-match-wins merge of `CASE` branches (and of an `UPDATE`'s new
-/// values into the old). Stays on typed slices while the default and
-/// every branch so far are NULL-free columns of one numeric type — the
-/// residual update's shape — and falls back to per-row [`Datum`]s, with
-/// the result's type inferred from the values that won, otherwise. Both
+/// values into the old). A branch takes the rows where its condition is
+/// TRUE and no earlier branch was taken — `cond.true_bits & !decided`,
+/// one word at a time. Stays on typed slices while the default and every
+/// branch so far are NULL-free columns of one numeric type — the residual
+/// update's shape — and falls back to per-row [`Datum`]s, with the
+/// result's type inferred from the values that won, otherwise. Both
 /// produce the same column.
 pub(crate) struct CaseMerge {
     out: Merged,
-    decided: Vec<bool>,
+    decided: Vec<u64>,
 }
 
 enum Merged {
@@ -272,35 +715,37 @@ impl CaseMerge {
         };
         CaseMerge {
             out,
-            decided: vec![false; n],
+            decided: vec![0; n.div_ceil(64)],
         }
     }
 
-    /// Rows where `cond` is true and no earlier branch was take `then`.
-    pub(crate) fn branch(&mut self, cond: &Column, then: &Column) {
-        fn take<T: Copy>(out: &mut [T], decided: &mut [bool], cond: &Column, then: &[T]) {
-            cond.for_each_truthy(|i| {
-                if !decided[i] {
-                    out[i] = then[i];
-                    decided[i] = true;
-                }
-            });
+    /// Rows where `cond` is TRUE and no earlier branch was take `then`,
+    /// which is evaluated only if some row takes it.
+    pub(crate) fn branch<'c>(
+        &mut self,
+        cond: &Mask,
+        then: impl FnOnce() -> Result<Cow<'c, Column>>,
+    ) -> Result<()> {
+        let take: Vec<u64> = (cond.true_bits().iter().zip(&mut self.decided))
+            .map(|(&t, d)| {
+                let take = t & !*d;
+                *d |= take;
+                take
+            })
+            .collect();
+        if take.iter().all(|&w| w == 0) {
+            return Ok(());
         }
+        let then = then()?;
         match (&mut self.out, &then.data, &then.validity) {
-            (Merged::Int(out), ColumnData::Int(t), None) => take(out, &mut self.decided, cond, t),
-            (Merged::Float(out), ColumnData::Float(t), None) => {
-                take(out, &mut self.decided, cond, t)
-            }
+            (Merged::Int(out), ColumnData::Int(t), None) => blend(out, &take, t),
+            (Merged::Float(out), ColumnData::Float(t), None) => blend(out, &take, t),
             (out, _, _) => {
-                let (out, decided) = (out.datums(), &mut self.decided);
-                cond.for_each_truthy(|i| {
-                    if !decided[i] {
-                        out[i] = then.get(i);
-                        decided[i] = true;
-                    }
-                });
+                let out = out.datums();
+                for_each_set(&take, |i| out[i] = then.get(i));
             }
         }
+        Ok(())
     }
 
     /// The merged column.
@@ -309,6 +754,21 @@ impl CaseMerge {
             Merged::Int(v) => Column::int(v),
             Merged::Float(v) => Column::float(v),
             Merged::Datums(d) => Column::from_datums(&d),
+        }
+    }
+}
+
+/// `out[i] = then[i]` where bit `i` of `take` is set, a word at a time.
+fn blend<T: Copy>(out: &mut [T], take: &[u64], then: &[T]) {
+    for ((o, t), &bits) in out.chunks_mut(64).zip(then.chunks(64)).zip(take) {
+        match bits {
+            0 => {}
+            u64::MAX => o.copy_from_slice(t),
+            _ => {
+                for (j, (o, &t)) in o.iter_mut().zip(t).enumerate() {
+                    *o = if bits >> j & 1 == 1 { t } else { *o };
+                }
+            }
         }
     }
 }
@@ -330,176 +790,9 @@ impl Merged {
     }
 }
 
-fn broadcast_literal(v: &Value, n: usize) -> Column {
-    match v {
-        Value::Int(x) => Column::int(vec![*x; n]),
-        Value::Float(x) => Column::float(vec![*x; n]),
-        Value::Str(s) => Column::str(vec![s.clone(); n]),
-        Value::Null => Column {
-            data: ColumnData::Float(vec![0.0; n]),
-            validity: Some(vec![false; n]),
-        },
-    }
-}
-
-fn eval_unary(op: UnaryOp, c: &Column) -> Result<Column> {
-    let n = c.len();
-    match op {
-        UnaryOp::Neg => match (&c.data, &c.validity) {
-            (ColumnData::Int(v), None) => Ok(Column::int(v.iter().map(|x| -x).collect())),
-            (ColumnData::Float(v), None) => Ok(Column::float(v.iter().map(|x| -x).collect())),
-            _ => {
-                let mut out = Vec::with_capacity(n);
-                for i in 0..n {
-                    out.push(match c.get(i) {
-                        Datum::Int(x) => Datum::Int(-x),
-                        Datum::Float(x) => Datum::Float(-x),
-                        Datum::Null => Datum::Null,
-                        Datum::Str(_) => {
-                            return Err(EngineError::TypeMismatch("negate string".into()))
-                        }
-                    });
-                }
-                Ok(Column::from_datums(&out))
-            }
-        },
-        UnaryOp::Not => Ok(Column::int(
-            (0..n).map(|i| !c.is_truthy(i) as i64).collect(),
-        )),
-    }
-}
-
-fn eval_binary(op: BinaryOp, l: &Column, r: &Column) -> Result<Column> {
-    use BinaryOp::*;
-    let n = l.len().max(r.len());
-    // Fast path: dense numeric arithmetic over f64.
-    if matches!(op, Add | Sub | Mul | Div) {
-        // Integer-preserving path for Int ⊕ Int (except Div).
-        if let (Some(a), Some(b)) = (l.as_i64_slice(), r.as_i64_slice()) {
-            if op != Div {
-                let out: Vec<i64> = a
-                    .iter()
-                    .zip(b)
-                    .map(|(&x, &y)| match op {
-                        Add => x.wrapping_add(y),
-                        Sub => x.wrapping_sub(y),
-                        Mul => x.wrapping_mul(y),
-                        _ => unreachable!(),
-                    })
-                    .collect();
-                return Ok(Column::int(out));
-            }
-        }
-        if l.validity.is_none()
-            && r.validity.is_none()
-            && !matches!(l.data, ColumnData::Str { .. })
-            && !matches!(r.data, ColumnData::Str { .. })
-            && op != Div
-        {
-            // Operate on the typed slices directly — no intermediate
-            // to_f64_vec materialization of either operand.
-            let apply = |x: f64, y: f64| match op {
-                Add => x + y,
-                Sub => x - y,
-                Mul => x * y,
-                _ => unreachable!(),
-            };
-            let out: Vec<f64> = match (&l.data, &r.data) {
-                (ColumnData::Float(a), ColumnData::Float(b)) => {
-                    a.iter().zip(b).map(|(&x, &y)| apply(x, y)).collect()
-                }
-                (ColumnData::Float(a), ColumnData::Int(b)) => {
-                    a.iter().zip(b).map(|(&x, &y)| apply(x, y as f64)).collect()
-                }
-                (ColumnData::Int(a), ColumnData::Float(b)) => {
-                    a.iter().zip(b).map(|(&x, &y)| apply(x as f64, y)).collect()
-                }
-                // Int/Int took the integer-preserving path above; strings
-                // are excluded by the guard.
-                _ => unreachable!("int/int and string operands handled earlier"),
-            };
-            return Ok(Column::float(out));
-        }
-        // General arithmetic with NULL propagation; division by zero → NULL.
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            let a = l.f64_at(i.min(l.len() - 1));
-            let b = r.f64_at(i.min(r.len() - 1));
-            out.push(match (a, b) {
-                (Some(x), Some(y)) => match op {
-                    Add => Datum::Float(x + y),
-                    Sub => Datum::Float(x - y),
-                    Mul => Datum::Float(x * y),
-                    Div => {
-                        if y == 0.0 {
-                            Datum::Null
-                        } else {
-                            Datum::Float(x / y)
-                        }
-                    }
-                    _ => unreachable!(),
-                },
-                _ => Datum::Null,
-            });
-        }
-        return Ok(Column::from_datums(&out));
-    }
-    if matches!(op, And | Or) {
-        let combine = |a: bool, b: bool| match op {
-            And => (a && b) as i64,
-            _ => (a || b) as i64,
-        };
-        // Comparisons and IN masks are NULL-free ints: combine the slices.
-        let out = match (l.as_i64_slice(), r.as_i64_slice()) {
-            (Some(a), Some(b)) => (a.iter().zip(b))
-                .map(|(&x, &y)| combine(x != 0, y != 0))
-                .collect(),
-            _ => (0..n)
-                .map(|i| combine(l.is_truthy(i), r.is_truthy(i)))
-                .collect(),
-        };
-        return Ok(Column::int(out));
-    }
-    // Comparisons.
-    let mut out = Vec::with_capacity(n);
-    let str_l = matches!(l.data, ColumnData::Str { .. });
-    let str_r = matches!(r.data, ColumnData::Str { .. });
-    for i in 0..n {
-        let li = i.min(l.len() - 1);
-        let ri = i.min(r.len() - 1);
-        if !l.is_valid(li) || !r.is_valid(ri) {
-            out.push(Datum::Null);
-            continue;
-        }
-        let ord = if str_l && str_r {
-            l.get(li).as_str().unwrap().cmp(r.get(ri).as_str().unwrap())
-        } else if str_l || str_r {
-            return Err(EngineError::TypeMismatch(
-                "cannot compare string with number".into(),
-            ));
-        } else {
-            let x = l.f64_at(li).expect("valid numeric");
-            let y = r.f64_at(ri).expect("valid numeric");
-            x.partial_cmp(&y).unwrap_or(std::cmp::Ordering::Equal)
-        };
-        use std::cmp::Ordering::*;
-        let b = match op {
-            Eq => ord == Equal,
-            Neq => ord != Equal,
-            Lt => ord == Less,
-            LtEq => ord != Greater,
-            Gt => ord == Greater,
-            GtEq => ord != Less,
-            _ => unreachable!(),
-        };
-        out.push(Datum::Int(b as i64));
-    }
-    Ok(Column::from_datums(&out))
-}
-
-fn eval_scalar_func(name: &str, args: &[Column], n: usize) -> Result<Column> {
+fn eval_scalar_func(name: &str, args: &[&Column], n: usize) -> Result<Column> {
     let unary_math = |f: fn(f64) -> f64| -> Result<Column> {
-        let c = &args[0];
+        let c = args[0];
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
             out.push(match c.f64_at(i) {
@@ -528,7 +821,7 @@ fn eval_scalar_func(name: &str, args: &[Column], n: usize) -> Result<Column> {
             if args.len() != 2 {
                 return Err(EngineError::Other("POW takes 2 arguments".into()));
             }
-            let (a, b) = (&args[0], &args[1]);
+            let (a, b) = (args[0], args[1]);
             let mut out = Vec::with_capacity(n);
             for i in 0..n {
                 out.push(match (a.f64_at(i), b.f64_at(i)) {
@@ -585,12 +878,7 @@ impl<'a> Scope<'a> {
     fn eval_row(&self, expr: &'a Expr, row: usize) -> Result<Datum> {
         match expr {
             Expr::Column { table: q, name } => Ok(self.table.column(q.as_deref(), name)?.get(row)),
-            Expr::Literal(v) => Ok(match v {
-                Value::Int(x) => Datum::Int(*x),
-                Value::Float(x) => Datum::Float(*x),
-                Value::Str(s) => Datum::Str(s.clone()),
-                Value::Null => Datum::Null,
-            }),
+            Expr::Literal(v) => Ok(literal_datum(v)),
             Expr::Binary { op, left, right } => {
                 let l = self.eval_row(left, row)?;
                 let r = self.eval_row(right, row)?;
@@ -605,6 +893,7 @@ impl<'a> Scope<'a> {
                         Datum::Null => Ok(Datum::Null),
                         Datum::Str(_) => Err(EngineError::TypeMismatch("negate string".into())),
                     },
+                    UnaryOp::Not if v.is_null() => Ok(Datum::Null),
                     UnaryOp::Not => Ok(Datum::Int((!v.is_truthy()) as i64)),
                 }
             }
@@ -617,6 +906,7 @@ impl<'a> Scope<'a> {
                     .iter()
                     .map(|v| Column::from_datums(std::slice::from_ref(v)))
                     .collect();
+                let cols: Vec<&Column> = cols.iter().collect();
                 let c = eval_scalar_func(name, &cols, 1)?;
                 Ok(c.get(0))
             }
@@ -640,7 +930,7 @@ impl<'a> Scope<'a> {
                 let set = self.ctx.subquery_set(query)?;
                 let v = self.eval_row(expr, row)?;
                 if v.is_null() {
-                    return Ok(Datum::Int(0));
+                    return Ok(Datum::Null);
                 }
                 // The same set the columnar mode probes, asked one value at
                 // a time.
@@ -655,12 +945,11 @@ impl<'a> Scope<'a> {
             } => {
                 let v = self.eval_row(expr, row)?;
                 if v.is_null() {
-                    return Ok(Datum::Int(0));
+                    return Ok(Datum::Null);
                 }
                 let mut hit = false;
                 for item in list {
-                    let w = self.eval_row(item, row)?;
-                    if v.sql_cmp(&w) == std::cmp::Ordering::Equal && !w.is_null() {
+                    if key_eq(&v, &self.eval_row(item, row)?) {
                         hit = true;
                         break;
                     }
@@ -676,11 +965,36 @@ impl<'a> Scope<'a> {
     }
 }
 
+/// The key equality of `KeySet` (and so of columnar `IN`): same type,
+/// same value, `-0.0 = 0.0`; NULL equals nothing.
+fn key_eq(a: &Datum, b: &Datum) -> bool {
+    match (a, b) {
+        (Datum::Int(x), Datum::Int(y)) => x == y,
+        (Datum::Float(x), Datum::Float(y)) => canonical_f64_bits(*x) == canonical_f64_bits(*y),
+        (Datum::Str(x), Datum::Str(y)) => x == y,
+        _ => false,
+    }
+}
+
+/// A truth value: `None` for NULL.
+fn truth(d: &Datum) -> Option<bool> {
+    (!d.is_null()).then(|| d.is_truthy())
+}
+
 fn datum_binary(op: BinaryOp, l: &Datum, r: &Datum) -> Result<Datum> {
     use BinaryOp::*;
+    let logic = |v: Option<bool>| v.map_or(Datum::Null, |b| Datum::Int(b as i64));
     match op {
-        And => Ok(Datum::Int((l.is_truthy() && r.is_truthy()) as i64)),
-        Or => Ok(Datum::Int((l.is_truthy() || r.is_truthy()) as i64)),
+        And => Ok(logic(match (truth(l), truth(r)) {
+            (Some(false), _) | (_, Some(false)) => Some(false),
+            (Some(true), Some(true)) => Some(true),
+            _ => None,
+        })),
+        Or => Ok(logic(match (truth(l), truth(r)) {
+            (Some(true), _) | (_, Some(true)) => Some(true),
+            (Some(false), Some(false)) => Some(false),
+            _ => None,
+        })),
         Add | Sub | Mul | Div => {
             if let (Datum::Int(a), Datum::Int(b)) = (l, r) {
                 if op != Div {
@@ -713,7 +1027,6 @@ fn datum_binary(op: BinaryOp, l: &Datum, r: &Datum) -> Result<Datum> {
             if l.is_null() || r.is_null() {
                 return Ok(Datum::Null);
             }
-            use std::cmp::Ordering::*;
             let ord = match (l, r) {
                 (Datum::Str(a), Datum::Str(b)) => a.cmp(b),
                 (Datum::Str(_), _) | (_, Datum::Str(_)) => {
@@ -721,18 +1034,10 @@ fn datum_binary(op: BinaryOp, l: &Datum, r: &Datum) -> Result<Datum> {
                         "cannot compare string with number".into(),
                     ))
                 }
+                (Datum::Int(a), Datum::Int(b)) => a.cmp(b),
                 _ => l.sql_cmp(r),
             };
-            let b = match op {
-                Eq => ord == Equal,
-                Neq => ord != Equal,
-                Lt => ord == Less,
-                LtEq => ord != Greater,
-                Gt => ord == Greater,
-                GtEq => ord != Less,
-                _ => unreachable!(),
-            };
-            Ok(Datum::Int(b as i64))
+            Ok(Datum::Int(ord_holds(op, ord) as i64))
         }
     }
 }
@@ -989,5 +1294,179 @@ mod tests {
         let runner = NoSubqueries;
         let ctx = EvalContext::new(&runner);
         assert!(eval(&e, &t1(), &ctx).is_err());
+    }
+
+    // Columnar masks against row mode on generated predicate trees.
+
+    const INTS: [Option<i64>; 7] = [
+        None,
+        Some(0),
+        Some(1),
+        Some(-3),
+        Some(1 << 53),
+        Some((1 << 53) + 1),
+        Some(i64::MIN),
+    ];
+    const FLOATS: [Option<f64>; 9] = [
+        None,
+        Some(0.0),
+        Some(-0.0),
+        Some(1.0),
+        Some(f64::NAN),
+        Some(f64::INFINITY),
+        Some(-2.5),
+        Some(9007199254740992.0),
+        Some(f64::NEG_INFINITY),
+    ];
+    const STRS: [Option<&str>; 4] = [None, Some("a"), Some("b"), Some("")];
+
+    /// Nullable `i`, `j` (Int), `f`, `g` (Float) and `s` (Str); NULL-free
+    /// `n` (Int) and `d` (Float).
+    fn predicate_table(rows: &[Vec<u32>]) -> Table {
+        let pick = |r: &Vec<u32>, c: usize, len: usize, null_free: bool| {
+            let k = r[c] as usize % len;
+            if null_free && k == 0 {
+                1
+            } else {
+                k
+            }
+        };
+        let ints = |c: usize, null_free: bool| {
+            let v: Vec<Datum> = (rows.iter())
+                .map(|r| INTS[pick(r, c, INTS.len(), null_free)].map_or(Datum::Null, Datum::Int))
+                .collect();
+            Column::from_datums(&v)
+        };
+        let floats = |c: usize, null_free: bool| {
+            let v: Vec<Datum> = (rows.iter())
+                .map(|r| {
+                    FLOATS[pick(r, c, FLOATS.len(), null_free)].map_or(Datum::Null, Datum::Float)
+                })
+                .collect();
+            Column::from_datums(&v)
+        };
+        let strs: Vec<Datum> = (rows.iter())
+            .map(|r| STRS[pick(r, 4, STRS.len(), false)].map_or(Datum::Null, Datum::from))
+            .collect();
+        Table::from_columns(vec![
+            ("i", ints(0, false)),
+            ("j", ints(1, false)),
+            ("f", floats(2, false)),
+            ("g", floats(3, false)),
+            ("s", Column::from_datums(&strs)),
+            ("n", ints(5, true)),
+            ("d", floats(6, true)),
+        ])
+    }
+
+    /// Predicate trees drawn from a stream of picks.
+    struct Gen<'a>(std::slice::Iter<'a, u32>);
+
+    impl Gen<'_> {
+        fn below(&mut self, n: usize) -> usize {
+            self.0.next().map_or(0, |&x| x as usize % n)
+        }
+
+        fn literal(&mut self, numeric: bool) -> Expr {
+            Expr::Literal(match numeric {
+                true => match self.below(2) {
+                    0 => INTS[self.below(INTS.len())].map_or(Value::Null, Value::Int),
+                    _ => FLOATS[self.below(FLOATS.len())].map_or(Value::Null, Value::Float),
+                },
+                false => STRS[self.below(STRS.len())].map_or(Value::Null, |s| Value::Str(s.into())),
+            })
+        }
+
+        fn operand(&mut self, numeric: bool) -> Expr {
+            let cols = if numeric {
+                &["i", "j", "f", "g", "n", "d"][..]
+            } else {
+                &["s"][..]
+            };
+            match self.below(3) {
+                0 => self.literal(numeric),
+                _ => Expr::col(cols[self.below(cols.len())]),
+            }
+        }
+
+        fn pred(&mut self, depth: usize) -> Expr {
+            use BinaryOp::*;
+            let ops = [Eq, Neq, Lt, LtEq, Gt, GtEq];
+            match self.below(if depth == 0 { 5 } else { 8 }) {
+                0 | 1 => {
+                    let numeric = self.below(4) > 0;
+                    let (l, r) = (self.operand(numeric), self.operand(numeric));
+                    Expr::binary(ops[self.below(6)], l, r)
+                }
+                2 => Expr::IsNull {
+                    expr: Box::new(match self.below(2) {
+                        0 => self.operand(true),
+                        _ => self.pred(depth.saturating_sub(1)),
+                    }),
+                    negated: self.below(2) == 1,
+                },
+                3 => {
+                    let numeric = self.below(3) > 0;
+                    let probe = self.operand(numeric);
+                    let list = (0..1 + self.below(3))
+                        .map(|_| {
+                            let numeric = self.below(4) > 0;
+                            self.literal(numeric)
+                        })
+                        .collect();
+                    Expr::InList {
+                        expr: Box::new(probe),
+                        list,
+                        negated: self.below(2) == 1,
+                    }
+                }
+                4 => {
+                    let numeric = self.below(4) > 0;
+                    self.operand(numeric)
+                }
+                5 => Expr::not(self.pred(depth - 1)),
+                6 => Expr::and(self.pred(depth - 1), self.pred(depth - 1)),
+                _ => Expr::binary(Or, self.pred(depth - 1), self.pred(depth - 1)),
+            }
+        }
+    }
+
+    /// Row `i` of a row-mode predicate column as a truth value.
+    fn row_truth(c: &Column, i: usize) -> Option<bool> {
+        let d = c.get(i);
+        (!d.is_null()).then(|| d.is_truthy())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Columnar masks — typed kernels, word logic, branch-free probes
+        /// — equal row mode's per-row `Datum` evaluation, on predicate
+        /// trees over NULL-, NaN-, ±0- and 2^53-bearing columns.
+        #[test]
+        fn columnar_masks_equal_row_mode(
+            rows in proptest::collection::vec(proptest::collection::vec(0u32..1000, 7), 0..140),
+            picks in proptest::collection::vec(0u32..1_000_000, 64),
+        ) {
+            let t = predicate_table(&rows);
+            let mut gen = Gen(picks.iter());
+            let (p, q) = (gen.pred(3), gen.pred(2));
+            let runner = NoSubqueries;
+            let ctx = EvalContext::new(&runner);
+            let mask = eval_mask(&p, &t, &ctx).unwrap();
+            let by_row = eval_rows(&p, &t, &ctx).unwrap();
+            for i in 0..t.num_rows() {
+                let got = (!mask.is_null(i)).then(|| mask.is_true(i));
+                proptest::prop_assert_eq!(got, row_truth(&by_row, i), "{} at row {}: {:?}", p, i, t.row(i));
+            }
+            // The same predicates as CASE conditions.
+            let case = Expr::Case {
+                whens: vec![(p.clone(), Expr::int(1)), (q.clone(), Expr::int(2))],
+                else_expr: Some(Box::new(Expr::int(3))),
+            };
+            let columnar = eval(&case, &t, &ctx).unwrap();
+            let by_row = eval_rows(&case, &t, &ctx).unwrap();
+            proptest::prop_assert_eq!(columnar, by_row, "{}", case);
+        }
     }
 }

@@ -21,6 +21,7 @@
 use std::cmp::Ordering;
 
 use crate::column::{canonical_f64_bits, Column, ColumnData};
+use crate::mask::{null_bits, pack, pack_slice};
 
 // ---------------------------------------------------------------------------
 // Hashing (fxhash-style multiply + murmur finalizer; no external deps).
@@ -678,15 +679,8 @@ impl KeySet {
     /// Bind the probe side's key columns (positionally matched to the
     /// member side's). Probing reads only the rows it is asked about.
     pub fn probe<'a>(&'a self, cols: &'a [&'a Column]) -> KeyProbe<'a> {
-        let direct_int = match (&self.members, &self.codec.plan, cols) {
-            (Members::Direct(bits), Plan::Packed { fields, .. }, [col]) => {
-                match (&fields[..], col.as_i64_slice()) {
-                    ([PackedField::Int { min, span, .. }], Some(vals)) => {
-                        Some((vals, *min, *span, &bits[..]))
-                    }
-                    _ => None,
-                }
-            }
+        let direct_int = match cols {
+            [col] if col.validity.is_none() => self.direct_int(col),
             _ => None,
         };
         KeyProbe {
@@ -696,15 +690,71 @@ impl KeySet {
             scratch: Vec::new(),
         }
     }
+
+    /// A one-column Int set held as a bitmap, probed by an Int column:
+    /// `DirectInt` over the column's values, whatever its validity.
+    fn direct_int<'a>(&'a self, col: &'a Column) -> Option<DirectInt<'a>> {
+        match (&self.members, &self.codec.plan, &col.data) {
+            (Members::Direct(bits), Plan::Packed { fields, .. }, ColumnData::Int(vals)) => {
+                match &fields[..] {
+                    [PackedField::Int { min, span, .. }] => Some(DirectInt {
+                        vals,
+                        min: *min,
+                        span: *span,
+                        bits,
+                    }),
+                    _ => None,
+                }
+            }
+            _ => None,
+        }
+    }
+
+    /// Membership of every row of the one-column key `col`, one bit per
+    /// row: set where the row's key is a member (a NULL key never is).
+    pub(crate) fn member_bits(&self, col: &Column) -> Vec<u64> {
+        let Some(direct) = self.direct_int(col) else {
+            let cols = [col];
+            let mut p = self.probe(&cols);
+            return pack(col.len(), |i| p.contains(i));
+        };
+        let mut bits = pack_slice(direct.vals, |x| direct.contains(x));
+        if let Some(nulls) = null_bits(col) {
+            for (b, nl) in bits.iter_mut().zip(nulls) {
+                *b &= !nl;
+            }
+        }
+        bits
+    }
+}
+
+/// One Int key column probing a bitmap set — the shape of every probe
+/// JoinBoost's own statements make.
+#[derive(Clone, Copy)]
+struct DirectInt<'a> {
+    vals: &'a [i64],
+    min: i64,
+    span: u64,
+    bits: &'a [u64],
+}
+
+impl DirectInt<'_> {
+    /// Is `x` a member? A value outside the members' range reads the
+    /// NULL code 0, which is never set, so no row takes a branch.
+    #[inline]
+    fn contains(self, x: i64) -> bool {
+        let off = x.wrapping_sub(self.min) as u64;
+        let code = if off <= self.span { off + 1 } else { 0 };
+        bit_is_set(self.bits, code)
+    }
 }
 
 /// A [`KeySet`] bound to the columns it is probed with.
 pub struct KeyProbe<'a> {
     set: &'a KeySet,
     cols: &'a [&'a Column],
-    /// One NULL-free Int column against the bitmap — the shape of every
-    /// probe JoinBoost's own statements make: `(values, min, span, bits)`.
-    direct_int: Option<(&'a [i64], i64, u64, &'a [u64])>,
+    /// One NULL-free Int column against the bitmap.
+    direct_int: Option<DirectInt<'a>>,
     /// Byte-encoded probe key (byte-plan sets only).
     scratch: Vec<u8>,
 }
@@ -713,9 +763,8 @@ impl KeyProbe<'_> {
     /// Is the key of probe row `row` a member?
     #[inline]
     pub fn contains(&mut self, row: usize) -> bool {
-        if let Some((vals, min, span, bits)) = self.direct_int {
-            let off = vals[row].wrapping_sub(min) as u64;
-            return off <= span && bit_is_set(bits, off + 1);
+        if let Some(direct) = self.direct_int {
+            return direct.contains(direct.vals[row]);
         }
         self.contains_general(row)
     }
@@ -1009,7 +1058,16 @@ mod tests {
     fn members_of(members: &[&Column], probe: &[&Column]) -> Vec<bool> {
         let set = KeySet::build(members, members[0].len());
         let mut p = set.probe(probe);
-        (0..probe[0].len()).map(|i| p.contains(i)).collect()
+        let found: Vec<bool> = (0..probe[0].len()).map(|i| p.contains(i)).collect();
+        if let [col] = probe {
+            // The bits `IN` reads say the same, row for row.
+            let bits = set.member_bits(col);
+            let from_bits: Vec<bool> = (0..col.len())
+                .map(|i| bits[i >> 6] >> (i & 63) & 1 == 1)
+                .collect();
+            assert_eq!(from_bits, found);
+        }
+        found
     }
 
     fn is_direct(members: &[&Column]) -> bool {

@@ -62,6 +62,7 @@ pub mod exec;
 pub mod expr;
 pub mod interop;
 pub mod keys;
+mod mask;
 pub mod storage;
 pub mod table;
 pub mod wal;

@@ -258,9 +258,12 @@ proptest! {
 // unqualified, aliases, `SELECT *`, `FROM (subquery)`, NULL keys on either
 // side of a `SEMI JOIN`, string and float keys, int key ranges one bit
 // either side of the direct-address limit, empty and full selections,
-// `NOT IN`, and `IN` subqueries that return NULLs. The oracle below reads
-// full `snapshot()`s and loops over rows; it shares no code with the
-// engine's operators.
+// `NOT IN`, `IN` subqueries that return NULLs, all six comparisons on
+// NULL-able and `-0.0`-bearing columns (against literals of either numeric
+// type and against columns), and `WHERE`s nesting `AND`/`OR`/`NOT`. The
+// oracle below reads full `snapshot()`s, loops over rows and evaluates
+// predicates in three-valued logic; it shares no code with the engine's
+// operators.
 
 use joinboost_engine::Datum;
 
@@ -298,7 +301,7 @@ fn arb_diff() -> impl Strategy<Value = DiffData> {
     (
         prop::collection::vec((keys(), -32i8..32), 0..40),
         prop::collection::vec((keys(), prop::option::of(0i64..5), -32i8..32), 0..12),
-        prop::collection::vec(0u32..1_000_000, 48),
+        prop::collection::vec(0u32..1_000_000, 64),
     )
         .prop_map(|(f, d, picks)| DiffData { f, d, picks })
 }
@@ -379,7 +382,22 @@ enum Pred {
     /// `<col> [NOT] IN (SELECT <col> FROM d WHERE g <= t)`; `d`'s key
     /// columns are NULL-able, so the subquery returns NULLs.
     InSub(&'static str, i64, bool),
+    /// `<lhs> <op> <rhs>`, `op` an index into `CMP_OPS`.
+    Cmp(usize, Side, Side),
+    Not(Box<Pred>),
+    And(Box<Pred>, Box<Pred>),
+    Or(Box<Pred>, Box<Pred>),
 }
+
+/// A comparison operand: a column of `f` or a literal.
+#[derive(Debug, Clone, Copy)]
+enum Side {
+    Col(&'static str),
+    Int(i64),
+    Float(f64),
+}
+
+const CMP_OPS: [&str; 6] = ["=", "<>", "<", "<=", ">", ">="];
 
 #[derive(Debug, Clone)]
 enum Shape {
@@ -432,7 +450,16 @@ impl Picks<'_> {
     }
 
     fn pred(&mut self) -> Option<Pred> {
-        Some(match self.below(9) {
+        match self.below(10) {
+            0 => None,
+            _ => Some(self.pred_at(2)),
+        }
+    }
+
+    /// A predicate nested at most `depth` deep in `AND`/`OR`/`NOT`.
+    fn pred_at(&mut self, depth: u32) -> Pred {
+        let boxed = |p: &mut Self| Box::new(p.pred_at(depth - 1));
+        match self.below(if depth == 0 { 11 } else { 14 }) {
             0 => Pred::VGt(self.below(64) as i8 - 32),
             1 => Pred::KNotNull,
             2 => Pred::KIn(vec![1, 3, self.below(6) as i64], self.flip()),
@@ -441,8 +468,32 @@ impl Picks<'_> {
             5 => Pred::InSub("k", self.below(5) as i64, self.flip()),
             6 => Pred::InSub("big", self.below(5) as i64, self.flip()),
             7 => Pred::InSub("s", self.below(5) as i64, self.flip()),
-            _ => return None,
-        })
+            8..=10 => self.cmp(),
+            11 => Pred::Not(boxed(self)),
+            12 => Pred::And(boxed(self), boxed(self)),
+            _ => Pred::Or(boxed(self), boxed(self)),
+        }
+    }
+
+    /// A comparison under any of the six operators: nullable `k` and
+    /// float `x` (which holds `-0.0`) against literals of their own type,
+    /// `Int` columns against `Float` literals, columns against columns,
+    /// and a literal on the left.
+    fn cmp(&mut self) -> Pred {
+        let op = self.below(6) as usize;
+        let (lhs, rhs) = match self.below(7) {
+            0 => (Side::Col("k"), Side::Int(self.below(7) as i64 - 1)),
+            1 => (Side::Col("x"), Side::Float(XS[self.below(5) as usize])),
+            2 => (
+                Side::Col("k"),
+                Side::Float([-0.0, 1.5, 3.0, 4.5][self.below(4) as usize]),
+            ),
+            3 => (Side::Col("big"), Side::Float(65533.5)),
+            4 => (Side::Col("k"), Side::Col("x")),
+            5 => (Side::Col("x"), Side::Col("v")),
+            _ => (Side::Int(self.below(6) as i64), Side::Col("k")),
+        };
+        Pred::Cmp(op, lhs, rhs)
     }
 }
 
@@ -504,6 +555,20 @@ impl Pred {
             Pred::InSub(col, t, neg) => {
                 format!("{col} {}IN (SELECT {col} FROM d WHERE g <= {t})", not(neg))
             }
+            Pred::Cmp(op, l, r) => format!("{} {} {}", l.sql(), CMP_OPS[*op], r.sql()),
+            Pred::Not(p) => format!("NOT ({})", p.sql()),
+            Pred::And(p, q) => format!("({}) AND ({})", p.sql(), q.sql()),
+            Pred::Or(p, q) => format!("({}) OR ({})", p.sql(), q.sql()),
+        }
+    }
+}
+
+impl Side {
+    fn sql(self) -> String {
+        match self {
+            Side::Col(c) => c.to_string(),
+            Side::Int(v) => v.to_string(),
+            Side::Float(v) => format!("{v:?}"),
         }
     }
 }
@@ -623,24 +688,59 @@ struct Oracle {
 }
 
 impl Oracle {
-    fn holds(&self, pred: &Pred, row: &[Datum]) -> bool {
+    /// The predicate's truth value on `row` in three-valued logic:
+    /// `None` is NULL.
+    fn truth(&self, pred: &Pred, row: &[Datum]) -> Option<bool> {
         let f = &self.f;
         match pred {
-            Pred::VGt(c) => num(&row[f.col("v")]) > *c as f64 * 0.25,
-            Pred::KNotNull => !row[f.col("k")].is_null(),
+            Pred::VGt(c) => Some(num(&row[f.col("v")]) > *c as f64 * 0.25),
+            Pred::KNotNull => Some(!row[f.col("k")].is_null()),
             Pred::KIn(list, neg) => match &row[f.col("k")] {
-                Datum::Int(k) => list.contains(k) != *neg,
-                _ => false,
+                Datum::Int(k) => Some(list.contains(k) != *neg),
+                _ => None,
             },
             Pred::SIn(list) => match &row[f.col("s")] {
-                Datum::Str(s) => list.iter().any(|&i| SS[i] == s),
-                _ => false,
+                Datum::Str(s) => Some(list.iter().any(|&i| SS[i] == s)),
+                _ => None,
             },
-            Pred::Const(keep) => *keep,
+            Pred::Const(keep) => Some(*keep),
             Pred::InSub(col, t, neg) => {
                 let v = &row[f.col(col)];
-                !v.is_null() && in_sub(v, &self.d, col, *t) != *neg
+                (!v.is_null()).then(|| in_sub(v, &self.d, col, *t) != *neg)
             }
+            Pred::Cmp(op, l, r) => {
+                let side = |s: &Side| match *s {
+                    Side::Col(c) => row[f.col(c)].clone(),
+                    Side::Int(v) => Datum::Int(v),
+                    Side::Float(v) => Datum::Float(v),
+                };
+                let ord = match (side(l), side(r)) {
+                    (Datum::Null, _) | (_, Datum::Null) => return None,
+                    // Two ints compare exactly; any other pair as f64,
+                    // where -0.0 = 0.0.
+                    (Datum::Int(a), Datum::Int(b)) => a.cmp(&b),
+                    (a, b) => num(&a).partial_cmp(&num(&b)).expect("no NaN here"),
+                };
+                Some(match CMP_OPS[*op] {
+                    "=" => ord.is_eq(),
+                    "<>" => ord.is_ne(),
+                    "<" => ord.is_lt(),
+                    "<=" => ord.is_le(),
+                    ">" => ord.is_gt(),
+                    _ => ord.is_ge(),
+                })
+            }
+            Pred::Not(p) => self.truth(p, row).map(|b| !b),
+            Pred::And(p, q) => match (self.truth(p, row), self.truth(q, row)) {
+                (Some(false), _) | (_, Some(false)) => Some(false),
+                (Some(true), Some(true)) => Some(true),
+                _ => None,
+            },
+            Pred::Or(p, q) => match (self.truth(p, row), self.truth(q, row)) {
+                (Some(true), _) | (_, Some(true)) => Some(true),
+                (Some(false), Some(false)) => Some(false),
+                _ => None,
+            },
         }
     }
 
@@ -669,7 +769,7 @@ impl Oracle {
         (input.iter())
             .filter(|row| {
                 (spec.semis.iter()).all(|&(key, right)| self.semi(names, row, key, right))
-                    && spec.pred.as_ref().is_none_or(|p| self.holds(p, row))
+                    && (spec.pred.as_ref()).is_none_or(|p| self.truth(p, row) == Some(true))
             })
             .collect()
     }
