@@ -1304,34 +1304,16 @@ fn is_plain_scan(q: &Query) -> bool {
         && q.limit.is_none()
         && q.items
             .iter()
-            .all(|it| !contains_aggregate_or_window(&it.expr))
+            .all(|it| !it.expr.contains_aggregate() && !contains_window(&it.expr))
 }
 
-fn contains_aggregate_or_window(e: &Expr) -> bool {
-    match e {
-        Expr::WindowSum { .. } => true,
-        Expr::Func { name, args } => {
-            matches!(name.as_str(), "SUM" | "COUNT" | "AVG" | "MIN" | "MAX")
-                || args.iter().any(contains_aggregate_or_window)
-        }
-        Expr::Binary { left, right, .. } => {
-            contains_aggregate_or_window(left) || contains_aggregate_or_window(right)
-        }
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => contains_aggregate_or_window(expr),
-        Expr::Case { whens, else_expr } => {
-            whens
-                .iter()
-                .any(|(c, t)| contains_aggregate_or_window(c) || contains_aggregate_or_window(t))
-                || else_expr
-                    .as_deref()
-                    .is_some_and(contains_aggregate_or_window)
-        }
-        Expr::InList { expr, list, .. } => {
-            contains_aggregate_or_window(expr) || list.iter().any(contains_aggregate_or_window)
-        }
-        Expr::InSubquery { expr, .. } => contains_aggregate_or_window(expr),
-        Expr::Column { .. } | Expr::Literal(_) | Expr::Wildcard => false,
-    }
+fn contains_window(e: &Expr) -> bool {
+    let mut found = false;
+    e.walk(&mut |x| {
+        found |= matches!(x, Expr::WindowSum { .. });
+        !found
+    });
+    found
 }
 
 // ---------------------------------------------------------------------------

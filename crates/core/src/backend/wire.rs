@@ -411,15 +411,12 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
 }
 
 // ---------------------------------------------------------------------------
-// Checked reader
+// Checked reads
 // ---------------------------------------------------------------------------
 
-/// Cursor over a received payload with *checked* reads: a truncated or
-/// corrupt frame surfaces as a decode error, never a panic — a killed
-/// server must not take the client down with it.
-struct Reader<'a> {
-    buf: &'a [u8],
-}
+// A received payload is read through the storage codec's bounds-checked
+// `ByteReader`: a truncated or corrupt frame surfaces as a decode error,
+// never a panic — a killed server must not take the client down with it.
 
 type DecodeResult<T> = Result<T, EngineError>;
 
@@ -427,73 +424,15 @@ fn corrupt(what: &str) -> EngineError {
     EngineError::Other(format!("wire decode: {what}"))
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf }
+/// A `u32` count of items of at least `item_bytes` each, checked against
+/// the bytes left: guards allocations against frames whose headers
+/// promise more data than they carry.
+fn count(r: &mut ByteReader<'_>, item_bytes: usize) -> DecodeResult<usize> {
+    let n = r.u32()? as usize;
+    if n.saturating_mul(item_bytes.max(1)) > r.remaining() {
+        return Err(corrupt("count exceeds frame size"));
     }
-
-    fn take(&mut self, n: usize) -> DecodeResult<&'a [u8]> {
-        if self.buf.len() < n {
-            return Err(corrupt("truncated frame"));
-        }
-        let (head, tail) = self.buf.split_at(n);
-        self.buf = tail;
-        Ok(head)
-    }
-
-    fn u8(&mut self) -> DecodeResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> DecodeResult<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> DecodeResult<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn i64(&mut self) -> DecodeResult<i64> {
-        Ok(i64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// Length-checked count of fixed-size items: guards allocations
-    /// against frames whose headers promise more data than they carry.
-    fn count(&mut self, item_bytes: usize) -> DecodeResult<usize> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(item_bytes.max(1)) > self.buf.len() {
-            return Err(corrupt("count exceeds frame size"));
-        }
-        Ok(n)
-    }
-
-    fn string(&mut self) -> DecodeResult<String> {
-        let n = self.count(1)?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| corrupt("invalid utf-8"))
-    }
-
-    /// One column body at the cursor, decoded by the storage codec.
-    fn column(&mut self) -> DecodeResult<Column> {
-        let mut body = ByteReader::new(self.buf);
-        let col = decode_column(&mut body)?;
-        self.take(self.buf.len() - body.remaining())?;
-        Ok(col)
-    }
-
-    fn done(&self) -> DecodeResult<()> {
-        if self.buf.is_empty() {
-            Ok(())
-        } else {
-            Err(corrupt("trailing bytes after message"))
-        }
-    }
+    Ok(n)
 }
 
 // ---------------------------------------------------------------------------
@@ -523,8 +462,8 @@ pub fn encode_table(t: &Table, buf: &mut Vec<u8>) {
 /// Decode a columnar block produced by [`encode_table`]. Each column body
 /// carries its own row count, and one that disagrees with the block's is
 /// a decode error: a decoded table is never ragged.
-fn decode_table(r: &mut Reader<'_>) -> DecodeResult<Table> {
-    let ncols = r.count(1)?;
+fn decode_table(r: &mut ByteReader<'_>) -> DecodeResult<Table> {
+    let ncols = count(r, 1)?;
     let nrows = r.u64()?;
     let mut t = Table::new();
     for _ in 0..ncols {
@@ -534,7 +473,7 @@ fn decode_table(r: &mut Reader<'_>) -> DecodeResult<Table> {
             _ => return Err(corrupt("unknown qualifier tag")),
         };
         let name = r.string()?;
-        let col = r.column()?;
+        let col: Column = decode_column(r)?;
         if col.len() as u64 != nrows {
             return Err(corrupt("column length differs from the table's row count"));
         }
@@ -550,7 +489,7 @@ fn decode_table(r: &mut Reader<'_>) -> DecodeResult<Table> {
 /// Standalone table decode (the proptest entry point): the whole buffer
 /// must be one encoded table.
 pub fn decode_table_bytes(bytes: &[u8]) -> DecodeResult<Table> {
-    let mut r = Reader::new(bytes);
+    let mut r = ByteReader::new(bytes);
     let t = decode_table(&mut r)?;
     r.done()?;
     Ok(t)
@@ -580,7 +519,7 @@ fn encode_engine_error(e: &EngineError, buf: &mut Vec<u8>) {
     put_string(buf, msg);
 }
 
-fn decode_engine_error(r: &mut Reader<'_>) -> DecodeResult<EngineError> {
+fn decode_engine_error(r: &mut ByteReader<'_>) -> DecodeResult<EngineError> {
     let tag = r.u8()?;
     let msg = r.string()?;
     Ok(match tag {
@@ -609,12 +548,12 @@ fn put_strings(buf: &mut Vec<u8>, ss: &[String]) {
     }
 }
 
-fn read_f64(r: &mut Reader<'_>) -> DecodeResult<f64> {
+fn read_f64(r: &mut ByteReader<'_>) -> DecodeResult<f64> {
     Ok(f64::from_bits(r.u64()?))
 }
 
-fn read_strings(r: &mut Reader<'_>) -> DecodeResult<Vec<String>> {
-    let n = r.count(4)?;
+fn read_strings(r: &mut ByteReader<'_>) -> DecodeResult<Vec<String>> {
+    let n = count(r, 4)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         out.push(r.string()?);
@@ -637,13 +576,13 @@ fn encode_scorer_spec(spec: &ScorerSpec, buf: &mut Vec<u8>) {
     put_strings(buf, &spec.dim_tables);
 }
 
-fn decode_scorer_spec(r: &mut Reader<'_>) -> DecodeResult<ScorerSpec> {
+fn decode_scorer_spec(r: &mut ByteReader<'_>) -> DecodeResult<ScorerSpec> {
     let init_score = read_f64(r)?;
     let learning_rate = read_f64(r)?;
-    let nt = r.count(4)?;
+    let nt = count(r, 4)?;
     let mut leaf_values = Vec::with_capacity(nt);
     for _ in 0..nt {
-        let nl = r.count(8)?;
+        let nl = count(r, 8)?;
         let mut tree = Vec::with_capacity(nl);
         for _ in 0..nl {
             tree.push(read_f64(r)?);
@@ -688,14 +627,14 @@ fn encode_job_spec(spec: &JobSpec, buf: &mut Vec<u8>) {
     put_u64(buf, spec.seed);
 }
 
-fn decode_job_spec(r: &mut Reader<'_>) -> DecodeResult<JobSpec> {
-    let nr = r.count(4)?;
+fn decode_job_spec(r: &mut ByteReader<'_>) -> DecodeResult<JobSpec> {
+    let nr = count(r, 4)?;
     let mut relations = Vec::with_capacity(nr);
     for _ in 0..nr {
         let name = r.string()?;
         relations.push((name, read_strings(r)?));
     }
-    let ne = r.count(4)?;
+    let ne = count(r, 4)?;
     let mut edges = Vec::with_capacity(ne);
     for _ in 0..ne {
         let a = r.string()?;
@@ -740,7 +679,7 @@ pub(crate) fn job_spec_bytes(spec: &JobSpec) -> Vec<u8> {
 
 /// Decode a registry [`JobSpec`] blob (whole-buffer, no trailing bytes).
 pub(crate) fn job_spec_from_bytes(bytes: &[u8]) -> DecodeResult<JobSpec> {
-    let mut r = Reader::new(bytes);
+    let mut r = ByteReader::new(bytes);
     let spec = decode_job_spec(&mut r)?;
     r.done()?;
     Ok(spec)
@@ -755,7 +694,7 @@ pub(crate) fn scorer_spec_bytes(spec: &ScorerSpec) -> Vec<u8> {
 
 /// Decode a registry [`ScorerSpec`] blob (whole-buffer).
 pub(crate) fn scorer_spec_from_bytes(bytes: &[u8]) -> DecodeResult<ScorerSpec> {
-    let mut r = Reader::new(bytes);
+    let mut r = ByteReader::new(bytes);
     let spec = decode_scorer_spec(&mut r)?;
     r.done()?;
     Ok(spec)
@@ -809,11 +748,11 @@ pub(crate) fn forest_bytes(trees: &[Tree]) -> Vec<u8> {
 /// Decode a registry forest blob (whole-buffer). Bit-exact inverse of
 /// [`forest_bytes`].
 pub(crate) fn forest_from_bytes(bytes: &[u8]) -> DecodeResult<Vec<Tree>> {
-    let mut r = Reader::new(bytes);
-    let ntrees = r.count(4)?;
+    let mut r = ByteReader::new(bytes);
+    let ntrees = count(&mut r, 4)?;
     let mut trees = Vec::with_capacity(ntrees);
     for _ in 0..ntrees {
-        let nnodes = r.count(16)?;
+        let nnodes = count(&mut r, 16)?;
         let mut nodes = Vec::with_capacity(nnodes);
         for _ in 0..nnodes {
             let tag = r.u8()?;
@@ -1058,7 +997,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 
 /// Decode one request frame payload.
 pub fn decode_request(bytes: &[u8]) -> DecodeResult<Request> {
-    let mut r = Reader::new(bytes);
+    let mut r = ByteReader::new(bytes);
     let req = match r.u8()? {
         REQ_HELLO => {
             let magic = r.u32()?;
@@ -1087,7 +1026,7 @@ pub fn decode_request(bytes: &[u8]) -> DecodeResult<Request> {
         REQ_DROP_IF_EXISTS => Request::DropTableIfExists { name: r.string()? },
         REQ_GATHER_ROWS => {
             let name = r.string()?;
-            let n = r.count(4)?;
+            let n = count(&mut r, 4)?;
             let mut rows = Vec::with_capacity(n);
             for _ in 0..n {
                 rows.push(r.u32()?);
@@ -1100,7 +1039,7 @@ pub fn decode_request(bytes: &[u8]) -> DecodeResult<Request> {
             let key_col = r.u32()?;
             let c0_col = r.u32()?;
             let c1_col = r.u32()?;
-            let n = r.count(1)?;
+            let n = count(&mut r, 1)?;
             let specs = r.take(n)?.to_vec();
             let k = r.u32()?;
             Request::SplitOpen {
@@ -1122,7 +1061,7 @@ pub fn decode_request(bytes: &[u8]) -> DecodeResult<Request> {
             let changed = match r.u8()? {
                 0 => None,
                 1 => {
-                    let n = r.count(4)?;
+                    let n = count(&mut r, 4)?;
                     let mut changed = Vec::with_capacity(n);
                     for _ in 0..n {
                         changed.push(r.u32()?);
@@ -1146,7 +1085,7 @@ pub fn decode_request(bytes: &[u8]) -> DecodeResult<Request> {
         REQ_SPLIT_REFINE => {
             let id = r.u64()?;
             let grid = decode_table(&mut r)?;
-            let n = r.count(8)?;
+            let n = count(&mut r, 8)?;
             let mut targets = Vec::with_capacity(n);
             for _ in 0..n {
                 targets.push((r.u32()?, r.u32()?));
@@ -1156,7 +1095,7 @@ pub fn decode_request(bytes: &[u8]) -> DecodeResult<Request> {
         REQ_SPLIT_FETCH => {
             let id = r.u64()?;
             let grid = decode_table(&mut r)?;
-            let n = r.count(1)?;
+            let n = count(&mut r, 1)?;
             let retain = r.take(n)?.iter().map(|&b| b != 0).collect();
             Request::SplitFetch { id, grid, retain }
         }
@@ -1177,7 +1116,7 @@ pub fn decode_request(bytes: &[u8]) -> DecodeResult<Request> {
                 1 => Some(Box::new(decode_scorer_spec(&mut r)?)),
                 _ => return Err(corrupt("unknown option tag")),
             };
-            let n = r.count(8)?;
+            let n = count(&mut r, 8)?;
             let mut keys = Vec::with_capacity(n);
             for _ in 0..n {
                 keys.push(r.i64()?);
@@ -1284,7 +1223,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 
 /// Decode one response frame payload.
 pub fn decode_response(bytes: &[u8]) -> DecodeResult<Response> {
-    let mut r = Reader::new(bytes);
+    let mut r = ByteReader::new(bytes);
     let resp = match r.u8()? {
         RESP_CAPS => Response::Caps {
             column_swap: r.u8()? != 0,
@@ -1292,7 +1231,7 @@ pub fn decode_response(bytes: &[u8]) -> DecodeResult<Response> {
         RESP_TABLE => Response::Table(decode_table(&mut r)?),
         RESP_UNIT => Response::Unit,
         RESP_NAMES => {
-            let n = r.count(4)?;
+            let n = count(&mut r, 4)?;
             let mut names = Vec::with_capacity(n);
             for _ in 0..n {
                 names.push(r.string()?);
@@ -1323,7 +1262,7 @@ pub fn decode_response(bytes: &[u8]) -> DecodeResult<Response> {
         }
         RESP_BUSY => Response::Busy(r.string()?),
         RESP_SCORES => {
-            let n = r.count(9)?;
+            let n = count(&mut r, 9)?;
             let mut found = Vec::with_capacity(n);
             let mut scores = Vec::with_capacity(n);
             for _ in 0..n {

@@ -2,7 +2,7 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -15,9 +15,9 @@ use crate::checkpoint::{self, CheckpointWriter};
 use crate::column::Column;
 use crate::compress::{decompress, StoredColumn};
 use crate::error::{EngineError, Result};
-use crate::exec::Executor;
 use crate::expr::{CaseMerge, EvalContext};
 use crate::interop::ExternalTable;
+use crate::plan::{bind, Op, Plan};
 use crate::storage::{BufferPoolStats, PagedStore, PagedTable};
 use crate::table::{ColumnMeta, Table};
 use crate::wal::{self, Wal, WalRecord};
@@ -114,10 +114,7 @@ impl EngineConfig {
     /// `X-col`: commercial column store — disk-based, aggressive
     /// compression, WAL and versioning.
     pub fn dbms_x_col() -> Self {
-        EngineConfig {
-            wal: true,
-            ..Self::duckdb_mem()
-        }
+        Self::duckdb_disk()
     }
 
     /// `X-row`: commercial row store — row execution, no columnar
@@ -125,15 +122,8 @@ impl EngineConfig {
     pub fn dbms_x_row() -> Self {
         EngineConfig {
             exec: ExecMode::Row,
-            wal: true,
-            mvcc: true,
             compression: false,
-            allow_swap: false,
-            agg_threads: 1,
-            storage_path: None,
-            bufferpool_pages: 256,
-            agg_spill_bytes: 64 << 20,
-            checkpoint_bytes: None,
+            ..Self::duckdb_disk()
         }
     }
 
@@ -225,10 +215,13 @@ fn column_index(meta: &[ColumnMeta], name: &str) -> Result<usize> {
 /// collected, as a real MVCC engine eventually does).
 const UNDO_CAP_BYTES: usize = 64 << 20;
 
+/// Stored tables by lower-case name.
+type Catalog = HashMap<String, Stored>;
+
 /// An embedded SQL database.
 pub struct Database {
     config: EngineConfig,
-    catalog: RwLock<HashMap<String, Stored>>,
+    catalog: RwLock<Catalog>,
     wal: Mutex<Wal>,
     undo: Mutex<UndoLog>,
     stats: Mutex<DbStats>,
@@ -262,32 +255,34 @@ impl Database {
     /// replays the WAL's committed prefix, restoring every committed
     /// table — crash recovery. Non-paged configurations cannot fail.
     pub fn open(config: EngineConfig) -> Result<Database> {
-        if config.storage_path.is_some() {
-            return Self::open_paged(config);
-        }
         // Each database gets its own log file: the pid keeps processes
         // apart, the counter keeps this process's databases apart.
         static NEXT_WAL: AtomicU64 = AtomicU64::new(0);
-        let (wal, temp_wal) = if config.wal {
-            let path = std::env::temp_dir().join(format!(
-                "jb_wal_{}_{}.log",
-                std::process::id(),
-                NEXT_WAL.fetch_add(1, Ordering::Relaxed)
-            ));
-            match Wal::open(&path) {
-                Ok(wal) => (wal, Some(path)),
-                Err(_) => (Wal::disabled(), None),
+        let (catalog, wal, storage, temp_wal) = match &config.storage_path {
+            Some(dir) => {
+                let (catalog, wal, store) = Self::open_paged(dir, config.bufferpool_pages)?;
+                (catalog, wal, Some(store), None)
             }
-        } else {
-            (Wal::disabled(), None)
+            None if config.wal => {
+                let path = std::env::temp_dir().join(format!(
+                    "jb_wal_{}_{}.log",
+                    std::process::id(),
+                    NEXT_WAL.fetch_add(1, Ordering::Relaxed)
+                ));
+                match Wal::open(&path) {
+                    Ok(wal) => (HashMap::new(), wal, None, Some(path)),
+                    Err(_) => (HashMap::new(), Wal::disabled(), None, None),
+                }
+            }
+            None => (HashMap::new(), Wal::disabled(), None, None),
         };
         Ok(Database {
             config,
-            catalog: RwLock::new(HashMap::new()),
+            catalog: RwLock::new(catalog),
             wal: Mutex::new(wal),
-            undo: Mutex::new(UndoLog::default()),
-            stats: Mutex::new(DbStats::default()),
-            storage: None,
+            undo: Mutex::default(),
+            stats: Mutex::default(),
+            storage,
             temp_wal,
             write_gate: RwLock::new(()),
         })
@@ -297,10 +292,9 @@ impl Database {
     /// checkpoint (if any), replay the WAL's committed prefix on top into
     /// the (fresh) page file, then reopen the log for appending with
     /// fsync-on-commit enabled.
-    fn open_paged(config: EngineConfig) -> Result<Database> {
-        let dir = config.storage_path.clone().expect("paged config has a dir");
-        std::fs::create_dir_all(&dir)?;
-        let store = PagedStore::open(&dir, config.bufferpool_pages)?;
+    fn open_paged(dir: &Path, pool_pages: usize) -> Result<(Catalog, Wal, PagedStore)> {
+        std::fs::create_dir_all(dir)?;
+        let store = PagedStore::open(dir, pool_pages)?;
         let wal_path = dir.join("wal.log");
         let (records, committed_len, committed_records) = if wal_path.exists() {
             wal::replay(&wal_path)?
@@ -312,7 +306,7 @@ impl Database {
         // (the last image of each table/column wins), which is what makes
         // the checkpoint's crash windows safe: replaying a log that still
         // contains pre-checkpoint records converges to the same state.
-        let mut tables: HashMap<String, Table> = checkpoint::load(&dir)?
+        let mut tables: HashMap<String, Table> = checkpoint::load(dir)?
             .map(|snap| snap.into_iter().collect())
             .unwrap_or_default();
         for record in records {
@@ -346,16 +340,7 @@ impl Database {
         // OS buffers; the paged engine's durability contract is that a
         // committed statement survives a crash, so fsync on commit.
         wal.sync = true;
-        Ok(Database {
-            config,
-            catalog: RwLock::new(catalog),
-            wal: Mutex::new(wal),
-            undo: Mutex::new(UndoLog::default()),
-            stats: Mutex::new(DbStats::default()),
-            storage: Some(store),
-            temp_wal: None,
-            write_gate: RwLock::new(()),
-        })
+        Ok((catalog, wal, store))
     }
 
     /// In-memory columnar database with default (DuckDB-like) settings.
@@ -377,16 +362,6 @@ impl Database {
         s
     }
 
-    /// Zero the execution statistics (WAL counters restart too).
-    pub fn reset_stats(&self) {
-        *self.stats.lock() = DbStats::default();
-    }
-
-    /// Is this the paged (out-of-core) engine?
-    pub fn is_paged(&self) -> bool {
-        self.storage.is_some()
-    }
-
     /// Buffer-pool counters (paged mode only).
     pub fn bufferpool_stats(&self) -> Option<BufferPoolStats> {
         self.storage.as_ref().map(PagedStore::stats)
@@ -402,9 +377,7 @@ impl Database {
 
     /// Spill destination and budget for grouped aggregation (paged mode).
     pub(crate) fn spill_target(&self) -> Option<(&PagedStore, usize)> {
-        self.storage
-            .as_ref()
-            .map(|s| (s, self.config.agg_spill_bytes))
+        (self.storage.as_ref()).map(|s| (s, self.config.agg_spill_bytes))
     }
 
     /// Checkpoint the catalog (paged mode only): snapshot every table's
@@ -416,33 +389,24 @@ impl Database {
     /// during the checkpoint recovers from the previous one (see
     /// [`crate::checkpoint`] for the window-by-window argument).
     pub fn checkpoint(&self) -> Result<()> {
-        let store = self
-            .storage
-            .as_ref()
-            .ok_or_else(|| EngineError::Other("checkpoint requires the paged engine".into()))?;
-        let dir = self
-            .config
-            .storage_path
-            .clone()
-            .expect("paged config has a dir");
+        let (Some(store), Some(dir)) = (&self.storage, &self.config.storage_path) else {
+            return Err(EngineError::Other(
+                "checkpoint requires the paged engine".into(),
+            ));
+        };
         let _gate = self.write_gate.write();
         // Page-chain metadata is cheap to clone; contents cannot move under
         // the exclusive gate. Sorted order keeps snapshots deterministic.
-        let entries: Vec<(String, PagedTable)> = {
-            let cat = self.catalog.read();
-            let mut v: Vec<(String, PagedTable)> = cat
-                .iter()
-                .filter_map(|(k, s)| match s {
-                    Stored::Paged(pt) => Some((k.clone(), pt.clone())),
-                    // External tables are deliberately non-durable (they
-                    // bypass the WAL too), so they stay out of snapshots.
-                    _ => None,
-                })
-                .collect();
-            v.sort_by(|a, b| a.0.cmp(&b.0));
-            v
-        };
-        let mut writer = CheckpointWriter::create(&dir, entries.len() as u32)?;
+        let mut entries: Vec<(String, PagedTable)> = (self.catalog.read().iter())
+            .filter_map(|(k, s)| match s {
+                Stored::Paged(pt) => Some((k.clone(), pt.clone())),
+                // External tables are deliberately non-durable (they
+                // bypass the WAL too), so they stay out of snapshots.
+                _ => None,
+            })
+            .collect();
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut writer = CheckpointWriter::create(dir, entries.len() as u32)?;
         for (name, pt) in &entries {
             writer.add_table(name, &store.load_table(pt)?)?;
         }
@@ -460,25 +424,20 @@ impl Database {
     /// (and after its gate guard is released — [`Database::checkpoint`]
     /// takes the exclusive gate itself).
     fn maybe_checkpoint(&self) -> Result<()> {
-        if self.storage.is_none() {
-            return Ok(());
+        let due = |budget| self.storage.is_some() && self.wal.lock().bytes_logged >= budget;
+        match self.config.checkpoint_bytes {
+            Some(budget) if due(budget) => self.checkpoint(),
+            _ => Ok(()),
         }
-        let Some(budget) = self.config.checkpoint_bytes else {
-            return Ok(());
-        };
-        if self.wal.lock().bytes_logged >= budget {
-            self.checkpoint()?;
-        }
-        Ok(())
     }
 
     /// Log a commit record for the statement just applied (paged mode:
     /// this is the fsync that makes the statement durable).
     fn wal_commit(&self) -> Result<()> {
-        if self.storage.is_some() {
-            self.wal.lock().log_commit()?;
+        match self.storage {
+            Some(_) => self.wal.lock().log_commit(),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Return a replaced/dropped table's pages to the free list.
@@ -524,9 +483,18 @@ impl Database {
     /// primitive durable system tables (e.g. a server's job registry)
     /// are rewritten through.
     pub fn create_or_replace_table(&self, name: &str, table: Table) -> Result<()> {
+        self.install(name, table, true, self.storage.is_some() && self.config.wal)
+    }
+
+    /// Install `table` as `name` — replacing a table of that name only if
+    /// `replace` — logged if `log`, as one write statement.
+    fn install(&self, name: &str, table: Table, replace: bool, log: bool) -> Result<()> {
         let key = name.to_ascii_lowercase();
         let gate = self.write_gate.read();
-        if self.storage.is_some() && self.config.wal {
+        if !replace && self.catalog.read().contains_key(&key) {
+            return Err(EngineError::TableExists(name.to_string()));
+        }
+        if log {
             self.wal.lock().log_create_table(name, &table)?;
         }
         let stored = self.store(table)?;
@@ -613,10 +581,7 @@ impl Database {
             Some(Stored::Memory { meta, columns }) => {
                 Ok(columns[column_index(meta, column)?].dtype())
             }
-            Some(Stored::External(e)) => {
-                let arc = e.column_arc(column)?;
-                Ok(arc.dtype())
-            }
+            Some(Stored::External(e)) => Ok(e.column_arc(column)?.dtype()),
             Some(Stored::Paged(pt)) => Ok(pt.columns[column_index(&pt.meta, column)?].dtype),
             None => Err(EngineError::UnknownTable(table.to_string())),
         }
@@ -711,8 +676,7 @@ impl Database {
     /// Execute one SQL statement; `SELECT` returns its result, other
     /// statements return an empty table.
     pub fn execute(&self, sql: &str) -> Result<Table> {
-        let stmt = parse_statement(sql)?;
-        self.execute_statement(&stmt)
+        self.execute_statement(&parse_statement(sql)?)
     }
 
     /// Convenience alias for `SELECT` statements.
@@ -720,82 +684,53 @@ impl Database {
         self.execute(sql)
     }
 
-    /// Execute a pre-parsed statement.
-    pub fn execute_statement(&self, stmt: &Statement) -> Result<Table> {
-        self.stats.lock().statements += 1;
-        match stmt {
-            Statement::Select(q) => {
-                self.stats.lock().queries += 1;
-                Executor::new(self).query(q)
-            }
-            Statement::CreateTableAs {
-                name,
-                query,
-                or_replace,
-            } => {
-                self.stats.lock().queries += 1;
-                let result = Executor::new(self).query(query)?.unqualified();
-                let key = name.to_ascii_lowercase();
-                let gate = self.write_gate.read();
-                {
-                    let cat = self.catalog.read();
-                    if cat.contains_key(&key) && !or_replace {
-                        return Err(EngineError::TableExists(name.clone()));
-                    }
-                }
-                if self.config.wal {
-                    self.wal.lock().log_create_table(name, &result)?;
-                }
-                let stored = self.store(result)?;
-                let old = self.catalog.write().insert(key, stored);
-                self.release(old);
-                self.wal_commit()?;
-                drop(gate);
-                self.maybe_checkpoint()?;
-                Ok(Table::new())
-            }
-            Statement::Update {
-                table,
-                assignments,
-                where_clause,
-            } => {
-                self.update(table, assignments, where_clause.as_ref())?;
-                Ok(Table::new())
-            }
-            Statement::DropTable { name, if_exists } => {
-                if *if_exists && !self.has_table(name) {
-                    return Ok(Table::new());
-                }
-                self.drop_table(name)?;
-                Ok(Table::new())
-            }
-            Statement::SwapColumn {
-                table_a,
-                column_a,
-                table_b,
-                column_b,
-            } => {
-                self.swap_column(table_a, column_a, table_b, column_b)?;
-                Ok(Table::new())
-            }
-        }
+    /// The plan `sql` binds to, printed one node per line.
+    pub fn explain(&self, sql: &str) -> Result<String> {
+        Ok(bind(&parse_statement(sql)?, self)?.to_string())
     }
 
-    fn update(
+    /// Execute a pre-parsed statement.
+    pub fn execute_statement(&self, stmt: &Statement) -> Result<Table> {
+        let mut stats = self.stats.lock();
+        stats.statements += 1;
+        stats.queries +=
+            matches!(stmt, Statement::Select(_) | Statement::CreateTableAs { .. }) as u64;
+        drop(stats);
+        self.run(&bind(stmt, self)?)
+    }
+
+    fn run(&self, plan: &Plan) -> Result<Table> {
+        let slots = plan.slots.clone();
+        match &plan.op {
+            Op::Query(q) => return self.run_query(q, slots),
+            Op::CreateAs(name, or_replace, query) => {
+                let result = self.run_query(query, slots)?.unqualified();
+                self.install(name, result, *or_replace, self.config.wal)?
+            }
+            Op::UpdateColumn(table, assignments, pred) => {
+                self.update(&EvalContext::bound(self, slots), table, assignments, *pred)?
+            }
+            Op::Drop(name, true) if !self.has_table(name) => {}
+            Op::Drop(name, _) => self.drop_table(name)?,
+            Op::SwapColumn(a, b) => self.swap_column(a.0, a.1, b.0, b.1)?,
+        }
+        Ok(Table::new())
+    }
+
+    fn update<'p>(
         &self,
+        ctx: &EvalContext<'p>,
         table: &str,
-        assignments: &[(String, Expr)],
-        where_clause: Option<&Expr>,
+        assignments: &'p [(String, Expr)],
+        where_clause: Option<&'p Expr>,
     ) -> Result<()> {
         let gate = self.write_gate.read();
         // Snapshot pays decoding (RLE columns) or copy-in (external
         // storage); the write below pays WAL + undo + re-encoding.
         let current = self.snapshot(table)?;
         let n = current.num_rows();
-        let executor = Executor::new(self);
-        let ctx = EvalContext::new(&executor);
         let hit = where_clause
-            .map(|pred| executor.predicate(pred, &current, &ctx))
+            .map(|pred| self.predicate(pred, &current, ctx))
             .transpose()?;
         // Every assignment reads the old values, so the new columns are
         // installed only once all of them are computed.
@@ -817,7 +752,7 @@ impl Database {
                 stats.undo_bytes += bytes as u64;
                 stats.undo_versions += 1;
             }
-            let new_vals = || executor.eval(expr, &current, &ctx);
+            let new_vals = || self.eval(expr, &current, ctx);
             // Merge: rows the predicate hits take the new value, others
             // keep the old — a one-branch CASE.
             let merged_col = match &hit {
@@ -840,28 +775,19 @@ impl Database {
             updated.columns[idx] = col;
         }
         let key = table.to_ascii_lowercase();
-        let was_external = matches!(self.catalog.read().get(&key), Some(Stored::External(_)));
-        if was_external {
-            self.catalog.write().insert(
-                key,
-                Stored::External(Arc::new(ExternalTable::from_table(&updated))),
-            );
-        } else {
-            let stored = self.store(updated)?;
-            let old = self.catalog.write().insert(key, stored);
-            self.release(old);
-        }
+        let external = matches!(self.catalog.read().get(&key), Some(Stored::External(_)));
+        let stored = match external {
+            true => Stored::External(Arc::new(ExternalTable::from_table(&updated))),
+            false => self.store(updated)?,
+        };
+        let old = self.catalog.write().insert(key, stored);
+        self.release(old);
         self.wal_commit()?;
         drop(gate);
         self.maybe_checkpoint()
     }
 
     fn swap_column(&self, ta: &str, ca: &str, tb: &str, cb: &str) -> Result<()> {
-        if !self.config.allow_swap {
-            return Err(EngineError::Other(
-                "column swap is not supported by this backend configuration".into(),
-            ));
-        }
         let (ka, kb) = (ta.to_ascii_lowercase(), tb.to_ascii_lowercase());
         let mut cat = self.catalog.write();
         let rows = |k: &str, t: &str| {
@@ -1517,4 +1443,204 @@ mod tests {
             assert_eq!(ids("id = 9"), vec![9], "{mode:?}");
         }
     }
+
+    #[test]
+    fn integer_arithmetic_over_nulls_stays_integer_in_both_modes() {
+        let t = Table::from_columns(vec![
+            ("a", Column::int(vec![1, 2, 3])),
+            (
+                "b",
+                Column::from_datums(&[Datum::Int(10), Datum::Null, Datum::Int(30)]),
+            ),
+        ]);
+        for (mode, db) in both_modes(&[("t", t)]) {
+            let int = |x| Datum::Int(x);
+            let col = |sql: &str| first_column(&db, sql);
+            assert_eq!(
+                col("SELECT a + b FROM t"),
+                [int(11), Datum::Null, int(33)],
+                "{mode:?}"
+            );
+            assert_eq!(
+                col("SELECT b - a FROM t"),
+                [int(9), Datum::Null, int(27)],
+                "{mode:?}"
+            );
+            assert_eq!(
+                col("SELECT a * b FROM t"),
+                [int(10), Datum::Null, int(90)],
+                "{mode:?}"
+            );
+            // Division is Float, with or without NULLs.
+            let div = [Datum::Float(10.0), Datum::Null, Datum::Float(10.0)];
+            assert_eq!(col("SELECT b / a FROM t"), div, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn negating_i64_min_wraps_in_both_modes() {
+        let t = Table::from_columns(vec![
+            ("a", Column::int(vec![i64::MIN, 5])),
+            (
+                "b",
+                Column::from_datums(&[Datum::Int(i64::MIN), Datum::Null]),
+            ),
+        ]);
+        for (mode, db) in both_modes(&[("t", t)]) {
+            let got = first_column(&db, "SELECT -a FROM t");
+            assert_eq!(got, [Datum::Int(i64::MIN), Datum::Int(-5)], "{mode:?}");
+            let got = first_column(&db, "SELECT -b FROM t");
+            assert_eq!(got, [Datum::Int(i64::MIN), Datum::Null], "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn keyless_join_pairs_rows_left_major() {
+        let l = Table::from_columns(vec![("x", Column::int(vec![1, 2]))]);
+        let r = Table::from_columns(vec![("y", Column::int(vec![10, 20, 30]))]);
+        for (mode, db) in both_modes(&[("l", l), ("r", r)]) {
+            let t = db.query("SELECT x, y FROM l JOIN r").unwrap();
+            let pairs: Vec<(Datum, Datum)> = (0..t.num_rows())
+                .map(|i| (t.columns[0].get(i), t.columns[1].get(i)))
+                .collect();
+            let want: Vec<(Datum, Datum)> = [(1, 10), (1, 20), (1, 30), (2, 10), (2, 20), (2, 30)]
+                .into_iter()
+                .map(|(x, y)| (Datum::Int(x), Datum::Int(y)))
+                .collect();
+            assert_eq!(pairs, want, "{mode:?}");
+        }
+    }
+
+    /// A two-dimension star in the trainer's shape: the lifted fact
+    /// `jb_fact` (keys, a feature, the label and the annotation `jb_s`),
+    /// the semi-join key tables of two dimensions, and two cached messages.
+    fn lifted_star() -> Database {
+        let db = Database::in_memory();
+        let tables = [
+            (
+                "jb_fact",
+                vec![
+                    ("d1_id", Column::int(vec![0, 1, 1, 2])),
+                    ("d2_id", Column::int(vec![0, 0, 1, 1])),
+                    ("f0", Column::float(vec![0.5, 1.5, 2.5, 3.5])),
+                    ("y", Column::float(vec![1.0, 2.0, 3.0, 4.0])),
+                    ("jb_s", Column::float(vec![-1.5, -0.5, 0.5, 1.5])),
+                ],
+            ),
+            (
+                "d1",
+                vec![
+                    ("d1_id", Column::int(vec![0, 1, 2])),
+                    ("f1", Column::float(vec![1.0, 2.0, 3.0])),
+                ],
+            ),
+            ("jb_semi_1", vec![("d1_id", Column::int(vec![1, 2]))]),
+            ("jb_semi_2", vec![("d2_id", Column::int(vec![1]))]),
+            (
+                "jb_msg_1",
+                vec![
+                    ("d1_id", Column::int(vec![0, 1, 2])),
+                    ("jb_c", Column::int(vec![1, 2, 1])),
+                    ("jb_s", Column::float(vec![-1.5, 0.0, 1.5])),
+                ],
+            ),
+            (
+                "jb_msg_2",
+                vec![
+                    ("d1_id", Column::int(vec![1, 2])),
+                    ("jb_c", Column::int(vec![1, 1])),
+                    ("jb_s", Column::float(vec![0.5, 1.5])),
+                ],
+            ),
+        ];
+        for (name, cols) in tables {
+            db.create_table(name, Table::from_columns(cols)).unwrap();
+        }
+        db
+    }
+
+    /// `explain` over the four statement shapes a training run sends,
+    /// pinned whole: the choices they print are the engine's.
+    #[test]
+    fn explain_prints_the_trainers_four_statement_shapes() {
+        let db = lifted_star();
+        let explain = |sql: &str| db.explain(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        // A fact message behind the semi joins of the nodes above it: two
+        // key probes, and a scan of the four columns it names.
+        let message = "CREATE TABLE jb_msg_3 AS SELECT d1_id, SUM(1) AS jb_c, \
+            SUM(jb_fact.jb_s) AS jb_s FROM jb_fact SEMI JOIN jb_semi_1 USING (d1_id) \
+            SEMI JOIN jb_semi_2 USING (d2_id) GROUP BY d1_id";
+        assert_eq!(explain(message), MESSAGE_PLAN);
+        // The three-layer split query: a grouped join, prefix sums over
+        // its groups, and the best split by top-1.
+        let split = "SELECT val, c, s, s / c * s AS criteria FROM (SELECT val, \
+            SUM(c) OVER (ORDER BY val) AS c, SUM(s) OVER (ORDER BY val) AS s FROM \
+            (SELECT f1 AS val, SUM(jb_msg_1.jb_c) AS c, SUM(jb_msg_1.jb_s) AS s \
+            FROM d1 JOIN jb_msg_1 USING (d1_id) WHERE f1 IS NOT NULL GROUP BY f1) AS g \
+            ORDER BY val) AS w WHERE c >= 1.0 AND 4.0 - c >= 1.0 \
+            ORDER BY criteria DESC LIMIT 1";
+        assert_eq!(explain(split), SPLIT_PLAN);
+        // The residual update: one CASE branch per leaf, whose dimension
+        // predicates repeat — two distinct subqueries behind three INs.
+        let update = "CREATE OR REPLACE TABLE jb_fact AS SELECT d1_id, d2_id, f0, y, \
+            CASE WHEN d1_id IN (SELECT d1_id FROM d1 WHERE f1 <= 1.5) THEN jb_s - 0.25 \
+            WHEN d1_id IN (SELECT d1_id FROM d1 WHERE f1 > 1.5) AND f0 <= 2.0 THEN jb_s + 0.5 \
+            WHEN d1_id IN (SELECT d1_id FROM d1 WHERE f1 > 1.5) THEN jb_s - 0.75 \
+            ELSE jb_s END AS jb_s FROM jb_fact";
+        assert_eq!(explain(update), UPDATE_PLAN);
+        // Sibling subtraction: the larger child's message is the parent's
+        // less the smaller child's, key-aligned by a LEFT JOIN.
+        let sibling = "CREATE TABLE jb_msg_4 AS SELECT d1_id, \
+            jb_msg_1.jb_c - COALESCE(jb_msg_2.jb_c, 0) AS jb_c, \
+            jb_msg_1.jb_s - COALESCE(jb_msg_2.jb_s, 0.0) AS jb_s \
+            FROM jb_msg_1 LEFT JOIN jb_msg_2 USING (d1_id) \
+            WHERE jb_msg_1.jb_c - COALESCE(jb_msg_2.jb_c, 0) > 0";
+        assert_eq!(explain(sibling), SIBLING_PLAN);
+        // Explaining runs nothing; running the statements works as planned.
+        assert!(!db.has_table("jb_msg_3"));
+        for sql in [message, split, update, sibling] {
+            db.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        }
+        let split = db.query(split).unwrap();
+        assert_eq!(split.num_rows(), 1);
+        let msg = db
+            .query("SELECT jb_c FROM jb_msg_4 ORDER BY d1_id")
+            .unwrap();
+        assert_eq!(msg.columns[0], Column::int(vec![1, 1]));
+    }
+
+    const MESSAGE_PLAN: &str = r#"Scan jb_fact [d1_id, d2_id, jb_s]
+SemiProbe USING (d1_id)
+  Scan jb_semi_1 [d1_id, d2_id, jb_s]
+SemiProbe USING (d2_id)
+  Scan jb_semi_2 [d1_id, d2_id, jb_s]
+Aggregate [d1_id] [SUM(1), SUM(jb_fact.jb_s)] -> [__key0 AS d1_id, __agg0 AS jb_c, __agg1 AS jb_s] reads [d1_id, jb_s]
+CreateAs jb_msg_3 or_replace=false
+"#;
+    const SPLIT_PLAN: &str = r#"Subquery w
+  Subquery g
+    Scan d1 [d1_id, f1, jb_c, jb_s]
+    HashJoin Inner USING (d1_id)
+      Scan jb_msg_1 [d1_id, f1, jb_c, jb_s]
+    Filter [f1 IS NOT NULL]
+    Aggregate [f1] [SUM(jb_msg_1.jb_c), SUM(jb_msg_1.jb_s)] -> [__key0 AS val, __agg0 AS c, __agg1 AS s] reads [f1, jb_c, jb_s]
+  Project [val, SUM(c) OVER (ORDER BY val) AS c, SUM(s) OVER (ORDER BY val) AS s] reads [val, c, s]
+  Sort [val]
+Filter [c >= 1.0, 4.0 - c >= 1.0]
+Project [val, c, s, s / c * s AS criteria] reads [val, c, s, criteria]
+TopK 1 [criteria DESC]
+"#;
+    const UPDATE_PLAN: &str = r#"Scan jb_fact [d1_id, d2_id, f0, y, jb_s]
+Project [d1_id, d2_id, f0, y, CASE WHEN d1_id IN (SELECT d1_id FROM d1 WHERE f1 <= 1.5) THEN jb_s - 0.25 WHEN d1_id IN (SELECT d1_id FROM d1 WHERE f1 > 1.5) AND f0 <= 2.0 THEN jb_s + 0.5 WHEN d1_id IN (SELECT d1_id FROM d1 WHERE f1 > 1.5) THEN jb_s - 0.75 ELSE jb_s END AS jb_s] reads [d1_id, d2_id, f0, y, jb_s]
+CreateAs jb_fact or_replace=true
+subquery $0: SELECT d1_id FROM d1 WHERE f1 <= 1.5
+subquery $1: SELECT d1_id FROM d1 WHERE f1 > 1.5
+"#;
+    const SIBLING_PLAN: &str = r#"Scan jb_msg_1 [d1_id, jb_c, jb_s]
+HashJoin Left USING (d1_id)
+  Scan jb_msg_2 [d1_id, jb_c, jb_s]
+Filter [jb_msg_1.jb_c - COALESCE(jb_msg_2.jb_c, 0) > 0]
+Project [d1_id, jb_msg_1.jb_c - COALESCE(jb_msg_2.jb_c, 0) AS jb_c, jb_msg_1.jb_s - COALESCE(jb_msg_2.jb_s, 0.0) AS jb_s] reads [d1_id, jb_c, jb_s]
+CreateAs jb_msg_4 or_replace=false
+"#;
 }

@@ -1,76 +1,29 @@
 //! Query execution: joins, filters, grouping/aggregation, window functions,
 //! ordering — late-materialized, the way the columnar DBMSes the paper
-//! runs on execute the SPJA statements JoinBoost emits.
-//!
-//! A query block runs as **bind → pruned scan → select → gather once →
-//! aggregate/project**:
-//!
-//! 1. *bind*: [`Query::visit_columns`] names every column the block
-//!    references; a base table is scanned for those columns only
-//!    ([`Database::scan`]).
-//! 2. *select*: `SEMI JOIN`s and `WHERE` narrow one selection vector over
-//!    the scanned input; a semi join probes a [`KeySet`] and copies
-//!    nothing. Other joins gather their left input and run on tables.
-//! 3. *gather*: the surviving rows of only the columns the aggregate or
-//!    projection reads are copied out once — and not at all when nothing
-//!    was filtered.
-//!
-//! A selection vector is ascending, so every operator downstream sees the
-//! surviving rows in scan order: pruning and selection change which bytes
-//! are read, never the order a fold consumes rows.
+//! runs on execute the SPJA statements JoinBoost emits. The executor runs
+//! the plan [`crate::plan::bind`] made and decides only what depends on
+//! the data.
 
 use std::borrow::Cow;
 
-use joinboost_sql::ast::{BinaryOp, Expr, Join, JoinKind, Query, TableRef, Value};
+use joinboost_sql::ast::{Expr, JoinKind, Query, Value};
 
-use crate::agg::PreparedAgg;
+use crate::agg::{self, PreparedAgg};
 use crate::column::Column;
 use crate::db::{Database, ExecMode};
 use crate::error::{EngineError, Result};
-use crate::expr::{eval, eval_mask, eval_rows, EvalContext, SubqueryRunner};
+use crate::expr::{eval, eval_mask, eval_rows, EvalContext, Slots, SubqueryRunner};
 use crate::keys::{group_rows, JoinIndex, KeySet, SortKeys};
 use crate::mask::Mask;
+use crate::plan::{bind_query, Output, QueryPlan, Source, Step};
 use crate::table::{ColumnMeta, Table};
 
-/// Aggregate function names.
-const AGGS: [&str; 5] = ["SUM", "COUNT", "AVG", "MIN", "MAX"];
-
-/// Executes queries against a [`Database`].
-pub struct Executor<'a> {
-    /// The database whose catalog the query reads.
-    pub db: &'a Database,
-    /// Columnar vs row evaluation (from the database config).
-    pub mode: ExecMode,
-}
-
-impl SubqueryRunner for Executor<'_> {
+/// An `IN (SELECT ..)` subquery is a statement of its own.
+impl SubqueryRunner for Database {
     fn run_subquery(&self, q: &Query) -> Result<Table> {
-        self.query(q)
+        let mut slots = Slots::default();
+        self.run_query(&bind_query(q, &mut slots)?, slots)
     }
-}
-
-/// The column names a set of expressions reads; `None` when a lone `*`
-/// among them reads every column.
-fn columns_read<'e>(exprs: impl IntoIterator<Item = &'e Expr>) -> Option<Vec<&'e str>> {
-    let mut names = Vec::new();
-    for e in exprs {
-        if matches!(e, Expr::Wildcard) {
-            return None;
-        }
-        e.visit_columns(&mut |name| names.push(name));
-    }
-    Some(names)
-}
-
-/// Bind: the column names a query block references anywhere, by which
-/// every base table it scans is pruned; `None` under `SELECT *`.
-fn columns_named(q: &Query) -> Option<Vec<&str>> {
-    if q.items.iter().any(|it| matches!(it.expr, Expr::Wildcard)) {
-        return None;
-    }
-    let mut names = Vec::new();
-    q.visit_columns(&mut |name| names.push(name));
-    Some(names)
 }
 
 /// The scanned `FROM`/`JOIN` input of a query block and the rows of it
@@ -125,305 +78,172 @@ impl Selected {
     }
 }
 
-impl<'a> Executor<'a> {
-    /// An executor in the database's configured execution mode.
-    pub fn new(db: &'a Database) -> Self {
-        let mode = db.config().exec;
-        Executor { db, mode }
+/// The columns of `t` named `using`, in order.
+fn key_columns<'t>(t: &'t Table, using: &[String]) -> Result<Vec<&'t Column>> {
+    using.iter().map(|k| t.column(None, k)).collect()
+}
+
+impl Database {
+    /// Run a bound query block with the slots of its statement.
+    pub(crate) fn run_query(&self, plan: &QueryPlan, slots: Slots) -> Result<Table> {
+        self.block(plan, &EvalContext::bound(self, slots))
     }
 
-    /// Execute a `SELECT` query to a materialized table.
-    pub fn query(&self, q: &Query) -> Result<Table> {
-        let ctx = EvalContext::new(self);
-        self.query_with_ctx(q, &ctx)
-    }
-
-    /// Evaluate `expr` over every row of `table` in the configured mode.
-    pub(crate) fn eval(&self, expr: &Expr, table: &Table, ctx: &EvalContext) -> Result<Column> {
-        match self.mode {
-            ExecMode::Columnar => eval(expr, table, ctx),
-            ExecMode::Row => eval_rows(expr, table, ctx),
+    /// `e` over every row of `t`, in the configured execution mode.
+    pub(crate) fn eval<'p>(&self, e: &'p Expr, t: &Table, ctx: &EvalContext<'p>) -> Result<Column> {
+        match self.config().exec {
+            ExecMode::Columnar => eval(e, t, ctx),
+            ExecMode::Row => eval_rows(e, t, ctx),
         }
     }
 
-    /// Evaluate the predicate `pred` over every row of `table` in the
-    /// configured mode.
-    pub(crate) fn predicate(&self, pred: &Expr, table: &Table, ctx: &EvalContext) -> Result<Mask> {
-        match self.mode {
-            ExecMode::Columnar => eval_mask(pred, table, ctx),
-            ExecMode::Row => Ok(Mask::truthy(&eval_rows(pred, table, ctx)?)),
+    /// The predicate `p` over every row of `t`, in the configured mode.
+    pub(crate) fn predicate<'p>(
+        &self,
+        p: &'p Expr,
+        t: &Table,
+        ctx: &EvalContext<'p>,
+    ) -> Result<Mask> {
+        match self.config().exec {
+            ExecMode::Columnar => eval_mask(p, t, ctx),
+            ExecMode::Row => Ok(Mask::truthy(&eval_rows(p, t, ctx)?)),
         }
     }
 
-    fn query_with_ctx(&self, q: &Query, ctx: &EvalContext) -> Result<Table> {
-        let scanned = columns_named(q);
-        let scanned = scanned.as_deref();
-        // FROM + JOINs.
-        let mut input = Selected::all(match &q.from {
-            Some(tref) => self.table_ref(tref, scanned)?,
-            None => dummy_table(),
-        });
-        for j in &q.joins {
-            input = self.join(input, j, scanned, ctx)?;
+    fn block<'p>(&self, q: &'p QueryPlan<'p>, ctx: &EvalContext<'p>) -> Result<Table> {
+        let mut input = Selected::all(self.source(&q.source, ctx)?);
+        for step in &q.steps {
+            input = self.step(input, step, ctx)?;
         }
-        // WHERE.
-        if let Some(pred) = &q.where_clause {
-            self.filter(&mut input, pred, ctx)?;
-        }
-        // Aggregation or plain projection, over the surviving rows of the
-        // columns it reads (ORDER BY may fall back on the input's too).
-        let has_agg =
-            !q.group_by.is_empty() || q.items.iter().any(|it| contains_aggregate(&it.expr));
-        let read = columns_read(
-            (q.items.iter().map(|it| &it.expr))
-                .chain(&q.group_by)
-                .chain(q.order_by.iter().map(|o| &o.expr)),
-        );
-        let input = input.view(read.as_deref());
+        // The output, over the surviving rows of the columns it reads
+        // (ORDER BY may fall back on a projection's input too).
+        let input = input.view(q.reads.as_deref());
         let input: &Table = &input;
-        let mut output = if has_agg {
-            self.aggregate(q, input, ctx)?
-        } else {
-            self.project(q, input, ctx)?
+        let (mut output, fallback) = match &q.output {
+            Output::Project(items) => (self.project(items, input, ctx)?, Some(input)),
+            Output::Aggregate(keys, aggs, outputs) => {
+                (self.aggregate(keys, aggs, outputs, input, ctx)?, None)
+            }
         };
-        // ORDER BY (resolved against the projection first, then the input).
-        // Sort keys are extracted once into a comparable form (dict ranks
-        // for strings, f64 for numerics) — no Datum materialization or
-        // String clone per comparison.
-        let mut limit_applied = false;
-        if !q.order_by.is_empty() {
+        // ORDER BY, resolved against the output first; keys are extracted
+        // once (dict ranks for strings, f64 for numerics).
+        if !q.order.is_empty() {
             let n = output.num_rows();
-            let mut sort_cols: Vec<Column> = Vec::with_capacity(q.order_by.len());
-            for item in &q.order_by {
-                let col = match eval(&item.expr, &output, ctx) {
-                    Ok(c) => c,
-                    Err(_) if !has_agg => eval(&item.expr, input, ctx)?,
-                    Err(e) => return Err(e),
+            let mut sort_cols: Vec<Column> = Vec::with_capacity(q.order.len());
+            for item in q.order {
+                let col = match (eval(&item.expr, &output, ctx), fallback) {
+                    (Ok(c), _) => c,
+                    (Err(_), Some(input)) => eval(&item.expr, input, ctx)?,
+                    (Err(e), None) => return Err(e),
                 };
                 if col.len() != n {
                     return Err(EngineError::Other("ORDER BY arity mismatch".into()));
                 }
                 sort_cols.push(col);
             }
-            let descs: Vec<bool> = q.order_by.iter().map(|o| o.desc).collect();
+            let descs: Vec<bool> = q.order.iter().map(|o| o.desc).collect();
             let keys = SortKeys::new(sort_cols, &descs);
-            match q.limit {
-                // Top-k pushdown: ORDER BY + LIMIT k selects the k winners
-                // with a bounded insertion set — O(n log k) instead of a
-                // full O(n log n) sort (sqlgen's split queries use k = 1).
-                Some(l) if (l as usize) < n && (l as usize) <= TOP_K_MAX => {
-                    let winners = keys.top_k(n, l as usize);
-                    output = output.take(&winners);
-                    limit_applied = true;
-                }
-                _ => {
-                    let perm = keys.sort_permutation(n);
-                    output = output.take(&perm);
-                }
-            }
+            let perm = match q.top_k {
+                // The k winners by a bounded insertion set, O(n log k) (split
+                // queries use k = 1); over no more than k rows, the sort.
+                Some(k) if k < n => keys.top_k(n, k),
+                _ => keys.sort_permutation(n),
+            };
+            output = output.take(&perm);
         }
-        // LIMIT (cheap prefix truncation; no index vector + gather).
-        if let Some(l) = q.limit {
-            if !limit_applied {
-                let keep = (l as usize).min(output.num_rows());
-                if keep < output.num_rows() {
-                    output = output.head(keep);
-                }
-            }
-        }
-        Ok(output)
-    }
-
-    /// Scan a base table for the columns named in `columns` (`None`: all),
-    /// or run a `FROM` subquery — a block of its own, kept whole.
-    fn table_ref(&self, tref: &TableRef, columns: Option<&[&str]>) -> Result<Table> {
-        match tref {
-            TableRef::Named { name, alias } => {
-                let t = self.db.scan(name, columns)?;
-                let binding = alias.as_deref().unwrap_or(name);
-                Ok(t.with_qualifier(binding))
-            }
-            TableRef::Subquery { query, alias } => {
-                let t = self.query(query)?;
-                match alias {
-                    Some(a) => Ok(t.unqualified().with_qualifier(a)),
-                    None => Ok(t.unqualified()),
-                }
-            }
+        match q.limit {
+            Some(k) if k < output.num_rows() => Ok(output.head(k)),
+            _ => Ok(output),
         }
     }
 
-    /// Narrow `input` to the surviving rows where `pred` is TRUE, one
-    /// conjunct at a time: each is evaluated over the rows the ones before
-    /// it kept, reading only the columns it names.
-    fn filter(&self, input: &mut Selected, pred: &Expr, ctx: &EvalContext) -> Result<()> {
-        for conjunct in conjuncts(pred) {
-            let view = input.view(columns_read([conjunct]).as_deref());
-            let mask = self.predicate(conjunct, &view, ctx)?;
-            drop(view);
-            // `mask` is positional over the surviving rows.
-            input.narrow(mask.select(input.sel.as_deref()));
+    fn source<'p>(&self, source: &'p Source<'p>, ctx: &EvalContext<'p>) -> Result<Table> {
+        match source {
+            Source::Scan(table, binding, cols) => {
+                Ok(self.scan(table, cols.as_deref())?.with_qualifier(binding))
+            }
+            Source::Subquery(plan, alias) => {
+                let t = self.block(plan, ctx)?.unqualified();
+                Ok(match *alias {
+                    Some(a) => t.with_qualifier(a),
+                    None => t,
+                })
+            }
+            Source::OneRow => Ok(Table::from_columns(vec![("__dummy", Column::int(vec![0]))])),
         }
-        Ok(())
     }
 
-    // ---- joins -----------------------------------------------------------
-
-    fn join(
+    fn step<'p>(
         &self,
-        left: Selected,
-        join: &Join,
-        columns: Option<&[&str]>,
-        ctx: &EvalContext,
+        mut input: Selected,
+        step: &'p Step<'p>,
+        ctx: &EvalContext<'p>,
     ) -> Result<Selected> {
-        let right = self.table_ref(&join.table, columns)?;
-        if join.using.is_empty() {
-            return self.nested_loop_join(left.into_table(), right, join, ctx);
-        }
-        let rkeys: Vec<usize> = join
-            .using
-            .iter()
-            .map(|k| right.resolve(None, k))
-            .collect::<Result<_>>()?;
-        let rkey_cols: Vec<&Column> = rkeys.iter().map(|&k| &right.columns[k]).collect();
-        if join.kind == JoinKind::Semi {
-            return self.semi_join(left, join, &rkey_cols, right.num_rows(), ctx);
-        }
-        let left = left.into_table();
-        let lkeys: Vec<usize> = join
-            .using
-            .iter()
-            .map(|k| left.resolve(None, k))
-            .collect::<Result<_>>()?;
-        // Build a hash index on the right side over flat encoded keys
-        // (u64 fast path for int keys, byte-packed fallback otherwise) —
-        // no per-row Vec<HKey> or String clone on either side.
-        let rn = right.num_rows();
-        let ln = left.num_rows();
-        let lkey_cols: Vec<&Column> = lkeys.iter().map(|&k| &left.columns[k]).collect();
-        let index = JoinIndex::build(&lkey_cols, &rkey_cols, ln, rn);
-        let mut lidx: Vec<u32> = Vec::with_capacity(ln);
-        let mut ridx: Vec<Option<u32>> = Vec::with_capacity(ln);
-        let mut rmatched = vec![false; rn];
-        for i in 0..ln {
-            match index.probe(i) {
-                Some(rows) => {
-                    for &r in rows {
-                        lidx.push(i as u32);
-                        ridx.push(Some(r));
-                        rmatched[r as usize] = true;
-                    }
-                }
-                None if join.kind == JoinKind::Inner => {}
-                None => {
-                    lidx.push(i as u32);
-                    ridx.push(None);
+        match step {
+            // `mask` is positional over the surviving rows of the columns
+            // each conjunct reads.
+            Step::Filter(conjuncts) => {
+                for (conjunct, reads) in conjuncts {
+                    let mask = self.predicate(conjunct, &input.view(Some(reads)), ctx)?;
+                    input.narrow(mask.select(input.sel.as_deref()));
                 }
             }
-        }
-        let mut out = assemble_join(&left, &right, &join.using, &lkeys, &rkeys, &lidx, &ridx);
-        if join.kind == JoinKind::Full {
-            // Append unmatched right rows (left side NULL).
-            let extra: Vec<u32> = (0..rn as u32).filter(|&r| !rmatched[r as usize]).collect();
-            if !extra.is_empty() {
-                let extra_tbl = assemble_right_only(&left, &right, &join.using, &rkeys, &extra);
-                for (c, e) in out.columns.iter_mut().zip(&extra_tbl.columns) {
-                    *c = Column::concat(&[c, e]);
-                }
+            // Keep the left rows whose key the right side holds: left columns
+            // only, annotations unchanged, no row copied.
+            Step::SemiProbe(right, using) => {
+                let right = self.source(right, ctx)?;
+                let set = KeySet::build(&key_columns(&right, using)?, right.num_rows());
+                let probe = key_columns(&input.table, using)?;
+                let kept = (set.probe(&probe)).select(input.sel.as_deref(), input.table.num_rows());
+                input.narrow(kept);
+            }
+            Step::HashJoin(right, kind, using) => {
+                let right = self.source(right, ctx)?;
+                return hash_join(input.into_table(), right, *kind, using);
+            }
+            // Every pair of rows: all of them share the empty key.
+            Step::NestedLoop(right) => {
+                let right = self.source(right, ctx)?;
+                return hash_join(input.into_table(), right, JoinKind::Inner, &[]);
             }
         }
-        let mut out = Selected::all(out);
-        if let Some(on) = &join.on {
-            if join.kind != JoinKind::Inner {
-                return Err(EngineError::Other(
-                    "ON predicates are only supported on inner/semi joins".into(),
-                ));
-            }
-            self.filter(&mut out, on, ctx)?;
-        }
-        Ok(out)
-    }
-
-    /// Semi join: narrow the left selection to the rows whose key the
-    /// right side holds. Left columns only, annotations unchanged — and
-    /// no row copied.
-    fn semi_join(
-        &self,
-        mut left: Selected,
-        join: &Join,
-        rkey_cols: &[&Column],
-        rn: usize,
-        ctx: &EvalContext,
-    ) -> Result<Selected> {
-        let set = KeySet::build(rkey_cols, rn);
-        let lkey_cols: Vec<&Column> = join
-            .using
-            .iter()
-            .map(|k| left.table.column(None, k))
-            .collect::<Result<_>>()?;
-        let kept = (set.probe(&lkey_cols)).select(left.sel.as_deref(), left.table.num_rows());
-        left.narrow(kept);
-        if let Some(on) = &join.on {
-            self.filter(&mut left, on, ctx)?;
-        }
-        Ok(left)
-    }
-
-    fn nested_loop_join(
-        &self,
-        left: Table,
-        right: Table,
-        join: &Join,
-        ctx: &EvalContext,
-    ) -> Result<Selected> {
-        if join.kind != JoinKind::Inner {
-            return Err(EngineError::Other(
-                "only inner joins may omit USING keys".into(),
-            ));
-        }
-        let (ln, rn) = (left.num_rows(), right.num_rows());
-        let mut lidx = Vec::with_capacity(ln * rn.min(4));
-        let mut ridx = Vec::with_capacity(ln * rn.min(4));
-        for i in 0..ln as u32 {
-            for j in 0..rn as u32 {
-                lidx.push(i);
-                ridx.push(Some(j));
-            }
-        }
-        let mut out = Selected::all(assemble_join(&left, &right, &[], &[], &[], &lidx, &ridx));
-        if let Some(on) = &join.on {
-            self.filter(&mut out, on, ctx)?;
-        }
-        Ok(out)
+        Ok(input)
     }
 
     // ---- projection / aggregation -----------------------------------------
 
-    fn project(&self, q: &Query, input: &Table, ctx: &EvalContext) -> Result<Table> {
+    fn project<'p>(
+        &self,
+        items: &'p [(String, &'p Expr)],
+        input: &Table,
+        ctx: &EvalContext<'p>,
+    ) -> Result<Table> {
         let mut out = Table::new();
-        for (i, item) in q.items.iter().enumerate() {
-            if matches!(item.expr, Expr::Wildcard) {
-                for (m, c) in input.meta.iter().zip(&input.columns) {
-                    if m.name.starts_with("__") {
-                        continue;
-                    }
+        for (name, e) in items {
+            if matches!(e, Expr::Wildcard) {
+                let columns = input.meta.iter().zip(&input.columns);
+                for (m, c) in columns.filter(|(m, _)| !m.name.starts_with("__")) {
                     out.push_column(ColumnMeta::new(m.name.clone()), c.clone());
                 }
                 continue;
             }
-            let col = self.eval(&item.expr, input, ctx)?;
-            out.push_column(ColumnMeta::new(item_name(item, i)), col);
+            let col = self.eval(e, input, ctx)?;
+            out.push_column(ColumnMeta::new(name.clone()), col);
         }
         Ok(out)
     }
 
-    fn aggregate(&self, q: &Query, input: &Table, ctx: &EvalContext) -> Result<Table> {
+    fn aggregate<'p>(
+        &self,
+        keys: &'p [Expr],
+        aggs: &'p [&'p Expr],
+        outputs: &'p [(String, Expr)],
+        input: &Table,
+        ctx: &EvalContext<'p>,
+    ) -> Result<Table> {
         let n = input.num_rows();
-        // 1. Group ids (vectorized: keys packed into a u64 or a flat byte
-        // buffer — no per-row Vec<HKey> allocation).
-        let key_cols: Vec<Column> = q
-            .group_by
-            .iter()
+        // 1. Group ids, over keys packed into a u64 or a flat byte buffer.
+        let key_cols: Vec<Column> = (keys.iter())
             .map(|e| eval(e, input, ctx))
             .collect::<Result<_>>()?;
         let (gids, num_groups, rep_rows, sizes) = if key_cols.is_empty() {
@@ -433,42 +253,23 @@ impl<'a> Executor<'a> {
             let g = group_rows(&refs, n);
             (g.gids, g.num_groups, g.reps, g.sizes)
         };
-        // 2. Collect unique aggregate calls from the select list.
-        let mut aggs: Vec<Expr> = Vec::new();
-        for item in &q.items {
-            collect_aggregates(&item.expr, &mut aggs);
-        }
-        // 3. Evaluate every aggregate's argument once, then fill all
-        // accumulator banks in a single fused pass (optionally in
-        // parallel — see `agg` module docs for the determinism argument).
+        // 2. Every aggregate's argument evaluated once, then all banks filled
+        // in one fused pass (parallel: see `agg` on determinism).
         let mut prepared: Vec<PreparedAgg> = Vec::with_capacity(aggs.len());
-        for agg in &aggs {
+        for agg in aggs {
             prepared.push(self.prepare_aggregate(agg, input, ctx)?);
         }
         // Paged engines spill accumulator banks that exceed the configured
         // budget, slicing the group-id space (bit-identical; see `agg`).
-        let spill = self.db.spill_target().filter(|&(_, budget)| {
-            num_groups > 1 && crate::agg::bank_bytes(&prepared, num_groups) > budget
-        });
-        let agg_cols = match spill {
-            Some((store, budget)) => crate::agg::compute_grouped_spilled(
-                &prepared,
-                &gids,
-                num_groups,
-                Some(&sizes),
-                self.db.config().agg_threads,
-                store,
-                budget,
-            )?,
-            None => crate::agg::compute_grouped(
-                &prepared,
-                &gids,
-                num_groups,
-                Some(&sizes),
-                self.db.config().agg_threads,
-            ),
+        let (banks, groups, sizes) = (&prepared[..], num_groups, Some(&sizes[..]));
+        let threads = self.config().agg_threads;
+        let agg_cols = match self.spill_target() {
+            Some((store, budget)) if groups > 1 && agg::bank_bytes(banks, groups) > budget => {
+                agg::compute_grouped_spilled(banks, &gids, groups, sizes, threads, store, budget)?
+            }
+            _ => agg::compute_grouped(banks, &gids, groups, sizes, threads),
         };
-        // 4. Synthetic table: group keys (named __key{i}) + aggregates.
+        // 3. Synthetic table: group keys (named __key{i}) + aggregates.
         let mut synth = Table::new();
         for (i, kc) in key_cols.iter().enumerate() {
             synth.push_column(ColumnMeta::new(format!("__key{i}")), kc.take(&rep_rows));
@@ -476,23 +277,21 @@ impl<'a> Executor<'a> {
         for (i, ac) in agg_cols.into_iter().enumerate() {
             synth.push_column(ColumnMeta::new(format!("__agg{i}")), ac);
         }
-        // 5. Rewrite select items over the synthetic table and evaluate.
+        // 4. The select items, rewritten over the synthetic table.
         let mut out = Table::new();
-        for (i, item) in q.items.iter().enumerate() {
-            let rewritten = rewrite_post_agg(&item.expr, &q.group_by, &aggs)?;
-            let col = eval(&rewritten, &synth, ctx)?;
-            out.push_column(ColumnMeta::new(item_name(item, i)), col);
+        for (name, e) in outputs {
+            out.push_column(ColumnMeta::new(name.clone()), eval(e, &synth, ctx)?);
         }
         Ok(out)
     }
 
     /// Evaluate one aggregate's argument (once) into the typed form the
     /// fused accumulator pass consumes.
-    fn prepare_aggregate(
+    fn prepare_aggregate<'p>(
         &self,
-        agg: &Expr,
+        agg: &'p Expr,
         input: &Table,
-        ctx: &EvalContext,
+        ctx: &EvalContext<'p>,
     ) -> Result<PreparedAgg> {
         let Expr::Func { name, args } = agg else {
             return Err(EngineError::Other("not an aggregate".into()));
@@ -519,174 +318,69 @@ impl<'a> Executor<'a> {
     }
 }
 
-/// The operands of a tree of `AND`s, left to right.
-fn conjuncts(e: &Expr) -> Vec<&Expr> {
-    match e {
-        Expr::Binary {
-            op: BinaryOp::And,
-            left,
-            right,
-        } => {
-            let mut out = conjuncts(left);
-            out.extend(conjuncts(right));
-            out
-        }
-        other => vec![other],
-    }
-}
-
-/// Largest `LIMIT` the bounded top-k selection handles; larger limits run
-/// the full sort (insertion into the winner set is O(k) per improving row).
-const TOP_K_MAX: usize = 64;
-
-/// `true` if the expression contains an aggregate function call.
-pub fn contains_aggregate(e: &Expr) -> bool {
-    match e {
-        Expr::Func { name, args } => {
-            AGGS.contains(&name.as_str()) || args.iter().any(contains_aggregate)
-        }
-        Expr::Binary { left, right, .. } => contains_aggregate(left) || contains_aggregate(right),
-        Expr::Unary { expr, .. } => contains_aggregate(expr),
-        Expr::Case { whens, else_expr } => {
-            whens
-                .iter()
-                .any(|(c, t)| contains_aggregate(c) || contains_aggregate(t))
-                || else_expr.as_deref().is_some_and(contains_aggregate)
-        }
-        Expr::InList { expr, list, .. } => {
-            contains_aggregate(expr) || list.iter().any(contains_aggregate)
-        }
-        Expr::IsNull { expr, .. } => contains_aggregate(expr),
-        Expr::InSubquery { expr, .. } => contains_aggregate(expr),
-        _ => false,
-    }
-}
-
-fn collect_aggregates(e: &Expr, out: &mut Vec<Expr>) {
-    match e {
-        Expr::Func { name, args } if AGGS.contains(&name.as_str()) => {
-            if !out.contains(e) {
-                out.push(e.clone());
+/// An inner, left or full join on the `using` keys, through a hash index
+/// over the right side's flat encoded keys (u64 fast path for int keys,
+/// byte-packed fallback otherwise) — no per-row Vec<HKey> or String clone.
+fn hash_join(left: Table, right: Table, kind: JoinKind, using: &[String]) -> Result<Selected> {
+    let keys = |t: &Table| {
+        using
+            .iter()
+            .map(|k| t.resolve(None, k))
+            .collect::<Result<Vec<_>>>()
+    };
+    let (rkeys, lkeys) = (keys(&right)?, keys(&left)?);
+    let (ln, rn) = (left.num_rows(), right.num_rows());
+    let index = JoinIndex::build(
+        &key_columns(&left, using)?,
+        &key_columns(&right, using)?,
+        ln,
+        rn,
+    );
+    let mut lidx: Vec<u32> = Vec::with_capacity(ln);
+    let mut ridx: Vec<Option<u32>> = Vec::with_capacity(ln);
+    let mut rmatched = vec![false; rn];
+    for i in 0..ln {
+        match index.probe(i) {
+            Some(rows) => {
+                for &r in rows {
+                    lidx.push(i as u32);
+                    ridx.push(Some(r));
+                    rmatched[r as usize] = true;
+                }
             }
-            // Aggregates cannot nest; no need to recurse into args.
-            let _ = args;
-        }
-        Expr::Func { args, .. } => {
-            for a in args {
-                collect_aggregates(a, out);
+            None if kind == JoinKind::Inner => {}
+            None => {
+                lidx.push(i as u32);
+                ridx.push(None);
             }
         }
-        Expr::Binary { left, right, .. } => {
-            collect_aggregates(left, out);
-            collect_aggregates(right, out);
-        }
-        Expr::Unary { expr, .. } => collect_aggregates(expr, out),
-        Expr::Case { whens, else_expr } => {
-            for (c, t) in whens {
-                collect_aggregates(c, out);
-                collect_aggregates(t, out);
-            }
-            if let Some(e) = else_expr {
-                collect_aggregates(e, out);
+    }
+    let mut out = assemble_join(&left, &right, &rkeys, &lidx, &ridx);
+    if kind == JoinKind::Full {
+        let extra: Vec<u32> = (0..rn as u32).filter(|&r| !rmatched[r as usize]).collect();
+        if !extra.is_empty() {
+            let extra_tbl = assemble_right_only(&left, &right, &lkeys, &rkeys, &extra);
+            for (c, e) in out.columns.iter_mut().zip(&extra_tbl.columns) {
+                *c = Column::concat(&[c, e]);
             }
         }
-        Expr::InList { expr, list, .. } => {
-            collect_aggregates(expr, out);
-            for i in list {
-                collect_aggregates(i, out);
-            }
-        }
-        Expr::IsNull { expr, .. } => collect_aggregates(expr, out),
-        _ => {}
     }
+    Ok(Selected::all(out))
 }
 
-/// Rewrite a post-aggregation expression: group-by expressions become
-/// `__key{i}` references, aggregate calls become `__agg{i}` references.
-fn rewrite_post_agg(e: &Expr, keys: &[Expr], aggs: &[Expr]) -> Result<Expr> {
-    if let Some(i) = keys.iter().position(|k| k == e) {
-        return Ok(Expr::col(format!("__key{i}")));
-    }
-    if let Some(i) = aggs.iter().position(|a| a == e) {
-        return Ok(Expr::col(format!("__agg{i}")));
-    }
-    match e {
-        Expr::Literal(_) => Ok(e.clone()),
-        Expr::Binary { op, left, right } => Ok(Expr::Binary {
-            op: *op,
-            left: Box::new(rewrite_post_agg(left, keys, aggs)?),
-            right: Box::new(rewrite_post_agg(right, keys, aggs)?),
-        }),
-        Expr::Unary { op, expr } => Ok(Expr::Unary {
-            op: *op,
-            expr: Box::new(rewrite_post_agg(expr, keys, aggs)?),
-        }),
-        Expr::Func { name, args } => Ok(Expr::Func {
-            name: name.clone(),
-            args: args
-                .iter()
-                .map(|a| rewrite_post_agg(a, keys, aggs))
-                .collect::<Result<_>>()?,
-        }),
-        Expr::Case { whens, else_expr } => Ok(Expr::Case {
-            whens: whens
-                .iter()
-                .map(|(c, t)| {
-                    Ok((
-                        rewrite_post_agg(c, keys, aggs)?,
-                        rewrite_post_agg(t, keys, aggs)?,
-                    ))
-                })
-                .collect::<Result<_>>()?,
-            else_expr: match else_expr {
-                Some(e) => Some(Box::new(rewrite_post_agg(e, keys, aggs)?)),
-                None => None,
-            },
-        }),
-        Expr::Column { .. } => Err(EngineError::Other(format!(
-            "column {e} must appear in GROUP BY or inside an aggregate"
-        ))),
-        other => Err(EngineError::Other(format!(
-            "unsupported post-aggregation expression {other}"
-        ))),
-    }
-}
-
-fn item_name(item: &joinboost_sql::ast::SelectItem, index: usize) -> String {
-    if let Some(a) = &item.alias {
-        return a.clone();
-    }
-    match &item.expr {
-        Expr::Column { name, .. } => name.clone(),
-        _ => format!("col{index}"),
-    }
-}
-
-fn dummy_table() -> Table {
-    Table::from_columns(vec![("__dummy", Column::int(vec![0]))])
-}
-
-/// Assemble a join result: all left columns, merged USING keys, and right
-/// columns minus the key columns.
+/// Assemble a join result: all left columns — the merged USING keys
+/// among them, whose NULL rows only arise in a FULL join's right-only
+/// rows, assembled separately — and the right columns but its keys.
 fn assemble_join(
     left: &Table,
     right: &Table,
-    using: &[String],
-    lkeys: &[usize],
     rkeys: &[usize],
     lidx: &[u32],
     ridx: &[Option<u32>],
 ) -> Table {
-    let _ = using;
     let mut out = Table::new();
-    for (ci, (m, c)) in left.meta.iter().zip(&left.columns).enumerate() {
-        if lkeys.contains(&ci) {
-            // Merged key column: take from left (NULL rows only arise in
-            // FULL-join right-extension, handled separately).
-            out.push_column(m.clone(), c.take(lidx));
-        } else {
-            out.push_column(m.clone(), c.take(lidx));
-        }
+    for (m, c) in left.meta.iter().zip(&left.columns) {
+        out.push_column(m.clone(), c.take(lidx));
     }
     for (ci, (m, c)) in right.meta.iter().zip(&right.columns).enumerate() {
         if rkeys.contains(&ci) {
@@ -702,35 +396,25 @@ fn assemble_join(
 fn assemble_right_only(
     left: &Table,
     right: &Table,
-    using: &[String],
+    lkeys: &[usize],
     rkeys: &[usize],
     extra: &[u32],
 ) -> Table {
     let mut out = Table::new();
     let nulls: Vec<Option<u32>> = vec![None; extra.len()];
     for (ci, (m, c)) in left.meta.iter().zip(&left.columns).enumerate() {
-        let key_pos = using
-            .iter()
-            .position(|k| m.name.eq_ignore_ascii_case(k))
-            .filter(|_| {
-                // Only the actual key column instance merges.
-                left.resolve(None, &m.name)
-                    .map(|r| r == ci)
-                    .unwrap_or(false)
-            });
-        match key_pos {
-            Some(kp) => {
-                let rc = &right.columns[rkeys[kp]];
-                out.push_column(m.clone(), rc.take(extra));
-            }
-            None => out.push_column(m.clone(), c.take_nullable(&nulls)),
-        }
+        out.push_column(
+            m.clone(),
+            match lkeys.iter().position(|&k| k == ci) {
+                Some(kp) => right.columns[rkeys[kp]].take(extra),
+                None => c.take_nullable(&nulls),
+            },
+        );
     }
     for (ci, (m, c)) in right.meta.iter().zip(&right.columns).enumerate() {
-        if rkeys.contains(&ci) {
-            continue;
+        if !rkeys.contains(&ci) {
+            out.push_column(m.clone(), c.take(extra));
         }
-        out.push_column(m.clone(), c.take(extra));
     }
     out
 }

@@ -12,8 +12,9 @@
 //! side is NULL, `NOT NULL` is NULL, and `WHERE` keeps the TRUE rows.
 
 use std::borrow::Cow;
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use joinboost_sql::ast::{BinaryOp, Expr, Query, UnaryOp, Value};
@@ -32,89 +33,137 @@ pub trait SubqueryRunner {
     fn run_subquery(&self, q: &Query) -> Result<Table>;
 }
 
-/// Evaluation context of one query block: the subquery runner plus the
-/// key sets of its `IN (SELECT ..)` subqueries, each computed once.
+/// The slots a statement's expressions are bound to: one per distinct
+/// `IN (SELECT ..)` subquery, whose key set the statement builds once, and
+/// one per distinct `IN` or window node, whose mask or column an evaluation
+/// over one table computes once. Likeness is decided by structure when a
+/// node is bound; evaluation finds a node by its address, which the `'s`
+/// borrow keeps from being reused while the slots live.
+#[derive(Clone, Default)]
+pub struct Slots<'s> {
+    /// The distinct `IN (SELECT ..)` subqueries.
+    pub subqueries: Vec<&'s Query>,
+    /// The key set of each subquery, once a statement has built it.
+    sets: Vec<OnceCell<Rc<KeySet>>>,
+    /// The distinct `IN (SELECT ..)` and window nodes.
+    nodes: Vec<&'s Expr>,
+    /// Each bound node's address: its node slot and, for an `IN`, its
+    /// subquery slot.
+    index: HashMap<*const Expr, (usize, usize)>,
+}
+
+impl<'s> Slots<'s> {
+    /// Give every `IN (SELECT ..)` and window node of `exprs` its slots.
+    pub fn bind(&mut self, exprs: impl IntoIterator<Item = &'s Expr>) {
+        for e in exprs {
+            e.walk(&mut |node| {
+                let key: *const Expr = node;
+                let query = match node {
+                    Expr::InSubquery { query, .. } => Some(&**query),
+                    Expr::WindowSum { .. } => None,
+                    _ => return true,
+                };
+                if !self.index.contains_key(&key) {
+                    let query = query.map_or(0, |q| slot_of(&mut self.subqueries, q));
+                    self.index
+                        .insert(key, (slot_of(&mut self.nodes, node), query));
+                }
+                true
+            });
+        }
+        self.sets.resize_with(self.subqueries.len(), OnceCell::new);
+    }
+}
+
+/// The index of the first of `slots` equal to `x`, pushing `x` if none is.
+fn slot_of<'s, T: PartialEq>(slots: &mut Vec<&'s T>, x: &'s T) -> usize {
+    slots.iter().position(|s| *s == x).unwrap_or_else(|| {
+        slots.push(x);
+        slots.len() - 1
+    })
+}
+
+/// One statement's evaluation context: its subquery runner and slots.
 pub struct EvalContext<'a> {
     /// Executes `IN (SELECT ..)` subqueries.
     pub runner: &'a dyn SubqueryRunner,
-    /// Keyed by the subquery itself: the residual update's `CASE` spells
-    /// the same dimension predicate out once per leaf it applies to.
-    subquery_sets: RefCell<Vec<(Query, Rc<KeySet>)>>,
+    slots: RefCell<Slots<'a>>,
 }
 
 impl<'a> EvalContext<'a> {
-    /// A fresh context with no subquery evaluated yet.
+    /// A context that binds each evaluation's expression as it starts.
     pub fn new(runner: &'a dyn SubqueryRunner) -> Self {
+        EvalContext::bound(runner, Slots::default())
+    }
+
+    /// A context over the slots a statement was bound to.
+    pub fn bound(runner: &'a dyn SubqueryRunner, slots: Slots<'a>) -> Self {
         EvalContext {
             runner,
-            subquery_sets: RefCell::new(Vec::new()),
+            slots: RefCell::new(slots),
         }
     }
 
-    fn subquery_set(&self, q: &Query) -> Result<Rc<KeySet>> {
-        if let Some((_, set)) = self.subquery_sets.borrow().iter().find(|(k, _)| k == q) {
-            return Ok(Rc::clone(set));
-        }
-        let t = self.runner.run_subquery(q)?;
-        if t.num_columns() != 1 {
-            return Err(EngineError::Other(
-                "IN subquery must return exactly one column".into(),
-            ));
-        }
-        let set = Rc::new(KeySet::build(&[&t.columns[0]], t.num_rows()));
-        self.subquery_sets
-            .borrow_mut()
-            .push((q.clone(), Rc::clone(&set)));
-        Ok(set)
+    /// The slots of a node (a scope binds its expression as it starts).
+    fn slot(&self, e: &Expr) -> (usize, usize) {
+        let slot = self.slots.borrow().index.get(&(e as *const Expr)).copied();
+        slot.expect("a scope binds every node of its expression")
+    }
+
+    /// The key set of subquery slot `i`, built when first probed. (The
+    /// subquery runs in a context of its own, which binds nothing here.)
+    fn subquery_set(&self, i: usize) -> Result<Rc<KeySet>> {
+        let slots = self.slots.borrow();
+        cached(&slots.sets[i], || {
+            let t = self.runner.run_subquery(slots.subqueries[i])?;
+            if t.num_columns() != 1 {
+                return Err(EngineError::Other(
+                    "IN subquery must return exactly one column".into(),
+                ));
+            }
+            Ok(Rc::new(KeySet::build(&[&t.columns[0]], t.num_rows())))
+        })
     }
 }
 
-/// One evaluation over one table. Subexpressions whose value depends on
-/// the whole table — window prefix sums, `IN (SELECT ..)` masks — are
-/// computed once per scope and found again by their structure, so a
-/// repeated `(probe, subquery)` pair costs one probe pass and row mode
-/// builds a window column once, not once per row.
-struct Scope<'a> {
-    table: &'a Table,
-    ctx: &'a EvalContext<'a>,
-    windows: Memo<'a, Rc<Column>>,
+/// One evaluation over one table, with the window column and `IN` mask
+/// of each node slot, computed when first needed.
+struct Scope<'t, 'a> {
+    table: &'t Table,
+    ctx: &'t EvalContext<'a>,
+    windows: Vec<OnceCell<Rc<Column>>>,
     /// The residual update holds a dozen of these over the fact table
     /// until its `CASE` ends; at one bit per row they stay in cache.
-    in_masks: Memo<'a, Rc<Mask>>,
+    in_masks: Vec<OnceCell<Rc<Mask>>>,
 }
 
-/// Values remembered by the expression node they were computed for,
-/// compared by structure (never by address).
-type Memo<'a, T> = RefCell<Vec<(&'a Expr, T)>>;
-
-fn memoized<'a, T: Clone>(
-    memo: &Memo<'a, T>,
-    expr: &'a Expr,
-    compute: impl FnOnce() -> Result<T>,
-) -> Result<T> {
-    if let Some((_, v)) = memo.borrow().iter().find(|(k, _)| *k == expr) {
+/// The value in `cell`, computed the first time it is asked for.
+fn cached<T: Clone>(cell: &OnceCell<T>, compute: impl FnOnce() -> Result<T>) -> Result<T> {
+    if let Some(v) = cell.get() {
         return Ok(v.clone());
     }
     let v = compute()?;
-    memo.borrow_mut().push((expr, v.clone()));
-    Ok(v)
+    Ok(cell.get_or_init(|| v).clone())
 }
 
-impl<'a> Scope<'a> {
-    fn new(table: &'a Table, ctx: &'a EvalContext<'a>) -> Self {
+impl<'t, 'a> Scope<'t, 'a> {
+    /// A scope for evaluating `expr`, bound first.
+    fn new(expr: &'a Expr, table: &'t Table, ctx: &'t EvalContext<'a>) -> Self {
+        ctx.slots.borrow_mut().bind([expr]);
+        let n = ctx.slots.borrow().nodes.len();
         Scope {
             table,
             ctx,
-            windows: RefCell::new(Vec::new()),
-            in_masks: RefCell::new(Vec::new()),
+            windows: vec![OnceCell::new(); n],
+            in_masks: vec![OnceCell::new(); n],
         }
     }
 
-    fn window_column(&self, expr: &'a Expr) -> Result<Rc<Column>> {
+    fn window_column(&self, expr: &Expr) -> Result<Rc<Column>> {
         let Expr::WindowSum { arg, order_by } = expr else {
             return Err(EngineError::Other("not a window expression".into()));
         };
-        memoized(&self.windows, expr, || {
+        cached(&self.windows[self.ctx.slot(expr).0], || {
             let vals = self.column(arg)?.to_f64_vec()?;
             let keys = self.column(order_by)?;
             let n = vals.len();
@@ -135,21 +184,21 @@ impl<'a> Scope<'a> {
 }
 
 /// Vectorized evaluation of `expr` over all rows of `table`.
-pub fn eval(expr: &Expr, table: &Table, ctx: &EvalContext) -> Result<Column> {
-    Ok(Scope::new(table, ctx).column(expr)?.into_owned())
+pub fn eval<'a>(expr: &'a Expr, table: &Table, ctx: &EvalContext<'a>) -> Result<Column> {
+    Ok(Scope::new(expr, table, ctx).column(expr)?.into_owned())
 }
 
 /// Vectorized evaluation of the predicate `expr` over all rows of `table`.
-pub(crate) fn eval_mask(expr: &Expr, table: &Table, ctx: &EvalContext) -> Result<Mask> {
-    Scope::new(table, ctx).mask(expr)
+pub(crate) fn eval_mask<'a>(expr: &'a Expr, table: &Table, ctx: &EvalContext<'a>) -> Result<Mask> {
+    Scope::new(expr, table, ctx).mask(expr)
 }
 
 /// Tuple-at-a-time evaluation of `expr` over all rows of `table` (the
 /// row-oriented engine mode). Semantically identical to [`eval`] but
 /// dispatches once per row through [`Datum`] values, which is what makes
 /// row engines slower on analytical scans.
-pub fn eval_rows(expr: &Expr, table: &Table, ctx: &EvalContext) -> Result<Column> {
-    let scope = Scope::new(table, ctx);
+pub fn eval_rows<'a>(expr: &'a Expr, table: &Table, ctx: &EvalContext<'a>) -> Result<Column> {
+    let scope = Scope::new(expr, table, ctx);
     let mut vals = Vec::with_capacity(table.num_rows());
     for row in 0..table.num_rows() {
         vals.push(scope.eval_row(expr, row)?);
@@ -179,15 +228,7 @@ impl<'a> Val<'a> {
     fn into_mask(self, n: usize) -> Mask {
         match self {
             Val::Col(c) => Mask::truthy(&c),
-            Val::Lit(v) => Mask::constant(
-                n,
-                match v {
-                    Value::Int(x) => Some(x != 0),
-                    Value::Float(x) => Some(x != 0.0),
-                    Value::Str(_) => Some(false),
-                    Value::Null => None,
-                },
-            ),
+            Val::Lit(v) => Mask::constant(n, truth(&literal_datum(&v))),
             Val::Mask(m) => m,
         }
     }
@@ -273,21 +314,21 @@ impl Num<'_> {
     }
 }
 
-impl<'a> Scope<'a> {
+impl<'t> Scope<'t, '_> {
     /// `expr` as a column: borrowed when it names one of the table's.
-    fn column(&self, expr: &'a Expr) -> Result<Cow<'a, Column>> {
+    fn column(&self, expr: &Expr) -> Result<Cow<'t, Column>> {
         Ok(self.val(expr)?.into_column(self.table.num_rows()))
     }
 
     /// `expr` as a predicate.
-    fn mask(&self, expr: &'a Expr) -> Result<Mask> {
+    fn mask(&self, expr: &Expr) -> Result<Mask> {
         Ok(self.val(expr)?.into_mask(self.table.num_rows()))
     }
 
-    fn val(&self, expr: &'a Expr) -> Result<Val<'a>> {
+    fn val(&self, expr: &Expr) -> Result<Val<'t>> {
         use BinaryOp::*;
         let n = self.table.num_rows();
-        let table: &'a Table = self.table;
+        let table: &'t Table = self.table;
         Ok(match expr {
             Expr::Column { table: q, name } => {
                 Val::Col(Cow::Borrowed(table.column(q.as_deref(), name)?))
@@ -329,10 +370,11 @@ impl<'a> Scope<'a> {
                 v => Val::Col(Cow::Owned(negate(&v.into_column(n))?)),
             },
             Expr::Func { name, args } => {
+                let func = Func::resolve(expr, name, args.len())?;
                 let cols: Vec<Cow<Column>> =
                     args.iter().map(|a| self.column(a)).collect::<Result<_>>()?;
                 let cols: Vec<&Column> = cols.iter().map(|c| &**c).collect();
-                Val::Col(Cow::Owned(eval_scalar_func(name, &cols, n)?))
+                Val::Col(Cow::Owned(func.eval(&cols, n)))
             }
             Expr::Wildcard => {
                 return Err(EngineError::Other(
@@ -350,10 +392,11 @@ impl<'a> Scope<'a> {
             }
             Expr::InSubquery {
                 expr: probe,
-                query,
                 negated,
+                ..
             } => {
-                let mask = memoized(&self.in_masks, expr, || {
+                let (node, query) = self.ctx.slot(expr);
+                let mask = cached(&self.in_masks[node], || {
                     let set = self.ctx.subquery_set(query)?;
                     let probe = self.column(probe)?;
                     Ok(Rc::new(membership(&set, &probe, *negated)))
@@ -578,30 +621,41 @@ fn arithmetic(op: BinaryOp, l: Val, r: Val, n: usize) -> Column {
             };
         }
     }
-    // General arithmetic with NULL propagation; division by zero → NULL.
+    // NULL-bearing operands, or `/`: row by row, as row mode computes it —
+    // an `Int` pair stays `Int`, a zero divisor is NULL.
     let (l, r) = (l.into_column(n), r.into_column(n));
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let a = l.f64_at(i.min(l.len() - 1));
-        let b = r.f64_at(i.min(r.len() - 1));
-        out.push(match (a, b) {
-            (Some(x), Some(y)) => match op {
-                Add => Datum::Float(x + y),
-                Sub => Datum::Float(x - y),
-                Mul => Datum::Float(x * y),
-                Div => {
-                    if y == 0.0 {
-                        Datum::Null
-                    } else {
-                        Datum::Float(x / y)
-                    }
-                }
-                _ => unreachable!("not arithmetic"),
-            },
+    let ints = match (&l.data, &r.data) {
+        (ColumnData::Int(a), ColumnData::Int(b)) if op != Div => Some((a, b)),
+        _ => None,
+    };
+    let out: Vec<Datum> = (0..n)
+        .map(|i| match (l.f64_at(i), r.f64_at(i), ints) {
+            (Some(_), Some(_), Some((a, b))) => Datum::Int(int_arith(op, a[i], b[i])),
+            (Some(x), Some(y), None) => float_arith(op, x, y),
             _ => Datum::Null,
-        });
-    }
+        })
+        .collect();
     Column::from_datums(&out)
+}
+
+/// `a op b` for `+ - *` over two integers, wrapping as the kernels do.
+fn int_arith(op: BinaryOp, a: i64, b: i64) -> i64 {
+    match op {
+        BinaryOp::Add => a.wrapping_add(b),
+        BinaryOp::Sub => a.wrapping_sub(b),
+        _ => a.wrapping_mul(b),
+    }
+}
+
+/// `x op y` over `f64`; NULL for a zero divisor.
+fn float_arith(op: BinaryOp, x: f64, y: f64) -> Datum {
+    match op {
+        BinaryOp::Add => Datum::Float(x + y),
+        BinaryOp::Sub => Datum::Float(x - y),
+        BinaryOp::Mul => Datum::Float(x * y),
+        _ if y == 0.0 => Datum::Null,
+        _ => Datum::Float(x / y),
+    }
 }
 
 /// `fi` over two `Int` operands (integers stay integers), `ff` over any
@@ -645,21 +699,23 @@ fn arithmetic_typed(
 }
 
 fn negate(c: &Column) -> Result<Column> {
-    match (&c.data, &c.validity) {
-        (ColumnData::Int(v), None) => Ok(Column::int(v.iter().map(|x| -x).collect())),
-        (ColumnData::Float(v), None) => Ok(Column::float(v.iter().map(|x| -x).collect())),
+    Ok(match (&c.data, &c.validity) {
+        (ColumnData::Int(v), None) => Column::int(v.iter().map(|x| x.wrapping_neg()).collect()),
+        (ColumnData::Float(v), None) => Column::float(v.iter().map(|x| -x).collect()),
         _ => {
-            let mut out = Vec::with_capacity(c.len());
-            for i in 0..c.len() {
-                out.push(match c.get(i) {
-                    Datum::Int(x) => Datum::Int(-x),
-                    Datum::Float(x) => Datum::Float(-x),
-                    Datum::Null => Datum::Null,
-                    Datum::Str(_) => return Err(EngineError::TypeMismatch("negate string".into())),
-                });
-            }
-            Ok(Column::from_datums(&out))
+            let out: Vec<Datum> = (0..c.len()).map(|i| neg(c.get(i))).collect::<Result<_>>()?;
+            Column::from_datums(&out)
         }
+    })
+}
+
+/// `-d`; an integer wraps, as `+ - *` do.
+fn neg(d: Datum) -> Result<Datum> {
+    match d {
+        Datum::Int(x) => Ok(Datum::Int(x.wrapping_neg())),
+        Datum::Float(x) => Ok(Datum::Float(-x)),
+        Datum::Null => Ok(Datum::Null),
+        Datum::Str(_) => Err(EngineError::TypeMismatch("negate string".into())),
     }
 }
 
@@ -790,125 +846,86 @@ impl Merged {
     }
 }
 
-fn eval_scalar_func(name: &str, args: &[&Column], n: usize) -> Result<Column> {
-    let unary_math = |f: fn(f64) -> f64| -> Result<Column> {
-        let c = args[0];
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            out.push(match c.f64_at(i) {
-                Some(x) => {
-                    let y = f(x);
-                    if y.is_finite() {
-                        Datum::Float(y)
-                    } else {
-                        Datum::Null
-                    }
-                }
-                None => Datum::Null,
-            });
-        }
-        Ok(Column::from_datums(&out))
-    };
-    match name {
-        "ABS" => unary_math(f64::abs),
-        "LOG" | "LN" => unary_math(f64::ln),
-        "EXP" => unary_math(f64::exp),
-        "SQRT" => unary_math(f64::sqrt),
-        "FLOOR" => unary_math(f64::floor),
-        "CEIL" => unary_math(f64::ceil),
-        "SIGN" => unary_math(f64::signum),
-        "POW" | "POWER" => {
-            if args.len() != 2 {
-                return Err(EngineError::Other("POW takes 2 arguments".into()));
+/// A scalar function, resolved from its name once per evaluation.
+enum Func {
+    /// `f` of one number; NULL where that is NULL or the result is not finite.
+    Math(fn(f64) -> f64),
+    Pow,
+    /// The arguments' non-NULL numbers folded by `f` (`LEAST`, `GREATEST`).
+    Fold(fn(f64, f64) -> f64),
+    Coalesce,
+}
+
+impl Func {
+    /// The function `call` names, or an error: an aggregate call out of an
+    /// aggregation's arguments, an unknown name or a wrong arity.
+    fn resolve(call: &Expr, name: &str, arity: usize) -> Result<Func> {
+        Ok(match name {
+            _ if call.is_aggregate() => {
+                return Err(EngineError::Other(format!(
+                    "aggregate {call} in scalar context"
+                )))
             }
-            let (a, b) = (args[0], args[1]);
-            let mut out = Vec::with_capacity(n);
-            for i in 0..n {
-                out.push(match (a.f64_at(i), b.f64_at(i)) {
-                    (Some(x), Some(y)) => Datum::Float(x.powf(y)),
-                    _ => Datum::Null,
-                });
-            }
-            Ok(Column::from_datums(&out))
+            "ABS" => Func::Math(f64::abs),
+            "LOG" | "LN" => Func::Math(f64::ln),
+            "EXP" => Func::Math(f64::exp),
+            "SQRT" => Func::Math(f64::sqrt),
+            "FLOOR" => Func::Math(f64::floor),
+            "CEIL" => Func::Math(f64::ceil),
+            "SIGN" => Func::Math(f64::signum),
+            "POW" | "POWER" if arity == 2 => Func::Pow,
+            "POW" | "POWER" => return Err(EngineError::Other("POW takes 2 arguments".into())),
+            "LEAST" => Func::Fold(f64::min),
+            "GREATEST" => Func::Fold(f64::max),
+            "COALESCE" => Func::Coalesce,
+            other => return Err(EngineError::Other(format!("unknown function {other}"))),
+        })
+    }
+
+    /// The function over `n` rows of its argument columns.
+    fn eval(self, args: &[&Column], n: usize) -> Column {
+        /// `g` of each row, NULL where it gives no value.
+        fn floats(n: usize, g: impl Fn(usize) -> Option<f64>) -> Vec<Datum> {
+            (0..n)
+                .map(|i| g(i).map_or(Datum::Null, Datum::Float))
+                .collect()
         }
-        "LEAST" | "GREATEST" => {
-            let mut out = Vec::with_capacity(n);
-            for i in 0..n {
-                let mut acc: Option<f64> = None;
-                for c in args {
-                    if let Some(x) = c.f64_at(i) {
-                        acc = Some(match acc {
-                            None => x,
-                            Some(a) => {
-                                if name == "LEAST" {
-                                    a.min(x)
-                                } else {
-                                    a.max(x)
-                                }
-                            }
-                        });
-                    }
-                }
-                out.push(acc.map_or(Datum::Null, Datum::Float));
-            }
-            Ok(Column::from_datums(&out))
-        }
-        "COALESCE" => {
-            let mut out = Vec::with_capacity(n);
-            for i in 0..n {
-                let mut v = Datum::Null;
-                for c in args {
-                    if c.is_valid(i.min(c.len().saturating_sub(1))) {
-                        v = c.get(i.min(c.len() - 1));
-                        break;
-                    }
-                }
-                out.push(v);
-            }
-            Ok(Column::from_datums(&out))
-        }
-        "SUM" | "COUNT" | "AVG" | "MIN" | "MAX" => Err(EngineError::Other(format!(
-            "aggregate {name} in scalar context (missing GROUP BY rewrite?)"
-        ))),
-        other => Err(EngineError::Other(format!("unknown function {other}"))),
+        let num = |arg: usize, i: usize| args.get(arg).and_then(|c| c.f64_at(i));
+        let first_valid = |i| args.iter().find(|c| c.is_valid(i));
+        Column::from_datums(&match self {
+            Func::Math(f) => floats(n, |i| num(0, i).map(f).filter(|y| y.is_finite())),
+            Func::Pow => floats(n, |i| num(0, i).zip(num(1, i)).map(|(x, y)| x.powf(y))),
+            Func::Fold(f) => floats(n, |i| args.iter().filter_map(|c| c.f64_at(i)).reduce(f)),
+            Func::Coalesce => (0..n)
+                .map(|i| first_valid(i).map_or(Datum::Null, |c| c.get(i)))
+                .collect(),
+        })
     }
 }
 
-impl<'a> Scope<'a> {
-    fn eval_row(&self, expr: &'a Expr, row: usize) -> Result<Datum> {
+impl Scope<'_, '_> {
+    fn eval_row(&self, expr: &Expr, row: usize) -> Result<Datum> {
         match expr {
             Expr::Column { table: q, name } => Ok(self.table.column(q.as_deref(), name)?.get(row)),
             Expr::Literal(v) => Ok(literal_datum(v)),
             Expr::Binary { op, left, right } => {
-                let l = self.eval_row(left, row)?;
-                let r = self.eval_row(right, row)?;
-                datum_binary(*op, &l, &r)
+                datum_binary(*op, &self.eval_row(left, row)?, &self.eval_row(right, row)?)
             }
             Expr::Unary { op, expr } => {
                 let v = self.eval_row(expr, row)?;
                 match op {
-                    UnaryOp::Neg => match v {
-                        Datum::Int(x) => Ok(Datum::Int(-x)),
-                        Datum::Float(x) => Ok(Datum::Float(-x)),
-                        Datum::Null => Ok(Datum::Null),
-                        Datum::Str(_) => Err(EngineError::TypeMismatch("negate string".into())),
-                    },
+                    UnaryOp::Neg => neg(v),
                     UnaryOp::Not if v.is_null() => Ok(Datum::Null),
                     UnaryOp::Not => Ok(Datum::Int((!v.is_truthy()) as i64)),
                 }
             }
             Expr::Func { name, args } => {
-                let vals: Vec<Datum> = args
-                    .iter()
-                    .map(|a| self.eval_row(a, row))
+                // The columnar function over one-row columns.
+                let func = Func::resolve(expr, name, args.len())?;
+                let cols: Vec<Column> = (args.iter())
+                    .map(|a| Ok(Column::from_datums(&[self.eval_row(a, row)?])))
                     .collect::<Result<_>>()?;
-                let cols: Vec<Column> = vals
-                    .iter()
-                    .map(|v| Column::from_datums(std::slice::from_ref(v)))
-                    .collect();
-                let cols: Vec<&Column> = cols.iter().collect();
-                let c = eval_scalar_func(name, &cols, 1)?;
-                Ok(c.get(0))
+                Ok(func.eval(&cols.iter().collect::<Vec<_>>(), 1).get(0))
             }
             Expr::WindowSum { .. } => Ok(self.window_column(expr)?.get(row)),
             Expr::Case { whens, else_expr } => {
@@ -923,12 +940,12 @@ impl<'a> Scope<'a> {
                 }
             }
             Expr::InSubquery {
-                expr,
-                query,
+                expr: probe,
                 negated,
+                ..
             } => {
-                let set = self.ctx.subquery_set(query)?;
-                let v = self.eval_row(expr, row)?;
+                let set = self.ctx.subquery_set(self.ctx.slot(expr).1)?;
+                let v = self.eval_row(probe, row)?;
                 if v.is_null() {
                     return Ok(Datum::Null);
                 }
@@ -947,14 +964,12 @@ impl<'a> Scope<'a> {
                 if v.is_null() {
                     return Ok(Datum::Null);
                 }
-                let mut hit = false;
                 for item in list {
                     if key_eq(&v, &self.eval_row(item, row)?) {
-                        hit = true;
-                        break;
+                        return Ok(Datum::Int(!*negated as i64));
                     }
                 }
-                Ok(Datum::Int((hit != *negated) as i64))
+                Ok(Datum::Int(*negated as i64))
             }
             Expr::IsNull { expr, negated } => {
                 let v = self.eval_row(expr, row)?;
@@ -995,34 +1010,13 @@ fn datum_binary(op: BinaryOp, l: &Datum, r: &Datum) -> Result<Datum> {
             (Some(false), Some(false)) => Some(false),
             _ => None,
         })),
-        Add | Sub | Mul | Div => {
-            if let (Datum::Int(a), Datum::Int(b)) = (l, r) {
-                if op != Div {
-                    return Ok(Datum::Int(match op {
-                        Add => a.wrapping_add(*b),
-                        Sub => a.wrapping_sub(*b),
-                        Mul => a.wrapping_mul(*b),
-                        _ => unreachable!(),
-                    }));
-                }
-            }
-            match (l.as_f64(), r.as_f64()) {
-                (Some(x), Some(y)) => Ok(match op {
-                    Add => Datum::Float(x + y),
-                    Sub => Datum::Float(x - y),
-                    Mul => Datum::Float(x * y),
-                    Div => {
-                        if y == 0.0 {
-                            Datum::Null
-                        } else {
-                            Datum::Float(x / y)
-                        }
-                    }
-                    _ => unreachable!(),
-                }),
-                _ => Ok(Datum::Null),
-            }
-        }
+        Add | Sub | Mul | Div => Ok(match (l, r) {
+            (Datum::Int(a), Datum::Int(b)) if op != Div => Datum::Int(int_arith(op, *a, *b)),
+            _ => match (l.as_f64(), r.as_f64()) {
+                (Some(x), Some(y)) => float_arith(op, x, y),
+                _ => Datum::Null,
+            },
+        }),
         Eq | Neq | Lt | LtEq | Gt | GtEq => {
             if l.is_null() || r.is_null() {
                 return Ok(Datum::Null);
@@ -1211,8 +1205,12 @@ mod tests {
             ),
         ]);
         let runner = NoSubqueries;
-        let ctx = EvalContext::new(&runner);
-        let col = |sql: &str| eval(&parse_expr(sql).unwrap(), &t, &ctx).unwrap();
+        // Each parsed expression is bound by the context it is evaluated
+        // in, so a temporary one gets a context of its own.
+        let col = |sql: &str| {
+            let e = parse_expr(sql).unwrap();
+            eval(&e, &t, &EvalContext::new(&runner)).unwrap()
+        };
         for (case, conds, thens, default) in [
             // One numeric type throughout: the typed path.
             (
@@ -1285,6 +1283,7 @@ mod tests {
         // No rows: nothing to infer a type from, as for the per-row merge.
         let empty = Table::from_columns(vec![("a", Column::int(vec![]))]);
         let e = parse_expr("CASE WHEN a > 1 THEN a ELSE a END").unwrap();
+        let ctx = EvalContext::new(&runner);
         assert_eq!(eval(&e, &empty, &ctx).unwrap(), Column::from_datums(&[]));
     }
 
@@ -1467,6 +1466,17 @@ mod tests {
             let columnar = eval(&case, &t, &ctx).unwrap();
             let by_row = eval_rows(&case, &t, &ctx).unwrap();
             proptest::prop_assert_eq!(columnar, by_row, "{}", case);
+            // Arithmetic over the same operands: the same value of the same
+            // type on every row — `Int` stays `Int` beside a NULL — and
+            // NULL where either side is.
+            for op in [BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul, BinaryOp::Div] {
+                let e = Expr::binary(op, gen.operand(true), gen.operand(true));
+                let ctx = EvalContext::new(&runner);
+                let rows = |c: Column| format!("{:?}", (0..c.len()).map(|i| c.get(i)).collect::<Vec<_>>());
+                let columnar = rows(eval(&e, &t, &ctx).unwrap());
+                let by_row = rows(eval_rows(&e, &t, &ctx).unwrap());
+                proptest::prop_assert_eq!(columnar, by_row, "{}", e);
+            }
         }
     }
 }

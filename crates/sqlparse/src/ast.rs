@@ -594,6 +594,16 @@ pub enum TablePosition {
 }
 
 impl Query {
+    /// The expressions of this query block: the select list, `WHERE`,
+    /// `GROUP BY`, `ORDER BY` and each join's `ON` predicate.
+    pub fn exprs(&self) -> impl Iterator<Item = &Expr> {
+        (self.items.iter().map(|i| &i.expr))
+            .chain(&self.where_clause)
+            .chain(&self.group_by)
+            .chain(self.order_by.iter().map(|o| &o.expr))
+            .chain(self.joins.iter().filter_map(|j| j.on.as_ref()))
+    }
+
     /// Call `f` with every table name this query references and the
     /// position it is referenced from. A table anywhere inside an
     /// expression subquery — its own `FROM` included — is at
@@ -609,12 +619,7 @@ impl Query {
                 TableRef::Subquery { query, .. } => query.visit_tables_at(pos, f),
             }
         }
-        let exprs = (self.items.iter().map(|i| &i.expr))
-            .chain(&self.where_clause)
-            .chain(&self.group_by)
-            .chain(self.order_by.iter().map(|o| &o.expr))
-            .chain(self.joins.iter().filter_map(|j| j.on.as_ref()));
-        for e in exprs {
+        for e in self.exprs() {
             e.visit_tables(f);
         }
     }
@@ -631,12 +636,7 @@ impl Query {
         for j in &self.joins {
             j.using.iter().for_each(|k| f(k));
         }
-        let exprs = (self.items.iter().map(|i| &i.expr))
-            .chain(&self.where_clause)
-            .chain(&self.group_by)
-            .chain(self.order_by.iter().map(|o| &o.expr))
-            .chain(self.joins.iter().filter_map(|j| j.on.as_ref()));
-        for e in exprs {
+        for e in self.exprs() {
             e.visit_columns(f);
         }
     }
@@ -678,40 +678,75 @@ impl Expr {
         }
     }
 
-    /// Call `f` with the name of every column this expression reads from
-    /// the row it is evaluated on — through `CASE` branches, function and
-    /// window arguments, and the probe side of `IN`; the subquery of an
-    /// `IN (SELECT ..)` reads its own tables, not this row.
-    pub fn visit_columns<'a>(&'a self, f: &mut impl FnMut(&'a str)) {
+    /// Visit this expression and its subexpressions in pre-order, entering
+    /// the children of a node only where `f` returns `true` for it:
+    /// `CASE` branches, function and window arguments, and the probe side
+    /// of `IN`. The subquery of an `IN (SELECT ..)` is a block of its own
+    /// and is not entered.
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Expr) -> bool) {
+        if !f(self) {
+            return;
+        }
         match self {
-            Expr::Column { name, .. } => f(name),
-            Expr::Literal(_) | Expr::Wildcard => {}
+            Expr::Column { .. } | Expr::Literal(_) | Expr::Wildcard => {}
             Expr::Unary { expr, .. }
             | Expr::IsNull { expr, .. }
-            | Expr::InSubquery { expr, .. } => expr.visit_columns(f),
-            Expr::Binary { left, right, .. } => {
-                left.visit_columns(f);
-                right.visit_columns(f);
+            | Expr::InSubquery { expr, .. } => expr.walk(f),
+            Expr::Binary {
+                left: a, right: b, ..
             }
-            Expr::WindowSum { arg, order_by } => {
-                arg.visit_columns(f);
-                order_by.visit_columns(f);
+            | Expr::WindowSum {
+                arg: a,
+                order_by: b,
+            } => {
+                a.walk(f);
+                b.walk(f);
             }
-            Expr::Func { args, .. } => args.iter().for_each(|a| a.visit_columns(f)),
+            Expr::Func { args, .. } => args.iter().for_each(|a| a.walk(f)),
             Expr::Case { whens, else_expr } => {
                 for (c, t) in whens {
-                    c.visit_columns(f);
-                    t.visit_columns(f);
+                    c.walk(f);
+                    t.walk(f);
                 }
                 if let Some(e) = else_expr {
-                    e.visit_columns(f);
+                    e.walk(f);
                 }
             }
             Expr::InList { expr, list, .. } => {
-                expr.visit_columns(f);
-                list.iter().for_each(|i| i.visit_columns(f));
+                expr.walk(f);
+                list.iter().for_each(|i| i.walk(f));
             }
         }
+    }
+
+    /// Call `f` with the name of every column this expression reads from
+    /// the row it is evaluated on (see [`Expr::walk`] for what is entered);
+    /// the subquery of an `IN (SELECT ..)` reads its own tables, not this row.
+    pub fn visit_columns<'a>(&'a self, f: &mut impl FnMut(&'a str)) {
+        self.walk(&mut |e| {
+            if let Expr::Column { name, .. } = e {
+                f(name);
+            }
+            true
+        });
+    }
+
+    /// Is this a call of an aggregate function: `SUM`, `COUNT`, `AVG`,
+    /// `MIN` or `MAX`? (A window `SUM(..) OVER (..)` is not one.)
+    pub fn is_aggregate(&self) -> bool {
+        matches!(self, Expr::Func { name, .. }
+            if matches!(name.as_str(), "SUM" | "COUNT" | "AVG" | "MIN" | "MAX"))
+    }
+
+    /// Does this expression call an aggregate function anywhere
+    /// [`Expr::walk`] goes?
+    pub fn contains_aggregate(&self) -> bool {
+        let mut found = false;
+        self.walk(&mut |e| {
+            found |= e.is_aggregate();
+            !found
+        });
+        found
     }
 }
 
