@@ -1,7 +1,7 @@
 //! Experiment runner: regenerates the paper's tables and figures.
 //!
 //! ```text
-//! experiments <name>    run one experiment (fig5, fig8a, ..., losses)
+//! experiments <name>    run one experiment (fig5, fig8a, ..., losses, agg)
 //! experiments all       run everything
 //! experiments help      list experiments
 //! ```
@@ -14,7 +14,7 @@ fn main() {
         .unwrap_or_else(|| "help".to_string());
     if arg == "help" || arg == "--help" || arg == "-h" {
         println!("usage: experiments <name|all>\n\navailable experiments:");
-        for (name, desc) in experiments::EXPERIMENTS {
+        for (name, desc, _) in experiments::EXPERIMENTS {
             println!("  {name:<8} {desc}");
         }
         return;

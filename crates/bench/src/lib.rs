@@ -1,13 +1,14 @@
 //! Experiment harness for the JoinBoost reproduction.
 //!
-//! `cargo run -p joinboost-bench --release --bin experiments -- <figN|all>`
-//! regenerates the series of every table and figure in the paper's
-//! evaluation and prints them as tables (DESIGN.md has the experiment
-//! index). Recorded performance numbers live in `jbbench/`.
+//! `cargo run -p joinboost-bench --release --bin experiments -- <name|all>`
+//! regenerates the series of the tables and figures in the paper's
+//! evaluation and prints them as tables (`experiments help` lists them;
+//! DESIGN.md has the index). Nothing here asserts a model: the
+//! bit-identity claims are pinned tests (`ci/pinned-tests.txt`), and
+//! recorded performance numbers live in `jbbench/`.
 
 pub mod experiments;
 pub mod report;
-pub mod synth;
 
 pub use report::Report;
 

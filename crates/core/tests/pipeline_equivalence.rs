@@ -265,8 +265,7 @@ const HIGHCARD_PUSHDOWN: PushdownConfig = PushdownConfig {
 /// fewer split bytes to the coordinator — in total and per round — with
 /// the split pushdown (and its delta-encoded refinement rounds) than
 /// with pushdown off, where every split query ships each shard's full
-/// absorbed table; both produce the identical model. `experiments --
-/// remote` prints the same per-round comparison at full size.
+/// absorbed table; both produce the identical model.
 #[test]
 fn delta_encoding_ships_fewer_split_bytes_than_dense() {
     let run = |pushdown: bool| {

@@ -87,14 +87,16 @@ fn retrying_opts() -> RemoteOptions {
     }
 }
 
-/// Load + train over the given shard addresses.
-fn train_remote(addrs: &[std::net::SocketAddr], opts: RemoteOptions) -> GbmModel {
+/// Load + train over the given shard addresses, with the split pushdown
+/// on or with every split merged densely at the coordinator.
+fn train_remote(addrs: &[std::net::SocketAddr], opts: RemoteOptions, pushdown: bool) -> GbmModel {
     let backend =
         ShardedBackend::remote(addrs, EngineConfig::duckdb_mem(), "fact", "k", opts).unwrap();
     backend.set_pushdown_config(PushdownConfig {
         boundaries_per_shard: 4,
         min_rows: 0,
     });
+    backend.set_pushdown(pushdown);
     let (fact, dim, graph) = star_tables(400);
     backend.create_table("fact", fact).unwrap();
     backend.create_table("dim", dim).unwrap();
@@ -147,7 +149,7 @@ fn reference_model() -> &'static GbmModel {
             .map(|_| WireServer::builder(Database::in_memory()).spawn().unwrap())
             .collect();
         let addrs: Vec<_> = servers.iter().map(|s| s.addr()).collect();
-        train_remote(&addrs, RemoteOptions::default())
+        train_remote(&addrs, RemoteOptions::default(), true)
     })
 }
 
@@ -199,17 +201,23 @@ impl Drop for ShardServerProc {
 /// 4 `shard_server` *processes*, every 7th request on each shard dropping
 /// its connection before execution: the retrying client reconnects with
 /// its resume token, replays, and training completes bit-identical to the
-/// healthy run. This is the end-to-end proof that transient shard
-/// failures no longer abort training.
+/// healthy run, with the split pushdown on and off. This is the end-to-end
+/// proof that transient shard failures no longer abort training.
 #[test]
 fn chaos_drops_across_four_processes_train_bit_identical() {
     let reference = reference_model();
-    let servers: Vec<ShardServerProc> = (0..4)
-        .map(|_| ShardServerProc::spawn(&["--drop-every", "7", "--grace-ms", "30000"]))
-        .collect();
-    let addrs: Vec<_> = servers.iter().map(|s| s.addr).collect();
-    let model = train_remote(&addrs, retrying_opts());
-    assert_bit_identical(reference, &model, "chaos x4 (drop-every 7)");
+    for pushdown in [true, false] {
+        let servers: Vec<ShardServerProc> = (0..4)
+            .map(|_| ShardServerProc::spawn(&["--drop-every", "7", "--grace-ms", "30000"]))
+            .collect();
+        let addrs: Vec<_> = servers.iter().map(|s| s.addr).collect();
+        let model = train_remote(&addrs, retrying_opts(), pushdown);
+        assert_bit_identical(
+            reference,
+            &model,
+            &format!("chaos x4 (drop-every 7, pushdown {pushdown})"),
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -354,7 +362,7 @@ fn chaos_drops_with_scrambled_replies_train_bit_identical() {
         })
         .collect();
     let addrs: Vec<_> = servers.iter().map(|s| s.addr).collect();
-    let model = train_remote(&addrs, retrying_opts());
+    let model = train_remote(&addrs, retrying_opts(), true);
     assert_bit_identical(reference, &model, "chaos x4 (drop-every 7 + jitter)");
 }
 
@@ -381,7 +389,7 @@ proptest! {
             })
             .collect();
         let addrs: Vec<_> = servers.iter().map(|s| s.addr()).collect();
-        let model = train_remote(&addrs, retrying_opts());
+        let model = train_remote(&addrs, retrying_opts(), true);
         assert_bit_identical(reference, &model, &format!("flaky-after {k}"));
     }
 }
