@@ -382,6 +382,26 @@ impl RemoteConnection {
         }
     }
 
+    /// Read a table: every row (`rows: None`) or only the given ones.
+    fn scan(&self, name: &str, rows: Option<&[u32]>) -> BackendResult<Table> {
+        let req = Request::Scan {
+            name: name.into(),
+            rows: rows.map(<[u32]>::to_vec),
+        };
+        match self.call(&req)? {
+            Response::Table(t) => Ok(t),
+            other => Err(self.unexpected("Scan", &other)),
+        }
+    }
+
+    /// A table's `(name, type)` columns and its row count.
+    fn describe(&self, name: &str) -> BackendResult<(Vec<(String, DataType)>, u64)> {
+        match self.call(&Request::Describe { name: name.into() })? {
+            Response::Schema { columns, rows } => Ok((columns, rows)),
+            other => Err(self.unexpected("Describe", &other)),
+        }
+    }
+
     /// Names of every table the server holds (diagnostics / tests).
     pub fn table_names(&self) -> BackendResult<Vec<String>> {
         match self.call(&Request::TableNames)? {
@@ -438,58 +458,42 @@ impl ShardTransport for RemoteConnection {
     }
 
     fn snapshot(&self, name: &str) -> BackendResult<Table> {
-        match self.call(&Request::Snapshot { name: name.into() })? {
-            Response::Table(t) => Ok(t),
-            other => Err(self.unexpected("Snapshot", &other)),
-        }
+        self.scan(name, None)
     }
 
     fn gather_rows(&self, name: &str, rows: &[u32]) -> BackendResult<Table> {
-        match self.call(&Request::GatherRows {
-            name: name.into(),
-            rows: rows.to_vec(),
-        })? {
-            Response::Table(t) => Ok(t),
-            other => Err(self.unexpected("GatherRows", &other)),
-        }
+        self.scan(name, Some(rows))
     }
 
     fn column_names(&self, table: &str) -> BackendResult<Vec<String>> {
-        match self.call(&Request::ColumnNames { name: table.into() })? {
-            Response::Names(n) => Ok(n),
-            other => Err(self.unexpected("ColumnNames", &other)),
-        }
+        let (columns, _) = self.describe(table)?;
+        Ok(columns.into_iter().map(|(c, _)| c).collect())
     }
 
     fn column_dtype(&self, table: &str, column: &str) -> BackendResult<DataType> {
-        match self.call(&Request::ColumnDtype {
-            table: table.into(),
-            column: column.into(),
-        })? {
-            Response::Dtype(d) => Ok(d),
-            other => Err(self.unexpected("ColumnDtype", &other)),
-        }
+        // Case-insensitive, like the engine's own column lookup.
+        (self.describe(table)?.0.into_iter())
+            .find(|(c, _)| c.eq_ignore_ascii_case(column))
+            .map(|(_, d)| d)
+            .ok_or_else(|| EngineError::UnknownColumn(column.into()))
     }
 
     fn has_table(&self, name: &str) -> bool {
-        matches!(
-            self.call(&Request::HasTable { name: name.into() }),
-            Ok(Response::Bool(true))
-        )
+        self.describe(name).is_ok()
     }
 
     fn row_count(&self, name: &str) -> BackendResult<usize> {
-        match self.call(&Request::RowCount { name: name.into() })? {
-            Response::Count(n) => Ok(n as usize),
-            other => Err(self.unexpected("RowCount", &other)),
-        }
+        Ok(self.describe(name)?.1 as usize)
     }
 
     fn drop_table(&self, name: &str) -> BackendResult<()> {
-        match self.call(&Request::DropTableIfExists { name: name.into() })? {
-            Response::Unit => Ok(()),
-            other => Err(self.unexpected("DropTableIfExists", &other)),
-        }
+        // A drop is a statement like any other: the server's `Execute`
+        // path tracks the write for its scorer cache and session.
+        let stmt = Statement::DropTable {
+            name: name.into(),
+            if_exists: true,
+        };
+        self.execute(&stmt).map(drop)
     }
 
     fn split_open(

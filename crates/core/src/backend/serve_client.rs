@@ -8,7 +8,6 @@ use joinboost_engine::EngineError;
 
 use super::client::RemoteConnection;
 use super::wire::{JobSpec, Request, Response};
-use crate::serve::ScorerSpec;
 
 /// A client-visible job state, decoded from the wire.
 #[derive(Debug, Clone, PartialEq)]
@@ -185,22 +184,6 @@ impl ServeClient {
         let rs = self
             .conn
             .predict_wire(Some(id), None, keys, false)
-            .map_err(ServeError::Engine)?;
-        Ok(rs.into_iter().map(|(f, s)| f.then_some(s)).collect())
-    }
-
-    /// Score `keys` against message tables described by an inline `spec`
-    /// (deployed out-of-band, e.g. by [`FactorizedScorer`] compilation).
-    ///
-    /// [`FactorizedScorer`]: crate::serve::FactorizedScorer
-    pub fn predict_spec(
-        &self,
-        spec: &ScorerSpec,
-        keys: &[i64],
-    ) -> Result<Vec<Option<f64>>, ServeError> {
-        let rs = self
-            .conn
-            .predict_wire(None, Some(spec), keys, false)
             .map_err(ServeError::Engine)?;
         Ok(rs.into_iter().map(|(f, s)| f.then_some(s)).collect())
     }

@@ -176,6 +176,15 @@ pub(super) fn handle_split_request(
     }
 }
 
+/// Answer `Describe`: every column's name and type, and the row count.
+fn describe(db: &Database, name: &str) -> Result<Response, EngineError> {
+    let columns = (db.column_names(name)?.into_iter())
+        .map(|c| db.column_dtype(name, &c).map(|d| (c, d)))
+        .collect::<Result<_, _>>()?;
+    let rows = db.row_count(name)? as u64;
+    Ok(Response::Schema { columns, rows })
+}
+
 /// Serve one `PredictBatch` request: resolve the scorer spec (from a
 /// finished job or inline), evaluate against the cached message-table
 /// dictionary.
@@ -269,33 +278,14 @@ pub(super) fn handle_request(
             }
             Err(e) => Response::Err(e),
         },
-        Request::Snapshot { name } => table(db.snapshot(&name)),
-        Request::ColumnNames { name } => match db.column_names(&name) {
-            Ok(names) => Response::Names(names),
-            Err(e) => Response::Err(e),
-        },
-        Request::ColumnDtype { table, column } => match db.column_dtype(&table, &column) {
-            Ok(d) => Response::Dtype(d),
-            Err(e) => Response::Err(e),
-        },
-        Request::HasTable { name } => Response::Bool(db.has_table(&name)),
-        Request::RowCount { name } => match db.row_count(&name) {
-            Ok(n) => Response::Count(n as u64),
-            Err(e) => Response::Err(e),
-        },
-        // Tolerant drop and bounds-checked gather share the in-process
-        // transport's implementation — one copy of the semantics for
-        // local and remote shards.
-        Request::DropTableIfExists { name } => match ShardTransport::drop_table(db, &name) {
-            Ok(()) => {
-                let write = SqlWrite::Drop(name.to_ascii_lowercase());
-                ctx.invalidate_scorers(&write);
-                session.note_write(&write);
-                Response::Unit
-            }
-            Err(e) => Response::Err(e),
-        },
-        Request::GatherRows { name, rows } => table(ShardTransport::gather_rows(db, &name, &rows)),
+        Request::Describe { name } => describe(db, &name).unwrap_or_else(Response::Err),
+        // The bounds-checked gather is the in-process transport's: one
+        // copy of the semantics for local and remote shards.
+        Request::Scan { name, rows: None } => table(db.snapshot(&name)),
+        Request::Scan {
+            name,
+            rows: Some(rows),
+        } => table(ShardTransport::gather_rows(db, &name, &rows)),
         Request::TableNames => Response::Names(db.table_names()),
         Request::SubmitJob { spec } => submit_job(ctx, token, *spec),
         Request::PollJob { id } => match ctx.jobs.lock().get(&id) {

@@ -106,8 +106,9 @@ struct ServerContext {
     sessions: Mutex<HashMap<u64, Arc<SessionState>>>,
     /// One-shot latch for [`ServeOptions::flaky_after`].
     flaky_fired: AtomicBool,
-    /// Loaded message-table dictionaries, keyed by fact table name.
-    /// A write invalidates only the entries whose relations it touches.
+    /// Loaded message-table dictionaries, keyed by fact table name; an
+    /// entry answers only the spec it was loaded for. A write
+    /// invalidates only the entries whose relations it touches.
     scorer_cache: Mutex<HashMap<String, CachedScorer>>,
     /// Cache-miss loads performed (tests assert on invalidation
     /// granularity through this).
@@ -130,10 +131,12 @@ struct ServerContext {
     replay_evictions: AtomicU64,
 }
 
-/// A cached scorer dictionary plus the relations it was built from (the
-/// invalidation footprint).
+/// A cached scorer dictionary, the spec it was loaded for (the index
+/// holds that spec's leaf values), and the relations it was built from
+/// (the invalidation footprint).
 struct CachedScorer {
     index: Arc<MessageIndex>,
+    spec: ScorerSpec,
     tables: Vec<String>,
 }
 
@@ -183,9 +186,13 @@ impl ServerContext {
     }
 
     /// The message-table dictionary for `spec`, loaded once and cached.
+    /// Another spec over the same fact table (e.g. the first k trees of
+    /// a model) reloads and replaces the entry.
     fn scorer_index(&self, spec: &ScorerSpec) -> BackendResult<Arc<MessageIndex>> {
         if let Some(c) = self.scorer_cache.lock().get(&spec.fact_table) {
-            return Ok(Arc::clone(&c.index));
+            if c.spec == *spec {
+                return Ok(Arc::clone(&c.index));
+            }
         }
         let idx = Arc::new(MessageIndex::load(spec, &mut |n| self.db.snapshot(n))?);
         self.scorer_loads.fetch_add(1, Ordering::Relaxed);
@@ -197,6 +204,7 @@ impl ServerContext {
             spec.fact_table.clone(),
             CachedScorer {
                 index: Arc::clone(&idx),
+                spec: spec.clone(),
                 tables: spec.tables().iter().map(|s| s.to_string()).collect(),
             },
         );

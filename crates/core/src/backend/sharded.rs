@@ -437,6 +437,26 @@ impl ShardedBackend {
         &self.coordinator
     }
 
+    /// Hash-partition `table` on `key` across the shards and mark `name`
+    /// sharded; returns the partition sizes.
+    fn partition(&self, name: &str, table: &Table, key: &str) -> BackendResult<Vec<usize>> {
+        let kidx = table.resolve(None, key)?;
+        let mut masks = vec![vec![false; table.num_rows()]; self.shards.len()];
+        #[allow(clippy::needless_range_loop)] // i indexes the key column and masks
+        for i in 0..table.num_rows() {
+            let s = self.shard_of(&table.columns[kidx].get(i));
+            masks[s][i] = true;
+        }
+        for (db, mask) in self.shards.iter().zip(&masks) {
+            db.create_table(name, table.filter(mask))?;
+        }
+        self.sharded.write().insert(name.to_ascii_lowercase());
+        Ok(masks
+            .iter()
+            .map(|m| m.iter().filter(|&&b| b).count())
+            .collect())
+    }
+
     /// Is this table hash-partitioned (fact-derived) rather than
     /// replicated?
     pub fn is_sharded(&self, name: &str) -> bool {
@@ -916,24 +936,10 @@ impl SqlBackend for ShardedBackend {
     fn create_table(&self, name: &str, table: Table) -> BackendResult<()> {
         if name.eq_ignore_ascii_case(&self.fact) {
             // Hash-partition the fact relation on the shard key.
-            let kidx = table.resolve(None, &self.shard_key)?;
-            let n = self.shards.len();
-            let mut masks: Vec<Vec<bool>> = vec![vec![false; table.num_rows()]; n];
-            #[allow(clippy::needless_range_loop)] // i indexes the key column and masks
-            for i in 0..table.num_rows() {
-                let s = self.shard_of(&table.columns[kidx].get(i));
-                masks[s][i] = true;
-            }
-            for (db, mask) in self.shards.iter().zip(&masks) {
-                db.create_table(name, table.filter(mask))?;
-            }
-            self.sharded.write().insert(self.fact.clone());
+            let sizes = self.partition(name, &table, &self.shard_key)?;
             // Partition-skew telemetry: a hot shard key funnels the fact
             // into few partitions and serializes every fan-out on them.
-            let sizes: Vec<usize> = masks
-                .iter()
-                .map(|m| m.iter().filter(|&&b| b).count())
-                .collect();
+            let n = sizes.len();
             let max = sizes.iter().copied().max().unwrap_or(0);
             if n > 1 && max * n > 4 * table.num_rows() {
                 self.skew_warnings.fetch_add(1, Ordering::Relaxed);
@@ -958,19 +964,7 @@ impl SqlBackend for ShardedBackend {
         // Same hash partitioning as the fact relation, but on the named
         // key: a message table partitioned on the predict key lands each
         // entry on the shard that answers for that key.
-        let kidx = table.resolve(None, key)?;
-        let n = self.shards.len();
-        let mut masks: Vec<Vec<bool>> = vec![vec![false; table.num_rows()]; n];
-        #[allow(clippy::needless_range_loop)] // i indexes the key column and masks
-        for i in 0..table.num_rows() {
-            let s = self.shard_of(&table.columns[kidx].get(i));
-            masks[s][i] = true;
-        }
-        for (db, mask) in self.shards.iter().zip(&masks) {
-            db.create_table(name, table.filter(mask))?;
-        }
-        self.sharded.write().insert(name.to_ascii_lowercase());
-        Ok(())
+        self.partition(name, &table, key).map(drop)
     }
 
     fn predict_batch(

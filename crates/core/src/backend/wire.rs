@@ -111,8 +111,8 @@ pub const MAGIC: u32 = 0x4a42_5750;
 /// Protocol version; bumped on any incompatible codec change. The server
 /// speaks exactly this version and answers a `Hello` carrying any other
 /// with a typed mismatch error instead of misdecoding (the history of
-/// versions 2–5 is in `CHANGES.md`).
-pub const VERSION: u32 = 6;
+/// versions 2–6 is in `CHANGES.md`).
+pub const VERSION: u32 = 7;
 
 /// Upper bound on one frame's payload (64 MiB). Larger tables must be
 /// loaded in parts; in practice JoinBoost's shard messages are orders of
@@ -148,45 +148,20 @@ pub enum Request {
         /// The table payload.
         table: Table,
     },
-    /// Materialize a full scan of a table.
-    Snapshot {
-        /// Table to scan.
-        name: String,
-    },
-    /// Column names of a table (schema lookup).
-    ColumnNames {
+    /// Schema and row count of a table; answered with
+    /// [`Response::Schema`] (or `UnknownTable`).
+    Describe {
         /// Table to describe.
         name: String,
     },
-    /// Data type of one column.
-    ColumnDtype {
-        /// Table holding the column.
-        table: String,
-        /// Column to describe.
-        column: String,
-    },
-    /// Does the table exist?
-    HasTable {
-        /// Table to probe.
+    /// Read a table; answered with [`Response::Table`].
+    Scan {
+        /// Table to read.
         name: String,
-    },
-    /// Number of rows in a table.
-    RowCount {
-        /// Table to count.
-        name: String,
-    },
-    /// Temp-table lifecycle: drop if present, succeed either way.
-    DropTableIfExists {
-        /// Table to drop.
-        name: String,
-    },
-    /// Ship only the rows at the given snapshot-order positions (the
-    /// messages-not-scans path of random-forest sampling).
-    GatherRows {
-        /// Table to sample from.
-        name: String,
-        /// Snapshot-order positions, in the order they should return.
-        rows: Vec<u32>,
+        /// `None` reads every row; `Some` only the rows at these
+        /// snapshot-order positions, in this order (bounds-checked) — the
+        /// messages-not-scans path of row sampling.
+        rows: Option<Vec<u32>>,
     },
     /// Names of every table the server currently holds (diagnostics; the
     /// fault-injection tests use it to prove temp-table cleanup).
@@ -327,12 +302,13 @@ pub enum Response {
     Unit,
     /// A list of names.
     Names(Vec<String>),
-    /// A column's data type.
-    Dtype(DataType),
-    /// A boolean answer.
-    Bool(bool),
-    /// A row count.
-    Count(u64),
+    /// Reply to [`Request::Describe`].
+    Schema {
+        /// `(name, type)` per column, in table order.
+        columns: Vec<(String, DataType)>,
+        /// Rows in the table.
+        rows: u64,
+    },
     /// The engine error the statement produced, variant preserved.
     Err(EngineError),
     /// Reply to [`Request::SplitOpen`] when the protocol applies: the
@@ -548,6 +524,21 @@ fn put_strings(buf: &mut Vec<u8>, ss: &[String]) {
     }
 }
 
+/// An optional `u32` list: a `0` flag for `None`, or `1`, the count and
+/// the values.
+fn put_u32s(buf: &mut Vec<u8>, xs: Option<&[u32]>) {
+    match xs {
+        None => buf.push(0),
+        Some(xs) => {
+            buf.push(1);
+            put_u32(buf, xs.len() as u32);
+            for &x in xs {
+                put_u32(buf, x);
+            }
+        }
+    }
+}
+
 fn read_f64(r: &mut ByteReader<'_>) -> DecodeResult<f64> {
     Ok(f64::from_bits(r.u64()?))
 }
@@ -559,6 +550,20 @@ fn read_strings(r: &mut ByteReader<'_>) -> DecodeResult<Vec<String>> {
         out.push(r.string()?);
     }
     Ok(out)
+}
+
+fn read_u32s(r: &mut ByteReader<'_>) -> DecodeResult<Option<Vec<u32>>> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => {
+            let n = count(r, 4)?;
+            (0..n)
+                .map(|_| r.u32())
+                .collect::<DecodeResult<_>>()
+                .map(Some)
+        }
+        _ => Err(corrupt("unknown option tag")),
+    }
 }
 
 fn encode_scorer_spec(spec: &ScorerSpec, buf: &mut Vec<u8>) {
@@ -816,24 +821,19 @@ fn dtype_from(tag: u8) -> DecodeResult<DataType> {
 const REQ_HELLO: u8 = 0;
 const REQ_EXECUTE: u8 = 1;
 const REQ_CREATE_TABLE: u8 = 2;
-const REQ_SNAPSHOT: u8 = 3;
-const REQ_COLUMN_NAMES: u8 = 4;
-const REQ_COLUMN_DTYPE: u8 = 5;
-const REQ_HAS_TABLE: u8 = 6;
-const REQ_ROW_COUNT: u8 = 7;
-const REQ_DROP_IF_EXISTS: u8 = 8;
-const REQ_GATHER_ROWS: u8 = 9;
-const REQ_TABLE_NAMES: u8 = 10;
-const REQ_SPLIT_OPEN: u8 = 11;
-const REQ_SPLIT_BOUNDARIES: u8 = 12;
-const REQ_SPLIT_SUMMARIES: u8 = 13;
-const REQ_SPLIT_REFINE: u8 = 14;
-const REQ_SPLIT_FETCH: u8 = 15;
-const REQ_SPLIT_CLOSE: u8 = 16;
-const REQ_SUBMIT_JOB: u8 = 17;
-const REQ_POLL_JOB: u8 = 18;
-const REQ_CANCEL_JOB: u8 = 19;
-const REQ_PREDICT_BATCH: u8 = 20;
+const REQ_DESCRIBE: u8 = 3;
+const REQ_SCAN: u8 = 4;
+const REQ_TABLE_NAMES: u8 = 5;
+const REQ_SPLIT_OPEN: u8 = 6;
+const REQ_SPLIT_BOUNDARIES: u8 = 7;
+const REQ_SPLIT_SUMMARIES: u8 = 8;
+const REQ_SPLIT_REFINE: u8 = 9;
+const REQ_SPLIT_FETCH: u8 = 10;
+const REQ_SPLIT_CLOSE: u8 = 11;
+const REQ_SUBMIT_JOB: u8 = 12;
+const REQ_POLL_JOB: u8 = 13;
+const REQ_CANCEL_JOB: u8 = 14;
+const REQ_PREDICT_BATCH: u8 = 15;
 
 /// Encode one request into a frame payload.
 pub fn encode_request(req: &Request) -> Vec<u8> {
@@ -858,38 +858,14 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             put_string(&mut buf, name);
             encode_table(table, &mut buf);
         }
-        Request::Snapshot { name } => {
-            buf.push(REQ_SNAPSHOT);
+        Request::Describe { name } => {
+            buf.push(REQ_DESCRIBE);
             put_string(&mut buf, name);
         }
-        Request::ColumnNames { name } => {
-            buf.push(REQ_COLUMN_NAMES);
+        Request::Scan { name, rows } => {
+            buf.push(REQ_SCAN);
             put_string(&mut buf, name);
-        }
-        Request::ColumnDtype { table, column } => {
-            buf.push(REQ_COLUMN_DTYPE);
-            put_string(&mut buf, table);
-            put_string(&mut buf, column);
-        }
-        Request::HasTable { name } => {
-            buf.push(REQ_HAS_TABLE);
-            put_string(&mut buf, name);
-        }
-        Request::RowCount { name } => {
-            buf.push(REQ_ROW_COUNT);
-            put_string(&mut buf, name);
-        }
-        Request::DropTableIfExists { name } => {
-            buf.push(REQ_DROP_IF_EXISTS);
-            put_string(&mut buf, name);
-        }
-        Request::GatherRows { name, rows } => {
-            buf.push(REQ_GATHER_ROWS);
-            put_string(&mut buf, name);
-            put_u32(&mut buf, rows.len() as u32);
-            for &x in rows {
-                put_u32(&mut buf, x);
-            }
+            put_u32s(&mut buf, rows.as_deref());
         }
         Request::TableNames => buf.push(REQ_TABLE_NAMES),
         Request::SplitOpen {
@@ -918,16 +894,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             buf.push(REQ_SPLIT_SUMMARIES);
             put_u64(&mut buf, *id);
             encode_table(grid, &mut buf);
-            match changed {
-                None => buf.push(0),
-                Some(changed) => {
-                    buf.push(1);
-                    put_u32(&mut buf, changed.len() as u32);
-                    for &j in changed {
-                        put_u32(&mut buf, j);
-                    }
-                }
-            }
+            put_u32s(&mut buf, changed.as_deref());
         }
         Request::SplitRefine { id, grid, targets } => {
             buf.push(REQ_SPLIT_REFINE);
@@ -1015,24 +982,11 @@ pub fn decode_request(bytes: &[u8]) -> DecodeResult<Request> {
             let table = decode_table(&mut r)?;
             Request::CreateTable { name, table }
         }
-        REQ_SNAPSHOT => Request::Snapshot { name: r.string()? },
-        REQ_COLUMN_NAMES => Request::ColumnNames { name: r.string()? },
-        REQ_COLUMN_DTYPE => Request::ColumnDtype {
-            table: r.string()?,
-            column: r.string()?,
+        REQ_DESCRIBE => Request::Describe { name: r.string()? },
+        REQ_SCAN => Request::Scan {
+            name: r.string()?,
+            rows: read_u32s(&mut r)?,
         },
-        REQ_HAS_TABLE => Request::HasTable { name: r.string()? },
-        REQ_ROW_COUNT => Request::RowCount { name: r.string()? },
-        REQ_DROP_IF_EXISTS => Request::DropTableIfExists { name: r.string()? },
-        REQ_GATHER_ROWS => {
-            let name = r.string()?;
-            let n = count(&mut r, 4)?;
-            let mut rows = Vec::with_capacity(n);
-            for _ in 0..n {
-                rows.push(r.u32()?);
-            }
-            Request::GatherRows { name, rows }
-        }
         REQ_TABLE_NAMES => Request::TableNames,
         REQ_SPLIT_OPEN => {
             let sql = r.string()?;
@@ -1058,28 +1012,16 @@ pub fn decode_request(bytes: &[u8]) -> DecodeResult<Request> {
         REQ_SPLIT_SUMMARIES => {
             let id = r.u64()?;
             let grid = decode_table(&mut r)?;
-            let changed = match r.u8()? {
-                0 => None,
-                1 => {
-                    let n = count(&mut r, 4)?;
-                    let mut changed = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        changed.push(r.u32()?);
-                    }
-                    // Strict ascent and grid range are part of the
-                    // contract: they make the reply's interval order
-                    // unambiguous and reject duplicate work.
-                    if changed.windows(2).any(|w| w[0] >= w[1])
-                        || changed
-                            .last()
-                            .is_some_and(|&j| j as usize >= grid.num_rows())
-                    {
-                        return Err(corrupt("changed intervals not ascending within the grid"));
-                    }
-                    Some(changed)
-                }
-                _ => return Err(corrupt("unknown option tag")),
-            };
+            let changed = read_u32s(&mut r)?;
+            // Strict ascent and grid range are part of the contract: they
+            // make the reply's interval order unambiguous and reject
+            // duplicate work.
+            if changed.as_ref().is_some_and(|c| {
+                c.windows(2).any(|w| w[0] >= w[1])
+                    || c.last().is_some_and(|&j| j as usize >= grid.num_rows())
+            }) {
+                return Err(corrupt("changed intervals not ascending within the grid"));
+            }
             Request::SplitSummaries { id, grid, changed }
         }
         REQ_SPLIT_REFINE => {
@@ -1139,15 +1081,13 @@ const RESP_CAPS: u8 = 0;
 const RESP_TABLE: u8 = 1;
 const RESP_UNIT: u8 = 2;
 const RESP_NAMES: u8 = 3;
-const RESP_DTYPE: u8 = 4;
-const RESP_BOOL: u8 = 5;
-const RESP_COUNT: u8 = 6;
-const RESP_ERR: u8 = 7;
-const RESP_SPLIT_OPENED: u8 = 8;
-const RESP_JOB_SUBMITTED: u8 = 9;
-const RESP_JOB_STATE: u8 = 10;
-const RESP_BUSY: u8 = 11;
-const RESP_SCORES: u8 = 12;
+const RESP_SCHEMA: u8 = 4;
+const RESP_ERR: u8 = 5;
+const RESP_SPLIT_OPENED: u8 = 6;
+const RESP_JOB_SUBMITTED: u8 = 7;
+const RESP_JOB_STATE: u8 = 8;
+const RESP_BUSY: u8 = 9;
+const RESP_SCORES: u8 = 10;
 
 /// Encode one response into a frame payload.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
@@ -1164,22 +1104,16 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         Response::Unit => buf.push(RESP_UNIT),
         Response::Names(names) => {
             buf.push(RESP_NAMES);
-            put_u32(&mut buf, names.len() as u32);
-            for n in names {
-                put_string(&mut buf, n);
+            put_strings(&mut buf, names);
+        }
+        Response::Schema { columns, rows } => {
+            buf.push(RESP_SCHEMA);
+            put_u32(&mut buf, columns.len() as u32);
+            for (name, dtype) in columns {
+                put_string(&mut buf, name);
+                buf.push(dtype_tag(*dtype));
             }
-        }
-        Response::Dtype(d) => {
-            buf.push(RESP_DTYPE);
-            buf.push(dtype_tag(*d));
-        }
-        Response::Bool(b) => {
-            buf.push(RESP_BOOL);
-            buf.push(u8::from(*b));
-        }
-        Response::Count(c) => {
-            buf.push(RESP_COUNT);
-            put_u64(&mut buf, *c);
+            put_u64(&mut buf, *rows);
         }
         Response::Err(e) => {
             buf.push(RESP_ERR);
@@ -1230,17 +1164,18 @@ pub fn decode_response(bytes: &[u8]) -> DecodeResult<Response> {
         },
         RESP_TABLE => Response::Table(decode_table(&mut r)?),
         RESP_UNIT => Response::Unit,
-        RESP_NAMES => {
-            let n = count(&mut r, 4)?;
-            let mut names = Vec::with_capacity(n);
+        RESP_NAMES => Response::Names(read_strings(&mut r)?),
+        RESP_SCHEMA => {
+            let n = count(&mut r, 5)?;
+            let mut columns = Vec::with_capacity(n);
             for _ in 0..n {
-                names.push(r.string()?);
+                columns.push((r.string()?, dtype_from(r.u8()?)?));
             }
-            Response::Names(names)
+            Response::Schema {
+                columns,
+                rows: r.u64()?,
+            }
         }
-        RESP_DTYPE => Response::Dtype(dtype_from(r.u8()?)?),
-        RESP_BOOL => Response::Bool(r.u8()? != 0),
-        RESP_COUNT => Response::Count(r.u64()?),
         RESP_ERR => Response::Err(decode_engine_error(&mut r)?),
         RESP_SPLIT_OPENED => {
             let id = r.u64()?;
@@ -1370,18 +1305,14 @@ mod tests {
                 name: "t".into(),
                 table: sample_table(),
             },
-            Request::Snapshot { name: "t".into() },
-            Request::ColumnNames { name: "t".into() },
-            Request::ColumnDtype {
-                table: "t".into(),
-                column: "a".into(),
-            },
-            Request::HasTable { name: "t".into() },
-            Request::RowCount { name: "t".into() },
-            Request::DropTableIfExists { name: "t".into() },
-            Request::GatherRows {
+            Request::Describe { name: "t".into() },
+            Request::Scan {
                 name: "t".into(),
-                rows: vec![2, 0, 2],
+                rows: None,
+            },
+            Request::Scan {
+                name: "t".into(),
+                rows: Some(vec![2, 0, 2]),
             },
             Request::TableNames,
             Request::SplitSummaries {
@@ -1442,9 +1373,10 @@ mod tests {
             Response::Table(sample_table()),
             Response::Unit,
             Response::Names(vec!["a".into(), "b".into()]),
-            Response::Dtype(DataType::Str),
-            Response::Bool(false),
-            Response::Count(42),
+            Response::Schema {
+                columns: vec![("a".into(), DataType::Int), ("b".into(), DataType::Str)],
+                rows: 42,
+            },
             Response::Err(EngineError::UnknownTable("ghost".into())),
             Response::SplitOpened {
                 id: 3,

@@ -159,11 +159,6 @@ impl<'a> Dataset<'a> {
         name
     }
 
-    /// Register an externally created temp table for cleanup.
-    pub fn register_temp(&self, name: &str) {
-        self.temp_tables.lock().push(name.to_string());
-    }
-
     /// Number of live temp tables created so far.
     pub fn temp_table_count(&self) -> usize {
         self.temp_tables.lock().len()

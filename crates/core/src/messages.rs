@@ -695,11 +695,6 @@ impl<'a, 'b> Factorizer<'a, 'b> {
         Ok((c0, c1))
     }
 
-    /// Cache statistics passthrough.
-    pub fn cache_stats(&self) -> joinboost_graph::cache::CacheStats {
-        self.cache.stats()
-    }
-
     /// Drop every cached message (the `Batch` ablation recomputes messages
     /// per tree node; backing temp tables are cleaned by the dataset).
     pub fn clear_cache(&mut self) {

@@ -82,11 +82,6 @@ pub fn fk_column(d: usize) -> String {
 }
 
 impl ScorerSpec {
-    /// Number of trees in the compiled model.
-    pub fn num_trees(&self) -> usize {
-        self.leaf_values.len()
-    }
-
     /// Every deployed table this spec references, fact first.
     pub fn tables(&self) -> Vec<&str> {
         let mut out = vec![self.fact_table.as_str()];
@@ -483,11 +478,6 @@ impl MessageIndex {
         })
     }
 
-    /// Number of fact keys this index can score.
-    pub fn num_keys(&self) -> usize {
-        self.fact.len()
-    }
-
     /// Score one key. `(false, 0.0)` means the key is absent from the
     /// fact table or its joined tuple is absent from `R⋈` (dangling or
     /// NULL foreign key). `start` is the running total to add leaf values
@@ -518,7 +508,15 @@ impl MessageIndex {
                     mask.count_ones()
                 )));
             }
-            score += self.learning_rate * leaves[mask.trailing_zeros() as usize];
+            let slot = mask.trailing_zeros() as usize;
+            let Some(&leaf) = leaves.get(slot) else {
+                return Err(other(format!(
+                    "scorer spec too short for key {key}: tree {t} selects leaf slot \
+                     {slot}, but the spec has {} leaf values for it",
+                    leaves.len()
+                )));
+            };
+            score += self.learning_rate * leaf;
         }
         Ok((true, score))
     }

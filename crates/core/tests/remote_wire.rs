@@ -20,12 +20,12 @@ use joinboost::backend::wire::{
     decode_request, decode_response, decode_table_bytes, encode_request, encode_response,
     encode_table_bytes, read_frame, write_frame, Request, Response, MAGIC, VERSION,
 };
-use joinboost::backend::{RemoteBackend, SqlBackend, WireServer};
+use joinboost::backend::{RemoteBackend, ShardTransport, SqlBackend, WireServer};
 use joinboost::{train_gbm, Dataset, GbmModel, TrainParams};
 use joinboost_engine::column::ColumnData;
 use joinboost_engine::table::ColumnMeta;
 use joinboost_engine::Datum;
-use joinboost_engine::{Column, Database, Table};
+use joinboost_engine::{Column, Database, EngineError, Table};
 use joinboost_sql::ast::{
     BinaryOp, Expr, OrderByItem, Query, SelectItem, Statement, TableRef, Value,
 };
@@ -496,18 +496,10 @@ fn is_split_names_exactly_the_split_requests() {
             name: "t".into(),
             table: Table::new(),
         },
-        Request::Snapshot { name: "t".into() },
-        Request::ColumnNames { name: "t".into() },
-        Request::ColumnDtype {
-            table: "t".into(),
-            column: "c".into(),
-        },
-        Request::HasTable { name: "t".into() },
-        Request::RowCount { name: "t".into() },
-        Request::DropTableIfExists { name: "t".into() },
-        Request::GatherRows {
+        Request::Describe { name: "t".into() },
+        Request::Scan {
             name: "t".into(),
-            rows: vec![0],
+            rows: Some(vec![0]),
         },
         Request::TableNames,
         Request::SplitOpen {
@@ -553,24 +545,19 @@ fn is_split_names_exactly_the_split_requests() {
             Request::Hello { .. } => (0, false),
             Request::Execute { .. } => (1, false),
             Request::CreateTable { .. } => (2, false),
-            Request::Snapshot { .. } => (3, false),
-            Request::ColumnNames { .. } => (4, false),
-            Request::ColumnDtype { .. } => (5, false),
-            Request::HasTable { .. } => (6, false),
-            Request::RowCount { .. } => (7, false),
-            Request::DropTableIfExists { .. } => (8, false),
-            Request::GatherRows { .. } => (9, false),
-            Request::TableNames => (10, false),
-            Request::SplitOpen { .. } => (11, true),
-            Request::SplitBoundaries { .. } => (12, true),
-            Request::SplitSummaries { .. } => (13, true),
-            Request::SplitRefine { .. } => (14, true),
-            Request::SplitFetch { .. } => (15, true),
-            Request::SplitClose { .. } => (16, true),
-            Request::SubmitJob { .. } => (17, false),
-            Request::PollJob { .. } => (18, false),
-            Request::CancelJob { .. } => (19, false),
-            Request::PredictBatch { .. } => (20, false),
+            Request::Describe { .. } => (3, false),
+            Request::Scan { .. } => (4, false),
+            Request::TableNames => (5, false),
+            Request::SplitOpen { .. } => (6, true),
+            Request::SplitBoundaries { .. } => (7, true),
+            Request::SplitSummaries { .. } => (8, true),
+            Request::SplitRefine { .. } => (9, true),
+            Request::SplitFetch { .. } => (10, true),
+            Request::SplitClose { .. } => (11, true),
+            Request::SubmitJob { .. } => (12, false),
+            Request::PollJob { .. } => (13, false),
+            Request::CancelJob { .. } => (14, false),
+            Request::PredictBatch { .. } => (15, false),
         };
         assert_eq!(req.is_split(), split, "{req:?}");
         // The codec agrees on which variant this is.
@@ -579,7 +566,7 @@ fn is_split_names_exactly_the_split_requests() {
     }
     assert_eq!(
         seen.len(),
-        21,
+        16,
         "the sample must cover every Request variant"
     );
 }
@@ -588,12 +575,20 @@ fn is_split_names_exactly_the_split_requests() {
 // Live-socket round trips
 // ---------------------------------------------------------------------------
 
-/// Every datatype, NULLs included, through a real server: the remote
-/// snapshot must carry the same bits a local engine reports.
+/// Every datatype, NULLs included, through a real server: each table
+/// read of the remote transport (`Describe` and `Scan` on the wire) must
+/// answer exactly what the in-process engine answers — bits, errors and
+/// all — for a populated table, a zero-row one and a missing one.
 #[test]
 fn remote_snapshot_is_bit_identical_to_local() {
     let table = Table::from_columns(vec![
-        ("i", Column::int(vec![1, -7, i64::MAX, 0])),
+        (
+            "i",
+            Column {
+                data: ColumnData::Int(vec![1, -7, i64::MAX, 0]),
+                validity: Some(vec![true, false, true, true]),
+            },
+        ),
         (
             "f",
             Column {
@@ -603,35 +598,71 @@ fn remote_snapshot_is_bit_identical_to_local() {
         ),
         (
             "s",
-            Column::str(vec!["a".into(), "".into(), "a".into(), "long-ish".into()]),
+            Column {
+                validity: Some(vec![true, true, true, false]),
+                ..Column::str(vec!["a".into(), "".into(), "a".into(), "long-ish".into()])
+            },
         ),
     ]);
+    let empty = table.take(&[]);
     let local = Database::in_memory();
-    local.create_table("t", table.clone()).unwrap();
-
     let server = WireServer::builder(Database::in_memory()).spawn().unwrap();
     let remote = RemoteBackend::builder(server.addr()).connect().unwrap();
-    remote.create_table("t", table).unwrap();
+    for (name, t) in [("t", &table), ("empty", &empty)] {
+        local.create_table(name, t.clone()).unwrap();
+        remote.create_table(name, t.clone()).unwrap();
+    }
 
-    let a = local.snapshot("t").unwrap();
-    let b = remote.snapshot("t").unwrap();
-    assert_eq!(encode_table_bytes(&a), encode_table_bytes(&b));
+    // The transport surface, remote against in-process, table names in
+    // any case; `ghost` does not exist (`UnknownTable`, `has_table` false).
+    let conn: &dyn ShardTransport = remote.connection();
+    let engine: &dyn ShardTransport = &local;
+    let bytes = |r: Result<Table, EngineError>| r.map(|t| encode_table_bytes(&t));
+    for name in ["t", "T", "empty", "ghost"] {
+        assert_eq!(conn.has_table(name), engine.has_table(name), "{name}");
+        assert_eq!(conn.row_count(name), engine.row_count(name), "{name}");
+        assert_eq!(conn.column_names(name), engine.column_names(name), "{name}");
+        // Column lookup is case-insensitive; a missing one is `UnknownColumn`.
+        for column in ["i", "F", "s", "nope"] {
+            let (a, b) = (
+                conn.column_dtype(name, column),
+                engine.column_dtype(name, column),
+            );
+            assert_eq!(a, b, "{name}.{column}");
+        }
+        assert_eq!(
+            bytes(conn.snapshot(name)),
+            bytes(engine.snapshot(name)),
+            "{name}"
+        );
+        // Gathers ship only the requested rows, in order; a row past the
+        // end is an error on both.
+        for rows in [&[2, 0, 2][..], &[], &[4], &[0]] {
+            let (a, b) = (conn.gather_rows(name, rows), engine.gather_rows(name, rows));
+            assert_eq!(bytes(a), bytes(b), "{name} {rows:?}");
+        }
+    }
+    assert!(!conn.has_table("ghost"));
+    assert!(matches!(
+        conn.row_count("ghost"),
+        Err(EngineError::UnknownTable(_))
+    ));
+    assert!(matches!(
+        conn.column_dtype("t", "nope"),
+        Err(EngineError::UnknownColumn(_))
+    ));
+    assert!(conn.gather_rows("t", &[4]).is_err(), "out of range");
 
-    // Schema lookups and aggregates agree with the local engine.
-    assert_eq!(
-        remote.column_names("t").unwrap(),
-        local.column_names("t").unwrap()
-    );
-    assert_eq!(remote.row_count("t").unwrap(), 4);
+    // Dropping a missing table succeeds; dropping a present one removes it.
+    for transport in [conn, engine] {
+        transport.drop_table("ghost").unwrap();
+        transport.drop_table("empty").unwrap();
+        assert!(!transport.has_table("empty"));
+    }
+
+    // Aggregates agree with the local engine.
     let q = "SELECT SUM(i) AS si, COUNT(*) AS c FROM t";
     assert_eq!(remote.query(q).unwrap(), local.query(q).unwrap());
-
-    // gather_rows ships only the requested rows, in order.
-    let got = remote.gather_rows("t", &[2, 0]).unwrap();
-    assert_eq!(got.num_rows(), 2);
-    assert_eq!(got.columns[0].get(0), a.columns[0].get(2));
-    assert_eq!(got.columns[0].get(1), a.columns[0].get(0));
-    assert!(remote.gather_rows("t", &[4]).is_err(), "out of range");
 
     // SQL whose 6th *byte* sits inside a multi-byte char must not panic
     // the client's statement counter — it reaches the server and fails
@@ -641,7 +672,7 @@ fn remote_snapshot_is_bit_identical_to_local() {
     // Engine errors come back as the same variant, not a stringly blob.
     let err = remote.query("SELECT x FROM ghost").unwrap_err();
     assert!(
-        matches!(err, joinboost_engine::EngineError::UnknownTable(ref t) if t == "ghost"),
+        matches!(err, EngineError::UnknownTable(ref t) if t == "ghost"),
         "{err:?}"
     );
 
@@ -681,7 +712,7 @@ fn remote_load_snapshot_matches_local_engine_on_random_tables() {
 // Concurrency: one server, two clients
 // ---------------------------------------------------------------------------
 
-/// A `Hello` carrying any version but the server's — the three retired
+/// A `Hello` carrying any version but the server's — the four retired
 /// ones and a future one — gets the typed mismatch error naming the
 /// server's version, on a connection of its own; the server keeps
 /// serving everyone else.
@@ -690,7 +721,7 @@ fn hello_with_another_version_is_a_typed_mismatch_and_the_server_lives_on() {
     let server = WireServer::builder(Database::in_memory()).spawn().unwrap();
     let healthy = RemoteBackend::builder(server.addr()).connect().unwrap();
     healthy.execute("CREATE TABLE t AS SELECT 1 AS x").unwrap();
-    for version in [3u32, 4, 5, 99] {
+    for version in [3u32, 4, 5, 6, 99] {
         let mut sock = std::net::TcpStream::connect(server.addr()).unwrap();
         sock.set_read_timeout(Some(std::time::Duration::from_secs(10)))
             .unwrap();

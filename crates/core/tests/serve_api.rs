@@ -11,6 +11,8 @@ use joinboost::backend::{
     JobSpec, JobStatus, RemoteBackend, RemoteConnection, RetryPolicy, ServeClient, ServeError,
     SqlBackend, WireServer,
 };
+use joinboost::serve::MessageIndex;
+use joinboost::{train_gbm, Dataset, FactorizedScorer, ScorerSpec, TrainParams};
 use joinboost_engine::{Column, Database, Datum, Table};
 
 /// A star-schema database whose target is on the dyadic 1/8 grid, so
@@ -459,4 +461,97 @@ fn replay_cache_eviction_under_byte_budget() {
         let t = b.query("SELECT COUNT(*) AS n FROM dim").unwrap();
         assert_eq!(t.column(None, "n").unwrap().get(0), Datum::Int(6));
     }
+}
+
+/// Train a 3-tree model on the server's star schema through `backend`
+/// and deploy its message tables there. The dataset owns the tables, so
+/// it must outlive every use of the spec.
+fn deployed_spec(backend: &RemoteBackend) -> (Dataset<'_>, ScorerSpec) {
+    let mut graph = joinboost_graph::JoinGraph::new();
+    graph.add_relation("fact", &["x"]).unwrap();
+    graph.add_relation("dim", &["g"]).unwrap();
+    graph.add_edge("fact", "dim", &["d_id"]).unwrap();
+    let set = Dataset::new(backend, graph, "fact", "y").unwrap();
+    let params = TrainParams {
+        num_iterations: 3,
+        learning_rate: 0.5,
+        leaf_quantization: (2.0f64).powi(-10),
+        ..Default::default()
+    };
+    let model = train_gbm(&set, &params).unwrap();
+    let spec = FactorizedScorer::compile(&set, &model, "k")
+        .unwrap()
+        .spec()
+        .clone();
+    (set, spec)
+}
+
+/// Two inline specs over the same deployed tables — a model and its
+/// first tree — are each scored with their own leaf values: the server's
+/// scorer cache answers only the spec an entry was loaded for.
+#[test]
+fn inline_specs_over_the_same_tables_get_their_own_leaf_values() {
+    let server = WireServer::builder(star_db(64)).spawn().unwrap();
+    let backend = RemoteBackend::builder(server.addr()).connect().unwrap();
+    let (_set, spec) = deployed_spec(&backend);
+    let first = ScorerSpec {
+        leaf_values: spec.leaf_values[..1].to_vec(),
+        ..spec.clone()
+    };
+    let keys: Vec<i64> = (0..64).collect();
+    // The oracle: each spec loaded fresh, in process.
+    let oracle = |spec: &ScorerSpec| {
+        MessageIndex::load(spec, &mut |n| backend.snapshot(n))
+            .unwrap()
+            .eval_batch(&keys, spec.init_score)
+            .unwrap()
+    };
+    let bits = |rs: Vec<(bool, f64)>| -> Vec<(bool, u64)> {
+        rs.into_iter().map(|(f, s)| (f, s.to_bits())).collect()
+    };
+    let (want_all, want_first) = (bits(oracle(&spec)), bits(oracle(&first)));
+    assert_ne!(want_all, want_first, "the two specs must score differently");
+    for (s, want) in [
+        (&spec, &want_all),
+        (&first, &want_first),
+        (&spec, &want_all),
+    ] {
+        let got = bits(backend.predict_batch(s, &keys).unwrap());
+        assert_eq!(&got, want, "{} trees", s.leaf_values.len());
+    }
+}
+
+/// A spec with fewer leaf values than a deployed tree selects is a typed
+/// error naming the tree and the slot — answered at once, not a panicked
+/// connection the client waits out — and the connection serves on.
+#[test]
+fn a_short_inline_spec_is_a_typed_error_and_the_connection_serves_on() {
+    let server = WireServer::builder(star_db(64)).spawn().unwrap();
+    let io_timeout = Duration::from_secs(10);
+    let backend = RemoteBackend::builder(server.addr())
+        .io_timeout(io_timeout)
+        .retry(RetryPolicy::none())
+        .connect()
+        .unwrap();
+    let (_set, spec) = deployed_spec(&backend);
+    assert!(
+        spec.leaf_values[0].len() > 1,
+        "tree 0 must have leaves to cut"
+    );
+    let mut short = spec.clone();
+    short.leaf_values[0].truncate(1);
+    let keys: Vec<i64> = (0..64).collect();
+    let start = Instant::now();
+    let err = backend
+        .predict_batch(&short, &keys)
+        .unwrap_err()
+        .to_string();
+    assert!(
+        start.elapsed() < io_timeout / 4,
+        "took {:?}",
+        start.elapsed()
+    );
+    assert!(err.contains("tree 0") && err.contains("slot"), "{err}");
+    assert_eq!(backend.row_count("fact").unwrap(), 64);
+    backend.predict_batch(&spec, &keys).unwrap();
 }

@@ -1,7 +1,7 @@
 //! Query execution: joins, filters, grouping/aggregation, window functions,
 //! ordering — late-materialized, the way the columnar DBMSes the paper
 //! runs on execute the SPJA statements JoinBoost emits. The executor runs
-//! the plan [`crate::plan::bind`] made and decides only what depends on
+//! the plan `plan::bind` made and decides only what depends on
 //! the data.
 
 use std::borrow::Cow;

@@ -104,11 +104,6 @@ impl BufferPool {
         self.inner.lock().stats
     }
 
-    /// Zero the counters.
-    pub fn reset_stats(&self) {
-        self.inner.lock().stats = BufferPoolStats::default();
-    }
-
     /// Pin `pid` into a frame (reading from disk on a miss) and return
     /// its guard. Errors if every frame is pinned.
     pub fn fetch(&self, pid: PageId) -> Result<PageGuard<'_>> {

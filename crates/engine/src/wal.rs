@@ -137,11 +137,6 @@ impl Wal {
         })
     }
 
-    /// Is the log actually backed by a file?
-    pub fn is_persistent(&self) -> bool {
-        self.writer.is_some()
-    }
-
     fn write_record(&mut self, kind: RecordKind, payload: &[u8]) -> Result<()> {
         self.bytes_logged += payload.len() as u64 + 9;
         self.records += 1;

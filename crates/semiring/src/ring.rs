@@ -191,13 +191,6 @@ impl SemiRing for ClassCountRing {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GradientRing;
 
-impl GradientRing {
-    /// Lift a (gradient, hessian) pair computed by a loss function.
-    pub fn lift_gh(&self, g: f64, h: f64) -> Vec<f64> {
-        vec![h, g]
-    }
-}
-
 impl SemiRing for GradientRing {
     fn components(&self) -> Vec<String> {
         vec!["h".into(), "g".into()]
