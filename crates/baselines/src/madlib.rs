@@ -8,7 +8,6 @@
 
 use std::time::Duration;
 
-use joinboost::backend::{EngineBackend, SqlBackend};
 use joinboost::trainer::TrainStats;
 use joinboost::tree::Tree;
 use joinboost::{Dataset, TrainParams};
@@ -22,19 +21,6 @@ pub fn row_oriented_db(tables: &[(String, joinboost_engine::Table)]) -> Database
         db.create_table(name, t.clone()).expect("fresh database");
     }
     db
-}
-
-/// As [`row_oriented_db`], but behind the [`SqlBackend`] trait: a labeled
-/// row-store backend any baseline or experiment can swap in for a
-/// different [`SqlBackend`] implementation.
-pub fn row_oriented_backend(tables: &[(String, joinboost_engine::Table)]) -> EngineBackend {
-    let backend = EngineBackend::labeled(EngineConfig::dbms_x_row(), "madlib-row");
-    for (name, t) in tables {
-        backend
-            .create_table(name, t.clone())
-            .expect("fresh database");
-    }
-    backend
 }
 
 /// Train a decision tree the MADLib way over a dataset bound to a
@@ -66,8 +52,8 @@ mod tests {
         let params = TrainParams::default();
         let (col_tree, _) = joinboost::train_decision_tree(&col_set, &params).unwrap();
 
-        // Row-oriented MADLib stand-in, through the backend trait.
-        let row_db = row_oriented_backend(&gen.tables);
+        // Row-oriented MADLib stand-in.
+        let row_db = row_oriented_db(&gen.tables);
         let row_set = Dataset::new(&row_db, gen.graph.clone(), "sales", "net_profit").unwrap();
         let (row_tree, _, _) = train_madlib_tree(&row_set, &params).unwrap();
         // Identical structure — the `relation` label differs because the

@@ -21,7 +21,7 @@ use joinboost_datagen::{
     favorita, fig5_fact_table, imdb_galaxy, tpcds, tpch, FavoritaConfig, Fig5Config, ImdbConfig,
     TpcConfig,
 };
-use joinboost_engine::{Column, Database, EngineConfig, Table};
+use joinboost_engine::{Column, Database, EngineConfig};
 use joinboost_semiring::loss::rmse;
 
 use crate::report::Report;
@@ -92,11 +92,6 @@ pub const EXPERIMENTS: &[(&str, &str, Body)] = &[
         "losses",
         "objective sweep (Table 3 gradients/hessians in action)",
         losses,
-    ),
-    (
-        "agg",
-        "engine hot path: serial vs parallel fused grouped aggregation",
-        agg,
     ),
 ];
 
@@ -1128,67 +1123,6 @@ fn fig20() -> Result<(), String> {
     }
     report.note("expected shape: fewer bins + cuboid much faster at modest rmse cost (paper: >100x at bins=5)");
     report.note("cuboid pays off once the cell count (bins^features) drops below the fact row count (bins=5: 3125 cells vs 30k rows)");
-    report.print();
-    Ok(())
-}
-
-/// `agg`'s fact table `(k INT, y FLOAT)`: `rows` rows over `groups`
-/// distinct keys, drawn from a fixed-seed xorshift64 stream.
-fn grouped_fact_table(rows: usize, groups: u64) -> Table {
-    let mut seed = 0x9E3779B97F4A7C15u64;
-    let mut next = || {
-        seed ^= seed << 13;
-        seed ^= seed >> 7;
-        seed ^= seed << 17;
-        seed
-    };
-    let (mut k, mut y) = (Vec::with_capacity(rows), Vec::with_capacity(rows));
-    for _ in 0..rows {
-        k.push((next() % groups) as i64);
-        y.push((next() % 1000) as f64 / 10.0 - 50.0);
-    }
-    Table::from_columns(vec![("k", Column::int(k)), ("y", Column::float(y))])
-}
-
-/// Engine hot path: serial vs parallel fused grouped aggregation.
-/// Parallelism is aggregate-sliced, so effective workers are capped by the
-/// number of scan-needing aggregates: 2 for the variance-ring shape
-/// (`COUNT(*)` comes from the grouping pass's group sizes), 5 for the
-/// wide shape — the sweep reports both so the cap is visible.
-fn agg() -> Result<(), String> {
-    let table = grouped_fact_table(200_000, 100);
-    let sum3 = "SELECT k, COUNT(*) AS c, SUM(y) AS s, SUM(y * y) AS q FROM t GROUP BY k";
-    let wide = "SELECT k, COUNT(*) AS c, SUM(y) AS s, SUM(y * y) AS q, \
-                AVG(y) AS m, MIN(y) AS lo, MAX(y) AS hi FROM t GROUP BY k";
-    let mut report = Report::new(
-        "Engine hot path: fused grouped aggregation, 200k rows (median ms)",
-        &["agg_threads", "sum3(2 banks)", "wide(5 banks)"],
-    );
-    let median = |db: &Database, sql: &str| -> Result<f64, String> {
-        for _ in 0..3 {
-            db.query(sql).map_err(|e| e.to_string())?;
-        }
-        let mut samples: Vec<f64> = (0..15)
-            .map(|_| time(|| db.query(sql).expect("agg query")).1.as_secs_f64() * 1e3)
-            .collect();
-        samples.sort_by(|a, b| a.total_cmp(b));
-        Ok(samples[samples.len() / 2])
-    };
-    for threads in [1usize, 2, 4, 8] {
-        let db = Database::new(EngineConfig {
-            agg_threads: threads,
-            ..EngineConfig::duckdb_mem()
-        });
-        db.create_table("t", table.clone())
-            .map_err(|e| e.to_string())?;
-        let m3 = median(&db, sum3)?;
-        let mw = median(&db, wide)?;
-        report.row(&[threads.to_string(), format!("{m3:.3}"), format!("{mw:.3}")]);
-    }
-    report.note(
-        "aggregate-sliced parallelism is bit-identical to serial; workers cap at the bank \
-         count, so sum3 stops improving past 2 threads and wide past 5",
-    );
     report.print();
     Ok(())
 }

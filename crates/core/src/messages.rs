@@ -18,7 +18,7 @@
 //!   of a fact scan (see [`Factorizer::derive_from`]).
 
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use joinboost_graph::cache::{signature, MessageCache, MessageKey};
 use joinboost_graph::{Multiplicity, RelId};
@@ -27,6 +27,7 @@ use joinboost_sql::ast::{BinaryOp, Expr, Join, JoinKind, Query, SelectItem, Stat
 use crate::dataset::Dataset;
 use crate::error::{Result, TrainError};
 use crate::sqlgen::{fold_annotations, identity_annotation, RingKind};
+use crate::trainer::TrainStats;
 use crate::tree::{Split, SplitCondition};
 
 /// A predicate on one relation: its canonical SQL (for cache signatures)
@@ -214,23 +215,6 @@ pub struct SiblingOf {
     pub node: NodeContext,
 }
 
-/// Execution statistics (drives Figure 9).
-#[derive(Debug, Clone, Default)]
-pub struct FactorizerStats {
-    /// Materialized message queries (CREATE TABLE ... AS).
-    pub message_queries: u64,
-    /// Total wall-clock spent materializing messages.
-    pub message_time: Duration,
-    /// Per-message durations.
-    pub message_durations: Vec<Duration>,
-    /// Messages served from the cross-node cache.
-    pub cache_hits: u64,
-    /// Messages dropped by the identity optimization.
-    pub identity_drops: u64,
-    /// Messages reduced to semi-join key filters.
-    pub semi_messages: u64,
-}
-
 /// The factorizer: owns the per-relation annotations and the message cache.
 pub struct Factorizer<'a, 'b> {
     /// The dataset being trained on.
@@ -247,8 +231,9 @@ pub struct Factorizer<'a, 'b> {
     cache: MessageCache<MsgHandle>,
     /// Set while the larger child of a split is evaluated.
     derive_from: Option<SiblingOf>,
-    /// Message-passing counters (drives Figure 9).
-    pub stats: FactorizerStats,
+    /// Message-passing counters (drives Figure 9); the split fields stay
+    /// zero.
+    pub stats: TrainStats,
 }
 
 impl<'a, 'b> Factorizer<'a, 'b> {
@@ -262,7 +247,7 @@ impl<'a, 'b> Factorizer<'a, 'b> {
             epochs: HashMap::new(),
             cache: MessageCache::new(),
             derive_from: None,
-            stats: FactorizerStats::default(),
+            stats: TrainStats::default(),
         }
     }
 
@@ -448,7 +433,7 @@ impl<'a, 'b> Factorizer<'a, 'b> {
                 to,
                 signature: ctx.signature_of(subtree, &self.epochs),
             };
-            match self.cache.peek(&key) {
+            match self.cache.get(&key) {
                 Some(MsgHandle::Full { table, keys }) => Some((table.clone(), keys.clone())),
                 _ => None,
             }
@@ -698,7 +683,7 @@ impl<'a, 'b> Factorizer<'a, 'b> {
     /// Drop every cached message (the `Batch` ablation recomputes messages
     /// per tree node; backing temp tables are cleaned by the dataset).
     pub fn clear_cache(&mut self) {
-        let _ = self.cache.drain();
+        self.cache.clear();
     }
 }
 

@@ -616,11 +616,6 @@ impl<'a> FactorizedScorer<'a> {
         Ok(FactorizedScorer { db: set.db, spec })
     }
 
-    /// Wrap an already-compiled spec whose tables live on `db`.
-    pub fn from_spec(db: &'a dyn SqlBackend, spec: ScorerSpec) -> FactorizedScorer<'a> {
-        FactorizedScorer { db, spec }
-    }
-
     /// The deployable spec (ship it to remote scorers over the wire).
     pub fn spec(&self) -> &ScorerSpec {
         &self.spec

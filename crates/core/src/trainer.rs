@@ -25,7 +25,9 @@ use crate::scheduler::par_map;
 use crate::sqlgen::{categorical_split_query, numeric_split_query, NodeTotals, RingKind};
 use crate::tree::{Split, SplitCondition, Tree, TreeNode};
 
-/// Statistics of one tree's training (drives Figure 9).
+/// Query counters and timings of training (drives Figure 9): a
+/// [`TreeGrower`]'s split queries plus the messages its [`Factorizer`]
+/// materialized.
 #[derive(Debug, Clone, Default)]
 pub struct TrainStats {
     /// Queries that evaluate the best split of one feature.
@@ -35,7 +37,7 @@ pub struct TrainStats {
     pub split_time: Duration,
     /// Per-split-query latencies, each timed on the thread that ran it.
     pub split_durations: Vec<Duration>,
-    /// Message queries materialized (copied from the factorizer).
+    /// Materialized message queries (CREATE TABLE ... AS).
     pub message_queries: u64,
     /// Total wall-clock spent materializing messages.
     pub message_time: Duration,
@@ -45,6 +47,8 @@ pub struct TrainStats {
     pub cache_hits: u64,
     /// Messages dropped by the identity optimization.
     pub identity_drops: u64,
+    /// Messages reduced to semi-join key filters.
+    pub semi_messages: u64,
 }
 
 impl TrainStats {
@@ -60,6 +64,7 @@ impl TrainStats {
             .extend(other.message_durations.iter().copied());
         self.cache_hits += other.cache_hits;
         self.identity_drops += other.identity_drops;
+        self.semi_messages += other.semi_messages;
     }
 }
 
@@ -354,18 +359,22 @@ impl<'a, 'b, 'c> TreeGrower<'a, 'b, 'c> {
         }
     }
 
-    /// Grow a tree (Algorithm 1). `root_ctx` carries predicates from an
-    /// enclosing context (always empty today); totals are computed fresh.
+    /// Grow a tree (Algorithm 1) and add what it cost to
+    /// [`TreeGrower::stats`].
     pub fn grow(&mut self) -> Result<Tree> {
+        // The factorizer may be shared across trees (boosting): it counts
+        // this tree's messages from zero, then gets its running total back.
+        let outer = std::mem::take(&mut self.fx.stats);
+        let tree = self.grow_nodes();
+        let cost = std::mem::replace(&mut self.fx.stats, outer);
+        self.fx.stats.merge(&cost);
+        self.stats.merge(&cost);
+        tree
+    }
+
+    fn grow_nodes(&mut self) -> Result<Tree> {
         let params = self.params;
         params.validate()?;
-        // The factorizer may be shared across trees (boosting); record its
-        // counters at entry so this tree's stats are deltas.
-        let fx_base_queries = self.fx.stats.message_queries;
-        let fx_base_time = self.fx.stats.message_time;
-        let fx_base_durations = self.fx.stats.message_durations.len();
-        let fx_base_hits = self.fx.stats.cache_hits;
-        let fx_base_drops = self.fx.stats.identity_drops;
         let target = self.fx.set.target_rel();
         let ctx = NodeContext::root();
         let (c0, c1) = self.fx.totals(target, &ctx)?;
@@ -473,13 +482,6 @@ impl<'a, 'b, 'c> TreeGrower<'a, 'b, 'c> {
                 }
             }
         }
-        // Fold the factorizer stats accumulated by *this* tree into ours.
-        self.stats.message_queries = self.fx.stats.message_queries - fx_base_queries;
-        self.stats.message_time = self.fx.stats.message_time - fx_base_time;
-        self.stats.message_durations =
-            self.fx.stats.message_durations[fx_base_durations..].to_vec();
-        self.stats.cache_hits = self.fx.stats.cache_hits - fx_base_hits;
-        self.stats.identity_drops = self.fx.stats.identity_drops - fx_base_drops;
         Ok(tree)
     }
 

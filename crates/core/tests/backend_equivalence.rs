@@ -138,28 +138,13 @@ fn all_backends_train_bit_identical_gbms() {
         "the workload must actually produce splits"
     );
 
-    // Engine personalities of the same in-memory executor: parallel
-    // aggregation banks, and uncompressed storage (scans clone stored
-    // columns instead of decompressing the ones a statement names).
-    for (who, config) in [
-        (
-            "agg_threads = 2",
-            EngineConfig {
-                agg_threads: 2,
-                ..EngineConfig::duckdb_mem()
-            },
-        ),
-        (
-            "uncompressed",
-            EngineConfig {
-                compression: false,
-                ..EngineConfig::duckdb_mem()
-            },
-        ),
-    ] {
-        let model = load_and_train(&EngineBackend::new(config));
-        assert_bit_identical(&reference, &model, who);
-    }
+    // Uncompressed storage: scans clone stored columns instead of
+    // decompressing the ones a statement names.
+    let model = load_and_train(&EngineBackend::new(EngineConfig {
+        compression: false,
+        ..EngineConfig::duckdb_mem()
+    }));
+    assert_bit_identical(&reference, &model, "uncompressed");
 
     // SQL text: every statement through print ∘ parse ∘ print.
     let text = SqlTextBackend::in_memory();

@@ -143,56 +143,6 @@ fn gbm_update_methods_produce_identical_models() {
 }
 
 #[test]
-fn gbm_parallel_aggregation_bit_identical_to_serial() {
-    // The engine's aggregate-sliced parallel aggregation folds every
-    // group's values in row order on exactly one thread, so the whole
-    // training run — every message and split query — must produce the
-    // same model bit for bit.
-    let gen = favorita(&FavoritaConfig {
-        fact_rows: 2500,
-        dim_rows: 25,
-        noise: 1.0,
-        ..Default::default()
-    });
-    let mut reference: Option<joinboost::GbmModel> = None;
-    for threads in [1usize, 4] {
-        let db = Database::new(EngineConfig {
-            agg_threads: threads,
-            ..EngineConfig::duckdb_mem()
-        });
-        gen.load_into(&db).unwrap();
-        let set = Dataset::new(&db, gen.graph.clone(), "sales", "net_profit").unwrap();
-        let mut params = TrainParams::default();
-        params.num_iterations = 5;
-        let model = train_gbm(&set, &params).unwrap();
-        match &reference {
-            None => reference = Some(model),
-            Some(r) => {
-                assert_eq!(
-                    r.trees, model.trees,
-                    "parallel aggregation changed the model"
-                );
-                assert_eq!(
-                    r.init_score.to_bits(),
-                    model.init_score.to_bits(),
-                    "init score must be bit-identical"
-                );
-                let t = materialize_features(&set).unwrap();
-                let serial = r.predict(&t);
-                let parallel = model.predict(&t);
-                for (a, b) in serial.iter().zip(&parallel) {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "predictions must be bit-identical"
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn gbm_on_a_paged_engine_with_an_8_page_pool_is_bit_identical() {
     // The out-of-core stress: the whole training run — every message
     // materialization, residual update and split query — on an engine

@@ -11,23 +11,11 @@
 //! and each remaining bank fills with one monomorphic tight scan over the
 //! shared (cache-hot) group id array — measured ~2x faster than folding
 //! all banks in a single pass with per-row polymorphic dispatch.
-//!
-//! The parallel variant slices by *aggregate*: each worker owns a subset
-//! of the accumulator banks and folds all rows into them, in row order —
-//! exactly the sequence of floating-point operations the serial pass
-//! performs per bank, so parallel results are bit-identical to serial
-//! (a stronger guarantee than ⊕-associativity, which `ring_laws.rs`
-//! checks for the rings but which f64 addition lacks). This matches the
-//! emitted query shapes: one `SUM` per ring component means a variance
-//! split query carries 3 independent banks and a gradient query 2+.
 
 use crate::column::Column;
 use crate::datum::Datum;
 use crate::error::{EngineError, Result};
 use crate::storage::PagedStore;
-
-/// Don't spin up worker threads for tiny inputs.
-const PARALLEL_MIN_ROWS: usize = 8192;
 
 /// One aggregate call with its argument evaluated (once) into the typed
 /// form its accumulator consumes.
@@ -144,8 +132,8 @@ impl PreparedAgg {
     /// Fold every row into the bank with a monomorphic tight loop per
     /// accumulator kind (matching once per bank, not once per row — the
     /// per-row polymorphic dispatch measured ~2x slower). Each group's
-    /// values fold in row order, which is what makes the parallel variant
-    /// bit-identical to serial.
+    /// values fold in row order, which is what makes the spilled variant
+    /// bit-identical to the unsliced pass.
     fn fill(&self, acc: &mut Acc, gids: &[u32]) {
         match (self, acc) {
             (PreparedAgg::CountStar | PreparedAgg::SumOfInt(_), Acc::Counts(c)) => {
@@ -275,47 +263,29 @@ fn into_f64_vec(c: Column) -> Result<Vec<f64>> {
 /// Compute every aggregate in `inputs` per group over the shared `gids`.
 /// `sizes` (the grouping pass by-product) short-circuits `COUNT(*)` and
 /// `SUM(<integer literal>)`.
-/// `threads > 1` enables the aggregate-sliced parallel variant
-/// (bit-identical to serial; see module docs).
 pub fn compute_grouped(
     inputs: &[PreparedAgg],
     gids: &[u32],
     num_groups: usize,
     sizes: Option<&[u32]>,
-    threads: usize,
 ) -> Vec<Column> {
     // COUNT(*) banks come straight from the grouping pass when available;
     // only the remaining aggregates need the row scan.
-    let mut banks: Vec<Option<Acc>> = inputs
-        .iter()
-        .map(|a| match (a, sizes) {
-            (PreparedAgg::CountStar | PreparedAgg::SumOfInt(_), Some(s)) => {
-                Some(Acc::Counts(s.iter().map(|&c| c as i64).collect()))
-            }
-            _ => None,
-        })
-        .collect();
-    let active: Vec<usize> = (0..inputs.len()).filter(|&i| banks[i].is_none()).collect();
-    let workers = threads.max(1).min(active.len());
-    let computed: Vec<(usize, Acc)> = if workers > 1 && gids.len() >= PARALLEL_MIN_ROWS {
-        compute_parallel(inputs, &active, gids, num_groups, workers)
-    } else {
-        active
-            .iter()
-            .map(|&i| {
-                let mut acc = inputs[i].new_acc(num_groups);
-                inputs[i].fill(&mut acc, gids);
-                (i, acc)
-            })
-            .collect()
-    };
-    for (i, acc) in computed {
-        banks[i] = Some(acc);
-    }
     inputs
         .iter()
-        .zip(banks)
-        .map(|(input, acc)| input.finish(acc.expect("bank computed")))
+        .map(|input| {
+            let acc = match (input, sizes) {
+                (PreparedAgg::CountStar | PreparedAgg::SumOfInt(_), Some(s)) => {
+                    Acc::Counts(s.iter().map(|&c| c as i64).collect())
+                }
+                _ => {
+                    let mut acc = input.new_acc(num_groups);
+                    input.fill(&mut acc, gids);
+                    acc
+                }
+            };
+            input.finish(acc)
+        })
         .collect()
 }
 
@@ -350,14 +320,13 @@ pub fn compute_grouped_spilled(
     gids: &[u32],
     num_groups: usize,
     sizes: Option<&[u32]>,
-    threads: usize,
     store: &PagedStore,
     budget_bytes: usize,
 ) -> Result<Vec<Column>> {
     let per_group = bank_bytes_per_group(inputs).max(1);
     let groups_per_slice = (budget_bytes / per_group).clamp(1, num_groups.max(1));
     if groups_per_slice >= num_groups || inputs.is_empty() {
-        return Ok(compute_grouped(inputs, gids, num_groups, sizes, threads));
+        return Ok(compute_grouped(inputs, gids, num_groups, sizes));
     }
     let num_slices = num_groups.div_ceil(groups_per_slice);
     // Bucket row indices per slice; pushes preserve global row order.
@@ -372,7 +341,7 @@ pub fn compute_grouped_spilled(
         let local_gids: Vec<u32> = rows.iter().map(|&r| gids[r as usize] - lo as u32).collect();
         let local_inputs: Vec<PreparedAgg> = inputs.iter().map(|a| a.gather(rows)).collect();
         let local_sizes = sizes.map(|sz| &sz[lo..hi]);
-        let cols = compute_grouped(&local_inputs, &local_gids, hi - lo, local_sizes, threads);
+        let cols = compute_grouped(&local_inputs, &local_gids, hi - lo, local_sizes);
         spilled.push(
             cols.iter()
                 .map(|c| store.store_column(c))
@@ -403,41 +372,6 @@ pub fn compute_grouped_spilled(
     Ok(out)
 }
 
-/// Aggregate-sliced parallel fill: worker `w` owns every `workers`-th
-/// active aggregate and folds all rows into those banks exactly as the
-/// serial pass would.
-fn compute_parallel(
-    inputs: &[PreparedAgg],
-    active: &[usize],
-    gids: &[u32],
-    num_groups: usize,
-    workers: usize,
-) -> Vec<(usize, Acc)> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    active
-                        .iter()
-                        .copied()
-                        .skip(w)
-                        .step_by(workers)
-                        .map(|i| {
-                            let mut acc = inputs[i].new_acc(num_groups);
-                            inputs[i].fill(&mut acc, gids);
-                            (i, acc)
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("aggregation worker panicked"))
-            .collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -459,53 +393,13 @@ mod tests {
             PreparedAgg::Avg { vals },
         ];
         let gids = gids_round_robin(n, 2);
-        let cols = compute_grouped(&inputs, &gids, 2, None, 1);
+        let cols = compute_grouped(&inputs, &gids, 2, None);
         assert_eq!(cols[0].get(0), Datum::Int(5));
         assert_eq!(cols[1].get(0), Datum::Float(0.0 + 2.0 + 4.0 + 6.0 + 8.0));
         assert_eq!(
             cols[2].get(1),
             Datum::Float((1.0 + 3.0 + 5.0 + 7.0 + 9.0) / 5.0)
         );
-    }
-
-    #[test]
-    fn parallel_is_bit_identical_to_serial() {
-        // Values chosen so that reassociating the f64 sum changes the
-        // result; aggregate-sliced parallelism must not reassociate.
-        let n = 100_000;
-        let vals: Vec<f64> = (0..n)
-            .map(|i| ((i * 2654435761usize) % 1000) as f64 * 1e-3 + 1e10 * ((i % 7) as f64))
-            .collect();
-        let gids = gids_round_robin(n, 37);
-        // Three ring components, like a variance split query.
-        let mk = || {
-            vec![
-                PreparedAgg::CountStar,
-                PreparedAgg::Sum {
-                    vals: vals.clone(),
-                    int_input: false,
-                },
-                PreparedAgg::Sum {
-                    vals: vals.iter().map(|v| v * v).collect(),
-                    int_input: false,
-                },
-                PreparedAgg::Avg { vals: vals.clone() },
-            ]
-        };
-        for workers in [2usize, 3, 8] {
-            let serial = compute_grouped(&mk(), &gids, 37, None, 1);
-            let parallel = compute_grouped(&mk(), &gids, 37, None, workers);
-            for (s, p) in serial.iter().zip(&parallel) {
-                for g in 0..37 {
-                    match (s.get(g), p.get(g)) {
-                        (Datum::Float(x), Datum::Float(y)) => {
-                            assert_eq!(x.to_bits(), y.to_bits(), "group {g}, workers {workers}");
-                        }
-                        (a, b) => assert_eq!(a, b),
-                    }
-                }
-            }
-        }
     }
 
     #[test]
@@ -539,11 +433,10 @@ mod tests {
                 },
             ]
         };
-        let reference = compute_grouped(&mk(), &gids, groups, Some(&sizes), 1);
+        let reference = compute_grouped(&mk(), &gids, groups, Some(&sizes));
         // Budget forces ~13 slices (997 groups × 72 B/group ≫ 5 KiB).
         let spilled =
-            compute_grouped_spilled(&mk(), &gids, groups, Some(&sizes), 1, &store, 5 * 1024)
-                .unwrap();
+            compute_grouped_spilled(&mk(), &gids, groups, Some(&sizes), &store, 5 * 1024).unwrap();
         for (s, p) in reference.iter().zip(&spilled) {
             for g in 0..groups {
                 match (s.get(g), p.get(g)) {
@@ -585,7 +478,7 @@ mod tests {
             },
         ];
         let gids = vec![0u32, 0, 0, 1];
-        let cols = compute_grouped(&inputs, &gids, 2, None, 1);
+        let cols = compute_grouped(&inputs, &gids, 2, None);
         assert_eq!(cols[0].get(0), Datum::Float(-1.0));
         assert_eq!(cols[1].get(0), Datum::Float(3.0));
         assert_eq!(cols[2].get(0), Datum::Int(2));

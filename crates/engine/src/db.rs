@@ -50,14 +50,6 @@ pub struct EngineConfig {
     pub compression: bool,
     /// Whether the `SWAP COLUMN` extension is available (`D-Swap`).
     pub allow_swap: bool,
-    /// Worker threads for fused grouped aggregation (1 = serial). The
-    /// parallel variant is *aggregate-sliced*: each worker owns whole
-    /// accumulator banks and folds all rows into them in row order, so
-    /// results are bit-identical to serial execution. Effective workers
-    /// are capped by the number of scan-needing aggregates in the query
-    /// (2-3 for the ring shapes sqlgen emits; `COUNT(*)` is answered
-    /// from the grouping pass and needs no worker).
-    pub agg_threads: usize,
     /// Directory of the paged (out-of-core) store. `None` keeps tables
     /// RAM-resident (the untouched fast default); `Some(dir)` stores
     /// every table as fixed-size page chains in `dir/data.jbp`, scanned
@@ -95,7 +87,6 @@ impl EngineConfig {
             mvcc: true,
             compression: true,
             allow_swap: false,
-            agg_threads: 1,
             storage_path: None,
             bufferpool_pages: 256,
             agg_spill_bytes: 64 << 20,
@@ -1255,7 +1246,7 @@ mod tests {
 
     #[test]
     fn message_over_a_paged_table_touches_only_the_pages_of_the_columns_it_names() {
-        use crate::storage::page::encode_column_pages;
+        use crate::storage::{codec, PAGE_CAPACITY};
         let (wide, keep, message) = wide_fact();
         let dir = std::env::temp_dir().join(format!("jb_db_pruned_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1267,7 +1258,11 @@ mod tests {
         db.create_table("keep", keep.clone()).unwrap();
         let pages = |t: &Table, names: &[&str]| -> u64 {
             (names.iter())
-                .map(|c| encode_column_pages(t.column(None, c).unwrap()).len() as u64)
+                .map(|c| {
+                    let mut bytes = Vec::new();
+                    codec::encode_column(&mut bytes, t.column(None, c).unwrap());
+                    bytes.len().div_ceil(PAGE_CAPACITY).max(1) as u64
+                })
                 .sum()
         };
         let before = db.bufferpool_stats().unwrap();

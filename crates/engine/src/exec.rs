@@ -254,7 +254,7 @@ impl Database {
             (g.gids, g.num_groups, g.reps, g.sizes)
         };
         // 2. Every aggregate's argument evaluated once, then all banks filled
-        // in one fused pass (parallel: see `agg` on determinism).
+        // in one fused pass.
         let mut prepared: Vec<PreparedAgg> = Vec::with_capacity(aggs.len());
         for agg in aggs {
             prepared.push(self.prepare_aggregate(agg, input, ctx)?);
@@ -262,12 +262,11 @@ impl Database {
         // Paged engines spill accumulator banks that exceed the configured
         // budget, slicing the group-id space (bit-identical; see `agg`).
         let (banks, groups, sizes) = (&prepared[..], num_groups, Some(&sizes[..]));
-        let threads = self.config().agg_threads;
         let agg_cols = match self.spill_target() {
             Some((store, budget)) if groups > 1 && agg::bank_bytes(banks, groups) > budget => {
-                agg::compute_grouped_spilled(banks, &gids, groups, sizes, threads, store, budget)?
+                agg::compute_grouped_spilled(banks, &gids, groups, sizes, store, budget)?
             }
-            _ => agg::compute_grouped(banks, &gids, groups, sizes, threads),
+            _ => agg::compute_grouped(banks, &gids, groups, sizes),
         };
         // 3. Synthetic table: group keys (named __key{i}) + aggregates.
         let mut synth = Table::new();

@@ -41,15 +41,10 @@ impl ExternalTable {
         &self.names
     }
 
-    /// Copy the external arrays into an engine table. This is the interop
-    /// scan cost; returns the table and the number of bytes copied.
-    pub fn copy_in(&self) -> (Table, usize) {
-        self.copy_in_columns(&(0..self.names.len()).collect::<Vec<_>>())
-    }
-
-    /// Copy only the arrays at the given storage positions in — what a
-    /// scan that reads those columns pays — as of one moment (no column
-    /// replacement lands between two of them).
+    /// Copy the arrays at the given storage positions into an engine
+    /// table — the interop cost a scan that reads those columns pays — as
+    /// of one moment (no column replacement lands between two of them).
+    /// Returns the table and the number of bytes copied.
     pub fn copy_in_columns(&self, positions: &[usize]) -> (Table, usize) {
         let cols = self.columns.read();
         let mut t = Table::new();
@@ -107,7 +102,7 @@ mod tests {
             ("s", Column::float(vec![0.5, 1.5])),
         ]);
         let ext = ExternalTable::from_table(&t);
-        let (back, bytes) = ext.copy_in();
+        let (back, bytes) = ext.copy_in_columns(&[0, 1]);
         assert_eq!(back, t);
         assert!(bytes >= 32);
     }
@@ -118,7 +113,7 @@ mod tests {
         let ext = ExternalTable::from_table(&t);
         ext.replace_column("s", Column::float(vec![9.0, 8.0]))
             .unwrap();
-        let (back, _) = ext.copy_in();
+        let (back, _) = ext.copy_in_columns(&[0]);
         assert_eq!(back.columns[0], Column::float(vec![9.0, 8.0]));
     }
 

@@ -139,13 +139,19 @@ impl PagedStore {
     }
 
     /// Read one column back, pinning its pages through the pool one at a
-    /// time and decoding with the checked codec.
+    /// time and decoding with the checked codec. Only the first page may
+    /// carry the first-page flag and every page but the last must be
+    /// full, so a missing or reordered page that changes where the short
+    /// last page or the first page sits is an error, not another column.
     pub fn load_column(&self, pc: &PagedColumn) -> Result<Column> {
         let mut bytes = Vec::with_capacity(pc.bytes as usize);
         for (i, &pid) in pc.pages.iter().enumerate() {
             let guard = self.pool.fetch(pid)?;
             guard.read(|p: &PageBuf| -> Result<()> {
                 let len = page::read_header(p, i == 0)?;
+                if i + 1 < pc.pages.len() && len != PAGE_CAPACITY {
+                    return Err(codec::corrupt("short interior page"));
+                }
                 bytes.extend_from_slice(&p[PAGE_HEADER_BYTES..PAGE_HEADER_BYTES + len]);
                 Ok(())
             })?;
@@ -215,6 +221,47 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("jb_store_{}_{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         PagedStore::open(&dir, pool_pages).unwrap()
+    }
+
+    /// A 3,000-row Int column stored as six pages, the last one short.
+    fn six_page_column(s: &PagedStore) -> PagedColumn {
+        let pc = s.store_column(&Column::int((0..3000).collect())).unwrap();
+        assert_eq!(pc.pages.len(), 6);
+        pc
+    }
+
+    #[test]
+    fn multi_page_roundtrip() {
+        let s = store("multi", 8);
+        // ~24 KB of floats spans several pages.
+        let col = Column::float((0..3000).map(|i| i as f64 * 0.1).collect());
+        let pc = s.store_column(&col).unwrap();
+        assert!(pc.pages.len() > 1, "must actually span pages");
+        assert_eq!(s.load_column(&pc).unwrap(), col);
+    }
+
+    #[test]
+    fn missing_interior_page_is_rejected() {
+        let s = store("missing", 8);
+        let mut pc = six_page_column(&s);
+        pc.pages.remove(1);
+        assert!(s.load_column(&pc).is_err());
+    }
+
+    #[test]
+    fn reordered_chain_is_rejected() {
+        let s = store("reordered", 8);
+        let mut pc = six_page_column(&s);
+        pc.pages.swap(0, 1);
+        assert!(s.load_column(&pc).is_err());
+    }
+
+    #[test]
+    fn short_last_page_moved_into_the_chain_is_rejected() {
+        let s = store("short_last", 8);
+        let mut pc = six_page_column(&s);
+        pc.pages.swap(1, 5);
+        assert!(s.load_column(&pc).is_err(), "loaded a different column");
     }
 
     #[test]

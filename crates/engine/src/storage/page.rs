@@ -1,7 +1,7 @@
 //! Fixed-size pages: the unit of disk I/O and buffer-pool residency.
 //!
-//! A column is serialized with the shared checked codec
-//! ([`super::codec`]) into a flat byte string, then split across
+//! [`super::PagedStore`] serializes a column with the shared checked
+//! codec ([`super::codec`]) into a flat byte string and splits it across
 //! fixed-size pages. Each page carries an 8-byte header — magic, flags
 //! (bit 0 marks the first page of a chain), and the payload length — so
 //! a reader can validate a chain page by page without trusting catalog
@@ -9,10 +9,9 @@
 //! here, then the codec's bounds/count checks, so truncated or
 //! bit-flipped pages error instead of panicking or over-allocating.
 
-use crate::column::Column;
 use crate::error::Result;
 
-use super::codec::{self, ByteReader};
+use super::codec;
 
 /// Page size in bytes (header included). 4 KiB matches the common DBMS
 /// and filesystem block size.
@@ -60,91 +59,4 @@ pub fn read_header(page: &PageBuf, expect_first: bool) -> Result<usize> {
         return Err(codec::corrupt("page payload length"));
     }
     Ok(len)
-}
-
-/// Split a byte string into pages (at least one, even when empty). Every
-/// page except the last is full — [`unpaginate`] enforces this, so a
-/// chain missing an interior page cannot silently concatenate.
-pub fn paginate(bytes: &[u8]) -> Vec<Box<PageBuf>> {
-    let mut chunks: Vec<&[u8]> = bytes.chunks(PAGE_CAPACITY).collect();
-    if chunks.is_empty() {
-        chunks.push(&[]);
-    }
-    chunks
-        .iter()
-        .enumerate()
-        .map(|(i, chunk)| {
-            let mut page: Box<PageBuf> = Box::new([0u8; PAGE_SIZE]);
-            write_header(&mut page, i == 0, chunk.len());
-            page[PAGE_HEADER_BYTES..PAGE_HEADER_BYTES + chunk.len()].copy_from_slice(chunk);
-            page
-        })
-        .collect()
-}
-
-/// Reassemble the byte string from a page chain, validating every header.
-pub fn unpaginate(pages: &[&PageBuf]) -> Result<Vec<u8>> {
-    if pages.is_empty() {
-        return Err(codec::corrupt("empty page chain"));
-    }
-    let mut out = Vec::with_capacity(pages.len() * PAGE_CAPACITY);
-    for (i, page) in pages.iter().enumerate() {
-        let len = read_header(page, i == 0)?;
-        if i + 1 < pages.len() && len != PAGE_CAPACITY {
-            return Err(codec::corrupt("short interior page"));
-        }
-        out.extend_from_slice(&page[PAGE_HEADER_BYTES..PAGE_HEADER_BYTES + len]);
-    }
-    Ok(out)
-}
-
-/// Encode a column into a fresh page chain.
-pub fn encode_column_pages(col: &Column) -> Vec<Box<PageBuf>> {
-    let mut bytes = Vec::with_capacity(col.byte_size() + 64);
-    codec::encode_column(&mut bytes, col);
-    paginate(&bytes)
-}
-
-/// Decode a column from a page chain (checked end to end; the whole
-/// chain must be consumed exactly).
-pub fn decode_column_pages(pages: &[&PageBuf]) -> Result<Column> {
-    let bytes = unpaginate(pages)?;
-    let mut r = ByteReader::new(&bytes);
-    let col = codec::decode_column(&mut r)?;
-    r.done()?;
-    Ok(col)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn multi_page_roundtrip() {
-        // ~24 KB of floats spans several pages.
-        let col = Column::float((0..3000).map(|i| i as f64 * 0.1).collect());
-        let pages = encode_column_pages(&col);
-        assert!(pages.len() > 1, "must actually span pages");
-        let refs: Vec<&PageBuf> = pages.iter().map(|p| p.as_ref()).collect();
-        let back = decode_column_pages(&refs).unwrap();
-        assert_eq!(back, col);
-    }
-
-    #[test]
-    fn missing_interior_page_is_rejected() {
-        let col = Column::int((0..3000).collect());
-        let pages = encode_column_pages(&col);
-        let mut refs: Vec<&PageBuf> = pages.iter().map(|p| p.as_ref()).collect();
-        refs.remove(1);
-        assert!(decode_column_pages(&refs).is_err());
-    }
-
-    #[test]
-    fn reordered_chain_is_rejected() {
-        let col = Column::int((0..3000).collect());
-        let pages = encode_column_pages(&col);
-        let mut refs: Vec<&PageBuf> = pages.iter().map(|p| p.as_ref()).collect();
-        refs.swap(0, 1);
-        assert!(decode_column_pages(&refs).is_err());
-    }
 }

@@ -2,13 +2,14 @@
 //!
 //! * **roundtrip proptests** — arbitrary columns (every `DataType`, NULL
 //!   masks, empty columns, NaN payloads, `-0.0`, dictionaries with
-//!   duplicate and unreferenced entries) survive encode → paginate →
-//!   unpaginate → decode *bit-exactly*, at any chain length, and through
-//!   a [`PagedStore`] whose buffer pool holds a single page;
+//!   duplicate and unreferenced entries) survive a [`PagedStore`]'s
+//!   `store_column` → `load_column` *bit-exactly*, at any chain length,
+//!   from warm frames and through a buffer pool that holds a single page;
 //! * **adversarial proptests** — truncating the byte string at any cut
-//!   point is a checked error, and flipping any byte of any page never
-//!   panics and never over-allocates (the decoder's count guard bounds
-//!   every allocation by the bytes actually present);
+//!   point is a checked error, and flipping any byte of any stored page,
+//!   or overwriting stored pages with garbage, never panics and never
+//!   over-allocates (the decoder's count guard bounds every allocation
+//!   by the bytes actually present);
 //! * **the in-memory catalog** — the same columns, and run-heavy ones,
 //!   stored by `duckdb_mem()` never take more bytes than the plain table
 //!   (a column is run-length encoded only when that is smaller) and
@@ -18,10 +19,7 @@ use proptest::prelude::*;
 
 use joinboost_engine::column::ColumnData;
 use joinboost_engine::storage::codec::{decode_column, encode_column, ByteReader};
-use joinboost_engine::storage::page::{
-    decode_column_pages, encode_column_pages, paginate, unpaginate, PageBuf,
-};
-use joinboost_engine::storage::{PagedStore, PAGE_SIZE};
+use joinboost_engine::storage::{PagedColumn, PagedStore, PAGE_CAPACITY, PAGE_SIZE};
 use joinboost_engine::{Column, Database, Table};
 
 // ---------------------------------------------------------------------------
@@ -91,6 +89,31 @@ fn arb_table() -> impl Strategy<Value = Table> {
     })
 }
 
+/// A fresh store in its own directory; `tag` keeps tests that run at
+/// once apart.
+fn scratch_store(tag: &str, pool_pages: usize) -> (PagedStore, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("jb_pr_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    (PagedStore::open(&dir, pool_pages).unwrap(), dir)
+}
+
+/// Write `bytes` over a stored chain in place, through the pool, starting
+/// `at` bytes into its first page (headers included) and stopping at the
+/// chain's end.
+fn overwrite(store: &PagedStore, pc: &PagedColumn, at: usize, bytes: &[u8]) {
+    for (k, &b) in bytes.iter().enumerate() {
+        let pos = at + k;
+        let Some(&pid) = pc.pages.get(pos / PAGE_SIZE) else {
+            return;
+        };
+        store
+            .pool()
+            .fetch(pid)
+            .unwrap()
+            .write(|p| p[pos % PAGE_SIZE] = b);
+    }
+}
+
 /// Every column's codec bytes: equal bytes are bit-exact columns.
 fn table_bytes(t: &Table) -> Vec<u8> {
     let mut out = Vec::new();
@@ -105,36 +128,32 @@ fn table_bytes(t: &Table) -> Vec<u8> {
 // ---------------------------------------------------------------------------
 
 proptest! {
-    /// Any column survives the full pipeline bit-exactly: bit-exactness
-    /// is proven by re-encoding the decoded column and comparing bytes
-    /// (sidestepping NaN != NaN).
+    /// Any column survives the full pipeline bit-exactly, stitched from
+    /// the warm frames it was written to: bit-exactness is proven by
+    /// re-encoding the decoded column and comparing bytes (sidestepping
+    /// NaN != NaN).
     #[test]
     fn column_roundtrips_bit_exactly_through_pages(col in arb_sized_column()) {
         let mut bytes = Vec::new();
         encode_column(&mut bytes, &col);
-        let pages = encode_column_pages(&col);
-        prop_assert_eq!(pages.len(), bytes.len().div_ceil(PAGE_SIZE - 8).max(1));
-        let refs: Vec<&PageBuf> = pages.iter().map(|p| p.as_ref()).collect();
-        let back = decode_column_pages(&refs).unwrap();
+        let (store, dir) = scratch_store("pages", 16);
+        let pc = store.store_column(&col).unwrap();
+        prop_assert_eq!(pc.pages.len(), bytes.len().div_ceil(PAGE_CAPACITY).max(1));
+        let back = store.load_column(&pc).unwrap();
         prop_assert_eq!(back.len(), col.len());
         prop_assert_eq!(back.dtype(), col.dtype());
         let mut reencoded = Vec::new();
         encode_column(&mut reencoded, &back);
         prop_assert_eq!(reencoded, bytes);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The same through a real store with a single-frame buffer pool:
-    /// every page load evicts the previous one, so the chain is stitched
-    /// from disk, not from warm frames.
+    /// The same through a single-frame buffer pool: every page load
+    /// evicts the previous one, so the chain is stitched from disk, not
+    /// from warm frames.
     #[test]
     fn store_roundtrips_through_a_one_page_pool(col in arb_sized_column()) {
-        let dir = std::env::temp_dir().join(format!(
-            "jb_pr_store_{}_{}",
-            std::process::id(),
-            col.len()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = PagedStore::open(&dir, 1).unwrap();
+        let (store, dir) = scratch_store("one_frame", 1);
         let pc = store.store_column(&col).unwrap();
         let back = store.load_column(&pc).unwrap();
         let (mut a, mut b) = (Vec::new(), Vec::new());
@@ -182,35 +201,44 @@ proptest! {
         prop_assert!(res.is_err(), "decode of a {cut}-byte prefix succeeded");
     }
 
-    /// Flipping any single byte never panics and never over-allocates:
-    /// either the decoder rejects the damage, or the flip landed in a
-    /// value byte and the result is a (different) well-formed column.
+    /// Flipping any single byte of a stored page never panics and never
+    /// over-allocates: either the load rejects the damage, or the flip
+    /// landed in a value byte and the result is a (different)
+    /// well-formed column.
     #[test]
     fn bit_flips_never_panic(col in arb_sized_column(), pos in any::<u64>(), flip in 1u8..=255) {
-        let pages = encode_column_pages(&col);
-        let mut pages: Vec<Box<PageBuf>> = pages;
-        let total = pages.len() * PAGE_SIZE;
-        let pos = (pos % total as u64) as usize;
-        pages[pos / PAGE_SIZE][pos % PAGE_SIZE] ^= flip;
-        let refs: Vec<&PageBuf> = pages.iter().map(|p| p.as_ref()).collect();
-        if let Ok(back) = decode_column_pages(&refs) {
+        let (store, dir) = scratch_store("flip", 4);
+        let pc = store.store_column(&col).unwrap();
+        let pos = (pos % (pc.pages.len() * PAGE_SIZE) as u64) as usize;
+        let pid = pc.pages[pos / PAGE_SIZE];
+        store.pool().fetch(pid).unwrap().write(|p| p[pos % PAGE_SIZE] ^= flip);
+        if let Ok(back) = store.load_column(&pc) {
             // Survivors must still be internally consistent.
             let mut reencoded = Vec::new();
             encode_column(&mut reencoded, &back);
             prop_assert!(!reencoded.is_empty() || back.is_empty());
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Raw garbage bytes (not derived from any encoding) decode without
-    /// panicking, and the pagination layer itself rejects damaged
-    /// headers rather than mis-stitching chains.
+    /// panicking, and a stored chain overwritten with them, headers
+    /// included, loads as an error or a well-formed column, never a
+    /// panic.
     #[test]
-    fn garbage_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..200)) {
+    fn garbage_bytes_never_panic(
+        col in arb_sized_column(),
+        bytes in prop::collection::vec(any::<u8>(), 0..200),
+        at in any::<u64>(),
+    ) {
         let mut r = ByteReader::new(&bytes);
         let _ = decode_column(&mut r);
-        let pages = paginate(&bytes);
-        let refs: Vec<&PageBuf> = pages.iter().map(|p| p.as_ref()).collect();
-        prop_assert!(unpaginate(&refs).is_ok(), "own pagination must verify");
+        let (store, dir) = scratch_store("garbage", 4);
+        let pc = store.store_column(&col).unwrap();
+        let at = (at % (pc.pages.len() * PAGE_SIZE) as u64) as usize;
+        overwrite(&store, &pc, at, &bytes);
+        let _ = store.load_column(&pc);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -220,17 +248,17 @@ proptest! {
 
 #[test]
 fn empty_columns_of_every_type_roundtrip() {
+    let (store, dir) = scratch_store("empty", 4);
     for col in [
         Column::int(vec![]),
         Column::float(vec![]),
         Column::str(Vec::<String>::new()),
     ] {
-        let pages = encode_column_pages(&col);
-        assert_eq!(pages.len(), 1, "empty columns still get one page");
-        let refs: Vec<&PageBuf> = pages.iter().map(|p| p.as_ref()).collect();
-        let back = decode_column_pages(&refs).unwrap();
-        assert_eq!(back, col);
+        let pc = store.store_column(&col).unwrap();
+        assert_eq!(pc.pages.len(), 1, "empty columns still get one page");
+        assert_eq!(store.load_column(&pc).unwrap(), col);
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -245,10 +273,12 @@ fn special_floats_roundtrip_bit_exactly() {
         f64::MIN_POSITIVE / 2.0,               // subnormal
         f64::MAX,
     ];
-    let col = Column::float(specials.clone());
-    let pages = encode_column_pages(&col);
-    let refs: Vec<&PageBuf> = pages.iter().map(|p| p.as_ref()).collect();
-    let back = decode_column_pages(&refs).unwrap();
+    let (store, dir) = scratch_store("specials", 4);
+    let pc = store
+        .store_column(&Column::float(specials.clone()))
+        .unwrap();
+    let back = store.load_column(&pc).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
     match &back.data {
         ColumnData::Float(v) => {
             for (a, b) in specials.iter().zip(v) {
@@ -261,9 +291,7 @@ fn special_floats_roundtrip_bit_exactly() {
 
 #[test]
 fn whole_tables_roundtrip_through_a_store() {
-    let dir = std::env::temp_dir().join(format!("jb_pr_table_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = PagedStore::open(&dir, 2).unwrap();
+    let (store, dir) = scratch_store("table", 2);
     let t = Table::from_columns(vec![
         ("k", Column::int((0..2000).collect())),
         (

@@ -88,17 +88,6 @@ pub fn clusters(graph: &JoinGraph) -> Vec<Cluster> {
     out
 }
 
-/// The cluster whose members include the relation holding `feature`
-/// (used to pick a tree's cluster from its root split).
-pub fn cluster_of_feature<'a>(
-    clusters: &'a [Cluster],
-    graph: &JoinGraph,
-    feature: &str,
-) -> Option<&'a Cluster> {
-    let rel = graph.relation_of_feature(feature)?;
-    clusters.iter().find(|c| c.contains(rel))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,19 +146,11 @@ mod tests {
     fn cluster_features_and_lookup() {
         let g = galaxy();
         let cs = clusters(&g);
-        let c = cluster_of_feature(&cs, &g, "age").unwrap();
-        assert_eq!(c.fact, g.rel_id("person_info").unwrap());
+        let pinfo = g.rel_id("person_info").unwrap();
+        let c = cs.iter().find(|c| c.contains(pinfo)).unwrap();
+        assert_eq!(c.fact, pinfo);
         let mut feats = c.features(&g);
         feats.sort();
         assert_eq!(feats, vec!["age".to_string(), "gender".to_string()]);
-        assert!(cluster_of_feature(&cs, &g, "nope").is_none());
-    }
-
-    #[test]
-    fn shared_dim_feature_resolves_to_some_cluster() {
-        let g = galaxy();
-        let cs = clusters(&g);
-        let c = cluster_of_feature(&cs, &g, "gender").unwrap();
-        assert!(c.contains(g.rel_id("person").unwrap()));
     }
 }

@@ -1,4 +1,4 @@
-//! The join graph and message-passing schedules.
+//! The join graph: relations, features and join edges.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -71,16 +71,6 @@ pub struct Edge {
     pub keys: Vec<String>,
     /// Multiplicity in the `a → b` direction.
     pub multiplicity: Multiplicity,
-}
-
-/// A directed message in a schedule: relation `from` aggregates itself
-/// joined with its incoming messages, groups by `keys`, and sends to `to`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Message {
-    pub from: RelId,
-    pub to: RelId,
-    /// Join keys shared between `from` and `to`.
-    pub keys: Vec<String>,
 }
 
 /// A join graph over named relations.
@@ -288,87 +278,6 @@ impl JoinGraph {
         false
     }
 
-    /// Relations on one cycle (for hypertree decomposition: pre-join these
-    /// and replace them with the join result). `None` if acyclic.
-    pub fn find_cycle(&self) -> Option<Vec<RelId>> {
-        let n = self.relations.len();
-        let mut parent_edge: Vec<Option<(RelId, usize)>> = vec![None; n];
-        let mut state = vec![0u8; n]; // 0 unseen, 1 in-stack, 2 done
-        for start in 0..n {
-            if state[start] != 0 {
-                continue;
-            }
-            let mut stack = vec![(start, usize::MAX)];
-            while let Some(&(u, via)) = stack.last() {
-                if state[u] == 0 {
-                    state[u] = 1;
-                    for (v, ei) in self.neighbors(u) {
-                        if ei == via {
-                            continue;
-                        }
-                        if state[v] == 1 {
-                            // Found a back edge v..u: reconstruct the cycle.
-                            let mut cycle = vec![u];
-                            let mut cur = u;
-                            while cur != v {
-                                let (p, _) = parent_edge[cur]?;
-                                cycle.push(p);
-                                cur = p;
-                            }
-                            return Some(cycle);
-                        }
-                        if state[v] == 0 {
-                            parent_edge[v] = Some((u, ei));
-                            stack.push((v, ei));
-                        }
-                    }
-                } else {
-                    state[u] = 2;
-                    stack.pop();
-                }
-            }
-        }
-        None
-    }
-
-    /// Leaf-to-root message schedule: every relation except the root sends
-    /// exactly one message toward the root; a relation sends only after
-    /// all its children have.
-    pub fn message_schedule(&self, root: RelId) -> Result<Vec<Message>, GraphError> {
-        self.validate_tree()?;
-        let n = self.relations.len();
-        // BFS from root to direct edges, then emit in reverse BFS order.
-        let mut order = Vec::with_capacity(n);
-        let mut parent: Vec<Option<RelId>> = vec![None; n];
-        let mut seen = vec![false; n];
-        let mut queue = VecDeque::from([root]);
-        seen[root] = true;
-        while let Some(u) = queue.pop_front() {
-            order.push(u);
-            for (v, _) in self.neighbors(u) {
-                if !seen[v] {
-                    seen[v] = true;
-                    parent[v] = Some(u);
-                    queue.push_back(v);
-                }
-            }
-        }
-        let mut schedule = Vec::with_capacity(n.saturating_sub(1));
-        for &u in order.iter().rev() {
-            if let Some(p) = parent[u] {
-                schedule.push(Message {
-                    from: u,
-                    to: p,
-                    keys: self
-                        .join_keys(u, p)
-                        .expect("adjacent relations share an edge")
-                        .to_vec(),
-                });
-            }
-        }
-        Ok(schedule)
-    }
-
     /// Path of relations from `from` to `to` (inclusive) in the join tree.
     pub fn path(&self, from: RelId, to: RelId) -> Option<Vec<RelId>> {
         let n = self.relations.len();
@@ -396,27 +305,6 @@ impl JoinGraph {
             }
         }
         None
-    }
-
-    /// Messages of a root-directed schedule that are *invalidated* when a
-    /// predicate is applied to `changed`: exactly those sent from relations
-    /// whose subtree (looking away from the root) contains `changed` —
-    /// i.e. the messages along the path `changed → root`. Everything else
-    /// can be reused by the child tree node (Section 5.5.1, Example 7).
-    pub fn invalidated_messages(
-        &self,
-        schedule: &[Message],
-        root: RelId,
-        changed: RelId,
-    ) -> Vec<Message> {
-        let Some(path) = self.path(changed, root) else {
-            return schedule.to_vec();
-        };
-        schedule
-            .iter()
-            .filter(|m| path.windows(2).any(|w| m.from == w[0] && m.to == w[1]))
-            .cloned()
-            .collect()
     }
 
     /// Breadth-first ancestral sampling order from a root: each entry is a
@@ -507,32 +395,10 @@ mod tests {
     }
 
     #[test]
-    fn schedule_is_leaf_first() {
-        let g = chain();
-        let t = g.rel_id("T").unwrap();
-        let sched = g.message_schedule(t).unwrap();
-        assert_eq!(sched.len(), 2);
-        // R → S must come before S → T.
-        assert_eq!(sched[0].from, g.rel_id("R").unwrap());
-        assert_eq!(sched[0].to, g.rel_id("S").unwrap());
-        assert_eq!(sched[1].from, g.rel_id("S").unwrap());
-        assert_eq!(sched[1].to, t);
-    }
-
-    #[test]
-    fn star_schedule_has_one_message_per_dim() {
-        let g = star();
-        let fact = g.rel_id("sales").unwrap();
-        let sched = g.message_schedule(fact).unwrap();
-        assert_eq!(sched.len(), 5);
-        assert!(sched.iter().all(|m| m.to == fact));
-    }
-
-    #[test]
     fn cycle_detection_and_extraction() {
         let mut g = chain();
         assert!(!g.is_cyclic());
-        assert!(g.find_cycle().is_none());
+        assert!(g.validate_tree().is_ok());
         // Close the cycle like the update relation U does (Figure 2c).
         g.add_relation("U", &[]).unwrap();
         g.add_edge_with("R", "U", &["B"], Multiplicity::ManyToMany)
@@ -540,9 +406,7 @@ mod tests {
         g.add_edge_with("T", "U", &["D"], Multiplicity::ManyToMany)
             .unwrap();
         assert!(g.is_cyclic());
-        let cycle = g.find_cycle().unwrap();
-        assert!(cycle.len() >= 3);
-        assert!(g.message_schedule(0).is_err());
+        assert_eq!(g.validate_tree().unwrap_err(), GraphError::Cyclic);
     }
 
     #[test]
@@ -564,23 +428,6 @@ mod tests {
         g.add_edge("dates", "holidays", &["holiday_id"]).unwrap();
         assert_eq!(g.snowflake_fact(), Some(0));
         assert!(!g.is_snowflake_rooted_at(1), "dates sees 1-N toward sales");
-    }
-
-    #[test]
-    fn invalidated_messages_follow_path_to_root() {
-        let g = chain();
-        let (r, s, t) = (0, 1, 2);
-        let sched = g.message_schedule(t).unwrap();
-        // Split on R's feature: both R→S and S→T are invalidated.
-        let bad = g.invalidated_messages(&sched, t, r);
-        assert_eq!(bad.len(), 2);
-        // Split on T's feature (the root): nothing upstream changes.
-        let bad = g.invalidated_messages(&sched, t, t);
-        assert!(bad.is_empty());
-        // Split on S: only S→T.
-        let bad = g.invalidated_messages(&sched, t, s);
-        assert_eq!(bad.len(), 1);
-        assert_eq!(bad[0].from, s);
     }
 
     #[test]

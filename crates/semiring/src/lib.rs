@@ -8,8 +8,8 @@
 //! * [`ring`] — the semi-ring abstraction. Every ring used by JoinBoost is
 //!   *componentwise-additive and bilinear in `⊗`*, so a ring is fully
 //!   described by its component names, its `1̄` element, its lift, and a
-//!   bilinear multiplication table. That same description is what the SQL
-//!   compiler uses to turn `⊗` into arithmetic expressions.
+//!   bilinear multiplication table. The trainer's SQL compiler writes its
+//!   own two-component `⊗` (`joinboost::sqlgen::symbolic_mul`) instead.
 //! * the **variance semi-ring** `(c, s, q)` for regression (`rmse`), the
 //!   **class-count semi-ring** `(c, c₁..c_k)` for classification, and the
 //!   **gradient semi-ring** `(h, g)` for second-order gradient boosting

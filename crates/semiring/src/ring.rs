@@ -1,6 +1,6 @@
-//! The semi-ring abstraction and the three rings JoinBoost uses.
+//! The semi-ring abstraction and the three rings of the paper.
 //!
-//! All rings here share two structural properties that the paper's SQL
+//! All rings here share the two structural properties the paper's SQL
 //! compilation relies on:
 //!
 //! 1. `⊕` is componentwise addition of the annotation vector — so a
@@ -11,7 +11,9 @@
 //!
 //! A ring therefore only needs to declare its component names, its unit
 //! element, its `lift` and its multiplication table; numeric `add`/`mul`
-//! and the SQL compilation both derive from that declaration.
+//! derive from that declaration, and `ring_laws` checks the laws on it.
+//! The trainer's SQL does not read these types: it writes `⊗` for its
+//! two-component annotations directly (`joinboost::sqlgen::symbolic_mul`).
 
 /// One term of a bilinear product: `coeff * left[l] * right[r]`.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -127,19 +127,40 @@ fn example_3_and_7_message_sharing_between_queries_and_nodes() {
     // message (Example 3's reusable message m1).
     assert_eq!(after_d - after_c, 1);
 
-    // Example 7: split on D (in T); messages R→S and S→T are unchanged for
-    // the children (they flow *away* from T), only T-side messages differ.
-    let split = Split {
-        feature: "d".into(),
-        relation: "t".into(),
-        cond: SplitCondition::LtEq(1.0),
-        default_left: false,
+    // Example 7: a split's predicate invalidates exactly the messages on
+    // the path from its relation to the root T. On D (in T) both R→S and
+    // S→T flow *away* from it and hit the cache; on C (in S) only S→T is
+    // recomputed; on B (in R) both are.
+    let r_rel = set.graph.rel_id("r").unwrap();
+    let edges = [(r_rel, s_rel), (s_rel, t_rel)];
+    let handles = |fx: &mut Factorizer, ctx: &NodeContext| {
+        edges.map(|(from, to)| format!("{:?}", fx.message(from, to, ctx).unwrap()))
     };
-    let child = ctx.with_pred(t_rel, Pred::from_split(&split, false));
-    let before = fx.stats.message_queries;
-    let _ = fx.absorb(t_rel, None, &child).unwrap();
-    let new_msgs = fx.stats.message_queries - before;
-    assert_eq!(new_msgs, 0, "both upstream messages hit the cache");
+    let at_root = handles(&mut fx, &ctx);
+    for (rel, feature, recomputed) in [
+        ("t", "d", [false, false]),
+        ("s", "c", [false, true]),
+        ("r", "b", [true, true]),
+    ] {
+        let split = Split {
+            feature: feature.into(),
+            relation: rel.into(),
+            cond: SplitCondition::LtEq(1.0),
+            default_left: false,
+        };
+        let child = ctx.with_pred(
+            set.graph.rel_id(rel).unwrap(),
+            Pred::from_split(&split, false),
+        );
+        let before = fx.stats.message_queries;
+        let _ = fx.absorb(t_rel, None, &child).unwrap();
+        let new_msgs = fx.stats.message_queries - before;
+        let in_child = handles(&mut fx, &child);
+        let changed = [0, 1].map(|i| in_child[i] != at_root[i]);
+        assert_eq!(changed, recomputed, "split on {rel}.{feature}");
+        let want = recomputed.iter().filter(|&&r| r).count() as u64;
+        assert_eq!(new_msgs, want, "split on {rel}.{feature}");
+    }
     assert!(fx.stats.cache_hits > 0);
 }
 

@@ -172,9 +172,9 @@ proptest! {
     }
 
     /// Randomized grouped queries (NULL-able int keys, string keys,
-    /// ORDER BY + LIMIT, empty inputs): columnar vs row execution *and*
-    /// serial vs parallel fused aggregation must agree. The parallel
-    /// configuration must match serial columnar execution bit for bit.
+    /// ORDER BY + LIMIT, empty inputs): columnar vs row execution must
+    /// agree, and uncompressed columnar storage must match compressed bit
+    /// for bit.
     #[test]
     fn grouped_queries_agree_across_modes(data in arb_grouped()) {
         let sqls = [
@@ -195,7 +195,6 @@ proptest! {
         for (config, exact) in [
             (EngineConfig::dbms_x_row(), false),
             (EngineConfig { compression: false, ..EngineConfig::duckdb_mem() }, true),
-            (EngineConfig { agg_threads: 4, ..EngineConfig::duckdb_mem() }, true),
         ] {
             let db = Database::new(config);
             load_grouped(&db, &data);
@@ -916,14 +915,6 @@ fn diff_personalities(
         ),
         ("row", EngineConfig::dbms_x_row(), false),
         ("external", mem(), true),
-        (
-            "threads",
-            EngineConfig {
-                agg_threads: 2,
-                ..mem()
-            },
-            false,
-        ),
         (
             "paged-256",
             EngineConfig::paged(scratch.join("p256")),
