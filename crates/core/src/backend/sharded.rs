@@ -49,12 +49,14 @@
 //! each shard's difference is the larger child's partial on that shard —
 //! including which keys it keeps (`jb_c > 0`).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use parking_lot::RwLock;
 
-use joinboost_engine::column::HKey;
+use joinboost_engine::agg::{self, PreparedAgg};
+use joinboost_engine::column::ColumnData;
+use joinboost_engine::keys;
 use joinboost_engine::table::ColumnMeta;
 use joinboost_engine::{Column, DataType, Database, Datum, EngineConfig, EngineError, Table};
 use joinboost_sql::ast::{Expr, Query, SelectItem, Statement, TablePosition, TableRef};
@@ -65,7 +67,7 @@ use crate::sqlgen::{split_pushdown_shape, SplitQueryShape};
 
 use super::client::{RemoteConnection, RemoteOptions};
 use super::split::{
-    interval_delta_map, reconstruct_summaries, Acc, IntervalSummary, LocalSplitState, MergeSpec,
+    interval_delta_map, reconstruct_summaries, IntervalSummary, LocalSplitState, MergeSpec,
     SplitHandle, SplitSpec,
 };
 use super::split_bounds::{
@@ -1053,18 +1055,18 @@ impl SqlBackend for ShardedBackend {
         if !self.is_sharded(name) {
             return Ok(self.coordinator.snapshot(name)?.take(rows));
         }
+        if rows.is_empty() {
+            // Any shard answers the (empty) request with the table's layout.
+            return self.shards[0].gather_rows(name, rows);
+        }
         // Route each requested snapshot-order position to the shard that
         // owns it; every shard ships only its selected rows, and the
         // coordinator reassembles them in the requested order. Both
         // phases fan out in parallel — over remote transports the round
         // trips would otherwise serialize per shard.
-        let mut counts = Vec::with_capacity(self.shards.len());
-        let mut total = 0usize;
-        for r in self.on_all_shards(|_, db| db.row_count(name)) {
-            let c = r?;
-            counts.push(c);
-            total += c;
-        }
+        let counts = self.on_all_shards(|_, db| db.row_count(name));
+        let counts = counts.into_iter().collect::<BackendResult<Vec<_>>>()?;
+        let total: usize = counts.iter().sum();
         let mut per_shard: Vec<Vec<(usize, u32)>> = vec![Vec::new(); self.shards.len()];
         for (pos, &g) in rows.iter().enumerate() {
             let mut g = g as usize;
@@ -1083,8 +1085,7 @@ impl SqlBackend for ShardedBackend {
         // Only shards that own requested rows ship anything — and they
         // ship exactly their selected rows (via the transport's
         // `gather_rows`, a single framed message on remote shards), never
-        // whole partitions. The schema comes from whichever shard answers
-        // first, or a name-only lookup when the request is empty.
+        // whole partitions.
         let gathered = self.on_all_shards(|i, db| {
             let wanted = &per_shard[i];
             if wanted.is_empty() {
@@ -1093,36 +1094,17 @@ impl SqlBackend for ShardedBackend {
             let locals: Vec<u32> = wanted.iter().map(|&(_, local)| local).collect();
             db.gather_rows(name, &locals).map(Some)
         });
-        let mut columns: Option<Vec<(ColumnMeta, Vec<Datum>)>> = None;
-        for (wanted, r) in per_shard.iter().zip(gathered) {
-            let Some(t) = r? else { continue };
-            let cols = columns.get_or_insert_with(|| {
-                t.meta
-                    .iter()
-                    .map(|m| (m.clone(), vec![Datum::Null; rows.len()]))
-                    .collect()
-            });
-            for (j, &(pos, _)) in wanted.iter().enumerate() {
-                for (ci, (_, vals)) in cols.iter_mut().enumerate() {
-                    vals[pos] = t.columns[ci].get(j);
-                }
-            }
+        let parts = gathered.into_iter().filter_map(Result::transpose);
+        let parts = parts.collect::<BackendResult<Vec<_>>>()?;
+        // Concatenated in shard order, request position `pos` sits at its
+        // shard's offset plus its rank among that shard's requests.
+        let mut positions = vec![0u32; rows.len()];
+        for (at, &(pos, _)) in per_shard.iter().flatten().enumerate() {
+            positions[pos] = at as u32;
         }
-        let columns = match columns {
-            Some(c) => c,
-            None => self.shards[0]
-                .column_names(name)?
-                .into_iter()
-                .map(|n| (ColumnMeta::new(n), Vec::new()))
-                .collect(),
-        };
         self.rows_shuffled
             .fetch_add(rows.len() as u64, Ordering::Relaxed);
-        let mut out = Table::new();
-        for (meta, vals) in columns {
-            out.push_column(meta, Column::from_datums(&vals));
-        }
-        Ok(out)
+        Ok(concat_tables(parts)?.take(&positions))
     }
 
     fn map_partitions(
@@ -1314,76 +1296,63 @@ fn contains_window(e: &Expr) -> bool {
 // Merge execution
 // ---------------------------------------------------------------------------
 
-/// `⊕`-merge per-shard partial aggregates. Groups are matched on the key
-/// columns; output rows are sorted by the keys so the merged table has a
-/// deterministic, backend-independent order.
+/// `⊕`-merge per-shard partial aggregates with the engine's kernels: the
+/// partials concatenate in shard order, group on the key columns, and
+/// fold SUM/MIN/MAX per group in that order; the groups are then sorted
+/// by key so the merged table has a deterministic, backend-independent
+/// order.
 fn merge_partials(partials: Vec<Table>, specs: &[MergeSpec]) -> BackendResult {
-    let first = partials
-        .first()
-        .ok_or_else(|| EngineError::Other("no shard partials".into()))?;
-    if first.num_columns() != specs.len() {
+    let all = concat_tables(partials)?;
+    if all.num_columns() != specs.len() {
         return Err(EngineError::Other(format!(
             "merge plan arity mismatch: {} columns, {} specs",
-            first.num_columns(),
+            all.num_columns(),
             specs.len()
         )));
     }
-    let meta: Vec<ColumnMeta> = first.meta.clone();
-    let key_cols: Vec<usize> = specs
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| **s == MergeSpec::Key)
-        .map(|(i, _)| i)
+    let key_refs: Vec<&Column> = (specs.iter().zip(&all.columns))
+        .filter_map(|(spec, col)| (*spec == MergeSpec::Key).then_some(col))
         .collect();
-    let mut slots: HashMap<Vec<HKey>, usize> = HashMap::new();
-    let mut keys: Vec<Vec<Datum>> = Vec::new();
-    let mut accs: Vec<Vec<Acc>> = Vec::new();
-    for t in &partials {
-        if t.num_columns() != specs.len() {
-            return Err(EngineError::Other("shard partial arity mismatch".into()));
-        }
-        for row in 0..t.num_rows() {
-            let hk: Vec<HKey> = key_cols.iter().map(|&c| t.columns[c].hkey(row)).collect();
-            let slot = *slots.entry(hk).or_insert_with(|| {
-                keys.push(key_cols.iter().map(|&c| t.columns[c].get(row)).collect());
-                accs.push(specs.iter().map(|_| Acc::Empty).collect());
-                keys.len() - 1
-            });
-            for (c, spec) in specs.iter().enumerate() {
-                let v = t.columns[c].get(row);
-                match spec {
-                    MergeSpec::Key => {}
-                    MergeSpec::Sum => accs[slot][c].add(&v),
-                    MergeSpec::Min => accs[slot][c].best(&v, false),
-                    MergeSpec::Max => accs[slot][c].best(&v, true),
-                }
-            }
-        }
-    }
-    // Deterministic output order: sort groups by their key values.
-    let mut order: Vec<usize> = (0..keys.len()).collect();
-    order.sort_by(|&a, &b| {
-        for (ka, kb) in keys[a].iter().zip(&keys[b]) {
-            let ord = ka.sql_cmp(kb);
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
+    let groups = keys::group_rows(&key_refs, all.num_rows());
+    let key_cols: Vec<Column> = key_refs.iter().map(|c| c.take(&groups.reps)).collect();
+    // Ints widen to f64 and NULLs sort last, as `Datum::sql_cmp` orders.
+    let order = keys::SortKeys::new(key_cols.clone(), &vec![false; key_cols.len()])
+        .sort_permutation(groups.num_groups);
+    let mut key_cols = key_cols.into_iter();
     let mut out = Table::new();
-    for (c, (m, spec)) in meta.iter().zip(specs).enumerate() {
-        let vals: Vec<Datum> = order
-            .iter()
-            .map(|&slot| match spec {
-                MergeSpec::Key => {
-                    let ki = key_cols.iter().position(|&k| k == c).expect("key column");
-                    keys[slot][ki].clone()
-                }
-                _ => accs[slot][c].clone().into_datum(),
-            })
-            .collect();
-        out.push_column(ColumnMeta::new(m.name.clone()), Column::from_datums(&vals));
+    for ((m, spec), col) in all.meta.iter().zip(specs).zip(all.columns) {
+        let name = match spec {
+            MergeSpec::Key => {
+                let key = key_cols.next().expect("one key column per Key spec");
+                out.push_column(m.clone(), key.take(&order));
+                continue;
+            }
+            MergeSpec::Sum => "SUM",
+            MergeSpec::Min => "MIN",
+            MergeSpec::Max => "MAX",
+        };
+        // The engine's SUM skips NaN as NULL, but a NaN partial (+inf and
+        // -inf summed on one shard) is a value: its group sums to NaN, as
+        // in a single engine over the same rows.
+        let nan_groups: Vec<u32> = match &col.data {
+            ColumnData::Float(v) if name == "SUM" => (0..v.len())
+                .filter(|&r| v[r].is_nan() && col.is_valid(r))
+                .map(|r| groups.gids[r])
+                .collect(),
+            _ => Vec::new(),
+        };
+        let agg = PreparedAgg::new(name, Some(col))?;
+        let mut merged = agg::compute_grouped(&[agg], &groups.gids, groups.num_groups, None);
+        let mut merged = merged.pop().expect("one column per aggregate");
+        for &g in &nan_groups {
+            if let ColumnData::Float(v) = &mut merged.data {
+                v[g as usize] = f64::NAN;
+            }
+            if let Some(valid) = &mut merged.validity {
+                valid[g as usize] = true;
+            }
+        }
+        out.push_column(m.clone(), merged.take(&order));
     }
     Ok(out)
 }
@@ -1394,13 +1363,11 @@ fn concat_tables(parts: Vec<Table>) -> BackendResult {
     let first = parts
         .first()
         .ok_or_else(|| EngineError::Other("no shard partials".into()))?;
-    let meta: Vec<ColumnMeta> = first.meta.clone();
-    let ncols = first.num_columns();
-    if parts.iter().any(|t| t.num_columns() != ncols) {
+    if parts.iter().any(|t| t.num_columns() != first.num_columns()) {
         return Err(EngineError::Other("shard gather layout mismatch".into()));
     }
     let mut out = Table::new();
-    for (ci, m) in meta.iter().enumerate() {
+    for (ci, m) in first.meta.iter().enumerate() {
         let cols: Vec<&Column> = parts.iter().map(|t| &t.columns[ci]).collect();
         out.push_column(ColumnMeta::new(m.name.clone()), Column::concat(&cols));
     }
@@ -1833,8 +1800,8 @@ mod tests {
     }
 
     // Property test: ⊕-merged partials equal the single-engine result on
-    // random integer data (exact arithmetic) over random shard counts,
-    // key skew and group counts.
+    // random integer data (exact arithmetic, sums past 2^53, NULLs) and
+    // string MIN/MAX over random shard counts, key skew and group counts.
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::Config::with_cases(24))]
         #[test]
@@ -1853,11 +1820,20 @@ mod tests {
             };
             let k: Vec<i64> = (0..rows).map(|_| (next() % 50) as i64).collect();
             let g: Vec<i64> = (0..rows).map(|_| (next() % groups) as i64).collect();
-            let v: Vec<i64> = (0..rows).map(|_| (next() % 1000) as i64 - 500).collect();
+            let v: Vec<Datum> = (0..rows)
+                .map(|_| match next() % 8 {
+                    0 => Datum::Null,
+                    1 => Datum::Int((1 << 53) - (next() % 4) as i64),
+                    2 => Datum::Int((next() % 4) as i64 - (1 << 53)),
+                    _ => Datum::Int((next() % 1000) as i64 - 500),
+                })
+                .collect();
+            let name: Vec<String> = (0..rows).map(|_| format!("n{}", next() % 30)).collect();
             let table = Table::from_columns(vec![
                 ("k", Column::int(k)),
                 ("g", Column::int(g)),
-                ("v", Column::int(v)),
+                ("v", Column::from_datums(&v)),
+                ("name", Column::str(name)),
             ]);
             let engine = Database::in_memory();
             engine.create_table("fact", table.clone()).unwrap();
@@ -1865,9 +1841,47 @@ mod tests {
             b.create_table("fact", table).unwrap();
             // The ORDER BY layer runs on the coordinator over the merged
             // aggregate, giving both backends the same row order.
-            let q = "SELECT * FROM (SELECT g, COUNT(*) AS c, SUM(v) AS s, \
-                     MIN(v) AS mn, MAX(v) AS mx FROM fact GROUP BY g) AS a ORDER BY g";
-            assert_eq!(b.query(q).unwrap(), engine.query(q).unwrap());
+            let q = "SELECT * FROM (SELECT g, COUNT(*) AS c, SUM(v) AS s, MIN(v) AS mn, \
+                     MAX(v) AS mx, MIN(name) AS first, MAX(name) AS last \
+                     FROM fact GROUP BY g) AS a ORDER BY g";
+            // Compared by metadata, type and value, not by `Table` equality:
+            // a Str column's dictionary order follows the order its rows
+            // were folded in.
+            let values = |t: Table| {
+                let types: Vec<DataType> = t.columns.iter().map(Column::dtype).collect();
+                let rows: Vec<_> = (0..t.num_rows()).map(|i| t.row(i)).collect();
+                (t.meta, types, rows)
+            };
+            assert_eq!(values(b.query(q).unwrap()), values(engine.query(q).unwrap()));
+        }
+    }
+
+    #[test]
+    fn nan_partials_make_the_merged_sum_nan() {
+        // +inf and -inf share k, hence a shard, whose SUM partial is NaN;
+        // one engine over the same rows sums group 1 to NaN too.
+        let table = Table::from_columns(vec![
+            ("k", Column::int(vec![0, 0, 1, 1, 2])),
+            ("g", Column::int(vec![0, 0, 1, 1, 1])),
+            (
+                "v",
+                Column::float(vec![1.0, 2.0, f64::INFINITY, f64::NEG_INFINITY, 2.5]),
+            ),
+        ]);
+        let q = "SELECT * FROM (SELECT g, SUM(v) AS s FROM fact GROUP BY g) AS a ORDER BY g";
+        let engine = Database::in_memory();
+        engine.create_table("fact", table.clone()).unwrap();
+        for shards in [1, 2, 3] {
+            let b = ShardedBackend::new(shards, EngineConfig::duckdb_mem(), "fact", "k");
+            b.create_table("fact", table.clone()).unwrap();
+            for t in [b.query(q).unwrap(), engine.query(q).unwrap()] {
+                assert_eq!(t.column(None, "s").unwrap().get(0), Datum::Float(3.0));
+                let s = t.column(None, "s").unwrap().get(1);
+                assert!(
+                    matches!(s, Datum::Float(x) if x.is_nan()),
+                    "{shards} shards: {s:?}"
+                );
+            }
         }
     }
 

@@ -66,7 +66,7 @@ impl MergeSpec {
 /// (exact counts); the first float partial promotes the accumulated total
 /// exactly (`i64 as f64` is exact for the count magnitudes here).
 #[derive(Debug, Clone)]
-pub(crate) enum Acc {
+enum Acc {
     Empty,
     Int(i64),
     Float(f64),
@@ -74,7 +74,7 @@ pub(crate) enum Acc {
 }
 
 impl Acc {
-    pub(crate) fn add(&mut self, v: &Datum) {
+    fn add(&mut self, v: &Datum) {
         match v {
             Datum::Null => {}
             Datum::Int(x) => match self {
@@ -93,7 +93,7 @@ impl Acc {
         }
     }
 
-    pub(crate) fn best(&mut self, v: &Datum, want_max: bool) {
+    fn best(&mut self, v: &Datum, want_max: bool) {
         if v.is_null() {
             return;
         }
@@ -111,7 +111,7 @@ impl Acc {
         }
     }
 
-    pub(crate) fn into_datum(self) -> Datum {
+    fn into_datum(self) -> Datum {
         match self {
             Acc::Empty => Datum::Null,
             Acc::Int(v) => Datum::Int(v),

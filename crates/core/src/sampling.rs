@@ -8,12 +8,12 @@
 //! root row extends to, computed by COUNT semi-ring message passing — and
 //! walks the join graph sampling each next relation conditionally.
 
-use std::collections::HashMap;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use joinboost_engine::{Column, Datum, Table};
+use joinboost_engine::keys::{group_rows, JoinIndex};
+use joinboost_engine::table::ColumnMeta;
+use joinboost_engine::{Column, Table};
 use joinboost_graph::{JoinGraph, RelId};
 
 use crate::backend::{BackendResult, SqlBackend};
@@ -25,22 +25,77 @@ struct RelData {
     /// COUNT-semiring weight per row: the number of `R⋈` tuples this row
     /// extends to within its subtree.
     weights: Vec<f64>,
-    /// Children in the sampling tree, with rows grouped by join key.
-    children: Vec<ChildIndex>,
+    /// Children in the sampling tree, each with this relation's rows
+    /// indexed against the child's rows on their join keys.
+    children: Vec<(RelId, JoinIndex)>,
 }
 
-struct ChildIndex {
-    rel: RelId,
-    /// Key columns in the *parent* table.
-    parent_keys: Vec<usize>,
-    /// Join-key value → child row indices.
-    index: HashMap<Vec<String>, Vec<u32>>,
+/// A relation's COUNT message to its parent: its distinct join keys and,
+/// per key, the summed weights of the rows holding it (added in row order).
+struct Message {
+    keys: Vec<Column>,
+    sums: Vec<f64>,
 }
 
-fn key_of(table: &Table, cols: &[usize], row: usize) -> Vec<String> {
-    cols.iter()
-        .map(|&c| table.columns[c].get(row).to_string())
-        .collect()
+/// The columns of `t` named by the join `keys`.
+fn key_columns<'a>(t: &'a Table, keys: &[String]) -> Result<Vec<&'a Column>> {
+    Ok(keys
+        .iter()
+        .map(|k| t.column(None, k))
+        .collect::<BackendResult<_>>()?)
+}
+
+/// Index `parent`'s rows against `child`'s on the join `keys`: the
+/// engine's join, so a key with a NULL component matches nothing.
+fn join_index(parent: &Table, child: &Table, keys: &[String]) -> Result<JoinIndex> {
+    let (pn, cn) = (parent.num_rows(), child.num_rows());
+    Ok(JoinIndex::build(
+        &key_columns(parent, keys)?,
+        &key_columns(child, keys)?,
+        pn,
+        cn,
+    ))
+}
+
+/// `child`'s COUNT message on the join `keys`.
+fn message(child: &RelData, keys: &[String]) -> Result<Message> {
+    let cols = key_columns(&child.table, keys)?;
+    let groups = group_rows(&cols, child.table.num_rows());
+    let mut sums = vec![0.0f64; groups.num_groups];
+    for (&g, &w) in groups.gids.iter().zip(&child.weights) {
+        sums[g as usize] += w;
+    }
+    Ok(Message {
+        keys: cols.iter().map(|c| c.take(&groups.reps)).collect(),
+        sums,
+    })
+}
+
+/// Multiply the weight of every row of `t` by the message sum of the key
+/// it joins on `keys` (0 when it joins none).
+fn absorb(weights: &mut [f64], t: &Table, keys: &[String], msg: &Message) -> Result<()> {
+    let msg_keys: Vec<&Column> = msg.keys.iter().collect();
+    let index = JoinIndex::build(
+        &key_columns(t, keys)?,
+        &msg_keys,
+        t.num_rows(),
+        msg.sums.len(),
+    );
+    for (i, w) in weights.iter_mut().enumerate() {
+        *w *= index.probe(i).map_or(0.0, |r| msg.sums[r[0] as usize]);
+    }
+    Ok(())
+}
+
+/// Draw one of the child rows a parent row joins, by their weights.
+fn draw(rng: &mut StdRng, cands: Option<&[u32]>, child: &RelData) -> Result<u32> {
+    let cands =
+        cands.ok_or_else(|| TrainError::Invalid("dangling join key during sampling".into()))?;
+    let ws: Vec<f64> = cands.iter().map(|&i| child.weights[i as usize]).collect();
+    let wtotal: f64 = ws.iter().sum();
+    sample_weighted(rng, &ws, wtotal)
+        .map(|p| cands[p])
+        .ok_or_else(|| TrainError::Invalid("weightless join candidates during sampling".into()))
 }
 
 /// Draw `n` tuples of `R⋈` uniformly (with replacement) by ancestral
@@ -62,113 +117,61 @@ pub fn ancestral_sample(
     seed: u64,
 ) -> Result<Table> {
     graph.validate_tree()?;
-    // Load snapshots of every non-root relation and build the BFS tree.
     let nrel = graph.num_relations();
-    let mut tables: Vec<Option<Table>> = (0..nrel).map(|_| None).collect();
-    let mut root_name = String::new();
-    for (rel, info) in graph.relations() {
-        if rel == root {
-            root_name = info.name.clone();
-        } else {
-            tables[rel] = Some(db.snapshot(&info.name)?);
-        }
-    }
+    // The sampling tree: each relation's parent is the neighbor that
+    // precedes it in the BFS order. Children are listed in that order, so
+    // a seed fixes the sequence of draws.
     let order = graph.sampling_order(root);
-    let mut parent_of: HashMap<RelId, RelId> = HashMap::new();
-    {
-        let mut seen = vec![root];
-        for (rel, _) in order.iter().skip(1) {
-            // Parent = the already-seen neighbor.
-            let p = graph
-                .neighbors(*rel)
-                .into_iter()
-                .map(|(v, _)| v)
-                .find(|v| seen.contains(v))
-                .expect("BFS order has a seen parent");
-            parent_of.insert(*rel, p);
-            seen.push(*rel);
-        }
-    }
-    // Children lists.
     let mut children_of: Vec<Vec<RelId>> = vec![Vec::new(); nrel];
-    for (&c, &p) in &parent_of {
-        children_of[p].push(c);
+    for (at, (rel, _)) in order.iter().enumerate().skip(1) {
+        let parent = (graph.neighbors(*rel).into_iter())
+            .map(|(v, _)| v)
+            .find(|v| order[..at].iter().any(|(seen, _)| seen == v))
+            .expect("BFS order has a seen parent");
+        children_of[parent].push(*rel);
     }
-    // Bottom-up COUNT message passing over the non-root relations:
-    // weight of a row = Π over children of (Σ weights of matching child
-    // rows).
+    // Bottom-up COUNT message passing over snapshots of the non-root
+    // relations: weight of a row = Π over children of (Σ weights of
+    // matching child rows).
     let mut data: Vec<Option<RelData>> = (0..nrel).map(|_| None).collect();
     for (rel, _) in order.iter().rev().filter(|(r, _)| *r != root) {
-        let table = tables[*rel].take().expect("loaded");
-        let nrows = table.num_rows();
-        let mut weights = vec![1.0f64; nrows];
-        let mut child_indexes = Vec::new();
+        let table = db.snapshot(graph.name(*rel))?;
+        let mut weights = vec![1.0f64; table.num_rows()];
+        let mut children = Vec::new();
         for &c in &children_of[*rel] {
-            let cdata = data[c].as_ref().expect("children processed first");
+            let child = data[c].as_ref().expect("children processed first");
             let keys = graph.join_keys(*rel, c).expect("edge");
-            let parent_keys: Vec<usize> = keys
-                .iter()
-                .map(|k| table.resolve(None, k).map_err(TrainError::from))
-                .collect::<Result<_>>()?;
-            let (index, sums) = index_child(cdata, keys)?;
-            for (i, w) in weights.iter_mut().enumerate() {
-                let k = key_of(&table, &parent_keys, i);
-                *w *= sums.get(&k).copied().unwrap_or(0.0);
-            }
-            child_indexes.push(ChildIndex {
-                rel: c,
-                parent_keys,
-                index,
-            });
+            absorb(&mut weights, &table, keys, &message(child, keys)?)?;
+            children.push((c, join_index(&table, &child.table, keys)?));
         }
         data[*rel] = Some(RelData {
             table,
             weights,
-            children: child_indexes,
+            children,
         });
     }
-    // The root's COUNT messages: per-child key → summed weight (used to
-    // weight partition rows) and key → candidate rows (used for the
-    // descent after sampling). Key column indices on the root side are
-    // resolved lazily per partition table.
-    struct RootChild {
-        rel: RelId,
-        key_names: Vec<String>,
-        index: HashMap<Vec<String>, Vec<u32>>,
-        sums: HashMap<Vec<String>, f64>,
-    }
-    let mut root_children: Vec<RootChild> = Vec::new();
-    for &c in &children_of[root] {
-        let cdata = data[c].as_ref().expect("children prepared");
-        let keys = graph.join_keys(root, c).expect("edge");
-        let (index, sums) = index_child(cdata, keys)?;
-        root_children.push(RootChild {
-            rel: c,
-            key_names: keys.to_vec(),
-            index,
-            sums,
-        });
-    }
+    let prepared = |rel: RelId| data[rel].as_ref().expect("prepared");
+    // The root's children's messages, summed once; each root partition
+    // joins them for its rows' marginal weights.
+    let root_messages: Vec<(&[String], Message)> = (children_of[root].iter())
+        .map(|&c| {
+            let keys = graph.join_keys(root, c).expect("edge");
+            Ok((keys, message(prepared(c), keys)?))
+        })
+        .collect::<Result<_>>()?;
     let local_weights = |t: &Table| -> Result<Vec<f64>> {
         let mut weights = vec![1.0f64; t.num_rows()];
-        for child in &root_children {
-            let cols: Vec<usize> = child
-                .key_names
-                .iter()
-                .map(|k| t.resolve(None, k).map_err(TrainError::from))
-                .collect::<Result<_>>()?;
-            for (i, w) in weights.iter_mut().enumerate() {
-                let k = key_of(t, &cols, i);
-                *w *= child.sums.get(&k).copied().unwrap_or(0.0);
-            }
+        for (keys, msg) in &root_messages {
+            absorb(&mut weights, t, keys, msg)?;
         }
         Ok(weights)
     };
+    let root_name = graph.name(root);
     // Pass 1: each partition reports its total marginal weight (1 row).
     // Totals are indexed by the *partition index* the backend hands the
     // closure — the only ordering `map_partitions` promises.
     let mut totals: Vec<f64> = Vec::new();
-    db.map_partitions(&root_name, &mut |i, t| {
+    db.map_partitions(root_name, &mut |i, t| {
         let w: f64 = local_weights(t).map_err(engine_err)?.iter().sum();
         if totals.len() <= i {
             totals.resize(i + 1, 0.0);
@@ -196,7 +199,7 @@ pub fn ancestral_sample(
     let parts: Vec<Table> = {
         let rng = &mut rng;
         let counts = &counts;
-        db.map_partitions(&root_name, &mut |i, t| {
+        db.map_partitions(root_name, &mut |i, t| {
             let weights = local_weights(t).map_err(engine_err)?;
             let wtotal: f64 = weights.iter().sum();
             let picks: Vec<u32> = (0..counts.get(i).copied().unwrap_or(0))
@@ -214,124 +217,60 @@ pub fn ancestral_sample(
         })
         .map_err(TrainError::from)?
     };
-    // Output schema: union of columns, first occurrence per name; the
-    // root contributes through its sampled partitions.
-    let root_schema: &Table = parts.first().ok_or_else(|| {
+    // The sampled root rows: the partitions' picks, one after the other.
+    let first = parts.first().ok_or_else(|| {
         TrainError::Invalid("backend reported no partitions for the root relation".into())
     })?;
-    let mut out_names: Vec<String> = Vec::new();
-    let mut out_sources: Vec<(RelId, usize)> = Vec::new();
+    let mut sample = Table::new();
+    for (ci, m) in first.meta.iter().enumerate() {
+        let cols: Vec<&Column> = parts.iter().map(|p| &p.columns[ci]).collect();
+        sample.push_column(ColumnMeta::new(m.name.clone()), Column::concat(&cols));
+    }
+    // Walk down the tree from every sampled root row, recording the row
+    // drawn from each relation.
+    let root_indexes: Vec<JoinIndex> = (children_of[root].iter())
+        .map(|&c| {
+            join_index(
+                &sample,
+                &prepared(c).table,
+                graph.join_keys(root, c).expect("edge"),
+            )
+        })
+        .collect::<Result<_>>()?;
+    let mut picks: Vec<Vec<u32>> = vec![Vec::new(); nrel];
+    picks[root] = (0..sample.num_rows() as u32).collect();
+    let mut stack: Vec<(RelId, usize)> = Vec::new();
+    for row in 0..sample.num_rows() {
+        for (&c, index) in children_of[root].iter().zip(&root_indexes) {
+            stack.push((c, draw(&mut rng, index.probe(row), prepared(c))? as usize));
+        }
+        while let Some((rel, at)) = stack.pop() {
+            picks[rel].push(at as u32);
+            for (c, index) in &prepared(rel).children {
+                stack.push((*c, draw(&mut rng, index.probe(at), prepared(*c))? as usize));
+            }
+        }
+    }
+    // Output: union of columns, first occurrence per name.
+    let mut out = Table::new();
     for (rel, _) in &order {
         let t = if *rel == root {
-            root_schema
+            &sample
         } else {
-            &data[*rel].as_ref().expect("prepared").table
+            &prepared(*rel).table
         };
-        for (ci, m) in t.meta.iter().enumerate() {
-            if !out_names.iter().any(|n| n.eq_ignore_ascii_case(&m.name)) {
-                out_names.push(m.name.clone());
-                out_sources.push((*rel, ci));
+        for (m, col) in t.meta.iter().zip(&t.columns) {
+            if out
+                .meta
+                .iter()
+                .any(|o| o.name.eq_ignore_ascii_case(&m.name))
+            {
+                continue;
             }
+            out.push_column(ColumnMeta::new(m.name.clone()), col.take(&picks[*rel]));
         }
-    }
-    // Walk down the tree from every sampled root row.
-    let mut rows: Vec<Vec<Datum>> = Vec::with_capacity(n);
-    for part in &parts {
-        let root_key_cols: Vec<Vec<usize>> = root_children
-            .iter()
-            .map(|child| {
-                child
-                    .key_names
-                    .iter()
-                    .map(|k| part.resolve(None, k).map_err(TrainError::from))
-                    .collect::<Result<_>>()
-            })
-            .collect::<Result<_>>()?;
-        for row in 0..part.num_rows() {
-            let mut chosen: HashMap<RelId, usize> = HashMap::new();
-            let mut stack: Vec<RelId> = Vec::new();
-            for (child, cols) in root_children.iter().zip(&root_key_cols) {
-                let key = key_of(part, cols, row);
-                let cdata = data[child.rel].as_ref().expect("prepared");
-                let cands = child.index.get(&key).ok_or_else(|| {
-                    TrainError::Invalid("dangling join key during sampling".into())
-                })?;
-                let ws: Vec<f64> = cands.iter().map(|&i| cdata.weights[i as usize]).collect();
-                let wtotal: f64 = ws.iter().sum();
-                let pick = sample_weighted(&mut rng, &ws, wtotal)
-                    .map(|p| cands[p] as usize)
-                    .ok_or_else(|| {
-                        TrainError::Invalid("weightless join candidates during sampling".into())
-                    })?;
-                chosen.insert(child.rel, pick);
-                stack.push(child.rel);
-            }
-            while let Some(rel) = stack.pop() {
-                let rd = data[rel].as_ref().expect("prepared");
-                let at = chosen[&rel];
-                for child in &rd.children {
-                    let key = key_of(&rd.table, &child.parent_keys, at);
-                    let cdata = data[child.rel].as_ref().expect("prepared");
-                    let cands = child.index.get(&key).ok_or_else(|| {
-                        TrainError::Invalid("dangling join key during sampling".into())
-                    })?;
-                    let ws: Vec<f64> = cands.iter().map(|&i| cdata.weights[i as usize]).collect();
-                    let wtotal: f64 = ws.iter().sum();
-                    let pick = sample_weighted(&mut rng, &ws, wtotal)
-                        .map(|p| cands[p] as usize)
-                        .ok_or_else(|| {
-                            TrainError::Invalid("weightless join candidates during sampling".into())
-                        })?;
-                    chosen.insert(child.rel, pick);
-                    stack.push(child.rel);
-                }
-            }
-            rows.push(
-                out_sources
-                    .iter()
-                    .map(|&(rel, ci)| {
-                        if rel == root {
-                            part.columns[ci].get(row)
-                        } else {
-                            let rd = data[rel].as_ref().expect("prepared");
-                            rd.table.columns[ci].get(chosen[&rel])
-                        }
-                    })
-                    .collect(),
-            );
-        }
-    }
-    // Assemble the output table column-wise.
-    let mut out = Table::new();
-    for (j, name) in out_names.iter().enumerate() {
-        let col: Vec<Datum> = rows.iter().map(|r| r[j].clone()).collect();
-        out.push_column(
-            joinboost_engine::table::ColumnMeta::new(name.clone()),
-            Column::from_datums(&col),
-        );
     }
     Ok(out)
-}
-
-/// Group a child's rows by join key: key → row indices, and key → summed
-/// weights (its COUNT message to the parent).
-#[allow(clippy::type_complexity)]
-fn index_child(
-    cdata: &RelData,
-    keys: &[String],
-) -> Result<(HashMap<Vec<String>, Vec<u32>>, HashMap<Vec<String>, f64>)> {
-    let child_keys: Vec<usize> = keys
-        .iter()
-        .map(|k| cdata.table.resolve(None, k).map_err(TrainError::from))
-        .collect::<Result<_>>()?;
-    let mut index: HashMap<Vec<String>, Vec<u32>> = HashMap::new();
-    let mut sums: HashMap<Vec<String>, f64> = HashMap::new();
-    for i in 0..cdata.table.num_rows() {
-        let k = key_of(&cdata.table, &child_keys, i);
-        index.entry(k.clone()).or_default().push(i as u32);
-        *sums.entry(k).or_insert(0.0) += cdata.weights[i];
-    }
-    Ok((index, sums))
 }
 
 /// Map a [`TrainError`] into the engine-error vocabulary the backend
@@ -362,8 +301,9 @@ fn sample_weighted(rng: &mut StdRng, weights: &[f64], total: f64) -> Option<usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use joinboost_engine::{Column, Database};
+    use joinboost_engine::{Column, Database, Datum};
     use joinboost_graph::Multiplicity;
+    use std::collections::HashMap;
 
     /// R(A,B) — S(A,C): A=1 extends to 1×2=2 join tuples, A=2 to 2×1=2.
     fn setup() -> (Database, JoinGraph) {
@@ -487,6 +427,88 @@ mod tests {
         for (&k, &cnt) in &counts {
             let p = cnt as f64 / n as f64;
             assert!((p - 0.25).abs() < 0.03, "tuple {k:?} frequency {p}");
+        }
+    }
+
+    #[test]
+    fn seeded_samples_repeat_on_a_star_of_three_dimensions() {
+        // Every dimension holds two rows per key, so each draw below the
+        // fact consumes the generator and the draw order shows in the rows.
+        let db = Database::in_memory();
+        db.create_table(
+            "fact",
+            Table::from_columns(vec![
+                ("k1", Column::int(vec![0, 1, 0, 1])),
+                ("k2", Column::int(vec![0, 0, 1, 1])),
+                ("k3", Column::int(vec![1, 0, 0, 1])),
+            ]),
+        )
+        .unwrap();
+        let mut g = JoinGraph::new();
+        g.add_relation("fact", &[]).unwrap();
+        for (dim, key, attr) in [("d1", "k1", "a"), ("d2", "k2", "b"), ("d3", "k3", "c")] {
+            db.create_table(
+                dim,
+                Table::from_columns(vec![
+                    (key, Column::int(vec![0, 0, 1, 1])),
+                    (attr, Column::int(vec![10, 11, 12, 13])),
+                ]),
+            )
+            .unwrap();
+            g.add_relation(dim, &[attr]).unwrap();
+            g.add_edge_with("fact", dim, &[key], Multiplicity::ManyToMany)
+                .unwrap();
+        }
+        let first = ancestral_sample(&db, &g, 0, 50, 9).unwrap();
+        for _ in 0..20 {
+            assert_eq!(ancestral_sample(&db, &g, 0, 50, 9).unwrap(), first);
+        }
+    }
+
+    #[test]
+    fn null_join_keys_are_never_sampled() {
+        // SQL joins no NULL key: `r JOIN s USING (a)` is the one tuple
+        // (b=10, c=100), so the NULL-keyed rows can never be drawn.
+        let db = Database::in_memory();
+        let nullable = |vals: &[Option<i64>]| {
+            Column::from_datums(
+                &vals
+                    .iter()
+                    .map(|v| v.map_or(Datum::Null, Datum::Int))
+                    .collect::<Vec<_>>(),
+            )
+        };
+        db.create_table(
+            "r",
+            Table::from_columns(vec![
+                ("a", nullable(&[Some(1), None])),
+                ("b", Column::int(vec![10, 30])),
+            ]),
+        )
+        .unwrap();
+        db.create_table(
+            "s",
+            Table::from_columns(vec![
+                ("a", nullable(&[Some(1), None])),
+                ("c", Column::int(vec![100, 103])),
+            ]),
+        )
+        .unwrap();
+        let joined = db
+            .query("SELECT COUNT(*) AS n FROM r JOIN s USING (a)")
+            .unwrap();
+        assert_eq!(joined.scalar().unwrap(), Datum::Int(1));
+        let mut g = JoinGraph::new();
+        g.add_relation("r", &["b"]).unwrap();
+        g.add_relation("s", &["c"]).unwrap();
+        g.add_edge_with("r", "s", &["a"], Multiplicity::ManyToMany)
+            .unwrap();
+        for root in [0, 1] {
+            let t = ancestral_sample(&db, &g, root, 100, 3).unwrap();
+            for i in 0..t.num_rows() {
+                assert_eq!(t.column(None, "b").unwrap().get(i), Datum::Int(10));
+                assert_eq!(t.column(None, "c").unwrap().get(i), Datum::Int(100));
+            }
         }
     }
 

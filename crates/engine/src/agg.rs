@@ -12,7 +12,7 @@
 //! shared (cache-hot) group id array — measured ~2x faster than folding
 //! all banks in a single pass with per-row polymorphic dispatch.
 
-use crate::column::Column;
+use crate::column::{Column, ColumnData};
 use crate::datum::Datum;
 use crate::error::{EngineError, Result};
 use crate::storage::PagedStore;
@@ -30,12 +30,18 @@ pub enum PreparedAgg {
         /// Validity mask of the argument (`None` = all valid).
         valid: Option<Vec<bool>>,
     },
-    /// `SUM(expr)` over an f64 view (NULL → NaN, skipped).
+    /// `SUM(expr)` of a Float argument (NULL → NaN, skipped).
     Sum {
         /// Argument values (NULL encoded as NaN).
         vals: Vec<f64>,
-        /// Emit integer sums (argument column was integer-typed).
-        int_input: bool,
+    },
+    /// `SUM(expr)` of an Int argument: exact i64 sums that wrap like `+`
+    /// on Int columns.
+    SumInt {
+        /// Argument values (0 under NULL).
+        vals: Vec<i64>,
+        /// Validity mask of the argument (`None` = all valid).
+        valid: Option<Vec<bool>>,
     },
     /// `AVG(expr)` over an f64 view (NULL → NaN, skipped).
     Avg {
@@ -58,8 +64,17 @@ impl PreparedAgg {
         match (name, arg) {
             ("COUNT", None) => Ok(PreparedAgg::CountStar),
             ("COUNT", Some(c)) => Ok(PreparedAgg::Count { valid: c.validity }),
+            (
+                "SUM",
+                Some(Column {
+                    data: ColumnData::Int(vals),
+                    validity,
+                }),
+            ) => Ok(PreparedAgg::SumInt {
+                vals,
+                valid: validity,
+            }),
             ("SUM", Some(c)) => Ok(PreparedAgg::Sum {
-                int_input: c.as_i64_slice().is_some(),
                 vals: into_f64_vec(c)?,
             }),
             ("AVG", Some(c)) => Ok(PreparedAgg::Avg {
@@ -90,9 +105,12 @@ impl PreparedAgg {
                     .as_ref()
                     .map(|v| rows.iter().map(|&r| v[r as usize]).collect()),
             },
-            PreparedAgg::Sum { vals, int_input } => PreparedAgg::Sum {
+            PreparedAgg::Sum { vals } => PreparedAgg::Sum {
                 vals: rows.iter().map(|&r| vals[r as usize]).collect(),
-                int_input: *int_input,
+            },
+            PreparedAgg::SumInt { vals, valid } => PreparedAgg::SumInt {
+                vals: rows.iter().map(|&r| vals[r as usize]).collect(),
+                valid: (valid.as_ref()).map(|v| rows.iter().map(|&r| v[r as usize]).collect()),
             },
             PreparedAgg::Avg { vals } => PreparedAgg::Avg {
                 vals: rows.iter().map(|&r| vals[r as usize]).collect(),
@@ -125,6 +143,10 @@ impl PreparedAgg {
                 sums: vec![0.0; len],
                 counts: vec![0; len],
             },
+            PreparedAgg::SumInt { .. } => Acc::IntSumCount {
+                sums: vec![0; len],
+                counts: vec![0; len],
+            },
             PreparedAgg::MinMax { .. } => Acc::Best(vec![Datum::Null; len]),
         }
     }
@@ -155,8 +177,16 @@ impl PreparedAgg {
                     }
                 }
             },
+            (PreparedAgg::SumInt { vals, valid }, Acc::IntSumCount { sums, counts }) => {
+                for (row, (&g, &v)) in gids.iter().zip(vals).enumerate() {
+                    if valid.as_ref().is_none_or(|ok| ok[row]) {
+                        sums[g as usize] = sums[g as usize].wrapping_add(v);
+                        counts[g as usize] += 1;
+                    }
+                }
+            }
             (
-                PreparedAgg::Sum { vals, .. } | PreparedAgg::Avg { vals },
+                PreparedAgg::Sum { vals } | PreparedAgg::Avg { vals },
                 Acc::SumCount { sums, counts },
             ) => {
                 for (&g, &v) in gids.iter().zip(vals) {
@@ -197,16 +227,10 @@ impl PreparedAgg {
         match (self, acc) {
             (PreparedAgg::CountStar | PreparedAgg::Count { .. }, Acc::Counts(c)) => Column::int(c),
             (PreparedAgg::SumOfInt(k), Acc::Counts(c)) => {
-                let out: Vec<Datum> = (c.iter())
-                    .map(|&c| {
-                        if c == 0 {
-                            Datum::Null
-                        } else {
-                            Datum::Int(k * c)
-                        }
-                    })
-                    .collect();
-                Column::from_datums(&out)
+                int_sums(c.iter().map(|&c| k.wrapping_mul(c)).collect(), &c)
+            }
+            (PreparedAgg::SumInt { .. }, Acc::IntSumCount { sums, counts }) => {
+                int_sums(sums, &counts)
             }
             (PreparedAgg::Avg { .. }, Acc::SumCount { sums, counts }) => {
                 let out: Vec<Datum> = sums
@@ -222,19 +246,11 @@ impl PreparedAgg {
                     .collect();
                 Column::from_datums(&out)
             }
-            (PreparedAgg::Sum { int_input, .. }, Acc::SumCount { sums, counts }) => {
+            (PreparedAgg::Sum { .. }, Acc::SumCount { sums, counts }) => {
                 let out: Vec<Datum> = sums
                     .iter()
                     .zip(&counts)
-                    .map(|(&s, &c)| {
-                        if c == 0 {
-                            Datum::Null
-                        } else if *int_input {
-                            Datum::Int(s as i64)
-                        } else {
-                            Datum::Float(s)
-                        }
-                    })
+                    .map(|(&s, &c)| if c == 0 { Datum::Null } else { Datum::Float(s) })
                     .collect();
                 Column::from_datums(&out)
             }
@@ -248,14 +264,26 @@ impl PreparedAgg {
 enum Acc {
     Counts(Vec<i64>),
     SumCount { sums: Vec<f64>, counts: Vec<i64> },
+    IntSumCount { sums: Vec<i64>, counts: Vec<i64> },
     Best(Vec<Datum>),
+}
+
+/// An Int `SUM` result column: NULL where a group summed no value.
+fn int_sums(sums: Vec<i64>, counts: &[i64]) -> Column {
+    let validity = counts
+        .contains(&0)
+        .then(|| counts.iter().map(|&c| c > 0).collect());
+    Column {
+        data: ColumnData::Int(sums),
+        validity,
+    }
 }
 
 /// Move the f64 data out of an evaluated argument column, copying only
 /// when the representation demands it (ints widen, NULLs become NaN).
 fn into_f64_vec(c: Column) -> Result<Vec<f64>> {
     match (c.data, c.validity) {
-        (crate::column::ColumnData::Float(v), None) => Ok(v),
+        (ColumnData::Float(v), None) => Ok(v),
         (data, validity) => Column { data, validity }.to_f64_vec(),
     }
 }
@@ -296,7 +324,7 @@ pub fn bank_bytes_per_group(inputs: &[PreparedAgg]) -> usize {
         .iter()
         .map(|a| match a {
             PreparedAgg::CountStar | PreparedAgg::SumOfInt(_) | PreparedAgg::Count { .. } => 8,
-            PreparedAgg::Sum { .. } | PreparedAgg::Avg { .. } => 16,
+            PreparedAgg::Sum { .. } | PreparedAgg::SumInt { .. } | PreparedAgg::Avg { .. } => 16,
             PreparedAgg::MinMax { .. } => 32,
         })
         .sum()
@@ -351,18 +379,10 @@ pub fn compute_grouped_spilled(
     // Merge: per aggregate, decode each slice's result and concatenate.
     let mut out = Vec::with_capacity(inputs.len());
     for i in 0..inputs.len() {
-        let mut datums = Vec::with_capacity(num_groups);
-        for pcs in &spilled {
-            let col = store.load_column(&pcs[i])?;
-            for r in 0..col.len() {
-                datums.push(if col.is_valid(r) {
-                    col.get(r)
-                } else {
-                    Datum::Null
-                });
-            }
-        }
-        out.push(Column::from_datums(&datums));
+        let slices: Vec<Column> = (spilled.iter())
+            .map(|pcs| store.load_column(&pcs[i]))
+            .collect::<Result<_>>()?;
+        out.push(Column::concat(&slices.iter().collect::<Vec<_>>()));
     }
     for pcs in &spilled {
         for pc in pcs {
@@ -386,10 +406,7 @@ mod tests {
         let vals: Vec<f64> = (0..n).map(|i| i as f64).collect();
         let inputs = vec![
             PreparedAgg::CountStar,
-            PreparedAgg::Sum {
-                vals: vals.clone(),
-                int_input: false,
-            },
+            PreparedAgg::Sum { vals: vals.clone() },
             PreparedAgg::Avg { vals },
         ];
         let gids = gids_round_robin(n, 2);
@@ -422,10 +439,7 @@ mod tests {
         let mk = || {
             vec![
                 PreparedAgg::CountStar,
-                PreparedAgg::Sum {
-                    vals: vals.clone(),
-                    int_input: false,
-                },
+                PreparedAgg::Sum { vals: vals.clone() },
                 PreparedAgg::Avg { vals: vals.clone() },
                 PreparedAgg::MinMax {
                     col: Column::float(vals.clone()),
@@ -454,6 +468,22 @@ mod tests {
             "all spill pages freed"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sum_of_int_is_exact() {
+        // 2^53 + 1 has no f64; with a NULL the argument still sums as Int.
+        let big = 1i64 << 53;
+        let args = [
+            Column::int(vec![big, 1]),
+            Column::from_datums(&[Datum::Int(big), Datum::Null, Datum::Int(1)]),
+        ];
+        for arg in args {
+            let gids = vec![0u32; arg.len()];
+            let sum = PreparedAgg::new("SUM", Some(arg)).unwrap();
+            let cols = compute_grouped(&[sum], &gids, 1, None);
+            assert_eq!(cols[0].get(0), Datum::Int(big + 1));
+        }
     }
 
     #[test]

@@ -29,22 +29,9 @@ pub struct Column {
     pub validity: Option<Vec<bool>>,
 }
 
-/// Hashable per-row key for joins and group-by.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum HKey {
-    /// NULL key (groups all NULLs together).
-    Null,
-    /// Integer key.
-    Int(i64),
-    /// f64 bit pattern (canonicalized: -0.0 → 0.0, NaNs collapse).
-    Float(u64),
-    /// String key (compared by content, not dictionary code).
-    Str(String),
-}
-
 /// f64 bit pattern with `-0.0` canonicalized to `0.0` — the single
-/// equality rule shared by [`HKey`], the encoded-key paths in `keys`,
-/// and row-mode hashing, so they can never diverge.
+/// equality rule shared by the encoded-key paths in `keys` and row-mode
+/// hashing, so they can never diverge.
 pub(crate) fn canonical_f64_bits(v: f64) -> u64 {
     if v == 0.0 {
         0.0f64.to_bits()
@@ -282,18 +269,6 @@ impl Column {
         }
     }
 
-    /// Hash key at row `i`, suitable for joins / group-by.
-    pub fn hkey(&self, i: usize) -> HKey {
-        if !self.is_valid(i) {
-            return HKey::Null;
-        }
-        match &self.data {
-            ColumnData::Int(v) => HKey::Int(v[i]),
-            ColumnData::Float(v) => HKey::Float(canonical_f64_bits(v[i])),
-            ColumnData::Str { dict, codes } => HKey::Str(dict[codes[i] as usize].clone()),
-        }
-    }
-
     /// Gather rows by index, producing a new column.
     pub fn take(&self, indices: &[u32]) -> Column {
         let validity = self
@@ -502,12 +477,6 @@ mod tests {
         let t = c.take_nullable(&[Some(1), None]);
         assert_eq!(t.get(0), Datum::Float(2.0));
         assert_eq!(t.get(1), Datum::Null);
-    }
-
-    #[test]
-    fn hkey_canonicalizes_negative_zero() {
-        let c = Column::float(vec![0.0, -0.0]);
-        assert_eq!(c.hkey(0), c.hkey(1));
     }
 
     #[test]

@@ -297,13 +297,8 @@ impl Database {
         };
         let arg = match args.first() {
             Some(Expr::Wildcard) if name == "COUNT" => return PreparedAgg::new(name, None),
-            // `SUM(1) AS jb_c` rides on every message: k × the group's
-            // size, while that stays exact in the f64 the sum would have
-            // been accumulated in.
-            Some(Expr::Literal(Value::Int(k)))
-                if name == "SUM"
-                    && (k.unsigned_abs() as u128) * (input.num_rows() as u128) < 1 << 53 =>
-            {
+            // `SUM(1) AS jb_c` rides on every message: k × the group's size.
+            Some(Expr::Literal(Value::Int(k))) if name == "SUM" => {
                 return Ok(PreparedAgg::SumOfInt(*k));
             }
             Some(a) => a,
@@ -319,7 +314,7 @@ impl Database {
 
 /// An inner, left or full join on the `using` keys, through a hash index
 /// over the right side's flat encoded keys (u64 fast path for int keys,
-/// byte-packed fallback otherwise) — no per-row Vec<HKey> or String clone.
+/// byte-packed fallback otherwise).
 fn hash_join(left: Table, right: Table, kind: JoinKind, using: &[String]) -> Result<Selected> {
     let keys = |t: &Table| {
         using

@@ -2,10 +2,8 @@
 //! ordering.
 //!
 //! The split-evaluation queries JoinBoost emits are SPJA group-bys whose
-//! cost is dominated by per-row key handling. This module replaces the
-//! per-row `Vec<HKey>` materialization previously used by `join()` and
-//! `aggregate()` with a [`KeyCodec`] that packs the key columns of a row
-//! into either
+//! cost is dominated by per-row key handling. A [`KeyCodec`] packs the key
+//! columns of a row into either
 //!
 //! * a single `u64` (fast path — all key columns are int- or
 //!   dictionary-coded and their value ranges fit in 64 bits together), or
@@ -444,8 +442,7 @@ impl KeyTable {
 
 /// Dense group assignment for a table grouped by `cols`.
 pub struct Grouping {
-    /// Group id per row (first-occurrence order, same as the previous
-    /// `HashMap<Vec<HKey>, u32>` implementation).
+    /// Group id per row, numbered in first-occurrence order.
     pub gids: Vec<u32>,
     /// Number of distinct groups.
     pub num_groups: usize,
@@ -1037,8 +1034,8 @@ mod tests {
 
     #[test]
     fn join_index_cross_type_never_matches() {
-        // Int 5 and Float 5.0 are distinct HKey variants in the old
-        // implementation; the byte encoding's type tags preserve that.
+        // Int 5 and Float 5.0 are different keys: the byte encoding's
+        // type tags keep them apart.
         let l = Column::int(vec![5]);
         let r = Column::float(vec![5.0]);
         let idx = JoinIndex::build(&[&l], &[&r], 1, 1);
