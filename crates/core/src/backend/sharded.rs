@@ -14,15 +14,18 @@
 //!
 //! `SELECT`s over sharded data come in three shapes:
 //!
-//! 1. **distributable SPJA aggregates** (`SELECT keys, SUM(..) .. GROUP BY
-//!    keys`) — executed on every shard in parallel, partial aggregates
-//!    `⊕`-merged by group key (SUM/COUNT partials add, MIN/MAX partials
-//!    take the best). Because the fact partition induces a disjoint
-//!    partition of the join result, the merge is exact ⊕, not an
-//!    approximation (Definition 1: `c`, `s`, `q` are additive). A group
-//!    key missing from the output (histogram-binned absorbs, `GROUP BY
-//!    FLOOR(..)`) is *injected* as an extra output column per shard and
-//!    projected away after the merge.
+//! 1. **distributable SPJA aggregates** (an aggregate block over base
+//!    tables, without `ORDER BY`/`LIMIT`) — decomposed as the engine's
+//!    binder decomposes them ([`joinboost_engine::plan`]): every shard
+//!    runs `SELECT keys AS __key{i}, calls AS __agg{j} .. GROUP BY keys`
+//!    in parallel (an `AVG` ships as its `SUM` plus a `COUNT`), the
+//!    partials are `⊕`-merged by group key (SUM/COUNT partials add,
+//!    MIN/MAX partials take the best), and the coordinator evaluates the
+//!    binder's outputs — arithmetic over aggregates, keys absent from the
+//!    output, `AVG` as merged sum over merged count — over the merged
+//!    table. Because the fact partition induces a disjoint partition of
+//!    the join result, the merge is exact ⊕, not an approximation
+//!    (Definition 1: `c`, `s`, `q` are additive).
 //! 2. **plain scans** (no aggregates/windows/ordering) — gathered by
 //!    concatenating shard results in shard order.
 //! 3. **split queries** (window prefix sums + argmax over an absorbed
@@ -56,7 +59,9 @@ use parking_lot::RwLock;
 
 use joinboost_engine::agg::{self, PreparedAgg};
 use joinboost_engine::column::ColumnData;
+use joinboost_engine::expr::{eval, EvalContext, Slots};
 use joinboost_engine::keys;
+use joinboost_engine::plan::{bind_query, Output, QueryPlan, Source, Step};
 use joinboost_engine::table::ColumnMeta;
 use joinboost_engine::{Column, DataType, Database, Datum, EngineConfig, EngineError, Table};
 use joinboost_sql::ast::{Expr, Query, SelectItem, Statement, TablePosition, TableRef};
@@ -535,10 +540,10 @@ impl ShardedBackend {
 
     /// Run a closure on every shard in parallel, collecting results in
     /// shard order.
-    fn on_all_shards<T, F>(&self, f: F) -> Vec<BackendResult<T>>
+    fn on_all_shards<'s, T, F>(&'s self, f: F) -> Vec<BackendResult<T>>
     where
         T: Send,
-        F: Fn(usize, &dyn ShardTransport) -> BackendResult<T> + Sync,
+        F: Fn(usize, &'s dyn ShardTransport) -> BackendResult<T> + Sync,
     {
         let shards: Vec<_> = self.shards.iter().map(AsRef::as_ref).enumerate().collect();
         par_map(&shards, shards.len(), |&(i, db)| f(i, db))
@@ -585,10 +590,11 @@ impl ShardedBackend {
                 from_sharded.join(", ")
             )));
         }
-        if let Some(plan) = distributable_merge_plan(q) {
-            return self.fan_out_merge(&plan);
+        let plan = bind_query(q, &mut Slots::default())?;
+        if let Some(fan_out) = FanOut::of(q, &plan)? {
+            return self.fan_out_merge(&fan_out);
         }
-        if is_plain_scan(q) {
+        if is_plain_scan(&plan) {
             return self.gather(q);
         }
         // Split queries evaluate shard-locally: ship summaries and top-k
@@ -596,8 +602,9 @@ impl ShardedBackend {
         let pushdown = *self.pushdown.read();
         if let Some((shape, inner)) = split_pushdown_shape(q) {
             if let Some(cfg) = pushdown {
-                if let Some(plan) = distributable_merge_plan(inner) {
-                    return self.pushdown_split(q, &shape, plan, cfg);
+                let plan = bind_query(inner, &mut Slots::default())?;
+                if let Some(fan_out) = FanOut::of(inner, &plan)? {
+                    return self.pushdown_split(q, &shape, fan_out, cfg);
                 }
             }
             // Dense split execution (pushdown off): the nested route
@@ -625,85 +632,87 @@ impl ShardedBackend {
         })
     }
 
-    /// Nested query: resolve the FROM-subquery recursively, materialize
-    /// the merged result on the coordinator, run the outer layers there.
+    /// Nested query: resolve the FROM-subquery recursively, then run the
+    /// outer layers over it on the coordinator.
     fn exec_nested(&self, q: &Query) -> BackendResult {
-        if let Some(TableRef::Subquery { query, alias }) = &q.from {
-            let inner = self.exec_select(query)?;
-            let tmp = format!(
-                "jb_shard_merge_{}",
-                self.tmp_counter.fetch_add(1, Ordering::Relaxed)
-            );
-            self.coordinator.create_table(&tmp, inner)?;
-            let mut outer = q.clone();
-            outer.from = Some(TableRef::Named {
-                name: tmp.clone(),
-                alias: alias.clone(),
-            });
-            let (from_refs, expr_refs) = table_refs(&outer);
-            let result = if self
-                .filter_sharded(&[from_refs, expr_refs].concat())
-                .is_empty()
-            {
-                self.coordinator_selects.fetch_add(1, Ordering::Relaxed);
-                self.coordinator
-                    .execute_statement(&Statement::Select(outer))
-            } else {
-                Err(EngineError::Other(format!(
-                    "outer query layers may not reference sharded tables: {q}"
-                )))
-            };
-            let _ = self.coordinator.drop_table(&tmp);
-            return result;
-        }
-        Err(EngineError::Other(format!(
-            "query shape not supported over sharded data \
-             (not a mergeable SPJA aggregate, plain scan, or nested query): {q}"
-        )))
+        let Some(TableRef::Subquery { query, .. }) = &q.from else {
+            return Err(EngineError::Other(format!(
+                "query shape not supported over sharded data \
+                 (not a mergeable SPJA aggregate, plain scan, or nested query): {q}"
+            )));
+        };
+        let inner = self.exec_select(query)?;
+        self.exec_over(q, 0, inner)
     }
 
-    /// Shape 1: run on every shard, `⊕`-merge the partial aggregates,
-    /// project away any planner-injected key columns.
-    fn fan_out_merge(&self, plan: &MergePlan) -> BackendResult {
-        self.fanout_selects.fetch_add(1, Ordering::Relaxed);
-        let stmt = Statement::Select(plan.query.clone());
-        let mut partials = Vec::with_capacity(self.shards.len());
-        for r in self.on_all_shards(|_, db| db.execute(&stmt)) {
-            partials.push(r?);
+    /// Materialize `inner` on the coordinator as the `FROM` of the block
+    /// `depth` subqueries below `q`, run `q` there, and drop it again.
+    fn exec_over(&self, q: &Query, depth: usize, inner: Table) -> BackendResult {
+        let tmp = format!(
+            "jb_shard_merge_{}",
+            self.tmp_counter.fetch_add(1, Ordering::Relaxed)
+        );
+        let mut outer = q.clone();
+        let mut from = &mut outer.from;
+        for _ in 0..depth {
+            from = match from {
+                Some(TableRef::Subquery { query, .. }) => &mut query.from,
+                _ => unreachable!("callers swap a FROM subquery they matched"),
+            };
         }
-        let shuffled: usize = partials.iter().map(Table::num_rows).sum();
+        let Some(TableRef::Subquery { alias, .. }) = from.take() else {
+            unreachable!("callers swap a FROM subquery they matched");
+        };
+        *from = Some(TableRef::Named {
+            name: tmp.clone(),
+            alias,
+        });
+        self.coordinator.create_table(&tmp, inner)?;
+        let (from_refs, expr_refs) = table_refs(&outer);
+        let result = if self
+            .filter_sharded(&[from_refs, expr_refs].concat())
+            .is_empty()
+        {
+            self.coordinator_selects.fetch_add(1, Ordering::Relaxed);
+            self.coordinator
+                .execute_statement(&Statement::Select(outer))
+        } else {
+            Err(EngineError::Other(format!(
+                "outer query layers may not reference sharded tables: {q}"
+            )))
+        };
+        let _ = self.coordinator.drop_table(&tmp);
+        result
+    }
+
+    /// Run `f` on every shard in parallel: the tables it returns, in shard
+    /// order, are rows shipped to the coordinator.
+    fn ship<F>(&self, f: F) -> BackendResult<Vec<Table>>
+    where
+        F: Fn(&dyn ShardTransport) -> BackendResult<Table> + Sync,
+    {
+        let parts = self.on_all_shards(|_, db| f(db));
+        let parts = parts.into_iter().collect::<BackendResult<Vec<_>>>()?;
+        let shipped: usize = parts.iter().map(Table::num_rows).sum();
         self.rows_shuffled
-            .fetch_add(shuffled as u64, Ordering::Relaxed);
-        merge_partials(partials, &plan.specs).map(|t| drop_last_columns(t, plan.injected))
+            .fetch_add(shipped as u64, Ordering::Relaxed);
+        Ok(parts)
+    }
+
+    /// Shape 1: run the decomposed aggregate on every shard, `⊕`-merge
+    /// the partials, and finish the binder's outputs over them.
+    fn fan_out_merge(&self, plan: &FanOut) -> BackendResult {
+        self.fanout_selects.fetch_add(1, Ordering::Relaxed);
+        let stmt = Statement::Select(plan.shard.clone());
+        let merged = merge_partials(self.ship(|db| db.execute(&stmt))?, &plan.specs)?;
+        plan.finish(merged, &self.coordinator)
     }
 
     /// Shape 2: concatenate shard results in shard order.
     fn gather(&self, q: &Query) -> BackendResult {
         self.fanout_selects.fetch_add(1, Ordering::Relaxed);
         let stmt = Statement::Select(q.clone());
-        let mut partials = Vec::with_capacity(self.shards.len());
-        for r in self.on_all_shards(|_, db| db.execute(&stmt)) {
-            partials.push(r?);
-        }
-        let shuffled: usize = partials.iter().map(Table::num_rows).sum();
-        self.rows_shuffled
-            .fetch_add(shuffled as u64, Ordering::Relaxed);
-        concat_tables(partials)
-    }
-
-    /// Dense split-query resolution: every shard ships its full absorbed
-    /// result and the coordinator ⊕-merges — the path the pushdown
-    /// exists to avoid, kept for shapes and data the summary protocol
-    /// cannot serve.
-    fn dense_split_merge(&self, stmt: &Statement, plan: &MergePlan) -> BackendResult {
-        let mut locals = Vec::with_capacity(self.shards.len());
-        for r in self.on_all_shards(|_, db| db.execute(stmt)) {
-            locals.push(r?);
-        }
-        let total: usize = locals.iter().map(Table::num_rows).sum();
-        self.rows_shuffled
-            .fetch_add(total as u64, Ordering::Relaxed);
-        merge_partials(locals, &plan.specs)
+        concat_tables(self.ship(|db| db.execute(&stmt))?)
     }
 
     /// Execute the absorbed query and open the split protocol on every
@@ -715,22 +724,8 @@ impl ShardedBackend {
         spec: &SplitSpec,
         k: usize,
     ) -> BackendResult<Vec<SplitOpen<'a>>> {
-        let results: Vec<BackendResult<SplitOpen<'a>>> = if self.shards.len() == 1 {
-            vec![self.shards[0].split_open(stmt, spec, k)]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter()
-                    .map(|db| scope.spawn(move || db.split_open(stmt, spec, k)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard worker panicked"))
-                    .collect()
-            })
-        };
-        results.into_iter().collect()
+        let opens = self.on_all_shards(|_, db| db.split_open(stmt, spec, k));
+        opens.into_iter().collect()
     }
 
     /// Shape 3: shard-local split evaluation. The absorbed inner query
@@ -747,17 +742,18 @@ impl ShardedBackend {
         &self,
         q: &Query,
         shape: &SplitQueryShape,
-        plan: MergePlan,
+        plan: FanOut,
         cfg: PushdownConfig,
     ) -> BackendResult {
         self.fanout_selects.fetch_add(1, Ordering::Relaxed);
-        let stmt = Statement::Select(plan.query.clone());
+        let stmt = Statement::Select(plan.shard.clone());
         let merged = 'merged: {
             // Plan-level roles: without them (multiple keys, components
             // not ⊕-sums, a val the key cannot order) the summary
             // protocol does not apply and no handles are opened.
             let Some(spec) = split_spec_for(&plan, shape) else {
-                break 'merged self.dense_split_merge(&stmt, &plan)?;
+                let locals = self.ship(|db| db.execute(&stmt))?;
+                break 'merged merge_partials(locals, &plan.specs)?;
             };
             // The open is fused with the first boundaries round: each
             // shard's opening reply already carries its k equal-count
@@ -797,7 +793,7 @@ impl ShardedBackend {
                 }
             }
             let (table, shipped, rounds) =
-                shard_split_protocol(&handles, prefetched, &plan, shape, cfg)?;
+                shard_split_protocol(&handles, prefetched, &plan.specs, shape, cfg)?;
             self.pushdown_splits.fetch_add(1, Ordering::Relaxed);
             self.split_rounds
                 .fetch_add(rounds as u64, Ordering::Relaxed);
@@ -805,28 +801,10 @@ impl ShardedBackend {
                 .fetch_add(shipped as u64, Ordering::Relaxed);
             table
         };
-        // Window + argmax layers run on the coordinator over the merged
-        // (possibly run-compressed) per-value table.
-        let tmp = format!(
-            "jb_shard_push_{}",
-            self.tmp_counter.fetch_add(1, Ordering::Relaxed)
-        );
-        self.coordinator.create_table(&tmp, merged)?;
-        let mut outer = q.clone();
-        if let Some(TableRef::Subquery { query: middle, .. }) = &mut outer.from {
-            if let Some(TableRef::Subquery { alias, .. }) = &middle.from {
-                middle.from = Some(TableRef::Named {
-                    name: tmp.clone(),
-                    alias: alias.clone(),
-                });
-            }
-        }
-        self.coordinator_selects.fetch_add(1, Ordering::Relaxed);
-        let result = self
-            .coordinator
-            .execute_statement(&Statement::Select(outer));
-        let _ = self.coordinator.drop_table(&tmp);
-        result
+        // The outputs are evaluated once; the window and argmax layers run
+        // on the coordinator over the merged (possibly run-compressed)
+        // per-value table.
+        self.exec_over(q, 1, plan.finish(merged, &self.coordinator)?)
     }
 
     /// Hash of the shard-key datum: FNV-1a over a type-tagged byte
@@ -1006,14 +984,7 @@ impl SqlBackend for ShardedBackend {
 
     fn snapshot(&self, name: &str) -> BackendResult<Table> {
         if self.is_sharded(name) {
-            let mut parts = Vec::with_capacity(self.shards.len());
-            for r in self.on_all_shards(|_, db| db.snapshot(name)) {
-                parts.push(r?);
-            }
-            let shuffled: usize = parts.iter().map(Table::num_rows).sum();
-            self.rows_shuffled
-                .fetch_add(shuffled as u64, Ordering::Relaxed);
-            concat_tables(parts)
+            concat_tables(self.ship(|db| db.snapshot(name))?)
         } else {
             self.coordinator.snapshot(name)
         }
@@ -1181,106 +1152,116 @@ fn table_refs(q: &Query) -> (Vec<String>, Vec<String>) {
 }
 
 // ---------------------------------------------------------------------------
-// Merge planning
+// Fan-out planning
 // ---------------------------------------------------------------------------
 
-/// How a distributable SPJA aggregate fans out: the query every shard
-/// runs (possibly with group keys injected into the output), how each
-/// output column merges, and how many injected columns to drop again.
-struct MergePlan {
-    /// The per-shard query (`q` itself, or `q` with the missing group-by
-    /// expressions appended as `jb_shard_key<i>` output columns).
-    query: Query,
-    /// Per-output-column merge behavior (covers injected columns).
+/// A distributable SPJA aggregate as the engine's binder decomposes it:
+/// what every shard runs, how its columns `⊕`-merge, and the binder's
+/// outputs, which the coordinator evaluates over the merged columns.
+struct FanOut {
+    /// `SELECT keys AS __key{i}, calls AS __agg{j} .. GROUP BY keys`; an
+    /// `AVG` call ships as its `SUM`, its `COUNT` trailing the calls.
+    shard: Query,
+    /// How each column of the shard query's result merges.
     specs: Vec<MergeSpec>,
-    /// Trailing columns the planner appended (projected away post-merge).
-    injected: usize,
+    /// Each `AVG` call's column and the division that finishes it.
+    avgs: Vec<(usize, Expr)>,
+    /// The select items over `__key{i}`/`__agg{j}`, named.
+    outputs: Vec<(String, Expr)>,
 }
 
-/// Decide whether `q` fans out with an exact merge, and how each select
-/// item merges. Group-by expressions missing from the output (histogram
-/// binned absorbs: `GROUP BY FLOOR(..)` with `MAX(f)` selected) are
-/// injected as extra output columns so groups can be matched across
-/// shards, then dropped after the merge. `None` if the query is not a
-/// distributable SPJA aggregate.
-fn distributable_merge_plan(q: &Query) -> Option<MergePlan> {
-    // Fan-out replays the whole query per shard, so the source must be
-    // named tables and the result must not be ordered or truncated.
-    if !matches!(q.from, Some(TableRef::Named { .. })) {
-        return None;
-    }
-    if q.joins
-        .iter()
-        .any(|j| !matches!(j.table, TableRef::Named { .. }))
-    {
-        return None;
-    }
-    if !q.order_by.is_empty() || q.limit.is_some() {
-        return None;
-    }
-    let mut specs = Vec::with_capacity(q.items.len());
-    let mut covered = vec![false; q.group_by.len()];
-    for item in &q.items {
-        if let Some(pos) = q.group_by.iter().position(|g| *g == item.expr) {
-            specs.push(MergeSpec::Key);
-            covered[pos] = true;
-            continue;
+impl FanOut {
+    /// How `q`, bound as `plan`, fans out: `None` unless it aggregates
+    /// base tables only. `ORDER BY`/`LIMIT` would need the merged groups,
+    /// so an aggregate that takes them is an error.
+    fn of(q: &Query, plan: &QueryPlan) -> BackendResult<Option<FanOut>> {
+        let Output::Aggregate(keys, calls, outputs) = &plan.output else {
+            return Ok(None);
+        };
+        if !scans_only(plan) {
+            return Ok(None);
         }
-        match &item.expr {
-            Expr::Func { name, .. } => match name.as_str() {
-                "SUM" | "COUNT" => specs.push(MergeSpec::Sum),
-                "MIN" => specs.push(MergeSpec::Min),
-                "MAX" => specs.push(MergeSpec::Max),
-                // AVG partials do not ⊕-merge; anything else is not an
-                // aggregate output.
-                _ => return None,
-            },
-            _ => return None,
+        if !plan.order.is_empty() || plan.top_k.is_some() || plan.limit.is_some() {
+            return Err(EngineError::Other(format!(
+                "an aggregate over sharded data cannot take ORDER BY/LIMIT, which need \
+                 the merged groups; order or limit a query over it instead: {q}"
+            )));
         }
-    }
-    if q.group_by.is_empty() && specs.is_empty() {
-        return None;
-    }
-    let mut query = q.clone();
-    let mut injected = 0usize;
-    for (pos, g) in q.group_by.iter().enumerate() {
-        if !covered[pos] {
-            query
-                .items
-                .push(SelectItem::aliased(g.clone(), format!("jb_shard_key{pos}")));
-            specs.push(MergeSpec::Key);
-            injected += 1;
+        let agg = |j: usize| format!("__agg{j}");
+        let mut items: Vec<SelectItem> = (keys.iter().enumerate())
+            .map(|(i, k)| SelectItem::aliased(k.clone(), format!("__key{i}")))
+            .collect();
+        let mut specs = vec![MergeSpec::Key; keys.len()];
+        let (mut avgs, mut counts) = (Vec::new(), Vec::new());
+        for (j, &call) in calls.iter().enumerate() {
+            let Expr::Func { name, args } = call else {
+                return Ok(None);
+            };
+            let (call, spec) = match name.as_str() {
+                "SUM" | "COUNT" => (call.clone(), MergeSpec::Sum),
+                "MIN" => (call.clone(), MergeSpec::Min),
+                "MAX" => (call.clone(), MergeSpec::Max),
+                "AVG" => {
+                    let n = agg(calls.len() + avgs.len());
+                    let avg = Expr::div(Expr::col(agg(j)), Expr::col(n.clone()));
+                    avgs.push((items.len(), avg));
+                    counts.push(SelectItem::aliased(Expr::func("COUNT", args.clone()), n));
+                    (Expr::func("SUM", args.clone()), MergeSpec::Sum)
+                }
+                _ => return Ok(None),
+            };
+            items.push(SelectItem::aliased(call, agg(j)));
+            specs.push(spec);
         }
+        specs.resize(specs.len() + counts.len(), MergeSpec::Sum);
+        items.extend(counts);
+        Ok(Some(FanOut {
+            shard: Query { items, ..q.clone() },
+            specs,
+            avgs,
+            outputs: outputs.clone(),
+        }))
     }
-    Some(MergePlan {
-        query,
-        specs,
-        injected,
-    })
+
+    /// The binder's outputs over the merged partials, each `AVG` first
+    /// divided out. Expressions, evaluated on the coordinator without
+    /// running a statement there.
+    fn finish(&self, mut merged: Table, coordinator: &Database) -> BackendResult {
+        let ctx = EvalContext::new(coordinator);
+        for (col, avg) in &self.avgs {
+            merged.columns[*col] = eval(avg, &merged, &ctx)?;
+        }
+        let mut out = Table::new();
+        for (name, e) in &self.outputs {
+            out.push_column(ColumnMeta::new(name.clone()), eval(e, &merged, &ctx)?);
+        }
+        Ok(out)
+    }
 }
 
-/// Drop the trailing `n` (planner-injected) columns of a merged table.
-fn drop_last_columns(t: Table, n: usize) -> Table {
-    if n == 0 {
-        return t;
-    }
-    let keep = t.num_columns().saturating_sub(n);
-    let mut out = Table::new();
-    for (meta, col) in t.meta.iter().zip(&t.columns).take(keep) {
-        out.push_column(meta.clone(), col.clone());
-    }
-    out
+/// Do all of the block's rows come from base tables (no `FROM` or `JOIN`
+/// subquery), so that each shard can run it whole?
+fn scans_only(plan: &QueryPlan) -> bool {
+    let scan = |s: &Source| matches!(s, Source::Scan(..));
+    scan(&plan.source)
+        && plan.steps.iter().all(|step| match step {
+            Step::Filter(_) => true,
+            Step::SemiProbe(s, _) | Step::HashJoin(s, ..) | Step::NestedLoop(s) => scan(s),
+        })
 }
 
-/// A query with no aggregation, windows, grouping, ordering or limit:
-/// shard results concatenate.
-fn is_plain_scan(q: &Query) -> bool {
-    q.group_by.is_empty()
-        && q.order_by.is_empty()
-        && q.limit.is_none()
-        && q.items
-            .iter()
-            .all(|it| !it.expr.contains_aggregate() && !contains_window(&it.expr))
+/// A block over base tables with no aggregation, windows, ordering or
+/// limit: shard results concatenate.
+fn is_plain_scan(plan: &QueryPlan) -> bool {
+    let project = match &plan.output {
+        Output::Project(items) => items.iter().all(|(_, e)| !contains_window(e)),
+        Output::Aggregate(..) => false,
+    };
+    project
+        && scans_only(plan)
+        && plan.order.is_empty()
+        && plan.top_k.is_none()
+        && plan.limit.is_none()
 }
 
 fn contains_window(e: &Expr) -> bool {
@@ -1379,52 +1360,39 @@ fn concat_tables(parts: Vec<Table>) -> BackendResult {
 // ---------------------------------------------------------------------------
 
 /// Plan-level column roles of the split protocol: the single group key,
-/// the two ⊕-summed split components, and how every output column
-/// merges. `None` when the summary protocol cannot order the result
+/// the two ⊕-summed split components, and how every shard column merges.
+/// `val` and the components are the shard columns their outputs read
+/// bare. `None` when the summary protocol cannot order the result
 /// (multiple group keys, components that are not sums, or a `val` whose
 /// order the key does not determine) — the caller then takes the dense
 /// path without opening handles.
-fn split_spec_for(plan: &MergePlan, shape: &SplitQueryShape) -> Option<SplitSpec> {
-    let key_cols: Vec<usize> = plan
-        .specs
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| **s == MergeSpec::Key)
-        .map(|(i, _)| i)
-        .collect();
-    let [key_col] = key_cols.as_slice() else {
+fn split_spec_for(plan: &FanOut, shape: &SplitQueryShape) -> Option<SplitSpec> {
+    let [key] = plan.shard.group_by.as_slice() else {
         return None;
     };
-    let key_col = *key_col;
-    let out_name = |item: &SelectItem| -> Option<String> {
-        item.alias.clone().or(match &item.expr {
-            Expr::Column { name, .. } => Some(name.clone()),
-            _ => None,
-        })
-    };
-    let col_of = |name: &str| -> Option<usize> {
-        plan.query
-            .items
-            .iter()
-            .position(|it| out_name(it).is_some_and(|n| n.eq_ignore_ascii_case(name)))
+    let col_of = |output: &str| -> Option<usize> {
+        let (_, e) = (plan.outputs.iter()).find(|(n, _)| n.eq_ignore_ascii_case(output))?;
+        let Expr::Column { table: None, name } = e else {
+            return None;
+        };
+        (plan.shard.items.iter()).position(|it| it.alias.as_deref() == Some(name))
     };
     let val_col = col_of(&shape.val)?;
     let c0_col = col_of(&shape.components[0])?;
     let c1_col = col_of(&shape.components[1])?;
-    if plan.specs[c0_col] != MergeSpec::Sum || plan.specs[c1_col] != MergeSpec::Sum {
+    // An AVG's column holds its merged sum, not a ⊕-summed output.
+    let summed = |c: usize| plan.specs[c] == MergeSpec::Sum && plan.avgs.iter().all(|a| a.0 != c);
+    if !summed(c0_col) || !summed(c1_col) {
         return None;
     }
-    // When val is not itself the key, the key must still order like val
-    // (the histogram-bin shape); otherwise prefix runs would be built in
-    // the wrong order.
-    if val_col != key_col
-        && !(plan.query.group_by.len() == 1
-            && binned_val_monotone(&plan.query.group_by[0], &plan.query.items[val_col].expr))
-    {
+    // When val is not itself the key (column 0), the key must still order
+    // like val (the histogram-bin shape); otherwise prefix runs would be
+    // built in the wrong order.
+    if val_col != 0 && !binned_val_monotone(key, &plan.shard.items[val_col].expr) {
         return None;
     }
     Some(SplitSpec {
-        key_col,
+        key_col: 0,
         c0_col,
         c1_col,
         specs: plan.specs.clone(),
@@ -1438,20 +1406,7 @@ where
     T: Send,
     F: Fn(&dyn SplitHandle) -> BackendResult<T> + Sync,
 {
-    if handles.len() == 1 {
-        return Ok(vec![f(handles[0].as_ref())?]);
-    }
-    let fr = &f;
-    let results: Vec<BackendResult<T>> = std::thread::scope(|scope| {
-        let spawned: Vec<_> = handles
-            .iter()
-            .map(|h| scope.spawn(move || fr(h.as_ref())))
-            .collect();
-        spawned
-            .into_iter()
-            .map(|h| h.join().expect("split worker panicked"))
-            .collect()
-    });
+    let results = par_map(handles, handles.len(), |h| f(h.as_ref()));
     results.into_iter().collect()
 }
 
@@ -1474,7 +1429,7 @@ where
 fn shard_split_protocol(
     handles: &[Box<dyn SplitHandle + '_>],
     prefetched: Vec<Vec<Datum>>,
-    plan: &MergePlan,
+    specs: &[MergeSpec],
     shape: &SplitQueryShape,
     cfg: PushdownConfig,
 ) -> BackendResult<(Table, usize, usize)> {
@@ -1741,7 +1696,7 @@ fn shard_split_protocol(
     // is exactly the run-compressed table of the in-process protocol.
     let fetches = on_all_handles(handles, |h| h.fetch(&grid, &retain))?;
     shipped += fetches.iter().map(Table::num_rows).sum::<usize>();
-    let merged = merge_partials(fetches, &plan.specs)?;
+    let merged = merge_partials(fetches, specs)?;
     Ok((merged, shipped, rounds))
 }
 
@@ -1801,7 +1756,9 @@ mod tests {
 
     // Property test: ⊕-merged partials equal the single-engine result on
     // random integer data (exact arithmetic, sums past 2^53, NULLs) and
-    // string MIN/MAX over random shard counts, key skew and group counts.
+    // string MIN/MAX over random shard counts, key skew and group counts —
+    // AVG, arithmetic over aggregates and a group key absent from the
+    // output included.
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::Config::with_cases(24))]
         #[test]
@@ -1841,9 +1798,14 @@ mod tests {
             b.create_table("fact", table).unwrap();
             // The ORDER BY layer runs on the coordinator over the merged
             // aggregate, giving both backends the same row order.
-            let q = "SELECT * FROM (SELECT g, COUNT(*) AS c, SUM(v) AS s, MIN(v) AS mn, \
-                     MAX(v) AS mx, MIN(name) AS first, MAX(name) AS last \
-                     FROM fact GROUP BY g) AS a ORDER BY g";
+            let queries = [
+                "SELECT * FROM (SELECT g, COUNT(*) AS c, SUM(v) AS s, MIN(v) AS mn, \
+                 MAX(v) AS mx, MIN(name) AS first, MAX(name) AS last, AVG(v) AS avg, \
+                 SUM(v) / COUNT(*) AS mean, MAX(v) - MIN(v) AS span \
+                 FROM fact GROUP BY g) AS a ORDER BY g",
+                "SELECT * FROM (SELECT MIN(g) AS low, COUNT(*) AS c, AVG(v) AS avg, \
+                 SUM(v) * 2 AS twice FROM fact GROUP BY g + 1) AS a ORDER BY low",
+            ];
             // Compared by metadata, type and value, not by `Table` equality:
             // a Str column's dictionary order follows the order its rows
             // were folded in.
@@ -1852,7 +1814,15 @@ mod tests {
                 let rows: Vec<_> = (0..t.num_rows()).map(|i| t.row(i)).collect();
                 (t.meta, types, rows)
             };
-            assert_eq!(values(b.query(q).unwrap()), values(engine.query(q).unwrap()));
+            for q in queries {
+                assert_eq!(values(b.query(q).unwrap()), values(engine.query(q).unwrap()));
+            }
+            // Ordering a flat aggregate needs the merged groups: a typed
+            // error naming the clause, not an unsupported shape.
+            let err = b
+                .query("SELECT g, SUM(v) AS s FROM fact GROUP BY g ORDER BY g")
+                .unwrap_err();
+            assert!(matches!(&err, EngineError::Other(m) if m.contains("ORDER BY/LIMIT")), "{err}");
         }
     }
 
@@ -1943,6 +1913,24 @@ mod tests {
         let b = star(4);
         let t = b.query("SELECT y FROM fact WHERE k = 3").unwrap();
         assert_eq!(t.num_rows(), 10);
+    }
+
+    #[test]
+    fn projection_over_an_aggregate_subquery_merges_before_projecting() {
+        // Gathering the whole query would concatenate every shard's
+        // unmerged groups; the subquery merges first, as a nested query.
+        let q = "SELECT s FROM (SELECT grp, SUM(y) AS s FROM fact JOIN dim USING (k) \
+                 GROUP BY grp) AS a";
+        let sorted = |t: Table| {
+            let mut s: Vec<_> = (0..t.num_rows()).map(|i| t.row(i)).collect();
+            s.sort_by(|a, b| a[0].sql_cmp(&b[0]));
+            s
+        };
+        let expected = sorted(star(1).query(q).unwrap());
+        assert_eq!(expected.len(), 2);
+        for n in [2, 4] {
+            assert_eq!(sorted(star(n).query(q).unwrap()), expected, "{n} shards");
+        }
     }
 
     #[test]
@@ -2040,10 +2028,10 @@ mod tests {
 
     #[test]
     fn binned_absorb_without_key_in_output_merges_like_single_engine() {
-        // GROUP BY FLOOR(..) with the bin id absent from the output: the
-        // planner injects the key per shard, merges MAX/⊕ per bin, and
-        // projects the key away — same answer as one engine (PR 3
-        // *rejected* this shape; it is now a fast path).
+        // GROUP BY FLOOR(..) with the bin id absent from the output: every
+        // shard groups on the binder's `__key0`, the coordinator merges
+        // MAX/⊕ per bin and evaluates only the select items — same answer
+        // as one engine.
         let q = "SELECT * FROM (SELECT MAX(y) AS val, COUNT(*) AS c, SUM(y) AS s \
                  FROM fact GROUP BY FLOOR(y / 10.0)) AS b ORDER BY val";
         let expected = star(1).query(q).unwrap();
@@ -2052,7 +2040,7 @@ mod tests {
             let b = star(n);
             let got = b.query(q).unwrap();
             assert_eq!(got, expected, "{n} shards diverged");
-            // The injected key never leaks into the output.
+            // The shard's key column never leaks into the output.
             let names =
                 |t: &Table| -> Vec<String> { t.meta.iter().map(|m| m.name.clone()).collect() };
             assert_eq!(names(&got), names(&expected));

@@ -135,16 +135,7 @@ pub struct GroupSpec {
     pub select: Expr,
     /// Expression grouped by (the raw value, or the bin id).
     pub group: Expr,
-    /// When the grouping expression is not itself the selected value (the
-    /// histogram bin id), it is additionally emitted as an output column
-    /// under this alias, so that partitioned backends can match groups
-    /// across shards and `⊕`-merge per bin (shard-friendly absorbs; see
-    /// `DESIGN.md` § "Distributed split evaluation").
-    pub key_alias: Option<String>,
 }
-
-/// Output-column alias of a binned absorption's group key.
-pub const BIN_KEY_ALIAS: &str = "jb_key";
 
 impl GroupSpec {
     /// Plain per-distinct-value grouping.
@@ -153,13 +144,11 @@ impl GroupSpec {
             feature: feature.to_string(),
             select: Expr::col(feature),
             group: Expr::col(feature),
-            key_alias: None,
         }
     }
 
     /// Histogram grouping: group by `FLOOR((f − lo)/width)`, select
-    /// `MAX(f)` so the returned threshold exactly separates the bins. The
-    /// bin id rides along in the output as [`BIN_KEY_ALIAS`].
+    /// `MAX(f)` so the returned threshold exactly separates the bins.
     pub fn binned(feature: &str, lo: f64, width: f64) -> GroupSpec {
         let bin = Expr::func(
             "FLOOR",
@@ -172,7 +161,6 @@ impl GroupSpec {
             feature: feature.to_string(),
             select: Expr::func("MAX", vec![Expr::col(feature)]),
             group: bin,
-            key_alias: Some(BIN_KEY_ALIAS.to_string()),
         }
     }
 }
@@ -639,13 +627,6 @@ impl<'a, 'b> Factorizer<'a, 'b> {
         }
         items.push(SelectItem::aliased(Expr::sum(ann[0].clone()), n0));
         items.push(SelectItem::aliased(Expr::sum(ann[1].clone()), n1));
-        if let Some(g) = group {
-            // A binned absorption also outputs its group key (the bin id),
-            // so shards can match groups when the aggregate is fanned out.
-            if let Some(alias) = &g.key_alias {
-                items.push(SelectItem::aliased(g.group.clone(), alias.clone()));
-            }
-        }
         let mut q = Query {
             items,
             from: Some(self.base_from(root)),

@@ -22,7 +22,7 @@ use joinboost::backend::{
 };
 use joinboost::{train_gbm, Dataset, GbmModel, TrainParams};
 use joinboost_datagen::{favorita, tpcds, FavoritaConfig, TpcConfig};
-use joinboost_engine::{Column, Database, EngineConfig};
+use joinboost_engine::{Column, Database, EngineConfig, Table};
 
 /// A real `shard_server` child process (cross-process, not a thread):
 /// spawned on an ephemeral port, killed on drop.
@@ -225,6 +225,54 @@ fn remote_backend_counts_selects_like_the_engine() {
     let selects = engine.stats().selects;
     assert!(selects > 0);
     assert_eq!(remote.stats().selects, selects);
+}
+
+/// The binder's aggregate decomposition over the wire: `AVG`, arithmetic
+/// over aggregates and a group key absent from the output fan out to two
+/// remote shards, whose `__key{i}`/`__agg{j}` aliases survive print and
+/// parse there, and answer as one engine does — bit for bit on Int and
+/// dyadic data.
+#[test]
+fn remote_shards_fan_out_avg_arithmetic_and_hidden_keys_like_one_engine() {
+    let rows = 300i64;
+    let fact = Table::from_columns(vec![
+        ("k", Column::int((0..rows).collect())),
+        ("g", Column::int((0..rows).map(|i| i % 7).collect())),
+        (
+            "v",
+            Column::int((0..rows).map(|i| (i * 7919) % 1000 - 500).collect()),
+        ),
+        (
+            "y",
+            Column::float((0..rows).map(|i| ((i * 31) % 64) as f64 / 8.0).collect()),
+        ),
+    ]);
+    let engine = Database::in_memory();
+    engine.create_table("fact", fact.clone()).unwrap();
+    let servers: Vec<WireServer> = (0..2)
+        .map(|_| WireServer::builder(Database::in_memory()).spawn().unwrap())
+        .collect();
+    let addrs: Vec<_> = servers.iter().map(WireServer::addr).collect();
+    let remote = ShardedBackend::remote(
+        &addrs,
+        EngineConfig::duckdb_mem(),
+        "fact",
+        "k",
+        RemoteOptions::default(),
+    )
+    .unwrap();
+    remote.create_table("fact", fact).unwrap();
+    let queries = [
+        "SELECT * FROM (SELECT g, AVG(v) AS av, AVG(y) AS ay, SUM(y) / COUNT(*) AS mean, \
+         MAX(v) - MIN(v) AS span, SUM(y) * 2 AS twice FROM fact GROUP BY g) AS t ORDER BY g",
+        "SELECT * FROM (SELECT MIN(g) AS low, COUNT(*) AS c, AVG(v) AS av \
+         FROM fact GROUP BY g + 1) AS t ORDER BY low",
+        "SELECT AVG(y) AS ay, SUM(v) / COUNT(v) AS mean FROM fact",
+    ];
+    for q in queries {
+        assert_eq!(remote.query(q).unwrap(), engine.query(q).unwrap(), "{q}");
+    }
+    assert_eq!(remote.stats().fanout_selects, queries.len() as u64);
 }
 
 /// The out-of-core claim: the paged engine — tables on disk behind a

@@ -43,11 +43,9 @@ pub enum PreparedAgg {
         /// Validity mask of the argument (`None` = all valid).
         valid: Option<Vec<bool>>,
     },
-    /// `AVG(expr)` over an f64 view (NULL → NaN, skipped).
-    Avg {
-        /// Argument values (NULL encoded as NaN).
-        vals: Vec<f64>,
-    },
+    /// `AVG(expr)`: the argument's prepared `SUM` (exact over Int), whose
+    /// sums are divided once by their counts.
+    Avg(Box<PreparedAgg>),
     /// `MIN(expr)` / `MAX(expr)` via SQL comparison on the argument.
     MinMax {
         /// The evaluated argument column.
@@ -77,9 +75,10 @@ impl PreparedAgg {
             ("SUM", Some(c)) => Ok(PreparedAgg::Sum {
                 vals: into_f64_vec(c)?,
             }),
-            ("AVG", Some(c)) => Ok(PreparedAgg::Avg {
-                vals: into_f64_vec(c)?,
-            }),
+            ("AVG", Some(c)) => Ok(PreparedAgg::Avg(Box::new(PreparedAgg::new(
+                "SUM",
+                Some(c),
+            )?))),
             ("MIN", Some(c)) => Ok(PreparedAgg::MinMax {
                 col: c,
                 is_min: true,
@@ -112,9 +111,7 @@ impl PreparedAgg {
                 vals: rows.iter().map(|&r| vals[r as usize]).collect(),
                 valid: (valid.as_ref()).map(|v| rows.iter().map(|&r| v[r as usize]).collect()),
             },
-            PreparedAgg::Avg { vals } => PreparedAgg::Avg {
-                vals: rows.iter().map(|&r| vals[r as usize]).collect(),
-            },
+            PreparedAgg::Avg(sum) => PreparedAgg::Avg(Box::new(sum.gather(rows))),
             PreparedAgg::MinMax { col, is_min } => PreparedAgg::MinMax {
                 col: Column::from_datums(
                     &rows
@@ -139,7 +136,8 @@ impl PreparedAgg {
             PreparedAgg::CountStar | PreparedAgg::SumOfInt(_) | PreparedAgg::Count { .. } => {
                 Acc::Counts(vec![0; len])
             }
-            PreparedAgg::Sum { .. } | PreparedAgg::Avg { .. } => Acc::SumCount {
+            PreparedAgg::Avg(sum) => sum.new_acc(len),
+            PreparedAgg::Sum { .. } => Acc::SumCount {
                 sums: vec![0.0; len],
                 counts: vec![0; len],
             },
@@ -185,10 +183,8 @@ impl PreparedAgg {
                     }
                 }
             }
-            (
-                PreparedAgg::Sum { vals } | PreparedAgg::Avg { vals },
-                Acc::SumCount { sums, counts },
-            ) => {
+            (PreparedAgg::Avg(sum), acc) => sum.fill(acc, gids),
+            (PreparedAgg::Sum { vals }, Acc::SumCount { sums, counts }) => {
                 for (&g, &v) in gids.iter().zip(vals) {
                     if !v.is_nan() {
                         sums[g as usize] += v;
@@ -232,7 +228,15 @@ impl PreparedAgg {
             (PreparedAgg::SumInt { .. }, Acc::IntSumCount { sums, counts }) => {
                 int_sums(sums, &counts)
             }
-            (PreparedAgg::Avg { .. }, Acc::SumCount { sums, counts }) => {
+            (PreparedAgg::Avg(_), acc) => {
+                // An Int sum is exact; it widens once, as `SUM(x) / COUNT(x)`.
+                let (sums, counts): (Vec<f64>, Vec<i64>) = match acc {
+                    Acc::SumCount { sums, counts } => (sums, counts),
+                    Acc::IntSumCount { sums, counts } => {
+                        (sums.iter().map(|&s| s as f64).collect(), counts)
+                    }
+                    _ => unreachable!("accumulator does not match aggregate"),
+                };
                 let out: Vec<Datum> = sums
                     .iter()
                     .zip(&counts)
@@ -324,7 +328,7 @@ pub fn bank_bytes_per_group(inputs: &[PreparedAgg]) -> usize {
         .iter()
         .map(|a| match a {
             PreparedAgg::CountStar | PreparedAgg::SumOfInt(_) | PreparedAgg::Count { .. } => 8,
-            PreparedAgg::Sum { .. } | PreparedAgg::SumInt { .. } | PreparedAgg::Avg { .. } => 16,
+            PreparedAgg::Sum { .. } | PreparedAgg::SumInt { .. } | PreparedAgg::Avg(_) => 16,
             PreparedAgg::MinMax { .. } => 32,
         })
         .sum()
@@ -407,7 +411,7 @@ mod tests {
         let inputs = vec![
             PreparedAgg::CountStar,
             PreparedAgg::Sum { vals: vals.clone() },
-            PreparedAgg::Avg { vals },
+            PreparedAgg::Avg(Box::new(PreparedAgg::Sum { vals })),
         ];
         let gids = gids_round_robin(n, 2);
         let cols = compute_grouped(&inputs, &gids, 2, None);
@@ -440,7 +444,7 @@ mod tests {
             vec![
                 PreparedAgg::CountStar,
                 PreparedAgg::Sum { vals: vals.clone() },
-                PreparedAgg::Avg { vals: vals.clone() },
+                PreparedAgg::Avg(Box::new(PreparedAgg::Sum { vals: vals.clone() })),
                 PreparedAgg::MinMax {
                     col: Column::float(vals.clone()),
                     is_min: true,
@@ -484,6 +488,20 @@ mod tests {
             let cols = compute_grouped(&[sum], &gids, 1, None);
             assert_eq!(cols[0].get(0), Datum::Int(big + 1));
         }
+    }
+
+    #[test]
+    fn avg_of_int_sums_exactly_and_divides_once() {
+        // 2^53 + 2 is exact as an Int sum; summed in f64 it loses the 1s.
+        let db = crate::Database::in_memory();
+        let x = Column::int(vec![1 << 53, 1, 1]);
+        db.create_table("t", crate::Table::from_columns(vec![("x", x)]))
+            .unwrap();
+        let t = db
+            .query("SELECT AVG(x) AS a, SUM(x) / COUNT(x) AS b FROM t")
+            .unwrap();
+        let want = Datum::Float(3002399751580331.5);
+        assert_eq!(t.row(0), vec![want.clone(), want]);
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub mod expr;
 pub mod interop;
 pub mod keys;
 mod mask;
-mod plan;
+pub mod plan;
 pub mod storage;
 pub mod table;
 pub mod wal;

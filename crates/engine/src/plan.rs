@@ -32,12 +32,15 @@ const TOP_K_MAX: usize = 64;
 /// A bound statement: what it does, and the slots of its `IN (SELECT ..)`
 /// subqueries and windows.
 pub struct Plan<'s> {
+    /// What the statement does.
     pub op: Op<'s>,
+    /// The slots of its `IN (SELECT ..)` subqueries and windows.
     pub slots: Slots<'s>,
 }
 
 /// What a bound statement does.
 pub enum Op<'s> {
+    /// A `SELECT`.
     Query(QueryPlan<'s>),
     /// `CREATE [OR REPLACE] TABLE name AS query`: name, `OR REPLACE`, query.
     CreateAs(&'s str, bool, QueryPlan<'s>),
@@ -52,12 +55,16 @@ pub enum Op<'s> {
 /// A bound query block: its source, the joins and filters that narrow it
 /// in order, one output node over the surviving rows, then order and limit.
 pub struct QueryPlan<'s> {
+    /// Where the rows come from.
     pub source: Source<'s>,
+    /// The joins and filters, in the order they narrow the rows.
     pub steps: Vec<Step<'s>>,
+    /// What the surviving rows become.
     pub output: Output<'s>,
     /// The columns the output and `ORDER BY` read of the surviving rows
     /// (`None`: all, under `SELECT *`).
     pub reads: Option<Vec<&'s str>>,
+    /// The `ORDER BY` keys.
     pub order: &'s [OrderByItem],
     /// `LIMIT k` taken by a top-k over `order`, rather than a full sort.
     pub top_k: Option<usize>,
