@@ -417,8 +417,9 @@ fn count(r: &mut ByteReader<'_>, item_bytes: usize) -> DecodeResult<usize> {
 
 /// Append a columnar block encoding of `t` to `buf`: the column and row
 /// counts, then per column its qualifier, its name and its
-/// [`encode_column`] body — the storage codec's, so a column has one byte
-/// image on the wire, in pages, in the WAL and in checkpoints.
+/// plain [`encode_column`] body. The storage codec's one decoder also
+/// reads the bit-packed Int image that pages, the WAL and checkpoints may
+/// hold, but the wire always carries the plain one.
 pub fn encode_table(t: &Table, buf: &mut Vec<u8>) {
     put_u32(buf, t.num_columns() as u32);
     put_u64(buf, t.num_rows() as u64);

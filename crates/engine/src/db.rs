@@ -44,9 +44,11 @@ pub struct EngineConfig {
     /// MVCC-style versioning: updates first copy the before-image of each
     /// touched column into an undo buffer.
     pub mvcc: bool,
-    /// Run-length encode each stored column whose encoded form is smaller
-    /// (chosen per column at every store); `false` never encodes. Updates
-    /// pay decompress + recompress only for the encoded columns.
+    /// Run-length encode each RAM-resident column whose encoded form is
+    /// smaller (chosen per column at every store); `false` never encodes.
+    /// Updates pay decompress + recompress only for the encoded columns.
+    /// This governs the in-memory catalog only: pages, the WAL and
+    /// checkpoints always bit-pack Int columns where that is smaller.
     pub compression: bool,
     /// Whether the `SWAP COLUMN` extension is available (`D-Swap`).
     pub allow_swap: bool,
@@ -131,9 +133,11 @@ impl EngineConfig {
     /// is WAL-logged and commit-fsynced, and reopening the same directory
     /// recovers all committed tables by replaying the log. Results are
     /// bit-identical to [`EngineConfig::duckdb_mem`] at any pool size.
-    /// Compression and MVCC are off (the WAL's full images are the
-    /// versioning story here); tune `bufferpool_pages` and
-    /// `agg_spill_bytes` with struct-update syntax.
+    /// In-memory RLE compression and MVCC are off (the WAL's full images
+    /// are the versioning story here); pages, log records and checkpoints
+    /// still store each Int column bit-packed at its value width when
+    /// that is smaller. Tune `bufferpool_pages` and `agg_spill_bytes`
+    /// with struct-update syntax.
     pub fn paged(dir: impl Into<PathBuf>) -> Self {
         EngineConfig {
             wal: true,
@@ -1260,7 +1264,7 @@ mod tests {
             (names.iter())
                 .map(|c| {
                     let mut bytes = Vec::new();
-                    codec::encode_column(&mut bytes, t.column(None, c).unwrap());
+                    codec::encode_stored_column(&mut bytes, t.column(None, c).unwrap());
                     bytes.len().div_ceil(PAGE_CAPACITY).max(1) as u64
                 })
                 .sum()
@@ -1280,6 +1284,91 @@ mod tests {
         mem.create_table("wide", wide).unwrap();
         mem.create_table("keep", keep).unwrap();
         assert_eq!(got, mem.query(message).unwrap());
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stores_written_with_plain_int_images_reopen_bit_exactly() {
+        use crate::storage::codec::{
+            encode_column, encode_stored_column, put_string, put_u32, put_u64,
+        };
+        use crate::wal::RecordKind;
+        let dir = std::env::temp_dir().join(format!("jb_db_plain_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let fact = Table::from_columns(vec![
+            ("k", Column::int((0..500).map(|i| i % 9).collect())),
+            (
+                "y",
+                Column::float((0..500).map(|i| i as f64 * 0.5).collect()),
+            ),
+        ]);
+        let dim = Table::from_columns(vec![
+            ("id", Column::int(vec![3; 40])),
+            (
+                "n",
+                Column::from_datums(
+                    &(0..40)
+                        .map(|i| {
+                            if i % 3 == 0 {
+                                Datum::Null
+                            } else {
+                                Datum::Int(-i)
+                            }
+                        })
+                        .collect::<Vec<_>>(),
+                ),
+            ),
+        ]);
+        let new_id = Column::int((100..140).collect());
+        for c in [&fact.columns[0], &dim.columns[0], &dim.columns[1], &new_id] {
+            let (mut plain, mut packed) = (Vec::new(), Vec::new());
+            encode_column(&mut plain, c);
+            encode_stored_column(&mut packed, c);
+            assert!(packed.len() < plain.len(), "today's writers pack it");
+        }
+        // A named table as the writers framed it before Int columns
+        // packed: each column's plain image.
+        let named = |name: &str, t: &Table| {
+            let mut out = Vec::new();
+            put_string(&mut out, name);
+            put_u32(&mut out, t.num_columns() as u32);
+            for (m, c) in t.meta.iter().zip(&t.columns) {
+                put_string(&mut out, &m.name);
+                encode_column(&mut out, c);
+            }
+            out
+        };
+        // checkpoint.jbc: magic "JBCP", version 1, a table count.
+        let mut ckpt = Vec::new();
+        for x in [0x4A42_4350, 1, 1] {
+            put_u32(&mut ckpt, x);
+        }
+        ckpt.extend(named("dim", &dim));
+        std::fs::write(dir.join(checkpoint::CHECKPOINT_FILE), ckpt).unwrap();
+        // wal.log: each record is a kind byte, a u64 length, the payload.
+        let mut log = Vec::new();
+        let mut update = Vec::new();
+        put_string(&mut update, "dim");
+        put_string(&mut update, "id");
+        encode_column(&mut update, &new_id);
+        for (kind, payload) in [
+            (RecordKind::CreateTable, named("fact", &fact)),
+            (RecordKind::UpdateColumn, update),
+            (RecordKind::Commit, Vec::new()),
+        ] {
+            log.push(kind as u8);
+            put_u64(&mut log, payload.len() as u64);
+            log.extend(payload);
+        }
+        std::fs::write(dir.join("wal.log"), log).unwrap();
+
+        let db = Database::open(EngineConfig::paged(&dir)).unwrap();
+        let mut dim_now = dim.clone();
+        dim_now.columns[0] = new_id;
+        assert_eq!(bits(&db.snapshot("fact").unwrap()), bits(&fact));
+        assert_eq!(bits(&db.snapshot("dim").unwrap()), bits(&dim_now));
         drop(db);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,10 +1,14 @@
 //! Checked byte codec for columns, shared by the page store, the WAL,
 //! checkpoints and the wire protocol.
 //!
-//! [`encode_column`] / [`decode_column`] are the wire's column body, so
-//! every serialized form of a column in the system agrees: `f64`s travel
-//! by bit pattern (`to_bits`, little-endian), strings as a dictionary plus
-//! `u32` codes, and validity as a packed LSB-first bitmap. The decoder is fully
+//! [`encode_column`] writes the *plain* image, the wire's column body:
+//! `f64`s travel by bit pattern (`to_bits`, little-endian), strings as a
+//! dictionary plus `u32` codes, and validity as a packed LSB-first
+//! bitmap. [`encode_stored_column`] writes the *storage* image that pages,
+//! the WAL and checkpoints hold: the plain image, except that an Int
+//! column is bit-packed at its value width when that is smaller. One
+//! decoder, [`decode_column`], reads both, so stores written before the
+//! packed image existed still open. The decoder is fully
 //! checked: every read is bounds-checked and every element count is
 //! validated against the remaining bytes *before* any allocation, so
 //! truncated or bit-flipped input produces an [`EngineError`] — never a
@@ -20,6 +24,8 @@ const TAG_INT: u8 = 0;
 const TAG_FLOAT: u8 = 1;
 /// Data-type tag for dictionary-encoded string columns.
 const TAG_STR: u8 = 2;
+/// Data-type tag for bit-packed integer columns (storage image only).
+const TAG_INT_PACKED: u8 = 3;
 
 /// Construct the uniform corrupt-input error.
 pub(crate) fn corrupt(what: &str) -> EngineError {
@@ -124,14 +130,14 @@ pub fn put_string(out: &mut Vec<u8>, s: &str) {
 }
 
 /// Serialize a named table: its name, a `u32` column count, then each
-/// column's name and [`encode_column`] image — the framing a WAL
+/// column's name and [`encode_stored_column`] image — the framing a WAL
 /// `CreateTable` record and a checkpoint entry share byte for byte.
 pub fn encode_named_table(out: &mut Vec<u8>, name: &str, table: &Table) {
     put_string(out, name);
     put_u32(out, table.columns.len() as u32);
     for (m, c) in table.meta.iter().zip(&table.columns) {
         put_string(out, &m.name);
-        encode_column(out, c);
+        encode_stored_column(out, c);
     }
 }
 
@@ -148,9 +154,63 @@ pub fn decode_named_table(r: &mut ByteReader<'_>) -> Result<(String, Table)> {
     Ok((name, table))
 }
 
-/// Serialize one column: data tag, row/element counts, values (floats by
-/// bit pattern), then a validity tag (`0` = no NULLs, `1` = packed bitmap,
-/// LSB-first within each byte).
+/// Serialize one column's storage image: an Int column whose values span
+/// less than 2^63 is written bit-packed when that is smaller than its
+/// plain image — the tag, the row count `n`, `base` (the minimum), a
+/// width `bits` in 1..=63, then `⌈n·bits/64⌉` little-endian `u64` words
+/// holding each `value − base` LSB-first, then the validity block of
+/// [`encode_column`]. Every other column is its plain image.
+pub fn encode_stored_column(out: &mut Vec<u8>, col: &Column) {
+    let packing = match &col.data {
+        ColumnData::Int(v) => packing(v).map(|p| (v, p)),
+        _ => None,
+    };
+    let Some((v, (base, bits))) = packing else {
+        return encode_column(out, col);
+    };
+    out.push(TAG_INT_PACKED);
+    put_u64(out, v.len() as u64);
+    out.extend_from_slice(&base.to_le_bytes());
+    out.push(bits as u8);
+    let (mut acc, mut fill) = (0u64, 0u32);
+    for &x in v {
+        let d = x.wrapping_sub(base) as u64;
+        acc |= d << fill;
+        fill += bits;
+        if fill >= 64 {
+            put_u64(out, acc);
+            fill -= 64;
+            // The high `fill` bits of `d` did not fit; `fill < bits`.
+            acc = d >> (bits - fill);
+        }
+    }
+    if fill > 0 {
+        put_u64(out, acc);
+    }
+    encode_validity(out, col);
+}
+
+/// `base` (the minimum of `v`) and the width `bits` (at least 1) its span
+/// needs, when the packed image is smaller than the plain one; `None` for
+/// an empty `v`, a span of 2^63 or more, or no saving.
+fn packing(v: &[i64]) -> Option<(i64, u32)> {
+    let (&first, rest) = v.split_first()?;
+    let (min, max) = rest
+        .iter()
+        .fold((first, first), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+    let span = max.wrapping_sub(min) as u64;
+    if span >= 1 << 63 {
+        return None;
+    }
+    let bits = (64 - span.leading_zeros()).max(1);
+    let words = (v.len() * bits as usize).div_ceil(64);
+    // Tag, n, base and bits ahead of the words; tag and n ahead of the values.
+    (1 + 8 + 8 + 1 + 8 * words < 1 + 8 + 8 * v.len()).then_some((min, bits))
+}
+
+/// Serialize one column's plain image: data tag, row/element counts,
+/// values (floats by bit pattern), then a validity tag (`0` = no NULLs,
+/// `1` = packed bitmap, LSB-first within each byte).
 pub fn encode_column(out: &mut Vec<u8>, col: &Column) {
     match &col.data {
         ColumnData::Int(v) => {
@@ -179,6 +239,11 @@ pub fn encode_column(out: &mut Vec<u8>, col: &Column) {
             }
         }
     }
+    encode_validity(out, col);
+}
+
+/// Append the validity block every column image ends with.
+fn encode_validity(out: &mut Vec<u8>, col: &Column) {
     match &col.validity {
         None => out.push(0),
         Some(v) => {
@@ -194,7 +259,8 @@ pub fn encode_column(out: &mut Vec<u8>, col: &Column) {
     }
 }
 
-/// Decode one column written by [`encode_column`], bit-exactly.
+/// Decode one column written by [`encode_column`] or
+/// [`encode_stored_column`], bit-exactly.
 pub fn decode_column(r: &mut ByteReader<'_>) -> Result<Column> {
     let tag = r.u8()?;
     let data = match tag {
@@ -206,6 +272,7 @@ pub fn decode_column(r: &mut ByteReader<'_>) -> Result<Column> {
             }
             ColumnData::Int(v)
         }
+        TAG_INT_PACKED => ColumnData::Int(decode_packed(r)?),
         TAG_FLOAT => {
             let n = r.count(8, "float rows")?;
             let mut v = Vec::with_capacity(n);
@@ -251,6 +318,48 @@ pub fn decode_column(r: &mut ByteReader<'_>) -> Result<Column> {
         _ => return Err(corrupt("unknown validity tag")),
     };
     Ok(Column { data, validity })
+}
+
+/// The values of a [`TAG_INT_PACKED`] image, read after its tag.
+fn decode_packed(r: &mut ByteReader<'_>) -> Result<Vec<i64>> {
+    let n = r.u64()?;
+    let base = r.i64()?;
+    let bits = u32::from(r.u8()?);
+    if !(1..64).contains(&bits) {
+        return Err(corrupt("packed width"));
+    }
+    let words = (u128::from(n) * u128::from(bits)).div_ceil(64);
+    if words > (r.remaining() / 8) as u128 {
+        return Err(corrupt("packed words"));
+    }
+    let words = r.take(words as usize * 8)?;
+    // `n ≤ 64·words`, and the words are in the buffer: bounded by input.
+    let n = usize::try_from(n).map_err(|_| corrupt("packed rows"))?;
+    let mask = (1u64 << bits) - 1;
+    let mut next = words
+        .chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")));
+    let mut v = Vec::with_capacity(n);
+    let (mut acc, mut avail) = (0u64, 0u32);
+    for _ in 0..n {
+        let d = if avail >= bits {
+            let d = acc & mask;
+            acc >>= bits;
+            avail -= bits;
+            d
+        } else {
+            let w = next.next().expect("⌈n·bits/64⌉ words cover n values");
+            let d = (acc | w << avail) & mask;
+            acc = w >> (bits - avail);
+            avail += 64 - bits;
+            d
+        };
+        v.push(base.wrapping_add(d as i64));
+    }
+    if acc != 0 {
+        return Err(corrupt("packed tail bits"));
+    }
+    Ok(v)
 }
 
 #[cfg(test)]
@@ -308,6 +417,109 @@ mod tests {
         buf.extend_from_slice(&u64::MAX.to_le_bytes());
         let mut r = ByteReader::new(&buf);
         assert!(decode_column(&mut r).is_err());
+    }
+
+    /// The storage image of `col` and its decode.
+    fn stored(col: &Column) -> (Vec<u8>, Column) {
+        let mut buf = Vec::new();
+        encode_stored_column(&mut buf, col);
+        let mut r = ByteReader::new(&buf);
+        let back = decode_column(&mut r).unwrap();
+        r.done().unwrap();
+        (buf, back)
+    }
+
+    /// A packed header for `n` rows at `bits`, base 0, then `words`.
+    fn packed_header(n: u64, bits: u8, words: &[u64]) -> Vec<u8> {
+        let mut buf = vec![TAG_INT_PACKED];
+        put_u64(&mut buf, n);
+        put_u64(&mut buf, 0);
+        buf.push(bits);
+        for &w in words {
+            put_u64(&mut buf, w);
+        }
+        buf.push(0);
+        buf
+    }
+
+    #[test]
+    fn narrow_int_columns_pack_and_roundtrip_bit_exactly() {
+        let cases = [
+            (Column::int((0..1000).map(|i| i % 100).collect()), 7),
+            (Column::int(vec![42; 300]), 1),
+            (Column::int((0..200).map(|i| i64::MIN + i % 3).collect()), 2),
+            (Column::int((0..200).map(|i| i64::MAX - i % 5).collect()), 3),
+            (Column::int((0..200).map(|i| -(i << 40)).collect()), 48),
+            (Column::int((0..130).map(|i| (i % 2) << 62).collect()), 63),
+            (
+                Column::from_datums(
+                    &(0..500)
+                        .map(|i| match i % 7 {
+                            0 => Datum::Null,
+                            _ => Datum::Int(-3 + i % 11),
+                        })
+                        .collect::<Vec<_>>(),
+                ),
+                4,
+            ),
+        ];
+        for (col, bits) in &cases {
+            let (buf, back) = stored(col);
+            assert_eq!(buf[0], TAG_INT_PACKED);
+            assert_eq!(u32::from(buf[17]), *bits);
+            let (mut plain, mut again) = (Vec::new(), Vec::new());
+            encode_column(&mut plain, col);
+            encode_column(&mut again, &back);
+            assert_eq!(again, plain, "decode is bit-exact, validity included");
+            assert!(buf.len() < plain.len());
+        }
+    }
+
+    #[test]
+    fn wide_short_and_non_int_columns_stay_plain() {
+        for col in [
+            Column::int(vec![i64::MIN, i64::MAX]),
+            Column::int(
+                (0..100)
+                    .map(|i| if i % 2 == 0 { i64::MIN } else { -1 })
+                    .collect(),
+            ),
+            Column::int(vec![5]),
+            Column::int(vec![]),
+            Column::float(vec![1.0; 100]),
+        ] {
+            let (buf, back) = stored(&col);
+            let mut plain = Vec::new();
+            encode_column(&mut plain, &col);
+            assert_eq!(buf, plain);
+            assert_eq!(back, col);
+        }
+    }
+
+    #[test]
+    fn packed_width_outside_1_to_63_is_rejected() {
+        for bits in [0, 64, 255] {
+            let buf = packed_header(1, bits, &[0]);
+            assert!(decode_column(&mut ByteReader::new(&buf)).is_err(), "{bits}");
+        }
+        let buf = packed_header(1, 63, &[0]);
+        assert!(decode_column(&mut ByteReader::new(&buf)).is_ok());
+    }
+
+    #[test]
+    fn oversized_packed_count_is_rejected_before_allocating() {
+        let buf = packed_header(u64::MAX, 1, &[0]);
+        assert!(decode_column(&mut ByteReader::new(&buf)).is_err());
+    }
+
+    #[test]
+    fn non_zero_bits_past_the_packed_values_are_rejected() {
+        // Three 7-bit values use bits 0..21 of the one word.
+        let buf = packed_header(3, 7, &[1 << 21]);
+        assert!(decode_column(&mut ByteReader::new(&buf)).is_err());
+        let buf = packed_header(3, 7, &[(1 << 21) - 1]);
+        let col = decode_column(&mut ByteReader::new(&buf)).unwrap();
+        assert_eq!(col, Column::int(vec![127; 3]));
     }
 
     #[test]

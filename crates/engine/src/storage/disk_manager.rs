@@ -7,7 +7,7 @@
 //! [`super::buffer_pool`] touches this directly.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use parking_lot::Mutex;
@@ -21,15 +21,17 @@ use super::page::{PageBuf, PAGE_SIZE};
 pub struct PageId(pub u64);
 
 struct DiskInner {
-    file: File,
     /// High-water mark: pages `0..next` have been allocated at least once.
     next: u64,
     /// Allocated-then-freed pages, reused LIFO.
     free: Vec<PageId>,
 }
 
-/// Page-granular read/write over one file per database.
+/// Page-granular read/write over one file per database. Page I/O is
+/// positioned (`pread`/`pwrite`), so it shares no file cursor and holds
+/// the allocation lock only to check the page id.
 pub struct DiskManager {
+    file: File,
     inner: Mutex<DiskInner>,
     path: PathBuf,
 }
@@ -46,8 +48,8 @@ impl DiskManager {
             .truncate(true)
             .open(path)?;
         Ok(DiskManager {
+            file,
             inner: Mutex::new(DiskInner {
-                file,
                 next: 0,
                 free: Vec::new(),
             }),
@@ -79,17 +81,13 @@ impl DiskManager {
     /// Read one page into `buf`. A page allocated but never written reads
     /// back as zeros (the file may simply be shorter than its offset).
     pub fn read_page(&self, pid: PageId, buf: &mut PageBuf) -> Result<()> {
-        let mut inner = self.inner.lock();
-        if pid.0 >= inner.next {
-            return Err(EngineError::Other(format!(
-                "read of unallocated page {}",
-                pid.0
-            )));
-        }
-        inner.file.seek(SeekFrom::Start(pid.0 * PAGE_SIZE as u64))?;
+        let offset = self.offset(pid, "read")?;
         let mut filled = 0;
         while filled < PAGE_SIZE {
-            match inner.file.read(&mut buf[filled..])? {
+            match self
+                .file
+                .read_at(&mut buf[filled..], offset + filled as u64)?
+            {
                 0 => break, // hole past EOF: rest stays zero
                 n => filled += n,
             }
@@ -100,21 +98,26 @@ impl DiskManager {
 
     /// Write one page.
     pub fn write_page(&self, pid: PageId, buf: &PageBuf) -> Result<()> {
-        let mut inner = self.inner.lock();
-        if pid.0 >= inner.next {
+        let offset = self.offset(pid, "write")?;
+        self.file.write_all_at(buf, offset)?;
+        Ok(())
+    }
+
+    /// The byte offset of an allocated page; `op` names the access an
+    /// unallocated page refuses.
+    fn offset(&self, pid: PageId, op: &str) -> Result<u64> {
+        if pid.0 >= self.inner.lock().next {
             return Err(EngineError::Other(format!(
-                "write of unallocated page {}",
+                "{op} of unallocated page {}",
                 pid.0
             )));
         }
-        inner.file.seek(SeekFrom::Start(pid.0 * PAGE_SIZE as u64))?;
-        inner.file.write_all(buf)?;
-        Ok(())
+        Ok(pid.0 * PAGE_SIZE as u64)
     }
 
     /// fsync the page file.
     pub fn sync(&self) -> Result<()> {
-        self.inner.lock().file.sync_data()?;
+        self.file.sync_data()?;
         Ok(())
     }
 
@@ -158,13 +161,18 @@ mod tests {
         dm.read_page(b, &mut back).unwrap();
         assert_eq!(back[0], 0xAB);
         assert_eq!(back[PAGE_SIZE - 1], 0xCD);
-        // Page `a` was never written: reads back as zeros.
-        dm.read_page(a, &mut back).unwrap();
-        assert!(back.iter().all(|&x| x == 0));
+        // Page `a` was never written: reads back as zeros. So does `c`,
+        // which lies past the end of the file.
+        let c = dm.allocate();
+        for pid in [a, c] {
+            back.fill(1);
+            dm.read_page(pid, &mut back).unwrap();
+            assert!(back.iter().all(|&x| x == 0));
+        }
         // Freed pages are reused before the file grows.
         dm.free(a);
         assert_eq!(dm.allocate(), a);
-        assert_eq!(dm.pages_allocated(), 2);
+        assert_eq!(dm.pages_allocated(), 3);
         std::fs::remove_dir_all(dm.path().parent().unwrap()).unwrap();
     }
 

@@ -2,9 +2,10 @@
 //!
 //! Architecture (one database = one directory):
 //!
-//! * [`page`] — fixed-size pages; a column serializes (shared checked
-//!   codec, same conventions as the wire protocol: `f64` by bit pattern,
-//!   dict+codes strings, packed validity) into a chain of pages.
+//! * [`page`] — fixed-size pages; a column serializes (the shared checked
+//!   codec's storage image: `f64` by bit pattern, dict+codes strings,
+//!   Int columns bit-packed at their value width when that is smaller,
+//!   packed validity) into a chain of pages.
 //! * [`disk_manager`] — page-granular read/write over one data file per
 //!   database, with a free list.
 //! * [`buffer_pool`] — capacity-bounded pin/unpin frames with dirty
@@ -115,7 +116,7 @@ impl PagedStore {
     /// pinned at a time, so this works at any pool size.
     pub fn store_column(&self, col: &Column) -> Result<PagedColumn> {
         let mut bytes = Vec::with_capacity(col.byte_size() + 64);
-        codec::encode_column(&mut bytes, col);
+        codec::encode_stored_column(&mut bytes, col);
         let chunks: Vec<&[u8]> = if bytes.is_empty() {
             vec![&[]]
         } else {
@@ -223,9 +224,10 @@ mod tests {
         PagedStore::open(&dir, pool_pages).unwrap()
     }
 
-    /// A 3,000-row Int column stored as six pages, the last one short.
+    /// A 3,000-row Float column stored as six pages, the last one short.
     fn six_page_column(s: &PagedStore) -> PagedColumn {
-        let pc = s.store_column(&Column::int((0..3000).collect())).unwrap();
+        let col = Column::float((0..3000).map(f64::from).collect());
+        let pc = s.store_column(&col).unwrap();
         assert_eq!(pc.pages.len(), 6);
         pc
     }

@@ -4,9 +4,9 @@
 //! column images for updates, whole-table images for created tables)
 //! before applying it — the paper calls WAL out as one of the fundamental
 //! DBMS mechanisms that make residual updates slow. The log format is a
-//! simple length-prefixed record stream; column payloads use the shared
-//! checked codec ([`crate::storage::codec`]), so the WAL, the page store
-//! and the wire protocol all serialize columns the same way.
+//! simple length-prefixed record stream; column payloads are the shared
+//! checked codec's storage image ([`crate::storage::codec`]), the same
+//! bytes the page store and checkpoints write.
 //!
 //! The paged (out-of-core) engine additionally makes the log *the*
 //! durability story: every write statement ends with a [`RecordKind::Commit`]
@@ -159,7 +159,7 @@ impl Wal {
         let mut buf = Vec::with_capacity(after.byte_size() + 64);
         codec::put_string(&mut buf, table);
         codec::put_string(&mut buf, column);
-        codec::encode_column(&mut buf, after);
+        codec::encode_stored_column(&mut buf, after);
         self.write_record(RecordKind::UpdateColumn, &buf)
     }
 

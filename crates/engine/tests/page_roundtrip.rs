@@ -2,7 +2,8 @@
 //!
 //! * **roundtrip proptests** — arbitrary columns (every `DataType`, NULL
 //!   masks, empty columns, NaN payloads, `-0.0`, dictionaries with
-//!   duplicate and unreferenced entries) survive a [`PagedStore`]'s
+//!   duplicate and unreferenced entries, Int columns of every span width
+//!   that the storage image bit-packs) survive a [`PagedStore`]'s
 //!   `store_column` → `load_column` *bit-exactly*, at any chain length,
 //!   from warm frames and through a buffer pool that holds a single page;
 //! * **adversarial proptests** — truncating the byte string at any cut
@@ -18,7 +19,9 @@
 use proptest::prelude::*;
 
 use joinboost_engine::column::ColumnData;
-use joinboost_engine::storage::codec::{decode_column, encode_column, ByteReader};
+use joinboost_engine::storage::codec::{
+    decode_column, encode_column, encode_stored_column, ByteReader,
+};
 use joinboost_engine::storage::{PagedColumn, PagedStore, PAGE_CAPACITY, PAGE_SIZE};
 use joinboost_engine::{Column, Database, Table};
 
@@ -33,6 +36,7 @@ use joinboost_engine::{Column, Database, Table};
 fn arb_column(rows: usize) -> impl Strategy<Value = Column> {
     let data = prop_oneof![
         prop::collection::vec(any::<i64>(), rows).prop_map(ColumnData::Int),
+        arb_narrow_ints(rows).prop_map(ColumnData::Int),
         prop::collection::vec(any::<u64>(), rows)
             .prop_map(|v| ColumnData::Float(v.into_iter().map(f64::from_bits).collect())),
         (
@@ -52,6 +56,22 @@ fn arb_column(rows: usize) -> impl Strategy<Value = Column> {
         prop::option::of(prop::collection::vec(any::<bool>(), rows)),
     )
         .prop_map(|(data, validity)| Column { data, validity })
+}
+
+/// Ints spanning fewer than `2^k` values for a random `k` in 0..64 (0 is
+/// a constant column), from an arbitrary end or one at `i64::MIN` or
+/// `i64::MAX`: the spans the storage image bit-packs at every width. A
+/// non-negative end counts down and a negative one up, so no value wraps.
+fn arb_narrow_ints(rows: usize) -> impl Strategy<Value = Vec<i64>> {
+    let end = prop_oneof![any::<i64>(), Just(i64::MIN), Just(i64::MAX)];
+    (0u32..64, end, prop::collection::vec(any::<u64>(), rows)).prop_map(|(k, end, raw)| {
+        let offsets = raw.into_iter().map(|o| (o & ((1u64 << k) - 1)) as i64);
+        if end >= 0 {
+            offsets.map(|o| end - o).collect()
+        } else {
+            offsets.map(|o| end + o).collect()
+        }
+    })
 }
 
 /// Columns from empty up to several pages long (a 700-row f64 column is
@@ -131,14 +151,18 @@ proptest! {
     /// Any column survives the full pipeline bit-exactly, stitched from
     /// the warm frames it was written to: bit-exactness is proven by
     /// re-encoding the decoded column and comparing bytes (sidestepping
-    /// NaN != NaN).
+    /// NaN != NaN). The chain holds the storage image, never more bytes
+    /// than the plain one.
     #[test]
     fn column_roundtrips_bit_exactly_through_pages(col in arb_sized_column()) {
-        let mut bytes = Vec::new();
+        let (mut bytes, mut image) = (Vec::new(), Vec::new());
         encode_column(&mut bytes, &col);
+        encode_stored_column(&mut image, &col);
+        prop_assert!(image.len() <= bytes.len());
         let (store, dir) = scratch_store("pages", 16);
         let pc = store.store_column(&col).unwrap();
-        prop_assert_eq!(pc.pages.len(), bytes.len().div_ceil(PAGE_CAPACITY).max(1));
+        prop_assert_eq!(pc.bytes, image.len() as u64);
+        prop_assert_eq!(pc.pages.len(), image.len().div_ceil(PAGE_CAPACITY).max(1));
         let back = store.load_column(&pc).unwrap();
         prop_assert_eq!(back.len(), col.len());
         prop_assert_eq!(back.dtype(), col.dtype());
@@ -184,21 +208,25 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 proptest! {
-    /// Every strict prefix of a valid encoding is a checked error — the
-    /// decoder cannot read fields it does not have, and a decode that
-    /// "succeeds" early is caught by the trailing-bytes check.
+    /// Every strict prefix of a valid encoding, plain or storage image,
+    /// is a checked error — the decoder cannot read fields it does not
+    /// have, and a decode that "succeeds" early is caught by the
+    /// trailing-bytes check.
     #[test]
     fn truncation_at_any_cut_is_a_checked_error(col in arb_sized_column(), cut in any::<u64>()) {
-        let mut bytes = Vec::new();
-        encode_column(&mut bytes, &col);
-        prop_assert!(!bytes.is_empty());
-        let cut = (cut % bytes.len() as u64) as usize;
-        let mut r = ByteReader::new(&bytes[..cut]);
-        let res = decode_column(&mut r).and_then(|c| {
-            r.done()?;
-            Ok(c)
-        });
-        prop_assert!(res.is_err(), "decode of a {cut}-byte prefix succeeded");
+        let (mut plain, mut image) = (Vec::new(), Vec::new());
+        encode_column(&mut plain, &col);
+        encode_stored_column(&mut image, &col);
+        for bytes in [plain, image] {
+            prop_assert!(!bytes.is_empty());
+            let cut = (cut % bytes.len() as u64) as usize;
+            let mut r = ByteReader::new(&bytes[..cut]);
+            let res = decode_column(&mut r).and_then(|c| {
+                r.done()?;
+                Ok(c)
+            });
+            prop_assert!(res.is_err(), "decode of a {cut}-byte prefix succeeded");
+        }
     }
 
     /// Flipping any single byte of a stored page never panics and never
