@@ -297,6 +297,11 @@ fn fig5() -> Result<(), String> {
         secs(lgbm_t)
     ));
     report.note("expected shape: Naive >> UPDATE/CREATE >> ColSwap ~ DP ~ LightGBM");
+    report.note(
+        "on D-mem and D-Swap CREATE-k nears ColSwap: unchanged columns share their buffers, \
+         so k adds only a run count per column; X-col and D-dis (WAL images) and DP \
+         (copy-in) still grow with k",
+    );
     report.print();
     Ok(())
 }

@@ -54,6 +54,7 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use parking_lot::RwLock;
 
@@ -1326,11 +1327,12 @@ fn merge_partials(partials: Vec<Table>, specs: &[MergeSpec]) -> BackendResult {
         let mut merged = agg::compute_grouped(&[agg], &groups.gids, groups.num_groups, None);
         let mut merged = merged.pop().expect("one column per aggregate");
         for &g in &nan_groups {
+            // Written in place: a buffer the merge shares is copied first.
             if let ColumnData::Float(v) = &mut merged.data {
-                v[g as usize] = f64::NAN;
+                Arc::make_mut(v)[g as usize] = f64::NAN;
             }
             if let Some(valid) = &mut merged.validity {
-                valid[g as usize] = true;
+                Arc::make_mut(valid)[g as usize] = true;
             }
         }
         out.push_column(m.clone(), merged.take(&order));
@@ -1853,6 +1855,36 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn merging_a_nan_partial_leaves_the_partials_unchanged() {
+        let image = |t: &Table| {
+            let mut out = Vec::new();
+            for c in &t.columns {
+                joinboost_engine::storage::codec::encode_column(&mut out, c);
+            }
+            out
+        };
+        let partial = |s: Vec<Datum>| {
+            Table::from_columns(vec![
+                ("g", Column::int(vec![0, 1, 2])),
+                ("s", Column::from_datums(&s)),
+            ])
+        };
+        let nan = Datum::Float(f64::NAN);
+        let partials = vec![
+            partial(vec![Datum::Float(1.0), nan.clone(), Datum::Null]),
+            partial(vec![Datum::Float(2.0), Datum::Float(0.5), nan]),
+        ];
+        let kept = partials.clone();
+        let before: Vec<Vec<u8>> = kept.iter().map(image).collect();
+        let merged = merge_partials(partials, &[MergeSpec::Key, MergeSpec::Sum]).unwrap();
+        let s = merged.column(None, "s").unwrap();
+        assert_eq!(s.get(0), Datum::Float(3.0));
+        assert!(matches!(s.get(1), Datum::Float(x) if x.is_nan()));
+        assert!(matches!(s.get(2), Datum::Float(x) if x.is_nan()));
+        assert_eq!(kept.iter().map(image).collect::<Vec<_>>(), before);
     }
 
     #[test]

@@ -1236,8 +1236,8 @@ mod tests {
         t.push_column(
             ColumnMeta::qualified("q", "b"),
             Column {
-                data: ColumnData::Float(vec![0.5, -0.0, f64::NAN]),
-                validity: Some(vec![true, false, true]),
+                data: ColumnData::Float(vec![0.5, -0.0, f64::NAN].into()),
+                validity: Some(vec![true, false, true].into()),
             },
         );
         t.push_column(

@@ -10,6 +10,8 @@
 //!   time without cross-talk, and their temp tables are gone afterwards
 //!   (the temp-table lifecycle half of the trait contract).
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use joinboost::backend::split::{
@@ -40,9 +42,10 @@ use joinboost_sql::ast::{
 /// the codec must carry whatever the engine might hand it.
 fn arb_column(rows: usize) -> impl Strategy<Value = Column> {
     let data = prop_oneof![
-        prop::collection::vec(any::<i64>(), rows).prop_map(ColumnData::Int),
-        prop::collection::vec(any::<u64>(), rows)
-            .prop_map(|v| ColumnData::Float(v.into_iter().map(f64::from_bits).collect())),
+        prop::collection::vec(any::<i64>(), rows).prop_map(|v| ColumnData::Int(v.into())),
+        prop::collection::vec(any::<u64>(), rows).prop_map(|v| {
+            ColumnData::Float(Arc::new(v.into_iter().map(f64::from_bits).collect()))
+        }),
         (
             prop::collection::vec("[a-z]{0,4}", 1..4),
             prop::collection::vec(any::<u32>(), rows)
@@ -50,8 +53,8 @@ fn arb_column(rows: usize) -> impl Strategy<Value = Column> {
             .prop_map(|(dict, codes)| {
                 let n = dict.len() as u32;
                 ColumnData::Str {
-                    dict,
-                    codes: codes.into_iter().map(|c| c % n).collect(),
+                    dict: dict.into(),
+                    codes: Arc::new(codes.into_iter().map(|c| c % n).collect()),
                 }
             }),
     ];
@@ -59,7 +62,10 @@ fn arb_column(rows: usize) -> impl Strategy<Value = Column> {
         data,
         prop::option::of(prop::collection::vec(any::<bool>(), rows)),
     )
-        .prop_map(|(data, validity)| Column { data, validity })
+        .prop_map(|(data, validity)| Column {
+            data,
+            validity: validity.map(Arc::new),
+        })
 }
 
 /// Arbitrary tables: 0–3 columns (0-column results included), 0–20 rows,
@@ -585,21 +591,21 @@ fn remote_snapshot_is_bit_identical_to_local() {
         (
             "i",
             Column {
-                data: ColumnData::Int(vec![1, -7, i64::MAX, 0]),
-                validity: Some(vec![true, false, true, true]),
+                data: ColumnData::Int(vec![1, -7, i64::MAX, 0].into()),
+                validity: Some(vec![true, false, true, true].into()),
             },
         ),
         (
             "f",
             Column {
-                data: ColumnData::Float(vec![0.5, -0.0, f64::NAN, 1.0 / 3.0]),
-                validity: Some(vec![true, true, false, true]),
+                data: ColumnData::Float(vec![0.5, -0.0, f64::NAN, 1.0 / 3.0].into()),
+                validity: Some(vec![true, true, false, true].into()),
             },
         ),
         (
             "s",
             Column {
-                validity: Some(vec![true, true, true, false]),
+                validity: Some(vec![true, true, true, false].into()),
                 ..Column::str(vec!["a".into(), "".into(), "a".into(), "long-ish".into()])
             },
         ),

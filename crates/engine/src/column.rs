@@ -1,5 +1,15 @@
 //! Columnar storage: typed vectors with optional validity bitmaps and
 //! per-column string dictionaries.
+//!
+//! Every buffer is immutable once built and reference-counted, so cloning
+//! a [`Column`] costs O(1) and shares its buffers: a scan of a stored
+//! column, a column reference in an expression and a `CREATE TABLE AS`
+//! that keeps a column all hand on the one stored buffer. Writers build a
+//! fresh `Vec` and wrap it; code that edits a column in place goes
+//! through `Arc::make_mut` or `Arc::unwrap_or_clone`, which copy a buffer
+//! that is shared before writing to it.
+
+use std::sync::Arc;
 
 use crate::datum::{DataType, Datum};
 
@@ -8,15 +18,15 @@ use crate::datum::{DataType, Datum};
 #[derive(Debug, Clone, PartialEq)]
 pub enum ColumnData {
     /// 64-bit signed integers.
-    Int(Vec<i64>),
+    Int(Arc<Vec<i64>>),
     /// 64-bit floats.
-    Float(Vec<f64>),
+    Float(Arc<Vec<f64>>),
     /// Dictionary-encoded strings.
     Str {
         /// Distinct values, in first-appearance order.
-        dict: Vec<String>,
+        dict: Arc<Vec<String>>,
         /// Per-row indexes into `dict`.
-        codes: Vec<u32>,
+        codes: Arc<Vec<u32>>,
     },
 }
 
@@ -26,7 +36,7 @@ pub struct Column {
     /// The typed values.
     pub data: ColumnData,
     /// Per-row validity mask (`None` = no NULLs).
-    pub validity: Option<Vec<bool>>,
+    pub validity: Option<Arc<Vec<bool>>>,
 }
 
 /// f64 bit pattern with `-0.0` canonicalized to `0.0` — the single
@@ -44,7 +54,7 @@ impl Column {
     /// An integer column with no NULLs.
     pub fn int(values: Vec<i64>) -> Column {
         Column {
-            data: ColumnData::Int(values),
+            data: ColumnData::Int(Arc::new(values)),
             validity: None,
         }
     }
@@ -52,7 +62,7 @@ impl Column {
     /// A float column with no NULLs.
     pub fn float(values: Vec<f64>) -> Column {
         Column {
-            data: ColumnData::Float(values),
+            data: ColumnData::Float(Arc::new(values)),
             validity: None,
         }
     }
@@ -70,7 +80,10 @@ impl Column {
             codes.push(code);
         }
         Column {
-            data: ColumnData::Str { dict, codes },
+            data: ColumnData::Str {
+                dict: Arc::new(dict),
+                codes: Arc::new(codes),
+            },
             validity: None,
         }
     }
@@ -90,11 +103,7 @@ impl Column {
                 Datum::Int(_) => {}
             }
         }
-        let validity = if has_null {
-            Some(values.iter().map(|v| !v.is_null()).collect())
-        } else {
-            None
-        };
+        let validity = has_null.then(|| Arc::new(values.iter().map(|v| !v.is_null()).collect()));
         let data = if has_str {
             let mut dict: Vec<String> = Vec::new();
             let mut index: std::collections::HashMap<&str, u32> = std::collections::HashMap::new();
@@ -114,11 +123,18 @@ impl Column {
             if dict.is_empty() {
                 dict.push(String::new());
             }
-            ColumnData::Str { dict, codes }
+            ColumnData::Str {
+                dict: Arc::new(dict),
+                codes: Arc::new(codes),
+            }
         } else if has_float || values.is_empty() || values.iter().all(Datum::is_null) {
-            ColumnData::Float(values.iter().map(|v| v.as_f64().unwrap_or(0.0)).collect())
+            ColumnData::Float(Arc::new(
+                values.iter().map(|v| v.as_f64().unwrap_or(0.0)).collect(),
+            ))
         } else {
-            ColumnData::Int(values.iter().map(|v| v.as_i64().unwrap_or(0)).collect())
+            ColumnData::Int(Arc::new(
+                values.iter().map(|v| v.as_i64().unwrap_or(0)).collect(),
+            ))
         };
         Column { data, validity }
     }
@@ -138,9 +154,11 @@ impl Column {
         }
         let total = parts.iter().map(|c| c.len()).sum();
         let validity = parts.iter().any(|c| c.null_count() > 0).then(|| {
-            (parts.iter())
-                .flat_map(|c| (0..c.len()).map(|i| c.is_valid(i)))
-                .collect()
+            Arc::new(
+                (parts.iter())
+                    .flat_map(|c| (0..c.len()).map(|i| c.is_valid(i)))
+                    .collect(),
+            )
         });
         // Rows under NULL hold 0 / 0.0 / code 0, as `from_datums` builds them.
         fn numeric<T: Copy + Default>(
@@ -152,25 +170,28 @@ impl Column {
             for c in parts {
                 match &c.validity {
                     None => out.extend_from_slice(v(c)),
-                    Some(valid) => {
-                        out.extend(
-                            (v(c).iter().zip(valid))
-                                .map(|(&x, &ok)| if ok { x } else { T::default() }),
-                        )
-                    }
+                    Some(valid) => out.extend((v(c).iter().zip(&valid[..])).map(|(&x, &ok)| {
+                        if ok {
+                            x
+                        } else {
+                            T::default()
+                        }
+                    })),
                 }
             }
             out
         }
         let data = match dtype.expect("checked") {
-            DataType::Int => ColumnData::Int(numeric(parts, total, |c| match &c.data {
+            DataType::Int => ColumnData::Int(Arc::new(numeric(parts, total, |c| match &c.data {
                 ColumnData::Int(v) => v,
                 _ => unreachable!("checked dtype"),
-            })),
-            DataType::Float => ColumnData::Float(numeric(parts, total, |c| match &c.data {
-                ColumnData::Float(v) => v,
-                _ => unreachable!("checked dtype"),
-            })),
+            }))),
+            DataType::Float => {
+                ColumnData::Float(Arc::new(numeric(parts, total, |c| match &c.data {
+                    ColumnData::Float(v) => v,
+                    _ => unreachable!("checked dtype"),
+                })))
+            }
             DataType::Str => {
                 let mut dict: Vec<String> = Vec::new();
                 let mut index: std::collections::HashMap<&str, u32> =
@@ -204,7 +225,10 @@ impl Column {
                 if dict.is_empty() {
                     dict.push(String::new());
                 }
-                ColumnData::Str { dict, codes: out }
+                ColumnData::Str {
+                    dict: Arc::new(dict),
+                    codes: Arc::new(out),
+                }
             }
         };
         Column { data, validity }
@@ -269,20 +293,19 @@ impl Column {
         }
     }
 
-    /// Gather rows by index, producing a new column.
+    /// Gather rows by index, producing a new column (a string column
+    /// shares its dictionary).
     pub fn take(&self, indices: &[u32]) -> Column {
-        let validity = self
-            .validity
-            .as_ref()
-            .map(|v| indices.iter().map(|&i| v[i as usize]).collect());
+        fn gather<T: Copy>(v: &[T], indices: &[u32]) -> Arc<Vec<T>> {
+            Arc::new(indices.iter().map(|&i| v[i as usize]).collect())
+        }
+        let validity = self.validity.as_ref().map(|v| gather(v, indices));
         let data = match &self.data {
-            ColumnData::Int(v) => ColumnData::Int(indices.iter().map(|&i| v[i as usize]).collect()),
-            ColumnData::Float(v) => {
-                ColumnData::Float(indices.iter().map(|&i| v[i as usize]).collect())
-            }
+            ColumnData::Int(v) => ColumnData::Int(gather(v, indices)),
+            ColumnData::Float(v) => ColumnData::Float(gather(v, indices)),
             ColumnData::Str { dict, codes } => ColumnData::Str {
-                dict: dict.clone(),
-                codes: indices.iter().map(|&i| codes[i as usize]).collect(),
+                dict: Arc::clone(dict),
+                codes: gather(codes, indices),
             },
         };
         Column { data, validity }
@@ -297,30 +320,24 @@ impl Column {
                 None => false,
             });
         }
+        fn gather<T: Copy + Default>(v: &[T], indices: &[Option<u32>]) -> Arc<Vec<T>> {
+            Arc::new(
+                (indices.iter())
+                    .map(|ix| ix.map_or(T::default(), |i| v[i as usize]))
+                    .collect(),
+            )
+        }
         let data = match &self.data {
-            ColumnData::Int(v) => ColumnData::Int(
-                indices
-                    .iter()
-                    .map(|ix| ix.map_or(0, |i| v[i as usize]))
-                    .collect(),
-            ),
-            ColumnData::Float(v) => ColumnData::Float(
-                indices
-                    .iter()
-                    .map(|ix| ix.map_or(0.0, |i| v[i as usize]))
-                    .collect(),
-            ),
+            ColumnData::Int(v) => ColumnData::Int(gather(v, indices)),
+            ColumnData::Float(v) => ColumnData::Float(gather(v, indices)),
             ColumnData::Str { dict, codes } => ColumnData::Str {
-                dict: dict.clone(),
-                codes: indices
-                    .iter()
-                    .map(|ix| ix.map_or(0, |i| codes[i as usize]))
-                    .collect(),
+                dict: Arc::clone(dict),
+                codes: gather(codes, indices),
             },
         };
         Column {
             data,
-            validity: Some(validity),
+            validity: Some(Arc::new(validity)),
         }
     }
 
@@ -328,16 +345,58 @@ impl Column {
     /// bounds-checked gather; `n` is clamped to the column length).
     pub fn head(&self, n: usize) -> Column {
         let n = n.min(self.len());
-        let validity = self.validity.as_ref().map(|v| v[..n].to_vec());
+        fn prefix<T: Clone>(v: &[T], n: usize) -> Arc<Vec<T>> {
+            Arc::new(v[..n].to_vec())
+        }
+        let validity = self.validity.as_ref().map(|v| prefix(v, n));
         let data = match &self.data {
-            ColumnData::Int(v) => ColumnData::Int(v[..n].to_vec()),
-            ColumnData::Float(v) => ColumnData::Float(v[..n].to_vec()),
+            ColumnData::Int(v) => ColumnData::Int(prefix(v, n)),
+            ColumnData::Float(v) => ColumnData::Float(prefix(v, n)),
             ColumnData::Str { dict, codes } => ColumnData::Str {
-                dict: dict.clone(),
-                codes: codes[..n].to_vec(),
+                dict: Arc::clone(dict),
+                codes: prefix(codes, n),
             },
         };
         Column { data, validity }
+    }
+
+    /// Do `self` and `other` hold the very same buffers, data and
+    /// validity alike (so equal without comparing a value)?
+    #[cfg(test)]
+    pub(crate) fn shares_buffers(&self, other: &Column) -> bool {
+        let data = match (&self.data, &other.data) {
+            (ColumnData::Int(a), ColumnData::Int(b)) => Arc::ptr_eq(a, b),
+            (ColumnData::Float(a), ColumnData::Float(b)) => Arc::ptr_eq(a, b),
+            (ColumnData::Str { dict, codes }, ColumnData::Str { dict: d, codes: c }) => {
+                Arc::ptr_eq(dict, d) && Arc::ptr_eq(codes, c)
+            }
+            _ => false,
+        };
+        data && match (&self.validity, &other.validity) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (a, b) => a.is_none() && b.is_none(),
+        }
+    }
+
+    /// A copy that shares no buffer with `self`: what a modelled copy
+    /// (an external array copied in, an MVCC before-image) must pay for,
+    /// where a plain [`Clone`] would share.
+    pub fn deep_copy(&self) -> Column {
+        fn own<T: Clone>(v: &Arc<Vec<T>>) -> Arc<Vec<T>> {
+            Arc::new(v.to_vec())
+        }
+        let data = match &self.data {
+            ColumnData::Int(v) => ColumnData::Int(own(v)),
+            ColumnData::Float(v) => ColumnData::Float(own(v)),
+            ColumnData::Str { dict, codes } => ColumnData::Str {
+                dict: own(dict),
+                codes: own(codes),
+            },
+        };
+        Column {
+            data,
+            validity: self.validity.as_ref().map(own),
+        }
     }
 
     /// Keep only rows where `mask[i]` is true.
@@ -415,7 +474,7 @@ mod tests {
         match &c.data {
             ColumnData::Str { dict, codes } => {
                 assert_eq!(dict.len(), 2);
-                assert_eq!(codes, &vec![0, 1, 0]);
+                assert_eq!(**codes, vec![0, 1, 0]);
             }
             _ => panic!(),
         }

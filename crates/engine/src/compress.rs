@@ -10,6 +10,8 @@
 //! and no decoding on the way out. The encoding is real (if simple), so
 //! those costs arise from genuine work where they arise at all.
 
+use std::sync::Arc;
+
 use crate::column::{Column, ColumnData};
 use crate::datum::DataType;
 
@@ -24,8 +26,8 @@ pub struct CompressedColumn {
     pub len: usize,
     /// `(bits, run_len)` pairs in row order.
     pub runs: Vec<(u64, u32)>,
-    /// Dictionary for string columns.
-    pub dict: Option<Vec<String>>,
+    /// Dictionary for string columns (shared with the plain column's).
+    pub dict: Option<Arc<Vec<String>>>,
     /// RLE of the validity mask, if the column has NULLs.
     pub validity_runs: Option<Vec<(bool, u32)>>,
 }
@@ -43,7 +45,8 @@ impl StoredColumn {
     /// Store `col`, run-length encoding it when `rle` allows and the
     /// encoded form's [`CompressedColumn::byte_size`] is smaller than
     /// [`Column::byte_size`]. The runs are counted in one pass without
-    /// allocating; a column kept plain is moved in, not copied.
+    /// allocating; a column kept plain is moved in with its buffers,
+    /// which stay shared with any table or result that holds them.
     pub fn new(col: Column, rle: bool) -> StoredColumn {
         if rle && rle_byte_size(&col) < col.byte_size() {
             StoredColumn::Rle(compress(&col))
@@ -52,7 +55,8 @@ impl StoredColumn {
         }
     }
 
-    /// The column as plain values: a clone, or a decode.
+    /// The column as plain values: the stored buffers, shared (O(1)), or
+    /// a decode.
     pub fn to_column(&self) -> Column {
         match self {
             StoredColumn::Plain(c) => c.clone(),
@@ -163,12 +167,12 @@ pub fn decompress(cc: &CompressedColumn) -> Column {
 }
 
 /// The `len` values `runs` encode, each mapped through `f`.
-fn expand<S: Copy, T: Clone>(runs: &[(S, u32)], len: usize, f: impl Fn(S) -> T) -> Vec<T> {
+fn expand<S: Copy, T: Clone>(runs: &[(S, u32)], len: usize, f: impl Fn(S) -> T) -> Arc<Vec<T>> {
     let mut v = Vec::with_capacity(len);
     for &(x, n) in runs {
         v.extend(std::iter::repeat_n(f(x), n as usize));
     }
-    v
+    Arc::new(v)
 }
 
 impl CompressedColumn {
@@ -176,7 +180,7 @@ impl CompressedColumn {
     pub fn byte_size(&self) -> usize {
         encoded_bytes(
             self.runs.len(),
-            self.dict.as_deref(),
+            self.dict.as_deref().map(|d| &d[..]),
             self.validity_runs.as_ref().map(Vec::len),
         )
     }

@@ -1,7 +1,7 @@
 //! The database: catalog, configuration and statement execution.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -41,8 +41,9 @@ pub struct EngineConfig {
     /// `storage_path` the log is a per-database temp file, removed when
     /// the database drops.
     pub wal: bool,
-    /// MVCC-style versioning: updates first copy the before-image of each
-    /// touched column into an undo buffer.
+    /// MVCC-style versioning: updates first deep-copy the before-image of
+    /// each touched column into an undo buffer (a real copy, never a share
+    /// of the stored buffer, counted by `DbStats::undo_bytes`).
     pub mvcc: bool,
     /// Run-length encode each RAM-resident column whose encoded form is
     /// smaller (chosen per column at every store); `false` never encodes.
@@ -233,7 +234,7 @@ pub struct Database {
 
 #[derive(Default)]
 struct UndoLog {
-    versions: Vec<(String, Column)>,
+    versions: VecDeque<(String, Column)>,
     bytes: usize,
 }
 
@@ -576,7 +577,7 @@ impl Database {
             Some(Stored::Memory { meta, columns }) => {
                 Ok(columns[column_index(meta, column)?].dtype())
             }
-            Some(Stored::External(e)) => Ok(e.column_arc(column)?.dtype()),
+            Some(Stored::External(e)) => Ok(e.column(column)?.dtype()),
             Some(Stored::Paged(pt)) => Ok(pt.columns[column_index(&pt.meta, column)?].dtype),
             None => Err(EngineError::UnknownTable(table.to_string())),
         }
@@ -597,11 +598,12 @@ impl Database {
 
     /// The one funnel every read of stored data goes through: materialize
     /// the columns of `name` whose (case-insensitive) name is in
-    /// `columns`, or all of them for `None`. Only those are cloned or decoded,
-    /// pinned through the buffer pool, or copied in from external
-    /// storage; names the table does not have are ignored, and a table
-    /// none of whose columns is asked for still yields its first, since a
-    /// [`Table`]'s row count is its columns' length.
+    /// `columns`, or all of them for `None`. Only those are shared (a
+    /// plain in-memory column hands out its stored buffers, O(1)) or
+    /// decoded, pinned through the buffer pool, or deep-copied in from
+    /// external storage; names the table does not have are ignored, and a
+    /// table none of whose columns is asked for still yields its first,
+    /// since a [`Table`]'s row count is its columns' length.
     pub fn scan(&self, name: &str, columns: Option<&[&str]>) -> Result<Table> {
         let kept = |meta: &[ColumnMeta]| -> Vec<usize> {
             let kept: Vec<usize> = (0..meta.len())
@@ -732,15 +734,19 @@ impl Database {
         let mut merged = Vec::with_capacity(assignments.len());
         for (col_name, expr) in assignments {
             let idx = current.resolve(None, col_name)?;
-            // MVCC: copy the before-image into the undo buffer.
+            // MVCC: copy the before-image into the undo buffer — a real
+            // copy, the cost versioning models, not a shared buffer.
             if self.config.mvcc {
-                let before = current.columns[idx].clone();
+                let before = current.columns[idx].deep_copy();
                 let bytes = before.byte_size();
                 let mut undo = self.undo.lock();
-                undo.versions.push((format!("{table}.{col_name}"), before));
+                undo.versions
+                    .push_back((format!("{table}.{col_name}"), before));
                 undo.bytes += bytes;
-                while undo.bytes > UNDO_CAP_BYTES && !undo.versions.is_empty() {
-                    let (_, old) = undo.versions.remove(0);
+                while undo.bytes > UNDO_CAP_BYTES {
+                    let Some((_, old)) = undo.versions.pop_front() else {
+                        break;
+                    };
                     undo.bytes -= old.byte_size();
                 }
                 let mut stats = self.stats.lock();
@@ -800,10 +806,10 @@ impl Database {
         {
             let (ea, eb) = (Arc::clone(ea), Arc::clone(eb));
             drop(cat);
-            let a = ea.column_arc(ca)?;
-            let b = eb.column_arc(cb)?;
-            ea.replace_column(ca, (*b).clone())?;
-            eb.replace_column(cb, (*a).clone())?;
+            let a = ea.column(ca)?;
+            let b = eb.column(cb)?;
+            ea.replace_column(ca, b)?;
+            eb.replace_column(cb, a)?;
             self.stats.lock().swaps += 1;
             return Ok(());
         }
@@ -844,7 +850,7 @@ fn take_column(stored: &mut Stored, name: &str) -> Result<StoredColumn> {
             let placeholder = StoredColumn::Plain(Column::int(vec![]));
             Ok(std::mem::replace(&mut columns[idx], placeholder))
         }
-        Stored::External(e) => Ok(StoredColumn::Plain((*e.column_arc(name)?).clone())),
+        Stored::External(e) => Ok(StoredColumn::Plain(e.column(name)?)),
         // Swap deliberately bypasses the WAL (it is a schema-level pointer
         // move), which is incompatible with WAL-replay recovery.
         Stored::Paged(_) => Err(EngineError::Other(
@@ -973,11 +979,109 @@ mod tests {
     #[test]
     fn update_with_predicate() {
         let db = db_with_r();
+        let before = db.scan("r", Some(&["y"])).unwrap();
         db.execute("UPDATE r SET y = y - 1.0 WHERE a = 1").unwrap();
         let t = db.query("SELECT SUM(y) AS s FROM r").unwrap();
         assert_eq!(t.scalar_f64("s").unwrap(), 6.0);
         let stats = db.stats();
         assert_eq!(stats.undo_versions, 1, "MVCC before-image recorded");
+        // The before-image is a copy the undo buffer owns, not a share of
+        // the stored buffer, and it is counted at its logical size.
+        let undo = db.undo.lock();
+        let (name, image) = undo.versions.back().unwrap();
+        assert_eq!((name.as_str(), image), ("r.y", &before.columns[0]));
+        assert!(!image.shares_buffers(&before.columns[0]));
+        assert_eq!(stats.undo_bytes, 4 * 8);
+    }
+
+    /// Nine columns no run-length encoding shrinks, so the catalog keeps
+    /// them plain: `c1..c8` of every type, NULLs and odd floats among
+    /// them, and the annotation `s`.
+    fn plain_table(n: usize) -> Table {
+        let mut cols: Vec<(String, Column)> = Vec::new();
+        for j in 1..=8i64 {
+            let col = match j % 4 {
+                0 => Column::int((0..n as i64).map(|i| i * j).collect()),
+                1 => Column::float((0..n).map(|i| i as f64 / j as f64).collect()),
+                2 => Column::str((0..n).map(|i| format!("v{}", i * j as usize)).collect()),
+                _ => Column::from_datums(
+                    &(0..n as i64)
+                        .map(|i| match i % 3 {
+                            0 => Datum::Null,
+                            _ => Datum::Int(i + j),
+                        })
+                        .collect::<Vec<_>>(),
+                ),
+            };
+            cols.push((format!("c{j}"), col));
+        }
+        let mut s: Vec<f64> = (0..n).map(|i| i as f64 - 0.5).collect();
+        (s[1], s[2]) = (-0.0, f64::from_bits(0x7FF8_0000_0000_0001));
+        cols.push(("s".into(), Column::float(s)));
+        Table::from_columns(cols.iter().map(|(m, c)| (m.as_str(), c.clone())).collect())
+    }
+
+    #[test]
+    fn scans_projections_and_create_table_as_share_the_stored_buffers() {
+        let db = Database::in_memory();
+        db.create_table("t", plain_table(64)).unwrap();
+        let (first, second) = (db.scan("t", None).unwrap(), db.scan("t", None).unwrap());
+        for (a, b) in first.columns.iter().zip(&second.columns) {
+            assert!(a.shares_buffers(b), "two scans return the stored buffers");
+        }
+        // A column reference in a projection hands on the scanned buffer.
+        let picked = db.query("SELECT c3, s FROM t").unwrap();
+        assert!(picked.columns[0].shares_buffers(&first.columns[2]));
+        assert!(picked.columns[1].shares_buffers(&first.columns[8]));
+        // The residual update's shape: only the new column is new.
+        db.execute(
+            "CREATE OR REPLACE TABLE t AS SELECT c1, c2, c3, c4, c5, c6, c7, c8, \
+             CASE WHEN c1 < 2.0 THEN s + 1.0 ELSE s END AS s FROM t",
+        )
+        .unwrap();
+        let after = db.scan("t", None).unwrap();
+        assert_eq!(after.column_names(), first.column_names());
+        for (i, (a, b)) in after.columns.iter().zip(&first.columns).enumerate() {
+            assert_eq!(a.shares_buffers(b), i < 8, "column {i}");
+        }
+        assert_eq!(db.stats().compressed_bytes_written, 0);
+    }
+
+    #[test]
+    fn writes_to_a_table_leave_tables_and_results_that_share_it_unchanged() {
+        let setup = || {
+            let db = Database::new(EngineConfig::d_swap());
+            db.create_table("a", plain_table(16)).unwrap();
+            db.create_table("c", plain_table(16)).unwrap();
+            db.execute("CREATE TABLE b AS SELECT * FROM a").unwrap();
+            db
+        };
+        let writes = [
+            "UPDATE a SET s = s + 1.0, c4 = c4 * 2 WHERE c1 < 4.0",
+            "UPDATE a SET c3 = c3 + 1",
+            "SWAP COLUMN a.s WITH c.c1",
+            "CREATE OR REPLACE TABLE a AS SELECT c1, c2, \
+             CASE WHEN c1 < 4.0 THEN s - 1.0 ELSE s END AS s FROM a",
+            "DROP TABLE a",
+        ];
+        for sql in writes {
+            let db = setup();
+            let kept = db.query("SELECT * FROM a").unwrap();
+            let (b, a) = (db.snapshot("b").unwrap(), db.snapshot("a").unwrap());
+            for (x, y) in b
+                .columns
+                .iter()
+                .zip(&a.columns)
+                .chain(kept.columns.iter().zip(&a.columns))
+            {
+                assert!(x.shares_buffers(y), "{sql}: shared before the write");
+            }
+            let (b_before, kept_before) = (bits(&b), bits(&kept));
+            db.execute(sql).unwrap();
+            assert_eq!(bits(&db.snapshot("b").unwrap()), b_before, "{sql}: b moved");
+            assert_eq!(bits(&kept), kept_before, "{sql}: a kept result moved");
+            assert_eq!(bits(&b), b_before, "{sql}: a kept snapshot moved");
+        }
     }
 
     #[test]
@@ -1385,13 +1489,18 @@ mod tests {
             .map(|c| wide.column(None, c).unwrap().byte_size())
             .sum();
         assert_eq!(db.stats().interop_bytes_copied - before, named as u64);
-        // A full snapshot still copies everything.
+        // A full snapshot still copies everything, into buffers of its own.
         let before = db.stats().interop_bytes_copied;
-        assert_eq!(db.snapshot("wide").unwrap(), wide);
+        let copied = db.snapshot("wide").unwrap();
+        assert_eq!(copied, wide);
         assert_eq!(
             db.stats().interop_bytes_copied - before,
             wide.byte_size() as u64
         );
+        let external = db.external("wide").unwrap();
+        for (m, c) in copied.meta.iter().zip(&copied.columns) {
+            assert!(!c.shares_buffers(&external.column(&m.name).unwrap()));
+        }
     }
 
     #[test]

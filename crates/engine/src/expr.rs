@@ -16,6 +16,7 @@ use std::cell::{OnceCell, RefCell};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use joinboost_sql::ast::{BinaryOp, Expr, Query, UnaryOp, Value};
 
@@ -183,7 +184,8 @@ impl<'t, 'a> Scope<'t, 'a> {
     }
 }
 
-/// Vectorized evaluation of `expr` over all rows of `table`.
+/// Vectorized evaluation of `expr` over all rows of `table`; a column
+/// reference comes back sharing the table's buffer.
 pub fn eval<'a>(expr: &'a Expr, table: &Table, ctx: &EvalContext<'a>) -> Result<Column> {
     Ok(Scope::new(expr, table, ctx).column(expr)?.into_owned())
 }
@@ -725,8 +727,8 @@ fn broadcast_literal(v: &Value, n: usize) -> Column {
         Value::Float(x) => Column::float(vec![*x; n]),
         Value::Str(s) => Column::str(vec![s.clone(); n]),
         Value::Null => Column {
-            data: ColumnData::Float(vec![0.0; n]),
-            validity: Some(vec![false; n]),
+            data: ColumnData::Float(Arc::new(vec![0.0; n])),
+            validity: Some(Arc::new(vec![false; n])),
         },
     }
 }
@@ -755,14 +757,15 @@ enum Merged {
 }
 
 impl CaseMerge {
-    /// Start from the `ELSE` column (`None`: NULL) over `n` rows.
+    /// Start from the `ELSE` column (`None`: NULL) over `n` rows; branches
+    /// blend into its values in place, so a buffer it shares is copied.
     pub(crate) fn new(default: Option<Column>, n: usize) -> CaseMerge {
         let out = match default {
             None => Merged::Datums(vec![Datum::Null; n]),
             // (An empty result has no values to infer a type from.)
             Some(c) => match (c.data, c.validity) {
-                (ColumnData::Int(v), None) if n > 0 => Merged::Int(v),
-                (ColumnData::Float(v), None) if n > 0 => Merged::Float(v),
+                (ColumnData::Int(v), None) if n > 0 => Merged::Int(Arc::unwrap_or_clone(v)),
+                (ColumnData::Float(v), None) if n > 0 => Merged::Float(Arc::unwrap_or_clone(v)),
                 (data, validity) => {
                     let c = Column { data, validity };
                     Merged::Datums((0..n).map(|i| c.get(i)).collect())
@@ -945,14 +948,22 @@ impl Scope<'_, '_> {
                 ..
             } => {
                 let set = self.ctx.subquery_set(self.ctx.slot(expr).1)?;
-                let v = self.eval_row(probe, row)?;
-                if v.is_null() {
+                // The same set the columnar mode probes, asked about one
+                // row: of the column the probe names, else of a one-row
+                // column of its value.
+                let (col, at) = match &**probe {
+                    Expr::Column { table: q, name } => {
+                        (Cow::Borrowed(self.table.column(q.as_deref(), name)?), row)
+                    }
+                    _ => (
+                        Cow::Owned(Column::from_datums(&[self.eval_row(probe, row)?])),
+                        0,
+                    ),
+                };
+                if !col.is_valid(at) {
                     return Ok(Datum::Null);
                 }
-                // The same set the columnar mode probes, asked one value at
-                // a time.
-                let probe = Column::from_datums(std::slice::from_ref(&v));
-                let hit = set.probe(&[&probe]).contains(0);
+                let hit = set.probe(&[&col]).contains(at);
                 Ok(Datum::Int((hit != *negated) as i64))
             }
             Expr::InList {

@@ -5,10 +5,9 @@
 //! slows aggregation by ~1.6×) but residual updates become an O(1) column
 //! pointer replacement. [`ExternalTable`] reproduces both properties: a
 //! scan deep-copies every column it reads into the engine
-//! ([`ExternalTable::copy_in_columns`])
-//! while [`ExternalTable::replace_column`] swaps an `Arc` pointer.
-
-use std::sync::Arc;
+//! ([`ExternalTable::copy_in_columns`]) — a real copy, where a scan of
+//! the engine's own storage shares its buffers — while
+//! [`ExternalTable::replace_column`] moves the new column in, O(1).
 
 use parking_lot::RwLock;
 
@@ -19,7 +18,7 @@ use crate::table::{ColumnMeta, Table};
 /// A table held outside the engine in plain uncompressed arrays.
 pub struct ExternalTable {
     names: Vec<String>,
-    columns: RwLock<Vec<Arc<Column>>>,
+    columns: RwLock<Vec<Column>>,
 }
 
 impl ExternalTable {
@@ -27,7 +26,7 @@ impl ExternalTable {
     pub fn from_table(t: &Table) -> ExternalTable {
         ExternalTable {
             names: t.meta.iter().map(|m| m.name.clone()).collect(),
-            columns: RwLock::new(t.columns.iter().map(|c| Arc::new(c.clone())).collect()),
+            columns: RwLock::new(t.columns.iter().map(Column::deep_copy).collect()),
         }
     }
 
@@ -41,7 +40,7 @@ impl ExternalTable {
         &self.names
     }
 
-    /// Copy the arrays at the given storage positions into an engine
+    /// Deep-copy the arrays at the given storage positions into an engine
     /// table — the interop cost a scan that reads those columns pays — as
     /// of one moment (no column replacement lands between two of them).
     /// Returns the table and the number of bytes copied.
@@ -49,7 +48,7 @@ impl ExternalTable {
         let cols = self.columns.read();
         let mut t = Table::new();
         for &i in positions {
-            t.push_column(ColumnMeta::new(self.names[i].clone()), (*cols[i]).clone());
+            t.push_column(ColumnMeta::new(self.names[i].clone()), cols[i].deep_copy());
         }
         let bytes = t.byte_size();
         (t, bytes)
@@ -76,18 +75,18 @@ impl ExternalTable {
                 cols[idx].len()
             )));
         }
-        cols[idx] = Arc::new(col);
+        cols[idx] = col;
         Ok(())
     }
 
-    /// Read one column (cheap Arc clone; used by swap).
-    pub fn column_arc(&self, name: &str) -> Result<Arc<Column>> {
+    /// One column, sharing the external arrays (O(1); used by swap).
+    pub fn column(&self, name: &str) -> Result<Column> {
         let idx = self
             .names
             .iter()
             .position(|n| n.eq_ignore_ascii_case(name))
             .ok_or_else(|| EngineError::UnknownColumn(name.to_string()))?;
-        Ok(Arc::clone(&self.columns.read()[idx]))
+        Ok(self.columns.read()[idx].clone())
     }
 }
 

@@ -17,6 +17,7 @@
 //! for `ORDER BY .. LIMIT k`).
 
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 use crate::column::{canonical_f64_bits, Column, ColumnData};
 use crate::mask::{null_bits, pack, pack_slice};
@@ -166,7 +167,7 @@ fn int_range(cols: &[&Column]) -> Option<(i64, i64)> {
     let mut any = false;
     for c in cols {
         if let ColumnData::Int(v) = &c.data {
-            for &x in v {
+            for &x in v.iter() {
                 lo = lo.min(x);
                 hi = hi.max(x);
                 any = true;
@@ -276,7 +277,7 @@ impl KeyCodec {
             let mut v = vec![false; n];
             for c in cols {
                 if let Some(val) = &c.validity {
-                    for (slot, ok) in v.iter_mut().zip(val) {
+                    for (slot, ok) in v.iter_mut().zip(val.iter()) {
                         *slot |= !ok;
                     }
                 }
@@ -293,12 +294,14 @@ impl KeyCodec {
                         (PackedField::Int { min, shift, .. }, ColumnData::Int(v)) => {
                             match &c.validity {
                                 None => {
-                                    for (k, &x) in keys.iter_mut().zip(v) {
+                                    for (k, &x) in keys.iter_mut().zip(v.iter()) {
                                         *k |= ((x.wrapping_sub(*min) as u64) + 1) << shift;
                                     }
                                 }
                                 Some(val) => {
-                                    for ((k, &x), &ok) in keys.iter_mut().zip(v).zip(val) {
+                                    for ((k, &x), &ok) in
+                                        keys.iter_mut().zip(v.iter()).zip(val.iter())
+                                    {
                                         if ok {
                                             *k |= ((x.wrapping_sub(*min) as u64) + 1) << shift;
                                         }
@@ -309,12 +312,14 @@ impl KeyCodec {
                         (PackedField::Dict { shift }, ColumnData::Str { codes, .. }) => {
                             match &c.validity {
                                 None => {
-                                    for (k, &code) in keys.iter_mut().zip(codes) {
+                                    for (k, &code) in keys.iter_mut().zip(codes.iter()) {
                                         *k |= (code as u64 + 1) << shift;
                                     }
                                 }
                                 Some(val) => {
-                                    for ((k, &code), &ok) in keys.iter_mut().zip(codes).zip(val) {
+                                    for ((k, &code), &ok) in
+                                        keys.iter_mut().zip(codes.iter()).zip(val.iter())
+                                    {
                                         if ok {
                                             *k |= (code as u64 + 1) << shift;
                                         }
@@ -855,14 +860,14 @@ fn pack_probe_row(fields: &[PackedField], cols: &[&Column], row: usize) -> Optio
 
 enum SortField {
     /// Numeric values (ints widened to f64, matching `Datum::sql_cmp`).
-    Num(Vec<f64>),
+    Num(Arc<Vec<f64>>),
     /// Per-row dictionary ranks: rank order == lexicographic string order.
     StrRank(Vec<u32>),
 }
 
 struct SortCol {
     field: SortField,
-    valid: Option<Vec<bool>>,
+    valid: Option<Arc<Vec<bool>>>,
     desc: bool,
 }
 
@@ -873,7 +878,7 @@ pub struct SortKeys {
 }
 
 impl SortKeys {
-    /// Consumes the sort columns so the Float fast path moves its data
+    /// Consumes the sort columns so the Float fast path shares its data
     /// instead of copying (callers build them solely for this).
     pub fn new(cols: Vec<Column>, descs: &[bool]) -> SortKeys {
         let cols = cols
@@ -882,7 +887,9 @@ impl SortKeys {
             .map(|(c, &desc)| {
                 let valid = c.validity;
                 let field = match c.data {
-                    ColumnData::Int(v) => SortField::Num(v.iter().map(|&x| x as f64).collect()),
+                    ColumnData::Int(v) => {
+                        SortField::Num(Arc::new(v.iter().map(|&x| x as f64).collect()))
+                    }
                     ColumnData::Float(v) => SortField::Num(v),
                     ColumnData::Str { dict, codes } => {
                         // Rank dictionary entries; equal strings (duplicate

@@ -4,6 +4,8 @@
 //! output word without a data-dependent branch, and `AND`/`OR`/`NOT` are
 //! word operations.
 
+use std::sync::Arc;
+
 use crate::column::{Column, ColumnData};
 
 /// Bits of `n` rows, 64 per word: row `i` is bit `i & 63` of word `i >> 6`.
@@ -41,7 +43,7 @@ pub(crate) fn pack_pair<A: Copy, B: Copy>(a: &[A], b: &[B], f: impl Fn(A, B) -> 
 
 /// The NULL rows of `c` as bits; `None` when it has none.
 pub(crate) fn null_bits(c: &Column) -> Option<Vec<u64>> {
-    (c.null_count() > 0).then(|| pack_slice(c.validity.as_deref().unwrap_or(&[]), |v| !v))
+    (c.null_count() > 0).then(|| pack_slice(c.validity.as_deref().map_or(&[], |v| &v[..]), |v| !v))
 }
 
 /// The bits of the rows of the last word that exist (all of a full word).
@@ -187,9 +189,9 @@ impl Mask {
     pub(crate) fn into_column(self) -> Column {
         let values = (0..self.len).map(|i| self.is_true(i) as i64).collect();
         Column {
-            data: ColumnData::Int(values),
+            data: ColumnData::Int(Arc::new(values)),
             validity: (self.null_bits.as_ref())
-                .map(|_| (0..self.len).map(|i| !self.is_null(i)).collect()),
+                .map(|_| Arc::new((0..self.len).map(|i| !self.is_null(i)).collect())),
         }
     }
 

@@ -14,6 +14,8 @@
 //! truncated or bit-flipped input produces an [`EngineError`] — never a
 //! panic, never an attempt to allocate more than the buffer can justify.
 
+use std::sync::Arc;
+
 use crate::column::{Column, ColumnData};
 use crate::error::{EngineError, Result};
 use crate::table::{ColumnMeta, Table};
@@ -173,7 +175,7 @@ pub fn encode_stored_column(out: &mut Vec<u8>, col: &Column) {
     out.extend_from_slice(&base.to_le_bytes());
     out.push(bits as u8);
     let (mut acc, mut fill) = (0u64, 0u32);
-    for &x in v {
+    for &x in v.iter() {
         let d = x.wrapping_sub(base) as u64;
         acc |= d << fill;
         fill += bits;
@@ -216,25 +218,25 @@ pub fn encode_column(out: &mut Vec<u8>, col: &Column) {
         ColumnData::Int(v) => {
             out.push(TAG_INT);
             put_u64(out, v.len() as u64);
-            for &x in v {
+            for &x in v.iter() {
                 out.extend_from_slice(&x.to_le_bytes());
             }
         }
         ColumnData::Float(v) => {
             out.push(TAG_FLOAT);
             put_u64(out, v.len() as u64);
-            for &x in v {
+            for &x in v.iter() {
                 put_u64(out, x.to_bits());
             }
         }
         ColumnData::Str { dict, codes } => {
             out.push(TAG_STR);
             put_u64(out, dict.len() as u64);
-            for s in dict {
+            for s in dict.iter() {
                 put_string(out, s);
             }
             put_u64(out, codes.len() as u64);
-            for &c in codes {
+            for &c in codes.iter() {
                 put_u32(out, c);
             }
         }
@@ -270,16 +272,16 @@ pub fn decode_column(r: &mut ByteReader<'_>) -> Result<Column> {
             for _ in 0..n {
                 v.push(r.i64()?);
             }
-            ColumnData::Int(v)
+            ColumnData::Int(Arc::new(v))
         }
-        TAG_INT_PACKED => ColumnData::Int(decode_packed(r)?),
+        TAG_INT_PACKED => ColumnData::Int(Arc::new(decode_packed(r)?)),
         TAG_FLOAT => {
             let n = r.count(8, "float rows")?;
             let mut v = Vec::with_capacity(n);
             for _ in 0..n {
                 v.push(f64::from_bits(r.u64()?));
             }
-            ColumnData::Float(v)
+            ColumnData::Float(Arc::new(v))
         }
         TAG_STR => {
             let dn = r.count(4, "dict entries")?;
@@ -296,7 +298,10 @@ pub fn decode_column(r: &mut ByteReader<'_>) -> Result<Column> {
                 }
                 codes.push(c);
             }
-            ColumnData::Str { dict, codes }
+            ColumnData::Str {
+                dict: Arc::new(dict),
+                codes: Arc::new(codes),
+            }
         }
         _ => return Err(corrupt("unknown data tag")),
     };
@@ -309,11 +314,11 @@ pub fn decode_column(r: &mut ByteReader<'_>) -> Result<Column> {
         0 => None,
         1 => {
             let packed = r.take(rows.div_ceil(8))?;
-            Some(
+            Some(Arc::new(
                 (0..rows)
                     .map(|i| packed[i / 8] & (1 << (i % 8)) != 0)
                     .collect(),
-            )
+            ))
         }
         _ => return Err(corrupt("unknown validity tag")),
     };

@@ -16,6 +16,8 @@
 //!   (a column is run-length encoded only when that is smaller) and
 //!   snapshot back bit-exactly.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use joinboost_engine::column::ColumnData;
@@ -35,10 +37,11 @@ use joinboost_engine::{Column, Database, Table};
 /// the codec must carry whatever the engine might hand it.
 fn arb_column(rows: usize) -> impl Strategy<Value = Column> {
     let data = prop_oneof![
-        prop::collection::vec(any::<i64>(), rows).prop_map(ColumnData::Int),
-        arb_narrow_ints(rows).prop_map(ColumnData::Int),
-        prop::collection::vec(any::<u64>(), rows)
-            .prop_map(|v| ColumnData::Float(v.into_iter().map(f64::from_bits).collect())),
+        prop::collection::vec(any::<i64>(), rows).prop_map(|v| ColumnData::Int(v.into())),
+        arb_narrow_ints(rows).prop_map(|v| ColumnData::Int(v.into())),
+        prop::collection::vec(any::<u64>(), rows).prop_map(|v| {
+            ColumnData::Float(Arc::new(v.into_iter().map(f64::from_bits).collect()))
+        }),
         (
             prop::collection::vec("[a-z]{0,4}", 1..4),
             prop::collection::vec(any::<u32>(), rows)
@@ -46,8 +49,8 @@ fn arb_column(rows: usize) -> impl Strategy<Value = Column> {
             .prop_map(|(dict, codes)| {
                 let n = dict.len() as u32;
                 ColumnData::Str {
-                    dict,
-                    codes: codes.into_iter().map(|c| c % n).collect(),
+                    dict: dict.into(),
+                    codes: Arc::new(codes.into_iter().map(|c| c % n).collect()),
                 }
             }),
     ];
@@ -55,7 +58,10 @@ fn arb_column(rows: usize) -> impl Strategy<Value = Column> {
         data,
         prop::option::of(prop::collection::vec(any::<bool>(), rows)),
     )
-        .prop_map(|(data, validity)| Column { data, validity })
+        .prop_map(|(data, validity)| Column {
+            data,
+            validity: validity.map(Arc::new),
+        })
 }
 
 /// Ints spanning fewer than `2^k` values for a random `k` in 0..64 (0 is
@@ -309,7 +315,7 @@ fn special_floats_roundtrip_bit_exactly() {
     let _ = std::fs::remove_dir_all(&dir);
     match &back.data {
         ColumnData::Float(v) => {
-            for (a, b) in specials.iter().zip(v) {
+            for (a, b) in specials.iter().zip(v.iter()) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
