@@ -44,9 +44,11 @@ pub(crate) enum StoredColumn {
 impl StoredColumn {
     /// Store `col`, run-length encoding it when `rle` allows and the
     /// encoded form's [`CompressedColumn::byte_size`] is smaller than
-    /// [`Column::byte_size`]. The runs are counted in one pass without
-    /// allocating; a column kept plain is moved in with its buffers,
-    /// which stay shared with any table or result that holds them.
+    /// [`Column::byte_size`]. The runs are counted without allocating,
+    /// as inequalities of neighbouring values over the column's typed
+    /// slices (the count equals the pairs [`compress`] would emit); a
+    /// column kept plain is moved in with its buffers, which stay shared
+    /// with any table or result that holds them.
     pub fn new(col: Column, rle: bool) -> StoredColumn {
         if rle && rle_byte_size(&col) < col.byte_size() {
             StoredColumn::Rle(compress(&col))
@@ -101,30 +103,29 @@ fn rle<T: Copy + PartialEq>(values: impl Iterator<Item = T>) -> Vec<(T, u32)> {
     runs
 }
 
-/// How many pairs [`rle`] would emit, without building them.
-fn run_count<T: Copy + PartialEq>(values: impl Iterator<Item = T>) -> usize {
-    let mut runs = 0;
-    let mut last: Option<(T, u32)> = None;
-    for v in values {
-        match &mut last {
-            Some((l, n)) if *l == v && *n < u32::MAX => *n += 1,
-            _ => {
-                last = Some((v, 1));
-                runs += 1;
-            }
-        }
-    }
-    runs
+/// How many pairs [`rle`] would emit over `v`, its values compared
+/// through `key`: the first row, plus each row whose key differs from
+/// the row before: neighbours compared with no branch per row. Row
+/// ids are `u32`, so no run reaches the `u32::MAX` at which [`rle`]
+/// would split it.
+fn run_count<T: Copy, K: PartialEq>(v: &[T], key: impl Fn(T) -> K) -> usize {
+    debug_assert!(v.len() < u32::MAX as usize);
+    let changes: usize = (v.iter().zip(v.iter().skip(1)))
+        .map(|(&a, &b)| usize::from(key(a) != key(b)))
+        .sum();
+    usize::from(!v.is_empty()) + changes
 }
 
-/// [`CompressedColumn::byte_size`] of `compress(col)`.
+/// [`CompressedColumn::byte_size`] of `compress(col)`, from run counts
+/// over the column's slices: values (Float by bit pattern), Str codes
+/// and validity.
 fn rle_byte_size(col: &Column) -> usize {
     let (runs, dict) = match &col.data {
-        ColumnData::Int(v) => (run_count(v.iter().copied()), None),
-        ColumnData::Float(v) => (run_count(v.iter().map(|x| x.to_bits())), None),
-        ColumnData::Str { dict, codes } => (run_count(codes.iter().copied()), Some(&dict[..])),
+        ColumnData::Int(v) => (run_count(v, |x| x), None),
+        ColumnData::Float(v) => (run_count(v, f64::to_bits), None),
+        ColumnData::Str { dict, codes } => (run_count(codes, |c| c), Some(&dict[..])),
     };
-    let validity_runs = (col.validity.as_ref()).map(|v| run_count(v.iter().copied()));
+    let validity_runs = (col.validity.as_ref()).map(|v| run_count(v, |b| b));
     encoded_bytes(runs, dict, validity_runs)
 }
 
@@ -222,6 +223,76 @@ mod tests {
         let cc = compress(&c);
         assert_eq!(cc.runs.len(), 1);
         assert!(cc.byte_size() < c.byte_size() / 100);
+    }
+
+    /// How many `(bits, run_len)` pairs `compress` emits over `v`.
+    fn pairs<T: Copy, K: Copy + PartialEq>(v: &[T], key: impl Fn(T) -> K) -> usize {
+        rle(v.iter().map(|&x| key(x))).len()
+    }
+
+    #[test]
+    fn run_counts_equal_the_pairs_rle_emits_and_pick_the_same_encoding() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut random = move |m: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % m
+        };
+        // Empty, one row, constant, alternating, runs of two, random.
+        let shapes: Vec<Vec<u64>> = vec![
+            vec![],
+            vec![3],
+            vec![5; 1000],
+            (0..1000).map(|i| i % 2).collect(),
+            (0..1000).map(|i| i / 2 % 3).collect(),
+            (0..1000).map(|_| random(4)).collect(),
+            (0..1000).map(|_| random(1 << 40)).collect(),
+        ];
+        // Two NaN payloads, and `-0.0` beside `0.0`: distinct bit patterns.
+        let other_nan = f64::from_bits(f64::NAN.to_bits() | 1);
+        let floats = [0.0, -0.0, f64::NAN, other_nan, 1.5];
+        let mut columns = Vec::new();
+        for shape in shapes {
+            let ints: Vec<i64> = shape.iter().map(|&x| x as i64 - 2).collect();
+            let fl: Vec<f64> = shape.iter().map(|&x| floats[x as usize % 5]).collect();
+            let codes: Vec<u32> = shape.iter().map(|&x| x as u32 % 7).collect();
+            let valid: Vec<bool> = shape.iter().map(|&x| x % 3 != 0).collect();
+            assert_eq!(run_count(&ints, |x| x), pairs(&ints, |x| x));
+            assert_eq!(run_count(&fl, f64::to_bits), pairs(&fl, f64::to_bits));
+            assert_eq!(run_count(&codes, |c| c), pairs(&codes, |c| c));
+            assert_eq!(run_count(&valid, |b| b), pairs(&valid, |b| b));
+            let dict: Vec<String> = (0..7).map(|i| format!("s{i}")).collect();
+            let strs = Column::str(codes.iter().map(|&c| dict[c as usize].clone()).collect());
+            let nullable = Column {
+                validity: Some(Arc::new(valid)),
+                ..Column::int(ints.clone())
+            };
+            columns.extend([Column::int(ints), Column::float(fl), strs, nullable]);
+        }
+        // Runs of `0.0, -0.0` and of one NaN payload: by value the first
+        // would compress and the second would not; by bits it is the
+        // other way round.
+        columns.push(Column::float((0..500).map(|i| floats[i % 2]).collect()));
+        columns.push(Column::float(vec![f64::NAN; 500]));
+        let mut encodings = [0, 0];
+        for col in columns {
+            let cc = compress(&col);
+            assert_eq!(rle_byte_size(&col), cc.byte_size(), "{col:?}");
+            let want_rle = cc.byte_size() < col.byte_size();
+            match StoredColumn::new(col.clone(), true) {
+                StoredColumn::Rle(stored) => {
+                    assert!(want_rle);
+                    assert_eq!(stored, cc);
+                    encodings[1] += 1;
+                }
+                StoredColumn::Plain(_) => {
+                    assert!(!want_rle);
+                    encodings[0] += 1;
+                }
+            }
+        }
+        assert!(encodings.iter().all(|&k| k > 0), "both encodings chosen");
     }
 
     #[test]

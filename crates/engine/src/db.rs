@@ -1671,6 +1671,102 @@ mod tests {
     }
 
     #[test]
+    fn window_sums_share_one_sort_per_key_with_ties_nulls_and_nans_in_order() {
+        use Datum::{Float as F, Null};
+        let t = Table::from_columns(vec![
+            (
+                "k",
+                Column::from_datums(&[F(2.0), Null, F(1.0), F(f64::NAN), F(2.0), F(3.0), Null]),
+            ),
+            (
+                "j",
+                Column::from_datums(&[
+                    Datum::Int(3),
+                    Datum::Int(1),
+                    Null,
+                    Datum::Int(1),
+                    Datum::Int(2),
+                    Datum::Int(3),
+                    Datum::Int(0),
+                ]),
+            ),
+            (
+                "v",
+                Column::float(vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]),
+            ),
+            (
+                "w",
+                Column::from_datums(&[F(10.0), Null, F(40.0), F(80.0), F(160.0), Null, F(640.0)]),
+            ),
+        ]);
+        // Two nodes over `k`, one over `j`. Order by `k`: rows 2 (1.0),
+        // 0 (2.0), 3 (NaN, equal to every key, so it stays between the
+        // 2.0s it comes between in row order), 4 (2.0, after the tied row
+        // 0), 5 (3.0), then the NULLs 1 and 6 last, in row order. Order by
+        // `j`: rows 6, 1, 3 (tied with 1), 4, 0, 5 (tied with 0), then 2
+        // (NULL). A NULL `w` adds nothing to its running sum.
+        let want = [
+            ("sv", [5.0, 63.0, 4.0, 13.0, 29.0, 61.0, 127.0]),
+            ("sw", [50.0, 290.0, 40.0, 130.0, 290.0, 290.0, 930.0]),
+            ("jv", [91.0, 66.0, 127.0, 74.0, 90.0, 123.0, 64.0]),
+        ];
+        for (mode, db) in both_modes(&[("t", t)]) {
+            let t = db
+                .query(
+                    "SELECT SUM(v) OVER (ORDER BY k) AS sv, SUM(w) OVER (ORDER BY k) AS sw, \
+                     SUM(v) OVER (ORDER BY j) AS jv FROM t",
+                )
+                .unwrap();
+            for (name, sums) in &want {
+                let got = t.column(None, name).unwrap();
+                let got: Vec<Datum> = (0..got.len()).map(|i| got.get(i)).collect();
+                assert_eq!(got, sums.map(F), "{name} {mode:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn arithmetic_result_type_comes_from_the_operand_types() {
+        use Datum::{Float as F, Int as I, Null};
+        let db = Database::in_memory();
+        db.create_table(
+            "t",
+            Table::from_columns(vec![
+                ("a", Column::int(vec![1, 2, 3])),
+                ("c", Column::from_datums(&[I(10), Null, Null])),
+                ("f", Column::float(vec![0.5, 0.0, 2.0])),
+            ]),
+        )
+        .unwrap();
+        let ints: [(&str, &[Datum]); 5] = [
+            ("a + c FROM t", &[I(11), Null, Null]),
+            ("a + c FROM t WHERE c IS NULL", &[Null, Null]),
+            ("a * c FROM t WHERE a = 2", &[Null]),
+            ("a - c FROM t WHERE a > 9", &[]),
+            ("c - 1 FROM t WHERE c IS NULL", &[Null, Null]),
+        ];
+        let floats: [(&str, &[Datum]); 6] = [
+            ("a / c FROM t WHERE c IS NULL", &[Null, Null]),
+            ("c / a FROM t", &[F(10.0), Null, Null]),
+            ("a / f FROM t", &[F(2.0), Null, F(1.5)]),
+            ("a / 0 FROM t", &[Null, Null, Null]),
+            ("c + f FROM t", &[F(10.5), Null, Null]),
+            ("c * f FROM t WHERE c IS NULL", &[Null, Null]),
+        ];
+        // `+ - *` of two `Int`s is `Int` whether or not a row is NULL; `/`
+        // and a `Float` operand make `Float`, and a zero divisor is NULL.
+        let cases = (ints.iter().map(|c| (c, DataType::Int)))
+            .chain(floats.iter().map(|c| (c, DataType::Float)));
+        for ((sql, want), dtype) in cases {
+            let t = db.query(&format!("SELECT {sql}")).unwrap();
+            let col = &t.columns[0];
+            assert_eq!(col.dtype(), dtype, "SELECT {sql}");
+            let got: Vec<Datum> = (0..col.len()).map(|i| col.get(i)).collect();
+            assert_eq!(got, *want, "SELECT {sql}");
+        }
+    }
+
+    #[test]
     fn negating_i64_min_wraps_in_both_modes() {
         let t = Table::from_columns(vec![
             ("a", Column::int(vec![i64::MIN, 5])),

@@ -12,7 +12,7 @@ use crate::agg::{self, PreparedAgg};
 use crate::column::Column;
 use crate::db::{Database, ExecMode};
 use crate::error::{EngineError, Result};
-use crate::expr::{eval, eval_mask, eval_rows, EvalContext, Slots, SubqueryRunner};
+use crate::expr::{eval, eval_all, eval_mask, eval_rows, EvalContext, Slots, SubqueryRunner};
 use crate::keys::{group_rows, JoinIndex, KeySet, SortKeys};
 use crate::mask::Mask;
 use crate::plan::{bind_query, Output, QueryPlan, Source, Step};
@@ -218,6 +218,13 @@ impl Database {
         input: &Table,
         ctx: &EvalContext<'p>,
     ) -> Result<Table> {
+        // Every item is evaluated in one scope, so window nodes over one
+        // `ORDER BY` key share its sort.
+        let exprs: Vec<&Expr> = (items.iter())
+            .map(|(_, e)| *e)
+            .filter(|e| !matches!(e, Expr::Wildcard))
+            .collect();
+        let mut cols = eval_all(&exprs, input, ctx, self.config().exec)?.into_iter();
         let mut out = Table::new();
         for (name, e) in items {
             if matches!(e, Expr::Wildcard) {
@@ -227,7 +234,7 @@ impl Database {
                 }
                 continue;
             }
-            let col = self.eval(e, input, ctx)?;
+            let col = cols.next().expect("one column per expression item");
             out.push_column(ColumnMeta::new(name.clone()), col);
         }
         Ok(out)

@@ -22,8 +22,9 @@ use joinboost_sql::ast::{BinaryOp, Expr, Query, UnaryOp, Value};
 
 use crate::column::{canonical_f64_bits, Column, ColumnData};
 use crate::datum::Datum;
+use crate::db::ExecMode;
 use crate::error::{EngineError, Result};
-use crate::keys::KeySet;
+use crate::keys::{KeySet, SortKeys};
 use crate::mask::{for_each_set, null_bits, pack_pair, pack_slice, Mask};
 use crate::table::Table;
 
@@ -35,9 +36,11 @@ pub trait SubqueryRunner {
 }
 
 /// The slots a statement's expressions are bound to: one per distinct
-/// `IN (SELECT ..)` subquery, whose key set the statement builds once, and
-/// one per distinct `IN` or window node, whose mask or column an evaluation
-/// over one table computes once. Likeness is decided by structure when a
+/// `IN (SELECT ..)` subquery, whose key set the statement builds once; one
+/// per distinct `IN` or window node, whose mask or column an evaluation
+/// over one table computes once; and one per distinct window `ORDER BY`
+/// key, whose sort permutation an evaluation computes once for every
+/// window node over that key. Likeness is decided by structure when a
 /// node is bound; evaluation finds a node by its address, which the `'s`
 /// borrow keeps from being reused while the slots live.
 #[derive(Clone, Default)]
@@ -48,8 +51,10 @@ pub struct Slots<'s> {
     sets: Vec<OnceCell<Rc<KeySet>>>,
     /// The distinct `IN (SELECT ..)` and window nodes.
     nodes: Vec<&'s Expr>,
+    /// The distinct window `ORDER BY` keys.
+    orders: Vec<&'s Expr>,
     /// Each bound node's address: its node slot and, for an `IN`, its
-    /// subquery slot.
+    /// subquery slot or, for a window, its order slot.
     index: HashMap<*const Expr, (usize, usize)>,
 }
 
@@ -59,16 +64,18 @@ impl<'s> Slots<'s> {
         for e in exprs {
             e.walk(&mut |node| {
                 let key: *const Expr = node;
-                let query = match node {
-                    Expr::InSubquery { query, .. } => Some(&**query),
-                    Expr::WindowSum { .. } => None,
-                    _ => return true,
-                };
-                if !self.index.contains_key(&key) {
-                    let query = query.map_or(0, |q| slot_of(&mut self.subqueries, q));
-                    self.index
-                        .insert(key, (slot_of(&mut self.nodes, node), query));
+                if !matches!(node, Expr::InSubquery { .. } | Expr::WindowSum { .. })
+                    || self.index.contains_key(&key)
+                {
+                    return true;
                 }
+                let second = match node {
+                    Expr::InSubquery { query, .. } => slot_of(&mut self.subqueries, query),
+                    Expr::WindowSum { order_by, .. } => slot_of(&mut self.orders, order_by),
+                    _ => unreachable!("matched above"),
+                };
+                self.index
+                    .insert(key, (slot_of(&mut self.nodes, node), second));
                 true
             });
         }
@@ -128,11 +135,13 @@ impl<'a> EvalContext<'a> {
 }
 
 /// One evaluation over one table, with the window column and `IN` mask
-/// of each node slot, computed when first needed.
+/// of each node slot, and the permutation of each window order slot,
+/// computed when first needed.
 struct Scope<'t, 'a> {
     table: &'t Table,
     ctx: &'t EvalContext<'a>,
     windows: Vec<OnceCell<Rc<Column>>>,
+    orders: Vec<OnceCell<Rc<Vec<u32>>>>,
     /// The residual update holds a dozen of these over the fact table
     /// until its `CASE` ends; at one bit per row they stay in cache.
     in_masks: Vec<OnceCell<Rc<Mask>>>,
@@ -148,31 +157,49 @@ fn cached<T: Clone>(cell: &OnceCell<T>, compute: impl FnOnce() -> Result<T>) -> 
 }
 
 impl<'t, 'a> Scope<'t, 'a> {
-    /// A scope for evaluating `expr`, bound first.
-    fn new(expr: &'a Expr, table: &'t Table, ctx: &'t EvalContext<'a>) -> Self {
-        ctx.slots.borrow_mut().bind([expr]);
-        let n = ctx.slots.borrow().nodes.len();
+    /// A scope for evaluating `exprs`, bound first.
+    fn new(
+        exprs: impl IntoIterator<Item = &'a Expr>,
+        table: &'t Table,
+        ctx: &'t EvalContext<'a>,
+    ) -> Self {
+        ctx.slots.borrow_mut().bind(exprs);
+        let (n, orders) = {
+            let slots = ctx.slots.borrow();
+            (slots.nodes.len(), slots.orders.len())
+        };
         Scope {
             table,
             ctx,
             windows: vec![OnceCell::new(); n],
+            orders: vec![OnceCell::new(); orders],
             in_masks: vec![OnceCell::new(); n],
         }
     }
 
+    /// `SUM(arg) OVER (ORDER BY key)`: the running sum of `arg` (NaN and
+    /// NULL rows add nothing) along the stable sort by `key`, NULLs last
+    /// and NaN equal to every value (the order of [`Datum::sql_cmp`]).
+    /// The sort runs once per distinct key in the scope, on the typed
+    /// `SortKeys` comparator that `ORDER BY` uses, and every window node
+    /// over that key shares its permutation.
     fn window_column(&self, expr: &Expr) -> Result<Rc<Column>> {
         let Expr::WindowSum { arg, order_by } = expr else {
             return Err(EngineError::Other("not a window expression".into()));
         };
-        cached(&self.windows[self.ctx.slot(expr).0], || {
+        let (node, order) = self.ctx.slot(expr);
+        cached(&self.windows[node], || {
             let vals = self.column(arg)?.to_f64_vec()?;
-            let keys = self.column(order_by)?;
             let n = vals.len();
-            let mut perm: Vec<u32> = (0..n as u32).collect();
-            perm.sort_by(|&a, &b| keys.get(a as usize).sql_cmp(&keys.get(b as usize)));
+            let perm = cached(&self.orders[order], || {
+                let keys = self.column(order_by)?.into_owned();
+                Ok(Rc::new(
+                    SortKeys::new(vec![keys], &[false]).sort_permutation(n),
+                ))
+            })?;
             let mut out = vec![0.0f64; n];
             let mut acc = 0.0;
-            for &i in &perm {
+            for &i in perm.iter() {
                 let v = vals[i as usize];
                 if !v.is_nan() {
                     acc += v;
@@ -187,12 +214,12 @@ impl<'t, 'a> Scope<'t, 'a> {
 /// Vectorized evaluation of `expr` over all rows of `table`; a column
 /// reference comes back sharing the table's buffer.
 pub fn eval<'a>(expr: &'a Expr, table: &Table, ctx: &EvalContext<'a>) -> Result<Column> {
-    Ok(Scope::new(expr, table, ctx).column(expr)?.into_owned())
+    Scope::new([expr], table, ctx).output(expr, ExecMode::Columnar)
 }
 
 /// Vectorized evaluation of the predicate `expr` over all rows of `table`.
 pub(crate) fn eval_mask<'a>(expr: &'a Expr, table: &Table, ctx: &EvalContext<'a>) -> Result<Mask> {
-    Scope::new(expr, table, ctx).mask(expr)
+    Scope::new([expr], table, ctx).mask(expr)
 }
 
 /// Tuple-at-a-time evaluation of `expr` over all rows of `table` (the
@@ -200,12 +227,19 @@ pub(crate) fn eval_mask<'a>(expr: &'a Expr, table: &Table, ctx: &EvalContext<'a>
 /// dispatches once per row through [`Datum`] values, which is what makes
 /// row engines slower on analytical scans.
 pub fn eval_rows<'a>(expr: &'a Expr, table: &Table, ctx: &EvalContext<'a>) -> Result<Column> {
-    let scope = Scope::new(expr, table, ctx);
-    let mut vals = Vec::with_capacity(table.num_rows());
-    for row in 0..table.num_rows() {
-        vals.push(scope.eval_row(expr, row)?);
-    }
-    Ok(Column::from_datums(&vals))
+    Scope::new([expr], table, ctx).output(expr, ExecMode::Row)
+}
+
+/// Each of `exprs` over all rows of `table`, in `mode`, in one scope: a
+/// projection's window nodes over one `ORDER BY` key share one sort.
+pub(crate) fn eval_all<'a>(
+    exprs: &[&'a Expr],
+    table: &Table,
+    ctx: &EvalContext<'a>,
+    mode: ExecMode,
+) -> Result<Vec<Column>> {
+    let scope = Scope::new(exprs.iter().copied(), table, ctx);
+    exprs.iter().map(|e| scope.output(e, mode)).collect()
 }
 
 /// A columnar value over every row of the scope's table.
@@ -253,7 +287,8 @@ impl<'a> Val<'a> {
         }
     }
 
-    /// The values of a comparison operand, whatever their validity.
+    /// The values of a comparison or arithmetic operand, whatever their
+    /// validity.
     fn operand(&self) -> Operand<'_> {
         match self {
             Val::Col(c) => match &c.data {
@@ -266,19 +301,6 @@ impl<'a> Val<'a> {
             Val::Lit(Value::Str(s)) => Operand::StrLit(s),
             Val::Lit(Value::Null) => Operand::Null,
             Val::Mask(_) => unreachable!("comparison operands are unmasked"),
-        }
-    }
-
-    /// The values of a NULL-free numeric operand.
-    fn dense(&self) -> Option<Num<'_>> {
-        match self {
-            Val::Col(c) if c.validity.is_none() => match self.operand() {
-                Operand::Num(x) => Some(x),
-                _ => None,
-            },
-            Val::Lit(Value::Int(x)) => Some(Num::Int(*x)),
-            Val::Lit(Value::Float(x)) => Some(Num::Float(*x)),
-            _ => None,
         }
     }
 }
@@ -317,6 +339,16 @@ impl Num<'_> {
 }
 
 impl<'t> Scope<'t, '_> {
+    /// `expr` over every row, as a whole column or (`Row`) one row at a
+    /// time.
+    fn output(&self, expr: &Expr, mode: ExecMode) -> Result<Column> {
+        if mode == ExecMode::Columnar {
+            return Ok(self.column(expr)?.into_owned());
+        }
+        let rows = (0..self.table.num_rows()).map(|row| self.eval_row(expr, row));
+        Ok(Column::from_datums(&rows.collect::<Result<Vec<_>>>()?))
+    }
+
     /// `expr` as a column: borrowed when it names one of the table's.
     fn column(&self, expr: &Expr) -> Result<Cow<'t, Column>> {
         Ok(self.val(expr)?.into_column(self.table.num_rows()))
@@ -526,10 +558,7 @@ fn flipped(op: BinaryOp) -> BinaryOp {
 /// A comparison over every row: NULL where either side is.
 fn compare(op: BinaryOp, l: Val, r: Val, n: usize) -> Result<Mask> {
     let (l, r) = (l.unmasked(), r.unmasked());
-    let nulls = match (l.null_bits(), r.null_bits()) {
-        (Some(a), Some(b)) => Some(a.iter().zip(&b).map(|(x, y)| x | y).collect()),
-        (a, b) => a.or(b),
-    };
+    let nulls = union_bits(l.null_bits(), r.null_bits());
     let bits = match (l.operand(), r.operand()) {
         (Operand::Null, _) | (_, Operand::Null) => return Ok(Mask::constant(n, None)),
         (Operand::Num(a), Operand::Num(b)) => compare_num(op, a, b, n),
@@ -558,6 +587,14 @@ fn compare(op: BinaryOp, l: Val, r: Val, n: usize) -> Result<Mask> {
         }
     };
     Ok(Mask::new(n, bits, nulls))
+}
+
+/// The rows set in either of two optional bitmaps.
+fn union_bits(a: Option<Vec<u64>>, b: Option<Vec<u64>>) -> Option<Vec<u64>> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.iter().zip(&b).map(|(x, y)| x | y).collect()),
+        (a, b) => a.or(b),
+    }
 }
 
 /// `dict[code] op s` per row, `s` compared with each dictionary entry once.
@@ -612,32 +649,107 @@ fn constant_bits(n: usize, value: bool) -> Vec<u64> {
 // Arithmetic
 // ---------------------------------------------------------------------------
 
+/// `l op r` over every row, on typed slices. The result's type comes
+/// from the operands' types, never from their values: `+ - *` of two
+/// `Int`s is a wrapping `Int`; any other numeric pair, and every `/`, is
+/// `Float`; a string or NULL-literal operand gives an all-NULL `Float`.
+/// The operands' validity is folded into the result's, and a zero divisor
+/// makes its row NULL too. A NULL row holds 0, and a result without NULL
+/// rows has no validity, as [`Column::from_datums`] writes them.
 fn arithmetic(op: BinaryOp, l: Val, r: Val, n: usize) -> Column {
     use BinaryOp::*;
-    if op != Div {
-        if let (Some(a), Some(b)) = (l.dense(), r.dense()) {
-            return match op {
-                Add => arithmetic_typed(a, b, n, i64::wrapping_add, |x, y| x + y),
-                Sub => arithmetic_typed(a, b, n, i64::wrapping_sub, |x, y| x - y),
-                _ => arithmetic_typed(a, b, n, i64::wrapping_mul, |x, y| x * y),
+    let (l, r) = (l.unmasked(), r.unmasked());
+    let nulls = union_bits(l.null_bits(), r.null_bits());
+    let (Operand::Num(a), Operand::Num(b)) = (l.operand(), r.operand()) else {
+        return Column {
+            data: ColumnData::Float(Arc::new(vec![0.0; n])),
+            validity: (n > 0).then(|| Arc::new(vec![false; n])),
+        };
+    };
+    match op {
+        Add => arithmetic_typed(a, b, n, nulls, i64::wrapping_add, |x, y| x + y),
+        Sub => arithmetic_typed(a, b, n, nulls, i64::wrapping_sub, |x, y| x - y),
+        Mul => arithmetic_typed(a, b, n, nulls, i64::wrapping_mul, |x, y| x * y),
+        _ => {
+            let zero = match b {
+                Num::Ints(v) => pack_slice(v, |y| y == 0),
+                Num::Floats(v) => pack_slice(v, |y| y == 0.0),
+                y => constant_bits(n, y.scalar_f64() == 0.0),
             };
+            let nulls = union_bits(nulls, Some(zero));
+            with_nulls(float_values(a, b, n, |x, y| x / y), nulls, Column::float)
         }
     }
-    // NULL-bearing operands, or `/`: row by row, as row mode computes it —
-    // an `Int` pair stays `Int`, a zero divisor is NULL.
-    let (l, r) = (l.into_column(n), r.into_column(n));
-    let ints = match (&l.data, &r.data) {
-        (ColumnData::Int(a), ColumnData::Int(b)) if op != Div => Some((a, b)),
-        _ => None,
+}
+
+/// `fi` over two `Int` operands (integers stay integers), `ff` over any
+/// other pair, widened to `f64`; NULL on the set bits of `nulls`.
+fn arithmetic_typed(
+    l: Num,
+    r: Num,
+    n: usize,
+    nulls: Option<Vec<u64>>,
+    fi: impl Fn(i64, i64) -> i64,
+    ff: impl Fn(f64, f64) -> f64,
+) -> Column {
+    use Num::*;
+    let ints = match (l, r) {
+        (Ints(a), Ints(b)) => a.iter().zip(b).map(|(&x, &y)| fi(x, y)).collect(),
+        (Ints(a), Int(y)) => a.iter().map(|&x| fi(x, y)).collect(),
+        (Int(x), Ints(b)) => b.iter().map(|&y| fi(x, y)).collect(),
+        (Int(x), Int(y)) => vec![fi(x, y); n],
+        (l, r) => return with_nulls(float_values(l, r, n, ff), nulls, Column::float),
     };
-    let out: Vec<Datum> = (0..n)
-        .map(|i| match (l.f64_at(i), r.f64_at(i), ints) {
-            (Some(_), Some(_), Some((a, b))) => Datum::Int(int_arith(op, a[i], b[i])),
-            (Some(x), Some(y), None) => float_arith(op, x, y),
-            _ => Datum::Null,
-        })
-        .collect();
-    Column::from_datums(&out)
+    with_nulls(ints, nulls, Column::int)
+}
+
+/// `ff` over every row of two numeric operands, widened to `f64`.
+fn float_values(l: Num, r: Num, n: usize, ff: impl Fn(f64, f64) -> f64) -> Vec<f64> {
+    use Num::*;
+    match (l, r) {
+        (Floats(a), Floats(b)) => a.iter().zip(b).map(|(&x, &y)| ff(x, y)).collect(),
+        (Floats(a), Ints(b)) => a.iter().zip(b).map(|(&x, &y)| ff(x, y as f64)).collect(),
+        (Ints(a), Floats(b)) => a.iter().zip(b).map(|(&x, &y)| ff(x as f64, y)).collect(),
+        (Ints(a), Ints(b)) => (a.iter().zip(b))
+            .map(|(&x, &y)| ff(x as f64, y as f64))
+            .collect(),
+        (Floats(a), y) => {
+            let y = y.scalar_f64();
+            a.iter().map(|&x| ff(x, y)).collect()
+        }
+        (Ints(a), y) => {
+            let y = y.scalar_f64();
+            a.iter().map(|&x| ff(x as f64, y)).collect()
+        }
+        (x, Floats(b)) => {
+            let x = x.scalar_f64();
+            b.iter().map(|&y| ff(x, y)).collect()
+        }
+        (x, Ints(b)) => {
+            let x = x.scalar_f64();
+            b.iter().map(|&y| ff(x, y as f64)).collect()
+        }
+        (x, y) => vec![ff(x.scalar_f64(), y.scalar_f64()); n],
+    }
+}
+
+/// `values` as a column made by `wrap`, NULL (and 0) on the set bits of
+/// `nulls`; without validity when no bit is set.
+fn with_nulls<T: Copy + Default>(
+    mut values: Vec<T>,
+    nulls: Option<Vec<u64>>,
+    wrap: fn(Vec<T>) -> Column,
+) -> Column {
+    let Some(nulls) = nulls.filter(|b| b.iter().any(|&w| w != 0)) else {
+        return wrap(values);
+    };
+    for_each_set(&nulls, |i| values[i] = T::default());
+    let n = values.len();
+    let mut col = wrap(values);
+    col.validity = Some(Arc::new(
+        (0..n).map(|i| nulls[i >> 6] >> (i & 63) & 1 == 0).collect(),
+    ));
+    col
 }
 
 /// `a op b` for `+ - *` over two integers, wrapping as the kernels do.
@@ -657,46 +769,6 @@ fn float_arith(op: BinaryOp, x: f64, y: f64) -> Datum {
         BinaryOp::Mul => Datum::Float(x * y),
         _ if y == 0.0 => Datum::Null,
         _ => Datum::Float(x / y),
-    }
-}
-
-/// `fi` over two `Int` operands (integers stay integers), `ff` over any
-/// other pair, widened to `f64`.
-fn arithmetic_typed(
-    l: Num,
-    r: Num,
-    n: usize,
-    fi: impl Fn(i64, i64) -> i64,
-    ff: impl Fn(f64, f64) -> f64,
-) -> Column {
-    use Num::*;
-    match (l, r) {
-        (Ints(a), Ints(b)) => Column::int(a.iter().zip(b).map(|(&x, &y)| fi(x, y)).collect()),
-        (Ints(a), Int(y)) => Column::int(a.iter().map(|&x| fi(x, y)).collect()),
-        (Int(x), Ints(b)) => Column::int(b.iter().map(|&y| fi(x, y)).collect()),
-        (Int(x), Int(y)) => Column::int(vec![fi(x, y); n]),
-        (l, r) => Column::float(match (l, r) {
-            (Floats(a), Floats(b)) => a.iter().zip(b).map(|(&x, &y)| ff(x, y)).collect(),
-            (Floats(a), Ints(b)) => a.iter().zip(b).map(|(&x, &y)| ff(x, y as f64)).collect(),
-            (Ints(a), Floats(b)) => a.iter().zip(b).map(|(&x, &y)| ff(x as f64, y)).collect(),
-            (Floats(a), y) => {
-                let y = y.scalar_f64();
-                a.iter().map(|&x| ff(x, y)).collect()
-            }
-            (Ints(a), y) => {
-                let y = y.scalar_f64();
-                a.iter().map(|&x| ff(x as f64, y)).collect()
-            }
-            (x, Floats(b)) => {
-                let x = x.scalar_f64();
-                b.iter().map(|&y| ff(x, y)).collect()
-            }
-            (x, Ints(b)) => {
-                let x = x.scalar_f64();
-                b.iter().map(|&y| ff(x, y as f64)).collect()
-            }
-            (x, y) => vec![ff(x.scalar_f64(), y.scalar_f64()); n],
-        }),
     }
 }
 

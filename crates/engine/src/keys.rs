@@ -772,22 +772,16 @@ impl KeyProbe<'_> {
     }
 
     /// The rows of `sel` (`None`: all `n` rows) whose key is a member, in
-    /// order. Compacts without a data-dependent branch: at the ~50 %
-    /// selectivity of a tree split a branch per row would mispredict
-    /// every other one.
+    /// order. The probe kind is chosen once, not per row: one compaction
+    /// loop is instantiated for the `DirectInt` bitmap (every `SEMI JOIN`
+    /// of a node message) and one for the general probe. Compacts without
+    /// a data-dependent branch: at the ~50 % selectivity of a tree split a
+    /// branch per row would mispredict every other one.
     pub fn select(&mut self, sel: Option<&[u32]>, n: usize) -> Vec<u32> {
-        let mut kept = vec![0u32; sel.map_or(n, <[u32]>::len)];
-        let mut len = 0;
-        let mut visit = |row: u32| {
-            kept[len] = row;
-            len += self.contains(row as usize) as usize;
-        };
-        match sel {
-            Some(sel) => sel.iter().copied().for_each(&mut visit),
-            None => (0..n as u32).for_each(&mut visit),
+        match self.direct_int {
+            Some(d) => compact(sel, n, |row| d.contains(d.vals[row as usize])),
+            None => compact(sel, n, |row| self.contains_general(row as usize)),
         }
-        kept.truncate(len);
-        kept
     }
 
     fn contains_general(&mut self, row: usize) -> bool {
@@ -829,6 +823,25 @@ impl KeyProbe<'_> {
             }
         }
     }
+}
+
+/// The rows of `sel` (`None`: `0..n`) for which `keep` holds, in order:
+/// each row is written to the next free slot, which only a kept row
+/// claims.
+#[inline(always)]
+fn compact(sel: Option<&[u32]>, n: usize, mut keep: impl FnMut(u32) -> bool) -> Vec<u32> {
+    let mut kept = vec![0u32; sel.map_or(n, <[u32]>::len)];
+    let mut len = 0;
+    let mut visit = |row: u32| {
+        kept[len] = row;
+        len += keep(row) as usize;
+    };
+    match sel {
+        Some(sel) => sel.iter().copied().for_each(&mut visit),
+        None => (0..n as u32).for_each(&mut visit),
+    }
+    kept.truncate(len);
+    kept
 }
 
 #[inline]
@@ -1062,7 +1075,19 @@ mod tests {
     fn members_of(members: &[&Column], probe: &[&Column]) -> Vec<bool> {
         let set = KeySet::build(members, members[0].len());
         let mut p = set.probe(probe);
-        let found: Vec<bool> = (0..probe[0].len()).map(|i| p.contains(i)).collect();
+        let n = probe[0].len();
+        let found: Vec<bool> = (0..n).map(|i| p.contains(i)).collect();
+        // `select` keeps exactly the rows `contains` finds, over all rows
+        // and over a selection of them.
+        let odd_rows: Vec<u32> = (1..n as u32).step_by(2).collect();
+        let hits = |rows: &[u32]| -> Vec<u32> {
+            rows.iter()
+                .copied()
+                .filter(|&r| found[r as usize])
+                .collect()
+        };
+        assert_eq!(p.select(None, n), hits(&(0..n as u32).collect::<Vec<_>>()));
+        assert_eq!(p.select(Some(&odd_rows), n), hits(&odd_rows));
         if let [col] = probe {
             // The bits `IN` reads say the same, row for row.
             let bits = set.member_bits(col);

@@ -262,26 +262,22 @@ fn encode_validity(out: &mut Vec<u8>, col: &Column) {
 }
 
 /// Decode one column written by [`encode_column`] or
-/// [`encode_stored_column`], bit-exactly.
+/// [`encode_stored_column`], bit-exactly. A plain Int, Float or Str-code
+/// image is validated by its count, taken in one checked
+/// [`ByteReader::take`] of `n·width` bytes and read chunk by chunk; Str
+/// codes are then checked against the dictionary.
 pub fn decode_column(r: &mut ByteReader<'_>) -> Result<Column> {
     let tag = r.u8()?;
     let data = match tag {
         TAG_INT => {
             let n = r.count(8, "int rows")?;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(r.i64()?);
-            }
-            ColumnData::Int(Arc::new(v))
+            ColumnData::Int(Arc::new(le_values(r.take(n * 8)?, i64::from_le_bytes)))
         }
         TAG_INT_PACKED => ColumnData::Int(Arc::new(decode_packed(r)?)),
         TAG_FLOAT => {
             let n = r.count(8, "float rows")?;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(f64::from_bits(r.u64()?));
-            }
-            ColumnData::Float(Arc::new(v))
+            let bits = |b| f64::from_bits(u64::from_le_bytes(b));
+            ColumnData::Float(Arc::new(le_values(r.take(n * 8)?, bits)))
         }
         TAG_STR => {
             let dn = r.count(4, "dict entries")?;
@@ -290,13 +286,9 @@ pub fn decode_column(r: &mut ByteReader<'_>) -> Result<Column> {
                 dict.push(r.string()?);
             }
             let cn = r.count(4, "string codes")?;
-            let mut codes = Vec::with_capacity(cn);
-            for _ in 0..cn {
-                let c = r.u32()?;
-                if c as usize >= dict.len() {
-                    return Err(corrupt("string code out of dictionary range"));
-                }
-                codes.push(c);
+            let codes = le_values(r.take(cn * 4)?, u32::from_le_bytes);
+            if codes.iter().any(|&c| c as usize >= dict.len()) {
+                return Err(corrupt("string code out of dictionary range"));
             }
             ColumnData::Str {
                 dict: Arc::new(dict),
@@ -323,6 +315,16 @@ pub fn decode_column(r: &mut ByteReader<'_>) -> Result<Column> {
         _ => return Err(corrupt("unknown validity tag")),
     };
     Ok(Column { data, validity })
+}
+
+/// The little-endian `W`-byte values of `bytes` (whose length
+/// [`ByteReader::count`] has checked and [`ByteReader::take`] has
+/// taken), each read by `f`: one pass over fixed-size chunks, with no
+/// bounds check per value.
+fn le_values<const W: usize, T>(bytes: &[u8], f: impl Fn([u8; W]) -> T) -> Vec<T> {
+    (bytes.chunks_exact(W))
+        .map(|b| f(b.try_into().expect("chunks are W bytes")))
+        .collect()
 }
 
 /// The values of a [`TAG_INT_PACKED`] image, read after its tag.
