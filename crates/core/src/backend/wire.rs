@@ -491,6 +491,7 @@ fn encode_engine_error(e: &EngineError, buf: &mut Vec<u8>) {
         EngineError::UnknownColumn(m) => (3, m),
         EngineError::TypeMismatch(m) => (4, m),
         EngineError::Other(m) => (5, m),
+        EngineError::Corrupt(m) => (6, m),
     };
     buf.push(tag);
     put_string(buf, msg);
@@ -506,6 +507,7 @@ fn decode_engine_error(r: &mut ByteReader<'_>) -> DecodeResult<EngineError> {
         3 => EngineError::UnknownColumn(msg),
         4 => EngineError::TypeMismatch(msg),
         5 => EngineError::Other(msg),
+        6 => EngineError::Corrupt(msg),
         _ => return Err(corrupt("unknown error tag")),
     })
 }

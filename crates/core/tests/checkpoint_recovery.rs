@@ -221,9 +221,10 @@ fn torn_checkpoint_tmp_is_ignored_and_the_previous_state_recovers() {
 }
 
 /// Crash *between* installing the new snapshot and truncating the WAL:
-/// the stale log replays on top of the fresh checkpoint. Full
-/// after-images make that idempotent, so the recovered state equals the
-/// checkpoint state exactly.
+/// the stale log replays on top of the fresh checkpoint. After-images,
+/// and references only to tables the log itself re-creates first, make
+/// that idempotent, so the recovered state equals the checkpoint state
+/// exactly.
 #[test]
 fn crash_between_snapshot_install_and_wal_truncation_is_idempotent() {
     let dir = fresh_dir("window");
@@ -248,6 +249,48 @@ fn crash_between_snapshot_install_and_wal_truncation_is_idempotent() {
     assert!(
         same_state(&recovered, &reference_state(post_script().len())),
         "stale-WAL replay over the fresh snapshot must be idempotent"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The same window when the stale log itself began at an earlier
+/// checkpoint: its statements read tables that checkpoint restored, and
+/// later ones rewrite or drop them. A column passed through from such a
+/// table is logged as an image, never as a reference: replayed over the
+/// newer snapshot, a reference would name the table's final state, or a
+/// table that is gone.
+#[test]
+fn crash_window_replay_over_a_log_that_read_checkpointed_tables() {
+    let post = [
+        "CREATE TABLE u AS SELECT * FROM t",
+        "UPDATE t SET v = v + 1.0",
+        "CREATE TABLE w AS SELECT k FROM seed",
+        "DROP TABLE seed",
+    ];
+    let dir = fresh_dir("window_refs");
+    let stale_wal;
+    {
+        let db = Database::new(paged_with_budget(&dir, None));
+        db.create_table("seed", seed_table()).unwrap();
+        for s in &pre_script() {
+            db.execute(s).unwrap();
+        }
+        db.checkpoint().unwrap();
+        for s in post {
+            db.execute(s).unwrap();
+        }
+        stale_wal = std::fs::read(dir.join("wal.log")).unwrap();
+        db.checkpoint().unwrap();
+    }
+    std::fs::write(dir.join("wal.log"), &stale_wal).unwrap();
+    let recovered = Database::new(paged_with_budget(&dir, None));
+    let reference = reference_state(0);
+    for s in post {
+        reference.execute(s).unwrap();
+    }
+    assert!(
+        same_state(&recovered, &reference),
+        "stale-WAL replay diverged"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

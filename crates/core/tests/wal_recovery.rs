@@ -27,17 +27,29 @@ fn fresh_dir(name: &str) -> std::path::PathBuf {
     dir
 }
 
-/// A deterministic mixed write script over small tables.
+/// A deterministic mixed write script over small tables. A column that
+/// a `CREATE TABLE AS` passes through is logged as a reference to the
+/// table it came from, so the script also covers references: to a table
+/// a later statement drops (`u.k` from `t`, `p.w` from `c`), a
+/// self-replace (`u`), and a copy (`c`) whose column a later `UPDATE`
+/// stops sharing with its source.
 fn script() -> Vec<String> {
-    let mut s = vec![
-        "CREATE TABLE t AS SELECT * FROM seed".to_string(),
-        "UPDATE t SET v = v * 2.0".to_string(),
-        "CREATE TABLE u AS SELECT k, v * 0.5 AS w FROM t".to_string(),
-        "UPDATE u SET w = w + 1.0 WHERE k < 40".to_string(),
-        "DROP TABLE t".to_string(),
-        "CREATE TABLE t AS SELECT k, w FROM u WHERE k < 70".to_string(),
-        "UPDATE t SET w = FLOOR(w * 8.0) / 8.0".to_string(),
-    ];
+    let mut s: Vec<String> = [
+        "CREATE TABLE t AS SELECT * FROM seed",
+        "UPDATE t SET v = v * 2.0",
+        "CREATE TABLE u AS SELECT k, v * 0.5 AS w FROM t",
+        "UPDATE u SET w = w + 1.0 WHERE k < 40",
+        "DROP TABLE t",
+        "CREATE TABLE t AS SELECT k, w FROM u WHERE k < 70",
+        "UPDATE t SET w = FLOOR(w * 8.0) / 8.0",
+        "CREATE OR REPLACE TABLE u AS SELECT k, w + 1.0 AS w FROM u",
+        "CREATE TABLE c AS SELECT * FROM u",
+        "UPDATE c SET w = w * 3.0 WHERE k > 50",
+        "CREATE TABLE p AS SELECT w, k FROM c",
+        "DROP TABLE c",
+    ]
+    .map(String::from)
+    .to_vec();
     for i in 0..4 {
         s.push(format!("UPDATE u SET w = w + {i}.0 WHERE k > {}", i * 17));
     }
@@ -199,12 +211,16 @@ fn writes_after_recovery_survive_the_next_crash() {
         assert!(db.has_table("seed"), "committed seed must survive the tear");
         db.execute("CREATE TABLE again AS SELECT k FROM seed WHERE k < 5")
             .unwrap();
+        // A copy of a table replay rebuilt is logged as references to it.
+        db.execute("CREATE TABLE copy AS SELECT * FROM seed")
+            .unwrap();
         db.simulate_crash().unwrap();
     }
     let db = Database::new(EngineConfig::paged(&dir));
     assert!(db.has_table("seed"));
     assert!(db.has_table("again"), "post-recovery write was committed");
     assert_eq!(db.row_count("again").unwrap(), 5);
+    assert_eq!(db.snapshot("copy").unwrap(), seed_table());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

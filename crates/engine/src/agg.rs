@@ -391,11 +391,7 @@ pub fn compute_grouped_spilled(
             .collect::<Result<_>>()?;
         out.push(Column::concat(&slices.iter().collect::<Vec<_>>()));
     }
-    for pcs in &spilled {
-        for pc in pcs {
-            store.free_column(pc)?;
-        }
-    }
+    // Dropping `spilled` returns the slices' pages to the free list.
     Ok(out)
 }
 

@@ -11,8 +11,10 @@
 //! `checkpoint.jbc.tmp`, fsynced, renamed over `checkpoint.jbc`, and the
 //! directory is fsynced — only then is the WAL truncated. Recovery loads
 //! the checkpoint (if any) and replays the *whole* current WAL on top;
-//! because WAL records are full after-images, replaying records that
-//! predate the checkpoint is idempotent. Every crash window is covered:
+//! because WAL records are after-images, and a record references only a
+//! table that a record of the same log created (see [`crate::wal`]),
+//! replaying records that predate the checkpoint is idempotent. Every
+//! crash window is covered:
 //!
 //! * crash while writing the tmp file — the torn tmp is ignored (and
 //!   deleted at the next open); the previous checkpoint + full WAL
@@ -201,7 +203,7 @@ mod tests {
         ]);
         let wal_path = dir.join("wal.log");
         let mut wal = crate::wal::Wal::open(&wal_path).unwrap();
-        wal.log_create_table("t", &table).unwrap();
+        wal.log_create_table("t", &table, &[]).unwrap();
         wal.flush().unwrap();
         let mut w = CheckpointWriter::create(&dir, 1).unwrap();
         w.add_table("t", &table).unwrap();

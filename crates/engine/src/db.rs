@@ -18,9 +18,9 @@ use crate::error::{EngineError, Result};
 use crate::expr::{CaseMerge, EvalContext};
 use crate::interop::ExternalTable;
 use crate::plan::{bind, Op, Plan};
-use crate::storage::{BufferPoolStats, PagedStore, PagedTable};
+use crate::storage::{BufferPoolStats, PageChain, PagedStore, PagedTable};
 use crate::table::{ColumnMeta, Table};
-use crate::wal::{self, Wal, WalRecord};
+use crate::wal::{self, ColumnRef, Wal};
 
 /// Columnar vs row-oriented execution (the paper's `X-col` vs `X-row`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,11 +134,13 @@ impl EngineConfig {
     /// is WAL-logged and commit-fsynced, and reopening the same directory
     /// recovers all committed tables by replaying the log. Results are
     /// bit-identical to [`EngineConfig::duckdb_mem`] at any pool size.
-    /// In-memory RLE compression and MVCC are off (the WAL's full images
-    /// are the versioning story here); pages, log records and checkpoints
-    /// still store each Int column bit-packed at its value width when
-    /// that is smaller. Tune `bufferpool_pages` and `agg_spill_bytes`
-    /// with struct-update syntax.
+    /// In-memory RLE compression and MVCC are off: tables share the page
+    /// chains of the columns they have in common, and the WAL logs each
+    /// new column's image once, so a column a statement passes through
+    /// costs no page writes and only a reference in the log. Pages, log
+    /// records and checkpoints store each Int column bit-packed at its
+    /// value width when that is smaller. Tune `bufferpool_pages` and
+    /// `agg_spill_bytes` with struct-update syntax.
     pub fn paged(dir: impl Into<PathBuf>) -> Self {
         EngineConfig {
             wal: true,
@@ -292,46 +294,26 @@ impl Database {
         std::fs::create_dir_all(dir)?;
         let store = PagedStore::open(dir, pool_pages)?;
         let wal_path = dir.join("wal.log");
-        let (records, committed_len, committed_records) = if wal_path.exists() {
-            wal::replay(&wal_path)?
-        } else {
-            (Vec::new(), 0, 0)
-        };
         // Start from the checkpoint snapshot, then re-apply the committed
-        // statements in log order. Full after-images make this idempotent
-        // (the last image of each table/column wins), which is what makes
-        // the checkpoint's crash windows safe: replaying a log that still
-        // contains pre-checkpoint records converges to the same state.
+        // statements in log order. Images overwrite and references name
+        // only tables the log itself re-creates first, so this is
+        // idempotent, which is what makes the checkpoint's crash windows
+        // safe: replaying a log that still contains pre-checkpoint records
+        // converges to the same state.
         let mut tables: HashMap<String, Table> = checkpoint::load(dir)?
             .map(|snap| snap.into_iter().collect())
             .unwrap_or_default();
-        for record in records {
-            match record {
-                WalRecord::CreateTable { name, table } => {
-                    tables.insert(name.to_ascii_lowercase(), table);
-                }
-                WalRecord::UpdateColumn {
-                    table,
-                    column,
-                    after,
-                } => {
-                    if let Some(t) = tables.get_mut(&table.to_ascii_lowercase()) {
-                        if let Ok(i) = t.resolve(None, &column) {
-                            t.columns[i] = after;
-                        }
-                    }
-                }
-                WalRecord::DropTable { name } => {
-                    tables.remove(&name.to_ascii_lowercase());
-                }
-                WalRecord::Commit => {}
-            }
-        }
+        let replayed = match wal_path.exists() {
+            true => wal::replay(&wal_path, &mut tables)?,
+            false => wal::Replayed::default(),
+        };
+        // A buffer that replay shared between tables is stored once, as a
+        // chain those tables share (see `PagedStore::store_column`).
         let mut catalog = HashMap::new();
         for (name, t) in tables {
             catalog.insert(name, Stored::Paged(store.store_table(&t)?));
         }
-        let mut wal = Wal::open_append(&wal_path, committed_len, committed_records)?;
+        let mut wal = Wal::open_append(&wal_path, replayed)?;
         // The latent `sync = false` default would leave commit records in
         // OS buffers; the paged engine's durability contract is that a
         // committed statement survives a crash, so fsync on commit.
@@ -429,19 +411,10 @@ impl Database {
 
     /// Log a commit record for the statement just applied (paged mode:
     /// this is the fsync that makes the statement durable).
-    fn wal_commit(&self) -> Result<()> {
+    fn wal_commit(&self, wal: &mut Wal) -> Result<()> {
         match self.storage {
-            Some(_) => self.wal.lock().log_commit(),
+            Some(_) => wal.log_commit(),
             None => Ok(()),
-        }
-    }
-
-    /// Return a replaced/dropped table's pages to the free list.
-    fn release(&self, old: Option<Stored>) {
-        if let (Some(Stored::Paged(pt)), Some(store)) = (old, &self.storage) {
-            // Best-effort: a pinned page here would be an engine bug, but
-            // freeing is an optimization — leaking pages is still correct.
-            let _ = store.free_table(&pt);
         }
     }
 
@@ -449,25 +422,16 @@ impl Database {
 
     /// Register a table built in Rust (bulk load).
     pub fn create_table(&self, name: &str, table: Table) -> Result<()> {
-        let key = name.to_ascii_lowercase();
-        let gate = self.write_gate.read();
-        let mut cat = self.catalog.write();
-        if cat.contains_key(&key) {
-            return Err(EngineError::TableExists(name.to_string()));
-        }
         // Paged engines WAL bulk loads too: recovery must be able to
         // rebuild every committed table from the log alone. (Non-paged
         // disk configs keep the original behavior — bulk loads bypass
         // the WAL, which only models per-statement write costs there.)
-        if self.storage.is_some() && self.config.wal {
-            self.wal.lock().log_create_table(name, &table)?;
-        }
-        let stored = self.store(table)?;
-        cat.insert(key, stored);
-        drop(cat);
-        self.wal_commit()?;
-        drop(gate);
-        self.maybe_checkpoint()
+        self.install(
+            name,
+            table,
+            false,
+            self.storage.is_some() && self.config.wal,
+        )
     }
 
     /// Register a table, replacing any existing table of the same name,
@@ -484,20 +448,38 @@ impl Database {
 
     /// Install `table` as `name` — replacing a table of that name only if
     /// `replace` — logged if `log`, as one write statement.
+    ///
+    /// A paged table is stored first, so each column that already lives
+    /// in a chain shares it. The log record, the catalog change and the
+    /// commit then happen under the log's lock, as in every write: the
+    /// catalog it guards is the state the log stands at, so a column whose
+    /// chain a logged table holds can be logged as a reference to it.
     fn install(&self, name: &str, table: Table, replace: bool, log: bool) -> Result<()> {
         let key = name.to_ascii_lowercase();
         let gate = self.write_gate.read();
-        if !replace && self.catalog.read().contains_key(&key) {
-            return Err(EngineError::TableExists(name.to_string()));
+        let paged = (self.storage.as_ref())
+            .map(|store| store.store_table(&table))
+            .transpose()?;
+        let mut wal = self.wal.lock();
+        {
+            let cat = self.catalog.read();
+            if !replace && cat.contains_key(&key) {
+                return Err(EngineError::TableExists(name.to_string()));
+            }
+            if log {
+                let refs = (paged.as_ref()).map_or_else(Vec::new, |pt| column_refs(&cat, &wal, pt));
+                wal.log_create_table(name, &table, &refs)?;
+            }
         }
-        if log {
-            self.wal.lock().log_create_table(name, &table)?;
-        }
-        let stored = self.store(table)?;
+        let stored = match paged {
+            Some(pt) => Stored::Paged(pt),
+            None => self.store(table)?,
+        };
+        // A replaced paged table's chains go back to the free list when
+        // the last table or scan holding them lets go.
         let old = self.catalog.write().insert(key, stored);
-        self.release(old);
-        self.wal_commit()?;
-        drop(gate);
+        self.wal_commit(&mut wal)?;
+        drop((wal, old, gate));
         self.maybe_checkpoint()
     }
 
@@ -524,16 +506,16 @@ impl Database {
     pub fn drop_table(&self, name: &str) -> Result<()> {
         let key = name.to_ascii_lowercase();
         let gate = self.write_gate.read();
+        let mut wal = self.wal.lock();
         let old = self.catalog.write().remove(&key);
         if old.is_none() {
             return Err(EngineError::UnknownTable(name.to_string()));
         }
-        self.release(old);
         if self.config.wal {
-            self.wal.lock().log_drop_table(name)?;
+            wal.log_drop_table(name)?;
         }
-        self.wal_commit()?;
-        drop(gate);
+        self.wal_commit(&mut wal)?;
+        drop((wal, old, gate));
         self.maybe_checkpoint()
     }
 
@@ -764,27 +746,29 @@ impl Database {
                 }
                 None => CaseMerge::new(Some(new_vals()?), n).finish(),
             };
-            if self.config.wal {
-                self.wal
-                    .lock()
-                    .log_update_column(table, col_name, &merged_col)?;
-            }
-            merged.push((idx, merged_col));
+            merged.push((idx, col_name, merged_col));
         }
         let mut updated = current;
-        for (idx, col) in merged {
-            updated.columns[idx] = col;
+        for (idx, _, col) in &merged {
+            updated.columns[*idx] = col.clone();
         }
+        // The columns the update leaves alone were loaded from their
+        // chains, so a paged store shares them rather than writing them.
         let key = table.to_ascii_lowercase();
         let external = matches!(self.catalog.read().get(&key), Some(Stored::External(_)));
         let stored = match external {
             true => Stored::External(Arc::new(ExternalTable::from_table(&updated))),
             false => self.store(updated)?,
         };
+        let mut wal = self.wal.lock();
+        if self.config.wal {
+            for (_, col_name, col) in &merged {
+                wal.log_update_column(table, col_name, col)?;
+            }
+        }
         let old = self.catalog.write().insert(key, stored);
-        self.release(old);
-        self.wal_commit()?;
-        drop(gate);
+        self.wal_commit(&mut wal)?;
+        drop((wal, old, gate));
         self.maybe_checkpoint()
     }
 
@@ -840,6 +824,37 @@ impl Drop for Database {
             let _ = std::fs::remove_file(path);
         }
     }
+}
+
+/// For each column of `pt`, a logged table of `cat` whose chain for some
+/// column is the very same chain: the column can be logged as a reference
+/// to it. Of several, the first by name and position, so the log's bytes
+/// do not depend on the catalog's hash order.
+fn column_refs(cat: &Catalog, wal: &Wal, pt: &PagedTable) -> Vec<Option<ColumnRef>> {
+    let mut holders: HashMap<*const PageChain, (&str, usize)> = HashMap::new();
+    for (key, stored) in cat {
+        let Stored::Paged(held) = stored else {
+            continue;
+        };
+        if !wal.is_logged(key) {
+            continue;
+        }
+        for (index, pc) in held.columns.iter().enumerate() {
+            let holder = holders
+                .entry(Arc::as_ptr(&pc.pages))
+                .or_insert((key, index));
+            *holder = (*holder).min((key, index));
+        }
+    }
+    (pt.columns.iter())
+        .map(|pc| {
+            let (table, index) = holders.get(&Arc::as_ptr(&pc.pages))?;
+            Some(ColumnRef {
+                table: table.to_string(),
+                index: *index as u32,
+            })
+        })
+        .collect()
 }
 
 fn take_column(stored: &mut Stored, name: &str) -> Result<StoredColumn> {
@@ -1764,6 +1779,128 @@ mod tests {
             let got: Vec<Datum> = (0..col.len()).map(|i| col.get(i)).collect();
             assert_eq!(got, *want, "SELECT {sql}");
         }
+    }
+
+    #[test]
+    fn negation_and_coalesce_take_their_type_from_their_arguments() {
+        use Datum::{Float as F, Int as I, Null, Str as S};
+        let db = Database::in_memory();
+        db.create_table(
+            "u",
+            Table::from_columns(vec![
+                ("a", Column::int(vec![1, 2, 3])),
+                ("c", Column::from_datums(&[I(10), Null, Null])),
+                ("f", Column::from_datums(&[F(0.5), Null, F(2.0)])),
+                ("s", Column::from_datums(&[S("x".into()), Null, Null])),
+            ]),
+        )
+        .unwrap();
+        let cases: [(&str, DataType, &[Datum]); 14] = [
+            ("-c FROM u", DataType::Int, &[I(-10), Null, Null]),
+            ("-c FROM u WHERE c IS NULL", DataType::Int, &[Null, Null]),
+            ("-c FROM u WHERE a > 9", DataType::Int, &[]),
+            ("-f FROM u WHERE f IS NULL", DataType::Float, &[Null]),
+            (
+                "COALESCE(c, c) FROM u WHERE c IS NULL",
+                DataType::Int,
+                &[Null, Null],
+            ),
+            ("COALESCE(c, c) FROM u WHERE a > 9", DataType::Int, &[]),
+            ("COALESCE(c, a) FROM u", DataType::Int, &[I(10), I(2), I(3)]),
+            (
+                "COALESCE(c, 0) FROM u WHERE c IS NULL",
+                DataType::Int,
+                &[I(0), I(0)],
+            ),
+            // Int and Float mix to Float, whichever argument a row picks.
+            (
+                "COALESCE(c, f) FROM u",
+                DataType::Float,
+                &[F(10.0), Null, F(2.0)],
+            ),
+            (
+                "COALESCE(c, f) FROM u WHERE a = 1",
+                DataType::Float,
+                &[F(10.0)],
+            ),
+            ("COALESCE(f, c) FROM u WHERE a > 9", DataType::Float, &[]),
+            (
+                "COALESCE(c, 0.5) FROM u WHERE a = 1",
+                DataType::Float,
+                &[F(10.0)],
+            ),
+            (
+                "COALESCE(s, s) FROM u WHERE s IS NULL",
+                DataType::Str,
+                &[Null, Null],
+            ),
+            ("COALESCE(s, s) FROM u WHERE a > 9", DataType::Str, &[]),
+        ];
+        for (sql, dtype, want) in cases {
+            let t = db.query(&format!("SELECT {sql}")).unwrap();
+            let col = &t.columns[0];
+            assert_eq!(col.dtype(), dtype, "SELECT {sql}");
+            let got: Vec<Datum> = (0..col.len()).map(|i| col.get(i)).collect();
+            assert_eq!(got, want, "SELECT {sql}");
+        }
+        assert!(matches!(
+            db.query("SELECT -s FROM u WHERE s IS NULL"),
+            Err(EngineError::TypeMismatch(_))
+        ));
+    }
+
+    /// A paged rewrite that passes `k` through shares `k`'s page chain:
+    /// the log holds `k`'s image once, the page file does not grow with
+    /// the rounds, and the chain lives as long as some table holds it.
+    #[test]
+    fn paged_rewrites_share_the_chains_of_the_columns_they_pass_through() {
+        use crate::storage::codec;
+        let dir = std::env::temp_dir().join(format!("jb_db_chains_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let db = Database::new(EngineConfig {
+            bufferpool_pages: 8,
+            ..EngineConfig::paged(&dir)
+        });
+        let n = 5000;
+        // String keys: `k`'s image is larger than the rewritten `v`'s.
+        let k = Column::str((0..n).map(|i| format!("key-{i:05}")).collect());
+        let t = Table::from_columns(vec![("k", k.clone()), ("v", Column::float(vec![0.0; n]))]);
+        db.create_table("t", t).unwrap();
+        let mut k_image = Vec::new();
+        codec::encode_stored_column(&mut k_image, &k);
+        let store = db.storage.as_ref().unwrap();
+        let chains = |name: &str| match db.catalog.read().get(name) {
+            Some(Stored::Paged(pt)) => pt.columns.clone(),
+            _ => unreachable!("{name} is a paged table"),
+        };
+        let (k_pages, v_pages) = (chains("t")[0].pages.len(), chains("t")[1].pages.len());
+        for round in 0..20 {
+            let before = db.stats().wal_bytes;
+            db.execute("CREATE OR REPLACE TABLE t AS SELECT k, v + 1.0 AS v FROM t")
+                .unwrap();
+            let logged = db.stats().wal_bytes - before;
+            assert!(
+                logged < k_image.len() as u64,
+                "round {round}: logged {logged} bytes, k's image is {}",
+                k_image.len()
+            );
+            // `k`, the new `v`, and the old `v` until the table is replaced.
+            let bound = (k_pages + 2 * v_pages) as u64;
+            assert!(store.disk().pages_allocated() <= bound, "round {round}");
+        }
+        db.execute("CREATE TABLE u AS SELECT k FROM t").unwrap();
+        assert!(Arc::ptr_eq(&chains("u")[0].pages, &chains("t")[0].pages));
+        db.execute("DROP TABLE t").unwrap();
+        assert_eq!(db.snapshot("u").unwrap().columns, [k], "u outlives t");
+        let free = store.disk().pages_free();
+        db.execute("DROP TABLE u").unwrap();
+        assert_eq!(
+            store.disk().pages_free(),
+            free + k_pages,
+            "k's pages came back"
+        );
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -18,6 +18,10 @@ pub enum EngineError {
     UnknownColumn(String),
     /// Operation not valid for the column's type.
     TypeMismatch(String),
+    /// Stored or logged bytes that do not decode to what they claim: a
+    /// damaged page chain or image, or a WAL reference that resolves to
+    /// no column.
+    Corrupt(String),
     /// Anything else (unsupported construct, internal invariant, I/O).
     Other(String),
 }
@@ -30,6 +34,7 @@ impl fmt::Display for EngineError {
             EngineError::TableExists(t) => write!(f, "table already exists: {t}"),
             EngineError::UnknownColumn(c) => write!(f, "unknown or ambiguous column: {c}"),
             EngineError::TypeMismatch(m) => write!(f, "type mismatch: {m}"),
+            EngineError::Corrupt(m) => write!(f, "corrupt {m}"),
             EngineError::Other(m) => write!(f, "{m}"),
         }
     }

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use joinboost_sql::ast::{BinaryOp, Expr, Query, UnaryOp, Value};
 
 use crate::column::{canonical_f64_bits, Column, ColumnData};
-use crate::datum::Datum;
+use crate::datum::{DataType, Datum};
 use crate::db::ExecMode;
 use crate::error::{EngineError, Result};
 use crate::keys::{KeySet, SortKeys};
@@ -772,14 +772,19 @@ fn float_arith(op: BinaryOp, x: f64, y: f64) -> Datum {
     }
 }
 
+/// `-c` over a typed slice: the column keeps its type and shares its
+/// validity, whatever its values are; a string column is a type error.
 fn negate(c: &Column) -> Result<Column> {
-    Ok(match (&c.data, &c.validity) {
-        (ColumnData::Int(v), None) => Column::int(v.iter().map(|x| x.wrapping_neg()).collect()),
-        (ColumnData::Float(v), None) => Column::float(v.iter().map(|x| -x).collect()),
-        _ => {
-            let out: Vec<Datum> = (0..c.len()).map(|i| neg(c.get(i))).collect::<Result<_>>()?;
-            Column::from_datums(&out)
+    let data = match &c.data {
+        ColumnData::Int(v) => {
+            ColumnData::Int(Arc::new(v.iter().map(|x| x.wrapping_neg()).collect()))
         }
+        ColumnData::Float(v) => ColumnData::Float(Arc::new(v.iter().map(|x| -x).collect())),
+        ColumnData::Str { .. } => return Err(EngineError::TypeMismatch("negate string".into())),
+    };
+    Ok(Column {
+        data,
+        validity: c.validity.clone(),
     })
 }
 
@@ -966,16 +971,65 @@ impl Func {
                 .collect()
         }
         let num = |arg: usize, i: usize| args.get(arg).and_then(|c| c.f64_at(i));
-        let first_valid = |i| args.iter().find(|c| c.is_valid(i));
         Column::from_datums(&match self {
             Func::Math(f) => floats(n, |i| num(0, i).map(f).filter(|y| y.is_finite())),
             Func::Pow => floats(n, |i| num(0, i).zip(num(1, i)).map(|(x, y)| x.powf(y))),
             Func::Fold(f) => floats(n, |i| args.iter().filter_map(|c| c.f64_at(i)).reduce(f)),
-            Func::Coalesce => (0..n)
-                .map(|i| first_valid(i).map_or(Datum::Null, |c| c.get(i)))
-                .collect(),
+            Func::Coalesce => return coalesce(args, n),
         })
     }
+}
+
+/// `COALESCE` of `args`: each row takes its first valid argument's value
+/// and is NULL where none is valid. The type comes from the arguments'
+/// types, not from the values picked: Int arguments give Int, any other
+/// numeric mix gives Float. Only a mix with strings still infers the
+/// type from the values.
+fn coalesce(args: &[&Column], n: usize) -> Column {
+    let first_valid = |i: usize| args.iter().find(|c| c.is_valid(i));
+    let all = |t: DataType| !args.is_empty() && args.iter().all(|c| c.dtype() == t);
+    let numeric = !args.is_empty() && args.iter().all(|c| c.dtype() != DataType::Str);
+    if !numeric {
+        let values: Vec<Datum> = (0..n)
+            .map(|i| first_valid(i).map_or(Datum::Null, |c| c.get(i)))
+            .collect();
+        let col = Column::from_datums(&values);
+        if !all(DataType::Str) || col.dtype() == DataType::Str {
+            return col;
+        }
+        // Strings, none of them valid: still a string column.
+        return Column {
+            data: ColumnData::Str {
+                dict: Arc::new(vec![String::new()]),
+                codes: Arc::new(vec![0; n]),
+            },
+            validity: col.validity,
+        };
+    }
+    let mut nulls = vec![0u64; n.div_ceil(64)];
+    let mut null_at = |i: usize| nulls[i >> 6] |= 1 << (i & 63);
+    if all(DataType::Int) {
+        let values = (0..n)
+            .map(|i| match first_valid(i).map(|c| &c.data) {
+                Some(ColumnData::Int(v)) => v[i],
+                _ => {
+                    null_at(i);
+                    0
+                }
+            })
+            .collect();
+        return with_nulls(values, Some(nulls), Column::int);
+    }
+    let values = (0..n)
+        .map(|i| match first_valid(i).and_then(|c| c.f64_at(i)) {
+            Some(x) => x,
+            None => {
+                null_at(i);
+                0.0
+            }
+        })
+        .collect();
+    with_nulls(values, Some(nulls), Column::float)
 }
 
 impl Scope<'_, '_> {

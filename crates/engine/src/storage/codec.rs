@@ -31,7 +31,7 @@ const TAG_INT_PACKED: u8 = 3;
 
 /// Construct the uniform corrupt-input error.
 pub(crate) fn corrupt(what: &str) -> EngineError {
-    EngineError::Other(format!("corrupt column bytes: {what}"))
+    EngineError::Corrupt(format!("column bytes: {what}"))
 }
 
 /// Bounds-checked cursor over a byte buffer.
@@ -59,6 +59,11 @@ impl<'a> ByteReader<'a> {
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
+    }
+
+    /// The next byte, not consumed.
+    pub fn peek(&self) -> Result<u8> {
+        (self.buf.get(self.pos).copied()).ok_or_else(|| corrupt("truncated"))
     }
 
     /// Read one byte.

@@ -15,6 +15,18 @@
 //!   through the pool one at a time, so a database much larger than the
 //!   pool still scans with bounded memory.
 //!
+//! Page chains are shared. A [`PageChain`] is written once and never
+//! changed; every table and in-flight scan that holds the column holds
+//! the chain by `Arc`, and the chain's pages return to the free list when
+//! the last holder lets go. The store remembers, through `Weak`s, which
+//! chain each live column buffer was stored to or loaded from, so
+//! [`PagedStore::store_column`] of a buffer that is still that allocation
+//! returns the existing chain instead of writing the column again. That
+//! is how a `CREATE TABLE AS` that passes columns through, and the
+//! columns an `UPDATE` leaves alone, cost no page writes. It is sound
+//! because buffers are immutable while a `Weak` to them exists
+//! (see `WeakColumn` in [`crate::column`]).
+//!
 //! Durability is WAL-first: committed state is always recoverable by
 //! replaying the write-ahead log (see [`crate::wal`]), so the page file
 //! is ephemeral working storage, recreated at open. Because the page
@@ -28,10 +40,15 @@ pub mod codec;
 pub mod disk_manager;
 pub mod page;
 
+use std::collections::HashMap;
+use std::fmt;
+use std::ops::Deref;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
-use crate::column::Column;
+use parking_lot::Mutex;
+
+use crate::column::{Column, ColumnData, WeakColumn};
 use crate::datum::DataType;
 use crate::error::Result;
 use crate::table::{ColumnMeta, Table};
@@ -43,12 +60,48 @@ pub use page::{PAGE_CAPACITY, PAGE_HEADER_BYTES, PAGE_SIZE};
 use codec::ByteReader;
 use page::PageBuf;
 
+/// The pages of one stored column, in order. Immutable once written;
+/// dropping the last `Arc` to it returns its pages to the free list.
+pub struct PageChain {
+    pages: Vec<PageId>,
+    /// The pool the pages are freed through (`None`: a view of pages
+    /// another chain owns, as tests build to describe a damaged chain).
+    pool: Option<Arc<BufferPool>>,
+}
+
+impl Deref for PageChain {
+    type Target = [PageId];
+
+    fn deref(&self) -> &[PageId] {
+        &self.pages
+    }
+}
+
+impl fmt::Debug for PageChain {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(&self.pages).finish()
+    }
+}
+
+impl Drop for PageChain {
+    fn drop(&mut self) {
+        if let Some(pool) = &self.pool {
+            for &pid in &self.pages {
+                // Every pin is taken by a holder of the chain, so a pinned
+                // page here would be an engine bug; leaking it is still
+                // correct.
+                let _ = pool.free_page(pid);
+            }
+        }
+    }
+}
+
 /// A column stored as a chain of pages (metadata only — the bytes live
-/// in the page file / buffer pool).
+/// in the page file / buffer pool). Cloning shares the chain.
 #[derive(Debug, Clone)]
 pub struct PagedColumn {
-    /// The page chain, in order.
-    pub pages: Vec<PageId>,
+    /// The page chain, shared by every table that holds this column.
+    pub pages: Arc<PageChain>,
     /// Exact encoded byte length across the chain.
     pub bytes: u64,
     /// Row count (schema lookups without I/O).
@@ -69,7 +122,8 @@ pub struct PagedTable {
 }
 
 impl PagedTable {
-    /// Total pages across all column chains.
+    /// Total pages across all column chains (a chain shared with another
+    /// table counts in both).
     pub fn num_pages(&self) -> usize {
         self.columns.iter().map(|c| c.pages.len()).sum()
     }
@@ -80,10 +134,72 @@ impl PagedTable {
     }
 }
 
+/// Which chain a column buffer was stored to or loaded from, keyed by the
+/// addresses of its data and validity buffers. An entry's `Weak`s keep
+/// those allocations from being reused, so no other buffer can take the
+/// key while the entry exists.
+#[derive(Default)]
+struct Origins {
+    map: HashMap<(usize, usize), Origin>,
+    /// Entries left after the last sweep of dead ones.
+    live: usize,
+}
+
+struct Origin {
+    column: WeakColumn,
+    chain: Weak<PageChain>,
+    bytes: u64,
+}
+
+/// The addresses of `col`'s data (a string column's codes) and validity
+/// buffers.
+fn buffer_key(col: &Column) -> (usize, usize) {
+    let data = match &col.data {
+        ColumnData::Int(v) => Arc::as_ptr(v) as usize,
+        ColumnData::Float(v) => Arc::as_ptr(v) as usize,
+        ColumnData::Str { codes, .. } => Arc::as_ptr(codes) as usize,
+    };
+    let validity = col.validity.as_ref().map_or(0, |v| Arc::as_ptr(v) as usize);
+    (data, validity)
+}
+
+impl Origins {
+    /// The chain `col`'s buffers came from, if they and it are alive.
+    fn chain_of(&self, col: &Column) -> Option<PagedColumn> {
+        let origin = self.map.get(&buffer_key(col))?;
+        if !origin.column.upgrade()?.shares_buffers(col) {
+            return None;
+        }
+        Some(PagedColumn {
+            pages: origin.chain.upgrade()?,
+            bytes: origin.bytes,
+            rows: col.len(),
+            dtype: col.dtype(),
+        })
+    }
+
+    /// Remember that `col` holds the bytes of `pc`'s chain. Entries whose
+    /// buffer or chain has died are swept once the map has doubled since
+    /// the last sweep, so the map stays proportional to the live ones.
+    fn remember(&mut self, col: &Column, pc: &PagedColumn) {
+        if self.map.len() > 2 * self.live + 64 {
+            (self.map).retain(|_, o| o.chain.strong_count() > 0 && o.column.upgrade().is_some());
+            self.live = self.map.len();
+        }
+        let origin = Origin {
+            column: col.downgrade(),
+            chain: Arc::downgrade(&pc.pages),
+            bytes: pc.bytes,
+        };
+        self.map.insert(buffer_key(col), origin);
+    }
+}
+
 /// The per-database paged storage engine: disk manager + buffer pool.
 pub struct PagedStore {
     disk: Arc<DiskManager>,
-    pool: BufferPool,
+    pool: Arc<BufferPool>,
+    origins: Mutex<Origins>,
 }
 
 impl PagedStore {
@@ -93,8 +209,12 @@ impl PagedStore {
     pub fn open(dir: &Path, pool_pages: usize) -> Result<PagedStore> {
         std::fs::create_dir_all(dir)?;
         let disk = Arc::new(DiskManager::create(&dir.join("data.jbp"))?);
-        let pool = BufferPool::new(Arc::clone(&disk), pool_pages);
-        Ok(PagedStore { disk, pool })
+        let pool = Arc::new(BufferPool::new(Arc::clone(&disk), pool_pages));
+        Ok(PagedStore {
+            disk,
+            pool,
+            origins: Mutex::default(),
+        })
     }
 
     /// The buffer pool (stats, capacity).
@@ -112,9 +232,13 @@ impl PagedStore {
         self.pool.stats()
     }
 
-    /// Write one column out as a fresh page chain. Only one page is
-    /// pinned at a time, so this works at any pool size.
+    /// Store one column: the chain its buffers were stored to or loaded
+    /// from while that chain is alive, else a fresh chain. Only one page
+    /// is pinned at a time, so this works at any pool size.
     pub fn store_column(&self, col: &Column) -> Result<PagedColumn> {
+        if let Some(pc) = self.origins.lock().chain_of(col) {
+            return Ok(pc);
+        }
         let mut bytes = Vec::with_capacity(col.byte_size() + 64);
         codec::encode_stored_column(&mut bytes, col);
         let chunks: Vec<&[u8]> = if bytes.is_empty() {
@@ -122,21 +246,27 @@ impl PagedStore {
         } else {
             bytes.chunks(PAGE_CAPACITY).collect()
         };
-        let mut pages = Vec::with_capacity(chunks.len());
+        // Built as it goes, so an error part-way frees what was written.
+        let mut chain = PageChain {
+            pages: Vec::with_capacity(chunks.len()),
+            pool: Some(Arc::clone(&self.pool)),
+        };
         for (i, chunk) in chunks.iter().enumerate() {
             let (pid, guard) = self.pool.new_page()?;
+            chain.pages.push(pid);
             guard.write(|p| {
                 page::write_header(p, i == 0, chunk.len());
                 p[PAGE_HEADER_BYTES..PAGE_HEADER_BYTES + chunk.len()].copy_from_slice(chunk);
             });
-            pages.push(pid);
         }
-        Ok(PagedColumn {
-            pages,
+        let pc = PagedColumn {
+            pages: Arc::new(chain),
             bytes: bytes.len() as u64,
             rows: col.len(),
             dtype: col.dtype(),
-        })
+        };
+        self.origins.lock().remember(col, &pc);
+        Ok(pc)
     }
 
     /// Read one column back, pinning its pages through the pool one at a
@@ -166,10 +296,12 @@ impl PagedStore {
         if col.len() != pc.rows {
             return Err(codec::corrupt("row count mismatch"));
         }
+        self.origins.lock().remember(&col, pc);
         Ok(col)
     }
 
-    /// Write a whole table out.
+    /// Store a whole table, column by column (see
+    /// [`PagedStore::store_column`]).
     pub fn store_table(&self, table: &Table) -> Result<PagedTable> {
         let mut columns = Vec::with_capacity(table.columns.len());
         for col in &table.columns {
@@ -189,22 +321,6 @@ impl PagedStore {
             t.push_column(m.clone(), self.load_column(pc)?);
         }
         Ok(t)
-    }
-
-    /// Return one column's pages to the free list.
-    pub fn free_column(&self, pc: &PagedColumn) -> Result<()> {
-        for &pid in &pc.pages {
-            self.pool.free_page(pid)?;
-        }
-        Ok(())
-    }
-
-    /// Return a whole table's pages to the free list.
-    pub fn free_table(&self, pt: &PagedTable) -> Result<()> {
-        for pc in &pt.columns {
-            self.free_column(pc)?;
-        }
-        Ok(())
     }
 
     /// Write every dirty frame back and fsync the page file.
@@ -242,28 +358,41 @@ mod tests {
         assert_eq!(s.load_column(&pc).unwrap(), col);
     }
 
+    /// `pc` with its page list edited by `edit`: a damaged chain that
+    /// frees nothing when dropped.
+    fn damaged(pc: &PagedColumn, edit: impl FnOnce(&mut Vec<PageId>)) -> PagedColumn {
+        let mut pages = pc.pages.to_vec();
+        edit(&mut pages);
+        PagedColumn {
+            pages: Arc::new(PageChain { pages, pool: None }),
+            ..pc.clone()
+        }
+    }
+
     #[test]
     fn missing_interior_page_is_rejected() {
         let s = store("missing", 8);
-        let mut pc = six_page_column(&s);
-        pc.pages.remove(1);
-        assert!(s.load_column(&pc).is_err());
+        let pc = six_page_column(&s);
+        assert!(s
+            .load_column(&damaged(&pc, |p| {
+                p.remove(1);
+            }))
+            .is_err());
     }
 
     #[test]
     fn reordered_chain_is_rejected() {
         let s = store("reordered", 8);
-        let mut pc = six_page_column(&s);
-        pc.pages.swap(0, 1);
-        assert!(s.load_column(&pc).is_err());
+        let pc = six_page_column(&s);
+        assert!(s.load_column(&damaged(&pc, |p| p.swap(0, 1))).is_err());
     }
 
     #[test]
     fn short_last_page_moved_into_the_chain_is_rejected() {
         let s = store("short_last", 8);
-        let mut pc = six_page_column(&s);
-        pc.pages.swap(1, 5);
-        assert!(s.load_column(&pc).is_err(), "loaded a different column");
+        let pc = six_page_column(&s);
+        let moved = damaged(&pc, |p| p.swap(1, 5));
+        assert!(s.load_column(&moved).is_err(), "loaded a different column");
     }
 
     #[test]
@@ -293,7 +422,11 @@ mod tests {
         let t = Table::from_columns(vec![("a", Column::int((0..4000).collect()))]);
         let pt = s.store_table(&t).unwrap();
         let hw = s.disk().pages_allocated();
-        s.free_table(&pt).unwrap();
+        let scan = pt.clone();
+        drop(pt);
+        assert_eq!(s.disk().pages_free(), 0, "a scan still holds the chain");
+        drop(scan);
+        assert_eq!(s.disk().pages_free() as u64, hw);
         let pt2 = s.store_table(&t).unwrap();
         assert_eq!(
             s.disk().pages_allocated(),
@@ -319,5 +452,43 @@ mod tests {
         );
         let pc = s.store_column(&col).unwrap();
         assert_eq!(s.load_column(&pc).unwrap(), col);
+    }
+
+    #[test]
+    fn a_stored_or_loaded_buffer_shares_its_chain() {
+        let s = store("share", 8);
+        let col = Column::float((0..3000).map(|i| i as f64 * 0.5).collect());
+        let pc = s.store_column(&col).unwrap();
+        let hw = s.disk().pages_allocated();
+        // The stored buffer, and a clone of it, store as the same chain.
+        let again = s.store_column(&col.clone()).unwrap();
+        assert!(Arc::ptr_eq(&pc.pages, &again.pages));
+        // So does a buffer loaded from the chain.
+        let loaded = s.load_column(&pc).unwrap();
+        assert!(Arc::ptr_eq(
+            &s.store_column(&loaded).unwrap().pages,
+            &pc.pages
+        ));
+        assert_eq!(s.disk().pages_allocated(), hw, "no page was written");
+        // Equal values in another buffer, or the same data under a new
+        // validity mask, are another column.
+        let copy = s.store_column(&col.deep_copy()).unwrap();
+        assert!(!Arc::ptr_eq(&copy.pages, &pc.pages));
+        let masked = Column {
+            validity: Some(Arc::new(vec![true; 3000])),
+            ..col.clone()
+        };
+        assert!(!Arc::ptr_eq(
+            &s.store_column(&masked).unwrap().pages,
+            &pc.pages
+        ));
+        // Once every holder of the chain is gone, the buffer is written
+        // again, into the pages the chain gave back.
+        drop((pc, again, copy));
+        let free = s.disk().pages_free();
+        assert!(free > 0);
+        let fresh = s.store_column(&loaded).unwrap();
+        assert_eq!(s.disk().pages_free(), free - fresh.pages.len());
+        assert_eq!(s.load_column(&fresh).unwrap(), col);
     }
 }
