@@ -25,11 +25,11 @@
 //! `--storage DIR` hosts the paged, WAL-backed engine on `DIR` instead of
 //! the in-memory one: tables, the job registry and training checkpoints
 //! survive a kill, and a restart on the same directory resumes
-//! interrupted jobs. `--checkpoint-bytes` bounds the WAL (snapshot +
-//! truncate past that many logged bytes), `--job-checkpoint-iters`
-//! persists running forests every K iterations, and `--crash-after-iters`
-//! aborts the process after N trained iterations (the restart test's
-//! kill switch).
+//! interrupted jobs. `--checkpoint-bytes` bounds the WAL (compact it
+//! into a base once that many bytes are logged past the last one),
+//! `--job-checkpoint-iters` persists running forests every K
+//! iterations, and `--crash-after-iters` aborts the process after N
+//! trained iterations (the restart test's kill switch).
 
 use std::net::TcpListener;
 use std::time::Duration;

@@ -1,24 +1,37 @@
-//! WAL checkpointing under crashes: the log stays bounded, and a crash
-//! at *any* byte offset — before, during, or after a checkpoint —
-//! recovers exactly a committed statement prefix.
+//! WAL checkpointing under crashes. A checkpoint compacts the log: it
+//! writes a base (one statement creating every table, each page chain
+//! imaged once) to `wal.log.tmp` and renames it over `wal.log`. So the
+//! log stays bounded, and a crash at *any* byte offset — before, during,
+//! or after a checkpoint — recovers exactly a committed statement prefix.
 //!
-//! Three attack angles:
+//! Four attack angles:
 //!
 //! * **bounded log** — with a small `checkpoint_bytes` budget, a
-//!   200-statement workload must never let `wal.log` grow past the
-//!   budget plus one statement;
-//! * **arbitrary post-checkpoint tears** (proptest) — the WAL suffix
-//!   written after a checkpoint is cut at arbitrary byte offsets and
-//!   reopen must recover the checkpoint plus the longest committed
-//!   suffix prefix, never a torn half-statement;
-//! * **crash windows inside the checkpoint itself** — a torn tmp
-//!   snapshot is ignored, and the rename-installed-but-WAL-not-yet-
-//!   truncated window replays the stale log idempotently onto the new
-//!   snapshot.
+//!   200-statement workload must never let `wal.log` grow past its base
+//!   plus the budget plus one statement, and the base never outgrows the
+//!   live tables' images;
+//! * **arbitrary post-checkpoint tears** (proptest) — the log past the
+//!   base is cut at arbitrary byte offsets and reopen must recover the
+//!   base plus the longest committed prefix, never a torn half-statement;
+//! * **crash windows around the rename** — a torn tmp is ignored, a stale
+//!   log from before the rename replays to the same state, an earlier
+//!   build's `checkpoint.jbc` left beside a compacted log is replaced by
+//!   its base, and a damaged base is a hard error, never an empty
+//!   database;
+//! * **training across compactions** — a GBM on a paged engine that
+//!   compacts several times trains bit-identically, survives a crash, and
+//!   after each compaction rewrites the lifted fact by logging only the
+//!   column it computed.
 
+use parking_lot::Mutex;
 use proptest::prelude::*;
 
-use joinboost_engine::{Column, Database, EngineConfig, Table};
+use joinboost::backend::{BackendCapabilities, BackendResult, SqlBackend};
+use joinboost::{train_gbm, Dataset, TrainParams};
+use joinboost_datagen::{favorita, FavoritaConfig};
+use joinboost_engine::storage::codec::{encode_named_table, encode_stored_column, put_u32};
+use joinboost_engine::{Column, DataType, Database, EngineConfig, EngineError, Table};
+use joinboost_sql::ast::Statement;
 
 fn fresh_dir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("jb_ckptrec_{}_{name}", std::process::id()));
@@ -43,10 +56,20 @@ fn paged_with_budget(dir: &std::path::Path, budget: Option<u64>) -> EngineConfig
     }
 }
 
-/// 200 statements against a small checkpoint budget: the log file must
-/// stay under `budget + one statement` after every single statement, at
-/// least one checkpoint must actually fire, and the final recovered
-/// state must match an uncrashed in-memory reference bit for bit.
+/// The storage image of a table: its name, then each column's name and
+/// image, as a log record that images every column holds it.
+fn image(name: &str, t: &Table) -> u64 {
+    let mut out = Vec::new();
+    encode_named_table(&mut out, name, t);
+    out.len() as u64
+}
+
+/// 200 statements against a small checkpoint budget. After every single
+/// statement the log past its base stays under `budget + one statement`,
+/// and the base (its size read from `checkpoint_bytes_written`) is no
+/// larger than the images of the live tables. Many checkpoints must
+/// actually fire, and the final recovered state must match an uncrashed
+/// in-memory reference bit for bit.
 #[test]
 fn checkpoints_bound_the_log_across_200_statements() {
     let stmt = |i: usize| format!("UPDATE t SET v = v + {}.0 WHERE k > {}", i % 7, i % 50);
@@ -74,13 +97,29 @@ fn checkpoints_bound_the_log_across_200_statements() {
         let db = Database::new(paged_with_budget(&dir, Some(budget)));
         db.create_table("seed", seed_table()).unwrap();
         db.execute("CREATE TABLE t AS SELECT * FROM seed").unwrap();
+        let (mut checkpoints, mut written, mut base) = (0, 0, 0);
         for i in 0..200 {
             db.execute(&stmt(i)).unwrap();
+            let stats = db.stats();
+            if stats.checkpoints > checkpoints {
+                assert_eq!(stats.checkpoints, checkpoints + 1, "one per statement");
+                base = stats.checkpoint_bytes_written - written;
+                (checkpoints, written) = (stats.checkpoints, stats.checkpoint_bytes_written);
+            }
             let log_len = std::fs::metadata(dir.join("wal.log")).unwrap().len();
             assert!(
-                log_len <= budget + stmt_bytes,
-                "after statement {i}: log is {log_len} bytes, budget {budget} + \
-                 statement {stmt_bytes} exceeded"
+                log_len - base <= budget + stmt_bytes,
+                "after statement {i}: log is {log_len} bytes past a {base}-byte base, \
+                 budget {budget} + statement {stmt_bytes} exceeded"
+            );
+            let images: u64 = ["seed", "t"]
+                .iter()
+                .map(|&n| image(n, &db.snapshot(n).unwrap()))
+                .sum();
+            assert!(
+                base <= images,
+                "after statement {i}: a {base}-byte base outgrew the live tables' \
+                 {images}-byte images"
             );
         }
         let stats = db.stats();
@@ -113,10 +152,16 @@ fn checkpoints_bound_the_log_across_200_statements() {
 }
 
 /// Build a directory whose state is: seed + `pre` statements,
-/// checkpointed, then `post` statements in the WAL suffix. Returns the
-/// suffix bytes so callers can tear them.
-fn checkpointed_dir(name: &str, pre: &[String], post: &[String]) -> (std::path::PathBuf, Vec<u8>) {
+/// checkpointed, then `post` statements in the WAL past the base.
+/// Returns the log's bytes and the base's length so callers can tear
+/// them.
+fn checkpointed_dir(
+    name: &str,
+    pre: &[String],
+    post: &[String],
+) -> (std::path::PathBuf, Vec<u8>, usize) {
     let dir = fresh_dir(name);
+    let base;
     {
         let db = Database::new(paged_with_budget(&dir, None));
         db.create_table("seed", seed_table()).unwrap();
@@ -124,12 +169,13 @@ fn checkpointed_dir(name: &str, pre: &[String], post: &[String]) -> (std::path::
             db.execute(s).unwrap();
         }
         db.checkpoint().unwrap();
+        base = db.stats().checkpoint_bytes_written as usize;
         for s in post {
             db.execute(s).unwrap();
         }
     }
-    let suffix = std::fs::read(dir.join("wal.log")).unwrap();
-    (dir, suffix)
+    let log = std::fs::read(dir.join("wal.log")).unwrap();
+    (dir, log, base)
 }
 
 fn post_script() -> Vec<String> {
@@ -176,15 +222,15 @@ fn same_state(a: &Database, b: &Database) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Cut the post-checkpoint WAL suffix at an arbitrary byte offset
-    /// (mid-record, mid-commit, anywhere) and reopen: recovery must land
-    /// exactly on the checkpoint plus some committed prefix of the
-    /// suffix — never before the checkpoint, never a torn statement.
+    /// Cut the log past its base at an arbitrary byte offset (mid-record,
+    /// mid-commit, anywhere) and reopen: recovery must land exactly on the
+    /// base plus some committed prefix of what followed it — never before
+    /// the checkpoint, never a torn statement.
     #[test]
     fn any_crash_offset_after_a_checkpoint_recovers_a_committed_prefix(frac in 0.0f64..=1.0) {
-        let (dir, suffix) = checkpointed_dir("prop", &pre_script(), &post_script());
-        let cut = ((suffix.len() as f64) * frac) as usize;
-        std::fs::write(dir.join("wal.log"), &suffix[..cut.min(suffix.len())]).unwrap();
+        let (dir, log, base) = checkpointed_dir("prop", &pre_script(), &post_script());
+        let cut = base + (((log.len() - base) as f64) * frac) as usize;
+        std::fs::write(dir.join("wal.log"), &log[..cut.min(log.len())]).unwrap();
         let recovered = Database::new(paged_with_budget(&dir, None));
         let matched = (0..=post_script().len())
             .map(reference_state)
@@ -192,39 +238,37 @@ proptest! {
         prop_assert!(
             matched.is_some(),
             "cut at byte {cut}/{}: recovered state matches no committed prefix",
-            suffix.len()
+            log.len()
         );
-        if cut == suffix.len() {
+        if cut == log.len() {
             prop_assert_eq!(matched.unwrap(), post_script().len(), "full suffix must replay fully");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
-/// Crash while the snapshot tmp file was being written: the torn tmp is
-/// ignored (and cleared), and the previous checkpoint + full WAL recover
+/// Crash while the compacted log was being written: the torn tmp is
+/// ignored (and cleared), and the log it would have replaced recovers
 /// everything committed.
 #[test]
 fn torn_checkpoint_tmp_is_ignored_and_the_previous_state_recovers() {
-    let (dir, _) = checkpointed_dir("torntmp", &pre_script(), &post_script());
-    std::fs::write(dir.join("checkpoint.jbc.tmp"), b"half a snapshot, torn").unwrap();
+    let (dir, ..) = checkpointed_dir("torntmp", &pre_script(), &post_script());
+    std::fs::write(dir.join("wal.log.tmp"), b"half a base, torn").unwrap();
     let recovered = Database::new(paged_with_budget(&dir, None));
     assert!(
         same_state(&recovered, &reference_state(post_script().len())),
         "torn tmp must not affect recovery"
     );
     assert!(
-        !dir.join("checkpoint.jbc.tmp").exists(),
+        !dir.join("wal.log.tmp").exists(),
         "open must clear the torn tmp"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Crash *between* installing the new snapshot and truncating the WAL:
-/// the stale log replays on top of the fresh checkpoint. After-images,
-/// and references only to tables the log itself re-creates first, make
-/// that idempotent, so the recovered state equals the checkpoint state
-/// exactly.
+/// A log captured just before a checkpoint and put back over the
+/// compacted one replays, on its own, to the state it recorded: the
+/// checkpoint's state exactly.
 #[test]
 fn crash_between_snapshot_install_and_wal_truncation_is_idempotent() {
     let dir = fresh_dir("window");
@@ -238,12 +282,11 @@ fn crash_between_snapshot_install_and_wal_truncation_is_idempotent() {
         for s in &post_script() {
             db.execute(s).unwrap();
         }
-        // Capture the log as it stood the instant before truncation …
+        // Capture the log as it stood the instant before the checkpoint …
         stale_wal = std::fs::read(dir.join("wal.log")).unwrap();
         db.checkpoint().unwrap();
     }
-    // … and put it back: this is byte-for-byte the on-disk state of a
-    // crash after the snapshot rename but before `truncate_to_empty`.
+    // … and put it back: open replays that log alone.
     std::fs::write(dir.join("wal.log"), &stale_wal).unwrap();
     let recovered = Database::new(paged_with_budget(&dir, None));
     assert!(
@@ -253,12 +296,10 @@ fn crash_between_snapshot_install_and_wal_truncation_is_idempotent() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The same window when the stale log itself began at an earlier
-/// checkpoint: its statements read tables that checkpoint restored, and
-/// later ones rewrite or drop them. A column passed through from such a
-/// table is logged as an image, never as a reference: replayed over the
-/// newer snapshot, a reference would name the table's final state, or a
-/// table that is gone.
+/// The same when the log put back itself began at an earlier checkpoint:
+/// its statements read tables that checkpoint's base holds, and later
+/// ones rewrite or drop them. It replays from its own base to the state
+/// it recorded.
 #[test]
 fn crash_window_replay_over_a_log_that_read_checkpointed_tables() {
     let post = [
@@ -299,7 +340,7 @@ fn crash_window_replay_over_a_log_that_read_checkpointed_tables() {
 /// checkpoint → crash → recover → write → crash → recover again.
 #[test]
 fn post_checkpoint_recovery_writes_survive_the_next_crash() {
-    let (dir, _) = checkpointed_dir("again", &pre_script(), &post_script()[..2]);
+    let (dir, ..) = checkpointed_dir("again", &pre_script(), &post_script()[..2]);
     {
         let db = Database::new(paged_with_budget(&dir, None));
         db.execute("CREATE TABLE extra AS SELECT k FROM u WHERE k < 7")
@@ -312,5 +353,311 @@ fn post_checkpoint_recovery_writes_survive_the_next_crash() {
         db.snapshot("u").unwrap(),
         reference_state(2).snapshot("u").unwrap()
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A table and its `SELECT *` copy share every page chain, and the base
+/// images each chain once: the copy's columns are references.
+#[test]
+fn a_select_star_copy_images_its_shared_chains_once() {
+    let dir = fresh_dir("copy");
+    let a = Table::from_columns(vec![
+        (
+            "k",
+            Column::int((0..2000).map(|i| i * 7919 % 100_003).collect()),
+        ),
+        (
+            "v",
+            Column::float((0..2000).map(|i| i as f64 / 3.0).collect()),
+        ),
+    ]);
+    {
+        let db = Database::new(paged_with_budget(&dir, None));
+        db.create_table("a", a.clone()).unwrap();
+        db.execute("CREATE TABLE b AS SELECT * FROM a").unwrap();
+        db.checkpoint().unwrap();
+        let written = db.stats().checkpoint_bytes_written;
+        let images = image("a", &a) + image("b", &a);
+        assert!(
+            written < images,
+            "a {written}-byte base for two tables whose images total {images} bytes"
+        );
+        db.simulate_crash().unwrap();
+    }
+    let db = Database::new(paged_with_budget(&dir, None));
+    assert_eq!(db.snapshot("a").unwrap(), a);
+    assert_eq!(db.snapshot("b").unwrap(), a);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The budget counts bytes past the base. With a budget smaller than the
+/// database's image, and smaller than one column's, statements that pass
+/// that column through log only a reference to it, also right after a
+/// checkpoint, so the log does not compact after every statement.
+#[test]
+fn a_budget_below_the_database_image_does_not_checkpoint_every_statement() {
+    let dir = fresh_dir("small_budget");
+    let seed = Table::from_columns(vec![
+        ("k", Column::int((0..4000).map(|i| i << 30 | i).collect())),
+        ("v", Column::float((0..4000).map(|i| i as f64).collect())),
+    ]);
+    let mut k_image = Vec::new();
+    encode_stored_column(&mut k_image, &seed.columns[0]);
+    let budget = k_image.len() as u64 / 2;
+    let db = Database::new(paged_with_budget(&dir, Some(budget)));
+    db.create_table("seed", seed).unwrap();
+    assert_eq!(
+        db.stats().checkpoints,
+        1,
+        "the bulk load crossed the budget"
+    );
+    for _ in 0..20 {
+        db.execute("CREATE OR REPLACE TABLE c AS SELECT k FROM seed")
+            .unwrap();
+    }
+    let stats = db.stats();
+    assert_eq!(
+        stats.checkpoints, 1,
+        "20 references are far below the budget"
+    );
+    assert!(
+        stats.wal_bytes < budget,
+        "{} bytes past the base",
+        stats.wal_bytes
+    );
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The base is renamed into place only once it is durable, so damage
+/// inside it is corruption: open fails with `Corrupt` and leaves the log
+/// as it found it, rather than opening the empty database an unreadable
+/// log would otherwise replay to.
+#[test]
+fn a_flipped_byte_in_the_base_is_corrupt_never_an_empty_database() {
+    let (dir, log, base) = checkpointed_dir("flip", &pre_script(), &[]);
+    assert_eq!(log.len(), base, "nothing past the base");
+    // The base record: a kind byte and a u64 length (bytes 0..9). Then
+    // `seed`'s `CreateTable`: a 9-byte header, the name (4 + 4), a column
+    // count (4), the first column's name (4 + 1), then its image: a data
+    // tag and a u64 row count.
+    let tag = 9 + 9 + 8 + 4 + 5;
+    let flipped = [0, 8, tag, tag + 8].map(|at| {
+        let mut flipped = log.clone();
+        flipped[at] ^= 0x80;
+        (format!("byte {at}"), flipped)
+    });
+    let garbage = ("garbage".to_string(), b"JBxx not a checkpoint".to_vec());
+    for (what, damaged) in flipped.into_iter().chain([garbage]) {
+        std::fs::write(dir.join("wal.log"), &damaged).unwrap();
+        match Database::open(paged_with_budget(&dir, None)) {
+            Err(EngineError::Corrupt(_)) => {}
+            Err(e) => panic!("{what}: {e}"),
+            Ok(db) => panic!("{what}: opened with tables {:?}", db.table_names()),
+        }
+        assert_eq!(
+            std::fs::read(dir.join("wal.log")).unwrap(),
+            damaged,
+            "{what}: open must not cut the log"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A crash between the rename and the unlink of an earlier build's
+/// snapshot leaves that `checkpoint.jbc` beside a compacted log. Open
+/// reads it first, and the log's base replaces it; the next checkpoint
+/// deletes it.
+#[test]
+fn a_legacy_checkpoint_beside_a_compacted_log_reopens_to_the_compacted_state() {
+    let (dir, ..) = checkpointed_dir("legacy", &pre_script(), &post_script()[..2]);
+    // The snapshot format: magic "JBCP", version 1, a table count, then
+    // each table's image.
+    let mut snapshot = Vec::new();
+    for x in [0x4A42_4350, 1, 2] {
+        put_u32(&mut snapshot, x);
+    }
+    let stale = Table::from_columns(vec![("k", Column::int(vec![1, 2, 3]))]);
+    encode_named_table(&mut snapshot, "stale", &stale);
+    encode_named_table(&mut snapshot, "t", &stale);
+    std::fs::write(dir.join("checkpoint.jbc"), snapshot).unwrap();
+    let reference = reference_state(2);
+    let db = Database::new(paged_with_budget(&dir, None));
+    assert!(
+        same_state(&db, &reference),
+        "the base replaces the snapshot"
+    );
+    db.checkpoint().unwrap();
+    assert!(
+        !dir.join("checkpoint.jbc").exists(),
+        "the checkpoint deletes it"
+    );
+    drop(db);
+    let db = Database::new(paged_with_budget(&dir, None));
+    assert!(same_state(&db, &reference));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The engine as a training backend that records, for every `CREATE OR
+/// REPLACE TABLE` (the trainer's residual rewrite), the checkpoints taken
+/// before it, whether it took one itself, and the WAL bytes it logged.
+struct Watched<'a> {
+    db: &'a Database,
+    rewrites: Mutex<Vec<Rewrite>>,
+}
+
+struct Rewrite {
+    table: String,
+    checkpoints: u64,
+    compacted: bool,
+    logged: u64,
+}
+
+impl SqlBackend for Watched<'_> {
+    fn name(&self) -> &str {
+        "watched"
+    }
+
+    fn capabilities(&self) -> BackendCapabilities {
+        BackendCapabilities::of_engine(self.db.config())
+    }
+
+    fn execute(&self, sql: &str) -> BackendResult {
+        self.db.execute(sql)
+    }
+
+    fn execute_ast(&self, stmt: &Statement) -> BackendResult {
+        let before = self.db.stats();
+        let out = self.db.execute_statement(stmt)?;
+        if let Statement::CreateTableAs {
+            name,
+            or_replace: true,
+            ..
+        } = stmt
+        {
+            let after = self.db.stats();
+            self.rewrites.lock().push(Rewrite {
+                table: name.clone(),
+                checkpoints: before.checkpoints,
+                compacted: after.checkpoints != before.checkpoints,
+                logged: after.wal_bytes.wrapping_sub(before.wal_bytes),
+            });
+        }
+        Ok(out)
+    }
+
+    fn create_table(&self, name: &str, table: Table) -> BackendResult<()> {
+        self.db.create_table(name, table)
+    }
+
+    fn snapshot(&self, name: &str) -> BackendResult<Table> {
+        self.db.snapshot(name)
+    }
+
+    fn column_names(&self, table: &str) -> BackendResult<Vec<String>> {
+        self.db.column_names(table)
+    }
+
+    fn column_dtype(&self, table: &str, column: &str) -> BackendResult<DataType> {
+        self.db.column_dtype(table, column)
+    }
+
+    fn has_table(&self, name: &str) -> bool {
+        self.db.has_table(name)
+    }
+
+    fn row_count(&self, name: &str) -> BackendResult<usize> {
+        self.db.row_count(name)
+    }
+}
+
+/// A GBM trained on a paged engine whose budget compacts the log several
+/// times during training: the model is bit-identical to `duckdb_mem`'s,
+/// the lifted fact survives a crash, and the first residual rewrite after
+/// each compaction logs less than one image of the columns it passes
+/// through, because the base's tables can be referenced.
+#[test]
+fn gbm_across_compactions_is_bit_identical_and_rewrites_log_one_column() {
+    let gen = favorita(&FavoritaConfig {
+        fact_rows: 2500,
+        dim_rows: 25,
+        noise: 1.0,
+        ..Default::default()
+    });
+    let params = TrainParams {
+        num_iterations: 8,
+        ..Default::default()
+    };
+    let reference = {
+        let db = Database::new(EngineConfig::duckdb_mem());
+        gen.load_into(&db).unwrap();
+        let set = Dataset::new(&db, gen.graph.clone(), "sales", "net_profit").unwrap();
+        train_gbm(&set, &params).unwrap()
+    };
+
+    let dir = fresh_dir("gbm");
+    let config = paged_with_budget(&dir, Some(48 << 10));
+    let db = Database::new(config.clone());
+    gen.load_into(&db).unwrap();
+    let watched = Watched {
+        db: &db,
+        rewrites: Mutex::new(Vec::new()),
+    };
+    let start = db.stats().checkpoints;
+    let mut set = Dataset::new(&watched, gen.graph.clone(), "sales", "net_profit").unwrap();
+    let model = train_gbm(&set, &params).unwrap();
+    set.keep_temp_tables = true;
+    drop(set);
+    assert_eq!(reference.trees, model.trees, "compaction changed the model");
+    assert_eq!(reference.init_score.to_bits(), model.init_score.to_bits());
+    let rewrites = watched.rewrites.into_inner();
+    let lifted = rewrites
+        .last()
+        .expect("the trainer rewrote the fact")
+        .table
+        .clone();
+    assert!(
+        db.stats().checkpoints >= start + 3,
+        "training must compact several times, took {}",
+        db.stats().checkpoints - start
+    );
+
+    // Every column but the residual passes through each rewrite.
+    let before_crash = db.snapshot(&lifted).unwrap();
+    let pass_through: u64 = (before_crash.meta.iter().zip(&before_crash.columns))
+        .filter(|(m, _)| !m.name.eq_ignore_ascii_case("jb_s"))
+        .map(|(_, c)| {
+            let mut out = Vec::new();
+            encode_stored_column(&mut out, c);
+            out.len() as u64
+        })
+        .sum();
+    let mut checked = 0;
+    for (i, r) in rewrites.iter().enumerate() {
+        let first_after =
+            r.checkpoints > start && (i == 0 || rewrites[i - 1].checkpoints < r.checkpoints);
+        if !first_after {
+            continue;
+        }
+        assert!(
+            !r.compacted && r.logged < pass_through,
+            "rewrite {i} after checkpoint {}: logged {} bytes (compacted: {}), the \
+             pass-through columns' image is {pass_through}",
+            r.checkpoints,
+            r.logged,
+            r.compacted
+        );
+        checked += 1;
+    }
+    assert!(
+        checked >= 2,
+        "only {checked} rewrites followed a compaction"
+    );
+
+    db.simulate_crash().unwrap();
+    drop(db);
+    let reopened = Database::new(config);
+    assert_eq!(reopened.snapshot(&lifted).unwrap(), before_crash);
+    drop(reopened);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -11,7 +11,6 @@ use parking_lot::{Mutex, RwLock};
 use joinboost_sql::ast::{Expr, Statement};
 use joinboost_sql::parse_statement;
 
-use crate::checkpoint::{self, CheckpointWriter};
 use crate::column::Column;
 use crate::compress::{decompress, StoredColumn};
 use crate::error::{EngineError, Result};
@@ -20,7 +19,7 @@ use crate::interop::ExternalTable;
 use crate::plan::{bind, Op, Plan};
 use crate::storage::{BufferPoolStats, PageChain, PagedStore, PagedTable};
 use crate::table::{ColumnMeta, Table};
-use crate::wal::{self, ColumnRef, Wal};
+use crate::wal::{self, checkpoint, ColumnRef, LoggedColumn, Wal};
 
 /// Columnar vs row-oriented execution (the paper's `X-col` vs `X-row`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,8 +47,8 @@ pub struct EngineConfig {
     /// Run-length encode each RAM-resident column whose encoded form is
     /// smaller (chosen per column at every store); `false` never encodes.
     /// Updates pay decompress + recompress only for the encoded columns.
-    /// This governs the in-memory catalog only: pages, the WAL and
-    /// checkpoints always bit-pack Int columns where that is smaller.
+    /// This governs the in-memory catalog only: pages and the WAL always
+    /// bit-pack Int columns where that is smaller.
     pub compression: bool,
     /// Whether the `SWAP COLUMN` extension is available (`D-Swap`).
     pub allow_swap: bool,
@@ -66,12 +65,11 @@ pub struct EngineConfig {
     /// only; the group-id space is sliced so results stay bit-identical).
     pub agg_spill_bytes: usize,
     /// Automatic checkpoint budget (paged mode only): once the WAL has
-    /// grown past this many bytes, the next statement boundary snapshots
-    /// the catalog into `checkpoint.jbc` and truncates the log, so the
-    /// log file stays bounded by `checkpoint_bytes` plus one statement
-    /// and reopening replays only the post-checkpoint suffix. `None`
-    /// disables automatic checkpoints ([`Database::checkpoint`] can
-    /// still be called manually).
+    /// logged this many bytes since the last checkpoint, the next
+    /// statement boundary compacts it ([`Database::checkpoint`]), so the
+    /// log past its base stays bounded by `checkpoint_bytes` plus one
+    /// statement. `None` disables automatic checkpoints
+    /// ([`Database::checkpoint`] can still be called manually).
     pub checkpoint_bytes: Option<u64>,
 }
 
@@ -137,9 +135,9 @@ impl EngineConfig {
     /// In-memory RLE compression and MVCC are off: tables share the page
     /// chains of the columns they have in common, and the WAL logs each
     /// new column's image once, so a column a statement passes through
-    /// costs no page writes and only a reference in the log. Pages, log
-    /// records and checkpoints store each Int column bit-packed at its
-    /// value width when that is smaller. Tune `bufferpool_pages` and
+    /// costs no page writes and only a reference in the log. Pages and
+    /// log records store each Int column bit-packed at its value width
+    /// when that is smaller. Tune `bufferpool_pages` and
     /// `agg_spill_bytes` with struct-update syntax.
     pub fn paged(dir: impl Into<PathBuf>) -> Self {
         EngineConfig {
@@ -160,9 +158,9 @@ pub struct DbStats {
     pub queries: u64,
     /// Total statements executed (queries included).
     pub statements: u64,
-    /// Bytes appended to the write-ahead log.
+    /// Bytes appended to the write-ahead log since the last checkpoint.
     pub wal_bytes: u64,
-    /// Records appended to the write-ahead log.
+    /// Records appended to the write-ahead log since the last checkpoint.
     pub wal_records: u64,
     /// Bytes of MVCC before-images copied into the undo buffer.
     pub undo_bytes: u64,
@@ -176,7 +174,7 @@ pub struct DbStats {
     pub swaps: u64,
     /// Checkpoints taken (manual + automatic).
     pub checkpoints: u64,
-    /// Bytes written into checkpoint snapshots.
+    /// Bytes of the bases checkpoints wrote (see [`Database::checkpoint`]).
     pub checkpoint_bytes_written: u64,
 }
 
@@ -286,34 +284,21 @@ impl Database {
         })
     }
 
-    /// Open the paged engine: create the directory, load the latest
-    /// checkpoint (if any), replay the WAL's committed prefix on top into
-    /// the (fresh) page file, then reopen the log for appending with
-    /// fsync-on-commit enabled.
+    /// Open the paged engine: create the directory, replay the WAL's
+    /// committed prefix into the (fresh) page file, then reopen the log
+    /// for appending with fsync-on-commit enabled.
     fn open_paged(dir: &Path, pool_pages: usize) -> Result<(Catalog, Wal, PagedStore)> {
         std::fs::create_dir_all(dir)?;
         let store = PagedStore::open(dir, pool_pages)?;
-        let wal_path = dir.join("wal.log");
-        // Start from the checkpoint snapshot, then re-apply the committed
-        // statements in log order. Images overwrite and references name
-        // only tables the log itself re-creates first, so this is
-        // idempotent, which is what makes the checkpoint's crash windows
-        // safe: replaying a log that still contains pre-checkpoint records
-        // converges to the same state.
-        let mut tables: HashMap<String, Table> = checkpoint::load(dir)?
-            .map(|snap| snap.into_iter().collect())
-            .unwrap_or_default();
-        let replayed = match wal_path.exists() {
-            true => wal::replay(&wal_path, &mut tables)?,
-            false => wal::Replayed::default(),
-        };
+        let mut tables = HashMap::new();
+        let replayed = wal::recover(dir, &mut tables)?;
         // A buffer that replay shared between tables is stored once, as a
         // chain those tables share (see `PagedStore::store_column`).
         let mut catalog = HashMap::new();
         for (name, t) in tables {
             catalog.insert(name, Stored::Paged(store.store_table(&t)?));
         }
-        let mut wal = Wal::open_append(&wal_path, replayed)?;
+        let mut wal = Wal::open_append(&dir.join(wal::LOG_FILE), replayed)?;
         // The latent `sync = false` default would leave commit records in
         // OS buffers; the paged engine's durability contract is that a
         // committed statement survives a crash, so fsync on commit.
@@ -358,14 +343,14 @@ impl Database {
         (self.storage.as_ref()).map(|s| (s, self.config.agg_spill_bytes))
     }
 
-    /// Checkpoint the catalog (paged mode only): snapshot every table's
-    /// schema and column images into `checkpoint.jbc` (written to a tmp
-    /// file, fsynced, atomically renamed, directory fsynced), then
-    /// truncate the WAL to empty. Concurrent write statements are
-    /// excluded for the duration, so the snapshot always captures a
-    /// statement boundary; reads proceed normally. A crash at any point
-    /// during the checkpoint recovers from the previous one (see
-    /// [`crate::checkpoint`] for the window-by-window argument).
+    /// Checkpoint the catalog (paged mode only): compact the WAL into a
+    /// base, one statement that creates every paged table in name order,
+    /// imaging each page chain once and logging a chain an earlier table
+    /// of the base holds as a reference ([`Wal::compact`]). The base is
+    /// fsynced and renamed over the log, which then appends past it.
+    /// Concurrent write statements are excluded for the duration, so the
+    /// base always captures a statement boundary; reads proceed normally.
+    /// A crash before the rename recovers the old log, after it the new.
     pub fn checkpoint(&self) -> Result<()> {
         let (Some(store), Some(dir)) = (&self.storage, &self.config.storage_path) else {
             return Err(EngineError::Other(
@@ -374,24 +359,22 @@ impl Database {
         };
         let _gate = self.write_gate.write();
         // Page-chain metadata is cheap to clone; contents cannot move under
-        // the exclusive gate. Sorted order keeps snapshots deterministic.
-        let mut entries: Vec<(String, PagedTable)> = (self.catalog.read().iter())
-            .filter_map(|(k, s)| match s {
-                Stored::Paged(pt) => Some((k.clone(), pt.clone())),
-                // External tables are deliberately non-durable (they
-                // bypass the WAL too), so they stay out of snapshots.
-                _ => None,
-            })
+        // the exclusive gate. External tables are deliberately non-durable
+        // (they bypass the WAL too), so they stay out of the base.
+        let tables: Vec<(String, PagedTable)> = (paged_tables(&self.catalog.read()).into_iter())
+            .map(|(k, pt)| (k.to_string(), pt.clone()))
             .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut writer = CheckpointWriter::create(dir, entries.len() as u32)?;
-        for (name, pt) in &entries {
-            writer.add_table(name, &store.load_table(pt)?)?;
-        }
-        let bytes = writer.finish()?;
-        // Only now — with the snapshot durably installed — is the log
-        // redundant and safe to cut.
-        self.wal.lock().truncate_to_empty()?;
+        let bytes = self.wal.lock().compact(dir, |base| {
+            let mut held = Holders::new();
+            for (name, pt) in &tables {
+                let columns = logged_columns(&held, pt, |i| store.load_column(&pt.columns[i]))?;
+                base.log_create_table(name, &pt.meta, &columns)?;
+                hold(&mut held, name, pt);
+            }
+            Ok(())
+        })?;
+        // The base replaces an earlier build's snapshot.
+        let _ = std::fs::remove_file(dir.join(checkpoint::CHECKPOINT_FILE));
         let mut stats = self.stats.lock();
         stats.checkpoints += 1;
         stats.checkpoint_bytes_written += bytes;
@@ -453,7 +436,7 @@ impl Database {
     /// in a chain shares it. The log record, the catalog change and the
     /// commit then happen under the log's lock, as in every write: the
     /// catalog it guards is the state the log stands at, so a column whose
-    /// chain a logged table holds can be logged as a reference to it.
+    /// chain a catalog table holds can be logged as a reference to it.
     fn install(&self, name: &str, table: Table, replace: bool, log: bool) -> Result<()> {
         let key = name.to_ascii_lowercase();
         let gate = self.write_gate.read();
@@ -467,8 +450,19 @@ impl Database {
                 return Err(EngineError::TableExists(name.to_string()));
             }
             if log {
-                let refs = (paged.as_ref()).map_or_else(Vec::new, |pt| column_refs(&cat, &wal, pt));
-                wal.log_create_table(name, &table, &refs)?;
+                let columns = match &paged {
+                    Some(pt) => {
+                        let mut held = Holders::new();
+                        for (key, held_pt) in paged_tables(&cat) {
+                            hold(&mut held, key, held_pt);
+                        }
+                        logged_columns(&held, pt, |i| Ok(table.columns[i].clone()))?
+                    }
+                    None => (table.columns.iter().cloned())
+                        .map(LoggedColumn::Image)
+                        .collect(),
+                };
+                wal.log_create_table(name, &table.meta, &columns)?;
             }
         }
         let stored = match paged {
@@ -573,7 +567,7 @@ impl Database {
     }
 
     /// Materialize every column of a table — `scan(name, None)`; what
-    /// backends, checkpoints and bulk reads ask for.
+    /// backends and bulk reads ask for.
     pub fn snapshot(&self, name: &str) -> Result<Table> {
         self.scan(name, None)
     }
@@ -826,33 +820,43 @@ impl Drop for Database {
     }
 }
 
-/// For each column of `pt`, a logged table of `cat` whose chain for some
-/// column is the very same chain: the column can be logged as a reference
-/// to it. Of several, the first by name and position, so the log's bytes
-/// do not depend on the catalog's hash order.
-fn column_refs(cat: &Catalog, wal: &Wal, pt: &PagedTable) -> Vec<Option<ColumnRef>> {
-    let mut holders: HashMap<*const PageChain, (&str, usize)> = HashMap::new();
-    for (key, stored) in cat {
-        let Stored::Paged(held) = stored else {
-            continue;
-        };
-        if !wal.is_logged(key) {
-            continue;
-        }
-        for (index, pc) in held.columns.iter().enumerate() {
-            let holder = holders
-                .entry(Arc::as_ptr(&pc.pages))
-                .or_insert((key, index));
-            *holder = (*holder).min((key, index));
-        }
+/// The paged tables of `cat` in name order, so the log's bytes do not
+/// depend on the catalog's hash order.
+fn paged_tables(cat: &Catalog) -> Vec<(&str, &PagedTable)> {
+    let mut tables: Vec<(&str, &PagedTable)> = (cat.iter())
+        .filter_map(|(k, s)| match s {
+            Stored::Paged(pt) => Some((k.as_str(), pt)),
+            _ => None,
+        })
+        .collect();
+    tables.sort_unstable_by_key(|&(k, _)| k);
+    tables
+}
+
+/// The first table and position holding each page chain.
+type Holders<'a> = HashMap<*const PageChain, (&'a str, usize)>;
+
+/// Record the chains of table `name` that no earlier table holds.
+fn hold<'a>(held: &mut Holders<'a>, name: &'a str, pt: &PagedTable) {
+    for (index, pc) in pt.columns.iter().enumerate() {
+        held.entry(Arc::as_ptr(&pc.pages)).or_insert((name, index));
     }
-    (pt.columns.iter())
-        .map(|pc| {
-            let (table, index) = holders.get(&Arc::as_ptr(&pc.pages))?;
-            Some(ColumnRef {
+}
+
+/// Each column of `pt` as the log records it: a reference to the column
+/// `held` names for its chain, or else its image, `image(i)`.
+fn logged_columns(
+    held: &Holders,
+    pt: &PagedTable,
+    image: impl Fn(usize) -> Result<Column>,
+) -> Result<Vec<LoggedColumn>> {
+    (pt.columns.iter().enumerate())
+        .map(|(i, pc)| match held.get(&Arc::as_ptr(&pc.pages)) {
+            Some(&(table, index)) => Ok(LoggedColumn::Ref(ColumnRef {
                 table: table.to_string(),
-                index: *index as u32,
-            })
+                index: index as u32,
+            })),
+            None => image(i).map(LoggedColumn::Image),
         })
         .collect()
 }

@@ -52,7 +52,6 @@
 #![deny(missing_docs)]
 
 pub mod agg;
-pub mod checkpoint;
 pub mod column;
 pub mod compress;
 pub mod datum;

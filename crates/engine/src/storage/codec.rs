@@ -1,11 +1,11 @@
-//! Checked byte codec for columns, shared by the page store, the WAL,
-//! checkpoints and the wire protocol.
+//! Checked byte codec for columns, shared by the page store, the WAL and
+//! the wire protocol.
 //!
 //! [`encode_column`] writes the *plain* image, the wire's column body:
 //! `f64`s travel by bit pattern (`to_bits`, little-endian), strings as a
 //! dictionary plus `u32` codes, and validity as a packed LSB-first
-//! bitmap. [`encode_stored_column`] writes the *storage* image that pages,
-//! the WAL and checkpoints hold: the plain image, except that an Int
+//! bitmap. [`encode_stored_column`] writes the *storage* image that pages
+//! and the WAL hold: the plain image, except that an Int
 //! column is bit-packed at its value width when that is smaller. One
 //! decoder, [`decode_column`], reads both, so stores written before the
 //! packed image existed still open. The decoder is fully
@@ -137,8 +137,9 @@ pub fn put_string(out: &mut Vec<u8>, s: &str) {
 }
 
 /// Serialize a named table: its name, a `u32` column count, then each
-/// column's name and [`encode_stored_column`] image — the framing a WAL
-/// `CreateTable` record and a checkpoint entry share byte for byte.
+/// column's name and [`encode_stored_column`] image — the payload of a
+/// WAL `CreateTable` record that images every column, and an entry of
+/// the `checkpoint.jbc` snapshot earlier builds wrote.
 pub fn encode_named_table(out: &mut Vec<u8>, name: &str, table: &Table) {
     put_string(out, name);
     put_u32(out, table.columns.len() as u32);

@@ -28,8 +28,9 @@
 //! (see `WeakColumn` in [`crate::column`]).
 //!
 //! Durability is WAL-first: committed state is always recoverable by
-//! replaying the write-ahead log (see [`crate::wal`]), so the page file
-//! is ephemeral working storage, recreated at open. Because the page
+//! replaying the write-ahead log, which a checkpoint compacts into a base
+//! that images each chain once (see [`crate::wal`]), so the page file is
+//! ephemeral working storage, recreated at open. Because the page
 //! codec is bit-exact (floats round-trip by bit pattern) and paging
 //! changes only *where* column bytes live — never the order any scan
 //! folds rows — results on a paged engine are bit-identical to the
