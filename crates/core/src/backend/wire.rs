@@ -418,8 +418,9 @@ fn count(r: &mut ByteReader<'_>, item_bytes: usize) -> DecodeResult<usize> {
 /// Append a columnar block encoding of `t` to `buf`: the column and row
 /// counts, then per column its qualifier, its name and its
 /// plain [`encode_column`] body. The storage codec's one decoder also
-/// reads the bit-packed Int image that pages, the WAL and checkpoints may
-/// hold, but the wire always carries the plain one.
+/// reads the bit-packed Int image that pages and the WAL may hold, but
+/// the wire always carries the plain one; it refuses the in-memory
+/// catalog's run-length image.
 pub fn encode_table(t: &Table, buf: &mut Vec<u8>) {
     put_u32(buf, t.num_columns() as u32);
     put_u64(buf, t.num_rows() as u64);
@@ -1403,6 +1404,38 @@ mod tests {
             let back = decode_response(&enc).unwrap();
             // Compare via re-encoding (NaN-proof) and structurally.
             assert_eq!(encode_response(&back), enc, "{resp:?}");
+        }
+    }
+
+    #[test]
+    fn a_run_length_column_body_is_rejected() {
+        // The in-memory catalog's run-length image never travels: a frame
+        // carrying one is refused, how few bytes its runs take and however
+        // many rows they stand for (here one 12-byte run of 2³²−1 rows).
+        let mut honest = Vec::new();
+        joinboost_engine::storage::codec::encode_rle_column(&mut honest, &Column::int(vec![7; 50]));
+        let mut huge = vec![4, 0];
+        put_u64(&mut huge, u64::from(u32::MAX));
+        put_u64(&mut huge, 1);
+        put_u64(&mut huge, 7);
+        put_u32(&mut huge, u32::MAX);
+        huge.push(0);
+        for (rows, body) in [(50, honest), (u64::from(u32::MAX), huge)] {
+            let mut block = Vec::new();
+            put_u32(&mut block, 1);
+            put_u64(&mut block, rows);
+            block.push(0);
+            put_string(&mut block, "a");
+            block.extend_from_slice(&body);
+            let mut req = vec![REQ_CREATE_TABLE];
+            put_string(&mut req, "t");
+            req.extend_from_slice(&block);
+            let resp = [&[RESP_TABLE][..], &block].concat();
+            assert!(matches!(decode_request(&req), Err(EngineError::Corrupt(_))));
+            assert!(matches!(
+                decode_response(&resp),
+                Err(EngineError::Corrupt(_))
+            ));
         }
     }
 

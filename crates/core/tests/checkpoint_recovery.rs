@@ -14,10 +14,9 @@
 //!   base is cut at arbitrary byte offsets and reopen must recover the
 //!   base plus the longest committed prefix, never a torn half-statement;
 //! * **crash windows around the rename** — a torn tmp is ignored, a stale
-//!   log from before the rename replays to the same state, an earlier
-//!   build's `checkpoint.jbc` left beside a compacted log is replaced by
-//!   its base, and a damaged base is a hard error, never an empty
-//!   database;
+//!   log from before the rename replays to the same state, a directory
+//!   that holds an earlier build's `checkpoint.jbc` is refused, and a
+//!   damaged base is a hard error, never an empty database;
 //! * **training across compactions** — a GBM on a paged engine that
 //!   compacts several times trains bit-identically, survives a crash, and
 //!   after each compaction rewrites the lifted fact by logging only the
@@ -29,7 +28,7 @@ use proptest::prelude::*;
 use joinboost::backend::{BackendCapabilities, BackendResult, SqlBackend};
 use joinboost::{train_gbm, Dataset, TrainParams};
 use joinboost_datagen::{favorita, FavoritaConfig};
-use joinboost_engine::storage::codec::{encode_named_table, encode_stored_column, put_u32};
+use joinboost_engine::storage::codec::{encode_stored_column, put_string, put_u32};
 use joinboost_engine::{Column, DataType, Database, EngineConfig, EngineError, Table};
 use joinboost_sql::ast::Statement;
 
@@ -60,7 +59,12 @@ fn paged_with_budget(dir: &std::path::Path, budget: Option<u64>) -> EngineConfig
 /// image, as a log record that images every column holds it.
 fn image(name: &str, t: &Table) -> u64 {
     let mut out = Vec::new();
-    encode_named_table(&mut out, name, t);
+    put_string(&mut out, name);
+    put_u32(&mut out, t.num_columns() as u32);
+    for (m, c) in t.meta.iter().zip(&t.columns) {
+        put_string(&mut out, &m.name);
+        encode_stored_column(&mut out, c);
+    }
     out.len() as u64
 }
 
@@ -464,37 +468,22 @@ fn a_flipped_byte_in_the_base_is_corrupt_never_an_empty_database() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A crash between the rename and the unlink of an earlier build's
-/// snapshot leaves that `checkpoint.jbc` beside a compacted log. Open
-/// reads it first, and the log's base replaces it; the next checkpoint
-/// deletes it.
+/// Earlier builds checkpointed to a `checkpoint.jbc` snapshot and kept
+/// only the statements past it in the log. Open refuses a directory that
+/// holds one, naming the file, and leaves both files as it found them:
+/// replaying the log alone would drop every table the snapshot held.
 #[test]
-fn a_legacy_checkpoint_beside_a_compacted_log_reopens_to_the_compacted_state() {
-    let (dir, ..) = checkpointed_dir("legacy", &pre_script(), &post_script()[..2]);
-    // The snapshot format: magic "JBCP", version 1, a table count, then
-    // each table's image.
-    let mut snapshot = Vec::new();
-    for x in [0x4A42_4350, 1, 2] {
-        put_u32(&mut snapshot, x);
+fn a_directory_with_a_legacy_checkpoint_is_refused_by_name() {
+    let (dir, log, _) = checkpointed_dir("legacy", &pre_script(), &post_script()[..2]);
+    let snapshot = b"JBCP: a snapshot of an earlier build".to_vec();
+    std::fs::write(dir.join("checkpoint.jbc"), &snapshot).unwrap();
+    match Database::open(paged_with_budget(&dir, None)) {
+        Err(EngineError::Corrupt(m)) => assert!(m.contains("checkpoint.jbc"), "{m}"),
+        Err(e) => panic!("{e}"),
+        Ok(db) => panic!("opened with tables {:?}", db.table_names()),
     }
-    let stale = Table::from_columns(vec![("k", Column::int(vec![1, 2, 3]))]);
-    encode_named_table(&mut snapshot, "stale", &stale);
-    encode_named_table(&mut snapshot, "t", &stale);
-    std::fs::write(dir.join("checkpoint.jbc"), snapshot).unwrap();
-    let reference = reference_state(2);
-    let db = Database::new(paged_with_budget(&dir, None));
-    assert!(
-        same_state(&db, &reference),
-        "the base replaces the snapshot"
-    );
-    db.checkpoint().unwrap();
-    assert!(
-        !dir.join("checkpoint.jbc").exists(),
-        "the checkpoint deletes it"
-    );
-    drop(db);
-    let db = Database::new(paged_with_budget(&dir, None));
-    assert!(same_state(&db, &reference));
+    assert_eq!(std::fs::read(dir.join("wal.log")).unwrap(), log);
+    assert_eq!(std::fs::read(dir.join("checkpoint.jbc")).unwrap(), snapshot);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

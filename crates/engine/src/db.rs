@@ -6,20 +6,19 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
 
 use joinboost_sql::ast::{Expr, Statement};
 use joinboost_sql::parse_statement;
 
 use crate::column::Column;
-use crate::compress::{decompress, StoredColumn};
 use crate::error::{EngineError, Result};
 use crate::expr::{CaseMerge, EvalContext};
 use crate::interop::ExternalTable;
-use crate::plan::{bind, Op, Plan};
-use crate::storage::{BufferPoolStats, PageChain, PagedStore, PagedTable};
+use crate::plan::{bind, names_read, Op, Plan};
+use crate::storage::{BufferPoolStats, PageChain, PagedStore, StoredColumn};
 use crate::table::{ColumnMeta, Table};
-use crate::wal::{self, checkpoint, ColumnRef, LoggedColumn, Wal};
+use crate::wal::{self, ColumnRef, LoggedColumn, Wal};
 
 /// Columnar vs row-oriented execution (the paper's `X-col` vs `X-row`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,11 +43,12 @@ pub struct EngineConfig {
     /// each touched column into an undo buffer (a real copy, never a share
     /// of the stored buffer, counted by `DbStats::undo_bytes`).
     pub mvcc: bool,
-    /// Run-length encode each RAM-resident column whose encoded form is
-    /// smaller (chosen per column at every store); `false` never encodes.
-    /// Updates pay decompress + recompress only for the encoded columns.
-    /// This governs the in-memory catalog only: pages and the WAL always
-    /// bit-pack Int columns where that is smaller.
+    /// Hold each RAM-resident column as its run-length codec image when
+    /// that is smaller (chosen per column at every store); `false` never
+    /// encodes. A scan decodes an encoded column, and an `UPDATE` encodes
+    /// only the columns it assigns. This governs the in-memory catalog
+    /// only: pages and the WAL always bit-pack Int columns where that is
+    /// smaller.
     pub compression: bool,
     /// Whether the `SWAP COLUMN` extension is available (`D-Swap`).
     pub allow_swap: bool,
@@ -179,23 +179,19 @@ pub struct DbStats {
 }
 
 enum Stored {
-    /// RAM-resident columns, each in the encoding `store()` chose for it.
-    Memory {
+    /// A catalog table, each column in the form `StoredColumn::store` chose.
+    Table {
         meta: Vec<ColumnMeta>,
         columns: Vec<StoredColumn>,
     },
     External(Arc<ExternalTable>),
-    /// Page chains in the paged store (out-of-core mode): only metadata
-    /// lives here; scans pin the pages through the buffer pool.
-    Paged(PagedTable),
 }
 
 impl Stored {
     fn rows(&self) -> usize {
         match self {
-            Stored::Memory { columns, .. } => columns.first().map_or(0, StoredColumn::rows),
+            Stored::Table { columns, .. } => columns.first().map_or(0, |c| c.shape().0),
             Stored::External(e) => e.num_rows(),
-            Stored::Paged(pt) => pt.rows,
         }
     }
 }
@@ -217,6 +213,8 @@ type Catalog = HashMap<String, Stored>;
 /// An embedded SQL database.
 pub struct Database {
     config: EngineConfig,
+    /// Changed only under `wal`'s lock, so a statement that checks it
+    /// under that lock writes into the tables it checked.
     catalog: RwLock<Catalog>,
     wal: Mutex<Wal>,
     undo: Mutex<UndoLog>,
@@ -288,15 +286,18 @@ impl Database {
     /// committed prefix into the (fresh) page file, then reopen the log
     /// for appending with fsync-on-commit enabled.
     fn open_paged(dir: &Path, pool_pages: usize) -> Result<(Catalog, Wal, PagedStore)> {
-        std::fs::create_dir_all(dir)?;
         let store = PagedStore::open(dir, pool_pages)?;
         let mut tables = HashMap::new();
         let replayed = wal::recover(dir, &mut tables)?;
         // A buffer that replay shared between tables is stored once, as a
         // chain those tables share (see `PagedStore::store_column`).
         let mut catalog = HashMap::new();
-        for (name, t) in tables {
-            catalog.insert(name, Stored::Paged(store.store_table(&t)?));
+        for (name, table) in tables {
+            let columns = (table.columns.iter())
+                .map(|c| StoredColumn::store(c, false, Some(&store)))
+                .collect::<Result<_>>()?;
+            let meta = table.meta;
+            catalog.insert(name, Stored::Table { meta, columns });
         }
         let mut wal = Wal::open_append(&dir.join(wal::LOG_FILE), replayed)?;
         // The latent `sync = false` default would leave commit records in
@@ -327,7 +328,7 @@ impl Database {
 
     /// Buffer-pool counters (paged mode only).
     pub fn bufferpool_stats(&self) -> Option<BufferPoolStats> {
-        self.storage.as_ref().map(PagedStore::stats)
+        self.storage.as_ref().map(|s| s.pool().stats())
     }
 
     /// Test hook: simulate a process crash — WAL bytes the OS never
@@ -344,7 +345,7 @@ impl Database {
     }
 
     /// Checkpoint the catalog (paged mode only): compact the WAL into a
-    /// base, one statement that creates every paged table in name order,
+    /// base, one statement that creates every catalog table in name order,
     /// imaging each page chain once and logging a chain an earlier table
     /// of the base holds as a reference ([`Wal::compact`]). The base is
     /// fsynced and renamed over the log, which then appends past it.
@@ -361,20 +362,19 @@ impl Database {
         // Page-chain metadata is cheap to clone; contents cannot move under
         // the exclusive gate. External tables are deliberately non-durable
         // (they bypass the WAL too), so they stay out of the base.
-        let tables: Vec<(String, PagedTable)> = (paged_tables(&self.catalog.read()).into_iter())
-            .map(|(k, pt)| (k.to_string(), pt.clone()))
-            .collect();
+        let tables: Vec<(String, Vec<ColumnMeta>, Vec<StoredColumn>)> =
+            (catalog_tables(&self.catalog.read()).into_iter())
+                .map(|(k, meta, columns)| (k.to_string(), meta.to_vec(), columns.to_vec()))
+                .collect();
         let bytes = self.wal.lock().compact(dir, |base| {
             let mut held = Holders::new();
-            for (name, pt) in &tables {
-                let columns = logged_columns(&held, pt, |i| store.load_column(&pt.columns[i]))?;
-                base.log_create_table(name, &pt.meta, &columns)?;
-                hold(&mut held, name, pt);
+            for (name, meta, columns) in &tables {
+                let logged = logged_columns(&held, columns, |i| columns[i].load(Some(store)))?;
+                base.log_create_table(name, meta, &logged)?;
+                hold(&mut held, name, columns);
             }
             Ok(())
         })?;
-        // The base replaces an earlier build's snapshot.
-        let _ = std::fs::remove_file(dir.join(checkpoint::CHECKPOINT_FILE));
         let mut stats = self.stats.lock();
         stats.checkpoints += 1;
         stats.checkpoint_bytes_written += bytes;
@@ -392,13 +392,15 @@ impl Database {
         }
     }
 
-    /// Log a commit record for the statement just applied (paged mode:
-    /// this is the fsync that makes the statement durable).
-    fn wal_commit(&self, wal: &mut Wal) -> Result<()> {
-        match self.storage {
-            Some(_) => wal.log_commit(),
-            None => Ok(()),
+    /// Commit the write statement just applied (paged mode: log the
+    /// commit record, the fsync that makes it durable), release its log,
+    /// the state it replaced and its gate guard, then checkpoint if due.
+    fn commit<T>(&self, mut wal: MutexGuard<Wal>, old: T, gate: RwLockReadGuard<()>) -> Result<()> {
+        if self.storage.is_some() {
+            wal.log_commit()?;
         }
+        drop((wal, old, gate));
+        self.maybe_checkpoint()
     }
 
     // ---- programmatic catalog API -----------------------------------------
@@ -432,17 +434,17 @@ impl Database {
     /// Install `table` as `name` — replacing a table of that name only if
     /// `replace` — logged if `log`, as one write statement.
     ///
-    /// A paged table is stored first, so each column that already lives
-    /// in a chain shares it. The log record, the catalog change and the
-    /// commit then happen under the log's lock, as in every write: the
-    /// catalog it guards is the state the log stands at, so a column whose
-    /// chain a catalog table holds can be logged as a reference to it.
+    /// The table is stored first, so a column that already lives in a chain
+    /// shares it. Logging, the catalog change and the commit then happen
+    /// under the log's lock: the catalog is the state the log stands at, so
+    /// a column whose chain a catalog table holds logs as a reference to it.
     fn install(&self, name: &str, table: Table, replace: bool, log: bool) -> Result<()> {
         let key = name.to_ascii_lowercase();
         let gate = self.write_gate.read();
-        let paged = (self.storage.as_ref())
-            .map(|store| store.store_table(&table))
-            .transpose()?;
+        let (rle, pages) = (self.config.compression, self.storage.as_ref());
+        let columns = (table.columns.iter())
+            .map(|c| StoredColumn::store(c, rle, pages))
+            .collect::<Result<Vec<_>>>()?;
         let mut wal = self.wal.lock();
         {
             let cat = self.catalog.read();
@@ -450,37 +452,27 @@ impl Database {
                 return Err(EngineError::TableExists(name.to_string()));
             }
             if log {
-                let columns = match &paged {
-                    Some(pt) => {
-                        let mut held = Holders::new();
-                        for (key, held_pt) in paged_tables(&cat) {
-                            hold(&mut held, key, held_pt);
-                        }
-                        logged_columns(&held, pt, |i| Ok(table.columns[i].clone()))?
-                    }
-                    None => (table.columns.iter().cloned())
-                        .map(LoggedColumn::Image)
-                        .collect(),
-                };
-                wal.log_create_table(name, &table.meta, &columns)?;
+                let mut held = Holders::new();
+                for (key, _, held_columns) in catalog_tables(&cat) {
+                    hold(&mut held, key, held_columns);
+                }
+                let logged = logged_columns(&held, &columns, |i| Ok(table.columns[i].clone()))?;
+                wal.log_create_table(name, &table.meta, &logged)?;
             }
         }
-        let stored = match paged {
-            Some(pt) => Stored::Paged(pt),
-            None => self.store(table)?,
-        };
-        // A replaced paged table's chains go back to the free list when
-        // the last table or scan holding them lets go.
-        let old = self.catalog.write().insert(key, stored);
-        self.wal_commit(&mut wal)?;
-        drop((wal, old, gate));
-        self.maybe_checkpoint()
+        self.count_encoded(&columns);
+        let meta = table.meta;
+        // A replaced table's chains go back to the free list when the last
+        // table or scan holding them lets go.
+        let old = (self.catalog.write()).insert(key, Stored::Table { meta, columns });
+        self.commit(wal, old, gate)
     }
 
     /// Register (or replace) a table held in external dataframe storage
     /// (the `DP` backend's fact table).
     pub fn register_external(&self, name: &str, table: &Table) {
         let key = name.to_ascii_lowercase();
+        let _wal = self.wal.lock();
         self.catalog.write().insert(
             key,
             Stored::External(Arc::new(ExternalTable::from_table(table))),
@@ -508,9 +500,7 @@ impl Database {
         if self.config.wal {
             wal.log_drop_table(name)?;
         }
-        self.wal_commit(&mut wal)?;
-        drop((wal, old, gate));
-        self.maybe_checkpoint()
+        self.commit(wal, old, gate)
     }
 
     /// Does a table with this name exist?
@@ -528,11 +518,10 @@ impl Database {
     /// Approximate stored size of a table in bytes.
     pub fn table_byte_size(&self, name: &str) -> Result<usize> {
         match self.catalog.read().get(&name.to_ascii_lowercase()) {
-            Some(Stored::Memory { columns, .. }) => {
+            Some(Stored::Table { columns, .. }) => {
                 Ok(columns.iter().map(StoredColumn::byte_size).sum())
             }
             Some(Stored::External(e)) => Ok(e.byte_size()),
-            Some(Stored::Paged(pt)) => Ok(pt.byte_size()),
             None => Err(EngineError::UnknownTable(name.to_string())),
         }
     }
@@ -540,9 +529,8 @@ impl Database {
     /// Column names of a table (schema lookup, no data copied).
     pub fn column_names(&self, name: &str) -> Result<Vec<String>> {
         match self.catalog.read().get(&name.to_ascii_lowercase()) {
-            Some(Stored::Memory { meta, .. }) => Ok(meta.iter().map(|m| m.name.clone()).collect()),
+            Some(Stored::Table { meta, .. }) => Ok(meta.iter().map(|m| m.name.clone()).collect()),
             Some(Stored::External(e)) => Ok(e.column_names().to_vec()),
-            Some(Stored::Paged(pt)) => Ok(pt.meta.iter().map(|m| m.name.clone()).collect()),
             None => Err(EngineError::UnknownTable(name.to_string())),
         }
     }
@@ -550,11 +538,10 @@ impl Database {
     /// Data type of one column (schema lookup).
     pub fn column_dtype(&self, table: &str, column: &str) -> Result<crate::datum::DataType> {
         match self.catalog.read().get(&table.to_ascii_lowercase()) {
-            Some(Stored::Memory { meta, columns }) => {
-                Ok(columns[column_index(meta, column)?].dtype())
+            Some(Stored::Table { meta, columns }) => {
+                Ok(columns[column_index(meta, column)?].shape().1)
             }
             Some(Stored::External(e)) => Ok(e.column(column)?.dtype()),
-            Some(Stored::Paged(pt)) => Ok(pt.columns[column_index(&pt.meta, column)?].dtype),
             None => Err(EngineError::UnknownTable(table.to_string())),
         }
     }
@@ -592,12 +579,19 @@ impl Database {
             }
         };
         let cat = self.catalog.read();
-        let mut t = Table::new();
         match cat.get(&name.to_ascii_lowercase()) {
-            Some(Stored::Memory { meta, columns }) => {
-                for i in kept(meta) {
-                    t.push_column(meta[i].clone(), columns[i].to_column());
+            Some(Stored::Table { meta, columns }) => {
+                // The kept columns are cloned (O(1)), so the catalog lock is
+                // released before images decode or pages pin.
+                let kept: Vec<(ColumnMeta, StoredColumn)> = (kept(meta).into_iter())
+                    .map(|i| (meta[i].clone(), columns[i].clone()))
+                    .collect();
+                drop(cat);
+                let mut t = Table::new();
+                for (m, c) in kept {
+                    t.push_column(m, c.load(self.storage.as_ref())?);
                 }
+                Ok(t)
             }
             Some(Stored::External(e)) => {
                 let e = Arc::clone(e);
@@ -606,42 +600,18 @@ impl Database {
                     (e.column_names().iter().cloned().map(ColumnMeta::new)).collect();
                 let (copied, bytes) = e.copy_in_columns(&kept(&meta));
                 self.stats.lock().interop_bytes_copied += bytes as u64;
-                return Ok(copied);
+                Ok(copied)
             }
-            Some(Stored::Paged(pt)) => {
-                // Clone the (cheap) page-chain metadata so the catalog lock
-                // is released while pages are pinned through the pool.
-                let pt = pt.clone();
-                drop(cat);
-                let store = self
-                    .storage
-                    .as_ref()
-                    .expect("paged table without paged storage");
-                for i in kept(&pt.meta) {
-                    t.push_column(pt.meta[i].clone(), store.load_column(&pt.columns[i])?);
-                }
-            }
-            None => return Err(EngineError::UnknownTable(name.to_string())),
+            None => Err(EngineError::UnknownTable(name.to_string())),
         }
-        Ok(t)
     }
 
-    fn store(&self, table: Table) -> Result<Stored> {
-        if let Some(store) = &self.storage {
-            return Ok(Stored::Paged(store.store_table(&table)?));
-        }
-        let columns: Vec<StoredColumn> = (table.columns.into_iter())
-            .map(|c| StoredColumn::new(c, self.config.compression))
-            .collect();
-        let encoded: usize = (columns.iter())
-            .filter(|c| matches!(c, StoredColumn::Rle(_)))
-            .map(StoredColumn::byte_size)
-            .sum();
-        self.stats.lock().compressed_bytes_written += encoded as u64;
-        Ok(Stored::Memory {
-            meta: table.meta,
-            columns,
-        })
+    /// Count the run-length images among `columns`, about to enter the
+    /// catalog, as bytes written through the compression path.
+    fn count_encoded(&self, columns: &[StoredColumn]) {
+        let images = (columns.iter()).filter(|c| matches!(c, StoredColumn::Rle { .. }));
+        let bytes: usize = images.map(StoredColumn::byte_size).sum();
+        self.stats.lock().compressed_bytes_written += bytes as u64;
     }
 
     // ---- SQL entry points --------------------------------------------------
@@ -690,6 +660,11 @@ impl Database {
         Ok(Table::new())
     }
 
+    /// `UPDATE`: scan only the assigned columns and those the assignments
+    /// and `WHERE` read, compute every new column from the old values, and
+    /// store each in place of its old one. Other columns stay as stored.
+    /// An external table is copied in whole and installed as a new handle,
+    /// so a scan that holds the old one never sees half an update.
     fn update<'p>(
         &self,
         ctx: &EvalContext<'p>,
@@ -698,9 +673,11 @@ impl Database {
         where_clause: Option<&'p Expr>,
     ) -> Result<()> {
         let gate = self.write_gate.read();
-        // Snapshot pays decoding (RLE columns) or copy-in (external
-        // storage); the write below pays WAL + undo + re-encoding.
-        let current = self.snapshot(table)?;
+        let key = table.to_ascii_lowercase();
+        let external = matches!(self.catalog.read().get(&key), Some(Stored::External(_)));
+        let mut read = names_read(assignments.iter().map(|(_, e)| e).chain(where_clause));
+        read.extend(assignments.iter().map(|(c, _)| c.as_str()));
+        let current = self.scan(table, (!external).then_some(&read[..]))?;
         let n = current.num_rows();
         let hit = where_clause
             .map(|pred| self.predicate(pred, &current, ctx))
@@ -742,32 +719,52 @@ impl Database {
             };
             merged.push((idx, col_name, merged_col));
         }
-        let mut updated = current;
-        for (idx, _, col) in &merged {
-            updated.columns[*idx] = col.clone();
-        }
-        // The columns the update leaves alone were loaded from their
-        // chains, so a paged store shares them rather than writing them.
-        let key = table.to_ascii_lowercase();
-        let external = matches!(self.catalog.read().get(&key), Some(Stored::External(_)));
-        let stored = match external {
-            true => Stored::External(Arc::new(ExternalTable::from_table(&updated))),
-            false => self.store(updated)?,
+        let log = |wal: &mut Wal| match self.config.wal {
+            true => (merged.iter()).try_for_each(|(_, c, v)| wal.log_update_column(table, c, v)),
+            false => Ok(()),
         };
-        let mut wal = self.wal.lock();
-        if self.config.wal {
-            for (_, col_name, col) in &merged {
-                wal.log_update_column(table, col_name, col)?;
+        if external {
+            let mut updated = current;
+            for (idx, _, col) in &merged {
+                updated.columns[*idx] = col.clone();
             }
+            let stored = Stored::External(Arc::new(ExternalTable::from_table(&updated)));
+            let mut wal = self.wal.lock();
+            log(&mut wal)?;
+            let old = self.catalog.write().insert(key, stored);
+            return self.commit(wal, old, gate);
         }
-        let old = self.catalog.write().insert(key, stored);
-        self.wal_commit(&mut wal)?;
-        drop((wal, old, gate));
-        self.maybe_checkpoint()
+        let (rle, pages) = (self.config.compression, self.storage.as_ref());
+        let stored = (merged.iter())
+            .map(|(_, _, c)| StoredColumn::store(c, rle, pages))
+            .collect::<Result<Vec<_>>>()?;
+        let mut wal = self.wal.lock();
+        // Every catalog change holds the log's lock, so the table checked
+        // here takes the new columns: a table replaced since the scan by
+        // one they do not fit is refused before anything is logged.
+        let slots = match self.catalog.read().get(&key) {
+            Some(t @ Stored::Table { meta, .. }) if t.rows() == n => (merged.iter())
+                .map(|(_, col_name, _)| column_index(meta, col_name))
+                .collect::<Result<Vec<_>>>()?,
+            Some(_) => return Err(EngineError::Other(format!("{table} changed during UPDATE"))),
+            None => return Err(EngineError::UnknownTable(table.to_string())),
+        };
+        log(&mut wal)?;
+        self.count_encoded(&stored);
+        let mut cat = self.catalog.write();
+        let Some(Stored::Table { columns, .. }) = cat.get_mut(&key) else {
+            unreachable!("the catalog changes only under the log's lock")
+        };
+        let old: Vec<StoredColumn> = (slots.into_iter().zip(stored))
+            .map(|(i, new)| std::mem::replace(&mut columns[i], new))
+            .collect();
+        drop(cat);
+        self.commit(wal, old, gate)
     }
 
     fn swap_column(&self, ta: &str, ca: &str, tb: &str, cb: &str) -> Result<()> {
         let (ka, kb) = (ta.to_ascii_lowercase(), tb.to_ascii_lowercase());
+        let _wal = self.wal.lock();
         let mut cat = self.catalog.write();
         let rows = |k: &str, t: &str| {
             (cat.get(k).map(Stored::rows)).ok_or_else(|| EngineError::UnknownTable(t.to_string()))
@@ -778,32 +775,19 @@ impl Database {
                 "cannot swap columns of tables with {ra} and {rb} rows"
             )));
         }
-        // External ⇄ external: swap Arc pointers.
-        if let (Some(Stored::External(ea)), Some(Stored::External(eb))) =
-            (cat.get(&ka), cat.get(&kb))
-        {
-            let (ea, eb) = (Arc::clone(ea), Arc::clone(eb));
-            drop(cat);
-            let a = ea.column(ca)?;
-            let b = eb.column(cb)?;
-            ea.replace_column(ca, b)?;
-            eb.replace_column(cb, a)?;
-            self.stats.lock().swaps += 1;
-            return Ok(());
+        // Swap deliberately bypasses the WAL (it is a schema-level pointer
+        // move), which WAL-replay recovery cannot follow: on a paged engine
+        // only external tables, which bypass the log too, swap.
+        let logged = |k: &str| matches!(cat.get(k), Some(Stored::Table { .. }));
+        if self.storage.is_some() && (logged(&ka) || logged(&kb)) {
+            return Err(EngineError::Other(
+                "column swap is not supported on paged storage".into(),
+            ));
         }
-        // In-catalog swap: pull both columns out and exchange them, each
-        // in the encoding it has. This is a schema-level pointer move —
-        // O(1) in the number of rows (Vec moves are three words).
-        let col_a = take_column(cat.get_mut(&ka).expect("checked"), ca)?;
-        let col_b = match take_column(cat.get_mut(&kb).expect("checked"), cb) {
-            Ok(c) => c,
-            Err(e) => {
-                // Restore A before bailing out.
-                put_column(cat.get_mut(&ka).expect("checked"), ca, col_a)?;
-                return Err(e);
-            }
-        };
-        put_column(cat.get_mut(&ka).expect("checked"), ca, col_b)?;
+        // Exchange the two columns, each in the encoding it has: O(1) in
+        // the number of rows, and `b` is found before `a` moves.
+        let col_b = column_of(&cat[&kb], cb)?;
+        let col_a = put_column(cat.get_mut(&ka).expect("checked"), ca, col_b)?;
         put_column(cat.get_mut(&kb).expect("checked"), cb, col_a)?;
         self.stats.lock().swaps += 1;
         Ok(())
@@ -820,16 +804,16 @@ impl Drop for Database {
     }
 }
 
-/// The paged tables of `cat` in name order, so the log's bytes do not
+/// The catalog tables of `cat` in name order, so the log's bytes do not
 /// depend on the catalog's hash order.
-fn paged_tables(cat: &Catalog) -> Vec<(&str, &PagedTable)> {
-    let mut tables: Vec<(&str, &PagedTable)> = (cat.iter())
+fn catalog_tables(cat: &Catalog) -> Vec<(&str, &[ColumnMeta], &[StoredColumn])> {
+    let mut tables: Vec<_> = (cat.iter())
         .filter_map(|(k, s)| match s {
-            Stored::Paged(pt) => Some((k.as_str(), pt)),
-            _ => None,
+            Stored::Table { meta, columns } => Some((k.as_str(), &meta[..], &columns[..])),
+            Stored::External(_) => None,
         })
         .collect();
-    tables.sort_unstable_by_key(|&(k, _)| k);
+    tables.sort_unstable_by_key(|&(k, ..)| k);
     tables
 }
 
@@ -837,22 +821,28 @@ fn paged_tables(cat: &Catalog) -> Vec<(&str, &PagedTable)> {
 type Holders<'a> = HashMap<*const PageChain, (&'a str, usize)>;
 
 /// Record the chains of table `name` that no earlier table holds.
-fn hold<'a>(held: &mut Holders<'a>, name: &'a str, pt: &PagedTable) {
-    for (index, pc) in pt.columns.iter().enumerate() {
-        held.entry(Arc::as_ptr(&pc.pages)).or_insert((name, index));
+fn hold<'a>(held: &mut Holders<'a>, name: &'a str, columns: &[StoredColumn]) {
+    for (index, c) in columns.iter().enumerate() {
+        if let StoredColumn::Paged(pc) = c {
+            held.entry(Arc::as_ptr(&pc.pages)).or_insert((name, index));
+        }
     }
 }
 
-/// Each column of `pt` as the log records it: a reference to the column
+/// Each of `columns` as the log records it: a reference to the column
 /// `held` names for its chain, or else its image, `image(i)`.
 fn logged_columns(
     held: &Holders,
-    pt: &PagedTable,
+    columns: &[StoredColumn],
     image: impl Fn(usize) -> Result<Column>,
 ) -> Result<Vec<LoggedColumn>> {
-    (pt.columns.iter().enumerate())
-        .map(|(i, pc)| match held.get(&Arc::as_ptr(&pc.pages)) {
-            Some(&(table, index)) => Ok(LoggedColumn::Ref(ColumnRef {
+    let holder = |c: &StoredColumn| match c {
+        StoredColumn::Paged(pc) => held.get(&Arc::as_ptr(&pc.pages)).copied(),
+        _ => None,
+    };
+    (columns.iter().enumerate())
+        .map(|(i, c)| match holder(c) {
+            Some((table, index)) => Ok(LoggedColumn::Ref(ColumnRef {
                 table: table.to_string(),
                 index: index as u32,
             })),
@@ -861,38 +851,29 @@ fn logged_columns(
         .collect()
 }
 
-fn take_column(stored: &mut Stored, name: &str) -> Result<StoredColumn> {
+/// Column `name` of `stored`, sharing its bytes.
+fn column_of(stored: &Stored, name: &str) -> Result<StoredColumn> {
     match stored {
-        Stored::Memory { meta, columns } => {
-            let idx = column_index(meta, name)?;
-            // Leave a zero-length placeholder; put_column will replace it.
-            let placeholder = StoredColumn::Plain(Column::int(vec![]));
-            Ok(std::mem::replace(&mut columns[idx], placeholder))
-        }
+        Stored::Table { meta, columns } => Ok(columns[column_index(meta, name)?].clone()),
         Stored::External(e) => Ok(StoredColumn::Plain(e.column(name)?)),
-        // Swap deliberately bypasses the WAL (it is a schema-level pointer
-        // move), which is incompatible with WAL-replay recovery.
-        Stored::Paged(_) => Err(EngineError::Other(
-            "column swap is not supported on paged storage".into(),
-        )),
     }
 }
 
-fn put_column(stored: &mut Stored, name: &str, col: StoredColumn) -> Result<()> {
+/// Put `col` in place of column `name` of `stored`; returns the column it
+/// replaces.
+fn put_column(stored: &mut Stored, name: &str, col: StoredColumn) -> Result<StoredColumn> {
     match stored {
-        Stored::Memory { meta, columns } => {
-            columns[column_index(meta, name)?] = col;
-            Ok(())
-        }
+        Stored::Table { meta, columns } => Ok(std::mem::replace(
+            &mut columns[column_index(meta, name)?],
+            col,
+        )),
         // External storage holds plain arrays only: the one place a swap
         // changes a column's encoding.
-        Stored::External(e) => match col {
-            StoredColumn::Plain(c) => e.replace_column(name, c),
-            StoredColumn::Rle(cc) => e.replace_column(name, decompress(&cc)),
-        },
-        Stored::Paged(_) => Err(EngineError::Other(
-            "column swap is not supported on paged storage".into(),
-        )),
+        Stored::External(e) => {
+            let old = e.column(name)?;
+            e.replace_column(name, col.load(None)?)?;
+            Ok(StoredColumn::Plain(old))
+        }
     }
 }
 
@@ -1173,7 +1154,6 @@ mod tests {
 
     #[test]
     fn mixed_encodings_store_snapshot_and_swap_bit_exactly() {
-        use crate::compress::compress;
         let n = 64;
         let k = Column::int(vec![7; n]);
         let mut xs: Vec<f64> = (0..n).map(|i| i as f64 * 0.5).collect();
@@ -1188,7 +1168,7 @@ mod tests {
                 .collect::<Vec<_>>(),
         );
         let t = Table::from_columns(vec![("k", k.clone()), ("x", x.clone()), ("s", s.clone())]);
-        let rle = |c: &Column| compress(c).byte_size();
+        let rle = crate::storage::codec::rle_len;
         assert!(rle(&k) < k.byte_size() && rle(&x) > x.byte_size() && rle(&s) > s.byte_size());
 
         let db = Database::new(EngineConfig::d_swap());
@@ -1463,13 +1443,6 @@ mod tests {
             }
             out
         };
-        // checkpoint.jbc: magic "JBCP", version 1, a table count.
-        let mut ckpt = Vec::new();
-        for x in [0x4A42_4350, 1, 1] {
-            put_u32(&mut ckpt, x);
-        }
-        ckpt.extend(named("dim", &dim));
-        std::fs::write(dir.join(checkpoint::CHECKPOINT_FILE), ckpt).unwrap();
         // wal.log: each record is a kind byte, a u64 length, the payload.
         let mut log = Vec::new();
         let mut update = Vec::new();
@@ -1477,6 +1450,7 @@ mod tests {
         put_string(&mut update, "id");
         encode_column(&mut update, &new_id);
         for (kind, payload) in [
+            (RecordKind::CreateTable, named("dim", &dim)),
             (RecordKind::CreateTable, named("fact", &fact)),
             (RecordKind::UpdateColumn, update),
             (RecordKind::Commit, Vec::new()),
@@ -1853,6 +1827,186 @@ mod tests {
         ));
     }
 
+    /// The columns of catalog table `name`, as stored.
+    fn stored(db: &Database, name: &str) -> Vec<StoredColumn> {
+        match db.catalog.read().get(name) {
+            Some(Stored::Table { columns, .. }) => columns.clone(),
+            _ => unreachable!("{name} is a catalog table"),
+        }
+    }
+
+    /// The page chains of paged table `name`'s columns.
+    fn chains(db: &Database, name: &str) -> Vec<crate::storage::PagedColumn> {
+        (stored(db, name).into_iter())
+            .map(|c| match c {
+                StoredColumn::Paged(pc) => pc,
+                _ => unreachable!("{name} is a paged table"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn update_reads_and_restores_only_the_columns_it_names() {
+        // Paged: one pin per page of `v`, none of `k`, whose chain stays.
+        let dir = std::env::temp_dir().join(format!("jb_db_update_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let db = Database::new(EngineConfig {
+            bufferpool_pages: 8,
+            ..EngineConfig::paged(&dir)
+        });
+        let n = 20_000;
+        let t = Table::from_columns(vec![
+            ("k", Column::int((0..n).map(|i| i * 7919 % 1000).collect())),
+            ("v", Column::float((0..n).map(|i| i as f64 * 0.5).collect())),
+        ]);
+        db.create_table("t", t).unwrap();
+        let [k, v] = <[_; 2]>::try_from(chains(&db, "t")).unwrap();
+        assert!(
+            k.pages.len() > 1 && v.pages.len() > 8,
+            "neither fits the pool"
+        );
+        let before = db.bufferpool_stats().unwrap();
+        db.execute("UPDATE t SET v = v + 1.0").unwrap();
+        let after = db.bufferpool_stats().unwrap();
+        // A fresh page counts as a miss: old `v` read, new `v` written.
+        let touched = (after.hits + after.misses) - (before.hits + before.misses);
+        let now = chains(&db, "t");
+        let v_pages = (v.pages.len() + now[1].pages.len()) as u64;
+        assert_eq!(touched, v_pages, "v's pages, and no page of k");
+        assert!(Arc::ptr_eq(&now[0].pages, &k.pages), "k keeps its chain");
+        assert!(!Arc::ptr_eq(&now[1].pages, &v.pages));
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // D-mem: the untouched run-length `k` keeps its image, and only
+        // the new `v` is encoded.
+        let db = Database::in_memory();
+        let t = Table::from_columns(vec![
+            ("k", Column::int(vec![3; 500])),
+            ("v", Column::float(vec![0.5; 500])),
+        ]);
+        db.create_table("t", t).unwrap();
+        let image = |c: &StoredColumn| match c {
+            StoredColumn::Rle { image, .. } => Arc::clone(image),
+            _ => unreachable!("a run-length column"),
+        };
+        let k = image(&stored(&db, "t")[0]);
+        let written = db.stats().compressed_bytes_written;
+        db.execute("UPDATE t SET v = v + 1.0").unwrap();
+        let new_v = crate::storage::codec::rle_len(&Column::float(vec![1.5; 500]));
+        assert_eq!(db.stats().compressed_bytes_written - written, new_v as u64);
+        let now = stored(&db, "t");
+        assert!(Arc::ptr_eq(&image(&now[0]), &k), "k keeps its image");
+        assert_eq!(image(&now[1]).len(), new_v);
+    }
+
+    /// `UPDATE`s racing `CREATE OR REPLACE`s of another row count never
+    /// install a column into a table it does not fit, and the log replays
+    /// to the state they leave.
+    #[test]
+    fn updates_racing_replacements_never_leave_a_ragged_table() {
+        let dir = std::env::temp_dir().join(format!("jb_db_race_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let db = Database::new(EngineConfig::paged(&dir));
+        let table = |n: usize| {
+            Table::from_columns(vec![
+                ("k", Column::int((0..n as i64).collect())),
+                ("v", Column::float(vec![0.5; n])),
+            ])
+        };
+        db.create_table("t", table(300)).unwrap();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for round in 0..40 {
+                    db.create_or_replace_table("t", table(300 + round % 2 * 200))
+                        .unwrap();
+                }
+            });
+            for _ in 0..40 {
+                match db.execute("UPDATE t SET v = v + 1.0") {
+                    Ok(_) => {}
+                    Err(EngineError::Other(m)) if m.contains("changed during UPDATE") => {}
+                    Err(e) => panic!("{e}"),
+                }
+                let t = db.snapshot("t").unwrap();
+                assert_eq!(t.columns[0].len(), t.columns[1].len(), "ragged");
+            }
+        });
+        let state = |db: &Database| {
+            let t = db.snapshot("t").unwrap();
+            let (names, bytes) = bits(&t);
+            (names.join(","), bytes)
+        };
+        let before = state(&db);
+        drop(db);
+        let db = Database::new(EngineConfig::paged(&dir));
+        assert_eq!(state(&db), before);
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An external table is updated as a new handle: a scan holding the
+    /// old one sees none of the update, and every column is copied in.
+    #[test]
+    fn update_of_an_external_table_installs_a_new_handle() {
+        let db = Database::in_memory();
+        let t = Table::from_columns(vec![
+            ("k", Column::int(vec![1, 2, 3])),
+            ("v", Column::float(vec![0.5; 3])),
+            ("w", Column::float(vec![2.0; 3])),
+        ]);
+        db.register_external("t", &t);
+        let old = db.external("t").unwrap();
+        let copied = db.stats().interop_bytes_copied;
+        db.execute("UPDATE t SET v = v + 1.0, w = w * 2.0").unwrap();
+        assert_eq!(
+            db.stats().interop_bytes_copied - copied,
+            t.byte_size() as u64
+        );
+        assert_eq!(old.column("v").unwrap(), Column::float(vec![0.5; 3]));
+        assert_eq!(old.column("w").unwrap(), Column::float(vec![2.0; 3]));
+        let new = db.external("t").unwrap();
+        assert!(!Arc::ptr_eq(&old, &new));
+        assert_eq!(new.column("v").unwrap(), Column::float(vec![1.5; 3]));
+        assert_eq!(new.column("w").unwrap(), Column::float(vec![4.0; 3]));
+        assert_eq!(new.column("k").unwrap(), Column::int(vec![1, 2, 3]));
+    }
+
+    #[test]
+    fn swap_column_on_a_paged_engine_is_refused_and_changes_nothing() {
+        let dir = std::env::temp_dir().join(format!("jb_db_swap_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = EngineConfig {
+            allow_swap: true,
+            ..EngineConfig::paged(&dir)
+        };
+        let db = Database::new(config.clone());
+        db.create_table("f", plain_table(40)).unwrap();
+        db.execute("CREATE TABLE g AS SELECT s + 1.0 AS s FROM f")
+            .unwrap();
+        let state = |db: &Database| {
+            let owned = |name| {
+                let t = db.snapshot(name).unwrap();
+                let (names, bytes) = bits(&t);
+                (names.join(","), bytes)
+            };
+            (owned("f"), owned("g"))
+        };
+        let (before, wal_bytes) = (state(&db), db.stats().wal_bytes);
+        let err = db.execute("SWAP COLUMN f.s WITH g.s").unwrap_err();
+        assert!(
+            matches!(&err, EngineError::Other(m) if m.contains("paged storage")),
+            "{err}"
+        );
+        assert_eq!(state(&db), before);
+        assert_eq!((db.stats().wal_bytes, db.stats().swaps), (wal_bytes, 0));
+        drop(db);
+        let db = Database::new(config);
+        assert_eq!(state(&db), before, "a reopen is the state before");
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// A paged rewrite that passes `k` through shares `k`'s page chain:
     /// the log holds `k`'s image once, the page file does not grow with
     /// the rounds, and the chain lives as long as some table holds it.
@@ -1873,10 +2027,7 @@ mod tests {
         let mut k_image = Vec::new();
         codec::encode_stored_column(&mut k_image, &k);
         let store = db.storage.as_ref().unwrap();
-        let chains = |name: &str| match db.catalog.read().get(name) {
-            Some(Stored::Paged(pt)) => pt.columns.clone(),
-            _ => unreachable!("{name} is a paged table"),
-        };
+        let chains = |name: &str| chains(&db, name);
         let (k_pages, v_pages) = (chains("t")[0].pages.len(), chains("t")[1].pages.len());
         for round in 0..20 {
             let before = db.stats().wal_bytes;

@@ -62,11 +62,7 @@ impl ExternalTable {
     /// O(1) column replacement: swap in a freshly computed column (a
     /// "new NumPy array" in the paper's terms) without touching the rest.
     pub fn replace_column(&self, name: &str, col: Column) -> Result<()> {
-        let idx = self
-            .names
-            .iter()
-            .position(|n| n.eq_ignore_ascii_case(name))
-            .ok_or_else(|| EngineError::UnknownColumn(name.to_string()))?;
+        let idx = self.index(name)?;
         let mut cols = self.columns.write();
         if col.len() != cols[idx].len() {
             return Err(EngineError::Other(format!(
@@ -81,12 +77,14 @@ impl ExternalTable {
 
     /// One column, sharing the external arrays (O(1); used by swap).
     pub fn column(&self, name: &str) -> Result<Column> {
-        let idx = self
-            .names
-            .iter()
+        Ok(self.columns.read()[self.index(name)?].clone())
+    }
+
+    /// Storage position of the column `name` (case-insensitive).
+    fn index(&self, name: &str) -> Result<usize> {
+        (self.names.iter())
             .position(|n| n.eq_ignore_ascii_case(name))
-            .ok_or_else(|| EngineError::UnknownColumn(name.to_string()))?;
-        Ok(self.columns.read()[idx].clone())
+            .ok_or_else(|| EngineError::UnknownColumn(name.to_string()))
     }
 }
 

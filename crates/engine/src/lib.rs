@@ -12,10 +12,10 @@
 //!   file before it is applied ([`wal`]),
 //! * **MVCC-style versioning** — updates first copy the before-image of the
 //!   touched column into an undo buffer ([`db`]),
-//! * **lightweight columnar compression** — each stored column is
-//!   run-length encoded when that makes it smaller, and kept plain
-//!   otherwise; updates must decompress, modify and recompress the
-//!   columns that are encoded ([`compress`]),
+//! * **lightweight columnar compression** — each stored column is held
+//!   as its run-length codec image when that makes it smaller, and kept
+//!   plain otherwise; scans decode the encoded columns, and an update
+//!   re-encodes the columns it assigns ([`storage::codec`]),
 //! * **column swap** — the paper's <100-LOC DuckDB extension: an O(1)
 //!   schema-level pointer swap of a column between two tables, bypassing
 //!   WAL, MVCC and compression entirely (`SWAP COLUMN a.x WITH b.y`),
@@ -24,7 +24,7 @@
 //!   (the DuckDB+Pandas `DP` backend) but supports O(1) column replacement
 //!   ([`interop`]),
 //! * **out-of-core paged storage** — tables live in fixed-size pages on
-//!   disk behind a capacity-bounded buffer pool (Clock or LRU), scans pin
+//!   disk behind a capacity-bounded Clock buffer pool, scans pin
 //!   pages one at a time, aggregation state spills above a budget, and
 //!   committed state survives crashes via WAL replay ([`storage`]).
 //!
@@ -53,7 +53,6 @@
 
 pub mod agg;
 pub mod column;
-pub mod compress;
 pub mod datum;
 pub mod db;
 pub mod error;

@@ -229,7 +229,7 @@ fn push_new<T: PartialEq>(v: &mut Vec<T>, x: T) {
 }
 
 /// The column names `exprs` read, each once.
-fn names_read<'s>(exprs: impl IntoIterator<Item = &'s Expr>) -> Vec<&'s str> {
+pub(crate) fn names_read<'s>(exprs: impl IntoIterator<Item = &'s Expr>) -> Vec<&'s str> {
     let mut names = Vec::new();
     for e in exprs {
         e.visit_columns(&mut |c| push_new(&mut names, c));

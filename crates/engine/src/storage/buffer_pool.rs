@@ -33,8 +33,8 @@ pub struct BufferPoolStats {
     pub misses: u64,
     /// Resident pages displaced to make room.
     pub evictions: u64,
-    /// Bytes of dirty pages written back to the data file (eviction
-    /// write-backs and explicit flushes — the pool's measure of spill I/O).
+    /// Bytes of dirty pages written back to the data file on eviction —
+    /// the pool's measure of spill I/O.
     pub spilled_bytes: u64,
 }
 
@@ -134,7 +134,7 @@ impl BufferPool {
     }
 
     /// Allocate a fresh page on disk and pin it, zero-filled and dirty
-    /// (it will be written back on eviction or flush). Counts as a miss.
+    /// (it will be written back on eviction). Counts as a miss.
     pub fn new_page(&self) -> Result<(PageId, PageGuard<'_>)> {
         let pid = self.disk.allocate();
         let mut inner = self.inner.lock();
@@ -173,23 +173,6 @@ impl BufferPool {
         }
         self.disk.free(pid);
         Ok(())
-    }
-
-    /// Write every dirty frame back and fsync the page file.
-    pub fn flush_all(&self) -> Result<()> {
-        let mut inner = self.inner.lock();
-        for slot in 0..self.data.len() {
-            let f = inner.frames[slot];
-            if let (Some(pid), true) = (f.page, f.dirty) {
-                let buf = self.data[slot].lock();
-                self.disk.write_page(pid, &buf)?;
-                drop(buf);
-                inner.frames[slot].dirty = false;
-                inner.stats.spilled_bytes += PAGE_SIZE as u64;
-            }
-        }
-        drop(inner);
-        self.disk.sync()
     }
 
     fn guard(&self, slot: usize) -> PageGuard<'_> {
@@ -415,15 +398,6 @@ mod tests {
         let _ = pool.fetch(pids[0]).unwrap();
         let st = pool.stats();
         assert_eq!((st.hits, st.misses), (2, 4));
-        // flush_all writes the remaining dirty frame (c) exactly once.
-        pool.flush_all().unwrap();
-        assert_eq!(pool.stats().spilled_bytes, 3 * PAGE_SIZE as u64);
-        pool.flush_all().unwrap();
-        assert_eq!(
-            pool.stats().spilled_bytes,
-            3 * PAGE_SIZE as u64,
-            "second flush finds nothing dirty"
-        );
     }
 
     #[test]

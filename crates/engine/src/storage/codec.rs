@@ -1,24 +1,31 @@
-//! Checked byte codec for columns, shared by the page store, the WAL and
-//! the wire protocol.
+//! Checked byte codec for columns, shared by the page store, the WAL, the
+//! in-memory catalog and the wire protocol.
 //!
 //! [`encode_column`] writes the *plain* image, the wire's column body:
 //! `f64`s travel by bit pattern (`to_bits`, little-endian), strings as a
 //! dictionary plus `u32` codes, and validity as a packed LSB-first
 //! bitmap. [`encode_stored_column`] writes the *storage* image that pages
-//! and the WAL hold: the plain image, except that an Int
-//! column is bit-packed at its value width when that is smaller. One
-//! decoder, [`decode_column`], reads both, so stores written before the
-//! packed image existed still open. The decoder is fully
-//! checked: every read is bounds-checked and every element count is
-//! validated against the remaining bytes *before* any allocation, so
-//! truncated or bit-flipped input produces an [`EngineError`] — never a
-//! panic, never an attempt to allocate more than the buffer can justify.
+//! and the WAL hold: the plain image, except that an Int column is
+//! bit-packed at its value width when that is smaller.
+//! One decoder, [`decode_column`], reads both, so stores written before
+//! the packed image existed still open. It is fully checked: every read
+//! is bounds-checked and every element count is validated against the
+//! remaining bytes *before* any allocation, so truncated or bit-flipped
+//! input produces an [`EngineError`] — never a panic, never an attempt to
+//! allocate more than the buffer can justify.
+//!
+//! [`encode_rle_column`] writes the *run-length* image a compressing
+//! in-memory catalog holds a column in when that is smaller (values and
+//! validity as runs). Only [`decode_rle_image`] reads it: a 12-byte run
+//! may stand for 2³² rows, so its allocation is bounded by the row count,
+//! not the bytes. Images the catalog did not encode must never reach it;
+//! the shared decoder, which the WAL and the wire feed, refuses its tag.
 
 use std::sync::Arc;
 
 use crate::column::{Column, ColumnData};
+use crate::datum::DataType;
 use crate::error::{EngineError, Result};
-use crate::table::{ColumnMeta, Table};
 
 /// Data-type tag for integer columns.
 const TAG_INT: u8 = 0;
@@ -28,6 +35,10 @@ const TAG_FLOAT: u8 = 1;
 const TAG_STR: u8 = 2;
 /// Data-type tag for bit-packed integer columns (storage image only).
 const TAG_INT_PACKED: u8 = 3;
+/// Data-type tag for run-length-encoded columns (in-memory catalog image
+/// only), followed by the plain tag, which is the data type's discriminant.
+const TAG_RLE: u8 = 4;
+const _: () = assert!(DataType::Float as u8 == TAG_FLOAT && DataType::Str as u8 == TAG_STR);
 
 /// Construct the uniform corrupt-input error.
 pub(crate) fn corrupt(what: &str) -> EngineError {
@@ -85,8 +96,7 @@ impl<'a> ByteReader<'a> {
 
     /// Read a little-endian `i64`.
     pub fn i64(&mut self) -> Result<i64> {
-        let b = self.take(8)?;
-        Ok(i64::from_le_bytes(b.try_into().expect("8 bytes")))
+        Ok(self.u64()? as i64)
     }
 
     /// Read an element count and validate it against the remaining bytes
@@ -104,9 +114,6 @@ impl<'a> ByteReader<'a> {
     /// Read a `u32`-length-prefixed UTF-8 string.
     pub fn string(&mut self) -> Result<String> {
         let n = self.u32()? as usize;
-        if n > self.remaining() {
-            return Err(corrupt("string length"));
-        }
         let bytes = self.take(n)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| corrupt("string utf-8"))
     }
@@ -134,32 +141,6 @@ pub fn put_u64(out: &mut Vec<u8>, x: u64) {
 pub fn put_string(out: &mut Vec<u8>, s: &str) {
     put_u32(out, s.len() as u32);
     out.extend_from_slice(s.as_bytes());
-}
-
-/// Serialize a named table: its name, a `u32` column count, then each
-/// column's name and [`encode_stored_column`] image — the payload of a
-/// WAL `CreateTable` record that images every column, and an entry of
-/// the `checkpoint.jbc` snapshot earlier builds wrote.
-pub fn encode_named_table(out: &mut Vec<u8>, name: &str, table: &Table) {
-    put_string(out, name);
-    put_u32(out, table.columns.len() as u32);
-    for (m, c) in table.meta.iter().zip(&table.columns) {
-        put_string(out, &m.name);
-        encode_stored_column(out, c);
-    }
-}
-
-/// Decode one table written by [`encode_named_table`].
-pub fn decode_named_table(r: &mut ByteReader<'_>) -> Result<(String, Table)> {
-    let name = r.string()?;
-    let ncols = r.u32()? as usize;
-    let mut table = Table::new();
-    for _ in 0..ncols {
-        let col_name = r.string()?;
-        let col = decode_column(r)?;
-        table.push_column(ColumnMeta::new(col_name), col);
-    }
-    Ok((name, table))
 }
 
 /// Serialize one column's storage image: an Int column whose values span
@@ -237,10 +218,7 @@ pub fn encode_column(out: &mut Vec<u8>, col: &Column) {
         }
         ColumnData::Str { dict, codes } => {
             out.push(TAG_STR);
-            put_u64(out, dict.len() as u64);
-            for s in dict.iter() {
-                put_string(out, s);
-            }
+            put_dict(out, dict);
             put_u64(out, codes.len() as u64);
             for &c in codes.iter() {
                 put_u32(out, c);
@@ -250,7 +228,26 @@ pub fn encode_column(out: &mut Vec<u8>, col: &Column) {
     encode_validity(out, col);
 }
 
-/// Append the validity block every column image ends with.
+/// Append a dictionary: its `u64` entry count, then each entry.
+fn put_dict(out: &mut Vec<u8>, dict: &[String]) {
+    put_u64(out, dict.len() as u64);
+    for s in dict {
+        put_string(out, s);
+    }
+}
+
+/// Read a dictionary written by [`put_dict`].
+fn decode_dict(r: &mut ByteReader<'_>) -> Result<Vec<String>> {
+    let n = r.count(4, "dict entries")?;
+    let mut dict = Vec::with_capacity(n);
+    for _ in 0..n {
+        dict.push(r.string()?);
+    }
+    Ok(dict)
+}
+
+/// Append the validity block every column image but the RLE one ends
+/// with.
 fn encode_validity(out: &mut Vec<u8>, col: &Column) {
     match &col.validity {
         None => out.push(0),
@@ -286,11 +283,7 @@ pub fn decode_column(r: &mut ByteReader<'_>) -> Result<Column> {
             ColumnData::Float(Arc::new(le_values(r.take(n * 8)?, bits)))
         }
         TAG_STR => {
-            let dn = r.count(4, "dict entries")?;
-            let mut dict = Vec::with_capacity(dn);
-            for _ in 0..dn {
-                dict.push(r.string()?);
-            }
+            let dict = decode_dict(r)?;
             let cn = r.count(4, "string codes")?;
             let codes = le_values(r.take(cn * 4)?, u32::from_le_bytes);
             if codes.iter().any(|&c| c as usize >= dict.len()) {
@@ -321,6 +314,14 @@ pub fn decode_column(r: &mut ByteReader<'_>) -> Result<Column> {
         _ => return Err(corrupt("unknown validity tag")),
     };
     Ok(Column { data, validity })
+}
+
+/// Decode the one column `bytes` hold, with no bytes after it.
+pub fn decode_image(bytes: &[u8]) -> Result<Column> {
+    let mut r = ByteReader::new(bytes);
+    let col = decode_column(&mut r)?;
+    r.done()?;
+    Ok(col)
 }
 
 /// The little-endian `W`-byte values of `bytes` (whose length
@@ -373,6 +374,135 @@ fn decode_packed(r: &mut ByteReader<'_>) -> Result<Vec<i64>> {
         return Err(corrupt("packed tail bits"));
     }
     Ok(v)
+}
+
+/// Serialize one column's run-length image: its tag, the plain data
+/// tag, the row count, the value runs (a `u64` count, then each run's
+/// `u64` value, bit pattern or code and its `u32` length), a Str column's
+/// dictionary, then `0` without NULLs, or `1` and the validity runs (a
+/// `u8` bit and a `u32` length each). [`rle_len`] sizes it without
+/// encoding.
+pub fn encode_rle_column(out: &mut Vec<u8>, col: &Column) {
+    out.extend([TAG_RLE, col.dtype() as u8]);
+    put_u64(out, col.len() as u64);
+    match &col.data {
+        ColumnData::Int(v) => put_runs(out, v, |x| x as u64, put_u64),
+        ColumnData::Float(v) => put_runs(out, v, f64::to_bits, put_u64),
+        ColumnData::Str { dict, codes } => {
+            put_runs(out, codes, u64::from, put_u64);
+            put_dict(out, dict);
+        }
+    }
+    out.push(u8::from(col.validity.is_some()));
+    if let Some(v) = &col.validity {
+        put_runs(out, v, |b| b, |out, b| out.push(u8::from(b)));
+    }
+}
+
+/// Append the runs of `v`, its values compared through `key`: the run
+/// count, then each run's key, written by `put`, and its `u32` length.
+fn put_runs<T: Copy, K: Copy + PartialEq>(
+    out: &mut Vec<u8>,
+    v: &[T],
+    key: impl Fn(T) -> K,
+    put: impl Fn(&mut Vec<u8>, K),
+) {
+    put_u64(out, run_count(v, &key) as u64);
+    for run in v.chunk_by(|&a, &b| key(a) == key(b)) {
+        put(out, key(run[0]));
+        put_u32(out, run.len() as u32);
+    }
+}
+
+/// How many runs [`put_runs`] writes for `v`: the first row, plus each row
+/// whose key differs from the row before, neighbours compared with no
+/// branch per row. Row ids are `u32`, so every run length fits a `u32`.
+fn run_count<T: Copy, K: PartialEq>(v: &[T], key: impl Fn(T) -> K) -> usize {
+    debug_assert!(v.len() < u32::MAX as usize);
+    let changes: usize = (v.iter().zip(v.iter().skip(1)))
+        .map(|(&a, &b)| usize::from(key(a) != key(b)))
+        .sum();
+    usize::from(!v.is_empty()) + changes
+}
+
+/// The length of [`encode_rle_column`]'s image of `col`, from run counts
+/// over its slices: values (Float by bit pattern), Str codes and validity.
+pub fn rle_len(col: &Column) -> usize {
+    let (runs, dict) = match &col.data {
+        ColumnData::Int(v) => (run_count(v, |x| x), 0),
+        ColumnData::Float(v) => (run_count(v, f64::to_bits), 0),
+        ColumnData::Str { dict, codes } => {
+            let entries: usize = dict.iter().map(|s| 4 + s.len()).sum();
+            (run_count(codes, |c| c), 8 + entries)
+        }
+    };
+    let validity = (col.validity.as_ref()).map_or(0, |v| 8 + 5 * run_count(v, |b| b));
+    2 + 8 + dict + 8 + 12 * runs + 1 + validity
+}
+
+/// The column of the [`encode_rle_column`] image `bytes`, with no bytes
+/// after it. Every run is read and checked before the rows are
+/// allocated: non-empty runs that cover exactly the row count, a Str code
+/// inside the dictionary and a validity bit of 0 or 1.
+pub fn decode_rle_image(bytes: &[u8]) -> Result<Column> {
+    let r = &mut ByteReader::new(bytes);
+    if r.u8()? != TAG_RLE {
+        return Err(corrupt("not a run-length image"));
+    }
+    let (tag, rows) = (r.u8()?, r.u64()?);
+    let runs = read_runs(r, rows, 8, ByteReader::u64)?;
+    let dict = (tag == TAG_STR).then(|| decode_dict(r)).transpose()?;
+    let validity = match r.u8()? {
+        0 => None,
+        1 => Some(read_runs(r, rows, 1, ByteReader::u8)?),
+        _ => return Err(corrupt("unknown validity tag")),
+    };
+    let outside = |d: &Vec<String>| runs.iter().any(|&(c, _)| c >= d.len() as u64);
+    if dict.as_ref().is_some_and(outside) || validity.iter().flatten().any(|&(b, _)| b > 1) {
+        return Err(corrupt("run value out of range"));
+    }
+    r.done()?;
+    let n = rows as usize;
+    let data = match (tag, dict) {
+        (TAG_INT, _) => ColumnData::Int(expand(&runs, n, |b| b as i64)),
+        (TAG_FLOAT, _) => ColumnData::Float(expand(&runs, n, f64::from_bits)),
+        (_, Some(dict)) => ColumnData::Str {
+            dict: Arc::new(dict),
+            codes: expand(&runs, n, |c| c as u32),
+        },
+        _ => return Err(corrupt("unknown run-length data tag")),
+    };
+    let validity = validity.map(|runs| expand(&runs, n, |b| b == 1));
+    Ok(Column { data, validity })
+}
+
+/// Runs of (key, `u32` length) as [`put_runs`] writes them, each key
+/// `key_len` bytes read by `key`: the count is checked against the bytes
+/// left, and the runs must be non-empty and cover exactly `rows` rows.
+fn read_runs<'a, K>(
+    r: &mut ByteReader<'a>,
+    rows: u64,
+    key_len: usize,
+    key: impl Fn(&mut ByteReader<'a>) -> Result<K>,
+) -> Result<Vec<(K, u32)>> {
+    let n = r.count(key_len + 4, "runs")?;
+    let runs = (0..n)
+        .map(|_| Ok((key(r)?, r.u32()?)))
+        .collect::<Result<Vec<_>>>()?;
+    let covered: u128 = runs.iter().map(|&(_, len)| u128::from(len)).sum();
+    if runs.iter().any(|&(_, len)| len == 0) || covered != u128::from(rows) {
+        return Err(corrupt("runs that are empty or miss the row count"));
+    }
+    Ok(runs)
+}
+
+/// The `rows` values `runs` cover, each mapped through `f`.
+fn expand<K: Copy, T: Clone>(runs: &[(K, u32)], rows: usize, f: impl Fn(K) -> T) -> Arc<Vec<T>> {
+    let mut v = Vec::with_capacity(rows);
+    for &(k, n) in runs {
+        v.extend(std::iter::repeat_n(f(k), n as usize));
+    }
+    Arc::new(v)
 }
 
 #[cfg(test)]
@@ -545,5 +675,195 @@ mod tests {
         buf[n - 3] = 0xFF;
         let mut r = ByteReader::new(&buf);
         assert!(decode_column(&mut r).is_err());
+    }
+
+    /// The RLE image of `col`, checked to decode back to `col`'s plain
+    /// image byte for byte.
+    fn rle_image(col: &Column) -> Vec<u8> {
+        let mut image = Vec::new();
+        encode_rle_column(&mut image, col);
+        let (mut plain, mut again) = (Vec::new(), Vec::new());
+        encode_column(&mut plain, col);
+        encode_column(&mut again, &decode_rle_image(&image).unwrap());
+        assert_eq!(again, plain, "{col:?}");
+        image
+    }
+
+    /// How many runs a run-length encoding of `v` by `key` holds, counted
+    /// the obvious way.
+    fn pairs<T: Copy, K: PartialEq>(v: &[T], key: impl Fn(T) -> K) -> usize {
+        v.chunk_by(|&a, &b| key(a) == key(b)).count()
+    }
+
+    #[test]
+    fn run_counts_equal_the_pairs_rle_emits_and_pick_the_same_encoding() {
+        use crate::storage::StoredColumn;
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut random = move |m: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % m
+        };
+        // Empty, one row, constant, alternating, runs of two, random.
+        let shapes: Vec<Vec<u64>> = vec![
+            vec![],
+            vec![3],
+            vec![5; 1000],
+            (0..1000).map(|i| i % 2).collect(),
+            (0..1000).map(|i| i / 2 % 3).collect(),
+            (0..1000).map(|_| random(4)).collect(),
+            (0..1000).map(|_| random(1 << 40)).collect(),
+        ];
+        // Two NaN payloads, and `-0.0` beside `0.0`: distinct bit patterns.
+        let other_nan = f64::from_bits(f64::NAN.to_bits() | 1);
+        let floats = [0.0, -0.0, f64::NAN, other_nan, 1.5];
+        let mut columns = Vec::new();
+        for shape in shapes {
+            let ints: Vec<i64> = shape.iter().map(|&x| x as i64 - 2).collect();
+            let fl: Vec<f64> = shape.iter().map(|&x| floats[x as usize % 5]).collect();
+            let codes: Vec<u32> = shape.iter().map(|&x| x as u32 % 7).collect();
+            let valid: Vec<bool> = shape.iter().map(|&x| x % 3 != 0).collect();
+            assert_eq!(run_count(&ints, |x| x), pairs(&ints, |x| x));
+            assert_eq!(run_count(&fl, f64::to_bits), pairs(&fl, f64::to_bits));
+            assert_eq!(run_count(&codes, |c| c), pairs(&codes, |c| c));
+            assert_eq!(run_count(&valid, |b| b), pairs(&valid, |b| b));
+            let dict: Vec<String> = (0..7).map(|i| format!("s{i}")).collect();
+            let strs = Column::str(codes.iter().map(|&c| dict[c as usize].clone()).collect());
+            let nullable = Column {
+                validity: Some(Arc::new(valid)),
+                ..Column::int(ints.clone())
+            };
+            columns.extend([Column::int(ints), Column::float(fl), strs, nullable]);
+        }
+        // Runs of `0.0, -0.0` and of one NaN payload: by value the first
+        // would compress and the second would not; by bits it is the
+        // other way round.
+        columns.push(Column::float((0..500).map(|i| floats[i % 2]).collect()));
+        columns.push(Column::float(vec![f64::NAN; 500]));
+        let mut encodings = [0, 0];
+        for col in columns {
+            let image = rle_image(&col);
+            assert_eq!(rle_len(&col), image.len(), "{col:?}");
+            // The byte-size model the catalog sized runs by before the
+            // image existed: 12 B per value run, 5 B per validity run,
+            // 24 B plus the bytes per dictionary entry.
+            let (runs, entries, dict) = match &col.data {
+                ColumnData::Int(v) => (pairs(v, |x| x), 0, 0),
+                ColumnData::Float(v) => (pairs(v, f64::to_bits), 0, 0),
+                ColumnData::Str { dict, codes } => (
+                    pairs(codes, |c| c),
+                    dict.len(),
+                    dict.iter().map(|s| s.len() + 24).sum(),
+                ),
+            };
+            let validity = col.validity.as_ref().map_or(0, |v| pairs(v, |b| b));
+            let model = 12 * runs + dict + 5 * validity;
+            assert!(image.len() <= model + 32, "{} > {model} + 32", image.len());
+            // The image is chosen when it is smaller with its dictionary
+            // charged as the model charges it: never where the model alone
+            // would not have been, and never larger than the plain column.
+            let want_rle = image.len() + 20 * entries < col.byte_size();
+            assert!(!want_rle || (model < col.byte_size() && image.len() < col.byte_size()));
+            match StoredColumn::store(&col, true, None).unwrap() {
+                StoredColumn::Rle { image: stored, .. } => {
+                    assert!(want_rle);
+                    assert_eq!(&stored[..], &image[..]);
+                    encodings[1] += 1;
+                }
+                StoredColumn::Plain(_) => {
+                    assert!(!want_rle);
+                    encodings[0] += 1;
+                }
+                StoredColumn::Paged(_) => unreachable!("no paged store"),
+            }
+        }
+        assert!(encodings.iter().all(|&k| k > 0), "both encodings chosen");
+    }
+
+    /// An RLE image of `rows` rows of `tag` (a Str one over `dict`) with
+    /// the value runs `runs` and no NULLs.
+    fn rle_header(tag: u8, rows: u64, dict: &[&str], runs: &[(u64, u32)]) -> Vec<u8> {
+        let mut buf = vec![TAG_RLE, tag];
+        put_u64(&mut buf, rows);
+        put_u64(&mut buf, runs.len() as u64);
+        for &(bits, len) in runs {
+            put_u64(&mut buf, bits);
+            put_u32(&mut buf, len);
+        }
+        if tag == TAG_STR {
+            let dict: Vec<String> = dict.iter().map(|s| s.to_string()).collect();
+            put_dict(&mut buf, &dict);
+        }
+        buf.push(0);
+        buf
+    }
+
+    #[test]
+    fn rle_runs_that_miss_the_row_count_or_the_dictionary_are_corrupt() {
+        let ok = rle_header(TAG_INT, 5, &[], &[(7, 2), (9, 3)]);
+        assert_eq!(
+            decode_rle_image(&ok).unwrap(),
+            Column::int(vec![7, 7, 9, 9, 9])
+        );
+        let ok = rle_header(TAG_STR, 3, &["a", "b"], &[(1, 3)]);
+        let strs = decode_rle_image(&ok).unwrap();
+        assert!((0..3).all(|i| strs.get(i) == Datum::Str("b".into())));
+        for (what, bad) in [
+            ("short", rle_header(TAG_INT, 6, &[], &[(7, 2), (9, 3)])),
+            ("long", rle_header(TAG_FLOAT, 4, &[], &[(7, 2), (9, 3)])),
+            (
+                "wrapping",
+                rle_header(TAG_INT, 2, &[], &[(1, u32::MAX), (2, 3)]),
+            ),
+            (
+                "empty run",
+                rle_header(TAG_INT, 5, &[], &[(7, 2), (8, 0), (9, 3)]),
+            ),
+            (
+                "code",
+                rle_header(TAG_STR, 3, &["a", "b"], &[(0, 1), (2, 2)]),
+            ),
+            ("huge code", rle_header(TAG_STR, 1, &["a"], &[(1 << 32, 1)])),
+        ] {
+            let err = decode_rle_image(&bad).unwrap_err();
+            assert!(matches!(err, EngineError::Corrupt(_)), "{what}: {err}");
+        }
+        // Validity runs obey the row count and carry only 0 or 1.
+        let mut nulls = rle_header(TAG_INT, 2, &[], &[(7, 2)]);
+        nulls.pop();
+        nulls.push(1);
+        put_u64(&mut nulls, 1);
+        nulls.push(1);
+        for (len, bad) in [(2, false), (3, true)] {
+            let mut image = nulls.clone();
+            put_u32(&mut image, len);
+            assert_eq!(decode_rle_image(&image).is_err(), bad, "{len}");
+        }
+        let mut image = nulls.clone();
+        *image.last_mut().unwrap() = 2;
+        put_u32(&mut image, 2);
+        assert!(decode_rle_image(&image).is_err(), "a validity bit of 2");
+    }
+
+    #[test]
+    fn the_shared_decoder_refuses_run_length_images() {
+        // One 12-byte run standing for 2³²−1 rows: the image is 35 bytes,
+        // the rows it stands for 34 GB. The WAL and the wire read through
+        // `decode_column`, which must refuse the tag before reading on.
+        let huge = rle_header(TAG_INT, u64::from(u32::MAX), &[], &[(7, u32::MAX)]);
+        let small = rle_image(&Column::int(vec![7; 100]));
+        for image in [&huge, &small] {
+            let err = decode_column(&mut ByteReader::new(image)).unwrap_err();
+            assert!(matches!(err, EngineError::Corrupt(_)), "{err}");
+            assert!(matches!(decode_image(image), Err(EngineError::Corrupt(_))));
+        }
+        // And the run-length reader refuses every other image.
+        let mut plain = Vec::new();
+        encode_column(&mut plain, &Column::int(vec![7; 100]));
+        assert!(matches!(
+            decode_rle_image(&plain),
+            Err(EngineError::Corrupt(_))
+        ));
     }
 }

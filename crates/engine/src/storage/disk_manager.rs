@@ -115,12 +115,6 @@ impl DiskManager {
         Ok(pid.0 * PAGE_SIZE as u64)
     }
 
-    /// fsync the page file.
-    pub fn sync(&self) -> Result<()> {
-        self.file.sync_data()?;
-        Ok(())
-    }
-
     /// Pages ever allocated (high-water mark).
     pub fn pages_allocated(&self) -> u64 {
         self.inner.lock().next

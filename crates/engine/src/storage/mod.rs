@@ -2,18 +2,19 @@
 //!
 //! Architecture (one database = one directory):
 //!
-//! * [`page`] — fixed-size pages; a column serializes (the shared checked
-//!   codec's storage image: `f64` by bit pattern, dict+codes strings,
-//!   Int columns bit-packed at their value width when that is smaller,
-//!   packed validity) into a chain of pages.
+//! * [`page`] — fixed-size pages; a column's storage image (see
+//!   [`codec`]) is split into a chain of them.
 //! * [`disk_manager`] — page-granular read/write over one data file per
 //!   database, with a free list.
 //! * [`buffer_pool`] — capacity-bounded pin/unpin frames with dirty
 //!   tracking and Clock replacement.
-//! * [`PagedStore`] — ties them together: tables persist as page chains
-//!   plus in-memory metadata ([`PagedTable`]); every scan pins pages
-//!   through the pool one at a time, so a database much larger than the
-//!   pool still scans with bounded memory.
+//! * [`PagedStore`] — ties them together: a column persists as a page
+//!   chain ([`PagedColumn`]), and every scan pins pages through the pool
+//!   one at a time, so a database much larger than the pool still scans
+//!   with bounded memory.
+//!
+//! A catalog table holds each column as a `StoredColumn`: plain shared
+//! buffers, a run-length [`codec`] image in memory, or a page chain.
 //!
 //! Page chains are shared. A [`PageChain`] is written once and never
 //! changed; every table and in-flight scan that holds the column holds
@@ -22,10 +23,9 @@
 //! chain each live column buffer was stored to or loaded from, so
 //! [`PagedStore::store_column`] of a buffer that is still that allocation
 //! returns the existing chain instead of writing the column again. That
-//! is how a `CREATE TABLE AS` that passes columns through, and the
-//! columns an `UPDATE` leaves alone, cost no page writes. It is sound
-//! because buffers are immutable while a `Weak` to them exists
-//! (see `WeakColumn` in [`crate::column`]).
+//! is how a `CREATE TABLE AS` that passes columns through costs no page
+//! writes for them. It is sound because buffers are immutable while a
+//! `Weak` to them exists (see `WeakColumn` in [`crate::column`]).
 //!
 //! Durability is WAL-first: committed state is always recoverable by
 //! replaying the write-ahead log, which a checkpoint compacts into a base
@@ -52,22 +52,19 @@ use parking_lot::Mutex;
 use crate::column::{Column, ColumnData, WeakColumn};
 use crate::datum::DataType;
 use crate::error::Result;
-use crate::table::{ColumnMeta, Table};
 
 pub use buffer_pool::{BufferPool, BufferPoolStats, PageGuard};
 pub use disk_manager::{DiskManager, PageId};
 pub use page::{PAGE_CAPACITY, PAGE_HEADER_BYTES, PAGE_SIZE};
 
-use codec::ByteReader;
 use page::PageBuf;
 
 /// The pages of one stored column, in order. Immutable once written;
 /// dropping the last `Arc` to it returns its pages to the free list.
 pub struct PageChain {
     pages: Vec<PageId>,
-    /// The pool the pages are freed through (`None`: a view of pages
-    /// another chain owns, as tests build to describe a damaged chain).
-    pool: Option<Arc<BufferPool>>,
+    /// The pool the pages are freed through.
+    pool: Arc<BufferPool>,
 }
 
 impl Deref for PageChain {
@@ -86,13 +83,10 @@ impl fmt::Debug for PageChain {
 
 impl Drop for PageChain {
     fn drop(&mut self) {
-        if let Some(pool) = &self.pool {
-            for &pid in &self.pages {
-                // Every pin is taken by a holder of the chain, so a pinned
-                // page here would be an engine bug; leaking it is still
-                // correct.
-                let _ = pool.free_page(pid);
-            }
+        for &pid in &self.pages {
+            // Every pin is taken by a holder of the chain, so a pinned page
+            // here would be an engine bug; leaking it is still correct.
+            let _ = self.pool.free_page(pid);
         }
     }
 }
@@ -111,27 +105,78 @@ pub struct PagedColumn {
     pub dtype: DataType,
 }
 
-/// A table stored as paged columns plus in-memory schema.
+/// A catalog table's column, in the form its table holds it. Cloning is
+/// O(1): every form shares its bytes.
 #[derive(Debug, Clone)]
-pub struct PagedTable {
-    /// Column metadata (names/qualifiers), as for an in-memory table.
-    pub meta: Vec<ColumnMeta>,
-    /// Row count.
-    pub rows: usize,
-    /// One paged representation per column.
-    pub columns: Vec<PagedColumn>,
+pub(crate) enum StoredColumn {
+    /// Plain values, their buffers shared with every holder.
+    Plain(Column),
+    /// The column's run-length codec image, held in memory.
+    Rle {
+        rows: usize,
+        dtype: DataType,
+        image: Arc<[u8]>,
+    },
+    /// A page chain of the paged store.
+    Paged(PagedColumn),
 }
 
-impl PagedTable {
-    /// Total pages across all column chains (a chain shared with another
-    /// table counts in both).
-    pub fn num_pages(&self) -> usize {
-        self.columns.iter().map(|c| c.pages.len()).sum()
+impl StoredColumn {
+    /// Store `col`: as a page chain when `pages` is the database's paged
+    /// store (see [`PagedStore::store_column`]); else as its run-length
+    /// image when `rle` allows and that is smaller than `col`'s
+    /// [`Column::byte_size`]; else plain, sharing `col`'s buffers. The
+    /// dictionary both forms hold counts at that model's 24 B per entry on
+    /// both sides, so only runs decide.
+    pub(crate) fn store(col: &Column, rle: bool, pages: Option<&PagedStore>) -> Result<Self> {
+        if let Some(store) = pages {
+            return store.store_column(col).map(StoredColumn::Paged);
+        }
+        let dict = match &col.data {
+            ColumnData::Str { dict, .. } => 20 * dict.len(),
+            _ => 0,
+        };
+        if !rle || codec::rle_len(col) + dict >= col.byte_size() {
+            return Ok(StoredColumn::Plain(col.clone()));
+        }
+        let mut image = Vec::with_capacity(codec::rle_len(col));
+        codec::encode_rle_column(&mut image, col);
+        Ok(StoredColumn::Rle {
+            rows: col.len(),
+            dtype: col.dtype(),
+            image: image.into(),
+        })
     }
 
-    /// On-disk footprint in bytes (pages × page size).
-    pub fn byte_size(&self) -> usize {
-        self.num_pages() * PAGE_SIZE
+    /// The column as plain values: the buffers, shared (O(1)); the image,
+    /// decoded; or the chain's pages, pinned through `pages`' pool.
+    pub(crate) fn load(&self, pages: Option<&PagedStore>) -> Result<Column> {
+        match self {
+            StoredColumn::Plain(c) => Ok(c.clone()),
+            StoredColumn::Rle { image, .. } => codec::decode_rle_image(image),
+            StoredColumn::Paged(pc) => pages
+                .expect("a page chain without its paged store")
+                .load_column(pc),
+        }
+    }
+
+    /// Row count and data type, read without I/O.
+    pub(crate) fn shape(&self) -> (usize, DataType) {
+        match self {
+            StoredColumn::Plain(c) => (c.len(), c.dtype()),
+            StoredColumn::Rle { rows, dtype, .. } => (*rows, *dtype),
+            StoredColumn::Paged(pc) => (pc.rows, pc.dtype),
+        }
+    }
+
+    /// Stored size in bytes: the plain model's, the image's, or the
+    /// chain's pages (a chain another table shares counts in both).
+    pub(crate) fn byte_size(&self) -> usize {
+        match self {
+            StoredColumn::Plain(c) => c.byte_size(),
+            StoredColumn::Rle { image, .. } => image.len(),
+            StoredColumn::Paged(pc) => pc.pages.len() * PAGE_SIZE,
+        }
     }
 }
 
@@ -228,11 +273,6 @@ impl PagedStore {
         &self.disk
     }
 
-    /// Buffer-pool counters.
-    pub fn stats(&self) -> BufferPoolStats {
-        self.pool.stats()
-    }
-
     /// Store one column: the chain its buffers were stored to or loaded
     /// from while that chain is alive, else a fresh chain. Only one page
     /// is pinned at a time, so this works at any pool size.
@@ -250,7 +290,7 @@ impl PagedStore {
         // Built as it goes, so an error part-way frees what was written.
         let mut chain = PageChain {
             pages: Vec::with_capacity(chunks.len()),
-            pool: Some(Arc::clone(&self.pool)),
+            pool: Arc::clone(&self.pool),
         };
         for (i, chunk) in chunks.iter().enumerate() {
             let (pid, guard) = self.pool.new_page()?;
@@ -291,42 +331,12 @@ impl PagedStore {
         if bytes.len() as u64 != pc.bytes {
             return Err(codec::corrupt("page chain length mismatch"));
         }
-        let mut r = ByteReader::new(&bytes);
-        let col = codec::decode_column(&mut r)?;
-        r.done()?;
+        let col = codec::decode_image(&bytes)?;
         if col.len() != pc.rows {
             return Err(codec::corrupt("row count mismatch"));
         }
         self.origins.lock().remember(&col, pc);
         Ok(col)
-    }
-
-    /// Store a whole table, column by column (see
-    /// [`PagedStore::store_column`]).
-    pub fn store_table(&self, table: &Table) -> Result<PagedTable> {
-        let mut columns = Vec::with_capacity(table.columns.len());
-        for col in &table.columns {
-            columns.push(self.store_column(col)?);
-        }
-        Ok(PagedTable {
-            meta: table.meta.clone(),
-            rows: table.num_rows(),
-            columns,
-        })
-    }
-
-    /// Materialize a whole table (a scan snapshot).
-    pub fn load_table(&self, pt: &PagedTable) -> Result<Table> {
-        let mut t = Table::new();
-        for (m, pc) in pt.meta.iter().zip(&pt.columns) {
-            t.push_column(m.clone(), self.load_column(pc)?);
-        }
-        Ok(t)
-    }
-
-    /// Write every dirty frame back and fsync the page file.
-    pub fn flush(&self) -> Result<()> {
-        self.pool.flush_all()
     }
 }
 
@@ -359,13 +369,16 @@ mod tests {
         assert_eq!(s.load_column(&pc).unwrap(), col);
     }
 
-    /// `pc` with its page list edited by `edit`: a damaged chain that
-    /// frees nothing when dropped.
+    /// `pc` with its page list edited by `edit`: a damaged chain, leaked
+    /// so that it never frees the pages `pc` owns.
     fn damaged(pc: &PagedColumn, edit: impl FnOnce(&mut Vec<PageId>)) -> PagedColumn {
         let mut pages = pc.pages.to_vec();
         edit(&mut pages);
+        let pool = Arc::clone(&pc.pages.pool);
+        let chain = Arc::new(PageChain { pages, pool });
+        std::mem::forget(Arc::clone(&chain));
         PagedColumn {
-            pages: Arc::new(PageChain { pages, pool: None }),
+            pages: chain,
             ..pc.clone()
         }
     }
@@ -399,42 +412,40 @@ mod tests {
     #[test]
     fn table_roundtrip_through_a_tiny_pool() {
         let s = store("tiny", 2);
-        let t = Table::from_columns(vec![
-            ("a", Column::int((0..5000).collect())),
-            (
-                "y",
-                Column::float((0..5000).map(|i| i as f64 * 0.25).collect()),
-            ),
-            (
-                "s",
-                Column::str((0..5000).map(|i| format!("v{}", i % 7)).collect()),
-            ),
-        ]);
-        let pt = s.store_table(&t).unwrap();
-        assert!(pt.num_pages() > 2 * s.pool().capacity(), "must not fit");
-        let back = s.load_table(&pt).unwrap();
-        assert_eq!(back, t, "bit-exact through a 2-page pool");
-        assert!(s.stats().evictions > 0, "the pool actually thrashed");
+        let columns = [
+            Column::int((0..5000).collect()),
+            Column::float((0..5000).map(|i| i as f64 * 0.25).collect()),
+            Column::str((0..5000).map(|i| format!("v{}", i % 7)).collect()),
+        ];
+        let chains: Vec<PagedColumn> = (columns.iter())
+            .map(|c| s.store_column(c).unwrap())
+            .collect();
+        let pages: usize = chains.iter().map(|pc| pc.pages.len()).sum();
+        assert!(pages > 2 * s.pool().capacity(), "must not fit");
+        for (col, pc) in columns.iter().zip(&chains) {
+            assert_eq!(&s.load_column(pc).unwrap(), col, "bit-exact, 2-page pool");
+        }
+        assert!(s.pool().stats().evictions > 0, "the pool actually thrashed");
     }
 
     #[test]
     fn free_reclaims_pages() {
         let s = store("reclaim", 8);
-        let t = Table::from_columns(vec![("a", Column::int((0..4000).collect()))]);
-        let pt = s.store_table(&t).unwrap();
+        let col = Column::int((0..4000).collect());
+        let pc = s.store_column(&col).unwrap();
         let hw = s.disk().pages_allocated();
-        let scan = pt.clone();
-        drop(pt);
+        let scan = pc.clone();
+        drop(pc);
         assert_eq!(s.disk().pages_free(), 0, "a scan still holds the chain");
         drop(scan);
         assert_eq!(s.disk().pages_free() as u64, hw);
-        let pt2 = s.store_table(&t).unwrap();
+        let again = s.store_column(&col).unwrap();
         assert_eq!(
             s.disk().pages_allocated(),
             hw,
-            "second table reuses the freed pages"
+            "the second column reuses the freed pages"
         );
-        assert_eq!(s.load_table(&pt2).unwrap(), t);
+        assert_eq!(s.load_column(&again).unwrap(), col);
     }
 
     #[test]

@@ -45,6 +45,9 @@ pub const LOG_FILE: &str = "wal.log";
 /// Name a compacted log is written under until it is renamed over
 /// [`LOG_FILE`]; [`recover`] deletes one a crash left behind.
 const BASE_TMP: &str = "wal.log.tmp";
+/// The snapshot file earlier builds checkpointed to, beside a log of the
+/// statements past it.
+pub const LEGACY_CHECKPOINT: &str = "checkpoint.jbc";
 
 /// Record kinds in the log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,13 +170,12 @@ impl Wal {
     pub fn open_append(path: &Path, replayed: Replayed) -> Result<Wal> {
         // Not `truncate(true)`: the committed prefix must survive; only
         // the torn tail past `committed_len` is cut by `set_len`.
-        let file = OpenOptions::new()
+        let mut file = OpenOptions::new()
             .create(true)
             .truncate(false)
             .write(true)
             .open(path)?;
         file.set_len(replayed.committed_len)?;
-        let mut file = file;
         file.seek(SeekFrom::Start(replayed.committed_len))?;
         Ok(Wal {
             writer: Some(BufWriter::new(file)),
@@ -239,8 +241,7 @@ impl Wal {
 
     /// Log the creation of table `name`: each column's name from `meta`
     /// and the column as `columns` logs it. Replay rebuilds the table from
-    /// the log alone. A record of images only has the payload
-    /// `codec::encode_named_table` writes.
+    /// the log alone.
     pub fn log_create_table(
         &mut self,
         name: &str,
@@ -305,12 +306,17 @@ impl Wal {
 }
 
 /// Rebuild the tables of the database directory `dir` into `tables`: a
-/// compacted log that never reached its rename is deleted, an earlier
-/// build's `checkpoint.jbc` is read first, and [`LOG_FILE`] replays over
-/// it.
+/// compacted log that never reached its rename is deleted, and
+/// [`LOG_FILE`] replays. A directory that holds [`LEGACY_CHECKPOINT`] is
+/// refused: its log is only the suffix past that snapshot, and replaying
+/// it alone would silently drop the tables the snapshot held.
 pub fn recover(dir: &Path, tables: &mut HashMap<String, Table>) -> Result<Replayed> {
+    if dir.join(LEGACY_CHECKPOINT).exists() {
+        return Err(EngineError::Corrupt(format!(
+            "store: {LEGACY_CHECKPOINT} is a snapshot format this build no longer reads"
+        )));
+    }
     let _ = fs::remove_file(dir.join(BASE_TMP));
-    checkpoint::load(dir, tables)?;
     let path = dir.join(LOG_FILE);
     match path.exists() {
         true => replay(&path, tables),
@@ -319,7 +325,7 @@ pub fn recover(dir: &Path, tables: &mut HashMap<String, Table>) -> Result<Replay
 }
 
 /// Apply the committed prefix of the log file at `path` to `tables` (by
-/// lower-case name; empty, or what a legacy `checkpoint.jbc` held), one
+/// lower-case name), one
 /// statement at a time: a statement's records are held only until its
 /// commit record is read, then applied in order. Uncommitted, torn or
 /// corrupt trailing records are discarded, never an error — that is the
@@ -481,39 +487,6 @@ fn decode_record(kind: u8, payload: &[u8]) -> Result<WalRecord> {
     };
     r.done()?;
     Ok(record)
-}
-
-/// The snapshot file `checkpoint.jbc` that checkpoints wrote before they
-/// compacted the log. Open still reads one first, and the log replays
-/// over it; the next checkpoint deletes it once the compacted log is
-/// durable, and until then that log's base replaces it.
-pub(crate) mod checkpoint {
-    use super::*;
-
-    /// File name of the snapshot inside a paged database directory.
-    pub(crate) const CHECKPOINT_FILE: &str = "checkpoint.jbc";
-    const MAGIC: u32 = 0x4A42_4350; // "JBCP"
-    const VERSION: u32 = 1;
-
-    /// Insert the tables of the snapshot in `dir`, if there is one, into
-    /// `tables`, and delete a torn `.tmp` of it. A snapshot was installed
-    /// by an atomic rename, so one that does not decode is a hard error.
-    pub(crate) fn load(dir: &Path, tables: &mut HashMap<String, Table>) -> Result<()> {
-        let _ = fs::remove_file(dir.join("checkpoint.jbc.tmp"));
-        let bytes = match fs::read(dir.join(CHECKPOINT_FILE)) {
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-            read => read?,
-        };
-        let mut r = ByteReader::new(&bytes);
-        if r.u32()? != MAGIC || r.u32()? != VERSION {
-            return Err(codec::corrupt("not a checkpoint snapshot"));
-        }
-        for _ in 0..r.u32()? {
-            let (name, table) = codec::decode_named_table(&mut r)?;
-            tables.insert(name, table);
-        }
-        r.done()
-    }
 }
 
 #[cfg(test)]
@@ -788,21 +761,6 @@ mod tests {
             let err = replay(&path, &mut stale()).unwrap_err();
             assert!(matches!(err, EngineError::Corrupt(_)), "{err}");
         }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn a_legacy_checkpoint_that_does_not_decode_is_a_hard_error() {
-        let dir = tmp_dir("legacy_garbage");
-        std::fs::write(
-            dir.join(checkpoint::CHECKPOINT_FILE),
-            b"JBxx not a checkpoint",
-        )
-        .unwrap();
-        let mut tables = HashMap::new();
-        let err = recover(&dir, &mut tables).unwrap_err();
-        assert!(matches!(err, EngineError::Corrupt(_)), "{err}");
-        assert!(tables.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -3,14 +3,16 @@
 //! * **roundtrip proptests** — arbitrary columns (every `DataType`, NULL
 //!   masks, empty columns, NaN payloads, `-0.0`, dictionaries with
 //!   duplicate and unreferenced entries, Int columns of every span width
-//!   that the storage image bit-packs) survive a [`PagedStore`]'s
+//!   that the storage image bit-packs, runs) survive a [`PagedStore`]'s
 //!   `store_column` → `load_column` *bit-exactly*, at any chain length,
-//!   from warm frames and through a buffer pool that holds a single page;
-//! * **adversarial proptests** — truncating the byte string at any cut
-//!   point is a checked error, and flipping any byte of any stored page,
-//!   or overwriting stored pages with garbage, never panics and never
+//!   from warm frames and through a buffer pool that holds a single page,
+//!   and so does their run-length image;
+//! * **adversarial proptests** — truncating the byte string (plain,
+//!   storage or run-length image) at any cut point is a checked error,
+//!   and flipping any byte of any stored page or run-length image, or
+//!   overwriting stored pages with garbage, never panics and never
 //!   over-allocates (the decoder's count guard bounds every allocation
-//!   by the bytes actually present);
+//!   by the bytes actually present, and run lengths by the row count);
 //! * **the in-memory catalog** — the same columns, and run-heavy ones,
 //!   stored by `duckdb_mem()` never take more bytes than the plain table
 //!   (a column is run-length encoded only when that is smaller) and
@@ -22,7 +24,8 @@ use proptest::prelude::*;
 
 use joinboost_engine::column::ColumnData;
 use joinboost_engine::storage::codec::{
-    decode_column, encode_column, encode_stored_column, ByteReader,
+    decode_column, decode_image, decode_rle_image, encode_column, encode_rle_column,
+    encode_stored_column, ByteReader,
 };
 use joinboost_engine::storage::{PagedColumn, PagedStore, PAGE_CAPACITY, PAGE_SIZE};
 use joinboost_engine::{Column, Database, Table};
@@ -81,9 +84,16 @@ fn arb_narrow_ints(rows: usize) -> impl Strategy<Value = Vec<i64>> {
 }
 
 /// Columns from empty up to several pages long (a 700-row f64 column is
-/// ~5.6 KB — past one 4 KiB page).
+/// ~5.6 KB — past one 4 KiB page), arbitrary or run-heavy.
 fn arb_sized_column() -> impl Strategy<Value = Column> {
-    arb_rows().prop_flat_map(arb_column)
+    arb_rows().prop_flat_map(|rows| prop_oneof![arb_column(rows), arb_run_column(rows)])
+}
+
+/// The run-length image of `col`.
+fn rle_image(col: &Column) -> Vec<u8> {
+    let mut image = Vec::new();
+    encode_rle_column(&mut image, col);
+    image
 }
 
 fn arb_rows() -> impl Strategy<Value = usize> {
@@ -174,7 +184,11 @@ proptest! {
         prop_assert_eq!(back.dtype(), col.dtype());
         let mut reencoded = Vec::new();
         encode_column(&mut reencoded, &back);
-        prop_assert_eq!(reencoded, bytes);
+        prop_assert_eq!(&reencoded, &bytes);
+        // The run-length image decodes to the same column.
+        let mut unrolled = Vec::new();
+        encode_column(&mut unrolled, &decode_rle_image(&rle_image(&col)).unwrap());
+        prop_assert_eq!(unrolled, bytes);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -214,8 +228,8 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 proptest! {
-    /// Every strict prefix of a valid encoding, plain or storage image,
-    /// is a checked error — the decoder cannot read fields it does not
+    /// Every strict prefix of a valid encoding, plain, storage or
+    /// run-length image, is a checked error — the decoder cannot read fields it does not
     /// have, and a decode that "succeeds" early is caught by the
     /// trailing-bytes check.
     #[test]
@@ -223,22 +237,19 @@ proptest! {
         let (mut plain, mut image) = (Vec::new(), Vec::new());
         encode_column(&mut plain, &col);
         encode_stored_column(&mut image, &col);
-        for bytes in [plain, image] {
+        for (bytes, rle) in [(plain, false), (image, false), (rle_image(&col), true)] {
             prop_assert!(!bytes.is_empty());
             let cut = (cut % bytes.len() as u64) as usize;
-            let mut r = ByteReader::new(&bytes[..cut]);
-            let res = decode_column(&mut r).and_then(|c| {
-                r.done()?;
-                Ok(c)
-            });
+            let decode = if rle { decode_rle_image } else { decode_image };
+            let res = decode(&bytes[..cut]);
             prop_assert!(res.is_err(), "decode of a {cut}-byte prefix succeeded");
         }
     }
 
-    /// Flipping any single byte of a stored page never panics and never
-    /// over-allocates: either the load rejects the damage, or the flip
-    /// landed in a value byte and the result is a (different)
-    /// well-formed column.
+    /// Flipping any single byte of a stored page, or of the run-length
+    /// image, never panics and never over-allocates: either the load
+    /// rejects the damage, or the flip landed in a value byte and the
+    /// result is a (different) well-formed column.
     #[test]
     fn bit_flips_never_panic(col in arb_sized_column(), pos in any::<u64>(), flip in 1u8..=255) {
         let (store, dir) = scratch_store("flip", 4);
@@ -246,7 +257,10 @@ proptest! {
         let pos = (pos % (pc.pages.len() * PAGE_SIZE) as u64) as usize;
         let pid = pc.pages[pos / PAGE_SIZE];
         store.pool().fetch(pid).unwrap().write(|p| p[pos % PAGE_SIZE] ^= flip);
-        if let Ok(back) = store.load_column(&pc) {
+        let mut image = rle_image(&col);
+        let at = pos % image.len();
+        image[at] ^= flip;
+        for back in [store.load_column(&pc), decode_rle_image(&image)].into_iter().flatten() {
             // Survivors must still be internally consistent.
             let mut reencoded = Vec::new();
             encode_column(&mut reencoded, &back);
@@ -337,7 +351,11 @@ fn whole_tables_roundtrip_through_a_store() {
             Column::str((0..2000).map(|i| format!("g{}", i % 13)).collect()),
         ),
     ]);
-    let pt = store.store_table(&t).unwrap();
-    assert_eq!(store.load_table(&pt).unwrap(), t);
+    let chains: Vec<PagedColumn> = (t.columns.iter())
+        .map(|c| store.store_column(c).unwrap())
+        .collect();
+    for (col, pc) in t.columns.iter().zip(&chains) {
+        assert_eq!(&store.load_column(pc).unwrap(), col);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
