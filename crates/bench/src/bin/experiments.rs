@@ -1,7 +1,7 @@
 //! Experiment runner: regenerates the paper's tables and figures.
 //!
 //! ```text
-//! experiments <name>    run one experiment (fig5, fig8a, ..., losses, agg)
+//! experiments <name>    run one experiment (fig5, fig8a, ..., losses)
 //! experiments all       run everything
 //! experiments help      list experiments
 //! ```

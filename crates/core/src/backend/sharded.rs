@@ -1324,7 +1324,8 @@ fn merge_partials(partials: Vec<Table>, specs: &[MergeSpec]) -> BackendResult {
             _ => Vec::new(),
         };
         let agg = PreparedAgg::new(name, Some(col))?;
-        let mut merged = agg::compute_grouped(&[agg], &groups.gids, groups.num_groups, None);
+        let mut merged =
+            agg::compute_grouped(&[agg], &groups.gids, groups.num_groups, &groups.sizes);
         let mut merged = merged.pop().expect("one column per aggregate");
         for &g in &nan_groups {
             // Written in place: a buffer the merge shares is copied first.

@@ -278,15 +278,14 @@ fn remote_shards_fan_out_avg_arithmetic_and_hidden_keys_like_one_engine() {
 /// The out-of-core claim: the paged engine — tables on disk behind a
 /// buffer pool, scans pinning pages one at a time — trains the same bits
 /// as the in-memory engine, even when the pool is squeezed to 8 pages
-/// (32 KiB, far below the working set, so every scan thrashes) and the
-/// aggregation spill budget is forced down so accumulator banks park on
-/// disk mid-query. Paging moves bytes; it must never touch fold order.
+/// (32 KiB, far below the working set, so every scan thrashes). Paging
+/// moves bytes; it must never touch fold order.
 #[test]
 fn paged_engine_trains_bit_identical_gbms_even_at_an_8_page_pool() {
     let engine = EngineBackend::in_memory();
     let reference = load_and_train(&engine);
 
-    for (pool_pages, spill_bytes) in [(256usize, 64usize << 20), (8, 4 << 10)] {
+    for pool_pages in [256, 8] {
         let dir = std::env::temp_dir().join(format!(
             "jb_equiv_paged_{}_{pool_pages}",
             std::process::id()
@@ -294,7 +293,6 @@ fn paged_engine_trains_bit_identical_gbms_even_at_an_8_page_pool() {
         let _ = std::fs::remove_dir_all(&dir);
         let config = EngineConfig {
             bufferpool_pages: pool_pages,
-            agg_spill_bytes: spill_bytes,
             ..EngineConfig::paged(&dir)
         };
         let paged = EngineBackend::labeled(config, format!("paged-{pool_pages}"));

@@ -29,6 +29,7 @@ use joinboost::backend::{BackendCapabilities, BackendResult, SqlBackend};
 use joinboost::{train_gbm, Dataset, TrainParams};
 use joinboost_datagen::{favorita, FavoritaConfig};
 use joinboost_engine::storage::codec::{encode_stored_column, put_string, put_u32};
+use joinboost_engine::storage::PAGE_CAPACITY;
 use joinboost_engine::{Column, DataType, Database, EngineConfig, EngineError, Table};
 use joinboost_sql::ast::Statement;
 
@@ -361,7 +362,8 @@ fn post_checkpoint_recovery_writes_survive_the_next_crash() {
 }
 
 /// A table and its `SELECT *` copy share every page chain, and the base
-/// images each chain once: the copy's columns are references.
+/// images each chain once: the copy's columns are references. They
+/// share the chains again after a crash and reopen.
 #[test]
 fn a_select_star_copy_images_its_shared_chains_once() {
     let dir = fresh_dir("copy");
@@ -375,7 +377,7 @@ fn a_select_star_copy_images_its_shared_chains_once() {
             Column::float((0..2000).map(|i| i as f64 / 3.0).collect()),
         ),
     ]);
-    {
+    let written = {
         let db = Database::new(paged_with_budget(&dir, None));
         db.create_table("a", a.clone()).unwrap();
         db.execute("CREATE TABLE b AS SELECT * FROM a").unwrap();
@@ -387,10 +389,25 @@ fn a_select_star_copy_images_its_shared_chains_once() {
             "a {written}-byte base for two tables whose images total {images} bytes"
         );
         db.simulate_crash().unwrap();
-    }
+        written
+    };
+    // Replay gives `b` the columns of `a`, so the reopened store writes
+    // each chain once, for both tables, and the next base is the same.
     let db = Database::new(paged_with_budget(&dir, None));
+    let pages: usize = (a.columns.iter())
+        .map(|c| {
+            let mut bytes = Vec::new();
+            encode_stored_column(&mut bytes, c);
+            bytes.len().div_ceil(PAGE_CAPACITY)
+        })
+        .sum();
+    let stats = db.bufferpool_stats().unwrap();
+    assert_eq!(stats.misses, pages as u64, "a and b share each chain");
     assert_eq!(db.snapshot("a").unwrap(), a);
     assert_eq!(db.snapshot("b").unwrap(), a);
+    db.checkpoint().unwrap();
+    assert_eq!(db.stats().checkpoint_bytes_written, written);
+    drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -147,9 +147,8 @@ fn gbm_on_a_paged_engine_with_an_8_page_pool_is_bit_identical() {
     // The out-of-core stress: the whole training run — every message
     // materialization, residual update and split query — on an engine
     // whose buffer pool holds 8 pages (32 KiB) while the working set is
-    // megabytes, with the aggregation spill budget squeezed so banks park
-    // on disk mid-query. Every page fault, eviction and spill must leave
-    // the folded bits untouched.
+    // megabytes. Every page fault, eviction and dirty write-back must
+    // leave the folded bits untouched.
     let gen = favorita(&FavoritaConfig {
         fact_rows: 2500,
         dim_rows: 25,
@@ -163,7 +162,6 @@ fn gbm_on_a_paged_engine_with_an_8_page_pool_is_bit_identical() {
             let _ = std::fs::remove_dir_all(&dir);
             EngineConfig {
                 bufferpool_pages: 8,
-                agg_spill_bytes: 4 << 10,
                 ..EngineConfig::paged(&dir)
             }
         } else {

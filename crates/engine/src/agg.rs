@@ -7,17 +7,15 @@
 //! evaluated exactly once up front into a typed form ([`PreparedAgg`]),
 //! `COUNT(*)` and `SUM(<integer literal>)` — the `SUM(1) AS jb_c` of
 //! every message — are answered directly from the grouping pass's group
-//! sizes,
-//! and each remaining bank fills with one monomorphic tight scan over the
-//! shared (cache-hot) group id array — measured ~2x faster than folding
-//! all banks in a single pass with per-row polymorphic dispatch.
+//! sizes, and each remaining bank fills with one monomorphic tight scan
+//! over the shared (cache-hot) group id array — measured ~2x faster than
+//! folding all banks in a single pass with per-row polymorphic dispatch.
 
 use std::sync::Arc;
 
 use crate::column::{Column, ColumnData};
 use crate::datum::Datum;
 use crate::error::{EngineError, Result};
-use crate::storage::PagedStore;
 
 /// One aggregate call with its argument evaluated (once) into the typed
 /// form its accumulator consumes.
@@ -93,43 +91,6 @@ impl PreparedAgg {
         }
     }
 
-    /// Restrict this aggregate's argument to the given rows (in the given
-    /// order). Used by the spilling path to process one group slice at a
-    /// time: row order is preserved, so each group folds the same value
-    /// sequence as the unsliced pass.
-    fn gather(&self, rows: &[u32]) -> PreparedAgg {
-        match self {
-            PreparedAgg::CountStar => PreparedAgg::CountStar,
-            PreparedAgg::SumOfInt(k) => PreparedAgg::SumOfInt(*k),
-            PreparedAgg::Count { valid } => PreparedAgg::Count {
-                valid: valid.as_ref().map(|v| gather_rows(v, rows)),
-            },
-            PreparedAgg::Sum { vals } => PreparedAgg::Sum {
-                vals: gather_rows(vals, rows),
-            },
-            PreparedAgg::SumInt { vals, valid } => PreparedAgg::SumInt {
-                vals: gather_rows(vals, rows),
-                valid: valid.as_ref().map(|v| gather_rows(v, rows)),
-            },
-            PreparedAgg::Avg(sum) => PreparedAgg::Avg(Box::new(sum.gather(rows))),
-            PreparedAgg::MinMax { col, is_min } => PreparedAgg::MinMax {
-                col: Column::from_datums(
-                    &rows
-                        .iter()
-                        .map(|&r| {
-                            if col.is_valid(r as usize) {
-                                col.get(r as usize)
-                            } else {
-                                Datum::Null
-                            }
-                        })
-                        .collect::<Vec<_>>(),
-                ),
-                is_min: *is_min,
-            },
-        }
-    }
-
     /// Fresh accumulator bank covering `len` groups.
     fn new_acc(&self, len: usize) -> Acc {
         match self {
@@ -152,15 +113,9 @@ impl PreparedAgg {
     /// Fold every row into the bank with a monomorphic tight loop per
     /// accumulator kind (matching once per bank, not once per row — the
     /// per-row polymorphic dispatch measured ~2x slower). Each group's
-    /// values fold in row order, which is what makes the spilled variant
-    /// bit-identical to the unsliced pass.
+    /// values fold in row order.
     fn fill(&self, acc: &mut Acc, gids: &[u32]) {
         match (self, acc) {
-            (PreparedAgg::CountStar | PreparedAgg::SumOfInt(_), Acc::Counts(c)) => {
-                for &g in gids {
-                    c[g as usize] += 1;
-                }
-            }
             (PreparedAgg::Count { valid }, Acc::Counts(c)) => match valid {
                 None => {
                     for &g in gids {
@@ -290,28 +245,20 @@ fn into_f64_vec(c: Column) -> Result<Arc<Vec<f64>>> {
     }
 }
 
-/// `v` at `rows`, in their order.
-fn gather_rows<T: Copy>(v: &[T], rows: &[u32]) -> Arc<Vec<T>> {
-    Arc::new(rows.iter().map(|&r| v[r as usize]).collect())
-}
-
 /// Compute every aggregate in `inputs` per group over the shared `gids`.
-/// `sizes` (the grouping pass by-product) short-circuits `COUNT(*)` and
-/// `SUM(<integer literal>)`.
+/// `COUNT(*)` and `SUM(<integer literal>)` come straight from `sizes`, the
+/// grouping pass's by-product; only the others scan the rows.
 pub fn compute_grouped(
     inputs: &[PreparedAgg],
     gids: &[u32],
     num_groups: usize,
-    sizes: Option<&[u32]>,
+    sizes: &[u32],
 ) -> Vec<Column> {
-    // COUNT(*) banks come straight from the grouping pass when available;
-    // only the remaining aggregates need the row scan.
-    inputs
-        .iter()
+    (inputs.iter())
         .map(|input| {
-            let acc = match (input, sizes) {
-                (PreparedAgg::CountStar | PreparedAgg::SumOfInt(_), Some(s)) => {
-                    Acc::Counts(s.iter().map(|&c| c as i64).collect())
+            let acc = match input {
+                PreparedAgg::CountStar | PreparedAgg::SumOfInt(_) => {
+                    Acc::Counts(sizes.iter().map(|&c| c as i64).collect())
                 }
                 _ => {
                     let mut acc = input.new_acc(num_groups);
@@ -322,77 +269,6 @@ pub fn compute_grouped(
             input.finish(acc)
         })
         .collect()
-}
-
-/// Estimated accumulator-bank footprint per group across all aggregates
-/// (Counts: one i64; Sum/Avg: f64 + i64; Min/Max: a Datum slot).
-pub fn bank_bytes_per_group(inputs: &[PreparedAgg]) -> usize {
-    inputs
-        .iter()
-        .map(|a| match a {
-            PreparedAgg::CountStar | PreparedAgg::SumOfInt(_) | PreparedAgg::Count { .. } => 8,
-            PreparedAgg::Sum { .. } | PreparedAgg::SumInt { .. } | PreparedAgg::Avg(_) => 16,
-            PreparedAgg::MinMax { .. } => 32,
-        })
-        .sum()
-}
-
-/// Estimated total accumulator-bank footprint of one grouped aggregation.
-pub fn bank_bytes(inputs: &[PreparedAgg], num_groups: usize) -> usize {
-    bank_bytes_per_group(inputs).saturating_mul(num_groups)
-}
-
-/// Spilling variant of [`compute_grouped`]: when the accumulator banks
-/// would exceed `budget_bytes`, slice the *group-id space* so each slice's
-/// banks fit the budget, aggregate one slice at a time, and park finished
-/// slice results as page chains in `store` until every slice is done.
-///
-/// Bit-identical to the unsliced pass: a slice gathers its rows in global
-/// row order, so each group folds exactly the same f64 sequence, and the
-/// page codec round-trips every value by bit pattern.
-pub fn compute_grouped_spilled(
-    inputs: &[PreparedAgg],
-    gids: &[u32],
-    num_groups: usize,
-    sizes: Option<&[u32]>,
-    store: &PagedStore,
-    budget_bytes: usize,
-) -> Result<Vec<Column>> {
-    let per_group = bank_bytes_per_group(inputs).max(1);
-    let groups_per_slice = (budget_bytes / per_group).clamp(1, num_groups.max(1));
-    if groups_per_slice >= num_groups || inputs.is_empty() {
-        return Ok(compute_grouped(inputs, gids, num_groups, sizes));
-    }
-    let num_slices = num_groups.div_ceil(groups_per_slice);
-    // Bucket row indices per slice; pushes preserve global row order.
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); num_slices];
-    for (row, &g) in gids.iter().enumerate() {
-        buckets[g as usize / groups_per_slice].push(row as u32);
-    }
-    let mut spilled: Vec<Vec<crate::storage::PagedColumn>> = Vec::with_capacity(num_slices);
-    for (s, rows) in buckets.iter().enumerate() {
-        let lo = s * groups_per_slice;
-        let hi = ((s + 1) * groups_per_slice).min(num_groups);
-        let local_gids: Vec<u32> = rows.iter().map(|&r| gids[r as usize] - lo as u32).collect();
-        let local_inputs: Vec<PreparedAgg> = inputs.iter().map(|a| a.gather(rows)).collect();
-        let local_sizes = sizes.map(|sz| &sz[lo..hi]);
-        let cols = compute_grouped(&local_inputs, &local_gids, hi - lo, local_sizes);
-        spilled.push(
-            cols.iter()
-                .map(|c| store.store_column(c))
-                .collect::<Result<Vec<_>>>()?,
-        );
-    }
-    // Merge: per aggregate, decode each slice's result and concatenate.
-    let mut out = Vec::with_capacity(inputs.len());
-    for i in 0..inputs.len() {
-        let slices: Vec<Column> = (spilled.iter())
-            .map(|pcs| store.load_column(&pcs[i]))
-            .collect::<Result<_>>()?;
-        out.push(Column::concat(&slices.iter().collect::<Vec<_>>()));
-    }
-    // Dropping `spilled` returns the slices' pages to the free list.
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -413,66 +289,13 @@ mod tests {
             PreparedAgg::Avg(Box::new(PreparedAgg::Sum { vals })),
         ];
         let gids = gids_round_robin(n, 2);
-        let cols = compute_grouped(&inputs, &gids, 2, None);
+        let cols = compute_grouped(&inputs, &gids, 2, &[5, 5]);
         assert_eq!(cols[0].get(0), Datum::Int(5));
         assert_eq!(cols[1].get(0), Datum::Float(0.0 + 2.0 + 4.0 + 6.0 + 8.0));
         assert_eq!(
             cols[2].get(1),
             Datum::Float((1.0 + 3.0 + 5.0 + 7.0 + 9.0) / 5.0)
         );
-    }
-
-    #[test]
-    fn spilled_is_bit_identical_to_in_memory() {
-        use crate::storage::PagedStore;
-        let dir = std::env::temp_dir().join(format!("jb_agg_spill_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = PagedStore::open(&dir, 4).unwrap();
-        let n = 50_000;
-        let groups = 997;
-        // Sum order matters for these values: reassociation changes bits.
-        let vals: Arc<Vec<f64>> = Arc::new(
-            (0..n)
-                .map(|i| ((i * 2654435761usize) % 1000) as f64 * 1e-3 + 1e9 * ((i % 5) as f64))
-                .collect(),
-        );
-        let gids: Vec<u32> = (0..n).map(|i| ((i * 31) % groups) as u32).collect();
-        let mut sizes = vec![0u32; groups];
-        for &g in &gids {
-            sizes[g as usize] += 1;
-        }
-        let mk = || {
-            vec![
-                PreparedAgg::CountStar,
-                PreparedAgg::Sum { vals: vals.clone() },
-                PreparedAgg::Avg(Box::new(PreparedAgg::Sum { vals: vals.clone() })),
-                PreparedAgg::MinMax {
-                    col: Column::float(vals.to_vec()),
-                    is_min: true,
-                },
-            ]
-        };
-        let reference = compute_grouped(&mk(), &gids, groups, Some(&sizes));
-        // Budget forces ~13 slices (997 groups × 72 B/group ≫ 5 KiB).
-        let spilled =
-            compute_grouped_spilled(&mk(), &gids, groups, Some(&sizes), &store, 5 * 1024).unwrap();
-        for (s, p) in reference.iter().zip(&spilled) {
-            for g in 0..groups {
-                match (s.get(g), p.get(g)) {
-                    (Datum::Float(x), Datum::Float(y)) => {
-                        assert_eq!(x.to_bits(), y.to_bits(), "group {g}");
-                    }
-                    (a, b) => assert_eq!(a, b, "group {g}"),
-                }
-            }
-        }
-        // Spill pages were returned to the free list.
-        assert_eq!(
-            store.disk().pages_free() as u64,
-            store.disk().pages_allocated(),
-            "all spill pages freed"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -486,7 +309,7 @@ mod tests {
         for arg in args {
             let gids = vec![0u32; arg.len()];
             let sum = PreparedAgg::new("SUM", Some(arg)).unwrap();
-            let cols = compute_grouped(&[sum], &gids, 1, None);
+            let cols = compute_grouped(&[sum], &gids, 1, &[gids.len() as u32]);
             assert_eq!(cols[0].get(0), Datum::Int(big + 1));
         }
     }
@@ -527,7 +350,7 @@ mod tests {
             },
         ];
         let gids = vec![0u32, 0, 0, 1];
-        let cols = compute_grouped(&inputs, &gids, 2, None);
+        let cols = compute_grouped(&inputs, &gids, 2, &[3, 1]);
         assert_eq!(cols[0].get(0), Datum::Float(-1.0));
         assert_eq!(cols[1].get(0), Datum::Float(3.0));
         assert_eq!(cols[2].get(0), Datum::Int(2));

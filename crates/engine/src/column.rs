@@ -9,7 +9,7 @@
 //! through `Arc::make_mut` or `Arc::unwrap_or_clone`, which copy a buffer
 //! that is shared before writing to it.
 
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 use crate::datum::{DataType, Datum};
 
@@ -37,42 +37,6 @@ pub struct Column {
     pub data: ColumnData,
     /// Per-row validity mask (`None` = no NULLs).
     pub validity: Option<Arc<Vec<bool>>>,
-}
-
-/// A [`Column`] held by `Weak`s: it keeps no buffer's contents alive,
-/// and it upgrades back only while every buffer is. Buffers are
-/// immutable while a `Weak` to them exists (`Arc::get_mut` refuses and
-/// `Arc::make_mut` moves the data to a new allocation), so a column that
-/// [`Column::shares_buffers`] with the upgrade holds the very values the
-/// handle was taken from.
-pub(crate) struct WeakColumn {
-    data: WeakData,
-    validity: Option<Weak<Vec<bool>>>,
-}
-
-enum WeakData {
-    Int(Weak<Vec<i64>>),
-    Float(Weak<Vec<f64>>),
-    Str(Weak<Vec<String>>, Weak<Vec<u32>>),
-}
-
-impl WeakColumn {
-    /// The column again, if all of its buffers are alive.
-    pub(crate) fn upgrade(&self) -> Option<Column> {
-        let data = match &self.data {
-            WeakData::Int(v) => ColumnData::Int(v.upgrade()?),
-            WeakData::Float(v) => ColumnData::Float(v.upgrade()?),
-            WeakData::Str(dict, codes) => ColumnData::Str {
-                dict: dict.upgrade()?,
-                codes: codes.upgrade()?,
-            },
-        };
-        let validity = match &self.validity {
-            Some(v) => Some(v.upgrade()?),
-            None => None,
-        };
-        Some(Column { data, validity })
-    }
 }
 
 /// f64 bit pattern with `-0.0` canonicalized to `0.0` — the single
@@ -396,23 +360,6 @@ impl Column {
         Column { data, validity }
     }
 
-    /// Do `self` and `other` hold the very same buffers, data and
-    /// validity alike (so equal without comparing a value)?
-    pub(crate) fn shares_buffers(&self, other: &Column) -> bool {
-        let data = match (&self.data, &other.data) {
-            (ColumnData::Int(a), ColumnData::Int(b)) => Arc::ptr_eq(a, b),
-            (ColumnData::Float(a), ColumnData::Float(b)) => Arc::ptr_eq(a, b),
-            (ColumnData::Str { dict, codes }, ColumnData::Str { dict: d, codes: c }) => {
-                Arc::ptr_eq(dict, d) && Arc::ptr_eq(codes, c)
-            }
-            _ => false,
-        };
-        data && match (&self.validity, &other.validity) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            (a, b) => a.is_none() && b.is_none(),
-        }
-    }
-
     /// A copy that shares no buffer with `self`: what a modelled copy
     /// (an external array copied in, an MVCC before-image) must pay for,
     /// where a plain [`Clone`] would share.
@@ -431,22 +378,6 @@ impl Column {
         Column {
             data,
             validity: self.validity.as_ref().map(own),
-        }
-    }
-
-    /// A handle on this column's buffers that does not keep their
-    /// contents alive (see [`WeakColumn`]).
-    pub(crate) fn downgrade(&self) -> WeakColumn {
-        let data = match &self.data {
-            ColumnData::Int(v) => WeakData::Int(Arc::downgrade(v)),
-            ColumnData::Float(v) => WeakData::Float(Arc::downgrade(v)),
-            ColumnData::Str { dict, codes } => {
-                WeakData::Str(Arc::downgrade(dict), Arc::downgrade(codes))
-            }
-        };
-        WeakColumn {
-            data,
-            validity: self.validity.as_ref().map(Arc::downgrade),
         }
     }
 
@@ -512,6 +443,26 @@ impl Column {
             }
         };
         base + self.validity.as_ref().map_or(0, |v| v.len())
+    }
+}
+
+#[cfg(test)]
+impl Column {
+    /// Do `self` and `other` hold the very same buffers, data and
+    /// validity alike (so equal without comparing a value)?
+    pub(crate) fn shares_buffers(&self, other: &Column) -> bool {
+        let data = match (&self.data, &other.data) {
+            (ColumnData::Int(a), ColumnData::Int(b)) => Arc::ptr_eq(a, b),
+            (ColumnData::Float(a), ColumnData::Float(b)) => Arc::ptr_eq(a, b),
+            (ColumnData::Str { dict, codes }, ColumnData::Str { dict: d, codes: c }) => {
+                Arc::ptr_eq(dict, d) && Arc::ptr_eq(codes, c)
+            }
+            _ => false,
+        };
+        data && match (&self.validity, &other.validity) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (a, b) => a.is_none() && b.is_none(),
+        }
     }
 }
 

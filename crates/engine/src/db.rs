@@ -1,6 +1,7 @@
 //! The database: catalog, configuration and statement execution.
 
 use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -11,11 +12,11 @@ use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use joinboost_sql::ast::{Expr, Statement};
 use joinboost_sql::parse_statement;
 
-use crate::column::Column;
+use crate::column::{Column, ColumnData};
 use crate::error::{EngineError, Result};
-use crate::expr::{CaseMerge, EvalContext};
+use crate::expr::{CaseMerge, EvalContext, Slots};
 use crate::interop::ExternalTable;
-use crate::plan::{bind, names_read, Op, Plan};
+use crate::plan::{bind, names_read, Op, Output, PassThrough, Plan, QueryPlan, Source};
 use crate::storage::{BufferPoolStats, PageChain, PagedStore, StoredColumn};
 use crate::table::{ColumnMeta, Table};
 use crate::wal::{self, ColumnRef, LoggedColumn, Wal};
@@ -45,8 +46,8 @@ pub struct EngineConfig {
     pub mvcc: bool,
     /// Hold each RAM-resident column as its run-length codec image when
     /// that is smaller (chosen per column at every store); `false` never
-    /// encodes. A scan decodes an encoded column, and an `UPDATE` encodes
-    /// only the columns it assigns. This governs the in-memory catalog
+    /// encodes. A scan decodes an encoded column, and a write encodes
+    /// only the columns it computes. This governs the in-memory catalog
     /// only: pages and the WAL always bit-pack Int columns where that is
     /// smaller.
     pub compression: bool,
@@ -60,10 +61,6 @@ pub struct EngineConfig {
     pub storage_path: Option<PathBuf>,
     /// Buffer-pool capacity in pages (paged mode; minimum 1).
     pub bufferpool_pages: usize,
-    /// Spill grouped-aggregation state to disk when the estimated
-    /// accumulator-bank footprint exceeds this many bytes (paged mode
-    /// only; the group-id space is sliced so results stay bit-identical).
-    pub agg_spill_bytes: usize,
     /// Automatic checkpoint budget (paged mode only): once the WAL has
     /// logged this many bytes since the last checkpoint, the next
     /// statement boundary compacts it ([`Database::checkpoint`]), so the
@@ -90,7 +87,6 @@ impl EngineConfig {
             allow_swap: false,
             storage_path: None,
             bufferpool_pages: 256,
-            agg_spill_bytes: 64 << 20,
             checkpoint_bytes: None,
         }
     }
@@ -137,8 +133,8 @@ impl EngineConfig {
     /// new column's image once, so a column a statement passes through
     /// costs no page writes and only a reference in the log. Pages and
     /// log records store each Int column bit-packed at its value width
-    /// when that is smaller. Tune `bufferpool_pages` and
-    /// `agg_spill_bytes` with struct-update syntax.
+    /// when that is smaller. Tune `bufferpool_pages` with struct-update
+    /// syntax.
     pub fn paged(dir: impl Into<PathBuf>) -> Self {
         EngineConfig {
             wal: true,
@@ -178,6 +174,7 @@ pub struct DbStats {
     pub checkpoint_bytes_written: u64,
 }
 
+#[derive(Clone)]
 enum Stored {
     /// A catalog table, each column in the form `StoredColumn::store` chose.
     Table {
@@ -289,15 +286,22 @@ impl Database {
         let store = PagedStore::open(dir, pool_pages)?;
         let mut tables = HashMap::new();
         let replayed = wal::recover(dir, &mut tables)?;
-        // A buffer that replay shared between tables is stored once, as a
-        // chain those tables share (see `PagedStore::store_column`).
+        // A buffer replay shared between tables is stored once, as a chain
+        // those tables share. `tables` holds every buffer until the loop
+        // ends, so no two of them have the same address.
+        let mut chains: HashMap<(usize, usize), StoredColumn> = HashMap::new();
         let mut catalog = HashMap::new();
-        for (name, table) in tables {
-            let columns = (table.columns.iter())
-                .map(|c| StoredColumn::store(c, false, Some(&store)))
-                .collect::<Result<_>>()?;
-            let meta = table.meta;
-            catalog.insert(name, Stored::Table { meta, columns });
+        for (name, table) in &tables {
+            let mut columns = Vec::with_capacity(table.columns.len());
+            for c in &table.columns {
+                let key = buffer_addresses(c);
+                if let Entry::Vacant(e) = chains.entry(key) {
+                    e.insert(StoredColumn::store(c, false, Some(&store))?);
+                }
+                columns.push(chains[&key].clone());
+            }
+            let meta = table.meta.clone();
+            catalog.insert(name.clone(), Stored::Table { meta, columns });
         }
         let mut wal = Wal::open_append(&dir.join(wal::LOG_FILE), replayed)?;
         // The latent `sync = false` default would leave commit records in
@@ -337,11 +341,6 @@ impl Database {
     /// catalog is untouched; reopen the directory to see what survived.
     pub fn simulate_crash(&self) -> Result<()> {
         self.wal.lock().simulate_crash()
-    }
-
-    /// Spill destination and budget for grouped aggregation (paged mode).
-    pub(crate) fn spill_target(&self) -> Option<(&PagedStore, usize)> {
-        (self.storage.as_ref()).map(|s| (s, self.config.agg_spill_bytes))
     }
 
     /// Checkpoint the catalog (paged mode only): compact the WAL into a
@@ -411,12 +410,8 @@ impl Database {
         // rebuild every committed table from the log alone. (Non-paged
         // disk configs keep the original behavior — bulk loads bypass
         // the WAL, which only models per-statement write costs there.)
-        self.install(
-            name,
-            table,
-            false,
-            self.storage.is_some() && self.config.wal,
-        )
+        let log = self.storage.is_some() && self.config.wal;
+        self.install(name, table.meta, computed(table.columns), false, log)
     }
 
     /// Register a table, replacing any existing table of the same name,
@@ -428,22 +423,33 @@ impl Database {
     /// primitive durable system tables (e.g. a server's job registry)
     /// are rewritten through.
     pub fn create_or_replace_table(&self, name: &str, table: Table) -> Result<()> {
-        self.install(name, table, true, self.storage.is_some() && self.config.wal)
+        let log = self.storage.is_some() && self.config.wal;
+        self.install(name, table.meta, computed(table.columns), true, log)
     }
 
-    /// Install `table` as `name` — replacing a table of that name only if
-    /// `replace` — logged if `log`, as one write statement.
+    /// Install the columns `new` as table `name` — replacing a table of
+    /// that name only if `replace` — logged if `log`, as one write
+    /// statement.
     ///
-    /// The table is stored first, so a column that already lives in a chain
-    /// shares it. Logging, the catalog change and the commit then happen
-    /// under the log's lock: the catalog is the state the log stands at, so
-    /// a column whose chain a catalog table holds logs as a reference to it.
-    fn install(&self, name: &str, table: Table, replace: bool, log: bool) -> Result<()> {
+    /// The computed columns are stored first. Logging, the catalog change
+    /// and the commit then happen under the log's lock: the catalog is the
+    /// state the log stands at, so a column whose chain a catalog table
+    /// holds logs as a reference to it.
+    fn install(
+        &self,
+        name: &str,
+        meta: Vec<ColumnMeta>,
+        new: Vec<NewColumn>,
+        replace: bool,
+        log: bool,
+    ) -> Result<()> {
         let key = name.to_ascii_lowercase();
         let gate = self.write_gate.read();
-        let (rle, pages) = (self.config.compression, self.storage.as_ref());
-        let columns = (table.columns.iter())
-            .map(|c| StoredColumn::store(c, rle, pages))
+        let columns = (new.iter())
+            .map(|c| match c {
+                NewColumn::Computed(c) => self.store(c),
+                NewColumn::Kept(c) => Ok(c.clone()),
+            })
             .collect::<Result<Vec<_>>>()?;
         let mut wal = self.wal.lock();
         {
@@ -456,12 +462,13 @@ impl Database {
                 for (key, _, held_columns) in catalog_tables(&cat) {
                     hold(&mut held, key, held_columns);
                 }
-                let logged = logged_columns(&held, &columns, |i| Ok(table.columns[i].clone()))?;
-                wal.log_create_table(name, &table.meta, &logged)?;
+                let logged = logged_columns(&held, &columns, |i| match &new[i] {
+                    NewColumn::Computed(c) => Ok(c.clone()),
+                    NewColumn::Kept(c) => c.load(self.storage.as_ref()),
+                })?;
+                wal.log_create_table(name, &meta, &logged)?;
             }
         }
-        self.count_encoded(&columns);
-        let meta = table.meta;
         // A replaced table's chains go back to the free list when the last
         // table or scan holding them lets go.
         let old = (self.catalog.write()).insert(key, Stored::Table { meta, columns });
@@ -568,6 +575,19 @@ impl Database {
     /// table none of whose columns is asked for still yields its first,
     /// since a [`Table`]'s row count is its columns' length.
     pub fn scan(&self, name: &str, columns: Option<&[&str]>) -> Result<Table> {
+        self.scan_stored(&self.stored(name)?, columns)
+    }
+
+    /// Catalog entry `name`, its columns shared (O(1) each), so the
+    /// catalog lock is released before images decode or pages pin.
+    fn stored(&self, name: &str) -> Result<Stored> {
+        let cat = self.catalog.read();
+        (cat.get(&name.to_ascii_lowercase()).cloned())
+            .ok_or_else(|| EngineError::UnknownTable(name.to_string()))
+    }
+
+    /// [`Database::scan`] of the catalog entry `stored`.
+    fn scan_stored(&self, stored: &Stored, columns: Option<&[&str]>) -> Result<Table> {
         let kept = |meta: &[ColumnMeta]| -> Vec<usize> {
             let kept: Vec<usize> = (0..meta.len())
                 .filter(|&i| meta[i].named_in(columns))
@@ -578,40 +598,32 @@ impl Database {
                 kept
             }
         };
-        let cat = self.catalog.read();
-        match cat.get(&name.to_ascii_lowercase()) {
-            Some(Stored::Table { meta, columns }) => {
-                // The kept columns are cloned (O(1)), so the catalog lock is
-                // released before images decode or pages pin.
-                let kept: Vec<(ColumnMeta, StoredColumn)> = (kept(meta).into_iter())
-                    .map(|i| (meta[i].clone(), columns[i].clone()))
-                    .collect();
-                drop(cat);
+        match stored {
+            Stored::Table { meta, columns } => {
                 let mut t = Table::new();
-                for (m, c) in kept {
-                    t.push_column(m, c.load(self.storage.as_ref())?);
+                for i in kept(meta) {
+                    t.push_column(meta[i].clone(), columns[i].load(self.storage.as_ref())?);
                 }
                 Ok(t)
             }
-            Some(Stored::External(e)) => {
-                let e = Arc::clone(e);
-                drop(cat);
+            Stored::External(e) => {
                 let meta: Vec<ColumnMeta> =
                     (e.column_names().iter().cloned().map(ColumnMeta::new)).collect();
                 let (copied, bytes) = e.copy_in_columns(&kept(&meta));
                 self.stats.lock().interop_bytes_copied += bytes as u64;
                 Ok(copied)
             }
-            None => Err(EngineError::UnknownTable(name.to_string())),
         }
     }
 
-    /// Count the run-length images among `columns`, about to enter the
-    /// catalog, as bytes written through the compression path.
-    fn count_encoded(&self, columns: &[StoredColumn]) {
-        let images = (columns.iter()).filter(|c| matches!(c, StoredColumn::Rle { .. }));
-        let bytes: usize = images.map(StoredColumn::byte_size).sum();
-        self.stats.lock().compressed_bytes_written += bytes as u64;
+    /// `col` as [`StoredColumn::store`] stores it here; a run-length image
+    /// counts as bytes written through the compression path.
+    fn store(&self, col: &Column) -> Result<StoredColumn> {
+        let stored = StoredColumn::store(col, self.config.compression, self.storage.as_ref())?;
+        if let StoredColumn::Rle { image, .. } = &stored {
+            self.stats.lock().compressed_bytes_written += image.len() as u64;
+        }
+        Ok(stored)
     }
 
     // ---- SQL entry points --------------------------------------------------
@@ -647,8 +659,7 @@ impl Database {
         match &plan.op {
             Op::Query(q) => return self.run_query(q, slots),
             Op::CreateAs(name, or_replace, query) => {
-                let result = self.run_query(query, slots)?.unqualified();
-                self.install(name, result, *or_replace, self.config.wal)?
+                self.create_as(name, *or_replace, query, slots)?
             }
             Op::UpdateColumn(table, assignments, pred) => {
                 self.update(&EvalContext::bound(self, slots), table, assignments, *pred)?
@@ -658,6 +669,76 @@ impl Database {
             Op::SwapColumn(a, b) => self.swap_column(a.0, a.1, b.0, b.1)?,
         }
         Ok(Table::new())
+    }
+
+    /// `CREATE TABLE AS`. On a columnar engine, a column-only projection
+    /// of a catalog table ([`QueryPlan::pass_through`]) scans only what its
+    /// steps and computed items read, and keeps each column it passes
+    /// through as stored when every row survives. A row store rebuilds
+    /// whole tuples and an external table is copied in: they run it whole.
+    fn create_as<'p>(
+        &self,
+        name: &str,
+        replace: bool,
+        q: &'p QueryPlan<'p>,
+        slots: Slots<'p>,
+    ) -> Result<()> {
+        let columnar = self.config.exec == ExecMode::Columnar;
+        let through = match (&q.source, &q.output, q.pass_through()) {
+            (Source::Scan(table, binding, _), Output::Project(items), Some(t)) if columnar => {
+                Some((self.stored(table)?, *binding, items, t))
+            }
+            _ => None,
+        };
+        let Some((stored @ Stored::Table { meta, columns }, binding, items, (through, steps))) =
+            &through
+        else {
+            let t = self.run_query(q, slots)?.unqualified();
+            return self.install(name, t.meta, computed(t.columns), replace, self.config.wal);
+        };
+        // Each output column, and the source column it keeps (`None`: the
+        // next computed item).
+        let (mut out, mut exprs) = (Vec::new(), Vec::new());
+        for ((n, e), through) in items.iter().zip(through) {
+            match through {
+                Some(PassThrough::Column(c)) => {
+                    out.push((ColumnMeta::new(n), Some(column_index(meta, c)?)))
+                }
+                Some(PassThrough::All) => out.extend(
+                    (meta.iter().enumerate())
+                        .filter(|(_, m)| !m.name.starts_with("__"))
+                        .map(|(i, m)| (ColumnMeta::new(&m.name), Some(i))),
+                ),
+                None => {
+                    out.push((ColumnMeta::new(n), None));
+                    exprs.push((n.clone(), *e));
+                }
+            }
+        }
+        let mut read = names_read(exprs.iter().map(|(_, e)| *e));
+        read.extend(steps);
+        let ctx = EvalContext::bound(self, slots);
+        // With nothing to evaluate, no column is read, not even for a row count.
+        let (values, sel) = if exprs.is_empty() && q.steps.is_empty() {
+            (Table::new(), None)
+        } else {
+            let scanned = self
+                .scan_stored(stored, Some(&read))?
+                .with_qualifier(binding);
+            self.project_selected(q, scanned, &exprs, &ctx)?
+        };
+        let mut values = values.columns.into_iter();
+        let new = (out.iter())
+            .map(|(_, kept)| match (kept, &sel) {
+                (None, _) => Ok(NewColumn::Computed(values.next().expect("one per item"))),
+                (Some(i), None) => Ok(NewColumn::Kept(columns[*i].clone())),
+                (Some(i), Some(sel)) => Ok(NewColumn::Computed(
+                    columns[*i].load(self.storage.as_ref())?.take(sel),
+                )),
+            })
+            .collect::<Result<_>>()?;
+        let meta = out.into_iter().map(|(m, _)| m).collect();
+        self.install(name, meta, new, replace, self.config.wal)
     }
 
     /// `UPDATE`: scan only the assigned columns and those the assignments
@@ -674,10 +755,11 @@ impl Database {
     ) -> Result<()> {
         let gate = self.write_gate.read();
         let key = table.to_ascii_lowercase();
-        let external = matches!(self.catalog.read().get(&key), Some(Stored::External(_)));
+        let stored = self.stored(table)?;
+        let external = matches!(stored, Stored::External(_));
         let mut read = names_read(assignments.iter().map(|(_, e)| e).chain(where_clause));
         read.extend(assignments.iter().map(|(c, _)| c.as_str()));
-        let current = self.scan(table, (!external).then_some(&read[..]))?;
+        let current = self.scan_stored(&stored, (!external).then_some(&read[..]))?;
         let n = current.num_rows();
         let hit = where_clause
             .map(|pred| self.predicate(pred, &current, ctx))
@@ -734,9 +816,8 @@ impl Database {
             let old = self.catalog.write().insert(key, stored);
             return self.commit(wal, old, gate);
         }
-        let (rle, pages) = (self.config.compression, self.storage.as_ref());
         let stored = (merged.iter())
-            .map(|(_, _, c)| StoredColumn::store(c, rle, pages))
+            .map(|(_, _, c)| self.store(c))
             .collect::<Result<Vec<_>>>()?;
         let mut wal = self.wal.lock();
         // Every catalog change holds the log's lock, so the table checked
@@ -750,7 +831,6 @@ impl Database {
             None => return Err(EngineError::UnknownTable(table.to_string())),
         };
         log(&mut wal)?;
-        self.count_encoded(&stored);
         let mut cat = self.catalog.write();
         let Some(Stored::Table { columns, .. }) = cat.get_mut(&key) else {
             unreachable!("the catalog changes only under the log's lock")
@@ -849,6 +929,33 @@ fn logged_columns(
             None => image(i).map(LoggedColumn::Image),
         })
         .collect()
+}
+
+/// A column of a table about to be installed.
+enum NewColumn {
+    /// Computed by the statement, to be stored.
+    Computed(Column),
+    /// Passed through, kept as its source table stores it.
+    Kept(StoredColumn),
+}
+
+/// `columns`, each computed.
+fn computed(columns: Vec<Column>) -> Vec<NewColumn> {
+    columns.into_iter().map(NewColumn::Computed).collect()
+}
+
+/// The addresses of `c`'s data (a string column's codes) and validity
+/// buffers: two live columns have the same ones only if they share them.
+fn buffer_addresses(c: &Column) -> (usize, usize) {
+    let data = match &c.data {
+        ColumnData::Int(v) => Arc::as_ptr(v) as usize,
+        ColumnData::Float(v) => Arc::as_ptr(v) as usize,
+        ColumnData::Str { codes, .. } => Arc::as_ptr(codes) as usize,
+    };
+    (
+        data,
+        c.validity.as_ref().map_or(0, |v| Arc::as_ptr(v) as usize),
+    )
 }
 
 /// Column `name` of `stored`, sharing its bytes.
@@ -1045,6 +1152,16 @@ mod tests {
             assert_eq!(a.shares_buffers(b), i < 8, "column {i}");
         }
         assert_eq!(db.stats().compressed_bytes_written, 0);
+        // A row store rebuilds every column it writes, the ones a
+        // projection passes through too.
+        let db = Database::new(EngineConfig::dbms_x_row());
+        db.create_table("t", plain_table(64)).unwrap();
+        let first = db.scan("t", None).unwrap();
+        db.execute("CREATE OR REPLACE TABLE t AS SELECT c1, s + 1.0 AS s FROM t")
+            .unwrap();
+        let c1 = db.scan("t", Some(&["c1"])).unwrap().columns.remove(0);
+        assert_eq!(c1, first.columns[0]);
+        assert!(!c1.shares_buffers(&first.columns[0]), "X-row rebuilds c1");
     }
 
     #[test]
@@ -1898,6 +2015,15 @@ mod tests {
         let now = stored(&db, "t");
         assert!(Arc::ptr_eq(&image(&now[0]), &k), "k keeps its image");
         assert_eq!(image(&now[1]).len(), new_v);
+        // So does a CREATE OR REPLACE .. AS SELECT that passes `k` through.
+        let written = db.stats().compressed_bytes_written;
+        db.execute("CREATE OR REPLACE TABLE t AS SELECT k, v + 1.0 AS v FROM t")
+            .unwrap();
+        let new_v = crate::storage::codec::rle_len(&Column::float(vec![2.5; 500]));
+        assert_eq!(db.stats().compressed_bytes_written - written, new_v as u64);
+        let now = stored(&db, "t");
+        assert!(Arc::ptr_eq(&image(&now[0]), &k), "k keeps its image");
+        assert_eq!(image(&now[1]).len(), new_v);
     }
 
     /// `UPDATE`s racing `CREATE OR REPLACE`s of another row count never
@@ -2029,10 +2155,13 @@ mod tests {
         let store = db.storage.as_ref().unwrap();
         let chains = |name: &str| chains(&db, name);
         let (k_pages, v_pages) = (chains("t")[0].pages.len(), chains("t")[1].pages.len());
+        let pins = || db.bufferpool_stats().map(|s| s.hits + s.misses).unwrap();
         for round in 0..20 {
-            let before = db.stats().wal_bytes;
+            let (before, pinned) = (db.stats().wal_bytes, pins());
             db.execute("CREATE OR REPLACE TABLE t AS SELECT k, v + 1.0 AS v FROM t")
                 .unwrap();
+            // The old `v` read and the new one written: no page of `k`.
+            assert_eq!(pins() - pinned, 2 * v_pages as u64, "round {round}");
             let logged = db.stats().wal_bytes - before;
             assert!(
                 logged < k_image.len() as u64,
@@ -2054,6 +2183,54 @@ mod tests {
             free + k_pages,
             "k's pages came back"
         );
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A projection whose filter or semi join keeps every row keeps the
+    /// chains of the columns it passes through, and one that evaluates
+    /// nothing pins no page; one that drops a row gathers them into
+    /// chains of the rows it keeps.
+    #[test]
+    fn create_table_as_keeps_passed_through_chains_only_when_every_row_survives() {
+        let dir = std::env::temp_dir().join(format!("jb_db_kept_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let db = Database::new(EngineConfig::paged(&dir));
+        let n = 3000;
+        let t = Table::from_columns(vec![
+            ("k", Column::int((0..n).collect())),
+            ("v", Column::float((0..n).map(|i| i as f64).collect())),
+        ]);
+        db.create_table("t", t.clone()).unwrap();
+        db.create_table(
+            "keys",
+            Table::from_columns(vec![("k", t.columns[0].clone())]),
+        )
+        .unwrap();
+        let t_chains = chains(&db, "t");
+        let same = |a: &crate::storage::PagedColumn, b: &crate::storage::PagedColumn| {
+            Arc::ptr_eq(&a.pages, &b.pages)
+        };
+        db.execute("CREATE TABLE a AS SELECT k, v * 2.0 AS w FROM t WHERE v >= 0.0")
+            .unwrap();
+        assert!(same(&chains(&db, "a")[0], &t_chains[0]), "every row passed");
+        db.execute("CREATE TABLE c AS SELECT * FROM t SEMI JOIN keys USING (k)")
+            .unwrap();
+        let c = chains(&db, "c");
+        assert!(same(&c[0], &t_chains[0]) && same(&c[1], &t_chains[1]));
+        let pins = || db.bufferpool_stats().map(|s| s.hits + s.misses).unwrap();
+        let before = pins();
+        db.execute("CREATE TABLE d AS SELECT * FROM t").unwrap();
+        assert_eq!(pins(), before, "a copy reads no column");
+        assert!(same(&chains(&db, "d")[1], &t_chains[1]));
+        db.execute("CREATE TABLE b AS SELECT k FROM t WHERE k <> 7")
+            .unwrap();
+        let b = &chains(&db, "b")[0];
+        assert!(!same(b, &t_chains[0]));
+        let kept: Vec<i64> = (0..n).filter(|&i| i != 7).collect();
+        assert_eq!(b.rows, kept.len());
+        assert_eq!(db.snapshot("b").unwrap().columns, [Column::int(kept)]);
+        assert_eq!(db.snapshot("c").unwrap(), t);
         drop(db);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -15,7 +15,7 @@ use crate::error::{EngineError, Result};
 use crate::expr::{eval, eval_all, eval_mask, eval_rows, EvalContext, Slots, SubqueryRunner};
 use crate::keys::{group_rows, JoinIndex, KeySet, SortKeys};
 use crate::mask::Mask;
-use crate::plan::{bind_query, Output, QueryPlan, Source, Step};
+use crate::plan::{bind_query, names_read, Output, QueryPlan, Source, Step};
 use crate::table::{ColumnMeta, Table};
 
 /// An `IN (SELECT ..)` subquery is a statement of its own.
@@ -111,10 +111,8 @@ impl Database {
     }
 
     fn block<'p>(&self, q: &'p QueryPlan<'p>, ctx: &EvalContext<'p>) -> Result<Table> {
-        let mut input = Selected::all(self.source(&q.source, ctx)?);
-        for step in &q.steps {
-            input = self.step(input, step, ctx)?;
-        }
+        let input = Selected::all(self.source(&q.source, ctx)?);
+        let input = (q.steps.iter()).try_fold(input, |input, step| self.step(input, step, ctx))?;
         // The output, over the surviving rows of the columns it reads
         // (ORDER BY may fall back on a projection's input too).
         let input = input.view(q.reads.as_deref());
@@ -155,6 +153,23 @@ impl Database {
             Some(k) if k < output.num_rows() => Ok(output.head(k)),
             _ => Ok(output),
         }
+    }
+
+    /// The `items` of a column-only projection ([`QueryPlan::pass_through`])
+    /// over the rows of `scanned`, its source, that survive its steps; and
+    /// those rows (`None`: every row).
+    pub(crate) fn project_selected<'p>(
+        &self,
+        q: &'p QueryPlan<'p>,
+        scanned: Table,
+        items: &[(String, &'p Expr)],
+        ctx: &EvalContext<'p>,
+    ) -> Result<(Table, Option<Vec<u32>>)> {
+        let input = Selected::all(scanned);
+        let input = (q.steps.iter()).try_fold(input, |input, step| self.step(input, step, ctx))?;
+        let reads = names_read(items.iter().map(|(_, e)| *e));
+        let output = self.project(items, &input.view(Some(&reads)), ctx)?;
+        Ok((output, input.sel))
     }
 
     fn source<'p>(&self, source: &'p Source<'p>, ctx: &EvalContext<'p>) -> Result<Table> {
@@ -214,7 +229,7 @@ impl Database {
 
     fn project<'p>(
         &self,
-        items: &'p [(String, &'p Expr)],
+        items: &[(String, &'p Expr)],
         input: &Table,
         ctx: &EvalContext<'p>,
     ) -> Result<Table> {
@@ -266,15 +281,7 @@ impl Database {
         for agg in aggs {
             prepared.push(self.prepare_aggregate(agg, input, ctx)?);
         }
-        // Paged engines spill accumulator banks that exceed the configured
-        // budget, slicing the group-id space (bit-identical; see `agg`).
-        let (banks, groups, sizes) = (&prepared[..], num_groups, Some(&sizes[..]));
-        let agg_cols = match self.spill_target() {
-            Some((store, budget)) if groups > 1 && agg::bank_bytes(banks, groups) > budget => {
-                agg::compute_grouped_spilled(banks, &gids, groups, sizes, store, budget)?
-            }
-            _ => agg::compute_grouped(banks, &gids, groups, sizes),
-        };
+        let agg_cols = agg::compute_grouped(&prepared, &gids, num_groups, &sizes);
         // 3. Synthetic table: group keys (named __key{i}) + aggregates.
         let mut synth = Table::new();
         for (i, kc) in key_cols.iter().enumerate() {

@@ -24,9 +24,9 @@
 //!   (the DuckDB+Pandas `DP` backend) but supports O(1) column replacement
 //!   ([`interop`]),
 //! * **out-of-core paged storage** — tables live in fixed-size pages on
-//!   disk behind a capacity-bounded Clock buffer pool, scans pin
-//!   pages one at a time, aggregation state spills above a budget, and
-//!   committed state survives crashes via WAL replay ([`storage`]).
+//!   disk behind a capacity-bounded Clock buffer pool, scans pin pages
+//!   one at a time, and committed state survives crashes via WAL replay
+//!   ([`storage`]).
 //!
 //! Entry point: [`Database`].
 //!

@@ -14,8 +14,8 @@
 //! A selection vector is ascending, so every operator downstream sees the
 //! surviving rows in scan order: pruning and selection change which bytes
 //! are read, never the order a fold consumes rows. What depends on the
-//! data stays at run time: the key codec, spilling aggregation state, and
-//! a top-k over no more than `k` rows, which is the sort.
+//! data stays at run time: the key codec, and a top-k over no more than
+//! `k` rows, which is the sort.
 
 use std::fmt;
 
@@ -103,6 +103,14 @@ pub enum Output<'s> {
     /// Group by the keys and fold the distinct aggregate calls; the named
     /// outputs are the select items over `__key{i}`/`__agg{i}`.
     Aggregate(&'s [Expr], Vec<&'s Expr>, Vec<(String, Expr)>),
+}
+
+/// The source column(s) a select item passes through unchanged.
+pub enum PassThrough<'s> {
+    /// A bare column reference: the column of that name.
+    Column(&'s str),
+    /// `*`: every column not named `__*`.
+    All,
 }
 
 /// Bind a statement for `db`.
@@ -338,7 +346,38 @@ fn named(name: &str, e: &impl fmt::Display) -> String {
     }
 }
 
-impl QueryPlan<'_> {
+impl<'s> QueryPlan<'s> {
+    /// For a projection of one scanned table that only filters and semi
+    /// probes narrow, with no `ORDER BY` or `LIMIT`: what each select item
+    /// passes through of the table (a column reference unqualified or
+    /// qualified by the scan's binding, or `*`; `None` for an item it
+    /// computes), and the columns the filters and probes read. `None` for
+    /// every other block.
+    pub fn pass_through(&self) -> Option<(Vec<Option<PassThrough<'s>>>, Vec<&'s str>)> {
+        let (Source::Scan(_, binding, _), Output::Project(items)) = (&self.source, &self.output)
+        else {
+            return None;
+        };
+        if !self.order.is_empty() || self.limit.is_some() {
+            return None;
+        }
+        let mut reads = Vec::new();
+        for step in &self.steps {
+            match step {
+                Step::Filter(conjuncts) => reads.extend(conjuncts.iter().flat_map(|(_, r)| r)),
+                Step::SemiProbe(_, using) => reads.extend(using.iter().map(String::as_str)),
+                _ => return None,
+            }
+        }
+        let bound = |t: &Option<String>| t.as_ref().is_none_or(|t| t.eq_ignore_ascii_case(binding));
+        let item = |e: &'s Expr| match e {
+            Expr::Wildcard => Some(PassThrough::All),
+            Expr::Column { table, name } if bound(table) => Some(PassThrough::Column(name)),
+            _ => None,
+        };
+        Some((items.iter().map(|(_, e)| item(e)).collect(), reads))
+    }
+
     fn write(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
         let pad = "  ".repeat(depth);
         self.source.write(f, depth)?;

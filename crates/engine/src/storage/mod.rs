@@ -19,13 +19,8 @@
 //! Page chains are shared. A [`PageChain`] is written once and never
 //! changed; every table and in-flight scan that holds the column holds
 //! the chain by `Arc`, and the chain's pages return to the free list when
-//! the last holder lets go. The store remembers, through `Weak`s, which
-//! chain each live column buffer was stored to or loaded from, so
-//! [`PagedStore::store_column`] of a buffer that is still that allocation
-//! returns the existing chain instead of writing the column again. That
-//! is how a `CREATE TABLE AS` that passes columns through costs no page
-//! writes for them. It is sound because buffers are immutable while a
-//! `Weak` to them exists (see `WeakColumn` in [`crate::column`]).
+//! the last holder lets go. A statement that passes a column through
+//! takes its `StoredColumn`, so the new table holds the same chain.
 //!
 //! Durability is WAL-first: committed state is always recoverable by
 //! replaying the write-ahead log, which a checkpoint compacts into a base
@@ -41,15 +36,12 @@ pub mod codec;
 pub mod disk_manager;
 pub mod page;
 
-use std::collections::HashMap;
 use std::fmt;
 use std::ops::Deref;
 use std::path::Path;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
-use parking_lot::Mutex;
-
-use crate::column::{Column, ColumnData, WeakColumn};
+use crate::column::{Column, ColumnData};
 use crate::datum::DataType;
 use crate::error::Result;
 
@@ -180,72 +172,10 @@ impl StoredColumn {
     }
 }
 
-/// Which chain a column buffer was stored to or loaded from, keyed by the
-/// addresses of its data and validity buffers. An entry's `Weak`s keep
-/// those allocations from being reused, so no other buffer can take the
-/// key while the entry exists.
-#[derive(Default)]
-struct Origins {
-    map: HashMap<(usize, usize), Origin>,
-    /// Entries left after the last sweep of dead ones.
-    live: usize,
-}
-
-struct Origin {
-    column: WeakColumn,
-    chain: Weak<PageChain>,
-    bytes: u64,
-}
-
-/// The addresses of `col`'s data (a string column's codes) and validity
-/// buffers.
-fn buffer_key(col: &Column) -> (usize, usize) {
-    let data = match &col.data {
-        ColumnData::Int(v) => Arc::as_ptr(v) as usize,
-        ColumnData::Float(v) => Arc::as_ptr(v) as usize,
-        ColumnData::Str { codes, .. } => Arc::as_ptr(codes) as usize,
-    };
-    let validity = col.validity.as_ref().map_or(0, |v| Arc::as_ptr(v) as usize);
-    (data, validity)
-}
-
-impl Origins {
-    /// The chain `col`'s buffers came from, if they and it are alive.
-    fn chain_of(&self, col: &Column) -> Option<PagedColumn> {
-        let origin = self.map.get(&buffer_key(col))?;
-        if !origin.column.upgrade()?.shares_buffers(col) {
-            return None;
-        }
-        Some(PagedColumn {
-            pages: origin.chain.upgrade()?,
-            bytes: origin.bytes,
-            rows: col.len(),
-            dtype: col.dtype(),
-        })
-    }
-
-    /// Remember that `col` holds the bytes of `pc`'s chain. Entries whose
-    /// buffer or chain has died are swept once the map has doubled since
-    /// the last sweep, so the map stays proportional to the live ones.
-    fn remember(&mut self, col: &Column, pc: &PagedColumn) {
-        if self.map.len() > 2 * self.live + 64 {
-            (self.map).retain(|_, o| o.chain.strong_count() > 0 && o.column.upgrade().is_some());
-            self.live = self.map.len();
-        }
-        let origin = Origin {
-            column: col.downgrade(),
-            chain: Arc::downgrade(&pc.pages),
-            bytes: pc.bytes,
-        };
-        self.map.insert(buffer_key(col), origin);
-    }
-}
-
 /// The per-database paged storage engine: disk manager + buffer pool.
 pub struct PagedStore {
     disk: Arc<DiskManager>,
     pool: Arc<BufferPool>,
-    origins: Mutex<Origins>,
 }
 
 impl PagedStore {
@@ -256,11 +186,7 @@ impl PagedStore {
         std::fs::create_dir_all(dir)?;
         let disk = Arc::new(DiskManager::create(&dir.join("data.jbp"))?);
         let pool = Arc::new(BufferPool::new(Arc::clone(&disk), pool_pages));
-        Ok(PagedStore {
-            disk,
-            pool,
-            origins: Mutex::default(),
-        })
+        Ok(PagedStore { disk, pool })
     }
 
     /// The buffer pool (stats, capacity).
@@ -273,13 +199,9 @@ impl PagedStore {
         &self.disk
     }
 
-    /// Store one column: the chain its buffers were stored to or loaded
-    /// from while that chain is alive, else a fresh chain. Only one page
-    /// is pinned at a time, so this works at any pool size.
+    /// Store one column as a fresh chain. Only one page is pinned at a
+    /// time, so this works at any pool size.
     pub fn store_column(&self, col: &Column) -> Result<PagedColumn> {
-        if let Some(pc) = self.origins.lock().chain_of(col) {
-            return Ok(pc);
-        }
         let mut bytes = Vec::with_capacity(col.byte_size() + 64);
         codec::encode_stored_column(&mut bytes, col);
         let chunks: Vec<&[u8]> = if bytes.is_empty() {
@@ -300,14 +222,12 @@ impl PagedStore {
                 p[PAGE_HEADER_BYTES..PAGE_HEADER_BYTES + chunk.len()].copy_from_slice(chunk);
             });
         }
-        let pc = PagedColumn {
+        Ok(PagedColumn {
             pages: Arc::new(chain),
             bytes: bytes.len() as u64,
             rows: col.len(),
             dtype: col.dtype(),
-        };
-        self.origins.lock().remember(col, &pc);
-        Ok(pc)
+        })
     }
 
     /// Read one column back, pinning its pages through the pool one at a
@@ -335,7 +255,6 @@ impl PagedStore {
         if col.len() != pc.rows {
             return Err(codec::corrupt("row count mismatch"));
         }
-        self.origins.lock().remember(&col, pc);
         Ok(col)
     }
 }
@@ -464,43 +383,5 @@ mod tests {
         );
         let pc = s.store_column(&col).unwrap();
         assert_eq!(s.load_column(&pc).unwrap(), col);
-    }
-
-    #[test]
-    fn a_stored_or_loaded_buffer_shares_its_chain() {
-        let s = store("share", 8);
-        let col = Column::float((0..3000).map(|i| i as f64 * 0.5).collect());
-        let pc = s.store_column(&col).unwrap();
-        let hw = s.disk().pages_allocated();
-        // The stored buffer, and a clone of it, store as the same chain.
-        let again = s.store_column(&col.clone()).unwrap();
-        assert!(Arc::ptr_eq(&pc.pages, &again.pages));
-        // So does a buffer loaded from the chain.
-        let loaded = s.load_column(&pc).unwrap();
-        assert!(Arc::ptr_eq(
-            &s.store_column(&loaded).unwrap().pages,
-            &pc.pages
-        ));
-        assert_eq!(s.disk().pages_allocated(), hw, "no page was written");
-        // Equal values in another buffer, or the same data under a new
-        // validity mask, are another column.
-        let copy = s.store_column(&col.deep_copy()).unwrap();
-        assert!(!Arc::ptr_eq(&copy.pages, &pc.pages));
-        let masked = Column {
-            validity: Some(Arc::new(vec![true; 3000])),
-            ..col.clone()
-        };
-        assert!(!Arc::ptr_eq(
-            &s.store_column(&masked).unwrap().pages,
-            &pc.pages
-        ));
-        // Once every holder of the chain is gone, the buffer is written
-        // again, into the pages the chain gave back.
-        drop((pc, again, copy));
-        let free = s.disk().pages_free();
-        assert!(free > 0);
-        let fresh = s.store_column(&loaded).unwrap();
-        assert_eq!(s.disk().pages_free(), free - fresh.pages.len());
-        assert_eq!(s.load_column(&fresh).unwrap(), col);
     }
 }

@@ -948,7 +948,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Every personality answers every generated query as the naive
-    /// oracle does.
+    /// oracle does, and stores the same rows when it creates a table as
+    /// that query.
     #[test]
     fn generated_queries_match_a_naive_oracle_on_every_personality(data in arb_diff()) {
         let case = DIFF_CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -971,6 +972,11 @@ proptest! {
                 let got = db.query(&sql).unwrap_or_else(|e| panic!("{name}: {sql}: {e}"));
                 let got = cells((0..got.num_rows()).map(|i| got.row(i)).collect(), spec.ordered());
                 prop_assert_eq!(&got, &want, "{} answers {}", name, sql);
+                let create = format!("CREATE OR REPLACE TABLE ctas AS {sql}");
+                db.execute(&create).unwrap_or_else(|e| panic!("{name}: {create}: {e}"));
+                let t = db.snapshot("ctas").unwrap();
+                let stored = cells((0..t.num_rows()).map(|i| t.row(i)).collect(), spec.ordered());
+                prop_assert_eq!(&stored, &want, "{} stores {}", name, sql);
             }
         }
         drop(dbs);
