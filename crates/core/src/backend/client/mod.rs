@@ -515,14 +515,23 @@ impl ShardTransport for RemoteConnection {
             k: k as u32,
         };
         match self.call(&req)? {
-            Response::SplitOpened { id, rows, bounds } => Ok(SplitOpen::Protocol {
-                handle: Box::new(RemoteSplitHandle {
-                    conn: self,
-                    id,
-                    rows: rows as usize,
-                }),
-                bounds: keys_from_table(&bounds),
-            }),
+            Response::SplitOpened { id, rows, bounds } => {
+                let key = bounds.columns.first().ok_or_else(|| {
+                    EngineError::Other(format!(
+                        "shard server at {}: split bounds without a key column",
+                        self.addr
+                    ))
+                })?;
+                Ok(SplitOpen::Protocol {
+                    handle: Box::new(RemoteSplitHandle {
+                        conn: self,
+                        id,
+                        rows: rows as usize,
+                        key_type: key.dtype(),
+                    }),
+                    bounds: keys_from_table(&bounds),
+                })
+            }
             // Protocol inapplicable on the server's data: the absorbed
             // result came back instead, ready for the dense merge.
             Response::Table(t) => Ok(SplitOpen::Dense(t)),
@@ -551,6 +560,8 @@ struct RemoteSplitHandle<'a> {
     conn: &'a RemoteConnection,
     id: u64,
     rows: usize,
+    /// The group key's type, as the server's boundary keys carry it.
+    key_type: DataType,
 }
 
 impl RemoteSplitHandle<'_> {
@@ -593,7 +604,7 @@ impl SplitHandle for RemoteSplitHandle<'_> {
             "SplitSummaries",
             &Request::SplitSummaries {
                 id: self.id,
-                grid: keys_to_table(grid),
+                grid: keys_to_table(self.key_type, grid)?,
                 changed: (!all).then(|| changed.iter().map(|&j| j as u32).collect()),
             },
         )?;
@@ -610,7 +621,7 @@ impl SplitHandle for RemoteSplitHandle<'_> {
             "SplitRefine",
             &Request::SplitRefine {
                 id: self.id,
-                grid: keys_to_table(grid),
+                grid: keys_to_table(self.key_type, grid)?,
                 targets: targets
                     .iter()
                     .map(|&(j, per)| (j as u32, per as u32))
@@ -625,7 +636,7 @@ impl SplitHandle for RemoteSplitHandle<'_> {
             "SplitFetch",
             &Request::SplitFetch {
                 id: self.id,
-                grid: keys_to_table(grid),
+                grid: keys_to_table(self.key_type, grid)?,
                 retain: retain.to_vec(),
             },
         )

@@ -102,15 +102,14 @@ pub(super) fn handle_split_request(
             Err(resp) => resp,
             Ok(state) => {
                 let rows = state.num_rows() as u64;
-                let bounds = if k == 0 {
-                    Vec::new()
-                } else {
-                    match state.boundaries(k as usize) {
-                        Ok(keys) => keys,
-                        Err(e) => return Response::Err(e),
-                    }
+                let bounds = match k {
+                    0 => Ok(Vec::new()),
+                    k => state.boundaries(k as usize),
                 };
-                let bounds = keys_to_table(&bounds);
+                let bounds = match bounds.and_then(|b| keys_to_table(state.key_type(), &b)) {
+                    Ok(bounds) => bounds,
+                    Err(e) => return Response::Err(e),
+                };
                 let id = session.next_split;
                 session.next_split += 1;
                 session.splits.insert(id, state);
@@ -131,7 +130,8 @@ pub(super) fn handle_split_request(
             let result = match req {
                 Request::SplitBoundaries { k, .. } => state
                     .boundaries(k as usize)
-                    .map(|keys| Response::Table(keys_to_table(&keys))),
+                    .and_then(|keys| keys_to_table(state.key_type(), &keys))
+                    .map(Response::Table),
                 Request::SplitSummaries { grid, changed, .. } => {
                     let grid = keys_from_table(&grid);
                     // The codec already rejected out-of-range indices.
@@ -157,7 +157,8 @@ pub(super) fn handle_split_request(
                     }
                     state
                         .refine(&grid, &targets)
-                        .map(|keys| Response::Table(keys_to_table(&keys)))
+                        .and_then(|keys| keys_to_table(state.key_type(), &keys))
+                        .map(Response::Table)
                 }
                 Request::SplitFetch { grid, retain, .. } => {
                     let grid = keys_from_table(&grid);

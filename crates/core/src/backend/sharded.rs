@@ -1325,7 +1325,7 @@ fn merge_partials(partials: Vec<Table>, specs: &[MergeSpec]) -> BackendResult {
         };
         let agg = PreparedAgg::new(name, Some(col))?;
         let mut merged =
-            agg::compute_grouped(&[agg], &groups.gids, groups.num_groups, &groups.sizes);
+            agg::compute_grouped(&[agg], &groups.gids, groups.num_groups, &groups.sizes)?;
         let mut merged = merged.pop().expect("one column per aggregate");
         for &g in &nan_groups {
             // Written in place: a buffer the merge shares is copied first.
@@ -1353,7 +1353,7 @@ fn concat_tables(parts: Vec<Table>) -> BackendResult {
     let mut out = Table::new();
     for (ci, m) in first.meta.iter().enumerate() {
         let cols: Vec<&Column> = parts.iter().map(|t| &t.columns[ci]).collect();
-        out.push_column(ColumnMeta::new(m.name.clone()), Column::concat(&cols));
+        out.push_column(ColumnMeta::new(m.name.clone()), Column::concat(&cols)?);
     }
     Ok(out)
 }
@@ -1792,7 +1792,7 @@ mod tests {
             let table = Table::from_columns(vec![
                 ("k", Column::int(k)),
                 ("g", Column::int(g)),
-                ("v", Column::from_datums(&v)),
+                ("v", Column::from_datums(DataType::Int, &v).unwrap()),
                 ("name", Column::str(name)),
             ]);
             let engine = Database::in_memory();
@@ -1870,7 +1870,7 @@ mod tests {
         let partial = |s: Vec<Datum>| {
             Table::from_columns(vec![
                 ("g", Column::int(vec![0, 1, 2])),
-                ("s", Column::from_datums(&s)),
+                ("s", Column::from_datums(DataType::Float, &s).unwrap()),
             ])
         };
         let nan = Datum::Float(f64::NAN);

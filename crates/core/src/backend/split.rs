@@ -22,7 +22,7 @@
 //! run-compressed merge) stays in `sharded.rs` and drives shards through
 //! the [`SplitHandle`] trait.
 
-use joinboost_engine::{Column, Datum, EngineError, Table};
+use joinboost_engine::{Column, DataType, Datum, EngineError, Table};
 
 use super::BackendResult;
 
@@ -268,6 +268,11 @@ impl LocalSplitState {
         })
     }
 
+    /// The type of the group key, which the keys sent back carry.
+    pub fn key_type(&self) -> DataType {
+        self.table.columns[self.spec.key_col].dtype()
+    }
+
     /// Interval segmentation: interval `j` holds keys in
     /// `(grid[j-1], grid[j]]`. The grid's maximum must cover every key.
     fn segments(&self, grid: &[Datum]) -> Vec<(usize, usize)> {
@@ -444,8 +449,8 @@ impl SplitHandle for LocalSplitState {
             }
         }
         let mut out = Table::new();
-        for (meta, vals) in self.table.meta.iter().zip(&cols) {
-            out.push_column(meta.clone(), Column::from_datums(vals));
+        for ((meta, col), vals) in self.table.meta.iter().zip(&self.table.columns).zip(&cols) {
+            out.push_column(meta.clone(), Column::from_datums(col.dtype(), vals)?);
         }
         Ok(out)
     }
@@ -460,16 +465,15 @@ impl SplitHandle for LocalSplitState {
 // codec for bit-exactness and framing).
 // ---------------------------------------------------------------------------
 
-/// A key list as a 1-column table. Keys come from one group-by column,
-/// so they are homogeneously typed (plus possible NULLs) — which is what
-/// lets them ride in a single [`Column`].
-pub fn keys_to_table(keys: &[Datum]) -> Table {
+/// A key list as a 1-column table of the group-by key's type, which lets
+/// the keys ride in a single [`Column`].
+pub fn keys_to_table(key_type: DataType, keys: &[Datum]) -> BackendResult<Table> {
     let mut t = Table::new();
     t.push_column(
         joinboost_engine::table::ColumnMeta::new("k"),
-        Column::from_datums(keys),
+        Column::from_datums(key_type, keys)?,
     );
-    t
+    Ok(t)
 }
 
 /// Decode a 1-column key table.
@@ -651,7 +655,10 @@ mod tests {
     fn null_components_refuse_to_build_and_return_the_table() {
         let t = Table::from_columns(vec![
             ("val", Column::int(vec![1, 2])),
-            ("c", Column::from_datums(&[Datum::Int(1), Datum::Null])),
+            (
+                "c",
+                Column::from_datums(DataType::Int, &[Datum::Int(1), Datum::Null]).unwrap(),
+            ),
             ("s", Column::float(vec![1.0, 2.0])),
         ]);
         let back = LocalSplitState::build(
@@ -716,13 +723,29 @@ mod tests {
 
     #[test]
     fn key_tables_roundtrip() {
-        for keys in [
-            vec![Datum::Int(1), Datum::Int(5), Datum::Null],
-            vec![Datum::Str("a".into()), Datum::Str("b".into())],
-            vec![Datum::Float(0.5), Datum::Float(-1.25)],
+        for (key_type, keys) in [
+            (
+                DataType::Int,
+                vec![Datum::Int(1), Datum::Int(5), Datum::Null],
+            ),
+            (
+                DataType::Str,
+                vec![Datum::Str("a".into()), Datum::Str("b".into())],
+            ),
+            (
+                DataType::Float,
+                vec![Datum::Float(0.5), Datum::Float(-1.25)],
+            ),
         ] {
-            assert_eq!(keys_from_table(&keys_to_table(&keys)), keys);
+            let t = keys_to_table(key_type, &keys).unwrap();
+            assert_eq!(
+                (t.columns[0].dtype(), keys_from_table(&t)),
+                (key_type, keys)
+            );
         }
+        // No keys, or only NULLs: still the key's type.
+        let t = keys_to_table(DataType::Int, &[Datum::Null]).unwrap();
+        assert_eq!(t.columns[0].dtype(), DataType::Int);
         assert!(keys_from_table(&Table::new()).is_empty());
     }
 }

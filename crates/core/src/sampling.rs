@@ -224,7 +224,7 @@ pub fn ancestral_sample(
     let mut sample = Table::new();
     for (ci, m) in first.meta.iter().enumerate() {
         let cols: Vec<&Column> = parts.iter().map(|p| &p.columns[ci]).collect();
-        sample.push_column(ColumnMeta::new(m.name.clone()), Column::concat(&cols));
+        sample.push_column(ColumnMeta::new(m.name.clone()), Column::concat(&cols)?);
     }
     // Walk down the tree from every sampled root row, recording the row
     // drawn from each relation.
@@ -301,7 +301,7 @@ fn sample_weighted(rng: &mut StdRng, weights: &[f64], total: f64) -> Option<usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use joinboost_engine::{Column, Database, Datum};
+    use joinboost_engine::{Column, DataType, Database, Datum};
     use joinboost_graph::Multiplicity;
     use std::collections::HashMap;
 
@@ -472,11 +472,13 @@ mod tests {
         let db = Database::in_memory();
         let nullable = |vals: &[Option<i64>]| {
             Column::from_datums(
+                DataType::Int,
                 &vals
                     .iter()
                     .map(|v| v.map_or(Datum::Null, Datum::Int))
                     .collect::<Vec<_>>(),
             )
+            .unwrap()
         };
         db.create_table(
             "r",

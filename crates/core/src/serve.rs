@@ -364,7 +364,11 @@ pub fn compile_messages(
         let vals: Vec<Datum> = (0..fact_snap.num_rows())
             .map(|i| fact_snap.columns[fki].get(i))
             .collect();
-        t.push_column(ColumnMeta::new(fk_column(d)), Column::from_datums(&vals));
+        let dtype = fact_snap.columns[fki].dtype();
+        t.push_column(
+            ColumnMeta::new(fk_column(d)),
+            Column::from_datums(dtype, &vals)?,
+        );
     }
     for ti in 0..trees.len() {
         let col: Vec<i64> = masks.iter().map(|m| m[ti] as i64).collect();

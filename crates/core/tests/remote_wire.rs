@@ -27,7 +27,7 @@ use joinboost::{train_gbm, Dataset, GbmModel, TrainParams};
 use joinboost_engine::column::ColumnData;
 use joinboost_engine::table::ColumnMeta;
 use joinboost_engine::Datum;
-use joinboost_engine::{Column, Database, EngineError, Table};
+use joinboost_engine::{Column, DataType, Database, EngineError, Table};
 use joinboost_sql::ast::{
     BinaryOp, Expr, OrderByItem, Query, SelectItem, Statement, TableRef, Value,
 };
@@ -342,7 +342,7 @@ proptest! {
         for changed in [Some(changed_idx.clone()), None] {
             let req = Request::SplitSummaries {
                 id: 7,
-                grid: keys_to_table(&new_grid),
+                grid: keys_to_table(DataType::Int, &new_grid).unwrap(),
                 changed: changed.clone(),
             };
             let enc = encode_request(&req);
@@ -356,7 +356,7 @@ proptest! {
                 other => prop_assert!(false, "wrong request decoded: {:?}", other),
             }
         }
-        let bare = 1 + 8 + encode_table_bytes(&keys_to_table(&new_grid)).len();
+        let bare = 1 + 8 + encode_table_bytes(&keys_to_table(DataType::Int, &new_grid).unwrap()).len();
         prop_assert_eq!(flag_len, bare + 1);
 
         // Response leg: the shard's changed-rows table through the
@@ -411,7 +411,7 @@ proptest! {
         let frames = [
             encode_request(&Request::SplitSummaries {
                 id: 3,
-                grid: keys_to_table(&grid),
+                grid: keys_to_table(DataType::Int, &grid).unwrap(),
                 changed: (!all).then_some(changed),
             }),
             encode_request(&Request::SplitOpen {
@@ -426,7 +426,7 @@ proptest! {
         let reply = encode_response(&Response::SplitOpened {
             id: 3,
             rows: ks.len() as u64,
-            bounds: keys_to_table(&grid[..(k as usize).min(grid.len())]),
+            bounds: keys_to_table(DataType::Int, &grid[..(k as usize).min(grid.len())]).unwrap(),
         });
         for enc in &frames {
             let back = decode_request(enc).expect("well-formed frame decodes");
@@ -457,7 +457,7 @@ proptest! {
         // A ragged table, its second column one row short: each column
         // body counts its own rows, and one that disagrees with the
         // block's row count is a typed error, never a ragged table.
-        let mut ragged = keys_to_table(&grid);
+        let mut ragged = keys_to_table(DataType::Int, &grid).unwrap();
         ragged.push_column(ColumnMeta::new("short"), Column::int(ks[1..].to_vec()));
         let enc = encode_request(&Request::CreateTable { name: "t".into(), table: ragged });
         prop_assert!(decode_request(&enc).is_err());
@@ -475,7 +475,7 @@ proptest! {
             && changed.iter().all(|&j| j < grid_len);
         let enc = encode_request(&Request::SplitSummaries {
             id: 1,
-            grid: keys_to_table(&grid),
+            grid: keys_to_table(DataType::Int, &grid).unwrap(),
             changed: Some(changed),
         });
         prop_assert_eq!(decode_request(&enc).is_ok(), valid);
@@ -488,7 +488,7 @@ proptest! {
 /// added to the sample.
 #[test]
 fn is_split_names_exactly_the_split_requests() {
-    let grid = || keys_to_table(&[Datum::Int(1)]);
+    let grid = || keys_to_table(DataType::Int, &[Datum::Int(1)]).unwrap();
     let sample = vec![
         Request::Hello {
             magic: MAGIC,

@@ -174,14 +174,16 @@ impl PreparedAgg {
     }
 
     /// Materialize the result column from a full-size bank.
-    fn finish(&self, acc: Acc) -> Column {
-        match (self, acc) {
+    fn finish(&self, acc: Acc) -> Result<Column> {
+        Ok(match (self, acc) {
             (PreparedAgg::CountStar | PreparedAgg::Count { .. }, Acc::Counts(c)) => Column::int(c),
-            (PreparedAgg::SumOfInt(k), Acc::Counts(c)) => {
-                int_sums(c.iter().map(|&c| k.wrapping_mul(c)).collect(), &c)
-            }
+            (PreparedAgg::SumOfInt(k), Acc::Counts(c)) => sums_column(
+                c.iter().map(|&c| k.wrapping_mul(c)).collect(),
+                &c,
+                Column::int,
+            ),
             (PreparedAgg::SumInt { .. }, Acc::IntSumCount { sums, counts }) => {
-                int_sums(sums, &counts)
+                sums_column(sums, &counts, Column::int)
             }
             (PreparedAgg::Avg(_), acc) => {
                 // An Int sum is exact; it widens once, as `SUM(x) / COUNT(x)`.
@@ -192,30 +194,20 @@ impl PreparedAgg {
                     }
                     _ => unreachable!("accumulator does not match aggregate"),
                 };
-                let out: Vec<Datum> = sums
-                    .iter()
-                    .zip(&counts)
-                    .map(|(&s, &c)| {
-                        if c == 0 {
-                            Datum::Null
-                        } else {
-                            Datum::Float(s / c as f64)
-                        }
-                    })
+                let avgs = (sums.iter().zip(&counts))
+                    .map(|(&s, &c)| if c == 0 { 0.0 } else { s / c as f64 })
                     .collect();
-                Column::from_datums(&out)
+                sums_column(avgs, &counts, Column::float)
             }
             (PreparedAgg::Sum { .. }, Acc::SumCount { sums, counts }) => {
-                let out: Vec<Datum> = sums
-                    .iter()
-                    .zip(&counts)
-                    .map(|(&s, &c)| if c == 0 { Datum::Null } else { Datum::Float(s) })
-                    .collect();
-                Column::from_datums(&out)
+                sums_column(sums, &counts, Column::float)
             }
-            (PreparedAgg::MinMax { .. }, Acc::Best(best)) => Column::from_datums(&best),
+            // The argument's type, whichever values won.
+            (PreparedAgg::MinMax { col, .. }, Acc::Best(best)) => {
+                Column::from_datums(col.dtype(), &best)?
+            }
             _ => unreachable!("accumulator does not match aggregate"),
-        }
+        })
     }
 }
 
@@ -227,13 +219,12 @@ enum Acc {
     Best(Vec<Datum>),
 }
 
-/// An Int `SUM` result column: NULL where a group summed no value.
-fn int_sums(sums: Vec<i64>, counts: &[i64]) -> Column {
-    let validity = (counts.contains(&0)).then(|| Arc::new(counts.iter().map(|&c| c > 0).collect()));
-    Column {
-        data: ColumnData::Int(Arc::new(sums)),
-        validity,
-    }
+/// A `SUM` (or `AVG`) result column made by `wrap`: NULL, over the 0 a
+/// group that summed no value holds, where a group summed none.
+fn sums_column<T>(sums: Vec<T>, counts: &[i64], wrap: fn(Vec<T>) -> Column) -> Column {
+    let mut col = wrap(sums);
+    col.validity = (counts.contains(&0)).then(|| Arc::new(counts.iter().map(|&c| c > 0).collect()));
+    col
 }
 
 /// The f64 data of an evaluated argument column, shared, and copied only
@@ -253,7 +244,7 @@ pub fn compute_grouped(
     gids: &[u32],
     num_groups: usize,
     sizes: &[u32],
-) -> Vec<Column> {
+) -> Result<Vec<Column>> {
     (inputs.iter())
         .map(|input| {
             let acc = match input {
@@ -274,6 +265,7 @@ pub fn compute_grouped(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::datum::DataType;
 
     fn gids_round_robin(n: usize, groups: usize) -> Vec<u32> {
         (0..n).map(|i| (i % groups) as u32).collect()
@@ -289,7 +281,7 @@ mod tests {
             PreparedAgg::Avg(Box::new(PreparedAgg::Sum { vals })),
         ];
         let gids = gids_round_robin(n, 2);
-        let cols = compute_grouped(&inputs, &gids, 2, &[5, 5]);
+        let cols = compute_grouped(&inputs, &gids, 2, &[5, 5]).unwrap();
         assert_eq!(cols[0].get(0), Datum::Int(5));
         assert_eq!(cols[1].get(0), Datum::Float(0.0 + 2.0 + 4.0 + 6.0 + 8.0));
         assert_eq!(
@@ -304,12 +296,16 @@ mod tests {
         let big = 1i64 << 53;
         let args = [
             Column::int(vec![big, 1]),
-            Column::from_datums(&[Datum::Int(big), Datum::Null, Datum::Int(1)]),
+            Column::from_datums(
+                DataType::Int,
+                &[Datum::Int(big), Datum::Null, Datum::Int(1)],
+            )
+            .unwrap(),
         ];
         for arg in args {
             let gids = vec![0u32; arg.len()];
             let sum = PreparedAgg::new("SUM", Some(arg)).unwrap();
-            let cols = compute_grouped(&[sum], &gids, 1, &[gids.len() as u32]);
+            let cols = compute_grouped(&[sum], &gids, 1, &[gids.len() as u32]).unwrap();
             assert_eq!(cols[0].get(0), Datum::Int(big + 1));
         }
     }
@@ -330,12 +326,16 @@ mod tests {
 
     #[test]
     fn min_max_and_null_handling() {
-        let col = Column::from_datums(&[
-            Datum::Float(3.0),
-            Datum::Null,
-            Datum::Float(-1.0),
-            Datum::Float(2.0),
-        ]);
+        let col = Column::from_datums(
+            DataType::Float,
+            &[
+                Datum::Float(3.0),
+                Datum::Null,
+                Datum::Float(-1.0),
+                Datum::Float(2.0),
+            ],
+        )
+        .unwrap();
         let inputs = vec![
             PreparedAgg::MinMax {
                 col: col.clone(),
@@ -350,7 +350,7 @@ mod tests {
             },
         ];
         let gids = vec![0u32, 0, 0, 1];
-        let cols = compute_grouped(&inputs, &gids, 2, &[3, 1]);
+        let cols = compute_grouped(&inputs, &gids, 2, &[3, 1]).unwrap();
         assert_eq!(cols[0].get(0), Datum::Float(-1.0));
         assert_eq!(cols[1].get(0), Datum::Float(3.0));
         assert_eq!(cols[2].get(0), Datum::Int(2));

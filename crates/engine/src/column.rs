@@ -12,6 +12,7 @@
 use std::sync::Arc;
 
 use crate::datum::{DataType, Datum};
+use crate::error::EngineError;
 
 /// Physical column data. Strings are dictionary-encoded: `codes[i]` indexes
 /// into `dict`.
@@ -88,70 +89,63 @@ impl Column {
         }
     }
 
-    /// Build a column from row values, inferring the type (Float if any
-    /// float present, else Int; Str if any string). All-NULL defaults to
-    /// Float.
-    pub fn from_datums(values: &[Datum]) -> Column {
-        let mut has_float = false;
-        let mut has_str = false;
-        let mut has_null = false;
-        for v in values {
-            match v {
-                Datum::Float(_) => has_float = true,
-                Datum::Str(_) => has_str = true,
-                Datum::Null => has_null = true,
-                Datum::Int(_) => {}
+    /// Build a column of type `dtype` from row values: an `Int` value
+    /// widens into a `Float` column, and any other value of another type
+    /// than `dtype` is a [`EngineError::TypeMismatch`]. A NULL row holds
+    /// 0 / 0.0 / code 0, and the column has validity only if a row is NULL.
+    pub fn from_datums(dtype: DataType, values: &[Datum]) -> Result<Column, EngineError> {
+        /// `f` of every value, `null` for NULL; a value `f` refuses is a
+        /// type error.
+        fn each<'v, T: Copy>(
+            values: &'v [Datum],
+            dtype: DataType,
+            null: T,
+            f: fn(&'v Datum) -> Option<T>,
+        ) -> Result<Vec<T>, EngineError> {
+            let mut out = Vec::with_capacity(values.len());
+            for d in values {
+                out.push(match d {
+                    Datum::Null => null,
+                    d => f(d).ok_or_else(|| {
+                        EngineError::TypeMismatch(format!("{d} in a {dtype} column"))
+                    })?,
+                });
             }
+            Ok(out)
         }
-        let validity = has_null.then(|| Arc::new(values.iter().map(|v| !v.is_null()).collect()));
-        let data = if has_str {
-            let mut dict: Vec<String> = Vec::new();
-            let mut index: std::collections::HashMap<&str, u32> = std::collections::HashMap::new();
-            let mut codes = Vec::with_capacity(values.len());
-            for v in values {
-                match v {
-                    Datum::Str(s) => {
-                        let code = *index.entry(s.as_str()).or_insert_with(|| {
-                            dict.push(s.clone());
-                            (dict.len() - 1) as u32
-                        });
-                        codes.push(code);
-                    }
-                    _ => codes.push(0),
-                }
+        let mut col = match dtype {
+            DataType::Int => Column::int(each(values, dtype, 0, |d| match d {
+                Datum::Int(x) => Some(*x),
+                _ => None,
+            })?),
+            DataType::Float => Column::float(each(values, dtype, 0.0, Datum::as_f64)?),
+            // A NULL row takes the first string's code, 0, as in `concat`.
+            DataType::Str => {
+                let first = values.iter().find_map(Datum::as_str).unwrap_or_default();
+                let strs = each(values, dtype, first, Datum::as_str)?;
+                Column::str(strs.into_iter().map(str::to_string).collect())
             }
-            if dict.is_empty() {
-                dict.push(String::new());
-            }
-            ColumnData::Str {
-                dict: Arc::new(dict),
-                codes: Arc::new(codes),
-            }
-        } else if has_float || values.is_empty() || values.iter().all(Datum::is_null) {
-            ColumnData::Float(Arc::new(
-                values.iter().map(|v| v.as_f64().unwrap_or(0.0)).collect(),
-            ))
-        } else {
-            ColumnData::Int(Arc::new(
-                values.iter().map(|v| v.as_i64().unwrap_or(0)).collect(),
-            ))
         };
-        Column { data, validity }
+        col.validity = (values.iter().any(Datum::is_null))
+            .then(|| Arc::new(values.iter().map(|v| !v.is_null()).collect()));
+        Ok(col)
     }
 
-    /// Vertically concatenate `parts`. Parts of one type keep it, so an
-    /// empty or all-NULL part cannot turn an Int or Str column into Float;
-    /// Str parts merge their dictionaries in first-appearance order, and
-    /// the result has a validity mask only if some row is NULL. Parts of
-    /// different types fall back to [`Column::from_datums`]'s inference.
-    pub fn concat(parts: &[&Column]) -> Column {
-        let dtype = parts.first().map(|c| c.dtype());
-        if dtype.is_none() || parts.iter().any(|c| Some(c.dtype()) != dtype) {
-            let values: Vec<Datum> = (parts.iter())
-                .flat_map(|c| (0..c.len()).map(|i| c.get(i)))
-                .collect();
-            return Column::from_datums(&values);
-        }
+    /// Vertically concatenate `parts`, which must all have one type: an
+    /// empty or all-NULL part cannot turn an Int or Str column into
+    /// Float, and parts of different types (or no parts) are a
+    /// [`EngineError::TypeMismatch`]. Str parts merge their dictionaries
+    /// in first-appearance order, and the result has a validity mask only
+    /// if some row is NULL.
+    pub fn concat(parts: &[&Column]) -> Result<Column, EngineError> {
+        let dtype = match parts.first() {
+            Some(c) if parts.iter().all(|p| p.dtype() == c.dtype()) => c.dtype(),
+            _ => {
+                let types: Vec<DataType> = parts.iter().map(|c| c.dtype()).collect();
+                let msg = format!("cannot concatenate columns of types {types:?}");
+                return Err(EngineError::TypeMismatch(msg));
+            }
+        };
         let total = parts.iter().map(|c| c.len()).sum();
         let validity = parts.iter().any(|c| c.null_count() > 0).then(|| {
             Arc::new(
@@ -181,7 +175,7 @@ impl Column {
             }
             out
         }
-        let data = match dtype.expect("checked") {
+        let data = match dtype {
             DataType::Int => ColumnData::Int(Arc::new(numeric(parts, total, |c| match &c.data {
                 ColumnData::Int(v) => v,
                 _ => unreachable!("checked dtype"),
@@ -231,7 +225,7 @@ impl Column {
                 }
             }
         };
-        Column { data, validity }
+        Ok(Column { data, validity })
     }
 
     /// Number of rows.
@@ -394,7 +388,7 @@ impl Column {
     }
 
     /// Coerce to a `Vec<f64>` (NULL → NaN). Errors on string columns.
-    pub fn to_f64_vec(&self) -> Result<Vec<f64>, crate::error::EngineError> {
+    pub fn to_f64_vec(&self) -> Result<Vec<f64>, EngineError> {
         let n = self.len();
         let mut out = Vec::with_capacity(n);
         match &self.data {
@@ -409,7 +403,7 @@ impl Column {
                 }
             }
             ColumnData::Str { .. } => {
-                return Err(crate::error::EngineError::TypeMismatch(
+                return Err(EngineError::TypeMismatch(
                     "cannot coerce string column to f64".into(),
                 ))
             }
@@ -484,26 +478,46 @@ mod tests {
     }
 
     #[test]
-    fn from_datums_infers_types() {
-        let c = Column::from_datums(&[Datum::Int(1), Datum::Int(2)]);
-        assert_eq!(c.dtype(), DataType::Int);
-        let c = Column::from_datums(&[Datum::Int(1), Datum::Float(2.0)]);
-        assert_eq!(c.dtype(), DataType::Float);
-        let c = Column::from_datums(&[Datum::Null, Datum::Int(2)]);
-        assert_eq!(c.null_count(), 1);
-        assert_eq!(c.get(0), Datum::Null);
+    fn from_datums_builds_the_type_it_is_given() {
+        let c = Column::from_datums(DataType::Int, &[Datum::Int(1), Datum::Null]).unwrap();
+        assert_eq!(
+            (c.dtype(), c.null_count(), c.get(1)),
+            (DataType::Int, 1, Datum::Null)
+        );
+        // An Int widens into a Float column; nothing else crosses types.
+        let c = Column::from_datums(DataType::Float, &[Datum::Int(1), Datum::Float(0.5)]).unwrap();
+        assert_eq!(c, Column::float(vec![1.0, 0.5]));
+        // No values, or only NULLs: still the type asked for.
+        let c = Column::from_datums(DataType::Str, &[Datum::Null]).unwrap();
+        assert_eq!((c.dtype(), c.get(0)), (DataType::Str, Datum::Null));
+        assert_eq!(
+            Column::from_datums(DataType::Int, &[]).unwrap(),
+            Column::int(vec![])
+        );
+        for (dtype, v) in [
+            (DataType::Int, Datum::Float(2.0)),
+            (DataType::Int, Datum::Str("x".into())),
+            (DataType::Float, Datum::Str("x".into())),
+            (DataType::Str, Datum::Int(3)),
+        ] {
+            let err = Column::from_datums(dtype, &[v]).unwrap_err();
+            assert!(
+                matches!(err, EngineError::TypeMismatch(_)),
+                "{dtype}: {err}"
+            );
+        }
     }
 
     #[test]
     fn concat_keeps_the_type_of_empty_and_all_null_parts() {
         let nulls = Column::int(vec![0, 0]).take_nullable(&[None, None]);
-        let c = Column::concat(&[&nulls, &Column::int(vec![])]);
+        let c = Column::concat(&[&nulls, &Column::int(vec![])]).unwrap();
         assert_eq!(c.dtype(), DataType::Int);
         assert_eq!(c.null_count(), 2);
         let empty = Column::str(vec![]);
-        let c = Column::concat(&[&empty, &empty]);
+        let c = Column::concat(&[&empty, &empty]).unwrap();
         assert_eq!((c.dtype(), c.len()), (DataType::Str, 0));
-        let c = Column::concat(&[&Column::int(vec![1]), &Column::int(vec![2, 3])]);
+        let c = Column::concat(&[&Column::int(vec![1]), &Column::int(vec![2, 3])]).unwrap();
         assert_eq!(c, Column::int(vec![1, 2, 3]));
     }
 
@@ -515,10 +529,14 @@ mod tests {
             .map(|i| a.get(i))
             .chain((0..b.len()).map(|i| b.get(i)))
             .collect();
-        assert_eq!(Column::concat(&[&a, &b]), Column::from_datums(&values));
-        // Mixed types keep `from_datums`' inference.
-        let mixed = Column::concat(&[&Column::int(vec![1]), &Column::float(vec![0.5])]);
-        assert_eq!(mixed, Column::float(vec![1.0, 0.5]));
+        let want = Column::from_datums(DataType::Str, &values).unwrap();
+        assert_eq!(Column::concat(&[&a, &b]).unwrap(), want);
+        // Parts of different types, or none, are refused.
+        let seven = Column::int(vec![7]);
+        for parts in [vec![&seven, &b], vec![]] {
+            let err = Column::concat(&parts).unwrap_err();
+            assert!(matches!(err, EngineError::TypeMismatch(_)), "{err}");
+        }
     }
 
     #[test]
@@ -542,7 +560,7 @@ mod tests {
 
     #[test]
     fn to_f64_nulls_become_nan() {
-        let c = Column::from_datums(&[Datum::Float(1.0), Datum::Null]);
+        let c = Column::from_datums(DataType::Float, &[Datum::Float(1.0), Datum::Null]).unwrap();
         let v = c.to_f64_vec().unwrap();
         assert_eq!(v[0], 1.0);
         assert!(v[1].is_nan());

@@ -14,7 +14,7 @@ use joinboost_sql::parse_statement;
 
 use crate::column::{Column, ColumnData};
 use crate::error::{EngineError, Result};
-use crate::expr::{CaseMerge, EvalContext, Slots};
+use crate::expr::{result_type, unify, CaseMerge, EvalContext, Slots};
 use crate::interop::ExternalTable;
 use crate::plan::{bind, names_read, Op, Output, PassThrough, Plan, QueryPlan, Source};
 use crate::storage::{BufferPoolStats, PageChain, PagedStore, StoredColumn};
@@ -769,6 +769,9 @@ impl Database {
         let mut merged = Vec::with_capacity(assignments.len());
         for (col_name, expr) in assignments {
             let idx = current.resolve(None, col_name)?;
+            // The column keeps values of both its old and its new type.
+            let stored_type = Some(current.columns[idx].dtype());
+            let dtype = unify(stored_type, result_type(expr, &current)?)?.expect("typed");
             // MVCC: copy the before-image into the undo buffer — a real
             // copy, the cost versioning models, not a shared buffer.
             if self.config.mvcc {
@@ -793,11 +796,11 @@ impl Database {
             // keep the old — a one-branch CASE.
             let merged_col = match &hit {
                 Some(hit) => {
-                    let mut merge = CaseMerge::new(Some(current.columns[idx].clone()), n);
+                    let mut merge = CaseMerge::new(dtype, Some(current.columns[idx].clone()), n);
                     merge.branch(hit, || new_vals().map(Cow::Owned))?;
-                    merge.finish()
+                    merge.finish()?
                 }
-                None => CaseMerge::new(Some(new_vals()?), n).finish(),
+                None => CaseMerge::new(dtype, Some(new_vals()?), n).finish()?,
             };
             merged.push((idx, col_name, merged_col));
         }
@@ -1112,13 +1115,15 @@ mod tests {
                 1 => Column::float((0..n).map(|i| i as f64 / j as f64).collect()),
                 2 => Column::str((0..n).map(|i| format!("v{}", i * j as usize)).collect()),
                 _ => Column::from_datums(
+                    DataType::Int,
                     &(0..n as i64)
                         .map(|i| match i % 3 {
                             0 => Datum::Null,
                             _ => Datum::Int(i + j),
                         })
                         .collect::<Vec<_>>(),
-                ),
+                )
+                .unwrap(),
             };
             cols.push((format!("c{j}"), col));
         }
@@ -1277,13 +1282,15 @@ mod tests {
         (xs[3], xs[5]) = (f64::from_bits(0x7FF8_0000_0000_0001), -0.0);
         let x = Column::float(xs);
         let s = Column::from_datums(
+            DataType::Str,
             &(0..n)
                 .map(|i| match i % 4 {
                     0 => Datum::Null,
                     _ => Datum::Str(["a", "b", "c"][i % 3].into()),
                 })
                 .collect::<Vec<_>>(),
-        );
+        )
+        .unwrap();
         let t = Table::from_columns(vec![("k", k.clone()), ("x", x.clone()), ("s", s.clone())]);
         let rle = crate::storage::codec::rle_len;
         assert!(rle(&k) < k.byte_size() && rle(&x) > x.byte_size() && rle(&s) > s.byte_size());
@@ -1529,6 +1536,7 @@ mod tests {
             (
                 "n",
                 Column::from_datums(
+                    DataType::Int,
                     &(0..40)
                         .map(|i| {
                             if i % 3 == 0 {
@@ -1538,7 +1546,8 @@ mod tests {
                             }
                         })
                         .collect::<Vec<_>>(),
-                ),
+                )
+                .unwrap(),
             ),
         ]);
         let new_id = Column::int((100..140).collect());
@@ -1712,11 +1721,13 @@ mod tests {
         let t = Table::from_columns(vec![
             (
                 "x",
-                Column::from_datums(&[Datum::Int(0), Datum::Int(2), Datum::Null]),
+                Column::from_datums(DataType::Int, &[Datum::Int(0), Datum::Int(2), Datum::Null])
+                    .unwrap(),
             ),
             (
                 "k",
-                Column::from_datums(&[Datum::Int(1), Datum::Null, Datum::Int(3)]),
+                Column::from_datums(DataType::Int, &[Datum::Int(1), Datum::Null, Datum::Int(3)])
+                    .unwrap(),
             ),
             ("id", Column::int(vec![0, 1, 2])),
         ]);
@@ -1753,7 +1764,11 @@ mod tests {
             ("a", Column::int(vec![1, 2, 3])),
             (
                 "b",
-                Column::from_datums(&[Datum::Int(10), Datum::Null, Datum::Int(30)]),
+                Column::from_datums(
+                    DataType::Int,
+                    &[Datum::Int(10), Datum::Null, Datum::Int(30)],
+                )
+                .unwrap(),
             ),
         ]);
         for (mode, db) in both_modes(&[("t", t)]) {
@@ -1786,19 +1801,27 @@ mod tests {
         let t = Table::from_columns(vec![
             (
                 "k",
-                Column::from_datums(&[F(2.0), Null, F(1.0), F(f64::NAN), F(2.0), F(3.0), Null]),
+                Column::from_datums(
+                    DataType::Float,
+                    &[F(2.0), Null, F(1.0), F(f64::NAN), F(2.0), F(3.0), Null],
+                )
+                .unwrap(),
             ),
             (
                 "j",
-                Column::from_datums(&[
-                    Datum::Int(3),
-                    Datum::Int(1),
-                    Null,
-                    Datum::Int(1),
-                    Datum::Int(2),
-                    Datum::Int(3),
-                    Datum::Int(0),
-                ]),
+                Column::from_datums(
+                    DataType::Int,
+                    &[
+                        Datum::Int(3),
+                        Datum::Int(1),
+                        Null,
+                        Datum::Int(1),
+                        Datum::Int(2),
+                        Datum::Int(3),
+                        Datum::Int(0),
+                    ],
+                )
+                .unwrap(),
             ),
             (
                 "v",
@@ -1806,7 +1829,11 @@ mod tests {
             ),
             (
                 "w",
-                Column::from_datums(&[F(10.0), Null, F(40.0), F(80.0), F(160.0), Null, F(640.0)]),
+                Column::from_datums(
+                    DataType::Float,
+                    &[F(10.0), Null, F(40.0), F(80.0), F(160.0), Null, F(640.0)],
+                )
+                .unwrap(),
             ),
         ]);
         // Two nodes over `k`, one over `j`. Order by `k`: rows 2 (1.0),
@@ -1843,7 +1870,10 @@ mod tests {
             "t",
             Table::from_columns(vec![
                 ("a", Column::int(vec![1, 2, 3])),
-                ("c", Column::from_datums(&[I(10), Null, Null])),
+                (
+                    "c",
+                    Column::from_datums(DataType::Int, &[I(10), Null, Null]).unwrap(),
+                ),
                 ("f", Column::float(vec![0.5, 0.0, 2.0])),
             ]),
         )
@@ -1884,9 +1914,18 @@ mod tests {
             "u",
             Table::from_columns(vec![
                 ("a", Column::int(vec![1, 2, 3])),
-                ("c", Column::from_datums(&[I(10), Null, Null])),
-                ("f", Column::from_datums(&[F(0.5), Null, F(2.0)])),
-                ("s", Column::from_datums(&[S("x".into()), Null, Null])),
+                (
+                    "c",
+                    Column::from_datums(DataType::Int, &[I(10), Null, Null]).unwrap(),
+                ),
+                (
+                    "f",
+                    Column::from_datums(DataType::Float, &[F(0.5), Null, F(2.0)]).unwrap(),
+                ),
+                (
+                    "s",
+                    Column::from_datums(DataType::Str, &[S("x".into()), Null, Null]).unwrap(),
+                ),
             ]),
         )
         .unwrap();
@@ -1940,6 +1979,147 @@ mod tests {
         }
         assert!(matches!(
             db.query("SELECT -s FROM u WHERE s IS NULL"),
+            Err(EngineError::TypeMismatch(_))
+        ));
+    }
+
+    /// Every expression shape the trainer emits has one result type,
+    /// decided by its inputs' types: the same in both modes, and over
+    /// NULL-only, empty and mixed selections alike. Both modes also agree
+    /// on every value, an `Int` past 2^53 in a `Float` `CASE` included.
+    #[test]
+    fn every_trainer_shape_has_one_type_in_both_modes() {
+        use DataType::{Float, Int, Str};
+        use Datum::{Float as F, Int as I, Null};
+        let t = Table::from_columns(vec![
+            ("a", Column::int(vec![1, 2, 3, 4])),
+            (
+                "c",
+                Column::from_datums(Int, &[I(10), Null, Null, I(-4)]).unwrap(),
+            ),
+            (
+                "f",
+                Column::from_datums(Float, &[F(0.5), Null, F(2.0), F(-1.5)]).unwrap(),
+            ),
+            (
+                "s",
+                Column::str(["x", "y", "x", "z"].map(String::from).to_vec()),
+            ),
+            ("big", Column::int(vec![(1 << 53) + 1; 4])),
+        ]);
+        let d = Table::from_columns(vec![("k", Column::int(vec![10, 3]))]);
+        // NULL-only (in `c` and `f`), empty, and mixed.
+        let selections = ["c IS NULL AND a = 2", "a > 9", "a > 0"];
+        let scalars = [
+            ("a + c", Int),
+            ("c - a", Int),
+            ("c * 2", Int),
+            ("a / c", Float),
+            ("c / 2", Float),
+            ("c + f", Float),
+            ("f * 2", Float),
+            ("-c", Int),
+            ("-f", Float),
+            ("CASE WHEN a > 1 THEN c ELSE NULL END", Int),
+            ("CASE WHEN a > 2 THEN a END", Int),
+            ("CASE WHEN a > 1 THEN a ELSE f END", Float),
+            (
+                "CASE WHEN a > 3 THEN c - 1 WHEN a > 2 THEN f ELSE NULL END",
+                Float,
+            ),
+            ("CASE WHEN a > 1 THEN s END", Str),
+            ("CASE WHEN a > 1 THEN big ELSE f END + 1", Float),
+            ("COALESCE(c, 0)", Int),
+            ("COALESCE(c, f)", Float),
+            ("COALESCE(NULL, s)", Str),
+            ("ABS(c)", Float),
+            ("SIGN(c)", Float),
+            ("EXP(f)", Float),
+            ("SUM(c) OVER (ORDER BY a)", Float),
+            ("c IN (SELECT k FROM d)", Int),
+            ("c NOT IN (1, 2)", Int),
+            ("c IS NULL", Int),
+            ("f IS NOT NULL", Int),
+        ];
+        let aggregates = [
+            ("SUM(c)", Int),
+            ("SUM(f)", Float),
+            ("COUNT(c)", Int),
+            ("COUNT(*)", Int),
+            ("AVG(c)", Float),
+            ("MIN(c)", Int),
+            ("MAX(c)", Int),
+            ("MIN(s)", Str),
+            ("MAX(f)", Float),
+        ];
+        let dbs = both_modes(&[("t", t), ("d", d)]);
+        for sel in selections {
+            let scalar = |shape| format!("SELECT {shape} AS x FROM t WHERE {sel}");
+            let grouped = |shape| format!("SELECT a, {shape} AS x FROM t WHERE {sel} GROUP BY a");
+            let queries = (scalars.iter().map(|&(e, want)| (scalar(e), want))).chain(
+                (aggregates.iter()).flat_map(|&(e, want)| [(scalar(e), want), (grouped(e), want)]),
+            );
+            for (sql, want) in queries {
+                let values: Vec<Vec<Datum>> = (dbs.iter())
+                    .map(|(mode, db)| {
+                        let t = db
+                            .query(&sql)
+                            .unwrap_or_else(|e| panic!("{mode:?}: {sql}: {e}"));
+                        let col = t.column(None, "x").unwrap();
+                        assert_eq!(col.dtype(), want, "{mode:?}: {sql}");
+                        (0..col.len()).map(|i| col.get(i)).collect()
+                    })
+                    .collect();
+                assert_eq!(values[0], values[1], "{sql}");
+            }
+        }
+    }
+
+    /// A string mixed with a number has no type: an `UPDATE` that would
+    /// store one changes and logs nothing, a `CASE` or `COALESCE` that
+    /// would return one fails whichever rows it sees, and so does a
+    /// concatenation of a number column with a string column.
+    #[test]
+    fn a_string_mixed_with_a_number_is_a_type_error() {
+        let dir = std::env::temp_dir().join(format!("jb_db_mixed_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let t = Table::from_columns(vec![
+            ("a", Column::int(vec![1, 2, 3])),
+            ("s", Column::str(["x", "y", "z"].map(String::from).to_vec())),
+        ]);
+        let mismatch = |r: Result<Table>, what: &str| match r {
+            Err(EngineError::TypeMismatch(_)) => {}
+            other => panic!("{what}: {other:?}"),
+        };
+        let configs = [
+            EngineConfig::duckdb_mem(),
+            EngineConfig::dbms_x_row(),
+            EngineConfig::paged(&dir),
+        ];
+        for config in configs {
+            let db = Database::new(config);
+            db.create_table("t", t.clone()).unwrap();
+            let (before, wal_bytes) = (db.snapshot("t").unwrap(), db.stats().wal_bytes);
+            for sql in [
+                "UPDATE t SET s = a WHERE a > 2",
+                "UPDATE t SET s = a",
+                "UPDATE t SET a = s WHERE a > 9",
+            ] {
+                mismatch(db.execute(sql), sql);
+                assert_eq!(db.snapshot("t").unwrap(), before, "{sql}");
+                assert_eq!(db.stats().wal_bytes, wal_bytes, "{sql}");
+            }
+            for sel in ["a > 0", "a > 2", "a > 9"] {
+                for e in ["CASE WHEN a > 2 THEN a ELSE s END", "COALESCE(s, a)"] {
+                    let sql = format!("SELECT {e} AS x FROM t WHERE {sel}");
+                    mismatch(db.query(&sql), &sql);
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        let (seven, q) = (Column::int(vec![7]), Column::str(vec!["q".into()]));
+        assert!(matches!(
+            Column::concat(&[&seven, &q]),
             Err(EngineError::TypeMismatch(_))
         ));
     }
@@ -2241,7 +2421,7 @@ mod tests {
             ("a", Column::int(vec![i64::MIN, 5])),
             (
                 "b",
-                Column::from_datums(&[Datum::Int(i64::MIN), Datum::Null]),
+                Column::from_datums(DataType::Int, &[Datum::Int(i64::MIN), Datum::Null]).unwrap(),
             ),
         ]);
         for (mode, db) in both_modes(&[("t", t)]) {

@@ -281,7 +281,7 @@ impl Database {
         for agg in aggs {
             prepared.push(self.prepare_aggregate(agg, input, ctx)?);
         }
-        let agg_cols = agg::compute_grouped(&prepared, &gids, num_groups, &sizes);
+        let agg_cols = agg::compute_grouped(&prepared, &gids, num_groups, &sizes)?;
         // 3. Synthetic table: group keys (named __key{i}) + aggregates.
         let mut synth = Table::new();
         for (i, kc) in key_cols.iter().enumerate() {
@@ -369,7 +369,7 @@ fn hash_join(left: Table, right: Table, kind: JoinKind, using: &[String]) -> Res
         if !extra.is_empty() {
             let extra_tbl = assemble_right_only(&left, &right, &lkeys, &rkeys, &extra);
             for (c, e) in out.columns.iter_mut().zip(&extra_tbl.columns) {
-                *c = Column::concat(&[c, e]);
+                *c = Column::concat(&[c, e])?;
             }
         }
     }

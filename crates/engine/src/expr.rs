@@ -242,6 +242,71 @@ pub(crate) fn eval_all<'a>(
     exprs.iter().map(|e| scope.output(e, mode)).collect()
 }
 
+/// The type of `expr`'s result over `table`, from the types of the
+/// columns it reads and never from their values, by the kernels' rules:
+/// a column or a literal has its own type; `+ - *` of two `Int`s is `Int`,
+/// any other pair and any `/` is `Float`; comparisons, logic, `IN` and `IS
+/// NULL` are `Int`; unary minus keeps its operand's type; math functions
+/// and window `SUM` are `Float`; `COALESCE` and `CASE` [`unify`] their
+/// arguments or branches. `None` is a NULL literal (or `-NULL`), which
+/// takes the type of what it meets and is `Float` on its own. Every
+/// subexpression is typed, so a string mixed with a number anywhere is
+/// refused before a row is evaluated.
+pub(crate) fn result_type(expr: &Expr, table: &Table) -> Result<Option<DataType>> {
+    use BinaryOp::*;
+    use DataType::*;
+    let of = |e: &Expr| result_type(e, table);
+    // `t`, once each of `parts` is typed.
+    let checked = |t, parts: &[&Expr]| parts.iter().try_fold(t, |t, e| of(e).map(|_| t));
+    Ok(match expr {
+        Expr::Column { table: q, name } => Some(table.column(q.as_deref(), name)?.dtype()),
+        Expr::Literal(Value::Null) => None,
+        Expr::Literal(v) => Some(broadcast_literal(v, 0).dtype()),
+        Expr::Binary { op, left, right } => match (op, of(left)?, of(right)?) {
+            (Add | Sub | Mul, Some(Int), Some(Int)) => Some(Int),
+            (Add | Sub | Mul | Div, ..) => Some(Float),
+            _ => Some(Int),
+        },
+        Expr::Unary {
+            op: UnaryOp::Neg,
+            expr,
+        } => match of(expr)? {
+            Some(Str) => return Err(EngineError::TypeMismatch("negate string".into())),
+            t => t,
+        },
+        Expr::Unary { expr, .. } | Expr::InSubquery { expr, .. } | Expr::IsNull { expr, .. } => {
+            checked(Some(Int), &[expr])?
+        }
+        Expr::InList { expr, list, .. } => {
+            (list.iter()).try_fold(checked(Some(Int), &[expr])?, |t, e| checked(t, &[e]))?
+        }
+        Expr::WindowSum { arg, order_by } => checked(Some(Float), &[arg, order_by])?,
+        Expr::Func { name, args } => match Func::resolve(expr, name, args.len())? {
+            Func::Coalesce => args.iter().try_fold(None, |t, a| unify(t, of(a)?))?,
+            _ => args.iter().try_fold(Some(Float), |t, a| checked(t, &[a]))?,
+        },
+        Expr::Case { whens, else_expr } => {
+            let t = else_expr.as_deref().map(of).transpose()?.flatten();
+            (whens.iter()).try_fold(t, |t, (cond, e)| unify(t, checked(of(e)?, &[cond])?))?
+        }
+        Expr::Wildcard => return Err(EngineError::Other("* in scalar context".into())),
+    })
+}
+
+/// The one type of two values of types `a` and `b` (`None`: a NULL
+/// literal, which takes the other's): `Int` with `Float` is `Float`, and
+/// a string with a number is a [`EngineError::TypeMismatch`].
+pub(crate) fn unify(a: Option<DataType>, b: Option<DataType>) -> Result<Option<DataType>> {
+    match (a, b) {
+        (None, t) | (t, None) => Ok(t),
+        (Some(x), Some(y)) if x == y => Ok(a),
+        (Some(DataType::Str), t) | (t, Some(DataType::Str)) => Err(EngineError::TypeMismatch(
+            format!("no common type of a string and {}", t.expect("both typed")),
+        )),
+        _ => Ok(Some(DataType::Float)),
+    }
+}
+
 /// A columnar value over every row of the scope's table.
 enum Val<'a> {
     /// A column of the table, borrowed, or a computed one.
@@ -345,8 +410,15 @@ impl<'t> Scope<'t, '_> {
         if mode == ExecMode::Columnar {
             return Ok(self.column(expr)?.into_owned());
         }
+        let dtype = self.dtype(expr)?;
         let rows = (0..self.table.num_rows()).map(|row| self.eval_row(expr, row));
-        Ok(Column::from_datums(&rows.collect::<Result<Vec<_>>>()?))
+        Column::from_datums(dtype, &rows.collect::<Result<Vec<_>>>()?)
+    }
+
+    /// The type of `expr`'s column over the scope's table (a NULL on its
+    /// own is `Float`).
+    fn dtype(&self, expr: &Expr) -> Result<DataType> {
+        Ok(result_type(expr, self.table)?.unwrap_or(DataType::Float))
     }
 
     /// `expr` as a column: borrowed when it names one of the table's.
@@ -408,7 +480,7 @@ impl<'t> Scope<'t, '_> {
                 let cols: Vec<Cow<Column>> =
                     args.iter().map(|a| self.column(a)).collect::<Result<_>>()?;
                 let cols: Vec<&Column> = cols.iter().map(|c| &**c).collect();
-                Val::Col(Cow::Owned(func.eval(&cols, n)))
+                Val::Col(Cow::Owned(func.eval(&cols, n, self.dtype(expr)?)?))
             }
             Expr::Wildcard => {
                 return Err(EngineError::Other(
@@ -417,12 +489,13 @@ impl<'t> Scope<'t, '_> {
             }
             Expr::WindowSum { .. } => Val::Col(Cow::Owned((*self.window_column(expr)?).clone())),
             Expr::Case { whens, else_expr } => {
+                let dtype = self.dtype(expr)?;
                 let default = else_expr.as_deref().map(|e| self.column(e)).transpose()?;
-                let mut merge = CaseMerge::new(default.map(Cow::into_owned), n);
+                let mut merge = CaseMerge::new(dtype, default.map(Cow::into_owned), n);
                 for (cond, then) in whens {
                     merge.branch(&self.mask(cond)?, || self.column(then))?;
                 }
-                Val::Col(Cow::Owned(merge.finish()))
+                Val::Col(Cow::Owned(merge.finish()?))
             }
             Expr::InSubquery {
                 expr: probe,
@@ -465,7 +538,7 @@ impl<'t> Scope<'t, '_> {
                         items.push(v);
                     }
                 }
-                let items = Column::from_datums(&items);
+                let items = Column::from_datums(c.dtype(), &items)?;
                 let set = KeySet::build(&[&items], items.len());
                 Val::Mask(membership(&set, &c, *negated))
             }
@@ -649,13 +722,13 @@ fn constant_bits(n: usize, value: bool) -> Vec<u64> {
 // Arithmetic
 // ---------------------------------------------------------------------------
 
-/// `l op r` over every row, on typed slices. The result's type comes
-/// from the operands' types, never from their values: `+ - *` of two
-/// `Int`s is a wrapping `Int`; any other numeric pair, and every `/`, is
-/// `Float`; a string or NULL-literal operand gives an all-NULL `Float`.
-/// The operands' validity is folded into the result's, and a zero divisor
-/// makes its row NULL too. A NULL row holds 0, and a result without NULL
-/// rows has no validity, as [`Column::from_datums`] writes them.
+/// `l op r` over every row, on typed slices, as a column of the type
+/// [`result_type`] gives it: `+ - *` of two `Int`s is a wrapping `Int`;
+/// any other numeric pair, and every `/`, is `Float`; a string or
+/// NULL-literal operand gives an all-NULL `Float`. The operands' validity
+/// is folded into the result's, and a zero divisor makes its row NULL
+/// too. A NULL row holds 0, and a result without NULL rows has no
+/// validity.
 fn arithmetic(op: BinaryOp, l: Val, r: Val, n: usize) -> Column {
     use BinaryOp::*;
     let (l, r) = (l.unmasked(), r.unmasked());
@@ -752,26 +825,6 @@ fn with_nulls<T: Copy + Default>(
     col
 }
 
-/// `a op b` for `+ - *` over two integers, wrapping as the kernels do.
-fn int_arith(op: BinaryOp, a: i64, b: i64) -> i64 {
-    match op {
-        BinaryOp::Add => a.wrapping_add(b),
-        BinaryOp::Sub => a.wrapping_sub(b),
-        _ => a.wrapping_mul(b),
-    }
-}
-
-/// `x op y` over `f64`; NULL for a zero divisor.
-fn float_arith(op: BinaryOp, x: f64, y: f64) -> Datum {
-    match op {
-        BinaryOp::Add => Datum::Float(x + y),
-        BinaryOp::Sub => Datum::Float(x - y),
-        BinaryOp::Mul => Datum::Float(x * y),
-        _ if y == 0.0 => Datum::Null,
-        _ => Datum::Float(x / y),
-    }
-}
-
 /// `-c` over a typed slice: the column keeps its type and shares its
 /// validity, whatever its values are; a string column is a type error.
 fn negate(c: &Column) -> Result<Column> {
@@ -815,14 +868,16 @@ fn broadcast_literal(v: &Value, n: usize) -> Column {
 // ---------------------------------------------------------------------------
 
 /// First-match-wins merge of `CASE` branches (and of an `UPDATE`'s new
-/// values into the old). A branch takes the rows where its condition is
-/// TRUE and no earlier branch was taken — `cond.true_bits & !decided`,
-/// one word at a time. Stays on typed slices while the default and every
-/// branch so far are NULL-free columns of one numeric type — the residual
-/// update's shape — and falls back to per-row [`Datum`]s, with the
-/// result's type inferred from the values that won, otherwise. Both
-/// produce the same column.
+/// values into the old) into a column of the result type it is given. A
+/// branch takes the rows where its condition is TRUE and no earlier
+/// branch was taken — `cond.true_bits & !decided`, one word at a time.
+/// Stays on typed slices while the default is a NULL-free column of the
+/// result type, `Int` or `Float`, and each branch so far a column of that
+/// type with no NULL on the rows it takes — the residual update's shape —
+/// and falls back to per-row [`Datum`]s otherwise. Both produce the same
+/// column.
 pub(crate) struct CaseMerge {
+    dtype: DataType,
     out: Merged,
     decided: Vec<u64>,
 }
@@ -834,22 +889,25 @@ enum Merged {
 }
 
 impl CaseMerge {
-    /// Start from the `ELSE` column (`None`: NULL) over `n` rows; branches
-    /// blend into its values in place, so a buffer it shares is copied.
-    pub(crate) fn new(default: Option<Column>, n: usize) -> CaseMerge {
-        let out = match default {
+    /// Start a `dtype` column from the `ELSE` column (`None`: NULL) over
+    /// `n` rows; branches blend into its values in place, so a buffer it
+    /// shares is copied.
+    pub(crate) fn new(dtype: DataType, default: Option<Column>, n: usize) -> CaseMerge {
+        let out = match default.map(|c| (c.data, c.validity)) {
             None => Merged::Datums(vec![Datum::Null; n]),
-            // (An empty result has no values to infer a type from.)
-            Some(c) => match (c.data, c.validity) {
-                (ColumnData::Int(v), None) if n > 0 => Merged::Int(Arc::unwrap_or_clone(v)),
-                (ColumnData::Float(v), None) if n > 0 => Merged::Float(Arc::unwrap_or_clone(v)),
-                (data, validity) => {
-                    let c = Column { data, validity };
-                    Merged::Datums((0..n).map(|i| c.get(i)).collect())
-                }
-            },
+            Some((ColumnData::Int(v), None)) if dtype == DataType::Int => {
+                Merged::Int(Arc::unwrap_or_clone(v))
+            }
+            Some((ColumnData::Float(v), None)) if dtype == DataType::Float => {
+                Merged::Float(Arc::unwrap_or_clone(v))
+            }
+            Some((data, validity)) => {
+                let c = Column { data, validity };
+                Merged::Datums((0..n).map(|i| c.get(i)).collect())
+            }
         };
         CaseMerge {
+            dtype,
             out,
             decided: vec![0; n.div_ceil(64)],
         }
@@ -873,9 +931,11 @@ impl CaseMerge {
             return Ok(());
         }
         let then = then()?;
-        match (&mut self.out, &then.data, &then.validity) {
-            (Merged::Int(out), ColumnData::Int(t), None) => blend(out, &take, t),
-            (Merged::Float(out), ColumnData::Float(t), None) => blend(out, &take, t),
+        // Typed while every row taken holds a value of the result type.
+        let valid = null_bits(&then).is_none_or(|nb| nb.iter().zip(&take).all(|(n, t)| n & t == 0));
+        match (&mut self.out, &then.data, valid) {
+            (Merged::Int(out), ColumnData::Int(t), true) => blend(out, &take, t),
+            (Merged::Float(out), ColumnData::Float(t), true) => blend(out, &take, t),
             (out, _, _) => {
                 let out = out.datums();
                 for_each_set(&take, |i| out[i] = then.get(i));
@@ -884,12 +944,13 @@ impl CaseMerge {
         Ok(())
     }
 
-    /// The merged column.
-    pub(crate) fn finish(self) -> Column {
+    /// The merged column; a value that is not of the result type (an
+    /// `Int` widens into `Float`) is a [`EngineError::TypeMismatch`].
+    pub(crate) fn finish(self) -> Result<Column> {
         match self.out {
-            Merged::Int(v) => Column::int(v),
-            Merged::Float(v) => Column::float(v),
-            Merged::Datums(d) => Column::from_datums(&d),
+            Merged::Int(v) => Ok(Column::int(v)),
+            Merged::Float(v) => Ok(Column::float(v)),
+            Merged::Datums(d) => Column::from_datums(self.dtype, &d),
         }
     }
 }
@@ -962,8 +1023,9 @@ impl Func {
         })
     }
 
-    /// The function over `n` rows of its argument columns.
-    fn eval(self, args: &[&Column], n: usize) -> Column {
+    /// The function over `n` rows of its argument columns, as a `dtype`
+    /// column (the type [`result_type`] gives the call).
+    fn eval(self, args: &[&Column], n: usize, dtype: DataType) -> Result<Column> {
         /// `g` of each row, NULL where it gives no value.
         fn floats(n: usize, g: impl Fn(usize) -> Option<f64>) -> Vec<Datum> {
             (0..n)
@@ -971,65 +1033,31 @@ impl Func {
                 .collect()
         }
         let num = |arg: usize, i: usize| args.get(arg).and_then(|c| c.f64_at(i));
-        Column::from_datums(&match self {
-            Func::Math(f) => floats(n, |i| num(0, i).map(f).filter(|y| y.is_finite())),
-            Func::Pow => floats(n, |i| num(0, i).zip(num(1, i)).map(|(x, y)| x.powf(y))),
-            Func::Fold(f) => floats(n, |i| args.iter().filter_map(|c| c.f64_at(i)).reduce(f)),
-            Func::Coalesce => return coalesce(args, n),
-        })
+        Column::from_datums(
+            dtype,
+            &match self {
+                Func::Math(f) => floats(n, |i| num(0, i).map(f).filter(|y| y.is_finite())),
+                Func::Pow => floats(n, |i| num(0, i).zip(num(1, i)).map(|(x, y)| x.powf(y))),
+                Func::Fold(f) => floats(n, |i| args.iter().filter_map(|c| c.f64_at(i)).reduce(f)),
+                Func::Coalesce => return coalesce(args, n, dtype),
+            },
+        )
     }
 }
 
-/// `COALESCE` of `args`: each row takes its first valid argument's value
-/// and is NULL where none is valid. The type comes from the arguments'
-/// types, not from the values picked: Int arguments give Int, any other
-/// numeric mix gives Float. Only a mix with strings still infers the
-/// type from the values.
-fn coalesce(args: &[&Column], n: usize) -> Column {
-    let first_valid = |i: usize| args.iter().find(|c| c.is_valid(i));
-    let all = |t: DataType| !args.is_empty() && args.iter().all(|c| c.dtype() == t);
-    let numeric = !args.is_empty() && args.iter().all(|c| c.dtype() != DataType::Str);
-    if !numeric {
-        let values: Vec<Datum> = (0..n)
-            .map(|i| first_valid(i).map_or(Datum::Null, |c| c.get(i)))
-            .collect();
-        let col = Column::from_datums(&values);
-        if !all(DataType::Str) || col.dtype() == DataType::Str {
-            return col;
-        }
-        // Strings, none of them valid: still a string column.
-        return Column {
-            data: ColumnData::Str {
-                dict: Arc::new(vec![String::new()]),
-                codes: Arc::new(vec![0; n]),
-            },
-            validity: col.validity,
-        };
+/// `COALESCE` of `args` as a `dtype` column: each row takes its first
+/// valid argument's value — the `CASE` that takes each argument but the
+/// last where it is not NULL, and else the last.
+fn coalesce(args: &[&Column], n: usize, dtype: DataType) -> Result<Column> {
+    let (last, rest) = args
+        .split_last()
+        .map_or((None, &[][..]), |(l, r)| (Some(*l), r));
+    let mut merge = CaseMerge::new(dtype, last.cloned(), n);
+    for &c in rest {
+        let valid = Mask::new(n, constant_bits(n, true), null_bits(c));
+        merge.branch(&valid, || Ok(Cow::Borrowed(c)))?;
     }
-    let mut nulls = vec![0u64; n.div_ceil(64)];
-    let mut null_at = |i: usize| nulls[i >> 6] |= 1 << (i & 63);
-    if all(DataType::Int) {
-        let values = (0..n)
-            .map(|i| match first_valid(i).map(|c| &c.data) {
-                Some(ColumnData::Int(v)) => v[i],
-                _ => {
-                    null_at(i);
-                    0
-                }
-            })
-            .collect();
-        return with_nulls(values, Some(nulls), Column::int);
-    }
-    let values = (0..n)
-        .map(|i| match first_valid(i).and_then(|c| c.f64_at(i)) {
-            Some(x) => x,
-            None => {
-                null_at(i);
-                0.0
-            }
-        })
-        .collect();
-    with_nulls(values, Some(nulls), Column::float)
+    merge.finish()
 }
 
 impl Scope<'_, '_> {
@@ -1052,20 +1080,26 @@ impl Scope<'_, '_> {
                 // The columnar function over one-row columns.
                 let func = Func::resolve(expr, name, args.len())?;
                 let cols: Vec<Column> = (args.iter())
-                    .map(|a| Ok(Column::from_datums(&[self.eval_row(a, row)?])))
+                    .map(|a| Column::from_datums(self.dtype(a)?, &[self.eval_row(a, row)?]))
                     .collect::<Result<_>>()?;
-                Ok(func.eval(&cols.iter().collect::<Vec<_>>(), 1).get(0))
+                let cols: Vec<&Column> = cols.iter().collect();
+                Ok(func.eval(&cols, 1, self.dtype(expr)?)?.get(0))
             }
             Expr::WindowSum { .. } => Ok(self.window_column(expr)?.get(row)),
             Expr::Case { whens, else_expr } => {
+                let mut taken = else_expr.as_deref();
                 for (cond, then) in whens {
                     if self.eval_row(cond, row)?.is_truthy() {
-                        return self.eval_row(then, row);
+                        taken = Some(then);
+                        break;
                     }
                 }
-                match else_expr {
-                    Some(e) => self.eval_row(e, row),
-                    None => Ok(Datum::Null),
+                // An `Int` branch of a `Float` CASE widens, as the merge does.
+                match taken.map_or(Ok(Datum::Null), |e| self.eval_row(e, row))? {
+                    Datum::Int(x) if self.dtype(expr)? == DataType::Float => {
+                        Ok(Datum::Float(x as f64))
+                    }
+                    v => Ok(v),
                 }
             }
             Expr::InSubquery {
@@ -1081,10 +1115,13 @@ impl Scope<'_, '_> {
                     Expr::Column { table: q, name } => {
                         (Cow::Borrowed(self.table.column(q.as_deref(), name)?), row)
                     }
-                    _ => (
-                        Cow::Owned(Column::from_datums(&[self.eval_row(probe, row)?])),
-                        0,
-                    ),
+                    _ => {
+                        let value = self.eval_row(probe, row)?;
+                        (
+                            Cow::Owned(Column::from_datums(self.dtype(probe)?, &[value])?),
+                            0,
+                        )
+                    }
                 };
                 if !col.is_valid(at) {
                     return Ok(Datum::Null);
@@ -1147,10 +1184,16 @@ fn datum_binary(op: BinaryOp, l: &Datum, r: &Datum) -> Result<Datum> {
             (Some(false), Some(false)) => Some(false),
             _ => None,
         })),
-        Add | Sub | Mul | Div => Ok(match (l, r) {
-            (Datum::Int(a), Datum::Int(b)) if op != Div => Datum::Int(int_arith(op, *a, *b)),
+        // Integers wrap, as the kernels do; a zero divisor is NULL.
+        Add | Sub | Mul | Div => Ok(match (op, l, r) {
+            (Add, Datum::Int(a), Datum::Int(b)) => Datum::Int(a.wrapping_add(*b)),
+            (Sub, Datum::Int(a), Datum::Int(b)) => Datum::Int(a.wrapping_sub(*b)),
+            (Mul, Datum::Int(a), Datum::Int(b)) => Datum::Int(a.wrapping_mul(*b)),
             _ => match (l.as_f64(), r.as_f64()) {
-                (Some(x), Some(y)) => float_arith(op, x, y),
+                (Some(x), Some(y)) if op == Add => Datum::Float(x + y),
+                (Some(x), Some(y)) if op == Sub => Datum::Float(x - y),
+                (Some(x), Some(y)) if op == Mul => Datum::Float(x * y),
+                (Some(x), Some(y)) if y != 0.0 => Datum::Float(x / y),
                 _ => Datum::Null,
             },
         }),
@@ -1279,15 +1322,7 @@ mod tests {
             let ctx = EvalContext::new(&runner);
             let vec_col = eval(&e, &t, &ctx).unwrap();
             let row_col = eval_rows(&e, &t, &ctx).unwrap();
-            for i in 0..t.num_rows() {
-                // Compare numerically (row mode may widen ints).
-                match (vec_col.get(i), row_col.get(i)) {
-                    (Datum::Null, Datum::Null) => {}
-                    (a, b) => {
-                        assert_eq!(a.as_f64(), b.as_f64(), "expr {sql} row {i}");
-                    }
-                }
-            }
+            assert_eq!(vec_col, row_col, "{sql}");
         }
     }
 
@@ -1338,7 +1373,11 @@ mod tests {
             ("b", Column::float(vec![0.5, 1.5, 2.5, 3.5])),
             (
                 "n",
-                Column::from_datums(&[Datum::Int(7), Datum::Null, Datum::Int(9), Datum::Null]),
+                Column::from_datums(
+                    DataType::Int,
+                    &[Datum::Int(7), Datum::Null, Datum::Int(9), Datum::Null],
+                )
+                .unwrap(),
             ),
         ]);
         let runner = NoSubqueries;
@@ -1415,13 +1454,15 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(col(case), Column::from_datums(&want), "{case}");
+            let dtype = result_type(&parse_expr(case).unwrap(), &t).unwrap();
+            let want = Column::from_datums(dtype.expect("typed"), &want).unwrap();
+            assert_eq!(col(case), want, "{case}");
         }
-        // No rows: nothing to infer a type from, as for the per-row merge.
+        // No rows: still the branches' type.
         let empty = Table::from_columns(vec![("a", Column::int(vec![]))]);
         let e = parse_expr("CASE WHEN a > 1 THEN a ELSE a END").unwrap();
         let ctx = EvalContext::new(&runner);
-        assert_eq!(eval(&e, &empty, &ctx).unwrap(), Column::from_datums(&[]));
+        assert_eq!(eval(&e, &empty, &ctx).unwrap(), Column::int(vec![]));
     }
 
     #[test]
@@ -1471,7 +1512,7 @@ mod tests {
             let v: Vec<Datum> = (rows.iter())
                 .map(|r| INTS[pick(r, c, INTS.len(), null_free)].map_or(Datum::Null, Datum::Int))
                 .collect();
-            Column::from_datums(&v)
+            Column::from_datums(DataType::Int, &v).unwrap()
         };
         let floats = |c: usize, null_free: bool| {
             let v: Vec<Datum> = (rows.iter())
@@ -1479,7 +1520,7 @@ mod tests {
                     FLOATS[pick(r, c, FLOATS.len(), null_free)].map_or(Datum::Null, Datum::Float)
                 })
                 .collect();
-            Column::from_datums(&v)
+            Column::from_datums(DataType::Float, &v).unwrap()
         };
         let strs: Vec<Datum> = (rows.iter())
             .map(|r| STRS[pick(r, 4, STRS.len(), false)].map_or(Datum::Null, Datum::from))
@@ -1489,7 +1530,7 @@ mod tests {
             ("j", ints(1, false)),
             ("f", floats(2, false)),
             ("g", floats(3, false)),
-            ("s", Column::from_datums(&strs)),
+            ("s", Column::from_datums(DataType::Str, &strs).unwrap()),
             ("n", ints(5, true)),
             ("d", floats(6, true)),
         ])
@@ -1603,13 +1644,17 @@ mod tests {
             let columnar = eval(&case, &t, &ctx).unwrap();
             let by_row = eval_rows(&case, &t, &ctx).unwrap();
             proptest::prop_assert_eq!(columnar, by_row, "{}", case);
-            // Arithmetic over the same operands: the same value of the same
-            // type on every row — `Int` stays `Int` beside a NULL — and
-            // NULL where either side is.
+            // Arithmetic over the same operands: a column of the same
+            // type — `Int` stays `Int` beside a NULL, and over only NULLs
+            // or no rows — with the same value on every row, NULL where
+            // either side is.
             for op in [BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul, BinaryOp::Div] {
                 let e = Expr::binary(op, gen.operand(true), gen.operand(true));
                 let ctx = EvalContext::new(&runner);
-                let rows = |c: Column| format!("{:?}", (0..c.len()).map(|i| c.get(i)).collect::<Vec<_>>());
+                let rows = |c: Column| {
+                    let values: Vec<Datum> = (0..c.len()).map(|i| c.get(i)).collect();
+                    (c.dtype(), format!("{values:?}"))
+                };
                 let columnar = rows(eval(&e, &t, &ctx).unwrap());
                 let by_row = rows(eval_rows(&e, &t, &ctx).unwrap());
                 proptest::prop_assert_eq!(columnar, by_row, "{}", e);

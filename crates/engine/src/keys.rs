@@ -1000,7 +1000,7 @@ impl SortKeys {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datum::Datum;
+    use crate::datum::{DataType, Datum};
 
     #[test]
     fn grouping_matches_first_occurrence_order() {
@@ -1013,7 +1013,11 @@ mod tests {
 
     #[test]
     fn grouping_nulls_group_together() {
-        let c = Column::from_datums(&[Datum::Int(1), Datum::Null, Datum::Int(1), Datum::Null]);
+        let c = Column::from_datums(
+            DataType::Int,
+            &[Datum::Int(1), Datum::Null, Datum::Int(1), Datum::Null],
+        )
+        .unwrap();
         let g = group_rows(&[&c], 4);
         assert_eq!(g.gids, vec![0, 1, 0, 1]);
     }
@@ -1044,8 +1048,13 @@ mod tests {
 
     #[test]
     fn join_index_basic_and_null_keys() {
-        let l = Column::from_datums(&[Datum::Int(1), Datum::Null, Datum::Int(3)]);
-        let r = Column::from_datums(&[Datum::Int(3), Datum::Int(1), Datum::Int(1), Datum::Null]);
+        let l = Column::from_datums(DataType::Int, &[Datum::Int(1), Datum::Null, Datum::Int(3)])
+            .unwrap();
+        let r = Column::from_datums(
+            DataType::Int,
+            &[Datum::Int(3), Datum::Int(1), Datum::Int(1), Datum::Null],
+        )
+        .unwrap();
         let idx = JoinIndex::build(&[&l], &[&r], 3, 4);
         assert_eq!(idx.probe(0), Some(&[1u32, 2][..]));
         assert_eq!(idx.probe(1), None, "NULL left key matches nothing");
@@ -1142,15 +1151,20 @@ mod tests {
 
     #[test]
     fn key_set_nulls_match_nothing_on_either_side() {
-        let members = Column::from_datums(&[Datum::Int(1), Datum::Null, Datum::Int(3)]);
-        let probe =
-            Column::from_datums(&[Datum::Null, Datum::Int(3), Datum::Int(0), Datum::Int(1)]);
+        let members =
+            Column::from_datums(DataType::Int, &[Datum::Int(1), Datum::Null, Datum::Int(3)])
+                .unwrap();
+        let probe = Column::from_datums(
+            DataType::Int,
+            &[Datum::Null, Datum::Int(3), Datum::Int(0), Datum::Int(1)],
+        )
+        .unwrap();
         assert_eq!(
             members_of(&[&members], &[&probe]),
             [false, true, false, true]
         );
         // Only NULLs: an empty set, and so is no rows at all.
-        let nulls = Column::from_datums(&[Datum::Null, Datum::Null]);
+        let nulls = Column::from_datums(DataType::Float, &[Datum::Null, Datum::Null]).unwrap();
         assert_eq!(members_of(&[&nulls], &[&Column::float(vec![0.0])]), [false]);
         let set = KeySet::build(&[&Column::int(vec![])], 0);
         assert!(!set.probe(&[&Column::int(vec![0])]).contains(0));
@@ -1175,8 +1189,11 @@ mod tests {
 
     #[test]
     fn key_set_multi_column_keys_direct_hashed_and_bytes() {
-        let probe_a =
-            Column::from_datums(&[Datum::Int(1), Datum::Int(2), Datum::Int(1), Datum::Null]);
+        let probe_a = Column::from_datums(
+            DataType::Int,
+            &[Datum::Int(1), Datum::Int(2), Datum::Int(1), Datum::Null],
+        )
+        .unwrap();
         for scale in [1i64, 1 << 20] {
             // (1, s), (2, 2s) are members; (1, 2s) is each field in range
             // but not the pair.
@@ -1200,17 +1217,25 @@ mod tests {
 
     #[test]
     fn sort_keys_match_datum_sql_cmp() {
-        let c = Column::from_datums(&[
-            Datum::Float(2.0),
-            Datum::Null,
-            Datum::Float(-1.0),
-            Datum::Float(2.0),
-        ]);
+        let c = Column::from_datums(
+            DataType::Float,
+            &[
+                Datum::Float(2.0),
+                Datum::Null,
+                Datum::Float(-1.0),
+                Datum::Float(2.0),
+            ],
+        )
+        .unwrap();
         let keys = SortKeys::new(vec![c], &[false]);
         let perm = keys.sort_permutation(4);
         assert_eq!(perm, vec![2, 0, 3, 1], "NULL last, stable on ties");
         // DESC still sorts NULL last.
-        let c2 = Column::from_datums(&[Datum::Float(2.0), Datum::Null, Datum::Float(-1.0)]);
+        let c2 = Column::from_datums(
+            DataType::Float,
+            &[Datum::Float(2.0), Datum::Null, Datum::Float(-1.0)],
+        )
+        .unwrap();
         let keys = SortKeys::new(vec![c2], &[true]);
         assert_eq!(keys.sort_permutation(3), vec![0, 2, 1]);
     }

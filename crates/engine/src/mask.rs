@@ -223,7 +223,7 @@ pub(crate) fn for_each_set(bits: &[u64], mut f: impl FnMut(usize)) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datum::Datum;
+    use crate::datum::{DataType, Datum};
 
     /// Row `i` of a mask as SQL's three truth values.
     fn values(m: &Mask) -> Vec<Option<bool>> {
@@ -241,7 +241,7 @@ mod tests {
             let datums: Vec<Datum> = (v.iter())
                 .map(|x| x.map_or(Datum::Null, |b| Datum::Int(b as i64)))
                 .collect();
-            Mask::truthy(&Column::from_datums(&datums))
+            Mask::truthy(&Column::from_datums(DataType::Int, &datums).unwrap())
         };
         let (ma, mb) = (mask(&a), mask(&b));
         let and = |x: Option<bool>, y: Option<bool>| match (x, y) {

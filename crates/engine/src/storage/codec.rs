@@ -508,7 +508,7 @@ fn expand<K: Copy, T: Clone>(runs: &[(K, u32)], rows: usize, f: impl Fn(K) -> T)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datum::Datum;
+    use crate::datum::{DataType, Datum};
 
     fn roundtrip(col: &Column) -> Column {
         let mut buf = Vec::new();
@@ -525,7 +525,7 @@ mod tests {
             Column::int(vec![i64::MIN, -1, 0, i64::MAX]),
             Column::float(vec![0.0, -0.0, f64::NAN, f64::INFINITY, 1.5e-300]),
             Column::str(vec!["a".into(), "".into(), "a".into(), "日本".into()]),
-            Column::from_datums(&[Datum::Null, Datum::Int(7), Datum::Null]),
+            Column::from_datums(DataType::Int, &[Datum::Null, Datum::Int(7), Datum::Null]).unwrap(),
             Column::int(vec![]),
         ];
         for col in &cols {
@@ -544,7 +544,11 @@ mod tests {
         let mut buf = Vec::new();
         encode_column(
             &mut buf,
-            &Column::from_datums(&[Datum::Str("xy".into()), Datum::Null, Datum::Str("z".into())]),
+            &Column::from_datums(
+                DataType::Str,
+                &[Datum::Str("xy".into()), Datum::Null, Datum::Str("z".into())],
+            )
+            .unwrap(),
         );
         for cut in 0..buf.len() {
             let mut r = ByteReader::new(&buf[..cut]);
@@ -596,13 +600,15 @@ mod tests {
             (Column::int((0..130).map(|i| (i % 2) << 62).collect()), 63),
             (
                 Column::from_datums(
+                    DataType::Int,
                     &(0..500)
                         .map(|i| match i % 7 {
                             0 => Datum::Null,
                             _ => Datum::Int(-3 + i % 11),
                         })
                         .collect::<Vec<_>>(),
-                ),
+                )
+                .unwrap(),
                 4,
             ),
         ];

@@ -262,7 +262,7 @@ impl PagedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datum::Datum;
+    use crate::datum::{DataType, Datum};
 
     fn store(name: &str, pool_pages: usize) -> PagedStore {
         let dir = std::env::temp_dir().join(format!("jb_store_{}_{name}", std::process::id()));
@@ -371,6 +371,7 @@ mod tests {
     fn null_heavy_columns_roundtrip() {
         let s = store("nulls", 3);
         let col = Column::from_datums(
+            DataType::Float,
             &(0..3000)
                 .map(|i| {
                     if i % 3 == 0 {
@@ -380,7 +381,8 @@ mod tests {
                     }
                 })
                 .collect::<Vec<_>>(),
-        );
+        )
+        .unwrap();
         let pc = s.store_column(&col).unwrap();
         assert_eq!(s.load_column(&pc).unwrap(), col);
     }

@@ -7,7 +7,7 @@
 use joinboost::predict::{materialize_features, targets};
 use joinboost::{train_decision_tree, train_gbm, Dataset, Growth, TrainParams};
 use joinboost_datagen::{favorita, FavoritaConfig};
-use joinboost_engine::{Column, Database, Datum, Table};
+use joinboost_engine::{Column, DataType, Database, Datum, Table};
 use joinboost_graph::JoinGraph;
 use joinboost_semiring::Objective;
 
@@ -74,7 +74,11 @@ fn aggregates_ignore_nulls_and_count_star_does_not() {
         "t",
         Table::from_columns(vec![(
             "v",
-            Column::from_datums(&[Datum::Float(1.0), Datum::Null, Datum::Float(3.0)]),
+            Column::from_datums(
+                DataType::Float,
+                &[Datum::Float(1.0), Datum::Null, Datum::Float(3.0)],
+            )
+            .unwrap(),
         )]),
     )
     .unwrap();

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use joinboost::messages::{Factorizer, NodeContext};
 use joinboost::sqlgen::RingKind;
 use joinboost::Dataset;
-use joinboost_engine::{Column, Database, EngineConfig, Table};
+use joinboost_engine::{Column, DataType, Database, EngineConfig, Table};
 use joinboost_graph::JoinGraph;
 use joinboost_sql::ast::Expr;
 
@@ -90,9 +90,9 @@ fn load_grouped(db: &Database, data: &GroupedData) {
     db.create_table(
         "t",
         Table::from_columns(vec![
-            ("k", Column::from_datums(&k)),
-            ("ks", Column::from_datums(&ks)),
-            ("v", Column::from_datums(&v)),
+            ("k", Column::from_datums(DataType::Int, &k).unwrap()),
+            ("ks", Column::from_datums(DataType::Str, &ks).unwrap()),
+            ("v", Column::from_datums(DataType::Float, &v).unwrap()),
         ]),
     )
     .unwrap();
@@ -129,7 +129,8 @@ proptest! {
     }
 
     /// Row-mode execution and every storage configuration return the same
-    /// aggregate answers as the default columnar engine.
+    /// aggregate answers, in columns of the same types, as the default
+    /// columnar engine.
     #[test]
     fn engine_configurations_agree(data in arb_star()) {
         let sqls = [
@@ -137,6 +138,7 @@ proptest! {
             "SELECT COUNT(*) AS c FROM fact WHERE y > 0.0",
         ];
         let mut reference: Vec<Option<Vec<Vec<Option<f64>>>>> = vec![None; sqls.len()];
+        let mut reference_types: Vec<Option<Vec<DataType>>> = vec![None; sqls.len()];
         for config in [
             EngineConfig::duckdb_mem(),
             EngineConfig::dbms_x_row(),
@@ -150,6 +152,11 @@ proptest! {
             load_star(&db, &data);
             for (qi, sql) in sqls.iter().enumerate() {
                 let t = db.query(sql).unwrap();
+                let types = t.columns.iter().map(Column::dtype).collect();
+                match &reference_types[qi] {
+                    None => reference_types[qi] = Some(types),
+                    Some(r) => prop_assert_eq!(r, &types, "{}", sql),
+                }
                 let rows: Vec<Vec<Option<f64>>> = (0..t.num_rows())
                     .map(|i| t.columns.iter().map(|c| c.f64_at(i)).collect())
                     .collect();
@@ -173,8 +180,8 @@ proptest! {
 
     /// Randomized grouped queries (NULL-able int keys, string keys,
     /// ORDER BY + LIMIT, empty inputs): columnar vs row execution must
-    /// agree, and uncompressed columnar storage must match compressed bit
-    /// for bit.
+    /// agree on every column's type and values, and uncompressed columnar
+    /// storage must match compressed bit for bit.
     #[test]
     fn grouped_queries_agree_across_modes(data in arb_grouped()) {
         let sqls = [
@@ -204,6 +211,8 @@ proptest! {
                 prop_assert_eq!(want.num_rows(), got.num_rows(), "{}", sql);
                 prop_assert_eq!(want.num_columns(), got.num_columns(), "{}", sql);
                 for col in 0..want.num_columns() {
+                    let types = (want.columns[col].dtype(), got.columns[col].dtype());
+                    prop_assert_eq!(types.0, types.1, "{} col {}", sql, col);
                     for row in 0..want.num_rows() {
                         let (a, b) = (want.columns[col].get(row), got.columns[col].get(row));
                         match (a, b) {
@@ -306,38 +315,48 @@ fn arb_diff() -> impl Strategy<Value = DiffData> {
 }
 
 fn diff_tables(data: &DiffData) -> (Table, Table) {
+    use DataType::{Float, Int, Str};
     let int = |v: Option<i64>| v.map_or(Datum::Null, Datum::Int);
-    let col = |vals: Vec<Datum>| Column::from_datums(&vals);
+    let col = |dtype: DataType, vals: Vec<Datum>| Column::from_datums(dtype, &vals).unwrap();
     let key_cols = |keys: Vec<Keys>| -> Vec<(&'static str, Column)> {
         let str = |v: Option<usize>| v.map_or(Datum::Null, |i| Datum::Str(SS[i].to_string()));
         vec![
-            ("k", col(keys.iter().map(|r| int(r.0)).collect())),
+            ("k", col(Int, keys.iter().map(|r| int(r.0)).collect())),
             (
                 "big",
-                col(keys.iter().map(|r| Datum::Int(BIGS[r.1])).collect()),
+                col(Int, keys.iter().map(|r| Datum::Int(BIGS[r.1])).collect()),
             ),
-            ("s", col(keys.iter().map(|r| str(r.2)).collect())),
+            ("s", col(Str, keys.iter().map(|r| str(r.2)).collect())),
             (
                 "x",
-                col(keys.iter().map(|r| Datum::Float(XS[r.3])).collect()),
+                col(Float, keys.iter().map(|r| Datum::Float(XS[r.3])).collect()),
             ),
         ]
     };
     let quarters = |v: i8| Datum::Float(v as f64 * 0.25);
     let n = data.f.len();
     let mut f = key_cols(data.f.iter().map(|r| r.0).collect());
-    f.push(("v", col(data.f.iter().map(|r| quarters(r.1)).collect())));
+    f.push((
+        "v",
+        col(Float, data.f.iter().map(|r| quarters(r.1)).collect()),
+    ));
     f.push((
         "pad_i",
-        col((0..n).map(|i| Datum::Int(i as i64 * 7)).collect()),
+        col(Int, (0..n).map(|i| Datum::Int(i as i64 * 7)).collect()),
     ));
     f.push((
         "pad_s",
-        col((0..n).map(|i| Datum::Str(format!("p{}", i % 3))).collect()),
+        col(
+            Str,
+            (0..n).map(|i| Datum::Str(format!("p{}", i % 3))).collect(),
+        ),
     ));
     let mut d = key_cols(data.d.iter().map(|r| r.0).collect());
-    d.push(("g", col(data.d.iter().map(|r| int(r.1)).collect())));
-    d.push(("v", col(data.d.iter().map(|r| quarters(r.2)).collect())));
+    d.push(("g", col(Int, data.d.iter().map(|r| int(r.1)).collect())));
+    d.push((
+        "v",
+        col(Float, data.d.iter().map(|r| quarters(r.2)).collect()),
+    ));
     (Table::from_columns(f), Table::from_columns(d))
 }
 
@@ -876,7 +895,9 @@ impl Oracle {
 }
 
 /// Result cells compared by value: ints and floats of one value are the
-/// same answer (row mode may widen), `-0.0` is `0.0`.
+/// same answer (the naive oracle does not type its values; the
+/// personalities' column types are compared among themselves), `-0.0`
+/// is `0.0`.
 fn cells(rows: Vec<Vec<Datum>>, ordered: bool) -> Vec<Vec<String>> {
     let mut out: Vec<Vec<String>> = (rows.into_iter())
         .map(|row| {
@@ -948,8 +969,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Every personality answers every generated query as the naive
-    /// oracle does, and stores the same rows when it creates a table as
-    /// that query.
+    /// oracle does, in columns of the types the first personality gives
+    /// them, and stores the same rows and types when it creates a table
+    /// as that query.
     #[test]
     fn generated_queries_match_a_naive_oracle_on_every_personality(data in arb_diff()) {
         let case = DIFF_CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -965,16 +987,22 @@ proptest! {
                 d: Rel::of(&mem.snapshot("d").unwrap()),
             }
         };
+        let types = |t: &Table| t.columns.iter().map(Column::dtype).collect::<Vec<_>>();
         for spec in specs(&data.picks) {
             let sql = spec.sql();
             let want = cells(oracle.expect(&spec), spec.ordered());
+            let mut want_types = None;
             for (name, db) in &dbs {
                 let got = db.query(&sql).unwrap_or_else(|e| panic!("{name}: {sql}: {e}"));
+                let got_types = types(&got);
+                let want_types = want_types.get_or_insert_with(|| got_types.clone());
+                prop_assert_eq!(&got_types, want_types, "{} types {}", name, sql);
                 let got = cells((0..got.num_rows()).map(|i| got.row(i)).collect(), spec.ordered());
                 prop_assert_eq!(&got, &want, "{} answers {}", name, sql);
                 let create = format!("CREATE OR REPLACE TABLE ctas AS {sql}");
                 db.execute(&create).unwrap_or_else(|e| panic!("{name}: {create}: {e}"));
                 let t = db.snapshot("ctas").unwrap();
+                prop_assert_eq!(&types(&t), want_types, "{} stores the types of {}", name, sql);
                 let stored = cells((0..t.num_rows()).map(|i| t.row(i)).collect(), spec.ordered());
                 prop_assert_eq!(&stored, &want, "{} stores {}", name, sql);
             }
